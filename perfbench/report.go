@@ -3,8 +3,9 @@ package main
 import "hira/internal/engine"
 
 // reportEndToEnd sets the end-to-end metrics every workload reports
-// from its untraced phase (setup_s is set by the workload).
+// from its untraced phase.
 func reportEndToEnd(r *run, p *phase) {
+	r.set("setup_s", median(p.setups), "s", len(p.setups))
 	r.set("max_rss_mb", median(p.rss), "MB", len(p.rss))
 	r.set("sweep_s", median(p.sweep), "s", len(p.sweep))
 	r.set("cold_job_s", median(p.cold), "s", len(p.cold))

@@ -195,12 +195,7 @@ func serverSession(r *run) error {
 	ctx := context.Background()
 	g := newGate(r.refs, r.seed)
 	if !r.traced {
-		p, err := runServerPhase(ctx, r, g, r.budget, false)
-		if err != nil {
-			return err
-		}
-		reportEndToEnd(r, &p.phase)
-		setup, n, err := measureSetup(15, 10, func() (time.Duration, error) {
+		setup := setupTimer{per: 10, run: func() (time.Duration, error) {
 			t0 := time.Now()
 			if _, err := makeInputs(r.seed); err != nil {
 				return 0, err
@@ -212,16 +207,17 @@ func serverSession(r *run) error {
 			d := time.Since(t0)
 			ls.close()
 			return d, nil
-		})
+		}}
+		p, err := runServerPhase(ctx, r, g, r.budget, false, &setup)
 		if err != nil {
 			return err
 		}
-		r.set("setup_s", setup, "s", n)
+		reportEndToEnd(r, &p.phase)
 	} else {
 		var last *serverPhase
 		err := tracedRun(r, fig9Layers(r.in),
 			func(budget time.Duration, traced bool) (*phase, error) {
-				p, err := runServerPhase(ctx, r, g, budget, traced)
+				p, err := runServerPhase(ctx, r, g, budget, traced, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -251,14 +247,18 @@ func serverSession(r *run) error {
 
 // runServerPhase runs server repetitions until the budget is spent (at
 // least minReps). Traced phases also read each repetition's job traces,
-// /metrics and /v1/stats.
-func runServerPhase(ctx context.Context, r *run, g *gate, budget time.Duration, traced bool) (*serverPhase, error) {
+// /metrics and /v1/stats. A non-nil setup times its set-ups before
+// every repetition.
+func runServerPhase(ctx context.Context, r *run, g *gate, budget time.Duration, traced bool, setup *setupTimer) (*serverPhase, error) {
 	p := &serverPhase{}
 	mem := readMem()
 	start := time.Now()
 	specs := []service.JobSpec{r.in.serverSpec(false), r.in.serverSpec(true)}
 	labels := []string{labelServerCold, labelServerExt}
 	for p.reps < minReps || time.Since(start)+time.Since(start)/time.Duration(p.reps) <= budget {
+		if err := setup.time(&p.phase); err != nil {
+			return nil, err
+		}
 		debug.FreeOSMemory() // as in sweepPhase
 		p.reps++
 		rss := startRSS()

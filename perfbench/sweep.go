@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"syscall"
 	"time"
 
 	"hira/internal/engine"
@@ -21,6 +22,9 @@ const (
 	warmClients = 2
 	// minReps is the fewest repetitions a phase runs, however long.
 	minReps = 3
+	// setupBatches is how many batches of set-ups an untraced
+	// repetition times before it starts.
+	setupBatches = 3
 )
 
 // request is one figure request a workload issues against an engine.
@@ -142,6 +146,7 @@ type phase struct {
 	engine            sim.EngineStats
 	snaps             engine.SnapStats
 	spanTotals        []map[string]time.Duration // engine trace span totals per repetition
+	setups            []float64                  // seconds per set-up, one per timed batch
 	reps              int
 	mem               memDelta
 }
@@ -151,23 +156,23 @@ type phase struct {
 func runSweep(r *run, w sweepWorkload) error {
 	g := newGate(r.refs, r.seed)
 	if !r.traced {
-		reportEndToEnd(r, sweepPhase(r, w, g, r.budget, false))
-		setup, n, err := measureSetup(15, 1000, func() (time.Duration, error) {
+		setup := setupTimer{per: 1000, run: func() (time.Duration, error) {
 			t0 := time.Now()
 			if _, err := makeInputs(r.seed); err != nil {
 				return 0, err
 			}
 			w.engine()
 			return time.Since(t0), nil
-		})
+		}}
+		p, err := sweepPhase(r, w, g, r.budget, false, &setup)
 		if err != nil {
 			return err
 		}
-		r.set("setup_s", setup, "s", n)
+		reportEndToEnd(r, p)
 		return nil
 	}
 	err := tracedRun(r, w.layers, func(budget time.Duration, traced bool) (*phase, error) {
-		return sweepPhase(r, w, g, budget, traced), nil
+		return sweepPhase(r, w, g, budget, traced, nil)
 	})
 	zeroService(r)
 	return err
@@ -207,12 +212,16 @@ func tracedRun(r *run, targets layerTargets, measure func(budget time.Duration, 
 
 // sweepPhase runs repetitions until the budget is spent (at least
 // minReps). Traced phases attach an engine trace to every request and
-// record benchmark spans around each call.
-func sweepPhase(r *run, w sweepWorkload, g *gate, budget time.Duration, traced bool) *phase {
+// record benchmark spans around each call. A non-nil setup times its
+// set-ups before every repetition.
+func sweepPhase(r *run, w sweepWorkload, g *gate, budget time.Duration, traced bool, setup *setupTimer) (*phase, error) {
 	p := &phase{}
 	mem := readMem()
 	start := time.Now()
 	for p.reps < minReps || time.Since(start)+time.Since(start)/time.Duration(p.reps) <= budget {
+		if err := setup.time(p); err != nil {
+			return nil, err
+		}
 		// Each repetition starts from a collected heap returned to the
 		// OS, so one repetition's garbage neither slows the next nor
 		// counts in its peak memory.
@@ -253,6 +262,10 @@ func sweepPhase(r *run, w sweepWorkload, g *gate, budget time.Duration, traced b
 		p.cold = append(p.cold, seconds(durs[0]))
 		p.next = append(p.next, seconds(durs[1]))
 		p.sweep = append(p.sweep, seconds(durs[0]+durs[1]))
+		// The warm loop starts from a collected heap, so where its
+		// garbage collections fall does not depend on the cold phase's
+		// garbage.
+		runtime.GC()
 		p.addWarm(warmLoop(ctx, r, e, g, []request{w.cold, w.next}))
 		p.rss = append(p.rss, rss.stopMB())
 		p.engine = e.Stats()
@@ -262,7 +275,7 @@ func sweepPhase(r *run, w sweepWorkload, g *gate, budget time.Duration, traced b
 		}
 	}
 	p.mem = readMem().since(mem)
-	return p
+	return p, nil
 }
 
 // addWarm records one repetition's warm latencies (ms). Percentiles are
@@ -280,19 +293,25 @@ func (p *phase) addWarm(ms []float64) {
 }
 
 // warmLoop re-issues already-answered requests from one closed-loop
-// caller and returns their latencies in ms. Each answer must match the
-// figure computed cold and simulate nothing. One caller, unlike the
-// server's two clients, models a program re-running figures in-process,
-// and keeps the callers from contending with each other and with the
-// garbage collector for the host's two CPUs, which made the tail of
-// two in-process callers swing with the host's load.
+// caller and returns the CPU time each took, in ms. Each answer must
+// match the figure computed cold and simulate nothing. One caller,
+// unlike the server's two clients, models a program re-running figures
+// in-process, and keeps the callers from contending with each other
+// and with the garbage collector for the host's two CPUs, which made
+// the tail of two in-process callers swing with the host's load.
+//
+// A request is timed in process CPU time, not wall time: a warm
+// request takes 1-2 ms, and in busy periods the host stalls the VM's
+// CPUs for a few ms often enough to land in more than 1% of such
+// requests, so a wall-clock p99 measured the host (it doubled for
+// minutes at a time while p50 held).
 func warmLoop(ctx context.Context, r *run, e *sim.Engine, g *gate, reqs []request) []float64 {
 	var lat []float64
 	for i := 0; i < warmPerRep; i++ {
 		req := reqs[i%len(reqs)]
-		t0 := time.Now()
+		c0 := cpuTime()
 		res, err := req.run(ctx, e)
-		ms := millis(time.Since(t0))
+		ms := millis(cpuTime() - c0)
 		if err == nil && res.Stats.Simulated != 0 {
 			err = fmt.Errorf("%w: warm %s simulated %d cells", errMismatch, req.label, res.Stats.Simulated)
 		}
@@ -343,30 +362,50 @@ func (m memMark) since(prev memMark) memDelta {
 	}
 }
 
-// measureSetup times batches of per set-ups and returns the median
-// per-set-up time in seconds and the number of batches. setup returns
-// the time of the part that counts, so it can leave out its teardown.
-// Workloads call it after their measured phase, when the process's
-// heap and caches are as warm as they are for every later set-up, so
-// the figure does not hinge on the first few garbage collections of a
-// fresh process.
-func measureSetup(batches, per int, setup func() (time.Duration, error)) (float64, int, error) {
+// setupTimer times a workload's set-up in batches of per set-ups. run
+// returns the time of the part that counts, so it can leave out its
+// teardown. The batches are spread over the whole measured phase, a
+// few before each repetition, so setup_s (their median) reflects the
+// host over the whole run rather than over the fraction of a second
+// one block of batches takes.
+type setupTimer struct {
+	per int
+	run func() (time.Duration, error)
+}
+
+// time appends setupBatches per-set-up times, in seconds, to p.setups,
+// after a discarded warm-up batch that faults in the heap pages the
+// timed batches then reuse. A nil timer does nothing.
+func (s *setupTimer) time(p *phase) error {
+	if s == nil {
+		return nil
+	}
 	runtime.GC()
-	var xs []float64
-	// Batch -1 is a discarded warm-up: it faults in the heap pages the
-	// timed batches then reuse.
-	for b := -1; b < batches; b++ {
+	for b := -1; b < setupBatches; b++ {
 		var total time.Duration
-		for i := 0; i < per; i++ {
-			d, err := setup()
+		for i := 0; i < s.per; i++ {
+			d, err := s.run()
 			if err != nil {
-				return 0, 0, fmt.Errorf("setup: %w", err)
+				return fmt.Errorf("setup: %w", err)
 			}
 			total += d
 		}
 		if b >= 0 {
-			xs = append(xs, seconds(total)/float64(per))
+			p.setups = append(p.setups, seconds(total)/float64(s.per))
 		}
 	}
-	return median(xs), len(xs), nil
+	return nil
+}
+
+// cpuTime is the CPU time all of the process's threads have run, user
+// plus system. The kernel takes it from the scheduler's run time,
+// which leaves out time a hypervisor that reports steal time took the
+// CPUs away, so unlike wall time it does not grow while the host
+// stalls the VM.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
