@@ -288,12 +288,20 @@ func (s *store[R]) save(key string, r R) (saved bool, err error) {
 	}
 	hash := hashKey(key)
 	if err := s.fs.WriteFileAtomic(fault.SiteStoreWrite, s.path(hash), data); err != nil {
+		// Decide under the lock that flips the store: a save that was
+		// already in flight when a concurrent failure degraded it lands
+		// here after the flip and must be the same silent no-op as a
+		// save that started degraded, or the flip is reported once per
+		// in-flight save instead of once.
 		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.degraded != "" {
+			return false, nil
+		}
 		s.saveFails++
-		if s.saveFails >= storeDegradeAfter && s.degraded == "" {
+		if s.saveFails >= storeDegradeAfter {
 			s.degraded = fmt.Sprintf("%d consecutive save failures, last: %v", s.saveFails, err)
 		}
-		s.mu.Unlock()
 		return false, fmt.Errorf("engine: result store: %w", err)
 	}
 	s.mu.Lock()
