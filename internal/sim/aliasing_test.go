@@ -22,7 +22,7 @@ func TestCellKeyDistinguishesProfileFields(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cores = 1
 	base := workload.Profile{Name: "w", MPKI: 10, RowLocality: 0.5, FootprintMB: 64, WriteFrac: 0.25}
-	baseKey := simCellKey(cfg, oneCoreMix(base), 100, 200)
+	baseKey := simCellKey(cfg, identify(oneCoreMix(base)).wl, 100, 200)
 
 	variants := map[string]workload.Profile{}
 	v := base
@@ -42,10 +42,10 @@ func TestCellKeyDistinguishesProfileFields(t *testing.T) {
 	variants["write fraction"] = v
 
 	for field, p := range variants {
-		if key := simCellKey(cfg, oneCoreMix(p), 100, 200); key == baseKey {
+		if key := simCellKey(cfg, identify(oneCoreMix(p)).wl, 100, 200); key == baseKey {
 			t.Errorf("changing only the %s field kept cell key %q", field, key)
 		}
-		if key := aloneCellKey(p, 1, 200); key == aloneCellKey(base, 1, 200) {
+		if key := aloneCellKey(p.Key(), 1, 200); key == aloneCellKey(base.Key(), 1, 200) {
 			t.Errorf("changing only the %s field kept the alone cell key %q", field, key)
 		}
 	}
@@ -66,21 +66,21 @@ func TestCellKeyDistinguishesTraceContent(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.Cores = 1
-	k1 := simCellKey(cfg, oneCoreMix(tr), 100, 200)
-	k2 := simCellKey(cfg, oneCoreMix(tr2), 100, 200)
+	k1 := simCellKey(cfg, identify(oneCoreMix(tr)).wl, 100, 200)
+	k2 := simCellKey(cfg, identify(oneCoreMix(tr2)).wl, 100, 200)
 	if k1 == k2 {
 		t.Fatalf("one-access trace change kept cell key %q", k1)
 	}
 	// A trace must also never alias a profile, and the key must be
 	// digest-based so a renamed copy of the same bytes shares cells.
-	if k1 == simCellKey(cfg, oneCoreMix(p), 100, 200) {
+	if k1 == simCellKey(cfg, identify(oneCoreMix(p)).wl, 100, 200) {
 		t.Error("trace workload aliases the profile it was recorded from")
 	}
 	renamed, err := workload.NewTrace("other", tr.Accesses())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if simCellKey(cfg, oneCoreMix(renamed), 100, 200) != k1 {
+	if simCellKey(cfg, identify(oneCoreMix(renamed)).wl, 100, 200) != k1 {
 		t.Error("renaming a trace changed its cell key")
 	}
 }

@@ -81,7 +81,7 @@ func TestMitigationCellKeyAliasing(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Cores = 1
 		cfg.Policy = pol
-		return simCellKey(cfg, mix, 100, 200), trajectoryKey(cfg, mix)
+		return simCellKey(cfg, identify(mix).wl, 100, 200), trajectoryKey(cfg, identify(mix).wl)
 	}
 
 	baseCell, baseTraj := key(BaselinePolicy())

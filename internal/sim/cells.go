@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"hira/internal/engine"
@@ -36,50 +37,99 @@ type CellResult struct {
 // experimentEngine is the engine instantiation every sweep runs on.
 type experimentEngine = engine.Engine[CellResult]
 
-// simCellKey names a full-system simulation cell. It encodes every input
-// NewSystem and Run consume: system shape, refresh policy behavior
-// (mode fields, not the display name, so identically configured policies
-// share a cell), per-core workload identities (a profile's full
-// parameter set or a trace's content digest — see workload.Source.Key,
-// which guarantees distinct workloads never alias), seed, and tick
-// counts. Builtin-profile keys are byte-identical to the pre-Source
-// encoding, so existing result stores stay warm.
-func simCellKey(cfg Config, mix workload.SourceMix, warmup, measure int) string {
-	wl := make([]string, len(mix.Sources))
+// mixIdentity is a mix's rendered workload identity: every source's
+// Key in core order, and their comma join — the wl= field of sim-cell
+// and trajectory keys. Rendering it dominates an all-hit request's key
+// cost, so a sweep renders each mix once and hands the strings to every
+// cell it keys.
+type mixIdentity struct {
+	srcs []string
+	wl   string
+}
+
+// identify renders mix's workload identity.
+func identify(mix workload.SourceMix) mixIdentity {
+	srcs := make([]string, len(mix.Sources))
 	for i, s := range mix.Sources {
-		wl[i] = s.Key()
+		srcs[i] = s.Key()
 	}
+	return mixIdentity{srcs: srcs, wl: strings.Join(srcs, ",")}
+}
+
+// appendSimKey is the one renderer of the fields sim-cell and
+// trajectory keys share, appended after the key's version tag: system
+// shape, SPT coverage, seed, refresh policy behavior (mode fields, not
+// the display name, so identically configured policies share a key),
+// the horizons when horizon is {warmup, measure} (trajectories pass nil:
+// they are horizon-free), the mix's workload identity wl (see
+// workload.Source.Key, which guarantees distinct workloads never
+// alias), and the mitigation suffix. Because both keys render through
+// here, any input that distinguishes two sim cells other than the
+// horizons distinguishes their trajectories too. The bytes equal the
+// fmt %d/%g encoding earlier versions produced, so existing result
+// stores and checkpoints stay warm.
+func appendSimKey(b []byte, cfg Config, horizon []int, wl string) []byte {
 	cov := cfg.SPTCoverage
 	if cov == 0 {
 		cov = defaultSPTCoverage // NewSystem's fallback; keep the key canonical
 	}
-	key := fmt.Sprintf(
-		"sim/v2 cores=%d cap=%d ch=%d rk=%d spt=%g seed=%d per=%d prev=%d slack=%d nrh=%d warm=%d meas=%d wl=%s",
-		cfg.Cores, cfg.ChipCapacityGbit, cfg.Channels, cfg.Ranks, cov, cfg.Seed,
-		cfg.Policy.Periodic, cfg.Policy.Preventive, cfg.Policy.SlackTRC, cfg.Policy.NRH,
-		warmup, measure, strings.Join(wl, ","))
+	b = strconv.AppendInt(append(b, " cores="...), int64(cfg.Cores), 10)
+	b = strconv.AppendInt(append(b, " cap="...), int64(cfg.ChipCapacityGbit), 10)
+	b = strconv.AppendInt(append(b, " ch="...), int64(cfg.Channels), 10)
+	b = strconv.AppendInt(append(b, " rk="...), int64(cfg.Ranks), 10)
+	b = strconv.AppendFloat(append(b, " spt="...), cov, 'g', -1, 64)
+	b = strconv.AppendUint(append(b, " seed="...), cfg.Seed, 10)
+	b = strconv.AppendUint(append(b, " per="...), uint64(cfg.Policy.Periodic), 10)
+	b = strconv.AppendUint(append(b, " prev="...), uint64(cfg.Policy.Preventive), 10)
+	b = strconv.AppendInt(append(b, " slack="...), int64(cfg.Policy.SlackTRC), 10)
+	b = strconv.AppendInt(append(b, " nrh="...), int64(cfg.Policy.NRH), 10)
+	if horizon != nil {
+		b = strconv.AppendInt(append(b, " warm="...), int64(horizon[0]), 10)
+		b = strconv.AppendInt(append(b, " meas="...), int64(horizon[1]), 10)
+	}
+	b = append(append(b, " wl="...), wl...)
 	if cfg.Policy.Mitigation != "" {
-		// Suffix only mitigation cells, so every pre-mitigation store
-		// entry stays warm.
-		key += fmt.Sprintf(" mit=%s mp=%d", cfg.Policy.Mitigation, cfg.Policy.MitigationParam)
+		// Suffix only mitigation keys, so every pre-mitigation store
+		// entry stays warm. Mitigation cells never checkpoint (their
+		// engines refuse Snapshot), but the trajectory key still rides
+		// inside every snapshot as the identity cross-check, so it must
+		// distinguish them all the same.
+		b = append(append(b, " mit="...), cfg.Policy.Mitigation...)
+		b = strconv.AppendInt(append(b, " mp="...), int64(cfg.Policy.MitigationParam), 10)
 	}
-	if cfg.Forensics.Enabled {
-		// Forensics never perturbs the trajectory, but it adds a summary
-		// to the cell payload — suffix only forensics cells so every
-		// existing plain-cell store entry stays warm.
-		key += fmt.Sprintf(" fx=1 fxrec=%t", cfg.Forensics.Recorder)
+	return b
+}
+
+// appendForensicsSuffix marks forensics cells and plan groups.
+// Forensics never perturbs the trajectory, but it adds a summary to the
+// cell payload, so plain and forensics cells must neither share a store
+// entry nor a pass. Only forensics keys carry the suffix, so every
+// existing plain-cell store entry stays warm.
+func appendForensicsSuffix(b []byte, fx ForensicsOptions) []byte {
+	if !fx.Enabled {
+		return b
 	}
-	return key
+	return strconv.AppendBool(append(b, " fx=1 fxrec="...), fx.Recorder)
+}
+
+// simCellKey names a full-system simulation cell: every input NewSystem
+// and Run consume — appendSimKey's fields with the warmup and measure
+// horizons — plus the forensics mode. wl is the mix's rendered
+// identity (mixIdentity.wl).
+func simCellKey(cfg Config, wl string, warmup, measure int) string {
+	b := appendSimKey(append(make([]byte, 0, 160+len(wl)), "sim/v2"...), cfg, []int{warmup, measure}, wl)
+	return string(appendForensicsSuffix(b, cfg.Forensics))
 }
 
 // simCell builds the cell that simulates one (config, policy, mix)
 // point on lab's checkpoint policy: the runner resumes from the longest
 // usable checkpoint at or below the requested horizon and writes new
 // checkpoints as it advances, so a warm store answers "same trajectory,
-// longer run" by simulating only the delta.
-func simCell(lab *Engine, cfg Config, mix workload.SourceMix, warmup, measure int) engine.Cell[CellResult] {
+// longer run" by simulating only the delta. wl is mix's rendered
+// identity.
+func simCell(lab *Engine, cfg Config, mix workload.SourceMix, wl string, warmup, measure int) engine.Cell[CellResult] {
 	return engine.Cell[CellResult]{
-		Key: simCellKey(cfg, mix, warmup, measure),
+		Key: simCellKey(cfg, wl, warmup, measure),
 		Run: func(ctx context.Context) (CellResult, error) {
 			res, err := runSimCell(ctx, lab.snaps, lab.snapInterval, cfg, mix, warmup, measure)
 			if err != nil {
@@ -90,7 +140,7 @@ func simCell(lab *Engine, cfg Config, mix workload.SourceMix, warmup, measure in
 			return out, nil
 		},
 		Plan: &engine.Plan[CellResult]{
-			Group:   simPlanGroup(cfg, mix),
+			Group:   simPlanGroup(cfg, wl),
 			Horizon: warmup + measure,
 			Payload: simPassPayload{cfg: cfg, mix: mix, warmup: warmup, measure: measure},
 			RunPass: func(ctx context.Context, members []engine.PlanMember, emit func(int, CellResult)) error {
@@ -111,16 +161,12 @@ func simCellResult(res Result) CellResult {
 	}
 }
 
-// simPlanGroup names a sim cell's planner group: its trajectory, plus
-// the forensics mode. Forensics never perturbs the trajectory, but it
-// changes the cell payload, so forensics and plain cells must not share
-// one pass.
-func simPlanGroup(cfg Config, mix workload.SourceMix) string {
-	g := "sim " + trajectoryKey(cfg, mix)
-	if cfg.Forensics.Enabled {
-		g += fmt.Sprintf(" fx=1 fxrec=%t", cfg.Forensics.Recorder)
-	}
-	return g
+// simPlanGroup names a sim cell's planner group: its trajectory key
+// (rendered like trajectoryKey, behind a "sim " tag), plus the forensics
+// mode, which changes the cell payload but not the trajectory.
+func simPlanGroup(cfg Config, wl string) string {
+	b := appendSimKey(append(make([]byte, 0, 160+len(wl)), "sim "+trajectoryTag...), cfg, nil, wl)
+	return string(appendForensicsSuffix(b, cfg.Forensics))
 }
 
 // simPassPayload carries one sim cell's inputs to its group's pass.
@@ -150,7 +196,7 @@ func runSimPass(ctx context.Context, lab *Engine, members []engine.PlanMember, e
 		// cold — they still coalesce their horizons.
 		snaps = nil
 	}
-	ck := checkpointer{snaps: snaps, interval: lab.snapInterval, key: trajectoryKey(cfg, mix)}
+	ck := checkpointer{snaps: snaps, interval: lab.snapInterval, key: trajectoryKey(cfg, identify(mix).wl)}
 
 	// The members share one machine, so the resume point must not
 	// overshoot any member's horizon: the shortest pending total bounds
@@ -262,7 +308,7 @@ func runSimCell(ctx context.Context, snaps *engine.SnapStore, interval int,
 		// refuses it); skip the resume scan instead of missing noisily.
 		snaps = nil
 	}
-	ck := checkpointer{snaps: snaps, interval: interval, key: trajectoryKey(cfg, mix)}
+	ck := checkpointer{snaps: snaps, interval: interval, key: trajectoryKey(cfg, identify(mix).wl)}
 	sys, mark, haveMark := ck.resumeSystem(ctx, cfg, mix, warmup, total)
 	if sys == nil {
 		var err error
@@ -545,7 +591,7 @@ func (ck *checkpointer) save(ctx context.Context, m machine) {
 // from.
 func runAloneCell(ctx context.Context, snaps *engine.SnapStore, interval int,
 	src workload.Source, seed uint64, ticks int) (float64, error) {
-	ck := checkpointer{snaps: snaps, interval: interval, key: aloneTrajectoryKey(src, seed)}
+	ck := checkpointer{snaps: snaps, interval: interval, key: aloneTrajectoryKey(src.Key(), seed)}
 	var a *aloneRun
 	ck.resumeLongest(ctx, ticks, func(t int, data []byte) bool {
 		r, err := restoreAloneRun(src, seed, data)
@@ -590,7 +636,7 @@ type alonePassPayload struct {
 func runAlonePass(ctx context.Context, lab *Engine, members []engine.PlanMember, emit func(int, CellResult)) error {
 	first := members[0].Payload.(alonePassPayload)
 	src, seed := first.src, first.seed
-	ck := checkpointer{snaps: lab.snaps, interval: lab.snapInterval, key: aloneTrajectoryKey(src, seed)}
+	ck := checkpointer{snaps: lab.snaps, interval: lab.snapInterval, key: aloneTrajectoryKey(src.Key(), seed)}
 	var a *aloneRun
 	ck.resumeLongest(ctx, members[0].Horizon, func(t int, data []byte) bool {
 		r, err := restoreAloneRun(src, seed, data)
@@ -626,17 +672,19 @@ func runAlonePass(ctx context.Context, lab *Engine, members []engine.PlanMember,
 	return nil
 }
 
-// aloneCellKey names an alone-IPC reference cell.
-func aloneCellKey(src workload.Source, seed uint64, ticks int) string {
-	return fmt.Sprintf("alone/v2 wl=%s seed=%d ticks=%d", src.Key(), seed, ticks)
+// aloneCellKey names an alone-IPC reference cell: the source's Key,
+// the seed and the horizon.
+func aloneCellKey(srcKey string, seed uint64, ticks int) string {
+	b := appendAloneKey(make([]byte, 0, 64+len(srcKey)), "alone/v2", srcKey, seed)
+	return string(strconv.AppendInt(append(b, " ticks="...), int64(ticks), 10))
 }
 
 // aloneCell builds the cell that computes one workload's alone-IPC
 // reference for weighted speedup, resumable under lab's checkpoint
-// policy like simCell.
-func aloneCell(lab *Engine, src workload.Source, seed uint64, ticks int) engine.Cell[CellResult] {
+// policy like simCell. srcKey is src's rendered Key.
+func aloneCell(lab *Engine, src workload.Source, srcKey string, seed uint64, ticks int) engine.Cell[CellResult] {
 	return engine.Cell[CellResult]{
-		Key: aloneCellKey(src, seed, ticks),
+		Key: aloneCellKey(srcKey, seed, ticks),
 		Run: func(ctx context.Context) (CellResult, error) {
 			alone, err := runAloneCell(ctx, lab.snaps, lab.snapInterval, src, seed, ticks)
 			if err != nil {
@@ -645,7 +693,7 @@ func aloneCell(lab *Engine, src workload.Source, seed uint64, ticks int) engine.
 			return CellResult{Alone: alone}, nil
 		},
 		Plan: &engine.Plan[CellResult]{
-			Group:   "alone " + aloneTrajectoryKey(src, seed),
+			Group:   string(appendAloneKey(make([]byte, 0, 64+len(srcKey)), "alone "+aloneTrajectoryTag, srcKey, seed)),
 			Horizon: ticks,
 			Payload: alonePassPayload{src: src, seed: seed, ticks: ticks},
 			RunPass: func(ctx context.Context, members []engine.PlanMember, emit func(int, CellResult)) error {

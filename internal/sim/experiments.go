@@ -96,7 +96,7 @@ func newAloneRun(src workload.Source, seed uint64) *aloneRun {
 	mem := &aloneMemory{latencyTicks: 72, llc: cache.MustNew(8<<20, 8, 64)}
 	c := cpu.New(0, src.Stream(seed), mem)
 	mem.c = c
-	return &aloneRun{mem: mem, c: c, key: aloneTrajectoryKey(src, seed)}
+	return &aloneRun{mem: mem, c: c, key: aloneTrajectoryKey(src.Key(), seed)}
 }
 
 // Ticks reports the absolute tick the run has reached.
@@ -469,8 +469,23 @@ func runPoliciesMeasures(ctx context.Context, lab *Engine, base Config, policies
 		}
 	}
 
+	// Render every workload identity once per request: each key below
+	// embeds it, and rendering it per cell per core would dominate an
+	// all-hit request's cost.
+	ids := make([]mixIdentity, len(mixes))
+	for mi, mix := range mixes {
+		ids[mi] = identify(mix)
+	}
+
 	var cells []engine.Cell[CellResult]
-	aloneIdx := map[string]int{} // alone cell key -> index into cells
+	// aloneIdx dedups alone cells by their key's inputs (a seed-invariant
+	// source dealt to several cores shares one reference).
+	type aloneID struct {
+		src   string
+		seed  uint64
+		ticks int
+	}
+	aloneIdx := map[aloneID]int{} // -> index into cells
 	// aloneRefs[measure][mix][core] -> index into cells
 	aloneRefs := make([][][]int, len(measures))
 	for mIdx, measure := range measures {
@@ -478,13 +493,12 @@ func runPoliciesMeasures(ctx context.Context, lab *Engine, base Config, policies
 		for mi, mix := range mixes {
 			aloneRefs[mIdx][mi] = make([]int, len(mix.Sources))
 			for c, src := range mix.Sources {
-				seed := aloneRefSeed(src, opts.Seed, c)
-				key := aloneCellKey(src, seed, measure)
-				idx, ok := aloneIdx[key]
+				id := aloneID{src: ids[mi].srcs[c], seed: aloneRefSeed(src, opts.Seed, c), ticks: measure}
+				idx, ok := aloneIdx[id]
 				if !ok {
 					idx = len(cells)
-					aloneIdx[key] = idx
-					cells = append(cells, aloneCell(lab, src, seed, measure))
+					aloneIdx[id] = idx
+					cells = append(cells, aloneCell(lab, src, id.src, id.seed, measure))
 				}
 				aloneRefs[mIdx][mi][c] = idx
 			}
@@ -499,8 +513,8 @@ func runPoliciesMeasures(ctx context.Context, lab *Engine, base Config, policies
 			cfg.Policy = pol
 			cfg.Seed = opts.Seed
 			cfg.Forensics = ForensicsOptions{Enabled: opts.Forensics, Recorder: opts.Forensics && opts.ForensicsRecorder}
-			for _, mix := range mixes {
-				cells = append(cells, simCell(lab, cfg, mix, opts.Warmup, measure))
+			for mi, mix := range mixes {
+				cells = append(cells, simCell(lab, cfg, mix, ids[mi].wl, opts.Warmup, measure))
 			}
 		}
 	}

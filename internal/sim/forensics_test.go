@@ -82,11 +82,11 @@ func TestForensicsFiguresBitIdentical(t *testing.T) {
 func TestForensicsCellsSeparatelyKeyed(t *testing.T) {
 	cfg := DefaultConfig()
 	mix := workload.SourceMix{}
-	plain := simCellKey(cfg, mix, 100, 200)
+	plain := simCellKey(cfg, identify(mix).wl, 100, 200)
 	cfg.Forensics = ForensicsOptions{Enabled: true}
-	fx := simCellKey(cfg, mix, 100, 200)
+	fx := simCellKey(cfg, identify(mix).wl, 100, 200)
 	cfg.Forensics.Recorder = true
-	rec := simCellKey(cfg, mix, 100, 200)
+	rec := simCellKey(cfg, identify(mix).wl, 100, 200)
 	if plain == fx || fx == rec || plain == rec {
 		t.Fatalf("cell keys alias across forensics modes:\nplain: %s\nfx:    %s\nrec:   %s", plain, fx, rec)
 	}

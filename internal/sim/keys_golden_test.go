@@ -32,11 +32,12 @@ type goldenKeyCase struct {
 // submits (their closures are never run, so no engine is needed), with
 // alone seeds chosen as runPoliciesMeasures chooses them.
 func renderGoldenKeys(c goldenKeyCase) (sim, traj, grp string, alone, aloneGrp []string) {
-	cell := simCell(nil, c.cfg, c.mix, c.warmup, c.measure)
+	id := identify(c.mix)
+	cell := simCell(nil, c.cfg, c.mix, id.wl, c.warmup, c.measure)
 	sim, grp = cell.Key, cell.Plan.Group
-	traj = trajectoryKey(c.cfg, c.mix)
+	traj = trajectoryKey(c.cfg, id.wl)
 	for core, src := range c.mix.Sources {
-		ac := aloneCell(nil, src, aloneRefSeed(src, c.cfg.Seed, core), c.measure)
+		ac := aloneCell(nil, src, id.srcs[core], aloneRefSeed(src, c.cfg.Seed, core), c.measure)
 		alone = append(alone, ac.Key)
 		aloneGrp = append(aloneGrp, ac.Plan.Group)
 	}

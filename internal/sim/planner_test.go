@@ -155,9 +155,9 @@ func TestPlannerPassCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	members := []engine.PlanMember{
-		{Key: simCellKey(cfg, mix, 1000, 3000), Horizon: 4000,
+		{Key: simCellKey(cfg, identify(mix).wl, 1000, 3000), Horizon: 4000,
 			Payload: simPassPayload{cfg: cfg, mix: mix, warmup: 1000, measure: 3000}},
-		{Key: simCellKey(cfg, mix, 2000, 10000), Horizon: 12000,
+		{Key: simCellKey(cfg, identify(mix).wl, 2000, 10000), Horizon: 12000,
 			Payload: simPassPayload{cfg: cfg, mix: mix, warmup: 2000, measure: 10000}},
 	}
 	emitted := map[int]CellResult{}
@@ -241,7 +241,7 @@ func TestDeltaCheckpointChain(t *testing.T) {
 	cfg.Policy = BaselinePolicy()
 	mix := workload.Mixes(1, 2, 1)[0].Sources()
 	snaps := engine.NewSnapStore("", 0)
-	ck := &checkpointer{snaps: snaps, interval: 1000, key: trajectoryKey(cfg, mix)}
+	ck := &checkpointer{snaps: snaps, interval: 1000, key: trajectoryKey(cfg, identify(mix).wl)}
 
 	sys, err := NewSystem(cfg, mix)
 	if err != nil {
@@ -313,7 +313,7 @@ func TestDeltaChainBounded(t *testing.T) {
 	cfg.Policy = BaselinePolicy()
 	mix := workload.Mixes(1, 2, 1)[0].Sources()
 	snaps := engine.NewSnapStore("", 0)
-	ck := &checkpointer{snaps: snaps, interval: 500, key: trajectoryKey(cfg, mix)}
+	ck := &checkpointer{snaps: snaps, interval: 500, key: trajectoryKey(cfg, identify(mix).wl)}
 	sys, err := NewSystem(cfg, mix)
 	if err != nil {
 		t.Fatal(err)

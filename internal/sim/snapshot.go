@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"hira/internal/dram"
 	"hira/internal/sched"
@@ -41,36 +41,20 @@ const maxDeltaChain = 8
 // snapshots are dominated by the LLC (a few MB).
 const maxSnapshotBytes = 64 << 20
 
+// trajectoryTag versions trajectory keys (and, behind "sim ", sim plan
+// groups).
+const trajectoryTag = "traj/v1"
+
 // trajectoryKey names a simulation's state trajectory: every input that
 // shapes the machine's evolution — system shape, refresh policy
-// behavior, per-core workload identities, and seed — but, unlike
-// simCellKey, not the warmup/measure horizons. Two cells that differ
-// only in tick counts walk the same trajectory, so a checkpoint taken at
-// tick T under this key resumes any of them. The field set deliberately
-// mirrors simCellKey's: any input that distinguishes two sim cells other
-// than the horizons must distinguish their trajectories too.
-func trajectoryKey(cfg Config, mix workload.SourceMix) string {
-	wl := make([]string, len(mix.Sources))
-	for i, s := range mix.Sources {
-		wl[i] = s.Key()
-	}
-	cov := cfg.SPTCoverage
-	if cov == 0 {
-		cov = defaultSPTCoverage
-	}
-	key := fmt.Sprintf(
-		"traj/v1 cores=%d cap=%d ch=%d rk=%d spt=%g seed=%d per=%d prev=%d slack=%d nrh=%d wl=%s",
-		cfg.Cores, cfg.ChipCapacityGbit, cfg.Channels, cfg.Ranks, cov, cfg.Seed,
-		cfg.Policy.Periodic, cfg.Policy.Preventive, cfg.Policy.SlackTRC, cfg.Policy.NRH,
-		strings.Join(wl, ","))
-	// Mitigation cells never checkpoint (their engines refuse Snapshot),
-	// but the trajectory key still rides inside every snapshot as the
-	// identity cross-check, so it must distinguish them all the same.
-	// Suffix only when set, keeping pre-mitigation keys byte-identical.
-	if cfg.Policy.Mitigation != "" {
-		key += fmt.Sprintf(" mit=%s mp=%d", cfg.Policy.Mitigation, cfg.Policy.MitigationParam)
-	}
-	return key
+// behavior, per-core workload identities wl (mixIdentity.wl), and seed —
+// but, unlike simCellKey, not the warmup/measure horizons. Two cells
+// that differ only in tick counts walk the same trajectory, so a
+// checkpoint taken at tick T under this key resumes any of them. The
+// fields are rendered by appendSimKey, simCellKey's renderer, with the
+// horizons left out.
+func trajectoryKey(cfg Config, wl string) string {
+	return string(appendSimKey(append(make([]byte, 0, 160+len(wl)), trajectoryTag...), cfg, nil, wl))
 }
 
 // checkpointableEngine is the capability Snapshot and RestoreSystem
@@ -218,10 +202,21 @@ func (s *System) SnapshotDeltaSize() int {
 const aloneMagic = "HIRAALN1"
 
 // aloneTrajectoryKey names an alone-IPC reference run's trajectory: its
-// workload identity and seed, horizon-free for the same reason
-// trajectoryKey is.
-func aloneTrajectoryKey(src workload.Source, seed uint64) string {
-	return fmt.Sprintf("alonetraj/v1 wl=%s seed=%d", src.Key(), seed)
+// workload identity (the source's Key) and seed, horizon-free for the
+// same reason trajectoryKey is.
+func aloneTrajectoryKey(srcKey string, seed uint64) string {
+	return string(appendAloneKey(make([]byte, 0, 48+len(srcKey)), aloneTrajectoryTag, srcKey, seed))
+}
+
+// aloneTrajectoryTag versions alone trajectory keys (and, behind
+// "alone ", alone plan groups).
+const aloneTrajectoryTag = "alonetraj/v1"
+
+// appendAloneKey renders the fields alone-cell and alone-trajectory keys
+// share after tag: the workload identity and the seed.
+func appendAloneKey(b []byte, tag, srcKey string, seed uint64) []byte {
+	b = append(append(append(b, tag...), " wl="...), srcKey...)
+	return strconv.AppendUint(append(b, " seed="...), seed, 10)
 }
 
 // Snapshot serializes the alone-run's state: carry budget, core (with

@@ -35,7 +35,7 @@ var maxSlotsPerTick = int(math.Floor(4*cpuCyclesPerTick)) + 1
 const llcHitLatencyCycles = 40
 
 // defaultSPTCoverage is §7's pairable-subarray fraction, applied when
-// Config.SPTCoverage is zero. simCellKey canonicalizes with the same
+// Config.SPTCoverage is zero. appendSimKey canonicalizes with the same
 // constant so a cell's content key can never disagree with what
 // NewSystem simulates.
 const defaultSPTCoverage = 0.32
@@ -240,7 +240,7 @@ type System struct {
 	idleMemo  []int
 	idleDirty []bool
 
-	// trajKeyMemo caches trajectoryKey(cfg, mix): both are fixed at
+	// trajKeyMemo caches the trajectory key of (cfg, mix): both are fixed at
 	// construction, and dense differential checkpoints would otherwise
 	// re-render the key (several allocations) on every encode.
 	trajKeyMemo string
@@ -249,7 +249,7 @@ type System struct {
 // trajKey returns the system's trajectory key, rendering it on first use.
 func (s *System) trajKey() string {
 	if s.trajKeyMemo == "" {
-		s.trajKeyMemo = trajectoryKey(s.cfg, s.mix)
+		s.trajKeyMemo = trajectoryKey(s.cfg, identify(s.mix).wl)
 	}
 	return s.trajKeyMemo
 }

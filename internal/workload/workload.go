@@ -12,6 +12,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -112,8 +113,17 @@ func ProfileByName(name string) (Profile, error) {
 // Key implements Source: the profile's full parameter set, not just its
 // name, so tuning a benchmark's characterization (MPKI etc.) yields a
 // distinct workload identity instead of silently aliasing the old one.
+// The bytes are exactly fmt's "%s(%g,%g,%d,%g)" (shortest round-trip
+// floats, NaN and ±Inf spelled as fmt spells them), built with strconv
+// because fmt's formatting machinery costs several times as much.
 func (p Profile) Key() string {
-	return fmt.Sprintf("%s(%g,%g,%d,%g)", p.Name, p.MPKI, p.RowLocality, p.FootprintMB, p.WriteFrac)
+	b := make([]byte, 0, len(p.Name)+48)
+	b = append(append(b, p.Name...), '(')
+	b = strconv.AppendFloat(b, p.MPKI, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, ','), p.RowLocality, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, ','), int64(p.FootprintMB), 10)
+	b = strconv.AppendFloat(append(b, ','), p.WriteFrac, 'g', -1, 64)
+	return string(append(b, ')'))
 }
 
 // Label implements Source.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -246,6 +247,41 @@ func TestProfileSourceKeyDistinguishesEveryField(t *testing.T) {
 		if v.Key() == base.Key() {
 			t.Errorf("variant %d key %q aliases the base", i, v.Key())
 		}
+	}
+}
+
+// TestProfileKeyMatchesFmt: Key is built with strconv, but its bytes
+// must stay exactly fmt's "%s(%g,%g,%d,%g)" — result stores and
+// checkpoints written by earlier versions are addressed by them.
+func TestProfileKeyMatchesFmt(t *testing.T) {
+	fmtKey := func(p Profile) string {
+		return fmt.Sprintf("%s(%g,%g,%d,%g)", p.Name, p.MPKI, p.RowLocality, p.FootprintMB, p.WriteFrac)
+	}
+	tenth, fifth := 0.1, 0.2
+	awkward := []float64{
+		0, math.Copysign(0, -1), tenth + fifth, 1e21, 1e20, -1e21, 1e-5, 1e-4, 123456789.125,
+		5e-324, math.MaxFloat64, math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	ints := []int{0, -1, 64, math.MaxInt64, math.MinInt64}
+	for i, f := range awkward {
+		p := Profile{Name: "w", MPKI: f, RowLocality: awkward[(i+1)%len(awkward)],
+			FootprintMB: ints[i%len(ints)], WriteFrac: awkward[(i+2)%len(awkward)]}
+		if got, want := p.Key(), fmtKey(p); got != want {
+			t.Errorf("Key() = %q, fmt renders %q", got, want)
+		}
+	}
+	for _, p := range SPEC2006Profiles() {
+		if got, want := p.Key(), fmtKey(p); got != want {
+			t.Errorf("%s: Key() = %q, fmt renders %q", p.Name, got, want)
+		}
+	}
+	// Arbitrary bit patterns cover every float class, NaN payloads included.
+	if err := quick.Check(func(name string, a, b, c uint64, fp int) bool {
+		p := Profile{Name: name, MPKI: math.Float64frombits(a), RowLocality: math.Float64frombits(b),
+			FootprintMB: fp, WriteFrac: math.Float64frombits(c)}
+		return p.Key() == fmtKey(p)
+	}, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
 	}
 }
 
