@@ -237,6 +237,42 @@ func BenchmarkResumeExtend(b *testing.B) {
 	b.ReportMetric(resumedFrac, "resumed/simulated")
 }
 
+// BenchmarkWarmFigure measures the warm rung of the benchmark ladder: a
+// Fig. 9 (capacities 8/32/128) plus Fig. 12 (NRH 64/256/1024) request
+// pair on an engine that already holds every cell, so each op is pure
+// request overhead — cell and key derivation, cache lookups, score
+// assembly — with no simulation. Tick counts only size the warm-up; the
+// per-op cost depends on the grid shape (2 mixes x 8 cores).
+func BenchmarkWarmFigure(b *testing.B) {
+	ctx := context.Background()
+	eng := hira.NewSimEngine(hira.SimEngineConfig{})
+	opts := hira.SimOptions{Workloads: 2, Cores: 8, Warmup: 1000, Measure: 3000, Seed: 1}
+	caps, nrhs := []int{8, 32, 128}, []int{64, 256, 1024}
+	pair := func(opts hira.SimOptions) {
+		if _, err := eng.Fig9(ctx, opts, caps); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Fig12(ctx, opts, nrhs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pair(opts)
+
+	var stats hira.EngineStats
+	warm := opts
+	warm.Stats = &stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pair(warm)
+	}
+	b.StopTimer()
+	if stats.Simulated != 0 {
+		b.Fatalf("warm requests simulated %d cells, want 0", stats.Simulated)
+	}
+	b.ReportMetric(float64(stats.Submitted)/float64(b.N), "cells/op")
+}
+
 // BenchmarkFig11Security regenerates Fig. 11: the full pth grid.
 func BenchmarkFig11Security(b *testing.B) {
 	var pts []hira.Fig11Point
