@@ -65,9 +65,9 @@ func identify(mix workload.SourceMix) mixIdentity {
 // workload.Source.Key, which guarantees distinct workloads never
 // alias), and the mitigation suffix. Because both keys render through
 // here, any input that distinguishes two sim cells other than the
-// horizons distinguishes their trajectories too. The bytes equal the
-// fmt %d/%g encoding earlier versions produced, so existing result
-// stores and checkpoints stay warm.
+// horizons distinguishes their trajectories too. Result stores and
+// checkpoints are addressed by these bytes, so they must not change
+// without a version bump (TestGoldenCellKeys pins them).
 func appendSimKey(b []byte, cfg Config, horizon []int, wl string) []byte {
 	cov := cfg.SPTCoverage
 	if cov == 0 {

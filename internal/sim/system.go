@@ -240,9 +240,9 @@ type System struct {
 	idleMemo  []int
 	idleDirty []bool
 
-	// trajKeyMemo caches the trajectory key of (cfg, mix): both are fixed at
-	// construction, and dense differential checkpoints would otherwise
-	// re-render the key (several allocations) on every encode.
+	// trajKeyMemo caches the trajectory key of (cfg, mix): both are
+	// fixed at construction, and dense differential checkpoints would
+	// otherwise re-render the key (several allocations) on every encode.
 	trajKeyMemo string
 }
 
