@@ -25,6 +25,11 @@ type Cache struct {
 	touched  []bool
 	ntouched int
 
+	// occupied counts valid lines. Access only ever fills ways (no
+	// operation invalidates one), so it grows monotonically from zero;
+	// it sizes full snapshots, which carry only occupied lines.
+	occupied int
+
 	Stats Stats
 }
 
@@ -123,6 +128,9 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 		res.Writeback = c.tags[i] << c.blockBits
 		c.Stats.Writebacks++
 	}
+	if !c.valid[i] {
+		c.occupied++
+	}
 	c.tags[i] = blk
 	c.valid[i] = true
 	c.dirty[i] = write
@@ -139,6 +147,13 @@ func (c *Cache) touch(i int) {
 		c.ntouched++
 	}
 }
+
+// Occupied returns the number of valid lines.
+func (c *Cache) Occupied() int { return c.occupied }
+
+// Touched returns the number of lines touched since the last
+// ResetTouched.
+func (c *Cache) Touched() int { return c.ntouched }
 
 // HitRate returns hits / (hits+misses), or 0 with no accesses.
 func (c *Cache) HitRate() float64 {

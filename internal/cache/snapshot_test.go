@@ -1,0 +1,162 @@
+package cache
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"hira/internal/snap"
+)
+
+// fill drives n pseudo-random accesses over a span-byte address range.
+func fill(c *Cache, rng *rand.Rand, n int, span uint64) {
+	for i := 0; i < n; i++ {
+		c.Access(rng.Uint64()%span, rng.Intn(4) == 0)
+	}
+}
+
+// countValid recounts valid lines from scratch.
+func countValid(c *Cache) int {
+	n := 0
+	for _, v := range c.valid {
+		if v {
+			n++
+		}
+	}
+	return n
+}
+
+func snapshotOf(c *Cache) []byte {
+	w := snap.NewWriter()
+	c.Snapshot(w)
+	return w.Bytes()
+}
+
+// TestRestoreZeroesUnoccupiedLines proves a full snapshot is a delta
+// against an empty cache: restoring it over a cache holding unrelated
+// state reproduces the source exactly, every line the source never
+// filled back in its zero state, and the occupancy count with it.
+func TestRestoreZeroesUnoccupiedLines(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	src := MustNew(1<<16, 8, 64) // 1024 lines
+	fill(src, rng, 300, 1<<20)
+	if occ := src.Occupied(); occ == 0 || occ == len(src.tags) || occ != countValid(src) {
+		t.Fatalf("source occupancy %d (recount %d) of %d lines, want partial and exact",
+			occ, countValid(src), len(src.tags))
+	}
+	data := snapshotOf(src)
+	if max := src.SnapshotSize(); len(data) > max {
+		t.Fatalf("snapshot %d bytes exceeds its pre-size bound %d", len(data), max)
+	}
+
+	dst := MustNew(1<<16, 8, 64)
+	fill(dst, rng, 20000, 1<<24) // every line valid, most dirty
+	if dst.Occupied() != len(dst.tags) {
+		t.Fatalf("destination occupancy %d, want all %d lines", dst.Occupied(), len(dst.tags))
+	}
+	r := snap.NewReader(data)
+	if err := dst.Restore(r); err != nil {
+		t.Fatal(err)
+	}
+	r.Done()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range src.tags {
+		if src.valid[i] {
+			if dst.tags[i] != src.tags[i] || dst.lru[i] != src.lru[i] || !dst.valid[i] || dst.dirty[i] != src.dirty[i] {
+				t.Fatalf("line %d: restored (%#x, %d, %v, %v), source (%#x, %d, %v, %v)", i,
+					dst.tags[i], dst.lru[i], dst.valid[i], dst.dirty[i],
+					src.tags[i], src.lru[i], src.valid[i], src.dirty[i])
+			}
+			continue
+		}
+		if dst.tags[i] != 0 || dst.lru[i] != 0 || dst.valid[i] || dst.dirty[i] {
+			t.Fatalf("unoccupied line %d restored non-zero: (%#x, %d, %v, %v)", i,
+				dst.tags[i], dst.lru[i], dst.valid[i], dst.dirty[i])
+		}
+	}
+	if dst.Occupied() != src.Occupied() || dst.stamp != src.stamp || dst.Stats != src.Stats || dst.Touched() != 0 {
+		t.Fatalf("restored occupancy/stamp/stats/touched (%d, %d, %+v, %d), source (%d, %d, %+v, 0)",
+			dst.Occupied(), dst.stamp, dst.Stats, dst.Touched(), src.Occupied(), src.stamp, src.Stats)
+	}
+	if !bytes.Equal(snapshotOf(dst), data) {
+		t.Fatal("re-snapshotting the restored cache changed the bytes")
+	}
+
+	// Both caches now evolve identically.
+	for i := 0; i < 2000; i++ {
+		addr, write := rng.Uint64()%(1<<20), rng.Intn(4) == 0
+		if a, b := src.Access(addr, write), dst.Access(addr, write); a != b {
+			t.Fatalf("access %d diverged after restore: %+v vs %+v", i, a, b)
+		}
+	}
+	if dst.Occupied() != countValid(dst) {
+		t.Fatalf("occupancy %d drifted from recount %d", dst.Occupied(), countValid(dst))
+	}
+}
+
+// TestDeltaOnRestoredBase proves the delta and full forms share one
+// codec: a delta applied over a restored base reproduces the source's
+// full snapshot byte for byte, occupancy included.
+func TestDeltaOnRestoredBase(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	src := MustNew(1<<16, 8, 64)
+	fill(src, rng, 200, 1<<20)
+	base := snapshotOf(src)
+	src.ResetTouched()
+	fill(src, rng, 500, 1<<20)
+	w := snap.NewWriter()
+	src.SnapshotDelta(w)
+	if len(w.Bytes()) > src.SnapshotDeltaSize() {
+		t.Fatalf("delta %d bytes exceeds its pre-size bound %d", len(w.Bytes()), src.SnapshotDeltaSize())
+	}
+
+	dst := MustNew(1<<16, 8, 64)
+	if err := dst.Restore(snap.NewReader(base)); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.ApplyDelta(snap.NewReader(w.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snapshotOf(dst), snapshotOf(src)) {
+		t.Fatal("base + delta diverged from the source")
+	}
+	if dst.Occupied() != src.Occupied() {
+		t.Fatalf("occupancy %d after delta, source %d", dst.Occupied(), src.Occupied())
+	}
+}
+
+// TestRestoreRejectsCorruptLines covers the validating decoder: an
+// invalid line in a full snapshot, out-of-order or out-of-range line
+// indices, and unknown flag bits are errors, never silent state.
+func TestRestoreRejectsCorruptLines(t *testing.T) {
+	header := func(w *snap.Writer, n int) {
+		for i := 0; i < 4; i++ { // stamp, hits, misses, writebacks
+			w.U64(0)
+		}
+		w.Len(n)
+	}
+	line := func(w *snap.Writer, gap uint64, flags uint8) {
+		w.U64(gap)
+		w.U64(7) // tag
+		w.U64(1) // lru
+		w.U8(flags)
+	}
+	cases := map[string]func(w *snap.Writer){
+		"invalid line in full snapshot": func(w *snap.Writer) { header(w, 1); line(w, 3, 2) },
+		"unknown flags":                 func(w *snap.Writer) { header(w, 1); line(w, 3, 5) },
+		"repeated index":                func(w *snap.Writer) { header(w, 2); line(w, 3, 1); line(w, 0, 1) },
+		"index past the last line":      func(w *snap.Writer) { header(w, 2); line(w, 1000, 1); line(w, 100, 1) },
+		"count past the line count":     func(w *snap.Writer) { header(w, 5000) },
+		"truncated line":                func(w *snap.Writer) { header(w, 1); w.U64(3) },
+	}
+	for name, build := range cases {
+		w := snap.NewWriter()
+		build(w)
+		c := MustNew(1<<16, 8, 64)
+		if err := c.Restore(snap.NewReader(w.Bytes())); err == nil {
+			t.Errorf("%s: restored without error", name)
+		}
+	}
+}

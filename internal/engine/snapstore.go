@@ -57,10 +57,10 @@ type SnapStats struct {
 }
 
 // DefaultSnapMaxBytes is the checkpoint store's default byte cap for
-// on-disk stores. Sized for a full figure sweep's working set (~100
-// trajectories at a few checkpoints of ~2 MB each): a cap that doesn't
-// hold one sweep makes a sequential rerun evict every checkpoint
-// moments before it would have been resumed.
+// on-disk stores. A cap that doesn't hold one figure sweep's working set
+// makes a sequential rerun evict every checkpoint moments before it
+// would have been resumed; this one holds many sweeps (full checkpoints
+// carry only the LLC lines a run has filled, tens to hundreds of KB).
 const DefaultSnapMaxBytes = 2 << 30
 
 // DefaultSnapMaxBytesMemory is the default cap for in-memory stores,
@@ -342,7 +342,7 @@ func (s *SnapStore) Has(key string, tick int) bool {
 // and version). Load does not tally hits or misses — those are
 // per-resume-attempt (NoteHit/NoteMiss), not per-read, so one attempt
 // that probes several candidates still counts once. File reads happen
-// outside the index lock: checkpoints run to megabytes, and a worker
+// outside the index lock: checkpoints run to hundreds of KB, and a worker
 // pool must not serialize on one cell's disk I/O.
 func (s *SnapStore) Load(key string, tick int) ([]byte, bool) {
 	hash := hashKey(key)
@@ -418,7 +418,7 @@ func (s *SnapStore) NoteMiss() {
 // checkpoints if needed to respect the byte cap. A payload larger than
 // the whole cap is rejected. Saving an already-present slot overwrites
 // it. The store takes ownership of data — callers must not reuse the
-// slice (checkpoints run to megabytes, and the save path is hot enough
+// slice (checkpoints run to hundreds of KB, and the save path is hot enough
 // that a defensive copy is measurable). Failures are tallied in
 // SaveErrors/FirstSaveError besides being returned, because callers
 // treat saves as best-effort and would otherwise degrade silently.
@@ -482,7 +482,7 @@ func (s *SnapStore) save(key string, tick, base int, data []byte) error {
 	hash := hashKey(key)
 	if s.root != "" {
 		// Write the payload before touching the index, outside the lock
-		// (the multi-megabyte I/O must not serialize the worker pool).
+		// (checkpoint I/O must not serialize the worker pool).
 		// Concurrent same-slot writers race benignly: trajectories are
 		// deterministic, so both payloads are identical, and the atomic
 		// rename means the last one wins.

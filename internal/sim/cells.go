@@ -220,7 +220,7 @@ func runSimPass(ctx context.Context, lab *Engine, members []engine.PlanMember, e
 			if _, ok := got[p.warmup]; ok {
 				continue
 			}
-			m, ok := ck.loadMark(cfg, mix, p.warmup)
+			m, ok := ck.loadMark(cfg.Cores, p.warmup)
 			if !ok {
 				return false
 			}
@@ -417,7 +417,7 @@ func (ck *checkpointer) resumeSystem(ctx context.Context, cfg Config, mix worklo
 			return false
 		}
 		if t > warmup {
-			m, ok := ck.loadMark(cfg, mix, warmup)
+			m, ok := ck.loadMark(cfg.Cores, warmup)
 			if !ok {
 				return false
 			}
@@ -474,34 +474,22 @@ func (ck *checkpointer) restoreChain(cfg Config, mix workload.SourceMix, tick in
 	return sys, len(chain), nil
 }
 
-// loadMark obtains the cumulative counters at the warmup boundary from
-// the store: straight from a v2 checkpoint's header, or by a full
-// decode for a legacy v1 snapshot. A zero warmup needs no checkpoint.
-func (ck *checkpointer) loadMark(cfg Config, mix workload.SourceMix, warmup int) (runMark, bool) {
+// loadMark obtains the cumulative counters at the warmup boundary
+// straight from the header of the checkpoint stored there. A zero warmup
+// needs no checkpoint.
+func (ck *checkpointer) loadMark(cores, warmup int) (runMark, bool) {
 	if warmup == 0 {
-		return zeroMark(cfg.Cores), true
+		return zeroMark(cores), true
 	}
 	mdata, ok := ck.snaps.Load(ck.key, warmup)
 	if !ok {
 		return runMark{}, false
 	}
-	key, mtick, m, ok, err := readSnapshotMark(mdata, cfg.Cores)
-	if err != nil {
+	key, mtick, m, err := readSnapshotMark(mdata, cores)
+	if err != nil || key != ck.key || mtick != warmup {
 		return runMark{}, false
 	}
-	if ok {
-		if key != ck.key || mtick != warmup {
-			return runMark{}, false
-		}
-		return m, true
-	}
-	// Legacy v1 snapshot: no mark section, so the counters require a
-	// full decode.
-	ms, err := RestoreSystem(cfg, mix, mdata)
-	if err != nil || ms.Ticks() != warmup {
-		return runMark{}, false
-	}
-	return ms.mark(), true
+	return m, true
 }
 
 // runTo advances m to the target tick, checkpointing every interval

@@ -41,11 +41,25 @@ func BenchmarkPlannedSweep(b *testing.B) {
 	b.Run("unplanned", func(b *testing.B) { run(b, true) })
 }
 
+// Bounds BenchmarkDeltaCheckpoint holds each checkpoint format to: at
+// most checkpointLineBytes per LLC line it carries plus a fixed
+// checkpointHeaderBytes for everything else (mark section, cores,
+// controller, refresh engine). Lines encode to ~10 bytes (index gap,
+// tag and LRU stamp varints, a flags byte); the rest of a 4-core
+// system's state is ~5 KB.
+const (
+	checkpointLineBytes   = 16
+	checkpointHeaderBytes = 8 << 10
+)
+
 // BenchmarkDeltaCheckpoint times one checkpoint encode in each format —
 // a full snapshot versus a differential over a checkpoint interval's
-// worth of LLC traffic — and reports the encoded sizes. The delta must
-// come in at least 4x smaller than the full snapshot: that margin is
-// what makes hira-server's fine-grained default interval affordable.
+// worth of LLC traffic — and reports the encoded sizes. Each format must
+// cost bytes proportional to the LLC lines it carries, not to cache
+// capacity: a full snapshot the lines the run has filled, a delta the
+// lines the interval touched. That is what makes hira-server's
+// fine-grained default interval and its in-memory checkpoint store
+// affordable.
 func BenchmarkDeltaCheckpoint(b *testing.B) {
 	ctx := context.Background()
 	cfg := DefaultConfig()
@@ -77,8 +91,12 @@ func BenchmarkDeltaCheckpoint(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if 4*len(delta) > len(full) {
-		b.Fatalf("delta checkpoint %d bytes is not 4x smaller than the %d-byte full snapshot", len(delta), len(full))
+	occupied, touched := sys.llc.Occupied(), sys.llc.Touched()
+	if max := checkpointLineBytes*occupied + checkpointHeaderBytes; len(full) > max {
+		b.Fatalf("full snapshot %d bytes exceeds %d for %d occupied LLC lines", len(full), max, occupied)
+	}
+	if max := checkpointLineBytes*touched + checkpointHeaderBytes; len(delta) > max {
+		b.Fatalf("delta checkpoint %d bytes exceeds %d for %d touched LLC lines", len(delta), max, touched)
 	}
 
 	b.Run("full", func(b *testing.B) {
@@ -88,6 +106,7 @@ func BenchmarkDeltaCheckpoint(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(len(full)), "bytes")
+		b.ReportMetric(float64(occupied), "lines")
 	})
 	b.Run("delta", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -96,6 +115,7 @@ func BenchmarkDeltaCheckpoint(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(len(delta)), "bytes")
+		b.ReportMetric(float64(touched), "lines")
 		b.ReportMetric(float64(len(full))/float64(len(delta)), "full/delta")
 	})
 }

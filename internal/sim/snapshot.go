@@ -10,24 +10,22 @@ import (
 	"hira/internal/workload"
 )
 
-// snapshotMagic identifies version 2 of the full System snapshot
-// format: version 1 plus a header-extractable mark section (the
-// cumulative scheduler counters and per-core retirement counts), so a
-// past-warmup resume reads its warmup mark straight from the header
-// instead of restoring a full second System. The composite format is
-// versioned as a whole: any structural change to a layer's codec bumps
-// this string. Version 1 snapshots are still accepted as full decodes.
-const snapshotMagic = "HIRASYS2"
-
-// snapshotMagicV1 identifies the legacy full-snapshot format (no mark
-// section); RestoreSystem keeps reading it so stores survive upgrades.
-const snapshotMagicV1 = "HIRASYS1"
+// snapshotMagic identifies version 3 of the full System snapshot
+// format: a header-extractable mark section (the cumulative scheduler
+// counters and per-core retirement counts), so a past-warmup resume
+// reads its warmup mark straight from the header instead of restoring a
+// full second System, then every layer's state, with the LLC written as
+// a delta against an empty cache (only its occupied lines). The
+// composite format is versioned as a whole: any structural change to a
+// layer's codec bumps this string, and the trajectory tags with it.
+const snapshotMagic = "HIRASYS3"
 
 // deltaMagic identifies version 1 of the differential snapshot format:
-// the v2 header (trajectory key, tick, mark section) plus the chain
-// linkage (base tick, chain depth), then every small state block in
-// full and only the LLC lines touched since the base checkpoint. A
-// delta restores by applying it on top of its base's restored state.
+// the full snapshot's header (trajectory key, tick, mark section) plus
+// the chain linkage (base tick, chain depth), then every small state
+// block in full and only the LLC lines touched since the base
+// checkpoint. A delta restores by applying it on top of its base's
+// restored state.
 const deltaMagic = "HIRADLT1"
 
 // maxDeltaChain bounds how many deltas may chain atop one full
@@ -38,12 +36,15 @@ const maxDeltaChain = 8
 
 // maxSnapshotBytes bounds how large a snapshot RestoreSystem will look
 // at, so a mislabeled or hostile checkpoint cannot exhaust memory. Real
-// snapshots are dominated by the LLC (a few MB).
+// snapshots are tens of KB; a completely full 8 MB LLC encodes to a few
+// MB.
 const maxSnapshotBytes = 64 << 20
 
 // trajectoryTag versions trajectory keys (and, behind "sim ", sim plan
-// groups).
-const trajectoryTag = "traj/v1"
+// groups). It moves with snapshotMagic, so checkpoints in an older
+// format live under other keys and are never looked up: a stale file
+// indexed at the same tick would otherwise block the new format's save.
+const trajectoryTag = "traj/v2"
 
 // trajectoryKey names a simulation's state trajectory: every input that
 // shapes the machine's evolution — system shape, refresh policy
@@ -78,9 +79,7 @@ func (s *System) Snapshot() ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("sim: refresh engine %T is not checkpointable", s.engine)
 	}
-	// Dominated by the LLC's bulk-encoded line state (~17 bytes/line);
-	// 1/4 headroom covers everything else without a growth copy.
-	w := snap.NewWriterSize(s.llc.SnapshotSize() * 5 / 4)
+	w := snap.NewWriterSize(s.SnapshotSize())
 	w.Raw([]byte(snapshotMagic))
 	w.String(s.trajKey())
 	w.Int(s.ticksRun)
@@ -139,10 +138,10 @@ func (s *System) snapshotBody(w *snap.Writer, ce checkpointableEngine, llcDelta 
 }
 
 // SnapshotDelta serializes a differential checkpoint against the
-// trajectory's previous checkpoint at baseTick: the full v2 header and
-// every small state block in full, but only the LLC lines touched
-// since that checkpoint (the LLC dominates a full snapshot's ~2 MB, so
-// a delta's size tracks the interval's working set instead). depth is
+// trajectory's previous checkpoint at baseTick: the full snapshot's
+// header and every small state block in full, but only the LLC lines
+// touched since that checkpoint rather than every occupied one, so a
+// delta's size tracks the interval's working set. depth is
 // the delta's position in its chain (1 = directly atop a full
 // snapshot); callers must force a full snapshot once depth would
 // exceed maxDeltaChain. The caller owns the touched-line epoch: it
@@ -177,10 +176,17 @@ func (s *System) SnapshotDelta(baseTick, depth int) ([]byte, error) {
 // durably stored (that checkpoint is the next delta's base).
 func (s *System) ResetTouchedLines() { s.llc.ResetTouched() }
 
-// SnapshotDeltaSize returns an upper bound on SnapshotDelta's encoded
-// size for the current state, so the encoder pre-sizes its buffer and
-// never pays a growth reallocation.
-func (s *System) SnapshotDeltaSize() int {
+// SnapshotSize returns an upper bound on Snapshot's encoded size for
+// the current state, so the encoder pre-sizes its buffer and never pays
+// a growth reallocation.
+func (s *System) SnapshotSize() int { return s.encodedSize(s.llc.SnapshotSize()) }
+
+// SnapshotDeltaSize is SnapshotSize for SnapshotDelta.
+func (s *System) SnapshotDeltaSize() int { return s.encodedSize(s.llc.SnapshotDeltaSize()) }
+
+// encodedSize bounds a full or delta snapshot whose LLC section is at
+// most llcBytes long; the delta's chain linkage is counted for both.
+func (s *System) encodedSize(llcBytes int) int {
 	n := len(deltaMagic) + 10 + len(s.trajKey()) // magic + key
 	n += 10 + 14*10 + 10 + 10*len(s.cores)       // tick + mark section
 	n += 10 + 10 + 10 + len(s.blocked)           // chain linkage + budget + blocked
@@ -188,7 +194,7 @@ func (s *System) SnapshotDeltaSize() int {
 	for _, c := range s.cores {
 		n += c.SnapshotSize()
 	}
-	n += s.llc.SnapshotDeltaSize()
+	n += llcBytes
 	n += s.ctrl.SnapshotSize()
 	if se, ok := s.engine.(interface{ SnapshotSize() int }); ok {
 		n += se.SnapshotSize()
@@ -198,8 +204,9 @@ func (s *System) SnapshotDeltaSize() int {
 	return n
 }
 
-// aloneMagic identifies version 1 of the alone-run snapshot format.
-const aloneMagic = "HIRAALN1"
+// aloneMagic identifies version 2 of the alone-run snapshot format,
+// whose LLC section carries only occupied lines (see snapshotMagic).
+const aloneMagic = "HIRAALN2"
 
 // aloneTrajectoryKey names an alone-IPC reference run's trajectory: its
 // workload identity (the source's Key) and seed, horizon-free for the
@@ -209,8 +216,9 @@ func aloneTrajectoryKey(srcKey string, seed uint64) string {
 }
 
 // aloneTrajectoryTag versions alone trajectory keys (and, behind
-// "alone ", alone plan groups).
-const aloneTrajectoryTag = "alonetraj/v1"
+// "alone ", alone plan groups). It moves with aloneMagic, for the
+// reason trajectoryTag moves with snapshotMagic.
+const aloneTrajectoryTag = "alonetraj/v2"
 
 // appendAloneKey renders the fields alone-cell and alone-trajectory keys
 // share after tag: the workload identity and the seed.
@@ -222,7 +230,8 @@ func appendAloneKey(b []byte, tag, srcKey string, seed uint64) []byte {
 // Snapshot serializes the alone-run's state: carry budget, core (with
 // its stream position), LLC, and in-flight fixed-latency loads.
 func (a *aloneRun) Snapshot() ([]byte, error) {
-	w := snap.NewWriterSize(a.mem.llc.SnapshotSize() * 5 / 4)
+	w := snap.NewWriterSize(len(aloneMagic) + 10 + len(a.key) + 10 + 8 +
+		a.c.SnapshotSize() + a.mem.llc.SnapshotSize() + 10 + 20*len(a.mem.inflight))
 	w.Raw([]byte(aloneMagic))
 	w.String(a.key)
 	w.Int(a.tick)
@@ -298,12 +307,7 @@ func RestoreSystem(cfg Config, mix workload.SourceMix, data []byte) (*System, er
 	if len(data) > maxSnapshotBytes {
 		return nil, fmt.Errorf("sim: snapshot exceeds the %d-byte limit", maxSnapshotBytes)
 	}
-	var v2 bool
-	switch {
-	case hasMagic(data, snapshotMagic):
-		v2 = true
-	case hasMagic(data, snapshotMagicV1):
-	default:
+	if !hasMagic(data, snapshotMagic) {
 		return nil, fmt.Errorf("sim: not a %s snapshot", snapshotMagic)
 	}
 	s, err := NewSystem(cfg, mix)
@@ -315,10 +319,8 @@ func RestoreSystem(cfg Config, mix workload.SourceMix, data []byte) (*System, er
 		return nil, fmt.Errorf("sim: snapshot is for a different trajectory (%q)", key)
 	}
 	s.ticksRun = r.Int()
-	if v2 {
-		if _, err := readMarkSection(r, cfg.Cores); err != nil {
-			return nil, err
-		}
+	if _, err := readMarkSection(r, cfg.Cores); err != nil {
+		return nil, err
 	}
 	if err := s.restoreBody(r, false); err != nil {
 		return nil, err
@@ -355,34 +357,28 @@ func readMarkSection(r *snap.Reader, cores int) (runMark, error) {
 	return m, r.Err()
 }
 
-// readSnapshotMark decodes only the header of a v2 full or delta
-// snapshot: its trajectory key, tick, and mark. It reports ok=false
-// with a nil error for legacy v1 snapshots, whose mark requires a full
-// decode. This is what makes a past-warmup resume cheap: the warmup
-// mark is 14 counters plus per-core retirement counts, not a second
-// restored System.
-func readSnapshotMark(data []byte, cores int) (key string, tick int, m runMark, ok bool, err error) {
+// readSnapshotMark decodes only the header of a full or delta
+// snapshot: its trajectory key, tick, and mark. This is what makes a
+// past-warmup resume cheap: the warmup mark is 14 counters plus per-core
+// retirement counts, not a second restored System.
+func readSnapshotMark(data []byte, cores int) (key string, tick int, m runMark, err error) {
 	if len(data) > maxSnapshotBytes {
-		return "", 0, runMark{}, false, fmt.Errorf("sim: snapshot exceeds the %d-byte limit", maxSnapshotBytes)
+		return "", 0, runMark{}, fmt.Errorf("sim: snapshot exceeds the %d-byte limit", maxSnapshotBytes)
 	}
-	switch {
-	case hasMagic(data, snapshotMagic), hasMagic(data, deltaMagic):
-	case hasMagic(data, snapshotMagicV1):
-		return "", 0, runMark{}, false, nil
-	default:
-		return "", 0, runMark{}, false, fmt.Errorf("sim: not a %s snapshot", snapshotMagic)
+	if !hasMagic(data, snapshotMagic) && !hasMagic(data, deltaMagic) {
+		return "", 0, runMark{}, fmt.Errorf("sim: not a %s snapshot", snapshotMagic)
 	}
 	r := snap.NewReader(data[len(snapshotMagic):])
 	key = r.String()
 	tick = r.Int()
 	m, err = readMarkSection(r, cores)
 	if err != nil {
-		return "", 0, runMark{}, false, err
+		return "", 0, runMark{}, err
 	}
 	if tick < 0 {
-		return "", 0, runMark{}, false, fmt.Errorf("sim: snapshot tick count %d out of range", tick)
+		return "", 0, runMark{}, fmt.Errorf("sim: snapshot tick count %d out of range", tick)
 	}
-	return key, tick, m, true, nil
+	return key, tick, m, nil
 }
 
 // readDeltaHeader parses a differential snapshot's identity and chain

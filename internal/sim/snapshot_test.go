@@ -15,7 +15,8 @@ import (
 // same cumulative stats, same measured-phase result — across all six
 // figure policy shapes (ideal, conventional REF, periodic HiRA at two
 // slacks, PARA, and PARA+HiRA), with snapshot points both inside the
-// warmup and inside the measured phase.
+// warmup and inside the measured phase. Snapshots are in the current
+// format, whose LLC section carries only occupied lines.
 func TestResumeEquivalence(t *testing.T) {
 	policies := []RefreshPolicy{
 		NoRefreshPolicy(),
@@ -74,6 +75,12 @@ func TestResumeEquivalence(t *testing.T) {
 				data, err := pre.Snapshot()
 				if err != nil {
 					t.Fatal(err)
+				}
+				if !hasMagic(data, snapshotMagic) {
+					t.Fatalf("snapshot lacks the %s magic", snapshotMagic)
+				}
+				if occ := pre.llc.Occupied(); len(data) > occ*checkpointLineBytes+checkpointHeaderBytes {
+					t.Fatalf("snapshot %d bytes is not sized by its %d occupied LLC lines", len(data), occ)
 				}
 
 				// Restore and finish the run on the restored machine.
@@ -231,6 +238,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
 	f.Add([]byte(snapshotMagic))
+	for _, old := range legacySystemMagics {
+		f.Add(withMagic(seed, old))
+	}
 	f.Add([]byte("HIRASYS1\x00\x00\x00\x00"))
 	mut := append([]byte(nil), seed...)
 	mut[len(mut)/3] ^= 0x40
@@ -240,9 +250,165 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err != nil {
 			return // clean miss
 		}
+		if !hasMagic(data, snapshotMagic) {
+			t.Fatalf("restored a snapshot without the %s magic", snapshotMagic)
+		}
 		// A snapshot that passed validation must be safe to simulate.
 		for i := 0; i < 64; i++ {
 			restored.Tick()
+		}
+	})
+}
+
+// Magics of the retired full-snapshot formats. Their checkpoints live
+// under older trajectory tags and are never looked up; a stray one that
+// reaches a decoder must be a clean miss.
+var (
+	legacySystemMagics = []string{"HIRASYS1", "HIRASYS2"}
+	legacyAloneMagics  = []string{"HIRAALN1"}
+)
+
+// withMagic returns a copy of data with its 8-byte format magic replaced.
+func withMagic(data []byte, magic string) []byte {
+	out := append([]byte(nil), data...)
+	copy(out, magic)
+	return out
+}
+
+// TestLegacySnapshotsMiss pins the format bump: checkpoints carrying a
+// retired magic are rejected by every decoder, however well-formed the
+// rest of their bytes.
+func TestLegacySnapshotsMiss(t *testing.T) {
+	cfg, mix := fuzzSnapshotConfig()
+	sys, err := NewSystem(cfg, mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RunTo(context.Background(), 600); err != nil {
+		t.Fatal(err)
+	}
+	data, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, old := range legacySystemMagics {
+		stale := withMagic(data, old)
+		if _, err := RestoreSystem(cfg, mix, stale); err == nil {
+			t.Errorf("%s snapshot restored", old)
+		}
+		if _, _, _, err := readSnapshotMark(stale, cfg.Cores); err == nil {
+			t.Errorf("%s snapshot's mark was read", old)
+		}
+	}
+
+	src := mix.Sources[0]
+	a := newAloneRun(src, 5)
+	if err := a.RunTo(context.Background(), 2000); err != nil {
+		t.Fatal(err)
+	}
+	adata, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, old := range legacyAloneMagics {
+		if _, err := restoreAloneRun(src, 5, withMagic(adata, old)); err == nil {
+			t.Errorf("%s snapshot restored", old)
+		}
+	}
+}
+
+// TestAloneResumeEquivalence is TestResumeEquivalence for the alone-IPC
+// reference machine: snapshotting mid-run, restoring, and running on
+// reproduces the straight-through run's IPC, LLC state and final
+// snapshot bytes exactly, and the snapshot carries only occupied lines.
+func TestAloneResumeEquivalence(t *testing.T) {
+	ctx := context.Background()
+	const snapAt, total = 7000, 20000
+	for _, src := range workload.Mixes(1, 2, 4)[0].Sources().Sources {
+		ref := newAloneRun(src, 11)
+		if err := ref.RunTo(ctx, total); err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		pre := newAloneRun(src, 11)
+		if err := pre.RunTo(ctx, snapAt); err != nil {
+			t.Fatal(err)
+		}
+		data, err := pre.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hasMagic(data, aloneMagic) {
+			t.Fatalf("alone snapshot lacks the %s magic", aloneMagic)
+		}
+		if max := pre.mem.llc.Occupied()*checkpointLineBytes + checkpointHeaderBytes; len(data) > max {
+			t.Fatalf("alone snapshot %d bytes exceeds %d for %d occupied lines", len(data), max, pre.mem.llc.Occupied())
+		}
+		res, err := restoreAloneRun(src, 11, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Ticks() != snapAt {
+			t.Fatalf("restored at tick %d, want %d", res.Ticks(), snapAt)
+		}
+		if err := res.RunTo(ctx, total); err != nil {
+			t.Fatal(err)
+		}
+		if res.ipc() != ref.ipc() {
+			t.Fatalf("%s: resumed IPC %v, straight-through %v", src.Key(), res.ipc(), ref.ipc())
+		}
+		if res.mem.llc.Stats != ref.mem.llc.Stats {
+			t.Fatalf("%s: LLC stats diverged: %+v vs %+v", src.Key(), res.mem.llc.Stats, ref.mem.llc.Stats)
+		}
+		got, err := res.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: resumed run's final state diverged from the straight-through run", src.Key())
+		}
+	}
+}
+
+// FuzzAloneSnapshotDecode holds restoreAloneRun to the clean-miss
+// contract of FuzzSnapshotDecode: corrupt, truncated or retired-format
+// alone checkpoints are rejected without a panic, and anything that does
+// decode yields a reference machine that survives being run.
+func FuzzAloneSnapshotDecode(f *testing.F) {
+	_, mix := fuzzSnapshotConfig()
+	src := mix.Sources[0]
+	a := newAloneRun(src, 3)
+	if err := a.RunTo(context.Background(), 3000); err != nil {
+		f.Fatal(err)
+	}
+	seed, err := a.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	f.Add([]byte(aloneMagic))
+	for _, old := range legacyAloneMagics {
+		f.Add(withMagic(seed, old))
+	}
+	mut := append([]byte(nil), seed...)
+	mut[len(mut)/3] ^= 0x40
+	f.Add(mut)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := restoreAloneRun(src, 3, data)
+		if err != nil {
+			return // clean miss
+		}
+		if !hasMagic(data, aloneMagic) {
+			t.Fatalf("restored a snapshot without the %s magic", aloneMagic)
+		}
+		// A snapshot that passed validation must be safe to simulate.
+		if err := r.RunTo(context.Background(), r.Ticks()+64); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

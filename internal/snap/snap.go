@@ -33,9 +33,9 @@ type Writer struct {
 func NewWriter() *Writer { return &Writer{} }
 
 // NewWriterSize returns an empty writer with capacity for a sizeHint-byte
-// encoding, so callers that know their snapshot's rough size skip the
-// geometric growth copies (megabyte snapshots otherwise reallocate
-// several times per encode).
+// encoding, so callers that know a bound on their snapshot's size skip
+// the geometric growth copies (a snapshot of tens of KB otherwise
+// reallocates several times per encode).
 func NewWriterSize(sizeHint int) *Writer {
 	if sizeHint < 0 {
 		sizeHint = 0
@@ -83,30 +83,6 @@ func (w *Writer) String(s string) {
 
 // Len writes a collection length.
 func (w *Writer) Len(n int) { w.U64(uint64(n)) }
-
-// U64s bulk-writes vals as fixed-width little-endian words (no length
-// prefix — the reader knows the count structurally). Fixed width trades
-// ~2x the bytes of varints for an order of magnitude less encode time,
-// which matters for the megaword slices (cache tags, LRU stamps) that
-// dominate snapshots taken every few thousand simulated ticks.
-func (w *Writer) U64s(vals []uint64) {
-	off := len(w.buf)
-	w.buf = append(w.buf, make([]byte, 8*len(vals))...)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(w.buf[off+8*i:], v)
-	}
-}
-
-// Bools bulk-writes vals packed eight per byte (no length prefix).
-func (w *Writer) Bools(vals []bool) {
-	off := len(w.buf)
-	w.buf = append(w.buf, make([]byte, (len(vals)+7)/8)...)
-	for i, v := range vals {
-		if v {
-			w.buf[off+i/8] |= 1 << (i % 8)
-		}
-	}
-}
 
 // Reader decodes a Writer's buffer with sticky error handling: after the
 // first failure every getter returns the zero value and Err reports what
@@ -243,29 +219,6 @@ func (r *Reader) String() string {
 		return ""
 	}
 	return string(r.Raw(int(n)))
-}
-
-// U64s bulk-reads len(dst) fixed-width little-endian words written by
-// Writer.U64s.
-func (r *Reader) U64s(dst []uint64) {
-	b := r.Raw(8 * len(dst))
-	if r.err != nil {
-		return
-	}
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-}
-
-// Bools bulk-reads len(dst) packed booleans written by Writer.Bools.
-func (r *Reader) Bools(dst []bool) {
-	b := r.Raw((len(dst) + 7) / 8)
-	if r.err != nil {
-		return
-	}
-	for i := range dst {
-		dst[i] = b[i/8]&(1<<(i%8)) != 0
-	}
 }
 
 // Len reads a collection length and validates it: at most max elements
