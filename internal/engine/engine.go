@@ -350,7 +350,49 @@ func (e *Engine[R]) RunWith(ctx context.Context, cells []Cell[R], ropts RunOptio
 	b.stats.Submitted = uint64(len(cells))
 	b.stats.Deduped = uint64(len(cells) - len(order))
 
-	// Sweep planning: partition the unique keys into dispatch units —
+	progress := func(resolved int) {
+		if onProgress == nil && onProgressStats == nil {
+			return
+		}
+		b.mu.Lock()
+		b.done += resolved
+		if onProgressStats != nil {
+			onProgressStats(b.done, len(cells), b.stats)
+		} else {
+			onProgress(b.done, len(cells))
+		}
+		b.mu.Unlock()
+	}
+
+	// Warm pre-pass: serve every key already in the in-memory cache
+	// under one lock, so only misses form dispatch units and reach the
+	// worker pool, and a batch where every key hits starts no workers.
+	// Each hit is tallied and reported exactly as resolve would: one
+	// CacheHits and one progress callback per key.
+	pending := order
+	if ctx.Err() == nil {
+		var hits []string
+		pending = make([]string, 0, len(order))
+		e.mu.Lock()
+		for _, key := range order {
+			r, ok := e.cache[key]
+			if !ok {
+				pending = append(pending, key)
+				continue
+			}
+			for _, i := range positions[key] {
+				results[i] = r
+			}
+			hits = append(hits, key)
+		}
+		e.mu.Unlock()
+		for _, key := range hits {
+			b.bump(func(s *Stats) { s.CacheHits++ })
+			progress(len(positions[key]))
+		}
+	}
+
+	// Sweep planning: partition the pending keys into dispatch units —
 	// single cells, plus one unit per Plan group with two or more
 	// pending cells, its members ordered by ascending horizon so the
 	// coalesced pass emits them as it advances. Units keep the groups'
@@ -358,9 +400,9 @@ func (e *Engine[R]) RunWith(ctx context.Context, cells []Cell[R], ropts RunOptio
 	// ordinary per-cell path, making planning a no-op for today's
 	// single-horizon batches.
 	noPlanner := e.opts.NoPlanner || ropts.NoPlanner
-	units := make([][]string, 0, len(order))
+	units := make([][]string, 0, len(pending))
 	groupIdx := make(map[string]int)
-	for _, key := range order {
+	for _, key := range pending {
 		c := rep[key]
 		if noPlanner || c.Plan == nil || c.Plan.Group == "" || c.Plan.RunPass == nil {
 			units = append(units, []string{key})
@@ -380,20 +422,6 @@ func (e *Engine[R]) RunWith(ctx context.Context, cells []Cell[R], ropts RunOptio
 				return rep[u[i]].Plan.Horizon < rep[u[j]].Plan.Horizon
 			})
 		}
-	}
-
-	progress := func(resolved int) {
-		if onProgress == nil && onProgressStats == nil {
-			return
-		}
-		b.mu.Lock()
-		b.done += resolved
-		if onProgressStats != nil {
-			onProgressStats(b.done, len(cells), b.stats)
-		} else {
-			onProgress(b.done, len(cells))
-		}
-		b.mu.Unlock()
 	}
 
 	workers := e.opts.Parallelism

@@ -149,6 +149,111 @@ func TestProgressReachesTotal(t *testing.T) {
 	}
 }
 
+// progressStep is one OnProgressStats callback.
+type progressStep struct {
+	done, total int
+	stats       Stats
+}
+
+// TestWarmPrePassMatchesPerKeyPath pins the warm pre-pass to the per-key
+// resolution it short-circuits: a batch whose keys are all cached reports
+// the same progress sequence (one callback per unique key, same running
+// totals) and the same Stats as the cold batch that filled the cache,
+// with every Simulated cell counted as a CacheHit instead, and it never
+// runs a cell or a pass. A partly warm batch serves its hits first and
+// only runs its misses.
+func TestWarmPrePassMatchesPerKeyPath(t *testing.T) {
+	ctx := context.Background()
+	e := New[int](Options{Parallelism: 1})
+	var runs atomic.Int64
+	var passes atomic.Int64
+	var cells []Cell[int]
+	for i := 0; i < 12; i++ {
+		cells = append(cells, countingCell(fmt.Sprintf("c%d", i%5), i%5, &runs))
+	}
+	// Two planned members of one group, which a cold batch coalesces.
+	for _, h := range []int{10, 20} {
+		h := h
+		c := countingCell(fmt.Sprintf("p%d", h), h, &runs)
+		c.Plan = &Plan[int]{Group: "g", Horizon: h, RunPass: func(_ context.Context, ms []PlanMember, emit func(int, int)) error {
+			passes.Add(1)
+			for i, m := range ms {
+				emit(i, m.Horizon)
+			}
+			return nil
+		}}
+		cells = append(cells, c)
+	}
+	record := func(steps *[]progressStep) RunOptions {
+		return RunOptions{OnProgressStats: func(done, total int, st Stats) {
+			*steps = append(*steps, progressStep{done, total, st})
+		}}
+	}
+
+	var coldSteps, warmSteps []progressStep
+	coldRes, cold, err := e.RunWith(ctx, cells, record(&coldSteps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if passes.Load() != 1 || runs.Load() != 5 {
+		t.Fatalf("cold batch ran %d cells and %d passes, want 5 and 1", runs.Load(), passes.Load())
+	}
+	warmRes, warm, err := e.RunWith(ctx, cells, record(&warmSteps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs.Load() != 5 || passes.Load() != 1 {
+		t.Fatalf("warm batch ran cells or passes (%d cells, %d passes in total)", runs.Load(), passes.Load())
+	}
+	for i := range coldRes {
+		if warmRes[i] != coldRes[i] {
+			t.Fatalf("result %d: warm %d, cold %d", i, warmRes[i], coldRes[i])
+		}
+	}
+
+	// asHits is a per-key tally with every simulated cell served from
+	// the cache instead.
+	asHits := func(s Stats) Stats {
+		return Stats{Submitted: s.Submitted, Deduped: s.Deduped, CacheHits: s.CacheHits + s.Simulated}
+	}
+	if want := asHits(cold); warm != want {
+		t.Fatalf("warm stats %+v, want %+v", warm, want)
+	}
+	if len(warmSteps) != len(coldSteps) || len(warmSteps) != 7 {
+		t.Fatalf("progress calls: warm %d, cold %d, want 7 (one per unique key)", len(warmSteps), len(coldSteps))
+	}
+	for i := range coldSteps {
+		c, w := coldSteps[i], warmSteps[i]
+		if w.done != c.done || w.total != c.total || w.stats != asHits(c.stats) {
+			t.Fatalf("progress step %d: warm %+v, cold %+v", i, w, c)
+		}
+	}
+	var lifetime Stats
+	lifetime.Add(cold)
+	lifetime.Add(warm)
+	if got := e.Stats(); got != lifetime {
+		t.Fatalf("lifetime stats %+v, want %+v", got, lifetime)
+	}
+
+	// A partly warm batch: cached keys are served up front, then the
+	// misses run through the pool.
+	mixed := append([]Cell[int]{countingCell("new", 99, &runs)}, cells[:3]...)
+	var mixedSteps []progressStep
+	res, st, err := e.RunWith(ctx, mixed, record(&mixedSteps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0] != 99 || runs.Load() != 6 {
+		t.Fatalf("mixed batch: result %d, %d runs in total, want 99 and 6", res[0], runs.Load())
+	}
+	if st.CacheHits != 3 || st.Simulated != 1 || st.Submitted != 4 {
+		t.Fatalf("mixed batch stats %+v, want 3 cache hits and 1 simulated of 4", st)
+	}
+	if len(mixedSteps) != 4 || mixedSteps[2].stats.CacheHits != 3 || mixedSteps[3].done != 4 {
+		t.Fatalf("mixed batch progress %+v, want three hits then the miss", mixedSteps)
+	}
+}
+
 func TestPerBatchProgressOverride(t *testing.T) {
 	e := New[int](Options{Parallelism: 2, OnProgress: func(done, total int) {
 		t.Error("engine-level progress called despite per-batch override")
