@@ -336,10 +336,11 @@ func TestDeltaChainBounded(t *testing.T) {
 	}
 }
 
-// TestDeltaSnapshotPreSized pins the pre-sizing contract: the delta
-// encoder's buffer is sized up front (encoded bytes never exceed
-// SnapshotDeltaSize) and encoding allocates only the writer and its
-// buffer — zero growth reallocations.
+// TestDeltaSnapshotPreSized pins the pre-sizing contract for both
+// checkpoint formats: the encoder's buffer is sized up front (encoded
+// bytes never exceed SnapshotSize / SnapshotDeltaSize, which follow the
+// LLC's occupied and touched line counts) and encoding allocates only
+// the writer and its buffer — zero growth reallocations.
 func TestDeltaSnapshotPreSized(t *testing.T) {
 	ctx := context.Background()
 	cfg := DefaultConfig()
@@ -359,20 +360,30 @@ func TestDeltaSnapshotPreSized(t *testing.T) {
 	if err := sys.RunTo(ctx, 4000); err != nil {
 		t.Fatal(err)
 	}
-	data, err := sys.SnapshotDelta(3000, 1)
-	if err != nil {
-		t.Fatal(err)
+	formats := []struct {
+		name   string
+		bound  int
+		encode func() ([]byte, error)
+	}{
+		{"full", sys.SnapshotSize(), sys.Snapshot},
+		{"delta", sys.SnapshotDeltaSize(), func() ([]byte, error) { return sys.SnapshotDelta(3000, 1) }},
 	}
-	if len(data) > sys.SnapshotDeltaSize() {
-		t.Fatalf("delta encoded %d bytes, pre-size bound %d", len(data), sys.SnapshotDeltaSize())
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := sys.SnapshotDelta(3000, 1); err != nil {
+	for _, f := range formats {
+		data, err := f.encode()
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 2 {
-		t.Fatalf("delta encode allocated %v times, want <= 2 (writer + pre-sized buffer)", allocs)
+		if len(data) > f.bound {
+			t.Fatalf("%s: encoded %d bytes, pre-size bound %d", f.name, len(data), f.bound)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := f.encode(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Fatalf("%s: encode allocated %v times, want <= 2 (writer + pre-sized buffer)", f.name, allocs)
+		}
 	}
 }
 

@@ -230,6 +230,7 @@ func appendAloneKey(b []byte, tag, srcKey string, seed uint64) []byte {
 // Snapshot serializes the alone-run's state: carry budget, core (with
 // its stream position), LLC, and in-flight fixed-latency loads.
 func (a *aloneRun) Snapshot() ([]byte, error) {
+	// Pre-sized: magic + key + tick + budget, core, LLC, in-flight loads.
 	w := snap.NewWriterSize(len(aloneMagic) + 10 + len(a.key) + 10 + 8 +
 		a.c.SnapshotSize() + a.mem.llc.SnapshotSize() + 10 + 20*len(a.mem.inflight))
 	w.Raw([]byte(aloneMagic))
