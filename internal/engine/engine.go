@@ -372,7 +372,7 @@ func (e *Engine[R]) RunWith(ctx context.Context, cells []Cell[R], ropts RunOptio
 	pending := order
 	if ctx.Err() == nil {
 		var hits []string
-		pending = make([]string, 0, len(order))
+		pending = order[:0] // filters order in place
 		e.mu.Lock()
 		for _, key := range order {
 			r, ok := e.cache[key]
