@@ -94,20 +94,12 @@ func TestChaosStoreFaultMatrix(t *testing.T) {
 
 			switch tc.rule.Site {
 			case fault.SiteStoreRead:
-				// Every load failed or was corrupted, so almost every cell
-				// re-simulates. Corrupt allows rare store hits: a flip that
-				// lands inside the envelope's own field name demotes the
-				// file to a legacy sum-less cell with an intact payload — a
-				// correct serve (assertChaosResults above is the real
-				// contract). EIO permits no such escape.
-				if stats.Simulated+stats.StoreHits != n {
-					t.Errorf("read faults: stats %+v do not cover all %d cells", stats, n)
-				}
-				if tc.rule.Kind == fault.EIO && stats.Simulated != n {
-					t.Errorf("EIO reads: stats %+v, want %d simulated", stats, n)
-				}
-				if stats.Simulated == 0 {
-					t.Errorf("read faults: nothing re-simulated (stats %+v)", stats)
+				// Every load failed or was corrupted, so every cell
+				// re-simulates: a cell file must verify against its
+				// checksum to be served, and a damaged field name (the
+				// sum's included) fails that like any other flip.
+				if stats.StoreHits != 0 || stats.Simulated != n {
+					t.Errorf("read faults: stats %+v, want 0 store hits and %d simulated", stats, n)
 				}
 			case fault.SiteStoreWrite:
 				// Persistent write failures: the first storeDegradeAfter
@@ -417,11 +409,10 @@ func TestChaosSnapStoreUnwritableRootFallsBack(t *testing.T) {
 }
 
 // TestChaosSnapChecksumEnvelopeRoundTrip pins the envelope format: a
-// wrapped payload unwraps to the same bytes, damage anywhere inside is
-// rejected, and legacy (unwrapped) payloads pass through for the
-// consumer's own validation.
+// wrapped payload unwraps to the same bytes, damage anywhere in it — the
+// magic included — is rejected, and so is an unwrapped payload.
 func TestChaosSnapChecksumEnvelopeRoundTrip(t *testing.T) {
-	payload := []byte("HIRASYS1 pretend snapshot state bytes")
+	payload := []byte("HIRASYS3 pretend snapshot state bytes")
 	wrapped := wrapSnapSum(payload)
 	got, ok := unwrapSnapSum(wrapped)
 	if !ok || string(got) != string(payload) {
@@ -430,18 +421,13 @@ func TestChaosSnapChecksumEnvelopeRoundTrip(t *testing.T) {
 	for i := range wrapped {
 		damaged := append([]byte(nil), wrapped...)
 		damaged[i] ^= 0xA5
-		out, ok := unwrapSnapSum(damaged)
-		if !ok {
-			continue // rejected: good
-		}
-		// Accepted: only legal if the magic itself was damaged, which
-		// demotes the blob to a legacy passthrough.
-		if i >= len(snapSumMagic) {
-			t.Fatalf("byte %d flip accepted as valid envelope (payload %q)", i, out)
+		if out, ok := unwrapSnapSum(damaged); ok {
+			t.Fatalf("byte %d flip accepted (payload %q)", i, out)
 		}
 	}
-	legacy, ok := unwrapSnapSum(payload)
-	if !ok || string(legacy) != string(payload) {
-		t.Fatalf("legacy passthrough = (%q, %v)", legacy, ok)
+	for _, raw := range [][]byte{payload, wrapped[:snapSumHeader-1], nil} {
+		if out, ok := unwrapSnapSum(raw); ok {
+			t.Fatalf("envelope-less data %q accepted as %q", raw, out)
+		}
 	}
 }

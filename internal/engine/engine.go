@@ -48,25 +48,24 @@ type Cell[R any] struct {
 	// computation depends on (configuration, policy, workload, seeds,
 	// tick counts), because equal keys share one result.
 	Key string
-	// Run computes the cell. It must be deterministic given Key and must
-	// not share mutable state with other cells. Long computations should
+	// Run computes a cell that has no Plan; the engine executes it as a
+	// one-member pass. It must be deterministic given Key and must not
+	// share mutable state with other cells. Long computations should
 	// poll ctx and return ctx.Err() to honor cancellation promptly; the
 	// result of a cancelled Run is discarded, never cached or stored.
 	Run func(ctx context.Context) (R, error)
-	// Plan, when non-nil, lets the sweep planner coalesce this cell with
-	// others sharing the same Plan.Group into a single pass. Run remains
-	// mandatory: it is the fallback when the planner is disabled, the
-	// group degenerates to one pending cell, or the cell must be
-	// resolved individually (e.g. it was in flight elsewhere when its
-	// group's pass was formed).
+	// Plan, when non-nil, supersedes Run: the cell executes through
+	// Plan.RunPass, coalesced with the batch's other pending cells of
+	// the same Plan.Group into one pass, or alone as a one-member pass.
 	Plan *Plan[R]
 }
 
-// Plan marks a cell as coalescible: cells submitted in one batch with
-// equal Group keys (same simulation trajectory, different horizons) are
-// run as one pass — a single simulation to the group's maximum horizon
-// that emits each member's finished result as it passes that member's
-// horizon — instead of one restore-and-extend per cell.
+// Plan is how a cell executes: cells submitted in one batch with equal
+// Group keys (same simulation trajectory, different horizons) are run
+// as one pass — a single simulation to the group's maximum horizon that
+// emits each member's finished result as it passes that member's
+// horizon — instead of one restore-and-extend per cell. A cell with no
+// group partner pending runs as a pass of one.
 type Plan[R any] struct {
 	// Group identifies the shared trajectory. Cells whose results would
 	// not be produced by one continuous run must not share a group.
@@ -76,9 +75,9 @@ type Plan[R any] struct {
 	Horizon int
 	// Payload is opaque per-member context handed back to RunPass.
 	Payload any
-	// RunPass executes one coalesced pass over members (sorted by
-	// ascending Horizon; a subset of the group — members already
-	// resolved from the cache or store are excluded). It must call
+	// RunPass executes one pass over members (sorted by ascending
+	// Horizon; a subset of the group — members already resolved from the
+	// cache or store are excluded — possibly of one). It must call
 	// emit(i, r) with member i's result when the simulation crosses
 	// members[i].Horizon; each emission is cached, persisted, and
 	// released to singleflight waiters immediately, so a pass failing
@@ -116,20 +115,20 @@ type Stats struct {
 	Resumed      uint64 `json:"resumed"`
 	ResumedTicks uint64 `json:"resumed_ticks"`
 
-	// PlannedPasses counts coalesced passes executed by the sweep
-	// planner and PlannedCells the cells those passes emitted; their
-	// ratio is the coalescing factor. SimulatedTicks accumulates ticks
-	// actually stepped by cell computations (reported via
-	// MarkSimulated), on both the planned and per-cell paths — together
-	// with ResumedTicks it prices what planning and checkpoints saved.
+	// PlannedPasses counts coalesced passes (two or more members) and
+	// PlannedCells the cells those passes emitted; their ratio is the
+	// coalescing factor. SimulatedTicks accumulates ticks actually
+	// stepped by every pass, lone cells included (reported via
+	// MarkSimulated) — together with ResumedTicks it prices what
+	// planning and checkpoints saved.
 	PlannedPasses  uint64 `json:"planned_passes"`
 	PlannedCells   uint64 `json:"planned_cells"`
 	SimulatedTicks uint64 `json:"simulated_ticks"`
 
-	// Panics counts cells whose Run panicked. The engine converts each
-	// panic into an ordinary cell error carrying the stack trace — the
-	// batch fails, the process survives — and tallies it here so a
-	// recovered-from bug is still visible on /metrics.
+	// Panics counts passes (lone cells included) that panicked. The
+	// engine converts each panic into an ordinary error carrying the
+	// stack trace — the batch fails, the process survives — and tallies
+	// it here so a recovered-from bug is still visible on /metrics.
 	Panics uint64 `json:"panics,omitempty"`
 
 	// FirstStoreError describes the first ResultDir write failure, so
@@ -220,11 +219,6 @@ type Options struct {
 	// singleflight observations (see Metrics). Count-style tallies stay
 	// in Stats; expose those via RegisterStatsFuncs.
 	Metrics *Metrics
-	// NoPlanner disables the sweep planner engine-wide: cells' Plan
-	// metadata is ignored and every cell resolves individually. Results
-	// are bit-identical either way; this exists for debugging and A/B
-	// measurement.
-	NoPlanner bool
 }
 
 // RunOptions configures one Run batch on a shared engine.
@@ -236,8 +230,6 @@ type RunOptions struct {
 	// streaming consumers can report cache hits and resumed ticks while
 	// the batch is still running, not just at the end.
 	OnProgressStats func(done, total int, batch Stats)
-	// NoPlanner disables the sweep planner for this batch only.
-	NoPlanner bool
 }
 
 // flight is one in-progress cell computation other batches can wait on.
@@ -336,8 +328,8 @@ func (e *Engine[R]) RunWith(ctx context.Context, cells []Cell[R], ropts RunOptio
 	positions := make(map[string][]int, len(cells))
 	rep := make(map[string]Cell[R], len(cells))
 	for i, c := range cells {
-		if c.Run == nil {
-			return nil, Stats{}, fmt.Errorf("engine: cell %d (%q) has no Run", i, c.Key)
+		if (c.Plan == nil && c.Run == nil) || (c.Plan != nil && c.Plan.RunPass == nil) {
+			return nil, Stats{}, fmt.Errorf("engine: cell %d (%q) needs a Plan with a RunPass, or a Run", i, c.Key)
 		}
 		if _, ok := positions[c.Key]; !ok {
 			order = append(order, c.Key)
@@ -364,10 +356,17 @@ func (e *Engine[R]) RunWith(ctx context.Context, cells []Cell[R], ropts RunOptio
 		b.mu.Unlock()
 	}
 
+	serve := func(key string, r R) {
+		for _, i := range positions[key] {
+			results[i] = r
+		}
+		progress(len(positions[key]))
+	}
+
 	// Warm pre-pass: serve every key already in the in-memory cache
 	// under one lock, so only misses form dispatch units and reach the
 	// worker pool, and a batch where every key hits starts no workers.
-	// Each hit is tallied and reported exactly as resolve would: one
+	// Each hit is tallied and reported exactly as resolveUnit would: one
 	// CacheHits and one progress callback per key.
 	pending := order
 	if ctx.Err() == nil {
@@ -393,18 +392,15 @@ func (e *Engine[R]) RunWith(ctx context.Context, cells []Cell[R], ropts RunOptio
 	}
 
 	// Sweep planning: partition the pending keys into dispatch units —
-	// single cells, plus one unit per Plan group with two or more
-	// pending cells, its members ordered by ascending horizon so the
-	// coalesced pass emits them as it advances. Units keep the groups'
-	// first-appearance order; a singleton group degenerates to the
-	// ordinary per-cell path, making planning a no-op for today's
-	// single-horizon batches.
-	noPlanner := e.opts.NoPlanner || ropts.NoPlanner
+	// one per Plan group, its members ordered by ascending horizon so
+	// the pass emits them as it advances, and one per cell without a
+	// group. Units keep the groups' first-appearance order; a
+	// single-horizon batch is all one-member units.
 	units := make([][]string, 0, len(pending))
 	groupIdx := make(map[string]int)
 	for _, key := range pending {
 		c := rep[key]
-		if noPlanner || c.Plan == nil || c.Plan.Group == "" || c.Plan.RunPass == nil {
+		if c.Plan == nil || c.Plan.Group == "" {
 			units = append(units, []string{key})
 			continue
 		}
@@ -435,23 +431,9 @@ func (e *Engine[R]) RunWith(ctx context.Context, cells []Cell[R], ropts RunOptio
 		go func() {
 			defer wg.Done()
 			for unit := range jobs {
-				if b.abortedOrDone(ctx) {
-					continue
+				if !b.abortedOrDone(ctx) {
+					e.resolveUnit(ctx, unit, rep, b, serve)
 				}
-				if len(unit) > 1 {
-					e.resolveGroup(ctx, unit, rep, positions, results, b, progress)
-					continue
-				}
-				key := unit[0]
-				r, err := e.resolve(ctx, rep[key], b)
-				if err != nil {
-					b.fail(err)
-					continue
-				}
-				for _, i := range positions[key] {
-					results[i] = r
-				}
-				progress(len(positions[key]))
 			}
 		}()
 	}
@@ -515,127 +497,242 @@ func (b *batch) bump(f func(*Stats)) {
 	b.mu.Unlock()
 }
 
-// resolve returns the cell's result from the cache, an in-flight
-// computation, the store, or by running it, in that order.
-func (e *Engine[R]) resolve(ctx context.Context, c Cell[R], b *batch) (R, error) {
-	for {
-		e.mu.Lock()
-		if r, ok := e.cache[c.Key]; ok {
-			e.mu.Unlock()
-			b.bump(func(s *Stats) { s.CacheHits++ })
-			return r, nil
+// resolveUnit resolves one dispatch unit — a lone cell, or a Plan
+// group's pending cells in ascending horizon — as one pass: members
+// already cached are served as cache hits, members in flight in another
+// batch are waited on individually, claimed members are checked against
+// the store, and only what remains runs, as a single pass to the
+// maximum pending horizon.
+func (e *Engine[R]) resolveUnit(ctx context.Context, keys []string, rep map[string]Cell[R], b *batch, serve func(string, R)) {
+	type hit struct {
+		key string
+		r   R
+	}
+	var hits []hit
+	var deferred, claimed []string
+	var flights []*flight[R]
+	e.mu.Lock()
+	for _, key := range keys {
+		if r, ok := e.cache[key]; ok {
+			hits = append(hits, hit{key, r})
+			continue
 		}
-		if f, ok := e.inflight[c.Key]; ok {
-			e.mu.Unlock()
-			if m := e.opts.Metrics; m != nil {
-				m.SingleflightWaits.Inc()
-			}
-			sp := telemetry.StartSpan(ctx, "singleflight-wait", c.Key)
-			select {
-			case <-f.done:
-				sp.End()
-				if f.err == nil {
-					b.bump(func(s *Stats) { s.CacheHits++ })
-					return f.r, nil
-				}
-				// The computing batch failed or was cancelled; its error
-				// is not ours. Loop and try to claim the key ourselves.
-				continue
-			case <-ctx.Done():
-				sp.End()
-				var zero R
-				return zero, ctx.Err()
-			}
+		if _, ok := e.inflight[key]; ok {
+			deferred = append(deferred, key)
+			continue
 		}
 		f := &flight[R]{done: make(chan struct{})}
-		e.inflight[c.Key] = f
-		e.mu.Unlock()
+		e.inflight[key] = f
+		claimed = append(claimed, key)
+		flights = append(flights, f)
+	}
+	e.mu.Unlock()
+	for _, h := range hits {
+		b.bump(func(s *Stats) { s.CacheHits++ })
+		serve(h.key, h.r)
+	}
 
-		r, err := e.compute(ctx, c, b)
-		f.r, f.err = r, err
-		e.mu.Lock()
-		delete(e.inflight, c.Key)
-		e.mu.Unlock()
-		close(f.done)
-		return r, err
+	// Claimed members may still be on disk from an earlier process; only
+	// what the store cannot answer joins the pass.
+	n := 0
+	for i, key := range claimed {
+		if e.store != nil {
+			sp := telemetry.StartSpan(ctx, "store-read", key)
+			r, ok := e.store.load(key)
+			sp.SetAttr("hit", ok)
+			sp.End()
+			if ok {
+				e.release(key, flights[i], r, nil)
+				b.bump(func(s *Stats) { s.StoreHits++ })
+				serve(key, r)
+				continue
+			}
+		}
+		claimed[n], flights[n] = key, flights[i]
+		n++
+	}
+	if n > 0 {
+		e.runPass(ctx, claimed[:n], flights[:n], rep, b, serve)
+	}
+
+	// Members another batch was computing when the unit was formed.
+	for _, key := range deferred {
+		if b.abortedOrDone(ctx) {
+			return
+		}
+		e.resolve(ctx, key, rep, b, serve)
 	}
 }
 
-// compute resolves a claimed cell: from the store if present, otherwise
-// by running it under an engine-wide compute token. Successful results
-// enter the cache and (best-effort) the store before the flight is
-// released, so waiters observe a fully persisted cell.
-func (e *Engine[R]) compute(ctx context.Context, c Cell[R], b *batch) (R, error) {
-	var zero R
+// resolve waits on another batch's in-flight computation of key and
+// serves its result as a cache hit. When that batch failed or was
+// cancelled, its error is not ours: the key is claimed and resolved as a
+// one-member unit.
+func (e *Engine[R]) resolve(ctx context.Context, key string, rep map[string]Cell[R], b *batch, serve func(string, R)) {
+	e.mu.Lock()
+	f, ok := e.inflight[key]
+	e.mu.Unlock()
+	if ok {
+		if m := e.opts.Metrics; m != nil {
+			m.SingleflightWaits.Inc()
+		}
+		sp := telemetry.StartSpan(ctx, "singleflight-wait", key)
+		select {
+		case <-f.done:
+			sp.End()
+			if f.err == nil {
+				b.bump(func(s *Stats) { s.CacheHits++ })
+				serve(key, f.r)
+				return
+			}
+		case <-ctx.Done():
+			sp.End()
+			b.fail(ctx.Err())
+			return
+		}
+	}
+	e.resolveUnit(ctx, []string{key}, rep, b, serve)
+}
+
+// release settles a claimed key: a successful result enters the cache,
+// and the flight is closed so singleflight waiters observe r or err.
+func (e *Engine[R]) release(key string, f *flight[R], r R, err error) {
+	f.r, f.err = r, err
+	e.mu.Lock()
+	if err == nil {
+		e.cache[key] = r
+	}
+	delete(e.inflight, key)
+	e.mu.Unlock()
+	close(f.done)
+}
+
+// runPass executes one pass over the pending keys (ascending horizon),
+// whose flights the caller has claimed. It is the engine's only
+// executor: it takes a compute token, runs the pass with panics
+// recovered, and caches, persists and releases each member as it is
+// emitted, so a pass failing (or cancelled) midway keeps every row it
+// already emitted and only the unemitted members' flights carry the
+// error. A lone cell is traced and reported as a "cell" under its key, a
+// coalesced pass as a "pass" under its group; the tick, resume and
+// duration tallies record passes that emitted at least one member, and
+// PlannedPasses/PlannedCells only coalesced ones.
+func (e *Engine[R]) runPass(ctx context.Context, pass []string, flights []*flight[R],
+	rep map[string]Cell[R], b *batch, serve func(string, R)) {
 	m := e.opts.Metrics
-	if e.store != nil {
-		sp := telemetry.StartSpan(ctx, "store-read", c.Key)
-		r, ok := e.store.load(c.Key)
-		sp.SetAttr("hit", ok)
-		sp.End()
-		if ok {
-			e.mu.Lock()
-			e.cache[c.Key] = r
-			e.mu.Unlock()
-			b.bump(func(s *Stats) { s.StoreHits++ })
-			return r, nil
+	lead := rep[pass[0]]
+	kind, name := "cell", lead.Key
+	if len(pass) > 1 {
+		kind, name = "pass", lead.Plan.Group
+	}
+	members := make([]PlanMember, len(pass))
+	for i, key := range pass {
+		members[i].Key = key
+		if p := rep[key].Plan; p != nil {
+			members[i].Horizon, members[i].Payload = p.Horizon, p.Payload
+		}
+	}
+	var run func(ctx context.Context, members []PlanMember, emit func(int, R)) error
+	if lead.Plan != nil {
+		run = lead.Plan.RunPass
+	} else {
+		// A cell without a Plan is a one-member pass around its Run.
+		run = func(ctx context.Context, _ []PlanMember, emit func(int, R)) error {
+			r, err := lead.Run(ctx)
+			if err == nil {
+				emit(0, r)
+			}
+			return err
 		}
 	}
 
+	emitted := make([]bool, len(members))
+	failRest := func(err error) {
+		var zero R
+		for i, key := range pass {
+			if !emitted[i] {
+				e.release(key, flights[i], zero, err)
+			}
+		}
+		b.fail(err)
+	}
+
 	semStart := time.Now()
-	semSpan := telemetry.StartSpan(ctx, "sem-wait", c.Key)
+	semSpan := telemetry.StartSpan(ctx, "sem-wait", name)
 	select {
 	case e.sem <- struct{}{}:
 	case <-ctx.Done():
 		semSpan.End()
-		return zero, ctx.Err()
+		failRest(ctx.Err())
+		return
 	}
 	semSpan.End()
 	if m != nil {
 		m.SemWaitSeconds.Observe(time.Since(semStart).Seconds())
 	}
+
 	note := &resumeNote{}
+	nEmitted := 0
 	runStart := time.Now()
-	runSpan := telemetry.StartSpan(ctx, "cell", c.Key)
-	// A panicking cell must not take down the worker pool (and with it
-	// the whole server): convert the panic into an ordinary cell error
+	runSpan := telemetry.StartSpan(ctx, kind, name)
+	runSpan.SetAttr("members", len(members))
+	emit := func(i int, r R) {
+		if i < 0 || i >= len(members) || emitted[i] {
+			panic(fmt.Sprintf("engine: %s %q emitted invalid or duplicate member %d", kind, name, i))
+		}
+		emitted[i] = true
+		nEmitted++
+		key := members[i].Key
+		b.bump(func(s *Stats) {
+			s.Simulated++
+			if len(members) > 1 {
+				s.PlannedCells++
+			}
+		})
+		if e.store != nil {
+			e.saveResult(ctx, key, r, b)
+		}
+		e.release(key, flights[i], r, nil)
+		serve(key, r)
+	}
+	// A panicking pass must not take down the worker pool (and with it
+	// the whole server): convert the panic into an ordinary error
 	// carrying the stack, so exactly this batch fails, attributably.
-	r, err := func() (r R, err error) {
+	err := func() (err error) {
 		defer func() {
 			if p := recover(); p != nil {
 				b.bump(func(s *Stats) { s.Panics++ })
-				err = fmt.Errorf("engine: cell %q panicked: %v\n%s", c.Key, p, debug.Stack())
+				err = fmt.Errorf("engine: %s %q panicked: %v\n%s", kind, name, p, debug.Stack())
 			}
 		}()
-		return c.Run(context.WithValue(ctx, resumeNoteKey{}, note))
+		return run(context.WithValue(ctx, resumeNoteKey{}, note), members, emit)
 	}()
 	if note.resumed {
 		runSpan.SetAttr("resumed_ticks", note.ticks)
 	}
 	runSpan.End()
 	<-e.sem
-	if err != nil {
-		return zero, err
+	if err == nil && nEmitted < len(members) {
+		err = fmt.Errorf("engine: %s %q emitted %d of %d members", kind, name, nEmitted, len(members))
 	}
-	if m != nil {
-		m.CellSeconds.Observe(time.Since(runStart).Seconds())
-	}
-
-	e.mu.Lock()
-	e.cache[c.Key] = r
-	e.mu.Unlock()
-	b.bump(func(s *Stats) {
-		s.Simulated++
-		s.SimulatedTicks += note.simulated
-		if note.resumed {
-			s.Resumed++
-			s.ResumedTicks += uint64(note.ticks)
+	if nEmitted > 0 {
+		b.bump(func(s *Stats) {
+			if len(members) > 1 {
+				s.PlannedPasses++
+			}
+			s.SimulatedTicks += note.simulated
+			if note.resumed {
+				s.Resumed++
+				s.ResumedTicks += uint64(note.ticks)
+			}
+		})
+		if m != nil {
+			m.CellSeconds.Observe(time.Since(runStart).Seconds())
 		}
-	})
-	if e.store != nil {
-		e.saveResult(ctx, c.Key, r, b)
 	}
-	return r, nil
+	if err != nil {
+		failRest(err)
+	}
 }
 
 // saveResult persists one result to the store, best-effort: a failed
@@ -657,194 +754,5 @@ func (e *Engine[R]) saveResult(ctx context.Context, key string, r R, b *batch) {
 				s.FirstStoreError = err.Error()
 			}
 		})
-	}
-}
-
-// resolveGroup resolves a Plan group's cells (ascending horizon) as one
-// coalesced pass, preserving the per-cell resolution semantics exactly:
-// members already cached are served as cache hits, members in flight in
-// another batch are waited on individually, claimed members are checked
-// against the store, and only what remains is simulated — by a single
-// RunPass to the maximum pending horizon. Every emitted result is
-// cached, persisted, and released to singleflight waiters immediately;
-// on error or cancellation, cells emitted before the failure stay
-// resolved (warm for the retry) and only the unemitted members' flights
-// carry the error.
-func (e *Engine[R]) resolveGroup(ctx context.Context, keys []string, rep map[string]Cell[R],
-	positions map[string][]int, results []R, b *batch, progress func(int)) {
-	serve := func(key string, r R) {
-		for _, i := range positions[key] {
-			results[i] = r
-		}
-		progress(len(positions[key]))
-	}
-
-	cached := make(map[string]R)
-	flights := make(map[string]*flight[R])
-	var deferred, claimed []string
-	e.mu.Lock()
-	for _, key := range keys {
-		if r, ok := e.cache[key]; ok {
-			cached[key] = r
-			continue
-		}
-		if _, ok := e.inflight[key]; ok {
-			deferred = append(deferred, key)
-			continue
-		}
-		f := &flight[R]{done: make(chan struct{})}
-		e.inflight[key] = f
-		flights[key] = f
-		claimed = append(claimed, key)
-	}
-	e.mu.Unlock()
-	for _, key := range keys {
-		if r, ok := cached[key]; ok {
-			b.bump(func(s *Stats) { s.CacheHits++ })
-			serve(key, r)
-		}
-	}
-
-	// Claimed members may still be on disk from an earlier process; only
-	// what the store cannot answer joins the pass.
-	pass := claimed[:0]
-	for _, key := range claimed {
-		if e.store != nil {
-			sp := telemetry.StartSpan(ctx, "store-read", key)
-			r, ok := e.store.load(key)
-			sp.SetAttr("hit", ok)
-			sp.End()
-			if ok {
-				e.mu.Lock()
-				e.cache[key] = r
-				delete(e.inflight, key)
-				e.mu.Unlock()
-				f := flights[key]
-				f.r = r
-				close(f.done)
-				b.bump(func(s *Stats) { s.StoreHits++ })
-				serve(key, r)
-				continue
-			}
-		}
-		pass = append(pass, key)
-	}
-
-	if len(pass) > 0 {
-		e.runPass(ctx, pass, rep, flights, b, serve)
-	}
-
-	// Members another batch was computing when the pass was formed: wait
-	// on (or, if that batch failed, compute) them individually.
-	for _, key := range deferred {
-		if b.abortedOrDone(ctx) {
-			return
-		}
-		r, err := e.resolve(ctx, rep[key], b)
-		if err != nil {
-			b.fail(err)
-			return
-		}
-		serve(key, r)
-	}
-}
-
-// runPass executes one coalesced pass over the pending members, whose
-// flights the caller has already claimed.
-func (e *Engine[R]) runPass(ctx context.Context, pass []string, rep map[string]Cell[R],
-	flights map[string]*flight[R], b *batch, serve func(string, R)) {
-	m := e.opts.Metrics
-	group := rep[pass[0]].Plan.Group
-	members := make([]PlanMember, len(pass))
-	for i, key := range pass {
-		p := rep[key].Plan
-		members[i] = PlanMember{Key: key, Horizon: p.Horizon, Payload: p.Payload}
-	}
-
-	failRest := func(err error, emitted []bool) {
-		for i, key := range pass {
-			if emitted != nil && emitted[i] {
-				continue
-			}
-			f := flights[key]
-			f.err = err
-			e.mu.Lock()
-			delete(e.inflight, key)
-			e.mu.Unlock()
-			close(f.done)
-		}
-		b.fail(err)
-	}
-
-	semStart := time.Now()
-	semSpan := telemetry.StartSpan(ctx, "sem-wait", group)
-	select {
-	case e.sem <- struct{}{}:
-	case <-ctx.Done():
-		semSpan.End()
-		failRest(ctx.Err(), nil)
-		return
-	}
-	semSpan.End()
-	if m != nil {
-		m.SemWaitSeconds.Observe(time.Since(semStart).Seconds())
-	}
-
-	note := &resumeNote{}
-	emitted := make([]bool, len(members))
-	nEmitted := 0
-	runStart := time.Now()
-	runSpan := telemetry.StartSpan(ctx, "pass", group)
-	runSpan.SetAttr("members", len(members))
-	emit := func(i int, r R) {
-		if i < 0 || i >= len(members) || emitted[i] {
-			panic(fmt.Sprintf("engine: pass %q emitted invalid or duplicate member %d", group, i))
-		}
-		emitted[i] = true
-		nEmitted++
-		key := members[i].Key
-		e.mu.Lock()
-		e.cache[key] = r
-		delete(e.inflight, key)
-		e.mu.Unlock()
-		f := flights[key]
-		f.r = r
-		close(f.done)
-		b.bump(func(s *Stats) { s.Simulated++; s.PlannedCells++ })
-		if e.store != nil {
-			e.saveResult(ctx, key, r, b)
-		}
-		serve(key, r)
-	}
-	err := func() (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				b.bump(func(s *Stats) { s.Panics++ })
-				err = fmt.Errorf("engine: pass %q panicked: %v\n%s", group, p, debug.Stack())
-			}
-		}()
-		return rep[pass[0]].Plan.RunPass(context.WithValue(ctx, resumeNoteKey{}, note), members, emit)
-	}()
-	if note.resumed {
-		runSpan.SetAttr("resumed_ticks", note.ticks)
-	}
-	runSpan.End()
-	<-e.sem
-	if err == nil && nEmitted < len(members) {
-		err = fmt.Errorf("engine: pass %q emitted %d of %d members", group, nEmitted, len(members))
-	}
-	b.bump(func(s *Stats) {
-		s.PlannedPasses++
-		s.SimulatedTicks += note.simulated
-		if note.resumed {
-			s.Resumed++
-			s.ResumedTicks += uint64(note.ticks)
-		}
-	})
-	if m != nil {
-		m.CellSeconds.Observe(time.Since(runStart).Seconds())
-	}
-	if err != nil {
-		failRest(err, emitted)
 	}
 }

@@ -505,6 +505,10 @@ func TestStoreTruncatedCellResimulates(t *testing.T) {
 	}
 }
 
+// TestStoreCorruptFileResimulates asserts an unparseable cell file, and
+// a well-formed one without a checksum (the format written before
+// checksums existed), each read as a miss: the cell re-simulates and
+// its file is rewritten.
 func TestStoreCorruptFileResimulates(t *testing.T) {
 	dir := t.TempDir()
 	var runs atomic.Int64
@@ -518,17 +522,18 @@ func TestStoreCorruptFileResimulates(t *testing.T) {
 	if len(files) != 1 {
 		t.Fatalf("store has %d files, want 1", len(files))
 	}
-	if err := os.WriteFile(files[0], []byte("{garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	e2 := New[int](Options{Parallelism: 1, ResultDir: dir})
-	got, _, err := e2.Run(context.Background(), []Cell[int]{cell})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 42 || runs.Load() != 2 {
-		t.Errorf("corrupt store file not re-simulated: got %d after %d runs", got[0], runs.Load())
+	for i, damaged := range []string{"{garbage", `{"key":"k","result":41}`} {
+		if err := os.WriteFile(files[0], []byte(damaged), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e2 := New[int](Options{Parallelism: 1, ResultDir: dir})
+		got, stats, err := e2.Run(context.Background(), []Cell[int]{cell})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != 42 || runs.Load() != int64(i+2) || stats.StoreHits != 0 {
+			t.Errorf("%q not re-simulated: got %d after %d runs, stats %+v", damaged, got[0], runs.Load(), stats)
+		}
 	}
 }
 
@@ -563,46 +568,10 @@ func TestStoreWriteFailureKeepsResult(t *testing.T) {
 	}
 }
 
-// TestStoreMigratesFlatLayout asserts cells persisted by the
-// pre-sharding flat layout (root/<hash>.json) are moved into shards at
-// startup and served as store hits, so upgraded stores stay warm.
-func TestStoreMigratesFlatLayout(t *testing.T) {
-	dir := t.TempDir()
-	var runs atomic.Int64
-	cell := countingCell("legacy-key", 11, &runs)
-
-	// Write the cell where the old flat layout put it.
-	hash := hashKey(cell.Key)
-	data, err := json.Marshal(storedCell[int]{Key: cell.Key, Result: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, hash+".json"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	e := New[int](Options{Parallelism: 1, ResultDir: dir})
-	if got := e.StoredCells(); got != 1 {
-		t.Fatalf("startup indexed %d cells from the flat layout, want 1", got)
-	}
-	got, stats, err := e.Run(context.Background(), []Cell[int]{cell})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 11 || runs.Load() != 0 || stats.StoreHits != 1 {
-		t.Errorf("migrated cell not served from store: got %d, runs %d, stats %+v", got[0], runs.Load(), stats)
-	}
-	if _, err := os.Stat(filepath.Join(dir, hash+".json")); !os.IsNotExist(err) {
-		t.Error("flat-layout file not moved into its shard")
-	}
-	if files := storeFiles(t, dir); len(files) != 1 {
-		t.Errorf("sharded store has %d files after migration, want 1", len(files))
-	}
-}
-
 // TestStoreIgnoresForeignFiles asserts the index only trusts the sharded
-// layout: stray files in the root (e.g. the pre-sharding flat layout)
-// neither crash startup nor get served.
+// layout: stray files in the root — including an intact cell in the
+// pre-sharding flat layout (root/<hash>.json) — neither crash startup
+// nor get served, so their cells re-simulate.
 func TestStoreIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "deadbeef.json"), []byte(`{"key":"k","result":1}`), 0o644); err != nil {
@@ -611,14 +580,26 @@ func TestStoreIgnoresForeignFiles(t *testing.T) {
 	if err := os.Mkdir(filepath.Join(dir, "not-a-shard"), 0o755); err != nil {
 		t.Fatal(err)
 	}
+	raw := []byte("3")
+	flat, err := json.Marshal(storedWire{Key: "k", Sum: sumBytes(raw), Result: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flatPath := filepath.Join(dir, hashKey("k")+".json")
+	if err := os.WriteFile(flatPath, flat, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	e := New[int](Options{Parallelism: 1, ResultDir: dir})
 	if got := e.StoredCells(); got != 0 {
 		t.Errorf("index counted %d foreign cells, want 0", got)
 	}
 	var runs atomic.Int64
-	got, _, err := e.Run(context.Background(), []Cell[int]{countingCell("k", 3, &runs)})
-	if err != nil || got[0] != 3 || runs.Load() != 1 {
-		t.Errorf("foreign file interfered: got %v runs %d err %v", got, runs.Load(), err)
+	got, stats, err := e.Run(context.Background(), []Cell[int]{countingCell("k", 3, &runs)})
+	if err != nil || got[0] != 3 || runs.Load() != 1 || stats.StoreHits != 0 {
+		t.Errorf("foreign file interfered: got %v runs %d stats %+v err %v", got, runs.Load(), stats, err)
+	}
+	if _, err := os.Stat(flatPath); err != nil {
+		t.Errorf("flat-layout file touched: %v", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -190,9 +189,12 @@ func NewSnapStoreFS(dir string, maxBytes int64, fsys fault.FS) *SnapStore {
 			if err != nil {
 				continue
 			}
-			path := filepath.Join(dir, sh.Name(), f.Name())
+			// Stats.Bytes counts payload bytes: every file carries the
+			// checksum envelope, so the payload is the rest. A file too
+			// short to hold one is corrupt and misses on its first Load.
+			size := max(info.Size()-int64(snapSumHeader), 0)
 			all = append(all, found{
-				e:   &snapEntry{hash: hash, tick: tick, base: base, size: snapPayloadSize(path, info.Size())},
+				e:   &snapEntry{hash: hash, tick: tick, base: base, size: size},
 				mod: info.ModTime().UnixNano(),
 			})
 		}
@@ -211,57 +213,34 @@ func NewSnapStoreFS(dir string, maxBytes int64, fsys fault.FS) *SnapStore {
 // snapshot's own magic and embedded key) catches truncation and wrong-
 // slot payloads but not a bit flip deep inside the state bytes, which
 // would otherwise restore silently wrong simulator state; the envelope
-// makes any corruption a detectable miss. Files written before the
-// envelope existed (or whose prefix itself got corrupted) don't match
-// the magic and pass through to the consumer's checks unchanged.
+// makes any corruption a detectable miss. A file without it (written
+// before the envelope existed, or with a damaged prefix) is a miss too.
 var snapSumMagic = []byte("HIRASUM1")
+
+// snapSumHeader is the envelope's size: magic plus SHA-256.
+const snapSumHeader = len("HIRASUM1") + sha256.Size
 
 // wrapSnapSum frames a checkpoint payload for disk: magic, SHA-256,
 // payload.
 func wrapSnapSum(data []byte) []byte {
-	out := make([]byte, 0, len(snapSumMagic)+sha256.Size+len(data))
+	out := make([]byte, 0, snapSumHeader+len(data))
 	out = append(out, snapSumMagic...)
 	sum := sha256.Sum256(data)
 	out = append(out, sum[:]...)
 	return append(out, data...)
 }
 
-// unwrapSnapSum verifies and strips the checksum envelope. Data without
-// the magic is returned as-is (legacy checkpoint, or an envelope whose
-// prefix was itself damaged — downstream structural checks reject it).
+// unwrapSnapSum verifies and strips the checksum envelope, rejecting
+// data without it.
 func unwrapSnapSum(raw []byte) ([]byte, bool) {
-	if !bytes.HasPrefix(raw, snapSumMagic) {
-		return raw, true
-	}
-	header := len(snapSumMagic) + sha256.Size
-	if len(raw) < header {
+	if len(raw) < snapSumHeader || !bytes.HasPrefix(raw, snapSumMagic) {
 		return nil, false
 	}
-	sum := sha256.Sum256(raw[header:])
-	if !bytes.Equal(sum[:], raw[len(snapSumMagic):header]) {
+	sum := sha256.Sum256(raw[snapSumHeader:])
+	if !bytes.Equal(sum[:], raw[len(snapSumMagic):snapSumHeader]) {
 		return nil, false
 	}
-	return raw[header:], true
-}
-
-// snapPayloadSize returns the payload size of the checkpoint file at
-// path: the file size minus the checksum envelope when present, so the
-// restart index accounts the same bytes the live store did (Stats.Bytes
-// is payload bytes). Probe failures fall back to the raw file size —
-// only eviction-heuristic accounting rides on it.
-func snapPayloadSize(path string, fileSize int64) int64 {
-	f, err := os.Open(path)
-	if err != nil {
-		return fileSize
-	}
-	defer f.Close()
-	magic := make([]byte, len(snapSumMagic))
-	if _, err := io.ReadFull(f, magic); err == nil && bytes.Equal(magic, snapSumMagic) {
-		if ps := fileSize - int64(len(snapSumMagic)+sha256.Size); ps >= 0 {
-			return ps
-		}
-	}
-	return fileSize
+	return raw[snapSumHeader:], true
 }
 
 // snapFileName parses a checkpoint file name: <64-hex>@<tick>.snap for
@@ -274,7 +253,7 @@ func snapFileName(name string) (hash string, tick, base int, ok bool) {
 		return "", 0, 0, false
 	}
 	hash = rest[:64]
-	if _, ok := flatCellName(hash + ".json"); !ok {
+	if _, ok := cellFileHash(hash + ".json"); !ok {
 		return "", 0, 0, false
 	}
 	ticks := rest[65:]

@@ -65,25 +65,18 @@ const storeDegradeAfter = 4
 // directory and are left alone.
 const tmpSweepAge = time.Hour
 
-// storedCell is the on-disk JSON schema of one cell result. The full key
-// is stored alongside the result so files are self-describing and a
-// (vanishingly unlikely) hash collision is detected rather than served.
-// Sum is the hex SHA-256 of the raw result bytes: a corrupted file that
-// still parses as JSON (bit rot flipping a digit inside a figure value)
-// must read as a miss, never as a subtly wrong result. Files written
-// before the checksum existed have no sum and are accepted as-is.
-type storedCell[R any] struct {
-	Key    string `json:"key"`
-	Sum    string `json:"sum,omitempty"`
-	Result R      `json:"result"`
-}
-
-// storedWire is storedCell with the result left as raw bytes, so load
-// can verify the checksum over exactly the bytes on disk and save can
-// checksum exactly the bytes it writes.
+// storedWire is the on-disk JSON schema of one cell result, with the
+// result left as raw bytes so load verifies the checksum over exactly
+// the bytes on disk and save checksums exactly the bytes it writes. The
+// full key is stored alongside the result so files are self-describing
+// and a (vanishingly unlikely) hash collision is detected rather than
+// served. Sum is the hex SHA-256 of the raw result bytes: a corrupted
+// file that still parses as JSON (bit rot flipping a digit inside a
+// figure value, or damage to the sum's own field name) must read as a
+// miss, never as a subtly wrong result.
 type storedWire struct {
 	Key    string          `json:"key"`
-	Sum    string          `json:"sum,omitempty"`
+	Sum    string          `json:"sum"`
 	Result json.RawMessage `json:"result"`
 }
 
@@ -94,9 +87,9 @@ func sumBytes(b []byte) string {
 }
 
 // newStore opens (creating if needed) the store rooted at dir and loads
-// its index. Cells written by the pre-sharding flat layout
-// (root/<hash>.json) are migrated into their shards first, so upgraded
-// stores stay warm. Stale *.tmp orphans from crashed writers are swept.
+// its index from the shard directories; files outside them (such as the
+// pre-sharding flat layout's root/<hash>.json) are ignored, so their
+// cells re-simulate. Stale *.tmp orphans from crashed writers are swept.
 // An unusable root degrades to an empty index; an unwritable one
 // additionally flips the store into cache-only mode (see the type
 // comment).
@@ -116,27 +109,15 @@ func newStore[R any](dir string, fsys fault.FS) *store[R] {
 		return s
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() {
-			if hash, ok := flatCellName(name); ok {
-				// One-time migration of a flat-layout cell; on any
-				// failure leave it in place (it is simply re-simulated).
-				if os.MkdirAll(filepath.Join(dir, hash[:2]), 0o755) == nil &&
-					os.Rename(filepath.Join(dir, name), s.path(hash)) == nil {
-					s.index[hash] = struct{}{}
-				}
-			}
+		if !e.IsDir() || !isShardName(e.Name()) {
 			continue
 		}
-		if !isShardName(name) {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(dir, name))
+		files, err := os.ReadDir(filepath.Join(dir, e.Name()))
 		if err != nil {
 			continue
 		}
 		for _, f := range files {
-			if hash, ok := flatCellName(f.Name()); ok {
+			if hash, ok := cellFileHash(f.Name()); ok {
 				s.index[hash] = struct{}{}
 			}
 		}
@@ -197,8 +178,8 @@ func sweepStaleTmp(dir string, maxAge time.Duration) int {
 	return removed
 }
 
-// flatCellName parses a <64-hex>.json cell file name.
-func flatCellName(name string) (string, bool) {
+// cellFileHash parses a <64-hex>.json cell file name.
+func cellFileHash(name string) (string, bool) {
 	if len(name) != 64+len(".json") || filepath.Ext(name) != ".json" {
 		return "", false
 	}
@@ -249,7 +230,7 @@ func (s *store[R]) load(key string) (R, bool) {
 	if err := json.Unmarshal(data, &sc); err != nil || sc.Key != key {
 		return zero, false
 	}
-	if sc.Sum != "" && sumBytes(sc.Result) != sc.Sum {
+	if sumBytes(sc.Result) != sc.Sum {
 		return zero, false
 	}
 	var r R

@@ -220,6 +220,58 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJournalRetiredSpecField covers the upgrade path for a spec field
+// the server no longer has ("no_planner", which selected a per-cell
+// executor): a new submission carrying it is rejected with 400, because
+// the submit decoder disallows unknown fields, while a journal line an
+// older server wrote with it still replays to done, because recovery
+// decodes journal entries leniently.
+func TestJournalRetiredSpecField(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	const retiredSim = `{"workloads":1,"cores":4,"warmup":2000,"measure":6000,"seed":1,"no_planner":true}`
+	line := `{"id":"j3","spec":{"kind":"fig9","capacities":[8],"sim":` + retiredSim + `},"submitted":"2026-01-01T00:00:00Z"}` + "\n"
+	journalPath := filepath.Join(dir, "journal.jsonl")
+	if err := os.WriteFile(journalPath, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, client := newTestServer(t, Config{
+		Engine:      sim.EngineConfig{Parallelism: 2},
+		Workers:     1,
+		JournalPath: journalPath,
+	})
+
+	resp, err := http.Post(client.BaseURL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"kind":"fig9","capacities":[8],"sim":`+retiredSim+`}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "no_planner") {
+		t.Fatalf("submit with the retired field = %d %q, want 400 naming it", resp.StatusCode, body)
+	}
+
+	got, err := client.Wait(ctx, "j3", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != StateDone || !got.Recovered {
+		t.Fatalf("journaled job = %s (recovered %v, error %q), want a recovered done job", got.State, got.Recovered, got.Error)
+	}
+	want, err := sim.Fig9(ctx, testOpts(), []int{8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := got.FigureResult()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Fig9, want) {
+		t.Fatalf("replayed rows differ from an in-process run:\nreplayed:  %+v\nreference: %+v", res.Fig9, want)
+	}
+}
+
 // TestJournalWriteFaultsDegradeNotFail asserts a journal that stops
 // being writable mid-flight degrades: adds report the failure, the
 // health check carries the reason, and a later successful write clears

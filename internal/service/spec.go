@@ -159,10 +159,6 @@ type SimSpec struct {
 	// ForensicsRecorder additionally arms the DRAM command flight
 	// recorder; requires Forensics.
 	ForensicsRecorder bool `json:"forensics_recorder,omitempty"`
-	// NoPlanner disables the trajectory-coalescing sweep planner for
-	// this job, resolving every cell individually. Figures are
-	// bit-identical either way; this is a debugging escape hatch.
-	NoPlanner bool `json:"no_planner,omitempty"`
 }
 
 // ConfigSpec is the base system shape for policy evaluations. Zero
@@ -605,7 +601,6 @@ func (s *SimSpec) options() sim.Options {
 		Workloads: s.Workloads, Cores: s.Cores,
 		Warmup: s.Warmup, Measure: s.Measure, Seed: s.Seed,
 		Forensics: s.Forensics, ForensicsRecorder: s.ForensicsRecorder,
-		NoPlanner: s.NoPlanner,
 	}
 }
 

@@ -122,23 +122,12 @@ func simCellKey(cfg Config, wl string, warmup, measure int) string {
 }
 
 // simCell builds the cell that simulates one (config, policy, mix)
-// point on lab's checkpoint policy: the runner resumes from the longest
-// usable checkpoint at or below the requested horizon and writes new
-// checkpoints as it advances, so a warm store answers "same trajectory,
-// longer run" by simulating only the delta. wl is mix's rendered
-// identity.
+// point on lab's checkpoint policy. It runs through runSimPass, alone or
+// coalesced with the batch's other horizons of its trajectory. wl is
+// mix's rendered identity.
 func simCell(lab *Engine, cfg Config, mix workload.SourceMix, wl string, warmup, measure int) engine.Cell[CellResult] {
 	return engine.Cell[CellResult]{
 		Key: simCellKey(cfg, wl, warmup, measure),
-		Run: func(ctx context.Context) (CellResult, error) {
-			res, err := runSimCell(ctx, lab.snaps, lab.snapInterval, cfg, mix, warmup, measure)
-			if err != nil {
-				return CellResult{}, err
-			}
-			out := simCellResult(res)
-			lab.sim.observe(out)
-			return out, nil
-		},
 		Plan: &engine.Plan[CellResult]{
 			Group:   simPlanGroup(cfg, wl),
 			Horizon: warmup + measure,
@@ -177,23 +166,27 @@ type simPassPayload struct {
 	measure int
 }
 
-// runSimPass simulates a group of same-trajectory cells as one
-// coalesced pass: a single machine resumes from the longest checkpoint
-// at or below the group's shortest pending horizon, then walks the
-// sorted warmup and measure boundaries, recording marks at warmup
-// boundaries and emitting each member's finished row at its total
-// horizon — instead of one restore-and-extend round trip per cell.
-// Every emitted row is bit-identical to the per-cell path's: members'
-// results are differences of cumulative counters at exactly the ticks
-// the per-cell runner would have visited, on the identical trajectory.
+// runSimPass simulates a group of same-trajectory cells — one or more —
+// as one pass: a single machine resumes from the longest checkpoint at
+// or below the group's shortest pending horizon, then walks the sorted
+// warmup and measure boundaries, recording marks at warmup boundaries
+// and emitting each member's finished row at its total horizon, and
+// writing checkpoints as it advances so a warm store answers "same
+// trajectory, longer run" by simulating only the delta. Every emitted
+// row is bit-identical to a cold straight-through run at any resume
+// point and any checkpoint cadence: the machine's trajectory is
+// deterministic, and measured-phase outputs are differences of
+// cumulative counters (see System.resultSince), so they cannot depend
+// on where the run started or which other members shared it.
 func runSimPass(ctx context.Context, lab *Engine, members []engine.PlanMember, emit func(int, CellResult)) error {
 	first := members[0].Payload.(simPassPayload)
 	cfg, mix := first.cfg, first.mix
 	snaps := lab.snaps
 	if cfg.Forensics.Enabled || cfg.Policy.Mitigation != "" {
-		// Same rules as runSimCell: forensics ledgers and zoo-engine
-		// tracker state are not checkpointable, so these passes run
-		// cold — they still coalesce their horizons.
+		// The forensics ledger is not part of Snapshot/Restore (a
+		// resumed run would under-count), and zoo-engine tracker state
+		// is not checkpointable (System.Snapshot refuses it), so these
+		// passes run cold — they still coalesce their horizons.
 		snaps = nil
 	}
 	ck := checkpointer{snaps: snaps, interval: lab.snapInterval, key: trajectoryKey(cfg, identify(mix).wl)}
@@ -288,51 +281,6 @@ func runSimPass(ctx context.Context, lab *Engine, members []engine.PlanMember, e
 	return nil
 }
 
-// runSimCell simulates one cell to warmup+measure ticks, resuming from
-// and writing checkpoints when snaps is configured. The result is
-// bit-identical to a cold straight-through run at any resume point and
-// any checkpoint cadence: the machine's trajectory is deterministic, and
-// measured-phase outputs are differences of cumulative counters (see
-// System.resultSince), so they cannot depend on where the run started.
-func runSimCell(ctx context.Context, snaps *engine.SnapStore, interval int,
-	cfg Config, mix workload.SourceMix, warmup, measure int) (Result, error) {
-	total := warmup + measure
-	if cfg.Forensics.Enabled {
-		// The forensics ledger is not part of Snapshot/Restore (it would
-		// double the snapshot size for an opt-in observer), so a resumed
-		// run would under-count. Forensics cells always run cold.
-		snaps = nil
-	}
-	if cfg.Policy.Mitigation != "" {
-		// Zoo-engine tracker state is not checkpointable (System.Snapshot
-		// refuses it); skip the resume scan instead of missing noisily.
-		snaps = nil
-	}
-	ck := checkpointer{snaps: snaps, interval: interval, key: trajectoryKey(cfg, identify(mix).wl)}
-	sys, mark, haveMark := ck.resumeSystem(ctx, cfg, mix, warmup, total)
-	if sys == nil {
-		var err error
-		if sys, err = NewSystem(cfg, mix); err != nil {
-			return Result{}, err
-		}
-	}
-	if !haveMark {
-		if err := ck.runTo(ctx, sys, warmup); err != nil {
-			return Result{}, err
-		}
-		mark = sys.mark()
-		// Checkpoint the warmup boundary even off the interval grid:
-		// future runs that resume past it need the mark's cumulative
-		// counters, which live in exactly this checkpoint.
-		ck.save(ctx, sys)
-	}
-	if err := ck.runTo(ctx, sys, total); err != nil {
-		return Result{}, err
-	}
-	ck.save(ctx, sys)
-	return sys.resultSince(mark, measure), nil
-}
-
 // machine is the tickable state a checkpointer drives: the full System
 // and the alone-IPC reference run both implement it.
 type machine interface {
@@ -402,32 +350,6 @@ func (ck *checkpointer) resumeLongest(ctx context.Context, horizon int, take fun
 	sp.SetAttr("hit", false)
 	sp.End()
 	return false
-}
-
-// resumeSystem restores the longest usable System checkpoint at or below
-// total ticks. A checkpoint past the warmup boundary is usable only when
-// the boundary itself is checkpointed (its cumulative counters are the
-// measured phase's baseline), and both snapshots must carry exactly the
-// tick they are indexed under — a mislabeled file must not poison the
-// result.
-func (ck *checkpointer) resumeSystem(ctx context.Context, cfg Config, mix workload.SourceMix, warmup, total int) (sys *System, mark runMark, haveMark bool) {
-	ck.resumeLongest(ctx, total, func(t int, data []byte) bool {
-		s, depth, err := ck.restoreChain(cfg, mix, t, data)
-		if err != nil || s.Ticks() != t {
-			return false
-		}
-		if t > warmup {
-			m, ok := ck.loadMark(cfg.Cores, warmup)
-			if !ok {
-				return false
-			}
-			mark, haveMark = m, true
-		}
-		sys = s
-		ck.lastTick, ck.depth = t, depth
-		return true
-	})
-	return sys, mark, haveMark
 }
 
 // restoreChain restores the checkpoint stored at tick, following delta
@@ -569,45 +491,6 @@ func (ck *checkpointer) save(ctx context.Context, m machine) {
 	}
 }
 
-// runAloneCell computes one alone-IPC reference, resuming from and
-// writing checkpoints like runSimCell. The alone result is cumulative
-// (no warmup mark), so any checkpoint at or below the horizon resumes
-// it. Unlike sim cells, alone runs checkpoint only their final tick:
-// a single-core reference simulates ticks about as fast as a checkpoint
-// encodes, so grid checkpoints would cost more than they could ever
-// save, while the final state is exactly what horizon extensions resume
-// from.
-func runAloneCell(ctx context.Context, snaps *engine.SnapStore, interval int,
-	src workload.Source, seed uint64, ticks int) (float64, error) {
-	ck := checkpointer{snaps: snaps, interval: interval, key: aloneTrajectoryKey(src.Key(), seed)}
-	var a *aloneRun
-	ck.resumeLongest(ctx, ticks, func(t int, data []byte) bool {
-		r, err := restoreAloneRun(src, seed, data)
-		if err != nil || r.Ticks() != t {
-			return false
-		}
-		a = r
-		return true
-	})
-	if a == nil {
-		a = newAloneRun(src, seed)
-	}
-	if a.Ticks() < ticks {
-		sp := telemetry.StartSpan(ctx, "simulate", ck.key)
-		sp.SetAttr("from", a.Ticks())
-		sp.SetAttr("to", ticks)
-		before := a.Ticks()
-		err := a.RunTo(ctx, ticks)
-		engine.MarkSimulated(ctx, a.Ticks()-before)
-		sp.End()
-		if err != nil {
-			return 0, err
-		}
-	}
-	ck.save(ctx, a)
-	return a.ipc(), nil
-}
-
 // alonePassPayload carries one alone cell's inputs to its group's pass.
 type alonePassPayload struct {
 	src   workload.Source
@@ -616,11 +499,16 @@ type alonePassPayload struct {
 }
 
 // runAlonePass computes a group of same-trajectory alone-IPC references
-// in one coalesced pass: the reference machine resumes once (at or
-// below the shortest pending horizon), then visits each member's tick
-// count ascending, checkpointing and emitting the cumulative IPC at
-// every boundary. Alone results are cumulative, so each boundary's
-// value is identical to what a per-cell run stopping there reports.
+// — one or more — in one pass: the reference machine resumes once from
+// the longest checkpoint at or below the shortest pending horizon, then
+// visits each member's tick count ascending, checkpointing and emitting
+// the cumulative IPC at every boundary. Alone results are cumulative (no
+// warmup mark), so any checkpoint resumes them and each boundary's value
+// is identical to a cold run stopping there. Unlike sim passes, alone
+// passes checkpoint only their members' horizons: a single-core
+// reference simulates ticks about as fast as a checkpoint encodes, so
+// grid checkpoints would cost more than they could ever save, while the
+// final state is exactly what horizon extensions resume from.
 func runAlonePass(ctx context.Context, lab *Engine, members []engine.PlanMember, emit func(int, CellResult)) error {
 	first := members[0].Payload.(alonePassPayload)
 	src, seed := first.src, first.seed
@@ -668,18 +556,11 @@ func aloneCellKey(srcKey string, seed uint64, ticks int) string {
 }
 
 // aloneCell builds the cell that computes one workload's alone-IPC
-// reference for weighted speedup, resumable under lab's checkpoint
-// policy like simCell. srcKey is src's rendered Key.
+// reference for weighted speedup through runAlonePass, resumable under
+// lab's checkpoint policy like simCell. srcKey is src's rendered Key.
 func aloneCell(lab *Engine, src workload.Source, srcKey string, seed uint64, ticks int) engine.Cell[CellResult] {
 	return engine.Cell[CellResult]{
 		Key: aloneCellKey(srcKey, seed, ticks),
-		Run: func(ctx context.Context) (CellResult, error) {
-			alone, err := runAloneCell(ctx, lab.snaps, lab.snapInterval, src, seed, ticks)
-			if err != nil {
-				return CellResult{}, err
-			}
-			return CellResult{Alone: alone}, nil
-		},
 		Plan: &engine.Plan[CellResult]{
 			Group:   string(appendAloneKey(make([]byte, 0, 64+len(srcKey)), "alone "+aloneTrajectoryTag, srcKey, seed)),
 			Horizon: ticks,

@@ -7,12 +7,11 @@ import (
 	"hira/internal/workload"
 )
 
-// BenchmarkPlannedSweep runs the same multi-horizon six-policy sweep
-// with and without the trajectory-coalescing planner on fresh engines,
-// so the sub-benchmark ratio is the tentpole win: identical rows (see
-// TestPlannerDifferential) for strictly fewer machine ticks. Each op
-// reports its simulated + checkpoint-restored ticks — the machine-work
-// total that wall-clock noise can't touch.
+// BenchmarkPlannedSweep runs a multi-horizon six-policy sweep on a
+// fresh engine, where every trajectory runs once as a coalesced pass
+// (see TestPlannerDifferential). Each op reports its simulated +
+// checkpoint-restored ticks — the machine-work total that wall-clock
+// noise can't touch — and its coalesced passes.
 func BenchmarkPlannedSweep(b *testing.B) {
 	base := DefaultConfig()
 	base.ChipCapacityGbit = 8
@@ -20,13 +19,12 @@ func BenchmarkPlannedSweep(b *testing.B) {
 	measures := []int{3000, 6000, 12000}
 	opts := Options{Workloads: 1, Cores: 4, Warmup: 2000, Seed: 5}
 
-	run := func(b *testing.B, noPlanner bool) {
+	b.Run("planned", func(b *testing.B) {
 		var ticks, passes uint64
 		for i := 0; i < b.N; i++ {
 			var stats EngineStats
 			o := opts
 			o.Stats = &stats
-			o.NoPlanner = noPlanner
 			e := NewEngine(EngineConfig{SnapInterval: 1500})
 			if _, err := e.RunPoliciesHorizons(context.Background(), base, policies, o, measures); err != nil {
 				b.Fatal(err)
@@ -36,9 +34,7 @@ func BenchmarkPlannedSweep(b *testing.B) {
 		}
 		b.ReportMetric(float64(ticks), "machine-ticks/op")
 		b.ReportMetric(float64(passes), "passes/op")
-	}
-	b.Run("planned", func(b *testing.B) { run(b, false) })
-	b.Run("unplanned", func(b *testing.B) { run(b, true) })
+	})
 }
 
 // Bounds BenchmarkDeltaCheckpoint holds each checkpoint format to: at

@@ -25,11 +25,99 @@ func plannerTestPolicies() []RefreshPolicy {
 	}
 }
 
-// TestPlannerDifferential proves the tentpole guarantee: a multi-horizon
-// sweep resolved by the trajectory-coalescing planner produces rows
-// bit-identical to the per-cell path, across all six figure policies,
-// while doing measurably less machine work (simulated plus
-// checkpoint-restored ticks).
+// coldCell is the differential oracle for one sim cell: a cold
+// straight-through NewSystem + System.RunContext, with no engine, no
+// checkpoints and no passes.
+func coldCell(t *testing.T, cfg Config, mix workload.SourceMix, warmup, measure int) CellResult {
+	t.Helper()
+	sys, err := NewSystem(cfg, mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.RunContext(context.Background(), warmup, measure, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return simCellResult(res)
+}
+
+// assertColdOracle checks every cell a RunPoliciesHorizons sweep on lab
+// resolved — each (measure, policy, mix) sim cell and each alone-IPC
+// reference — against cold straight-through runs, reading the engine's
+// rows back from its cache. It returns the sum, over the sweep's
+// trajectories (plan groups), of each trajectory's longest horizon:
+// the ticks a fresh engine must simulate when every trajectory runs
+// once as a pass.
+func assertColdOracle(t *testing.T, lab *Engine, base Config, policies []RefreshPolicy, opts Options, measures []int) uint64 {
+	t.Helper()
+	ctx := context.Background()
+	opts = opts.withDefaults()
+	mixes, err := opts.sourceMixes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []engine.Cell[CellResult]
+	var want []CellResult
+	for _, measure := range measures {
+		for _, mix := range mixes {
+			id := identify(mix)
+			for c, src := range mix.Sources {
+				seed := aloneRefSeed(src, opts.Seed, c)
+				ipc, err := AloneIPCSourceContext(ctx, src, seed, measure)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cells = append(cells, aloneCell(lab, src, id.srcs[c], seed, measure))
+				want = append(want, CellResult{Alone: ipc})
+			}
+			for _, pol := range policies {
+				cfg := base
+				cfg.Cores = opts.Cores
+				cfg.Policy = pol
+				cfg.Seed = opts.Seed
+				cfg.Forensics = ForensicsOptions{Enabled: opts.Forensics, Recorder: opts.Forensics && opts.ForensicsRecorder}
+				cells = append(cells, simCell(lab, cfg, mix, id.wl, opts.Warmup, measure))
+				want = append(want, coldCell(t, cfg, mix, opts.Warmup, measure))
+			}
+		}
+	}
+	got, st, err := lab.eng.Run(ctx, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Simulated != 0 {
+		t.Fatalf("the sweep left oracle cells unresolved: %+v", st)
+	}
+	longest := map[string]int{}
+	for i, c := range cells {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("cell %s diverged from a cold straight-through run:\nengine: %+v\ncold:   %+v", c.Key, got[i], want[i])
+		}
+		longest[c.Plan.Group] = max(longest[c.Plan.Group], c.Plan.Horizon)
+	}
+	var ticks uint64
+	for _, h := range longest {
+		ticks += uint64(h)
+	}
+	return ticks
+}
+
+// assertOnePassPerTrajectory holds a fresh engine's sweep to the
+// planner's exact guarantee: nothing resumes (there is nothing to
+// resume from), and every trajectory simulates once, to its longest
+// horizon.
+func assertOnePassPerTrajectory(t *testing.T, st EngineStats, trajectoryTicks uint64) {
+	t.Helper()
+	if st.ResumedTicks != 0 || st.SimulatedTicks != trajectoryTicks {
+		t.Fatalf("fresh sweep: %d simulated + %d resumed ticks, want %d simulated and none resumed (stats %+v)",
+			st.SimulatedTicks, st.ResumedTicks, trajectoryTicks, st)
+	}
+}
+
+// TestPlannerDifferential proves the planner's guarantee: a
+// multi-horizon sweep resolved by trajectory-coalescing passes produces
+// cells bit-identical to cold straight-through runs, across all six
+// figure policies, while simulating each trajectory exactly once.
 func TestPlannerDifferential(t *testing.T) {
 	ctx := context.Background()
 	base := DefaultConfig()
@@ -41,42 +129,20 @@ func TestPlannerDifferential(t *testing.T) {
 	var planned EngineStats
 	pOpts := opts
 	pOpts.Stats = &planned
-	got, err := NewEngine(EngineConfig{SnapInterval: 1500}).
-		RunPoliciesHorizons(ctx, base, policies, pOpts, measures)
-	if err != nil {
+	lab := NewEngine(EngineConfig{SnapInterval: 1500})
+	if _, err := lab.RunPoliciesHorizons(ctx, base, policies, pOpts, measures); err != nil {
 		t.Fatal(err)
-	}
-
-	var unplanned EngineStats
-	uOpts := opts
-	uOpts.Stats = &unplanned
-	uOpts.NoPlanner = true
-	want, err := NewEngine(EngineConfig{SnapInterval: 1500}).
-		RunPoliciesHorizons(ctx, base, policies, uOpts, measures)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("planned rows diverged from per-cell path:\nplanned:   %+v\nunplanned: %+v", got, want)
 	}
 	if planned.PlannedPasses == 0 || planned.PlannedCells == 0 {
 		t.Fatalf("planner did not engage: %+v", planned)
 	}
-	// The planner's savings: each trajectory simulates once to its max
-	// horizon, instead of one restore-and-extend (or cold rerun) per
-	// horizon. Simulated + restored ticks is the total machine work.
-	plannedWork := planned.SimulatedTicks + planned.ResumedTicks
-	unplannedWork := unplanned.SimulatedTicks + unplanned.ResumedTicks
-	if plannedWork >= unplannedWork {
-		t.Fatalf("planned work %d ticks >= unplanned %d", plannedWork, unplannedWork)
-	}
+	assertOnePassPerTrajectory(t, planned, assertColdOracle(t, lab, base, policies, opts, measures))
 }
 
 // TestPlannerDifferentialForensicsAndMitigation extends the differential
 // to the cell kinds that cannot checkpoint: forensics-armed cells and
 // mitigation-zoo policies run their passes cold, but still coalesce and
-// still must match the per-cell path exactly.
+// still must match cold straight-through runs exactly.
 func TestPlannerDifferentialForensicsAndMitigation(t *testing.T) {
 	ctx := context.Background()
 	base := DefaultConfig()
@@ -85,27 +151,24 @@ func TestPlannerDifferentialForensicsAndMitigation(t *testing.T) {
 	measures := []int{2000, 4000}
 	opts := Options{Workloads: 1, Cores: 2, Warmup: 1000, Seed: 3, Forensics: true}
 
-	got, err := NewEngine(EngineConfig{SnapInterval: 1000}).
-		RunPoliciesHorizons(ctx, base, policies, opts, measures)
-	if err != nil {
+	var planned EngineStats
+	pOpts := opts
+	pOpts.Stats = &planned
+	lab := NewEngine(EngineConfig{SnapInterval: 1000})
+	if _, err := lab.RunPoliciesHorizons(ctx, base, policies, pOpts, measures); err != nil {
 		t.Fatal(err)
 	}
-	uOpts := opts
-	uOpts.NoPlanner = true
-	want, err := NewEngine(EngineConfig{SnapInterval: 1000}).
-		RunPoliciesHorizons(ctx, base, policies, uOpts, measures)
-	if err != nil {
-		t.Fatal(err)
+	if planned.PlannedPasses == 0 {
+		t.Fatalf("planner did not engage: %+v", planned)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("planned forensics/mitigation rows diverged:\nplanned:   %+v\nunplanned: %+v", got, want)
-	}
+	assertOnePassPerTrajectory(t, planned, assertColdOracle(t, lab, base, policies, opts, measures))
 }
 
-// TestPlannerWarmStoreReplay proves pass-emitted rows live under their
-// original per-cell keys: a planned sweep fully warms the store for the
-// per-cell path and vice versa, so switching the planner on or off
-// never re-simulates a stored cell.
+// TestPlannerWarmStoreReplay proves one-member and coalesced passes
+// store their rows under the same cell keys: single-horizon sweeps (all
+// one-member passes) fully warm a shared ResultDir for the two-horizon
+// sweep (coalesced passes) and vice versa, so neither ever re-simulates
+// a cell the other stored.
 func TestPlannerWarmStoreReplay(t *testing.T) {
 	ctx := context.Background()
 	base := DefaultConfig()
@@ -114,27 +177,51 @@ func TestPlannerWarmStoreReplay(t *testing.T) {
 	measures := []int{2000, 5000}
 	opts := Options{Workloads: 1, Cores: 2, Warmup: 1000, Seed: 1}
 
-	for _, firstPlanned := range []bool{true, false} {
-		e := NewEngine(EngineConfig{SnapInterval: 1000})
-		first := opts
-		first.NoPlanner = !firstPlanned
-		rows, err := e.RunPoliciesHorizons(ctx, base, policies, first, measures)
+	// singles runs one single-horizon sweep per measure; coalesced runs
+	// both measures in one sweep. Each returns the rows per measure.
+	singles := func(e *Engine, st *EngineStats) [][]PolicyScore {
+		var rows [][]PolicyScore
+		for _, m := range measures {
+			o := opts
+			o.Stats = st
+			r, err := e.RunPoliciesHorizons(ctx, base, policies, o, []int{m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, r...)
+		}
+		return rows
+	}
+	coalesced := func(e *Engine, st *EngineStats) [][]PolicyScore {
+		o := opts
+		o.Stats = st
+		rows, err := e.RunPoliciesHorizons(ctx, base, policies, o, measures)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var again EngineStats
-		second := opts
-		second.NoPlanner = firstPlanned
-		second.Stats = &again
-		rows2, err := e.RunPoliciesHorizons(ctx, base, policies, second, measures)
-		if err != nil {
-			t.Fatal(err)
+		return rows
+	}
+	type sweep func(*Engine, *EngineStats) [][]PolicyScore
+	for _, order := range []struct {
+		name          string
+		first, second sweep
+		firstPasses   bool
+	}{
+		{"singles-then-coalesced", singles, coalesced, false},
+		{"coalesced-then-singles", coalesced, singles, true},
+	} {
+		dir := t.TempDir()
+		var first, again EngineStats
+		rows := order.first(NewEngine(EngineConfig{ResultDir: dir}), &first)
+		if (first.PlannedPasses > 0) != order.firstPasses {
+			t.Fatalf("%s: first sweep ran %d coalesced passes", order.name, first.PlannedPasses)
 		}
-		if again.Simulated != 0 {
-			t.Fatalf("replay (planned first: %t) re-simulated %d cells: %+v", firstPlanned, again.Simulated, again)
+		rows2 := order.second(NewEngine(EngineConfig{ResultDir: dir}), &again)
+		if again.Simulated != 0 || again.StoreHits == 0 {
+			t.Fatalf("%s: replay over the shared store re-simulated cells: %+v", order.name, again)
 		}
 		if !reflect.DeepEqual(rows, rows2) {
-			t.Fatalf("replay rows diverged (planned first: %t)", firstPlanned)
+			t.Fatalf("%s: replay rows diverged", order.name)
 		}
 	}
 }
@@ -142,7 +229,7 @@ func TestPlannerWarmStoreReplay(t *testing.T) {
 // TestPlannerPassCancellation proves a cancelled coalesced pass keeps
 // the rows it already emitted: cancelling right after the first
 // member's emission fails the pass, but that member's row is final and
-// bit-identical to its per-cell result.
+// bit-identical to a cold straight-through run.
 func TestPlannerPassCancellation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cores = 2
@@ -171,20 +258,16 @@ func TestPlannerPassCancellation(t *testing.T) {
 	if len(emitted) != 1 {
 		t.Fatalf("cancelled pass emitted %d rows, want 1", len(emitted))
 	}
-	ref, err := runSimCell(context.Background(), nil, 0, cfg, mix, 1000, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(emitted[0], simCellResult(ref)) {
-		t.Fatalf("row emitted before cancellation diverged from per-cell path:\npass: %+v\ncell: %+v",
-			emitted[0], simCellResult(ref))
+	if want := coldCell(t, cfg, mix, 1000, 3000); !reflect.DeepEqual(emitted[0], want) {
+		t.Fatalf("row emitted before cancellation diverged from a cold run:\npass: %+v\ncold: %+v", emitted[0], want)
 	}
 }
 
 // TestPlannerBatchCancellation proves batch-level cancellation
 // semantics end to end: a cancelled multi-horizon sweep fails, but
 // every row resolved before the cancellation stays cached and serves
-// the resubmitted sweep.
+// the resubmitted sweep, whose cells all match cold straight-through
+// runs.
 func TestPlannerBatchCancellation(t *testing.T) {
 	base := DefaultConfig()
 	base.ChipCapacityGbit = 8
@@ -208,30 +291,20 @@ func TestPlannerBatchCancellation(t *testing.T) {
 	var again EngineStats
 	rOpts := opts
 	rOpts.Stats = &again
-	rows, err := e.RunPoliciesHorizons(context.Background(), base, policies, rOpts, measures)
-	if err != nil {
+	if _, err := e.RunPoliciesHorizons(context.Background(), base, policies, rOpts, measures); err != nil {
 		t.Fatal(err)
 	}
 	if again.CacheHits+again.StoreHits == 0 {
 		t.Fatalf("cancellation kept no resolved rows: %+v", again)
 	}
-	uOpts := opts
-	uOpts.NoPlanner = true
-	want, err := NewEngine(EngineConfig{SnapInterval: 1000}).
-		RunPoliciesHorizons(context.Background(), base, policies, uOpts, measures)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rows, want) {
-		t.Fatal("rows after cancellation + resubmit diverged from per-cell path")
-	}
+	assertColdOracle(t, e, base, policies, opts, measures)
 }
 
 // TestDeltaCheckpointChain proves the differential-checkpoint format
-// end to end at the checkpointer layer: interval saves after the first
-// are deltas, a fresh checkpointer restores through the chain to state
-// byte-identical to a straight run, and continuing the restored machine
-// reproduces the per-cell result exactly.
+// end to end: interval saves after the first are deltas, a fresh
+// checkpointer restores through the chain to state byte-identical to a
+// straight run, and a one-member pass resuming from the chain's tip
+// reproduces a cold straight-through run's result exactly.
 func TestDeltaCheckpointChain(t *testing.T) {
 	ctx := context.Background()
 	cfg := DefaultConfig()
@@ -240,7 +313,8 @@ func TestDeltaCheckpointChain(t *testing.T) {
 	cfg.Seed = 1
 	cfg.Policy = BaselinePolicy()
 	mix := workload.Mixes(1, 2, 1)[0].Sources()
-	snaps := engine.NewSnapStore("", 0)
+	lab := NewEngine(EngineConfig{SnapInterval: 1000})
+	snaps := lab.snaps
 	ck := &checkpointer{snaps: snaps, interval: 1000, key: trajectoryKey(cfg, identify(mix).wl)}
 
 	sys, err := NewSystem(cfg, mix)
@@ -259,17 +333,17 @@ func TestDeltaCheckpointChain(t *testing.T) {
 	}
 
 	ck2 := &checkpointer{snaps: snaps, interval: 1000, key: ck.key}
-	sys2, mark, haveMark := ck2.resumeSystem(ctx, cfg, mix, 2000, 6000)
-	if sys2 == nil || sys2.Ticks() != 5000 {
-		t.Fatalf("chain resume failed (got %v)", sys2)
+	tip, ok := snaps.Load(ck.key, 5000)
+	if !ok {
+		t.Fatal("chain tip at tick 5000 not stored")
 	}
-	if !haveMark {
+	sys2, depth, err := ck2.restoreChain(cfg, mix, 5000, tip)
+	if err != nil || sys2.Ticks() != 5000 || depth != 4 {
+		t.Fatalf("chain restore = (depth %d, err %v), want tick 5000 at depth 4", depth, err)
+	}
+	if _, ok := ck2.loadMark(cfg.Cores, 2000); !ok {
 		t.Fatal("warmup mark not recovered from delta checkpoint header")
 	}
-	if ck2.lastTick != 5000 || ck2.depth != 4 {
-		t.Fatalf("resume epoch = (%d, %d), want (5000, 4)", ck2.lastTick, ck2.depth)
-	}
-
 	ref, err := NewSystem(cfg, mix)
 	if err != nil {
 		t.Fatal(err)
@@ -289,15 +363,18 @@ func TestDeltaCheckpointChain(t *testing.T) {
 		t.Fatal("chain-restored state diverged from straight run")
 	}
 
-	if err := ck2.runTo(ctx, sys2, 6000); err != nil {
+	// A one-member pass resumes from the chain tip and its warmup mark,
+	// extends the delta chain, and emits the cold result.
+	var got CellResult
+	members := []engine.PlanMember{{Key: simCellKey(cfg, identify(mix).wl, 2000, 4000), Horizon: 6000,
+		Payload: simPassPayload{cfg: cfg, mix: mix, warmup: 2000, measure: 4000}}}
+	if err := runSimPass(ctx, lab, members, func(_ int, r CellResult) { got = r }); err != nil {
 		t.Fatal(err)
 	}
-	got := sys2.resultSince(mark, 4000)
-	cold, err := runSimCell(ctx, nil, 0, cfg, mix, 2000, 4000)
-	if err != nil {
-		t.Fatal(err)
+	if st := snaps.Stats(); st.Hits != 1 || st.DeltaSaves != 5 {
+		t.Fatalf("pass did not resume from and extend the chain: %+v", st)
 	}
-	if !reflect.DeepEqual(got, cold) {
+	if cold := coldCell(t, cfg, mix, 2000, 4000); !reflect.DeepEqual(got, cold) {
 		t.Fatalf("chain-resumed result diverged:\nresumed: %+v\ncold:    %+v", got, cold)
 	}
 }
@@ -328,11 +405,33 @@ func TestDeltaChainBounded(t *testing.T) {
 	if fulls != 2 {
 		t.Fatalf("want 2 full checkpoints in a 12-save run (chain cap %d), got %d", maxDeltaChain, fulls)
 	}
-	// The whole chain (including past the forced full) must restore.
+	// The chain past the forced full restores to a straight run's state.
 	ck2 := &checkpointer{snaps: snaps, interval: 500, key: ck.key}
-	sys2, _, _ := ck2.resumeSystem(ctx, cfg, mix, 0, 6000)
-	if sys2 == nil || sys2.Ticks() != 6000 {
-		t.Fatalf("resume across forced-full boundary failed (got %v)", sys2)
+	tip, ok := snaps.Load(ck.key, 6000)
+	if !ok {
+		t.Fatal("chain tip at tick 6000 not stored")
+	}
+	sys2, depth, err := ck2.restoreChain(cfg, mix, 6000, tip)
+	if err != nil || depth != 2 {
+		t.Fatalf("restore across the forced-full boundary = (depth %d, err %v), want depth 2", depth, err)
+	}
+	ref, err := NewSystem(cfg, mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.RunTo(ctx, 6000); err != nil {
+		t.Fatal(err)
+	}
+	a, err := sys2.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ref.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("state restored across the forced full diverged from straight run")
 	}
 }
 

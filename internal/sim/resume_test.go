@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"hira/internal/engine"
 	"hira/internal/workload"
 )
 
@@ -95,26 +96,24 @@ func TestResumableCellsSplitIndependence(t *testing.T) {
 	cfg.Seed = 1
 	cfg.Policy = BaselinePolicy()
 	mix := workload.Mixes(1, 4, 1)[0].Sources()
+	wl := identify(mix).wl
 
-	const interval = 1000
-	warm := NewEngine(EngineConfig{SnapInterval: interval})
-
+	warm := NewEngine(EngineConfig{SnapInterval: 1000})
 	// First run fixes the trajectory's checkpoints, including tick 6000.
-	if _, err := runSimCell(ctx, warm.snaps, interval, cfg, mix, 2000, 4000); err != nil {
+	if _, _, err := warm.eng.Run(ctx, []engine.Cell[CellResult]{simCell(warm, cfg, mix, wl, 2000, 4000)}); err != nil {
 		t.Fatal(err)
 	}
 	// A different split whose warmup (3000) sits on the checkpoint grid:
 	// the runner restores tick 3000 for the mark and tick 6000 for the
 	// state, simulating only 6000..7000.
-	got, err := runSimCell(ctx, warm.snaps, interval, cfg, mix, 3000, 4000)
+	got, st, err := warm.eng.Run(ctx, []engine.Cell[CellResult]{simCell(warm, cfg, mix, wl, 3000, 4000)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := runSimCell(ctx, nil, 0, cfg, mix, 3000, 4000)
-	if err != nil {
-		t.Fatal(err)
+	if st.ResumedTicks != 6000 || st.SimulatedTicks != 1000 {
+		t.Fatalf("split resume: %d resumed + %d simulated ticks, want 6000 + 1000", st.ResumedTicks, st.SimulatedTicks)
 	}
-	if !reflect.DeepEqual(got, cold) {
-		t.Fatalf("split-resumed result diverged from cold:\nwarm: %+v\ncold: %+v", got, cold)
+	if cold := coldCell(t, cfg, mix, 3000, 4000); !reflect.DeepEqual(got[0], cold) {
+		t.Fatalf("split-resumed result diverged from cold:\nwarm: %+v\ncold: %+v", got[0], cold)
 	}
 }

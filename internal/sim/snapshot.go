@@ -94,7 +94,7 @@ func (s *System) Snapshot() ([]byte, error) {
 // scheduler counters (via the controller codec) and each core's
 // retirement count — exactly the state mark()/resultSince need at a
 // warmup boundary. The forensics tally is deliberately absent: cells
-// with forensics enabled never checkpoint (runSimCell disables the
+// with forensics enabled never checkpoint (runSimPass disables the
 // snapshot store for them), so every stored snapshot's tally is zero.
 func (s *System) snapshotMark(w *snap.Writer) {
 	sched.SnapshotStats(w, s.ctrl.Stats)
