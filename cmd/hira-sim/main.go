@@ -50,7 +50,7 @@ var (
 	results    = flag.String("results", "", "directory for per-cell JSON results (reused across runs)")
 	snapIvl    = flag.Int("snap-interval", 0, "ticks between simulation checkpoints; rerunning with longer -ticks/-warmup then simulates only the delta (0 disables)")
 	snapMax    = flag.Int64("snap-max-bytes", 0, "checkpoint store byte cap with oldest-first eviction (0 = 2 GiB on disk, 256 MiB in memory)")
-	progress   = flag.Bool("progress", false, "print per-batch cell progress to stderr")
+	progress   = flag.Bool("progress", false, "print cell progress to stderr, one line per figure")
 	forensics  = flag.Bool("forensics", false, "attach the RowHammer activation ledger; per-policy forensics summaries print after each table (and ride figure rows in -json)")
 	forensicsR = flag.Bool("forensics-recorder", false, "arm the DRAM command flight recorder around top-threshold crossings (requires -forensics)")
 	jsonOut    = flag.Bool("json", false, "emit figure rows as JSON (the experiment service's encoding)")

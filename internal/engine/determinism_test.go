@@ -82,14 +82,18 @@ func TestEngineDeterminism(t *testing.T) {
 
 // TestEngineSharesCellsAcrossSweepPoints asserts the dedup the engine
 // exists for: alone-IPC reference cells are simulated once for the whole
-// sweep rather than once per capacity, so a two-capacity sweep resolves
-// some cells from cache even with no result store.
+// sweep rather than once per capacity. A figure submits every sweep
+// point as one batch, so the two capacities' shared alone references
+// are submitted once: 2 capacities x 6 policies x 2 mixes = 24 sim
+// cells plus 2 mixes x 8 cores = 16 distinct alone cells, each
+// simulated exactly once and none served from cache.
 func TestEngineSharesCellsAcrossSweepPoints(t *testing.T) {
 	var stats sim.EngineStats
 	if _, err := sim.Fig9(context.Background(), fig9Opts(4, "", &stats), []int{8, 32}); err != nil {
 		t.Fatal(err)
 	}
-	if stats.CacheHits == 0 {
-		t.Errorf("two-capacity Fig9 sweep had zero cache hits; alone references re-simulated per capacity (stats %+v)", stats)
+	if stats.Submitted != 40 || stats.Simulated != 40 || stats.CacheHits != 0 {
+		t.Errorf("two-capacity Fig9 sweep: submitted %d, simulated %d, cache hits %d; want 40, 40, 0 — alone references not shared across capacities (stats %+v)",
+			stats.Submitted, stats.Simulated, stats.CacheHits, stats)
 	}
 }

@@ -220,6 +220,73 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJournalDropsAddAfterRemove pins the submit path's ordering race:
+// a submission journals its job only after enqueueing it, so a fast job
+// can finish — and remove its absent entry — before the add lands. The
+// late add must be dropped, or a restart would re-run the finished job
+// as recovered.
+func TestJournalDropsAddAfterRemove(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	j, _, err := openJournal(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// j1 finishes before its submission's add; j2 is journaled first.
+	if err := j.remove("j1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"j1", "j2"} {
+		if err := j.add(journalEntry{ID: id, Spec: testSpec()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, entries, err := openJournal(path, nil); err != nil {
+		t.Fatal(err)
+	} else if len(entries) != 1 || entries[0].ID != "j2" {
+		t.Fatalf("journal after a late add = %+v, want exactly the live j2", entries)
+	}
+}
+
+// TestFinishedJobsLeaveJournalEmpty drives the same race end to end:
+// warm jobs finish in about the time their submission takes to journal
+// them, and once every one is done the journal must hold no entry.
+func TestFinishedJobsLeaveJournalEmpty(t *testing.T) {
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	_, client := newTestServer(t, Config{
+		Engine:      sim.EngineConfig{Parallelism: 2},
+		Workers:     2,
+		JournalPath: path,
+	})
+	if _, err := client.Run(ctx, testSpec(), nil); err != nil { // warm the cells
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < 50; i++ {
+		job, err := client.Submit(ctx, testSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, job.ID)
+	}
+	for _, id := range ids {
+		job, err := client.Wait(ctx, id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.State != StateDone {
+			t.Fatalf("job %s = %s (%s), want done", id, job.State, job.Error)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != 0 {
+		t.Fatalf("journal still holds finished jobs:\n%s", data)
+	}
+}
+
 // TestJournalRetiredSpecField covers the upgrade path for a spec field
 // the server no longer has ("no_planner", which selected a per-cell
 // executor): a new submission carrying it is rejected with 400, because

@@ -28,12 +28,14 @@ func (s JobState) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// Progress is a job's cell-resolution progress within its current
-// batch. Beyond the done/total pair, figure and policies jobs carry a
-// mid-batch resolution tally — how many of the resolved cells simulated
-// versus hit a cache, and how many simulation ticks checkpoint resumes
-// spared — plus a snapshot-store summary when checkpointing is enabled,
-// so a streaming client can see cache economics while the sweep runs.
+// Progress is a job's cell-resolution progress. A figure or policies
+// job resolves all its cells in one engine batch, so Total is fixed for
+// the whole job and Done never goes down. Beyond the done/total pair,
+// figure and policies jobs carry a mid-batch resolution tally — how
+// many of the resolved cells simulated versus hit a cache, and how many
+// simulation ticks checkpoint resumes spared — plus a snapshot-store
+// summary when checkpointing is enabled, so a streaming client can see
+// cache economics while the sweep runs.
 type Progress struct {
 	Done  int `json:"done"`
 	Total int `json:"total"`
@@ -189,8 +191,7 @@ func (j *job) broadcast(ev Event) {
 	}
 }
 
-// setProgress records batch progress and notifies subscribers. It is the
-// engine's per-batch OnProgress callback.
+// setProgress records progress and notifies subscribers.
 func (j *job) setProgress(done, total int) {
 	j.setProgressStats(done, total, sim.EngineStats{}, nil)
 }

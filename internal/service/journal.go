@@ -39,10 +39,16 @@ type journal struct {
 	path string
 	fs   fault.FS
 
-	mu      sync.Mutex
-	live    map[string]journalEntry
-	order   []string // insertion order, for stable files and FIFO recovery
-	lastErr error    // most recent rewrite failure, nil after a success
+	mu    sync.Mutex
+	live  map[string]journalEntry
+	order []string // insertion order, for stable files and FIFO recovery
+	// ended holds IDs removed before they were added: a submission
+	// journals its job only after enqueueing it (so no journal I/O runs
+	// under the server's lock), and a fast job can finish in between.
+	// The late add then finds its ID here and is dropped instead of
+	// leaving a finished job to re-run as recovered after a restart.
+	ended   map[string]bool
+	lastErr error // most recent rewrite failure, nil after a success
 }
 
 // openJournal opens (creating if needed) the journal at path and returns
@@ -57,7 +63,7 @@ func openJournal(path string, fsys fault.FS) (*journal, []journalEntry, error) {
 	if fsys == nil {
 		fsys = fault.OS
 	}
-	j := &journal{path: path, fs: fsys, live: make(map[string]journalEntry)}
+	j := &journal{path: path, fs: fsys, live: make(map[string]journalEntry), ended: make(map[string]bool)}
 	var recovered []journalEntry
 	if data, err := os.ReadFile(path); err == nil {
 		sc := bufio.NewScanner(bytes.NewReader(data))
@@ -87,10 +93,15 @@ func openJournal(path string, fsys fault.FS) (*journal, []journalEntry, error) {
 
 // add records a live job. The write failure, if any, is returned and
 // remembered; callers treat it as degradation (the job still runs), not
-// as a submission error.
+// as a submission error. Adding a job whose removal already arrived is
+// a no-op (and no rewrite): the job is not live any more.
 func (j *journal) add(e journalEntry) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.ended[e.ID] {
+		delete(j.ended, e.ID)
+		return nil
+	}
 	if _, ok := j.live[e.ID]; !ok {
 		j.order = append(j.order, e.ID)
 	}
@@ -99,11 +110,13 @@ func (j *journal) add(e journalEntry) error {
 }
 
 // remove drops a job's entry — the journal's terminal record. Removing
-// an absent ID is a no-op (and no rewrite).
+// an absent ID writes nothing; it only marks the ID ended, so the job's
+// add, if it is still on its way, is dropped.
 func (j *journal) remove(id string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if _, ok := j.live[id]; !ok {
+		j.ended[id] = true
 		return nil
 	}
 	delete(j.live, id)

@@ -394,10 +394,10 @@ func (s *Server) execute(ctx context.Context, j *job) (json.RawMessage, *sim.Eng
 	}
 }
 
-// progressStats builds the per-batch progress callback for sweep jobs:
-// each event carries the batch's resolution tally so far plus the
-// engine-wide checkpoint-store summary, so streaming clients watch
-// cache economics live.
+// progressStats builds the progress callback for sweep jobs, whose
+// cells resolve in one batch: each event carries the batch's resolution
+// tally so far plus the engine-wide checkpoint-store summary, so
+// streaming clients watch cache economics live.
 func (s *Server) progressStats(j *job) func(done, total int, batch sim.EngineStats) {
 	return func(done, total int, batch sim.EngineStats) {
 		var snaps *engine.SnapStats
@@ -540,6 +540,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Best-effort durability: a failed journal write degrades the
 		// restart guarantee for this job, never the job itself. The
 		// failure sticks in the journal's health (surfaced on /readyz).
+		// The job may already have finished and removed its entry; the
+		// journal then drops this add (see journal.ended).
 		if err := s.journal.add(journalEntry{ID: id, Spec: spec, Submitted: j.snapshot().Created}); err != nil {
 			s.logInfo("journal write failed", "job", id, "error", err.Error())
 		}

@@ -142,6 +142,49 @@ func TestFig9JobEndToEnd(t *testing.T) {
 	_ = cold
 }
 
+// TestFigureJobProgressIsOneBar asserts a figure job's progress covers
+// the whole figure: every sweep point resolves in one engine batch, so
+// a 3-capacity fig9 job streams progress events with one constant Total
+// (3 capacities x 6 policies x 1 mix sim cells plus 4 alone references)
+// and a Done that never goes down and ends at Total.
+func TestFigureJobProgressIsOneBar(t *testing.T) {
+	svc := New(Config{Engine: sim.EngineConfig{Parallelism: 2}, Workers: 1})
+	t.Cleanup(svc.Close)
+	spec := testSpec()
+	spec.Capacities = []int{8, 16, 32}
+	j := newJob("j1", spec, time.Now())
+	// Subscribe before the job runs, with room for every event, so the
+	// stream's non-blocking sends drop none.
+	events := make(chan Event, 1024)
+	j.subs[events] = struct{}{}
+	svc.runJob(j)
+	if v := j.snapshot(); v.State != StateDone {
+		t.Fatalf("job state = %s (%s), want done", v.State, v.Error)
+	}
+
+	const total = 3*6 + 4
+	var progress []Progress
+	for len(events) > 0 {
+		if ev := <-events; ev.Name == "progress" {
+			progress = append(progress, ev.Data.(Progress))
+		}
+	}
+	if len(progress) == 0 {
+		t.Fatal("no progress events")
+	}
+	for i, p := range progress {
+		if p.Total != total {
+			t.Fatalf("progress event %d: total %d, want %d for the whole figure", i, p.Total, total)
+		}
+		if i > 0 && p.Done < progress[i-1].Done {
+			t.Fatalf("progress event %d: done went down from %d to %d", i, progress[i-1].Done, p.Done)
+		}
+	}
+	if last := progress[len(progress)-1]; last.Done != total {
+		t.Fatalf("last progress event done = %d, want %d", last.Done, total)
+	}
+}
+
 // TestConcurrentColdJobsSimulateOnce asserts the cross-request
 // singleflight at service level: two identical cold jobs submitted
 // together simulate each cell exactly once between them.

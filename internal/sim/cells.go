@@ -56,37 +56,51 @@ func identify(mix workload.SourceMix) mixIdentity {
 	return mixIdentity{srcs: srcs, wl: strings.Join(srcs, ",")}
 }
 
-// appendSimKey is the one renderer of the fields sim-cell and
-// trajectory keys share, appended after the key's version tag: system
-// shape, SPT coverage, seed, refresh policy behavior (mode fields, not
-// the display name, so identically configured policies share a key),
-// the horizons when horizon is {warmup, measure} (trajectories pass nil:
-// they are horizon-free), the mix's workload identity wl (see
-// workload.Source.Key, which guarantees distinct workloads never
-// alias), and the mitigation suffix. Because both keys render through
-// here, any input that distinguishes two sim cells other than the
-// horizons distinguishes their trajectories too. Result stores and
-// checkpoints are addressed by these bytes, so they must not change
-// without a version bump (TestGoldenCellKeys pins them).
-func appendSimKey(b []byte, cfg Config, horizon []int, wl string) []byte {
-	cov := cfg.SPTCoverage
-	if cov == 0 {
-		cov = defaultSPTCoverage // NewSystem's fallback; keep the key canonical
-	}
+// defaultSPTCoverageText is defaultSPTCoverage as appendSimShape
+// renders it, formatted once: nearly every key carries it.
+var defaultSPTCoverageText = strconv.FormatFloat(defaultSPTCoverage, 'g', -1, 64)
+
+// appendSimShape and appendSimWorkload render the fields every sim-cell
+// key, trajectory key and sim plan group shares, appended after the
+// key's version tag. appendSimShape renders system shape, SPT coverage,
+// seed and refresh policy behavior (mode fields, not the display name,
+// so identically configured policies share a key); appendSimWorkload
+// renders the mix's workload identity wl (see workload.Source.Key,
+// which guarantees distinct workloads never alias) and the mitigation
+// suffix. A sim-cell key puts its horizons (appendHorizon) between the
+// two; trajectories and plan groups are horizon-free. Because every key
+// renders through both halves, any input that distinguishes two sim
+// cells other than the horizons distinguishes their trajectories too.
+// Result stores and checkpoints are addressed by these bytes, so they
+// must not change without a version bump (TestGoldenCellKeys pins
+// them).
+func appendSimShape(b []byte, cfg Config) []byte {
 	b = strconv.AppendInt(append(b, " cores="...), int64(cfg.Cores), 10)
 	b = strconv.AppendInt(append(b, " cap="...), int64(cfg.ChipCapacityGbit), 10)
 	b = strconv.AppendInt(append(b, " ch="...), int64(cfg.Channels), 10)
 	b = strconv.AppendInt(append(b, " rk="...), int64(cfg.Ranks), 10)
-	b = strconv.AppendFloat(append(b, " spt="...), cov, 'g', -1, 64)
+	b = append(b, " spt="...)
+	if cov := cfg.SPTCoverage; cov == 0 || cov == defaultSPTCoverage {
+		b = append(b, defaultSPTCoverageText...) // 0 is NewSystem's fallback; keep the key canonical
+	} else {
+		b = strconv.AppendFloat(b, cov, 'g', -1, 64)
+	}
 	b = strconv.AppendUint(append(b, " seed="...), cfg.Seed, 10)
 	b = strconv.AppendUint(append(b, " per="...), uint64(cfg.Policy.Periodic), 10)
 	b = strconv.AppendUint(append(b, " prev="...), uint64(cfg.Policy.Preventive), 10)
 	b = strconv.AppendInt(append(b, " slack="...), int64(cfg.Policy.SlackTRC), 10)
-	b = strconv.AppendInt(append(b, " nrh="...), int64(cfg.Policy.NRH), 10)
-	if horizon != nil {
-		b = strconv.AppendInt(append(b, " warm="...), int64(horizon[0]), 10)
-		b = strconv.AppendInt(append(b, " meas="...), int64(horizon[1]), 10)
-	}
+	return strconv.AppendInt(append(b, " nrh="...), int64(cfg.Policy.NRH), 10)
+}
+
+// appendHorizon renders a sim-cell key's warmup and measure horizons.
+func appendHorizon(b []byte, warmup, measure int) []byte {
+	b = strconv.AppendInt(append(b, " warm="...), int64(warmup), 10)
+	return strconv.AppendInt(append(b, " meas="...), int64(measure), 10)
+}
+
+// appendSimWorkload renders the key fields after the horizons; see
+// appendSimShape.
+func appendSimWorkload(b []byte, cfg Config, wl string) []byte {
 	b = append(append(b, " wl="...), wl...)
 	if cfg.Policy.Mitigation != "" {
 		// Suffix only mitigation keys, so every pre-mitigation store
@@ -113,12 +127,31 @@ func appendForensicsSuffix(b []byte, fx ForensicsOptions) []byte {
 }
 
 // simCellKey names a full-system simulation cell: every input NewSystem
-// and Run consume — appendSimKey's fields with the warmup and measure
+// and Run consume — appendSimShape's and appendSimWorkload's fields, the
+// warmup and measure
 // horizons — plus the forensics mode. wl is the mix's rendered
 // identity (mixIdentity.wl).
 func simCellKey(cfg Config, wl string, warmup, measure int) string {
-	b := appendSimKey(append(make([]byte, 0, 160+len(wl)), "sim/v2"...), cfg, []int{warmup, measure}, wl)
-	return string(appendForensicsSuffix(b, cfg.Forensics))
+	key, _ := simCellIDs(cfg, wl, warmup, measure)
+	return key
+}
+
+// simCellIDs renders a sim cell's key (see simCellKey) and its planner
+// group: the cell's trajectory key (rendered like trajectoryKey, behind
+// a "sim " tag) plus the forensics mode, which changes the cell payload
+// but not the trajectory. The two differ only in tag and horizons, so
+// the shared fields render once, and both strings share one allocation.
+func simCellIDs(cfg Config, wl string, warmup, measure int) (key, group string) {
+	const keyTag, groupTag = "sim/v2", "sim " + trajectoryTag
+	b := appendSimShape(append(make([]byte, 0, 2*(160+len(wl))), keyTag...), cfg)
+	shapeEnd := len(b)
+	b = appendHorizon(b, warmup, measure)
+	workloadStart := len(b)
+	b = appendForensicsSuffix(appendSimWorkload(b, cfg, wl), cfg.Forensics)
+	keyLen := len(b)
+	b = append(append(b, groupTag...), b[len(keyTag):shapeEnd]...)
+	ids := string(append(b, b[workloadStart:keyLen]...))
+	return ids[:keyLen], ids[keyLen:]
 }
 
 // simCell builds the cell that simulates one (config, policy, mix)
@@ -126,10 +159,11 @@ func simCellKey(cfg Config, wl string, warmup, measure int) string {
 // coalesced with the batch's other horizons of its trajectory. wl is
 // mix's rendered identity.
 func simCell(lab *Engine, cfg Config, mix workload.SourceMix, wl string, warmup, measure int) engine.Cell[CellResult] {
+	key, group := simCellIDs(cfg, wl, warmup, measure)
 	return engine.Cell[CellResult]{
-		Key: simCellKey(cfg, wl, warmup, measure),
+		Key: key,
 		Plan: &engine.Plan[CellResult]{
-			Group:   simPlanGroup(cfg, wl),
+			Group:   group,
 			Horizon: warmup + measure,
 			Payload: simPassPayload{cfg: cfg, mix: mix, warmup: warmup, measure: measure},
 			RunPass: func(ctx context.Context, members []engine.PlanMember, emit func(int, CellResult)) error {
@@ -148,14 +182,6 @@ func simCellResult(res Result) CellResult {
 		Ticks:      res.Ticks,
 		Forensics:  res.Forensics,
 	}
-}
-
-// simPlanGroup names a sim cell's planner group: its trajectory key
-// (rendered like trajectoryKey, behind a "sim " tag), plus the forensics
-// mode, which changes the cell payload but not the trajectory.
-func simPlanGroup(cfg Config, wl string) string {
-	b := appendSimKey(append(make([]byte, 0, 160+len(wl)), "sim "+trajectoryTag...), cfg, nil, wl)
-	return string(appendForensicsSuffix(b, cfg.Forensics))
 }
 
 // simPassPayload carries one sim cell's inputs to its group's pass.

@@ -182,7 +182,9 @@ type Options struct {
 	// (256 MiB in memory). The least-recently-used checkpoints are
 	// evicted first. Ignored on a shared Engine.
 	SnapMaxBytes int64
-	// Progress, when set, is called as a batch's cells resolve.
+	// Progress, when set, is called as a batch's cells resolve. A figure
+	// or policy sweep submits all its cells as one batch, so one sweep
+	// reports one done/total count.
 	Progress func(done, total int)
 	// ProgressStats, when set, supersedes Progress: it additionally
 	// receives a snapshot of the batch's resolution tally so far, so
@@ -380,7 +382,12 @@ func RunPolicies(ctx context.Context, base Config, policies []RefreshPolicy, opt
 // RunPolicies evaluates each policy on the same mixes on the shared
 // engine.
 func (e *Engine) RunPolicies(ctx context.Context, base Config, policies []RefreshPolicy, opts Options) ([]PolicyScore, error) {
-	return runPolicies(ctx, e, base, policies, opts.withDefaults())
+	opts = opts.withDefaults()
+	rows, err := e.runPoint(ctx, base, policies, opts, []int{opts.Measure})
+	if err != nil {
+		return nil, err
+	}
+	return rows[0], nil
 }
 
 // sourceMixes returns the workload set a sweep runs: opts.Mixes when the
@@ -410,16 +417,41 @@ func (o Options) sourceMixes() ([]workload.SourceMix, error) {
 	return o.Mixes, nil
 }
 
-// runPolicies submits one batch to the lab's engine: the alone-IPC
-// reference cells the mixes need, plus one simulation cell per
-// (policy, mix), then assembles weighted speedups from the resolved
-// results. opts must already have defaults applied.
-func runPolicies(ctx context.Context, lab *Engine, base Config, policies []RefreshPolicy, opts Options) ([]PolicyScore, error) {
-	rows, err := runPoliciesMeasures(ctx, lab, base, policies, opts, []int{opts.Measure})
+// mixSet is one workload set sweep points run, with every mix's
+// identity rendered once: each key a sweep derives embeds it, and
+// rendering it per point, per cell or per core would dominate an
+// all-hit request's cost. Points sharing a mixSet also share its
+// alone-IPC reference cells.
+type mixSet struct {
+	mixes []workload.SourceMix
+	ids   []mixIdentity
+}
+
+// newMixSet renders mixes' identities.
+func newMixSet(mixes []workload.SourceMix) *mixSet {
+	ids := make([]mixIdentity, len(mixes))
+	for mi, mix := range mixes {
+		ids[mi] = identify(mix)
+	}
+	return &mixSet{mixes: mixes, ids: ids}
+}
+
+// mixSet is sourceMixes with identities rendered. opts must already
+// have defaults applied.
+func (o Options) mixSet() (*mixSet, error) {
+	mixes, err := o.sourceMixes()
 	if err != nil {
 		return nil, err
 	}
-	return rows[0], nil
+	return newMixSet(mixes), nil
+}
+
+// sweepPoint is one point of a sweep: its policies evaluated on base
+// over mixes.
+type sweepPoint struct {
+	base     Config
+	policies []RefreshPolicy
+	mixes    *mixSet
 }
 
 // RunPoliciesHorizons evaluates each policy on the same mixes at every
@@ -440,70 +472,90 @@ func (e *Engine) RunPoliciesHorizons(ctx context.Context, base Config, policies 
 	if len(measures) == 0 {
 		return nil, fmt.Errorf("sim: no measure horizons given")
 	}
-	return runPoliciesMeasures(ctx, e, base, policies, opts.withDefaults(), measures)
+	return e.runPoint(ctx, base, policies, opts.withDefaults(), measures)
 }
 
-// runPoliciesMeasures submits one batch covering every (policy, mix,
-// measure) simulation cell plus the alone-IPC reference cells each
-// (mix, measure) needs, then assembles one score row per measure.
-// opts must already have defaults applied.
-func runPoliciesMeasures(ctx context.Context, lab *Engine, base Config, policies []RefreshPolicy, opts Options, measures []int) ([][]PolicyScore, error) {
-	mixes, err := opts.sourceMixes()
+// runPoint runs one sweep point over opts' mixes at every horizon in
+// measures. opts must already have defaults applied.
+func (e *Engine) runPoint(ctx context.Context, base Config, policies []RefreshPolicy, opts Options, measures []int) ([][]PolicyScore, error) {
+	mixes, err := opts.mixSet()
 	if err != nil {
 		return nil, err
 	}
+	rows, err := runSweep(ctx, e, opts, []sweepPoint{{base: base, policies: policies, mixes: mixes}}, measures)
+	if err != nil {
+		return nil, err
+	}
+	return rows[0], nil
+}
+
+// runSweep submits every point's cells as one engine batch — the
+// alone-IPC reference cells each (mix set, measure) needs, then one
+// simulation cell per (point, measure, policy, mix) — and assembles
+// weighted speedups: rows[point][measure] is one score per policy.
+// opts supplies what the points share (cores, seed, warmup, forensics,
+// progress and stats sinks); opts.Measure and opts.Mixes are ignored.
+// One batch means one progress total, one dispatch barrier, and an
+// alone reference several points need is submitted (and simulated)
+// once. opts must already have defaults applied.
+func runSweep(ctx context.Context, lab *Engine, opts Options, points []sweepPoint, measures []int) ([][][]PolicyScore, error) {
 	for _, m := range measures {
 		if m <= 0 {
 			return nil, fmt.Errorf("sim: measure horizon %d is not positive", m)
 		}
 	}
 
-	// Render every workload identity once per request: each key below
-	// embeds it, and rendering it per cell per core would dominate an
-	// all-hit request's cost.
-	ids := make([]mixIdentity, len(mixes))
-	for mi, mix := range mixes {
-		ids[mi] = identify(mix)
-	}
-
 	var cells []engine.Cell[CellResult]
-	// aloneIdx dedups alone cells by their key's inputs (a seed-invariant
-	// source dealt to several cores shares one reference).
+	// aloneIdx dedups alone cells by their key's inputs: a seed-invariant
+	// source dealt to several cores, or a mix several sets share, has one
+	// reference.
 	type aloneID struct {
 		src   string
 		seed  uint64
 		ticks int
 	}
 	aloneIdx := map[aloneID]int{} // -> index into cells
-	// aloneRefs[measure][mix][core] -> index into cells
-	aloneRefs := make([][][]int, len(measures))
-	for mIdx, measure := range measures {
-		aloneRefs[mIdx] = make([][]int, len(mixes))
-		for mi, mix := range mixes {
-			aloneRefs[mIdx][mi] = make([]int, len(mix.Sources))
-			for c, src := range mix.Sources {
-				id := aloneID{src: ids[mi].srcs[c], seed: aloneRefSeed(src, opts.Seed, c), ticks: measure}
-				idx, ok := aloneIdx[id]
-				if !ok {
-					idx = len(cells)
-					aloneIdx[id] = idx
-					cells = append(cells, aloneCell(lab, src, id.src, id.seed, measure))
+	// aloneRefs[set][measure][mix][core] -> index into cells
+	aloneRefs := map[*mixSet][][][]int{}
+	for _, p := range points {
+		set := p.mixes
+		if _, ok := aloneRefs[set]; ok {
+			continue
+		}
+		refs := make([][][]int, len(measures))
+		for mIdx, measure := range measures {
+			refs[mIdx] = make([][]int, len(set.mixes))
+			for mi, mix := range set.mixes {
+				refs[mIdx][mi] = make([]int, len(mix.Sources))
+				for c, src := range mix.Sources {
+					id := aloneID{src: set.ids[mi].srcs[c], seed: aloneRefSeed(src, opts.Seed, c), ticks: measure}
+					idx, ok := aloneIdx[id]
+					if !ok {
+						idx = len(cells)
+						aloneIdx[id] = idx
+						cells = append(cells, aloneCell(lab, src, id.src, id.seed, measure))
+					}
+					refs[mIdx][mi][c] = idx
 				}
-				aloneRefs[mIdx][mi][c] = idx
 			}
 		}
+		aloneRefs[set] = refs
 	}
-	simStart := make([]int, len(measures)) // measure -> its (policy x mix) block
-	for mIdx, measure := range measures {
-		simStart[mIdx] = len(cells)
-		for _, pol := range policies {
-			cfg := base
-			cfg.Cores = opts.Cores
-			cfg.Policy = pol
-			cfg.Seed = opts.Seed
-			cfg.Forensics = ForensicsOptions{Enabled: opts.Forensics, Recorder: opts.Forensics && opts.ForensicsRecorder}
-			for mi, mix := range mixes {
-				cells = append(cells, simCell(lab, cfg, mix, ids[mi].wl, opts.Warmup, measure))
+	// simStart[point][measure] -> that (policy x mix) block's first cell
+	simStart := make([][]int, len(points))
+	for pi, p := range points {
+		simStart[pi] = make([]int, len(measures))
+		for mIdx, measure := range measures {
+			simStart[pi][mIdx] = len(cells)
+			for _, pol := range p.policies {
+				cfg := p.base
+				cfg.Cores = opts.Cores
+				cfg.Policy = pol
+				cfg.Seed = opts.Seed
+				cfg.Forensics = ForensicsOptions{Enabled: opts.Forensics, Recorder: opts.Forensics && opts.ForensicsRecorder}
+				for mi, mix := range p.mixes.mixes {
+					cells = append(cells, simCell(lab, cfg, mix, p.mixes.ids[mi].wl, opts.Warmup, measure))
+				}
 			}
 		}
 	}
@@ -519,35 +571,41 @@ func runPoliciesMeasures(ctx context.Context, lab *Engine, base Config, policies
 		return nil, err
 	}
 
-	out := make([][]PolicyScore, len(measures))
-	for mIdx := range measures {
-		scores := make([]PolicyScore, len(policies))
-		next := simStart[mIdx]
-		for pi, pol := range policies {
-			var ws []float64
-			var agg SchedAggregate
-			var fx *ForensicsSummary
-			for mi := range mixes {
-				res := results[next]
-				next++
-				ipcAlone := make([]float64, opts.Cores)
-				for c, ref := range aloneRefs[mIdx][mi] {
-					ipcAlone[c] = results[ref].Alone
+	rows := make([][][]PolicyScore, len(points))
+	for pi, p := range points {
+		rows[pi] = make([][]PolicyScore, len(measures))
+		ws := make([]float64, len(p.mixes.mixes))
+		for mIdx, refs := range aloneRefs[p.mixes] {
+			alone := make([][]float64, len(refs)) // [mix][core]
+			for mi, cores := range refs {
+				alone[mi] = make([]float64, len(cores))
+				for c, ref := range cores {
+					alone[mi][c] = results[ref].Alone
 				}
-				ws = append(ws, metrics.WeightedSpeedup(res.IPC, ipcAlone))
-				agg.HiRAPiggybacks += res.Sched.HiRAPiggybacks
-				agg.HiRAPairs += res.Sched.HiRAPairs
-				agg.StandaloneRefreshes += res.Sched.StandaloneRefreshes
-				agg.REFs += res.Sched.REFs
-				agg.SeqBlocked += res.Sched.SeqBlocked
-				agg.CanACTBlocked += res.Sched.CanACTBlocked
-				fx = MergeForensics(fx, res.Forensics)
 			}
-			scores[pi] = PolicyScore{Policy: pol, WS: metrics.Mean(ws), Sched: agg, Forensics: fx}
+			scores := make([]PolicyScore, len(p.policies))
+			next := simStart[pi][mIdx]
+			for si, pol := range p.policies {
+				var agg SchedAggregate
+				var fx *ForensicsSummary
+				for mi := range ws {
+					res := results[next]
+					next++
+					ws[mi] = metrics.WeightedSpeedup(res.IPC, alone[mi])
+					agg.HiRAPiggybacks += res.Sched.HiRAPiggybacks
+					agg.HiRAPairs += res.Sched.HiRAPairs
+					agg.StandaloneRefreshes += res.Sched.StandaloneRefreshes
+					agg.REFs += res.Sched.REFs
+					agg.SeqBlocked += res.Sched.SeqBlocked
+					agg.CanACTBlocked += res.Sched.CanACTBlocked
+					fx = MergeForensics(fx, res.Forensics)
+				}
+				scores[si] = PolicyScore{Policy: pol, WS: metrics.Mean(ws), Sched: agg, Forensics: fx}
+			}
+			rows[pi][mIdx] = scores
 		}
-		out[mIdx] = scores
 	}
-	return out, nil
+	return rows, nil
 }
 
 // Fig9Row is one capacity point of Fig. 9.
@@ -590,41 +648,59 @@ func Fig9(ctx context.Context, opts Options, capacities []int) ([]Fig9Row, error
 	return newSweepEngine(opts).Fig9(ctx, opts, capacities)
 }
 
+// fig9Policies is Fig. 9's policy set.
+func fig9Policies() []RefreshPolicy {
+	return []RefreshPolicy{
+		NoRefreshPolicy(), BaselinePolicy(),
+		HiRAPeriodicPolicy(0), HiRAPeriodicPolicy(2), HiRAPeriodicPolicy(4), HiRAPeriodicPolicy(8),
+	}
+}
+
 // Fig9 runs the capacity sweep on the shared engine.
 func (e *Engine) Fig9(ctx context.Context, opts Options, capacities []int) ([]Fig9Row, error) {
 	if capacities == nil {
 		capacities = Fig9Capacities()
 	}
-	policies := []RefreshPolicy{
-		NoRefreshPolicy(), BaselinePolicy(),
-		HiRAPeriodicPolicy(0), HiRAPeriodicPolicy(2), HiRAPeriodicPolicy(4), HiRAPeriodicPolicy(8),
-	}
+	policies := fig9Policies()
 	opts = opts.withDefaults()
-	var rows []Fig9Row
-	for _, cap := range capacities {
+	mixes, err := opts.mixSet()
+	if err != nil {
+		return nil, err
+	}
+	points := make([]sweepPoint, len(capacities))
+	for i, cap := range capacities {
 		base := DefaultConfig()
 		base.ChipCapacityGbit = cap
-		scores, err := runPolicies(ctx, e, base, policies, opts)
-		if err != nil {
-			return nil, err
-		}
-		row := Fig9Row{CapacityGbit: cap,
-			WS: map[string]float64{}, NormNoRefresh: map[string]float64{}, NormBaseline: map[string]float64{},
-			Forensics: forensicsByPolicy(scores)}
-		for _, s := range scores {
-			row.WS[s.Policy.Name] = s.WS
-		}
-		for name, ws := range row.WS {
-			if nr := row.WS["NoRefresh"]; nr > 0 {
-				row.NormNoRefresh[name] = ws / nr
-			}
-			if b := row.WS["Baseline"]; b > 0 {
-				row.NormBaseline[name] = ws / b
-			}
-		}
-		rows = append(rows, row)
+		points[i] = sweepPoint{base: base, policies: policies, mixes: mixes}
+	}
+	sweep, err := runSweep(ctx, e, opts, points, []int{opts.Measure})
+	if err != nil {
+		return nil, err
+	}
+	var rows []Fig9Row
+	for i, cap := range capacities {
+		rows = append(rows, fig9Row(cap, sweep[i][0]))
 	}
 	return rows, nil
+}
+
+// fig9Row assembles one capacity point's row from its policy scores.
+func fig9Row(cap int, scores []PolicyScore) Fig9Row {
+	row := Fig9Row{CapacityGbit: cap,
+		WS: map[string]float64{}, NormNoRefresh: map[string]float64{}, NormBaseline: map[string]float64{},
+		Forensics: forensicsByPolicy(scores)}
+	for _, s := range scores {
+		row.WS[s.Policy.Name] = s.WS
+	}
+	for name, ws := range row.WS {
+		if nr := row.WS["NoRefresh"]; nr > 0 {
+			row.NormNoRefresh[name] = ws / nr
+		}
+		if b := row.WS["Baseline"]; b > 0 {
+			row.NormBaseline[name] = ws / b
+		}
+	}
+	return row
 }
 
 // Fig12Row is one RowHammer-threshold point of Fig. 12.
@@ -654,34 +730,51 @@ func (e *Engine) Fig12(ctx context.Context, opts Options, nrhs []int) ([]Fig12Ro
 		nrhs = Fig12NRHValues()
 	}
 	opts = opts.withDefaults()
+	mixes, err := opts.mixSet()
+	if err != nil {
+		return nil, err
+	}
+	points := make([]sweepPoint, len(nrhs))
+	for i, nrh := range nrhs {
+		points[i] = sweepPoint{base: DefaultConfig(), policies: fig12Policies(nrh), mixes: mixes}
+	}
+	sweep, err := runSweep(ctx, e, opts, points, []int{opts.Measure})
+	if err != nil {
+		return nil, err
+	}
 	var rows []Fig12Row
-	for _, nrh := range nrhs {
-		policies := []RefreshPolicy{
-			BaselinePolicy(), PARAPolicy(nrh),
-			PARAHiRAPolicy(nrh, 0), PARAHiRAPolicy(nrh, 2),
-			PARAHiRAPolicy(nrh, 4), PARAHiRAPolicy(nrh, 8),
-		}
-		scores, err := runPolicies(ctx, e, DefaultConfig(), policies, opts)
-		if err != nil {
-			return nil, err
-		}
-		row := Fig12Row{NRH: nrh,
-			WS: map[string]float64{}, NormBaseline: map[string]float64{}, NormPARA: map[string]float64{},
-			Forensics: forensicsByPolicy(scores)}
-		for _, s := range scores {
-			row.WS[s.Policy.Name] = s.WS
-		}
-		for name, ws := range row.WS {
-			if b := row.WS["Baseline"]; b > 0 {
-				row.NormBaseline[name] = ws / b
-			}
-			if p := row.WS["PARA"]; p > 0 {
-				row.NormPARA[name] = ws / p
-			}
-		}
-		rows = append(rows, row)
+	for i, nrh := range nrhs {
+		rows = append(rows, fig12Row(nrh, sweep[i][0]))
 	}
 	return rows, nil
+}
+
+// fig12Policies is Fig. 12's policy set at one RowHammer threshold.
+func fig12Policies(nrh int) []RefreshPolicy {
+	return []RefreshPolicy{
+		BaselinePolicy(), PARAPolicy(nrh),
+		PARAHiRAPolicy(nrh, 0), PARAHiRAPolicy(nrh, 2),
+		PARAHiRAPolicy(nrh, 4), PARAHiRAPolicy(nrh, 8),
+	}
+}
+
+// fig12Row assembles one threshold point's row from its policy scores.
+func fig12Row(nrh int, scores []PolicyScore) Fig12Row {
+	row := Fig12Row{NRH: nrh,
+		WS: map[string]float64{}, NormBaseline: map[string]float64{}, NormPARA: map[string]float64{},
+		Forensics: forensicsByPolicy(scores)}
+	for _, s := range scores {
+		row.WS[s.Policy.Name] = s.WS
+	}
+	for name, ws := range row.WS {
+		if b := row.WS["Baseline"]; b > 0 {
+			row.NormBaseline[name] = ws / b
+		}
+		if p := row.WS["PARA"]; p > 0 {
+			row.NormPARA[name] = ws / p
+		}
+	}
+	return row
 }
 
 // ScaleRow is one point of the §10 channel/rank sensitivity sweeps
@@ -698,34 +791,53 @@ type ScaleRow struct {
 	Forensics map[string]*ForensicsSummary `json:"forensics,omitempty"`
 }
 
-// scaleSweep runs policies across a channels/ranks sweep on one shared
-// engine, so cells repeated across sweep points simulate once.
+// scaleSweep runs policies across a channels/ranks sweep as one engine
+// batch, so cells repeated across sweep points simulate once.
 func scaleSweep(ctx context.Context, e *Engine, opts Options, xs []int, params []int, channels bool,
 	mkPolicies func(param int) []RefreshPolicy, mkCap func(param int) int) ([]ScaleRow, error) {
 	opts = opts.withDefaults()
-	var rows []ScaleRow
+	mixes, err := opts.mixSet()
+	if err != nil {
+		return nil, err
+	}
+	var points []sweepPoint
 	for _, param := range params {
+		policies := mkPolicies(param)
 		for _, x := range xs {
-			base := DefaultConfig()
-			base.ChipCapacityGbit = mkCap(param)
-			if channels {
-				base.Channels = x
-			} else {
-				base.Ranks = x
-			}
-			scores, err := runPolicies(ctx, e, base, mkPolicies(param), opts)
-			if err != nil {
-				return nil, err
-			}
-			row := ScaleRow{X: x, Param: param, WS: map[string]float64{},
-				Forensics: forensicsByPolicy(scores)}
-			for _, s := range scores {
-				row.WS[s.Policy.Name] = s.WS
-			}
-			rows = append(rows, row)
+			points = append(points, sweepPoint{base: scaleConfig(x, mkCap(param), channels), policies: policies, mixes: mixes})
 		}
 	}
+	sweep, err := runSweep(ctx, e, opts, points, []int{opts.Measure})
+	if err != nil {
+		return nil, err
+	}
+	var rows []ScaleRow
+	for i := range points {
+		rows = append(rows, scaleRow(xs[i%len(xs)], params[i/len(xs)], sweep[i][0]))
+	}
 	return rows, nil
+}
+
+// scaleConfig is one scale-sweep point's system: x channels (or ranks)
+// of cap-Gb chips.
+func scaleConfig(x, cap int, channels bool) Config {
+	base := DefaultConfig()
+	base.ChipCapacityGbit = cap
+	if channels {
+		base.Channels = x
+	} else {
+		base.Ranks = x
+	}
+	return base
+}
+
+// scaleRow assembles one scale-sweep point's row from its policy scores.
+func scaleRow(x, param int, scores []PolicyScore) ScaleRow {
+	row := ScaleRow{X: x, Param: param, WS: map[string]float64{}, Forensics: forensicsByPolicy(scores)}
+	for _, s := range scores {
+		row.WS[s.Policy.Name] = s.WS
+	}
+	return row
 }
 
 // ScaleXValues is the channel/rank sweep of §10.
@@ -909,41 +1021,57 @@ func (e *Engine) AttackSweep(ctx context.Context, opts Options, attacks []string
 	// The non-attacker cores run the first builtin SPEC mix drawn from
 	// the seed — the attack hides in otherwise benign traffic.
 	benign := workload.Mixes(1, opts.Cores, opts.Seed)[0].Sources()
-	var rows []AttackRow
+	var points []sweepPoint
 	for _, kind := range attacks {
-		spec, err := attackPreset(kind, org)
+		mix, err := attackMix(kind, org, benign)
 		if err != nil {
 			return nil, err
 		}
-		atk, err := workload.NewAttack(spec, org)
-		if err != nil {
-			return nil, err
-		}
-		mix := workload.SourceMix{ID: 0,
-			Sources: append([]workload.Source{atk}, benign.Sources[1:]...)}
-		aOpts := opts
-		aOpts.Mixes = []workload.SourceMix{mix}
-		aOpts.Workloads = 1
+		mixes := newMixSet([]workload.SourceMix{mix})
 		for _, nrh := range nrhs {
-			scores, err := runPolicies(ctx, e, base, attackSweepPolicies(nrh), aOpts)
-			if err != nil {
-				return nil, err
-			}
-			row := AttackRow{Attack: kind, NRH: nrh,
-				WS: map[string]float64{}, NormBaseline: map[string]float64{},
-				Forensics: forensicsByPolicy(scores)}
-			for _, s := range scores {
-				row.WS[s.Policy.Name] = s.WS
-			}
-			for name, ws := range row.WS {
-				if b := row.WS["Baseline"]; b > 0 {
-					row.NormBaseline[name] = ws / b
-				}
-			}
-			rows = append(rows, row)
+			points = append(points, sweepPoint{base: base, policies: attackSweepPolicies(nrh), mixes: mixes})
 		}
 	}
+	sweep, err := runSweep(ctx, e, opts, points, []int{opts.Measure})
+	if err != nil {
+		return nil, err
+	}
+	var rows []AttackRow
+	for i := range points {
+		rows = append(rows, attackRow(attacks[i/len(nrhs)], nrhs[i%len(nrhs)], sweep[i][0]))
+	}
 	return rows, nil
+}
+
+// attackMix is the one mix an attack sweep runs kind on: the attacker
+// targeting org on core 0, benign's sources on the other cores.
+func attackMix(kind string, org dram.Org, benign workload.SourceMix) (workload.SourceMix, error) {
+	spec, err := attackPreset(kind, org)
+	if err != nil {
+		return workload.SourceMix{}, err
+	}
+	atk, err := workload.NewAttack(spec, org)
+	if err != nil {
+		return workload.SourceMix{}, err
+	}
+	return workload.SourceMix{ID: 0, Sources: append([]workload.Source{atk}, benign.Sources[1:]...)}, nil
+}
+
+// attackRow assembles one (attack, NRH) point's row from its policy
+// scores.
+func attackRow(kind string, nrh int, scores []PolicyScore) AttackRow {
+	row := AttackRow{Attack: kind, NRH: nrh,
+		WS: map[string]float64{}, NormBaseline: map[string]float64{},
+		Forensics: forensicsByPolicy(scores)}
+	for _, s := range scores {
+		row.WS[s.Policy.Name] = s.WS
+	}
+	for name, ws := range row.WS {
+		if b := row.WS["Baseline"]; b > 0 {
+			row.NormBaseline[name] = ws / b
+		}
+	}
+	return row
 }
 
 // FigureResult is the serializable envelope of one figure run: exactly

@@ -30,7 +30,7 @@ type goldenKeyCase struct {
 
 // renderGoldenKeys renders every key of c through the cells a sweep
 // submits (their closures are never run, so no engine is needed), with
-// alone seeds chosen as runPoliciesMeasures chooses them.
+// alone seeds chosen as runSweep chooses them.
 func renderGoldenKeys(c goldenKeyCase) (sim, traj, grp string, alone, aloneGrp []string) {
 	id := identify(c.mix)
 	cell := simCell(nil, c.cfg, c.mix, id.wl, c.warmup, c.measure)

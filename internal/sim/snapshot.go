@@ -52,10 +52,11 @@ const trajectoryTag = "traj/v2"
 // but, unlike simCellKey, not the warmup/measure horizons. Two cells
 // that differ only in tick counts walk the same trajectory, so a
 // checkpoint taken at tick T under this key resumes any of them. The
-// fields are rendered by appendSimKey, simCellKey's renderer, with the
-// horizons left out.
+// fields are rendered by simCellKey's renderers, appendSimShape and
+// appendSimWorkload, with the horizons left out.
 func trajectoryKey(cfg Config, wl string) string {
-	return string(appendSimKey(append(make([]byte, 0, 160+len(wl)), trajectoryTag...), cfg, nil, wl))
+	b := appendSimShape(append(make([]byte, 0, 160+len(wl)), trajectoryTag...), cfg)
+	return string(appendSimWorkload(b, cfg, wl))
 }
 
 // checkpointableEngine is the capability Snapshot and RestoreSystem

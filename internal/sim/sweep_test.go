@@ -1,0 +1,120 @@
+package sim
+
+import (
+	"context"
+	"reflect"
+	"testing"
+
+	"hira/internal/workload"
+)
+
+// TestFiguresMatchPerPointRuns is the differential check on figure
+// submission. Each figure runs every sweep point as one engine batch;
+// its rows must DeepEqual rows assembled from one Engine.RunPolicies
+// call per point on another fresh engine, and its progress must be one
+// bar: a constant total equal to every cell the engine was handed, a
+// done count that never goes down, ending at the total.
+func TestFiguresMatchPerPointRuns(t *testing.T) {
+	ctx := context.Background()
+	opts := Options{Workloads: 2, Cores: 4, Warmup: 1000, Measure: 3000, Seed: 3}
+	fresh := func() *Engine { return NewEngine(EngineConfig{Parallelism: 2}) }
+	// point runs one sweep point on its own batch.
+	point := func(t *testing.T, e *Engine, base Config, policies []RefreshPolicy, o Options) []PolicyScore {
+		t.Helper()
+		scores, err := e.RunPolicies(ctx, base, policies, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return scores
+	}
+
+	caps, nrhs, xs := []int{8, 32}, []int{64, 256}, []int{1, 2}
+	attacks := []string{"double", "decoy"}
+	cases := []struct {
+		name     string
+		figure   func(e *Engine, o Options) (any, error)
+		perPoint func(t *testing.T, e *Engine) any
+	}{
+		{"fig9",
+			func(e *Engine, o Options) (any, error) { return e.Fig9(ctx, o, caps) },
+			func(t *testing.T, e *Engine) any {
+				var rows []Fig9Row
+				for _, cap := range caps {
+					base := DefaultConfig()
+					base.ChipCapacityGbit = cap
+					rows = append(rows, fig9Row(cap, point(t, e, base, fig9Policies(), opts)))
+				}
+				return rows
+			}},
+		{"fig12",
+			func(e *Engine, o Options) (any, error) { return e.Fig12(ctx, o, nrhs) },
+			func(t *testing.T, e *Engine) any {
+				var rows []Fig12Row
+				for _, nrh := range nrhs {
+					rows = append(rows, fig12Row(nrh, point(t, e, DefaultConfig(), fig12Policies(nrh), opts)))
+				}
+				return rows
+			}},
+		{"fig15",
+			func(e *Engine, o Options) (any, error) { return e.Fig15(ctx, o, xs, nrhs) },
+			func(t *testing.T, e *Engine) any {
+				var rows []ScaleRow
+				for _, nrh := range nrhs {
+					for _, x := range xs {
+						rows = append(rows, scaleRow(x, nrh, point(t, e, scaleConfig(x, 8, true), paraScalePolicies(nrh), opts)))
+					}
+				}
+				return rows
+			}},
+		{"attack",
+			func(e *Engine, o Options) (any, error) { return e.AttackSweep(ctx, o, attacks, nrhs) },
+			func(t *testing.T, e *Engine) any {
+				var rows []AttackRow
+				benign := workload.Mixes(1, opts.Cores, opts.Seed)[0].Sources()
+				for _, kind := range attacks {
+					mix, err := attackMix(kind, OrgFor(DefaultConfig()), benign)
+					if err != nil {
+						t.Fatal(err)
+					}
+					o := opts
+					o.Mixes = []workload.SourceMix{mix}
+					o.Forensics = true
+					for _, nrh := range nrhs {
+						rows = append(rows, attackRow(kind, nrh, point(t, e, DefaultConfig(), attackSweepPolicies(nrh), o)))
+					}
+				}
+				return rows
+			}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var dones, totals []int
+			o := opts
+			o.Progress = func(done, total int) {
+				dones = append(dones, done)
+				totals = append(totals, total)
+			}
+			e := fresh()
+			got, err := c.figure(e, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := c.perPoint(t, fresh()); !reflect.DeepEqual(got, want) {
+				t.Fatalf("one-batch rows differ from per-point rows:\nbatched:   %+v\nper point: %+v", got, want)
+			}
+
+			submitted := int(e.Stats().Submitted)
+			if len(dones) == 0 || dones[len(dones)-1] != submitted {
+				t.Fatalf("progress ended at %v of %d submitted cells", dones, submitted)
+			}
+			for i := range dones {
+				if totals[i] != submitted {
+					t.Fatalf("progress event %d has total %d, want the request's %d cells in one batch", i, totals[i], submitted)
+				}
+				if i > 0 && dones[i] < dones[i-1] {
+					t.Fatalf("progress went down: done %d after %d", dones[i], dones[i-1])
+				}
+			}
+		})
+	}
+}

@@ -35,7 +35,7 @@ var maxSlotsPerTick = int(math.Floor(4*cpuCyclesPerTick)) + 1
 const llcHitLatencyCycles = 40
 
 // defaultSPTCoverage is §7's pairable-subarray fraction, applied when
-// Config.SPTCoverage is zero. appendSimKey canonicalizes with the same
+// Config.SPTCoverage is zero. appendSimShape canonicalizes with the same
 // constant so a cell's content key can never disagree with what
 // NewSystem simulates.
 const defaultSPTCoverage = 0.32
