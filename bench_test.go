@@ -237,6 +237,51 @@ func BenchmarkResumeExtend(b *testing.B) {
 	b.ReportMetric(resumedFrac, "resumed/simulated")
 }
 
+// BenchmarkResumeExtendAttack is BenchmarkResumeExtend for the attack
+// grid: every attacker preset x NRH 64/128 under Baseline, PARA,
+// Graphene and RFM with the forensics ledger, run to N = 60k ticks, then
+// extended to 2N on the warm checkpoint store and compared against the
+// 2N grid run cold. The zoo trackers, the ledger and the attacker
+// streams all ride in the checkpoints, so every extension cell —
+// alone-IPC references included — resumes (resumed/simulated = 1).
+func BenchmarkResumeExtendAttack(b *testing.B) {
+	ctx := context.Background()
+	short := hira.SimOptions{Cores: 8, Warmup: 15000, Measure: 45000, Seed: 1}
+	long := short
+	long.Measure = 2*short.Measure + short.Warmup // extend total N -> 2N
+	const interval = 10000
+
+	var speedup, resumedFrac float64
+	for i := 0; i < b.N; i++ {
+		coldEng := hira.NewSimEngine(hira.SimEngineConfig{SnapInterval: interval})
+		start := time.Now()
+		if _, err := coldEng.AttackSweep(ctx, long, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+		coldDur := time.Since(start)
+
+		warmEng := hira.NewSimEngine(hira.SimEngineConfig{SnapInterval: interval})
+		if _, err := warmEng.AttackSweep(ctx, short, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+		var stats hira.EngineStats
+		extOpts := long
+		extOpts.Stats = &stats
+		start = time.Now()
+		if _, err := warmEng.AttackSweep(ctx, extOpts, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+		warmDur := time.Since(start)
+
+		speedup = coldDur.Seconds() / warmDur.Seconds()
+		if stats.Simulated > 0 {
+			resumedFrac = float64(stats.Resumed) / float64(stats.Simulated)
+		}
+	}
+	b.ReportMetric(speedup, "speedup")
+	b.ReportMetric(resumedFrac, "resumed/simulated")
+}
+
 // BenchmarkWarmFigure measures the warm rung of the benchmark ladder: a
 // Fig. 9 (capacities 8/32/128) plus Fig. 12 (NRH 64/256/1024) request
 // pair on an engine that already holds every cell, so each op is pure

@@ -4,12 +4,18 @@ package cache
 
 import "fmt"
 
+// maxAssoc bounds the associativity: snapshots encode a line's LRU rank
+// within its set in the flags byte, and validate a set's ranks with a
+// 64-bit mask.
+const maxAssoc = 64
+
 // Cache is a set-associative write-back cache with LRU replacement.
 // It is not safe for concurrent use.
 type Cache struct {
 	assoc     int
 	sets      int
 	blockBits uint
+	setBits   uint
 	setMask   uint64
 
 	tags  []uint64 // [set*assoc+way]
@@ -18,17 +24,27 @@ type Cache struct {
 	lru   []uint64 // access stamp per way; smallest = least recent
 	stamp uint64
 
-	// touched marks lines mutated since the last ResetTouched, for
-	// differential snapshots. Every mutation flows through touch (hits
-	// bump the LRU stamp, fills rewrite the line then touch it), so
-	// marking there covers all line state.
-	touched  []bool
+	// touched is a bitmap of lines mutated since the last ResetTouched,
+	// for differential snapshots. Every mutation flows through touch
+	// (hits bump the LRU stamp, fills rewrite the line then touch it),
+	// so marking there covers all line state. A bitmap lets a delta
+	// visit and reset only the touched lines' words, not every line.
+	touched  []uint64
 	ntouched int
 
 	// occupied counts valid lines. Access only ever fills ways (no
 	// operation invalidates one), so it grows monotonically from zero;
 	// it sizes full snapshots, which carry only occupied lines.
 	occupied int
+	// validBits mirrors valid as a bitmap, so a full snapshot visits the
+	// occupied lines' words instead of every line. Only fills of
+	// never-filled lines (and decodes) write it.
+	validBits []uint64
+
+	// decoded records that readLines has written lines. Together with a
+	// zero stamp (every Access stamps a line) it proves the line arrays
+	// still hold New's zeros, so Restore can skip clearing them.
+	decoded bool
 
 	Stats Stats
 }
@@ -44,6 +60,9 @@ func New(sizeBytes, assoc, blockBytes int) (*Cache, error) {
 	if sizeBytes <= 0 || assoc <= 0 || blockBytes <= 0 {
 		return nil, fmt.Errorf("cache: non-positive geometry")
 	}
+	if assoc > maxAssoc {
+		return nil, fmt.Errorf("cache: associativity %d above %d", assoc, maxAssoc)
+	}
 	blocks := sizeBytes / blockBytes
 	sets := blocks / assoc
 	if sets == 0 || sets&(sets-1) != 0 {
@@ -56,16 +75,22 @@ func New(sizeBytes, assoc, blockBytes int) (*Cache, error) {
 	for 1<<bits < blockBytes {
 		bits++
 	}
+	setBits := uint(0)
+	for 1<<setBits < sets {
+		setBits++
+	}
 	return &Cache{
 		assoc:     assoc,
 		sets:      sets,
 		blockBits: bits,
+		setBits:   setBits,
 		setMask:   uint64(sets - 1),
 		tags:      make([]uint64, blocks),
 		valid:     make([]bool, blocks),
 		dirty:     make([]bool, blocks),
 		lru:       make([]uint64, blocks),
-		touched:   make([]bool, blocks),
+		touched:   make([]uint64, (blocks+63)/64),
+		validBits: make([]uint64, (blocks+63)/64),
 	}, nil
 }
 
@@ -130,6 +155,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	}
 	if !c.valid[i] {
 		c.occupied++
+		c.validBits[i>>6] |= 1 << (i & 63)
 	}
 	c.tags[i] = blk
 	c.valid[i] = true
@@ -142,8 +168,8 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 func (c *Cache) touch(i int) {
 	c.stamp++
 	c.lru[i] = c.stamp
-	if !c.touched[i] {
-		c.touched[i] = true
+	if w, bit := i>>6, uint64(1)<<(i&63); c.touched[w]&bit == 0 {
+		c.touched[w] |= bit
 		c.ntouched++
 	}
 }

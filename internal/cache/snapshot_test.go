@@ -34,8 +34,10 @@ func snapshotOf(c *Cache) []byte {
 
 // TestRestoreZeroesUnoccupiedLines proves a full snapshot is a delta
 // against an empty cache: restoring it over a cache holding unrelated
-// state reproduces the source exactly, every line the source never
-// filled back in its zero state, and the occupancy count with it.
+// state reproduces the source exactly — tags, flags and each set's LRU
+// order, which the restored cache holds as canonical stamps (rank + 1)
+// — every line the source never filled back in its zero state, and the
+// occupancy count with it.
 func TestRestoreZeroesUnoccupiedLines(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	src := MustNew(1<<16, 8, 64) // 1024 lines
@@ -45,8 +47,8 @@ func TestRestoreZeroesUnoccupiedLines(t *testing.T) {
 			occ, countValid(src), len(src.tags))
 	}
 	data := snapshotOf(src)
-	if max := src.SnapshotSize(); len(data) > max {
-		t.Fatalf("snapshot %d bytes exceeds its pre-size bound %d", len(data), max)
+	if size := src.SnapshotSize(); len(data) != size {
+		t.Fatalf("snapshot %d bytes, SnapshotSize %d", len(data), size)
 	}
 
 	dst := MustNew(1<<16, 8, 64)
@@ -64,7 +66,7 @@ func TestRestoreZeroesUnoccupiedLines(t *testing.T) {
 	}
 	for i := range src.tags {
 		if src.valid[i] {
-			if dst.tags[i] != src.tags[i] || dst.lru[i] != src.lru[i] || !dst.valid[i] || dst.dirty[i] != src.dirty[i] {
+			if dst.tags[i] != src.tags[i] || dst.lru[i] != uint64(src.rank(i))+1 || !dst.valid[i] || dst.dirty[i] != src.dirty[i] {
 				t.Fatalf("line %d: restored (%#x, %d, %v, %v), source (%#x, %d, %v, %v)", i,
 					dst.tags[i], dst.lru[i], dst.valid[i], dst.dirty[i],
 					src.tags[i], src.lru[i], src.valid[i], src.dirty[i])
@@ -108,8 +110,8 @@ func TestDeltaOnRestoredBase(t *testing.T) {
 	fill(src, rng, 500, 1<<20)
 	w := snap.NewWriter()
 	src.SnapshotDelta(w)
-	if len(w.Bytes()) > src.SnapshotDeltaSize() {
-		t.Fatalf("delta %d bytes exceeds its pre-size bound %d", len(w.Bytes()), src.SnapshotDeltaSize())
+	if len(w.Bytes()) != src.SnapshotDeltaSize() {
+		t.Fatalf("delta %d bytes, SnapshotDeltaSize %d", len(w.Bytes()), src.SnapshotDeltaSize())
 	}
 
 	dst := MustNew(1<<16, 8, 64)
@@ -125,11 +127,20 @@ func TestDeltaOnRestoredBase(t *testing.T) {
 	if dst.Occupied() != src.Occupied() {
 		t.Fatalf("occupancy %d after delta, source %d", dst.Occupied(), src.Occupied())
 	}
+	// Both caches now evolve identically: the delta restored every
+	// set's LRU order, untouched lines below the touched ones.
+	for i := 0; i < 2000; i++ {
+		addr, write := rng.Uint64()%(1<<20), rng.Intn(4) == 0
+		if a, b := src.Access(addr, write), dst.Access(addr, write); a != b {
+			t.Fatalf("access %d diverged after base + delta: %+v vs %+v", i, a, b)
+		}
+	}
 }
 
-// TestRestoreRejectsCorruptLines covers the validating decoder: an
-// invalid line in a full snapshot, out-of-order or out-of-range line
-// indices, and unknown flag bits are errors, never silent state.
+// TestRestoreRejectsCorruptLines covers the validating decoder:
+// out-of-order or out-of-range line indices, overflowing tags, and
+// ranks that are out of range or not canonical for their set are
+// errors, never silent state.
 func TestRestoreRejectsCorruptLines(t *testing.T) {
 	header := func(w *snap.Writer, n int) {
 		for i := 0; i < 4; i++ { // stamp, hits, misses, writebacks
@@ -137,19 +148,25 @@ func TestRestoreRejectsCorruptLines(t *testing.T) {
 		}
 		w.Len(n)
 	}
-	line := func(w *snap.Writer, gap uint64, flags uint8) {
+	line := func(w *snap.Writer, gap uint64, rank uint8) {
 		w.U64(gap)
-		w.U64(7) // tag
-		w.U64(1) // lru
-		w.U8(flags)
+		w.I64(7) // tag high-bits difference
+		w.U8(rank << 1)
 	}
 	cases := map[string]func(w *snap.Writer){
-		"invalid line in full snapshot": func(w *snap.Writer) { header(w, 1); line(w, 3, 2) },
-		"unknown flags":                 func(w *snap.Writer) { header(w, 1); line(w, 3, 5) },
-		"repeated index":                func(w *snap.Writer) { header(w, 2); line(w, 3, 1); line(w, 0, 1) },
-		"index past the last line":      func(w *snap.Writer) { header(w, 2); line(w, 1000, 1); line(w, 100, 1) },
-		"count past the line count":     func(w *snap.Writer) { header(w, 5000) },
-		"truncated line":                func(w *snap.Writer) { header(w, 1); w.U64(3) },
+		"rank past the associativity": func(w *snap.Writer) { header(w, 1); line(w, 3, 8) },
+		"ranks not from zero":         func(w *snap.Writer) { header(w, 1); line(w, 3, 1) },
+		"duplicate ranks in a set":    func(w *snap.Writer) { header(w, 2); line(w, 3, 0); line(w, 1, 0) },
+		"repeated index":              func(w *snap.Writer) { header(w, 2); line(w, 3, 0); line(w, 0, 1) },
+		"index past the last line":    func(w *snap.Writer) { header(w, 2); line(w, 1000, 0); line(w, 100, 0) },
+		"count past the line count":   func(w *snap.Writer) { header(w, 5000) },
+		"truncated line":              func(w *snap.Writer) { header(w, 1); w.U64(3) },
+		"tag overflow": func(w *snap.Writer) {
+			header(w, 1)
+			w.U64(3)
+			w.I64(-1)
+			w.U8(0)
+		},
 	}
 	for name, build := range cases {
 		w := snap.NewWriter()
@@ -158,5 +175,59 @@ func TestRestoreRejectsCorruptLines(t *testing.T) {
 		if err := c.Restore(snap.NewReader(w.Bytes())); err == nil {
 			t.Errorf("%s: restored without error", name)
 		}
+	}
+}
+
+// TestApplyDeltaRejectsBuriedRanks: a delta's lines are the most
+// recently used of their sets, so ranks that would slot them below a
+// set's untouched valid lines are corrupt.
+func TestApplyDeltaRejectsBuriedRanks(t *testing.T) {
+	src := MustNew(1<<16, 8, 64)
+	for i := uint64(0); i < 3; i++ {
+		src.Access(i<<13, false) // three lines of set 0
+	}
+	c := MustNew(1<<16, 8, 64)
+	if err := c.Restore(snap.NewReader(snapshotOf(src))); err != nil {
+		t.Fatal(err)
+	}
+	w := snap.NewWriter()
+	for i := 0; i < 4; i++ {
+		w.U64(0)
+	}
+	w.Len(1)
+	w.U64(5) // way 5 of set 0, not among the restored lines
+	w.I64(9) // tag high bits
+	w.U8(0)  // rank 0: below the three untouched lines
+	if err := c.ApplyDelta(snap.NewReader(w.Bytes())); err == nil {
+		t.Fatal("delta line ranked below untouched lines applied")
+	}
+}
+
+// TestRestoreSkipsClearOnlyWhenFresh pins Restore's clear elision: a
+// cache fresh from New is restored without clearing, but a cache that
+// already holds decoded lines is cleared even when the snapshot laid
+// over it is of an empty cache (stamp zero, no lines).
+func TestRestoreSkipsClearOnlyWhenFresh(t *testing.T) {
+	src := MustNew(1<<16, 8, 64)
+	fill(src, rand.New(rand.NewSource(2)), 300, 1<<20)
+	full := snapshotOf(src)
+	empty := snapshotOf(MustNew(1<<16, 8, 64))
+
+	dst := MustNew(1<<16, 8, 64)
+	for _, data := range [][]byte{full, empty} {
+		if err := dst.Restore(snap.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dst.Occupied() != 0 || countValid(dst) != 0 {
+		t.Fatalf("empty snapshot restored over decoded lines left %d valid (count %d)", countValid(dst), dst.Occupied())
+	}
+	for i := range dst.tags {
+		if dst.tags[i] != 0 || dst.lru[i] != 0 || dst.dirty[i] {
+			t.Fatalf("line %d kept stale state after restoring an empty snapshot", i)
+		}
+	}
+	if !bytes.Equal(snapshotOf(dst), empty) {
+		t.Fatal("restored empty cache re-encodes differently")
 	}
 }

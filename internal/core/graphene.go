@@ -38,9 +38,9 @@ type grapheneBank struct {
 // when a row's count climbs a full threshold above the spillover floor,
 // its neighbors are queued for preventive refresh and the count resets to
 // the floor. Retention refresh stays conventional rank REF. The engine
-// keeps no DRAM-visible state beyond the pending victim queue, and its
-// tracker state is deliberately not checkpointable — cells running the
-// zoo engines simulate from tick zero, like forensics cells.
+// keeps no DRAM-visible state beyond the pending victim queue; its
+// tracker tables, window reset time and victim queues all checkpoint
+// (see Snapshot), so cells running it resume like any other.
 type Graphene struct {
 	mitigationBase
 	cfg       GrapheneConfig

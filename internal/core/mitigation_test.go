@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"hira/internal/dram"
 	"hira/internal/sched"
+	"hira/internal/snap"
 )
 
 func grapheneUnderTest(t *testing.T, nrh, counters int) *Graphene {
@@ -237,5 +240,63 @@ func TestZooEnginesScheduleSafely(t *testing.T) {
 				t.Errorf("retention violated: %v", stale)
 			}
 		})
+	}
+}
+
+// TestZooSnapshotRoundTrip: a zoo engine's tracker tables, tallies and
+// pending victims restore into a fresh engine that re-encodes to the
+// same bytes and schedules the same victim refreshes; a corrupt RAA
+// counter (at or past RAAIMT, which a live counter never reaches) is a
+// decode error.
+func TestZooSnapshotRoundTrip(t *testing.T) {
+	type zoo interface {
+		sched.RefreshEngine
+		Snapshot(*snap.Writer)
+		Restore(*snap.Reader, dram.Time) error
+	}
+	newRFM := func() *RFM {
+		f, err := NewRFM(RFMConfig{Org: smallOrg(), Timing: shortTiming(), RAAIMT: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	rfm := newRFM()
+	for _, pair := range [][2]zoo{
+		{grapheneUnderTest(t, 64, 8), grapheneUnderTest(t, 64, 8)},
+		{rfm, newRFM()},
+	} {
+		live, restored := pair[0], pair[1]
+		for i := 0; i < 40; i++ {
+			live.NoteActivate(actLoc(50), true, 0)
+		}
+		w := snap.NewWriter()
+		live.Snapshot(w)
+		if err := restored.Restore(snap.NewReader(w.Bytes()), 0); err != nil {
+			t.Fatalf("%T: %v", live, err)
+		}
+		again := snap.NewWriter()
+		restored.Snapshot(again)
+		if !bytes.Equal(again.Bytes(), w.Bytes()) {
+			t.Fatalf("%T: restored engine re-encodes differently", live)
+		}
+		want := append([]sched.Op(nil), live.Mandatory(0, 0)...)
+		if got := restored.Mandatory(0, 0); len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%T: restored engine offers %v, original %v", live, got, want)
+		}
+	}
+
+	// RFM's state ends with the last bank's (raa, latched, latch,
+	// latchN); that bank was never activated, so all four are one zero
+	// byte each. Setting its raa to RAAIMT is corrupt.
+	w := snap.NewWriter()
+	rfm.Snapshot(w)
+	data := w.Bytes()
+	if tail := data[len(data)-4:]; !bytes.Equal(tail, []byte{0, 0, 0, 0}) {
+		t.Fatalf("unexpected last-bank encoding %v", tail)
+	}
+	data[len(data)-4] = 8
+	if err := newRFM().Restore(snap.NewReader(data), 0); err == nil {
+		t.Fatal("RAA counter at RAAIMT restored")
 	}
 }

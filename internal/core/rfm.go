@@ -34,8 +34,8 @@ type rfmBank struct {
 // budgets (RAA counters) force a refresh-management event every RAAIMT
 // demand activations, modeled as blocking preventive refreshes of the
 // tracked row's neighbors. Retention refresh stays conventional rank
-// REF. Like the other zoo engines its tracker state is not
-// checkpointable; cells running it simulate from tick zero.
+// REF. Its RAA counters, latches and victim queues checkpoint (see
+// Snapshot), so cells running it resume like any other.
 type RFM struct {
 	mitigationBase
 	cfg   RFMConfig

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"hira/internal/dram"
 	"hira/internal/sched"
 	"hira/internal/snap"
@@ -8,9 +10,10 @@ import (
 
 // Snapshot appends HiRA-MC's full mutable state — the PARA RNG, the
 // generation rotation, and every bank's Refresh Table slice, RefPtr
-// table, balance counts, periodic phase, armed op, and piggyback offer —
-// to w. Derived aggregates (minDeadline, minRef, prDepth, chNext,
-// chArmed) are recomputed on restore from the serialized ground truth.
+// table, balance counts, periodic phase, armed op (with its forensics
+// attribution flags), and piggyback offer — to w. Derived aggregates
+// (minDeadline, minRef, prDepth, chNext, chArmed) are recomputed on
+// restore from the serialized ground truth.
 func (m *HiRAMC) Snapshot(w *snap.Writer) {
 	w.U64(m.rng)
 	w.Int(m.genPtr)
@@ -38,6 +41,8 @@ func (m *HiRAMC) Snapshot(w *snap.Writer) {
 			w.Int(b.armed.Bank)
 			w.Int(b.armed.RowA)
 			w.Int(b.armed.RowB)
+			w.Bool(b.armed.PreventiveA)
+			w.Bool(b.armed.PreventiveB)
 			w.Int(b.armedCount)
 		}
 		// The piggyback offer is a pointer into the queue; serialize it as
@@ -62,20 +67,6 @@ func (m *HiRAMC) Snapshot(w *snap.Writer) {
 	if m.ref != nil {
 		m.ref.Snapshot(w)
 	}
-}
-
-// SnapshotSize returns an upper bound on Snapshot's encoded size for
-// the engine's current state, so composing snapshots can pre-size
-// their buffers.
-func (m *HiRAMC) SnapshotSize() int {
-	n := 64
-	for _, b := range m.banks {
-		n += 96 + len(b.queue)*22 + (len(b.refPtr)+len(b.refreshed))*10
-	}
-	if m.ref != nil {
-		n += m.ref.SnapshotSize()
-	}
-	return n
 }
 
 // Restore reads state written by Snapshot into a freshly constructed
@@ -162,6 +153,7 @@ func (m *HiRAMC) Restore(r *snap.Reader, now dram.Time) error {
 				Kind: sched.OpKind(r.U8()),
 				Rank: r.Int(), Bank: r.Int(),
 				RowA: r.Int(), RowB: r.Int(),
+				PreventiveA: r.Bool(), PreventiveB: r.Bool(),
 			}
 			b.armedCount = r.Int()
 			if r.Err() != nil {
@@ -218,6 +210,155 @@ func (m *HiRAMC) Restore(r *snap.Reader, now dram.Time) error {
 	}
 	if m.ref != nil {
 		return m.ref.Restore(r)
+	}
+	return r.Err()
+}
+
+// snapshot appends the zoo engines' shared state: the rank-REF schedule,
+// the mitigation tallies, and every channel's pending victim refreshes
+// in FIFO order.
+func (m *mitigationBase) snapshot(w *snap.Writer) {
+	m.ref.Snapshot(w)
+	w.U64(m.stats.Triggers)
+	w.U64(m.stats.VictimRefreshes)
+	w.U64(m.stats.DroppedVictims)
+	w.U64(m.stats.TableResets)
+	for i := range m.rings {
+		ring := &m.rings[i]
+		w.Len(ring.n)
+		for j := 0; j < ring.n; j++ {
+			v := ring.at(j)
+			w.Int(v.rank)
+			w.Int(v.bank)
+			w.Int(v.row)
+		}
+	}
+}
+
+// restore reads state written by snapshot, validating every queued
+// victim against the organization: the controller executes them as row
+// refreshes, so a corrupt one must be an error here, not a panic there.
+func (m *mitigationBase) restore(r *snap.Reader) error {
+	if err := m.ref.Restore(r); err != nil {
+		return err
+	}
+	m.stats = MitigationStats{
+		Triggers:        r.U64(),
+		VictimRefreshes: r.U64(),
+		DroppedVictims:  r.U64(),
+		TableResets:     r.U64(),
+	}
+	rows := m.org.RowsPerBank()
+	for i := range m.rings {
+		ring := &m.rings[i]
+		*ring = victimRing{}
+		n := r.Len(victimRingCap, 3)
+		for j := 0; j < n; j++ {
+			v := victimRef{rank: r.Int(), bank: r.Int(), row: r.Int()}
+			if r.Err() != nil {
+				return r.Err()
+			}
+			if v.rank < 0 || v.rank >= m.org.RanksPerChannel || v.bank < 0 || v.bank >= m.bpr ||
+				v.row < 0 || v.row >= rows {
+				r.Failf("pending victim %d out of range", j)
+				return r.Err()
+			}
+			ring.push(v)
+		}
+	}
+	return r.Err()
+}
+
+// Snapshot appends Graphene's full mutable state — the shared zoo state,
+// the window reset time, and every bank's Misra-Gries table (entries in
+// table order, then the spillover floor) — to w.
+func (g *Graphene) Snapshot(w *snap.Writer) {
+	g.snapshot(w)
+	w.I64(int64(g.nextReset))
+	for i := range g.banks {
+		b := &g.banks[i]
+		w.Len(b.n)
+		for j := 0; j < b.n; j++ {
+			w.Int(int(b.rows[j]))
+			w.U64(uint64(b.cnts[j]))
+		}
+		w.U64(uint64(b.spill))
+	}
+}
+
+// Restore reads state written by Snapshot into a freshly constructed
+// engine of identical configuration. now is the restored controller
+// clock: a live window reset time lies at most one tREFW ahead of it and
+// less than one behind (idle skips can defer Tick past it briefly), so
+// anything else is corruption — and a far-past one would spin Tick's
+// catch-up loop.
+func (g *Graphene) Restore(r *snap.Reader, now dram.Time) error {
+	if err := g.restore(r); err != nil {
+		return err
+	}
+	g.nextReset = dram.Time(r.I64())
+	if r.Err() == nil && (g.nextReset <= now-g.t.TREFW || g.nextReset > now+g.t.TREFW) {
+		r.Failf("graphene window reset %d out of range at clock %d", g.nextReset, now)
+	}
+	for i := range g.banks {
+		b := &g.banks[i]
+		b.n = r.Len(len(b.rows), 2)
+		for j := 0; j < b.n; j++ {
+			row := r.Int()
+			cnt := r.U64()
+			if r.Err() != nil {
+				return r.Err()
+			}
+			if row < 0 || row >= g.rpb || cnt > math.MaxUint32 {
+				r.Failf("graphene table entry out of range")
+				return r.Err()
+			}
+			b.rows[j], b.cnts[j] = int32(row), uint32(cnt)
+		}
+		spill := r.U64()
+		if r.Err() == nil && spill > math.MaxUint32 {
+			r.Failf("graphene spillover %d out of range", spill)
+		}
+		b.spill = uint32(spill)
+	}
+	return r.Err()
+}
+
+// Snapshot appends RFM's full mutable state — the shared zoo state and
+// every bank's RAA counter and majority-vote latch — to w.
+func (f *RFM) Snapshot(w *snap.Writer) {
+	f.snapshot(w)
+	for i := range f.banks {
+		b := &f.banks[i]
+		w.U64(uint64(b.raa))
+		w.Bool(b.latched)
+		w.Int(int(b.latch))
+		w.U64(uint64(b.latchN))
+	}
+}
+
+// Restore reads state written by Snapshot into a freshly constructed
+// engine of identical configuration. A live RAA counter stays below
+// RAAIMT (reaching it fires the RFM event and clears it), and the latch
+// count cannot exceed the activations since the last clear.
+func (f *RFM) Restore(r *snap.Reader, _ dram.Time) error {
+	if err := f.restore(r); err != nil {
+		return err
+	}
+	for i := range f.banks {
+		b := &f.banks[i]
+		raa := r.U64()
+		b.latched = r.Bool()
+		latch := r.Int()
+		latchN := r.U64()
+		if r.Err() != nil {
+			return r.Err()
+		}
+		if raa >= uint64(f.cfg.RAAIMT) || latchN > raa || latch < 0 || latch >= f.rpb {
+			r.Failf("RFM bank %d state out of range", i)
+			return r.Err()
+		}
+		b.raa, b.latch, b.latchN = uint32(raa), int32(latch), uint32(latchN)
 	}
 	return r.Err()
 }

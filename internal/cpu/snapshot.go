@@ -40,13 +40,6 @@ func (c *Core) Snapshot(w *snap.Writer) error {
 	return nil
 }
 
-// SnapshotSize returns an upper bound on Snapshot's encoded size for
-// the core's current state (stream positions are a few dozen bytes at
-// most), so composing snapshots can pre-size their buffers.
-func (c *Core) SnapshotSize() int {
-	return 128 + 21*(len(c.outstanding)-c.outHead)
-}
-
 // Restore reads state written by Snapshot into a freshly constructed
 // core running the same workload stream. Structural invariants (window
 // occupancy, in-order load positions) are validated so a corrupt

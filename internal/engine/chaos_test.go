@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -429,5 +430,65 @@ func TestChaosSnapChecksumEnvelopeRoundTrip(t *testing.T) {
 		if out, ok := unwrapSnapSum(raw); ok {
 			t.Fatalf("envelope-less data %q accepted as %q", raw, out)
 		}
+	}
+}
+
+// gatedSnapFS interleaves one same-slot save into a Load
+// deterministically: once armed, the next checkpoint write parks right
+// after its atomic rename (the fresh file is in place, the index not yet
+// updated) until proceed is closed, and the next read waits for that
+// rename before consulting the wrapped fault seam, which fails it.
+type gatedSnapFS struct {
+	fault.FS
+	written chan struct{} // closed once the gated write has renamed its file
+	proceed chan struct{} // the gated write returns after this closes
+}
+
+func (g *gatedSnapFS) WriteFileAtomic(site fault.Site, path string, data []byte) error {
+	err := g.FS.WriteFileAtomic(site, path, data)
+	if g.written != nil {
+		close(g.written)
+		<-g.proceed
+	}
+	return err
+}
+
+func (g *gatedSnapFS) ReadFile(site fault.Site, path string) ([]byte, error) {
+	if g.written != nil {
+		<-g.written
+	}
+	return g.FS.ReadFile(site, path)
+}
+
+// TestChaosSnapLoadKeepsConcurrentSave pins the check-then-act fix in
+// SnapStore.Load: a read that fails while a same-slot save has already
+// replaced the file (but not yet re-indexed it) must not drop the slot,
+// because dropping deletes the fresh file and leaves the index
+// advertising a checkpoint that no longer exists.
+func TestChaosSnapLoadKeepsConcurrentSave(t *testing.T) {
+	in := mustInjector(t, 1, fault.Rule{Site: fault.SiteSnapRead, Kind: fault.EIO, Count: 1})
+	fs := &gatedSnapFS{FS: in}
+	s := NewSnapStoreFS(t.TempDir(), 1<<20, fs)
+	if err := s.Save("traj", 100, []byte("stale payload")); err != nil {
+		t.Fatal(err)
+	}
+	fresh := []byte("fresh payload")
+	fs.written, fs.proceed = make(chan struct{}), make(chan struct{})
+	saved := make(chan error, 1)
+	go func() { saved <- s.Save("traj", 100, fresh) }()
+	if _, ok := s.Load("traj", 100); ok {
+		t.Fatal("the injected read failure served a payload")
+	}
+	if in.Fired(fault.SiteSnapRead) != 1 {
+		t.Fatal("the read failure was not injected")
+	}
+	close(fs.proceed)
+	if err := <-saved; err != nil {
+		t.Fatal(err)
+	}
+	fs.written = nil
+	got, ok := s.Load("traj", 100)
+	if !ok || !bytes.Equal(got, fresh) {
+		t.Fatalf("after the interleaved save, Load = (%q, %v); want the fresh payload", got, ok)
 	}
 }

@@ -24,8 +24,11 @@ type SnapStats struct {
 	Loads     uint64 `json:"loads"`     // checkpoint payload reads served
 	Saves     uint64 `json:"saves"`     // checkpoints written
 	Evictions uint64 `json:"evictions"` // checkpoints dropped by the byte cap
-	Bytes     int64  `json:"bytes"`     // current payload bytes
-	Entries   int    `json:"entries"`   // current checkpoint count
+	// Bytes is what the stored checkpoints occupy: their file payloads
+	// on disk, or in memory the capacity of the buffers the store
+	// retains (a writer's pre-sized buffer may exceed its payload).
+	Bytes   int64 `json:"bytes"`
+	Entries int   `json:"entries"` // current checkpoint count
 
 	// GhostHits and EvictionResimTicks are the cache-economics pair: a
 	// ghost hit is a resume attempt that would have restored a further
@@ -70,10 +73,16 @@ const DefaultSnapMaxBytesMemory = 256 << 20
 type snapEntry struct {
 	hash  string
 	tick  int
-	base  int // delta base tick; 0 = full snapshot
-	size  int64
+	base  int    // delta base tick; 0 = full snapshot
+	size  int64  // accounted bytes (see SnapStats.Bytes)
 	touch uint64 // last-use order for oldest-first eviction
 	data  []byte // payload, in-memory mode only
+}
+
+// snapSlot names one checkpoint slot: a trajectory key hash and tick.
+type snapSlot struct {
+	hash string
+	tick int
 }
 
 // SnapStore holds simulation checkpoints keyed by (trajectory key, tick):
@@ -98,6 +107,10 @@ type SnapStore struct {
 
 	mu      sync.Mutex
 	entries map[string]map[int]*snapEntry // key hash -> tick -> entry
+	// writing counts, per slot, saves whose file write is in flight: a
+	// failed Load must not drop a slot whose file a concurrent save may
+	// already have replaced (on-disk mode only).
+	writing map[snapSlot]int
 	total   int64
 	clock   uint64
 	stats   SnapStats
@@ -347,18 +360,17 @@ func (s *SnapStore) Load(key string, tick int) ([]byte, bool) {
 		return data, true
 	}
 	raw, err := s.fs.ReadFile(fault.SiteSnapRead, path)
-	if err != nil {
-		s.mu.Lock()
-		s.dropLocked(e, false)
-		s.mu.Unlock()
-		return nil, false
-	}
 	data, ok := unwrapSnapSum(raw)
-	if !ok {
-		// Checksum mismatch: the file is damaged. Drop the slot so the
-		// next resume attempt doesn't re-read the same corpse.
+	if err != nil || !ok {
+		// Unreadable, or a checksum mismatch: the file is damaged. Drop
+		// the slot so the next resume attempt doesn't re-read the same
+		// corpse — but only if it is still the entry this read found and
+		// no same-slot save is writing: a concurrent save may already
+		// have replaced the file, and dropping would delete the fresh one.
 		s.mu.Lock()
-		s.dropLocked(e, false)
+		if s.writing[snapSlot{hash, tick}] == 0 {
+			s.dropLocked(e, false)
+		}
 		s.mu.Unlock()
 		return nil, false
 	}
@@ -454,23 +466,44 @@ func (s *SnapStore) save(key string, tick, base int, data []byte) error {
 	if tick <= 0 {
 		return fmt.Errorf("engine: checkpoint tick %d must be positive", tick)
 	}
-	size := int64(len(data))
+	// In memory the store retains data's whole buffer, so it accounts
+	// the capacity: the byte cap then bounds the memory checkpoints
+	// actually pin. On disk it keeps only the file.
+	size := int64(cap(data))
+	if s.root != "" {
+		size = int64(len(data))
+	}
 	if size > s.maxBytes {
 		return fmt.Errorf("engine: %d-byte checkpoint exceeds the %d-byte store cap", size, s.maxBytes)
 	}
 	hash := hashKey(key)
+	slot := snapSlot{hash, tick}
 	if s.root != "" {
 		// Write the payload before touching the index, outside the lock
 		// (checkpoint I/O must not serialize the worker pool).
 		// Concurrent same-slot writers race benignly: trajectories are
 		// deterministic, so both payloads are identical, and the atomic
-		// rename means the last one wins.
-		if err := s.fs.WriteFileAtomic(fault.SiteSnapWrite, s.snapPath(hash, tick, base), wrapSnapSum(data)); err != nil {
+		// rename means the last one wins. The in-flight count keeps a
+		// failed Load from dropping the slot meanwhile (see Load).
+		s.mu.Lock()
+		if s.writing == nil {
+			s.writing = make(map[snapSlot]int)
+		}
+		s.writing[slot]++
+		s.mu.Unlock()
+		err := s.fs.WriteFileAtomic(fault.SiteSnapWrite, s.snapPath(hash, tick, base), wrapSnapSum(data))
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.writing[slot]--; s.writing[slot] == 0 {
+			delete(s.writing, slot)
+		}
+		if err != nil {
 			return fmt.Errorf("engine: snapshot store: %w", err)
 		}
+	} else {
+		s.mu.Lock()
+		defer s.mu.Unlock()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	// Retire any same-slot entry's accounting first — its file (if any)
 	// was just atomically replaced, so it must not become an eviction
 	// victim below and delete the fresh payload. A same-slot entry of
@@ -528,7 +561,7 @@ func (s *SnapStore) save(key string, tick, base int, data []byte) error {
 	s.stats.Saves++
 	if base > 0 {
 		s.stats.DeltaSaves++
-		s.stats.DeltaBytes += uint64(size)
+		s.stats.DeltaBytes += uint64(len(data))
 	}
 	return nil
 }

@@ -107,6 +107,35 @@ func TestSnapStoreEviction(t *testing.T) {
 	}
 }
 
+// TestSnapStoreAccountsRetainedCapacity: an in-memory store keeps each
+// checkpoint's whole buffer, so its accounted bytes (and the byte cap)
+// cover the buffers' capacity, not just the payload lengths.
+func TestSnapStoreAccountsRetainedCapacity(t *testing.T) {
+	s := NewSnapStore("", 300)
+	var retained int64
+	for i := 1; i <= 2; i++ {
+		data := make([]byte, 40, 120) // a pre-sized writer's buffer
+		if err := s.Save("k", i*100, data); err != nil {
+			t.Fatal(err)
+		}
+		retained += int64(cap(data))
+	}
+	if st := s.Stats(); st.Bytes < retained {
+		t.Fatalf("store accounts %d bytes for %d retained", st.Bytes, retained)
+	}
+	// A third 120-byte buffer exceeds the 300-byte cap by capacity
+	// (though not by payload), so the oldest checkpoint goes.
+	if err := s.Save("k", 300, make([]byte, 40, 120)); err != nil {
+		t.Fatal(err)
+	}
+	if s.Has("k", 100) {
+		t.Fatal("cap enforced on payload lengths, not retained capacity")
+	}
+	if st := s.Stats(); st.Bytes != 240 || st.Evictions != 1 {
+		t.Fatalf("stats %+v, want 240 retained bytes after one eviction", st)
+	}
+}
+
 func TestSnapStoreGhostAttribution(t *testing.T) {
 	s := NewSnapStore("", 300)
 	for i := 1; i <= 3; i++ {

@@ -162,10 +162,13 @@ type ForensicsReport struct {
 // activation counts reset whenever a row's charge is restored (explicit
 // row refresh or rank-REF rotation coverage, mirroring
 // dram.RefreshAuditor's model), plus mitigation-efficacy tallies and an
-// optional command flight recorder. All arrays are pre-sized at
-// EnableForensics so the hooked tick loop stays allocation-free; every
-// hook is purely observational, so enabling forensics leaves the command
-// stream and Stats bit-identical (see TestForensicsDifferential).
+// optional command flight recorder. Rows live in a sparse table
+// (rowLedger) that holds only rows the run has touched; it grows by
+// doubling, and the recorder is pre-sized at EnableForensics, so the
+// hooked tick loop stays allocation-free once a run has seen its
+// working set. Every hook is purely observational, so enabling
+// forensics leaves the command stream and Stats bit-identical (see
+// TestForensicsDifferential).
 type Forensics struct {
 	nThresh    int
 	thresholds [MaxForensicsThresholds]uint32
@@ -176,26 +179,27 @@ type Forensics struct {
 	banksPerChannel int
 	banksPerRank    int
 
-	count   []uint32 // per (system-flat bank, row): interref demand ACTs
-	bankMax []uint32 // per system-flat bank: running max interref count
-	refPtr  []int32  // per system-flat bank: rank-REF rotation pointer
-
-	// exposure tracks the victim side of every activation: exposure[i]
-	// counts demand ACTs of row i's adjacent rows since row i's own charge
-	// was last restored (by its own activation, an explicit refresh, or
-	// rank-REF coverage). maxExposure is its running system-wide max.
-	exposure    []uint32
-	maxExposure uint32
+	// rows holds each touched row's interref demand ACT count and victim
+	// exposure: demand ACTs of the row's adjacent rows since its own
+	// charge was last restored (by its own activation, an explicit
+	// refresh, or rank-REF coverage).
+	rows        rowLedger
+	bankMax     []uint32 // per system-flat bank: running max interref count
+	refPtr      []int32  // per system-flat bank: rank-REF rotation pointer
+	maxExposure uint32   // running system-wide max victim exposure
 
 	tally ForensicsTally
 
-	// Flight recorder (pre == nil when disabled).
-	pre     []dram.Command
-	preIdx  int
-	preFill int
-	post    int
-	events  []dram.Command
-	dropped uint64
+	// Flight recorder (pre == nil when disabled). eventsBase is how many
+	// events the last checkpoint already holds; a differential
+	// checkpoint carries only the events after it.
+	pre        []dram.Command
+	preIdx     int
+	preFill    int
+	post       int
+	events     []dram.Command
+	eventsBase int
+	dropped    uint64
 }
 
 func newForensics(org dram.Org, t dram.Timing, cfg ForensicsConfig) *Forensics {
@@ -222,8 +226,7 @@ func newForensics(org dram.Org, t dram.Timing, cfg ForensicsConfig) *Forensics {
 		f.hot = 1
 	}
 	banks := org.TotalBanks()
-	f.count = make([]uint32, banks*f.rowsPerBank)
-	f.exposure = make([]uint32, banks*f.rowsPerBank)
+	f.rows = newRowLedger(banks * f.rowsPerBank)
 	f.bankMax = make([]uint32, banks)
 	f.refPtr = make([]int32, banks)
 	if cfg.Recorder {
@@ -238,8 +241,9 @@ func newForensics(org dram.Org, t dram.Timing, cfg ForensicsConfig) *Forensics {
 }
 
 // EnableForensics attaches a fresh forensics ledger to the controller.
-// It must be called before the first Tick; forensics state is not part of
-// Snapshot/Restore (resumable cells run with forensics disabled).
+// It must be called before the first Tick. The ledger checkpoints
+// through SnapshotForensics/RestoreForensics, beside the controller's
+// own Snapshot.
 func (c *Controller) EnableForensics(cfg ForensicsConfig) {
 	c.forensics = newForensics(c.cfg.Org, c.cfg.Timing, cfg)
 }
@@ -295,8 +299,18 @@ func (c *Controller) ForensicsReport() (ForensicsReport, bool) {
 	return r, true
 }
 
-// bankIndex returns the system-flat bank index for a channel-flat bank.
-func (f *Forensics) bankIndex(ch, flat int) int { return ch*f.banksPerChannel + flat }
+// rowKey returns the ledger key of a channel-flat bank's row.
+func (f *Forensics) rowKey(ch, flat, row int) uint32 {
+	return uint32((ch*f.banksPerChannel+flat)*f.rowsPerBank+row) + 1
+}
+
+// count returns key's interref count (0 when untracked).
+func (f *Forensics) count(key uint32) uint32 {
+	if e := f.rows.find(key); e != nil {
+		return e.count
+	}
+	return 0
+}
 
 // demandACT advances row's interref count for a demand activation,
 // maintaining the bank max, the threshold-crossing tallies, and (on the
@@ -305,10 +319,15 @@ func (f *Forensics) bankIndex(ch, flat int) int { return ch*f.banksPerChannel + 
 // aggressor pressure accumulated between charge restorations, and an
 // activation restores only the activated row while disturbing neighbors.
 func (f *Forensics) demandACT(ch, flat, row int) {
-	fb := f.bankIndex(ch, flat)
-	i := fb*f.rowsPerBank + row
-	n := f.count[i] + 1
-	f.count[i] = n
+	fb := ch*f.banksPerChannel + flat
+	key := f.rowKey(ch, flat, row)
+	e := f.rows.insert(key)
+	n := e.count + 1
+	e.count = n
+	// Victim side: the activation restores the activated row's own
+	// charge and disturbs its neighbors.
+	e.exposure = 0
+	f.rows.mark(key)
 	f.tally.DemandACTs++
 	if n > f.bankMax[fb] {
 		f.bankMax[fb] = n
@@ -321,43 +340,51 @@ func (f *Forensics) demandACT(ch, flat, row int) {
 			}
 		}
 	}
-	// Victim side: the activation restores the activated row's own charge
-	// and disturbs its neighbors.
-	f.exposure[i] = 0
-	base := fb * f.rowsPerBank
 	if row > 0 {
-		f.bumpExposure(base + row - 1)
+		f.bumpExposure(key - 1)
 	}
 	if row+1 < f.rowsPerBank {
-		f.bumpExposure(base + row + 1)
+		f.bumpExposure(key + 1)
 	}
 }
 
 // bumpExposure advances one row's victim exposure, maintaining the
 // running max and the victim-side threshold-crossing tallies.
-func (f *Forensics) bumpExposure(i int) {
-	e := f.exposure[i] + 1
-	f.exposure[i] = e
-	if e > f.maxExposure {
-		f.maxExposure = e
+func (f *Forensics) bumpExposure(key uint32) {
+	e := f.rows.insert(key)
+	x := e.exposure + 1
+	e.exposure = x
+	f.rows.mark(key)
+	if x > f.maxExposure {
+		f.maxExposure = x
 	}
 	for t := 0; t < f.nThresh; t++ {
-		if e == f.thresholds[t] {
+		if x == f.thresholds[t] {
 			f.tally.VictimCrossings[t]++
 		}
 	}
+}
+
+// restore clears a tracked row's interref count and exposure (its
+// charge was restored), reporting whether the count was nonzero.
+func (f *Forensics) restore(key uint32) (hadCount bool) {
+	e := f.rows.find(key)
+	if e == nil || (e.count == 0 && e.exposure == 0) {
+		return false
+	}
+	hadCount = e.count != 0
+	e.count, e.exposure = 0, 0
+	f.rows.mark(key)
+	return hadCount
 }
 
 // refreshACT records an explicit row-refresh activation, clearing the
 // refreshed row's interref count.
 func (f *Forensics) refreshACT(ch, flat, row int) {
 	f.tally.RefreshACTs++
-	i := f.bankIndex(ch, flat)*f.rowsPerBank + row
-	if f.count[i] != 0 {
-		f.count[i] = 0
+	if f.restore(f.rowKey(ch, flat, row)) {
 		f.tally.RowsReset++
 	}
-	f.exposure[i] = 0
 }
 
 // classifyRefresh attributes one explicit row refresh at the moment it is
@@ -378,12 +405,12 @@ func (f *Forensics) classifyRefresh(ch, flat, row int, preventive, piggyback boo
 		f.tally.PeriodicRowRefreshes++
 		return
 	}
-	base := f.bankIndex(ch, flat) * f.rowsPerBank
+	key := f.rowKey(ch, flat, row)
 	hot := false
-	if row > 0 && f.count[base+row-1] >= f.hot {
+	if row > 0 && f.count(key-1) >= f.hot {
 		hot = true
 	}
-	if row+1 < f.rowsPerBank && f.count[base+row+1] >= f.hot {
+	if row+1 < f.rowsPerBank && f.count(key+1) >= f.hot {
 		hot = true
 	}
 	if hot {
@@ -397,19 +424,19 @@ func (f *Forensics) classifyRefresh(ch, flat, row int, preventive, piggyback boo
 // bank of the rank, the next rowsPerREF rows (per an internal per-bank
 // pointer that wraps at the bank size) have their charge restored —
 // exactly dram.RefreshAuditor's model of the chip's internal refresh
-// counter — so their interref counts clear.
+// counter — so their interref counts clear. Each covered row is one
+// table lookup, so REFRowsReset stays an exact tally of the nonzero
+// counts cleared.
 func (f *Forensics) rankREF(ch, rank int) {
 	base := rank * f.banksPerRank
 	for b := 0; b < f.banksPerRank; b++ {
-		fb := f.bankIndex(ch, base+b)
-		cbase := fb * f.rowsPerBank
+		flat := base + b
+		fb := ch*f.banksPerChannel + flat
 		ptr := int(f.refPtr[fb])
 		for i := 0; i < f.rowsPerREF; i++ {
-			if f.count[cbase+ptr] != 0 {
-				f.count[cbase+ptr] = 0
+			if f.restore(f.rowKey(ch, flat, ptr)) {
 				f.tally.REFRowsReset++
 			}
-			f.exposure[cbase+ptr] = 0
 			ptr++
 			if ptr == f.rowsPerBank {
 				ptr = 0

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math"
+
 	"hira/internal/dram"
 	"hira/internal/snap"
 )
@@ -162,28 +164,6 @@ func (c *Controller) Snapshot(w *snap.Writer) {
 	}
 }
 
-// SnapshotSize returns an upper bound on Snapshot's encoded size for
-// the controller's current state, so composing (differential) snapshots
-// can pre-size their buffers. Varint fields are costed at their
-// worst-case width; queue and activation-timeline terms use the live
-// counts, which cannot grow between this call and the Snapshot call in
-// a single-threaded encode.
-func (c *Controller) SnapshotSize() int {
-	n := 24 + 14*10 // clock + arrival + stats
-	for _, ch := range c.chans {
-		n += 96                            // channel fixed fields
-		n += 64 + len(ch.seqStore.cmds)*44 // optional HiRA sequence
-		n += len(ch.banks) * 96            // bank timing state
-		for i := range ch.ranks {
-			n += 64 + len(ch.ranks[i].actTimes)*10
-		}
-		for k := range ch.q {
-			n += 10 + ch.q[k].count*90
-		}
-	}
-	return n
-}
-
 // Restore reads state written by Snapshot into a freshly constructed
 // controller of identical configuration. maxCore bounds request core ids
 // (the controller itself never indexes by core, but its completion
@@ -343,22 +323,13 @@ func (c *Controller) Restore(r *snap.Reader, maxCore int) error {
 	return r.Err()
 }
 
-// snapBaselineREF appends the conventional REF engine's schedule.
+// Snapshot appends the conventional REF engine's schedule.
 func (b *BaselineREF) Snapshot(w *snap.Writer) {
 	for _, ranks := range b.nextAt {
 		for _, at := range ranks {
 			w.I64(int64(at))
 		}
 	}
-}
-
-// SnapshotSize returns an upper bound on Snapshot's encoded size.
-func (b *BaselineREF) SnapshotSize() int {
-	n := 0
-	for _, ranks := range b.nextAt {
-		n += len(ranks) * 10
-	}
-	return n
 }
 
 // Restore reads a schedule written by Snapshot.
@@ -369,4 +340,317 @@ func (b *BaselineREF) Restore(r *snap.Reader) error {
 		}
 	}
 	return r.Err()
+}
+
+// SnapshotForensicsTally appends every ForensicsTally counter to w. The
+// system snapshot's header-extractable mark section carries the tally
+// through it, so a past-warmup resume reads the measured phase's
+// forensics baseline straight from a checkpoint header.
+func SnapshotForensicsTally(w *snap.Writer, t ForensicsTally) {
+	w.U64(t.DemandACTs)
+	w.U64(t.RefreshACTs)
+	w.U64(t.RowsReset)
+	w.U64(t.REFRowsReset)
+	for i := range t.Crossings {
+		w.U64(t.Crossings[i])
+		w.U64(t.VictimCrossings[i])
+	}
+	w.U64(t.PreventiveUseful)
+	w.U64(t.PreventiveWasted)
+	w.U64(t.PeriodicRowRefreshes)
+	w.U64(t.PiggybackPreventive)
+	w.U64(t.PiggybackPeriodic)
+}
+
+// RestoreForensicsTally reads a tally written by SnapshotForensicsTally.
+func RestoreForensicsTally(r *snap.Reader) ForensicsTally {
+	var t ForensicsTally
+	t.DemandACTs = r.U64()
+	t.RefreshACTs = r.U64()
+	t.RowsReset = r.U64()
+	t.REFRowsReset = r.U64()
+	for i := range t.Crossings {
+		t.Crossings[i] = r.U64()
+		t.VictimCrossings[i] = r.U64()
+	}
+	t.PreventiveUseful = r.U64()
+	t.PreventiveWasted = r.U64()
+	t.PeriodicRowRefreshes = r.U64()
+	t.PiggybackPreventive = r.U64()
+	t.PiggybackPeriodic = r.U64()
+	return t
+}
+
+// readU32 reads a uvarint that must fit a uint32 ledger counter.
+func readU32(r *snap.Reader) uint32 {
+	v := r.U64()
+	if v > math.MaxUint32 {
+		r.Failf("counter %d overflows uint32", v)
+		return 0
+	}
+	return uint32(v)
+}
+
+// forensicsTallySize returns SnapshotForensicsTally's encoded size for t.
+func forensicsTallySize(t ForensicsTally) int {
+	n := 0
+	for _, v := range [...]uint64{t.DemandACTs, t.RefreshACTs, t.RowsReset, t.REFRowsReset,
+		t.PreventiveUseful, t.PreventiveWasted, t.PeriodicRowRefreshes,
+		t.PiggybackPreventive, t.PiggybackPeriodic} {
+		n += snap.UvarintSize(v)
+	}
+	for i := range t.Crossings {
+		n += snap.UvarintSize(t.Crossings[i]) + snap.UvarintSize(t.VictimCrossings[i])
+	}
+	return n
+}
+
+// SnapshotForensics appends the forensics ledger's state to w: a
+// presence flag, then (when forensics are enabled) the tally, running
+// maxes, REF rotation pointers, the flight recorder and the row ledger.
+// A full snapshot (delta false) carries every row with a nonzero count
+// or exposure and every recorded event; a differential one carries only
+// the rows changed and the events recorded since the last
+// ResetForensicsTouched. Rows are written in ascending (bank, row)
+// order as index gaps, so equal ledgers encode to equal bytes however
+// their tables are laid out.
+func (c *Controller) SnapshotForensics(w *snap.Writer, delta bool) {
+	f := c.forensics
+	w.Bool(f != nil)
+	if f == nil {
+		return
+	}
+	SnapshotForensicsTally(w, f.tally)
+	w.U64(uint64(f.maxExposure))
+	for i := range f.bankMax {
+		w.U64(uint64(f.bankMax[i]))
+		w.Int(int(f.refPtr[i]))
+	}
+	w.Bool(f.pre != nil)
+	if f.pre != nil {
+		w.Len(f.preFill)
+		start := f.preIdx - f.preFill + len(f.pre)
+		for i := 0; i < f.preFill; i++ {
+			snapCommand(w, f.pre[(start+i)%len(f.pre)])
+		}
+		w.Int(f.post)
+		w.U64(f.dropped)
+		from := 0
+		if delta {
+			from = f.eventsBase
+		}
+		w.Len(from)
+		w.Len(len(f.events) - from)
+		for _, cmd := range f.events[from:] {
+			snapCommand(w, cmd)
+		}
+	}
+	rows := f.rows.ntouched
+	if !delta {
+		rows, _ = f.ledgerRows(false)
+	}
+	w.Len(rows)
+	prev := uint32(1)
+	f.eachLedgerRow(delta, func(k uint32, e *ledgerEntry) {
+		w.U64(uint64(k - prev))
+		prev = k
+		w.U64(uint64(e.count))
+		w.U64(uint64(e.exposure))
+	})
+}
+
+// eachLedgerRow calls fn, ascending by key, with every row a snapshot
+// carries: the rows changed since the last ResetForensicsTouched
+// (delta), or every row with a nonzero count or exposure. A touched row
+// is always in the table (marking follows an insert or a find).
+func (f *Forensics) eachLedgerRow(delta bool, fn func(key uint32, e *ledgerEntry)) {
+	if delta {
+		each(f.rows.touched, func(k uint32) { fn(k, f.rows.find(k)) })
+		return
+	}
+	each(f.rows.present, func(k uint32) {
+		if e := f.rows.find(k); e.count != 0 || e.exposure != 0 {
+			fn(k, e)
+		}
+	})
+}
+
+// ledgerRows returns how many rows a snapshot carries and the exact
+// encoded size of their entries.
+func (f *Forensics) ledgerRows(delta bool) (rows, size int) {
+	prev := uint32(1)
+	f.eachLedgerRow(delta, func(k uint32, e *ledgerEntry) {
+		rows++
+		size += snap.UvarintSize(uint64(k-prev)) + snap.UvarintSize(uint64(e.count)) +
+			snap.UvarintSize(uint64(e.exposure))
+		prev = k
+	})
+	return rows, size
+}
+
+// snapCommand appends one recorded DRAM command.
+func snapCommand(w *snap.Writer, cmd dram.Command) {
+	w.U8(uint8(cmd.Kind))
+	w.U8(uint8(cmd.Phase))
+	w.Bool(cmd.AutoPrecharge)
+	w.I64(int64(cmd.At))
+	w.Int(cmd.Loc.Channel)
+	w.Int(cmd.Loc.Rank)
+	w.Int(cmd.Loc.Bank)
+	w.Int(cmd.Loc.Row)
+	w.Int(cmd.Loc.Col)
+}
+
+// restoreCommand reads a command written by snapCommand, rejecting
+// unknown kinds and phases.
+func restoreCommand(r *snap.Reader) dram.Command {
+	cmd := dram.Command{
+		Kind:          dram.Kind(r.U8()),
+		Phase:         dram.HiRAPhase(r.U8()),
+		AutoPrecharge: r.Bool(),
+		At:            dram.Time(r.I64()),
+	}
+	cmd.Loc.Channel = r.Int()
+	cmd.Loc.Rank = r.Int()
+	cmd.Loc.Bank = r.Int()
+	cmd.Loc.Row = r.Int()
+	cmd.Loc.Col = r.Int()
+	if cmd.Kind == dram.KindNone || cmd.Kind > dram.KindREF || cmd.Phase > dram.HiRASecondACT {
+		r.Failf("recorded command kind %d phase %d invalid", cmd.Kind, cmd.Phase)
+	}
+	return cmd
+}
+
+// commandSize bounds snapCommand's output for a command issued by c.
+func (c *Controller) commandSize() int {
+	org := c.cfg.Org
+	return 3 + snap.VarintSize(int64(c.now)) +
+		snap.VarintSize(int64(org.Channels)) + snap.VarintSize(int64(org.RanksPerChannel)) +
+		snap.VarintSize(int64(org.BanksPerRank())) + snap.VarintSize(int64(org.RowsPerBank())) +
+		snap.VarintSize(int64(org.RowBytes))
+}
+
+// ForensicsSnapshotSize bounds SnapshotForensics' output for the
+// ledger's current state: the rows it would carry are sized exactly,
+// recorded commands at the widths of the organization and the clock.
+func (c *Controller) ForensicsSnapshotSize(delta bool) int {
+	f := c.forensics
+	if f == nil {
+		return 1
+	}
+	n := 1 + forensicsTallySize(f.tally) + snap.UvarintSize(uint64(f.maxExposure))
+	for i := range f.bankMax {
+		n += snap.UvarintSize(uint64(f.bankMax[i])) + snap.VarintSize(int64(f.refPtr[i]))
+	}
+	n++ // recorder presence
+	if f.pre != nil {
+		events := len(f.events)
+		if delta {
+			events -= f.eventsBase
+		}
+		n += 2 + 3 + 10 + 3 + 3 + (f.preFill+events)*c.commandSize()
+	}
+	rows, size := f.ledgerRows(delta)
+	return n + snap.UvarintSize(uint64(rows)) + size
+}
+
+// RestoreForensics reads state written by SnapshotForensics into a
+// controller configured like the snapshotted one (forensics enabled
+// identically). A full snapshot (delta false) replaces the ledger; a
+// differential one is applied on top of the state restored from its
+// base. Either way the restored state is the newest checkpoint, so the
+// touch epoch starts empty. Every row index, pointer and recorder bound
+// is validated, so a corrupt checkpoint is an error, never a ledger
+// that panics mid-tick.
+func (c *Controller) RestoreForensics(r *snap.Reader, delta bool) error {
+	f := c.forensics
+	if present := r.Bool(); r.Err() == nil && present != (f != nil) {
+		r.Failf("forensics presence mismatch")
+	}
+	if f == nil || r.Err() != nil {
+		return r.Err()
+	}
+	f.tally = RestoreForensicsTally(r)
+	f.maxExposure = readU32(r)
+	for i := range f.bankMax {
+		f.bankMax[i] = readU32(r)
+		ptr := r.Int()
+		if r.Err() == nil && (ptr < 0 || ptr >= f.rowsPerBank) {
+			r.Failf("forensics REF pointer %d out of range", ptr)
+		}
+		f.refPtr[i] = int32(ptr)
+	}
+	if hasRec := r.Bool(); r.Err() == nil && hasRec != (f.pre != nil) {
+		r.Failf("flight recorder presence mismatch")
+	}
+	if r.Err() != nil {
+		return r.Err()
+	}
+	if f.pre != nil {
+		f.preFill = r.Len(len(f.pre), 9)
+		for i := 0; i < f.preFill; i++ {
+			f.pre[i] = restoreCommand(r)
+		}
+		f.preIdx = f.preFill % len(f.pre)
+		f.post = r.Int()
+		if r.Err() == nil && (f.post < 0 || f.post > recorderPost) {
+			r.Failf("flight recorder post window %d out of range", f.post)
+		}
+		f.dropped = r.U64()
+		from := r.Len(cap(f.events), 1)
+		if !delta {
+			f.events = f.events[:0]
+		}
+		if r.Err() == nil && from != len(f.events) {
+			r.Failf("flight recorder delta starts at event %d, base holds %d", from, len(f.events))
+		}
+		n := r.Len(cap(f.events)-len(f.events), 9)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			f.events = append(f.events, restoreCommand(r))
+		}
+		f.eventsBase = len(f.events)
+	}
+	if !delta {
+		f.rows.clear()
+	}
+	span := len(f.bankMax) * f.rowsPerBank
+	n := r.Len(span, 3)
+	key := uint64(1)
+	for i := 0; i < n; i++ {
+		gap := r.U64()
+		count, exposure := readU32(r), readU32(r)
+		if r.Err() != nil {
+			return r.Err()
+		}
+		if i > 0 && gap == 0 {
+			r.Failf("forensics rows: non-increasing row index")
+			return r.Err()
+		}
+		if gap > uint64(span) || key+gap > uint64(span) {
+			r.Failf("forensics rows: row index out of range")
+			return r.Err()
+		}
+		key += gap
+		if !delta && count == 0 && exposure == 0 {
+			r.Failf("forensics rows: full snapshot carries an untouched row")
+			return r.Err()
+		}
+		if e := f.rows.find(uint32(key)); e != nil || count != 0 || exposure != 0 {
+			if e == nil {
+				e = f.rows.insert(uint32(key))
+			}
+			e.count, e.exposure = count, exposure
+		}
+	}
+	return r.Err()
+}
+
+// ResetForensicsTouched starts a new differential-checkpoint epoch for
+// the ledger: the next delta SnapshotForensics carries only rows changed
+// and events recorded from here on.
+func (c *Controller) ResetForensicsTouched() {
+	if f := c.forensics; f != nil {
+		f.rows.resetTouched()
+		f.eventsBase = len(f.events)
+	}
 }

@@ -308,8 +308,11 @@ func (c *Client) waitStream(ctx context.Context, id string, onProgress func(Prog
 		return nil, fmt.Errorf("stream: %s", resp.Status)
 	}
 
+	// Events are a few KB (a figure result's state event included), so
+	// the line buffer starts small; the scanner doubles it for the rare
+	// large result, up to 16 MiB.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024) // results can be large
+	sc.Buffer(make([]byte, 0, 4*1024), 16*1024*1024)
 	event, data := "", ""
 	for sc.Scan() {
 		line := sc.Text()

@@ -1,7 +1,12 @@
 package service
 
 import (
+	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -44,5 +49,27 @@ func TestRetryAfterForms(t *testing.T) {
 	past := time.Now().Add(-time.Minute).UTC().Format(http.TimeFormat)
 	if d := retryAfter(respWithRetryAfter(past)); d != 0 {
 		t.Errorf("past HTTP-date: %v, want 0", d)
+	}
+}
+
+// TestWaitStreamLargeEvent: the stream reader's line buffer starts at a
+// few KB, so a terminal state event far larger than that (a big figure
+// result) must still decode in one piece.
+func TestWaitStreamLargeEvent(t *testing.T) {
+	big := strings.Repeat("x", 300<<10)
+	body, err := json.Marshal(Job{ID: "j1", State: StateDone, Error: big})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, "id: 1\nevent: state\ndata: %s\n\n", body)
+	}))
+	defer srv.Close()
+	j, err := NewClient(srv.URL).WaitProgress(context.Background(), "j1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.State != StateDone || j.Error != big {
+		t.Fatalf("decoded state %q with a %d-byte payload, want done with %d bytes", j.State, len(j.Error), len(big))
 	}
 }

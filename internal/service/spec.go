@@ -154,7 +154,8 @@ type SimSpec struct {
 	// Forensics runs the sweep's simulation cells with the RowHammer
 	// forensics ledger enabled; per-policy summaries land in the result
 	// and on GET /v1/jobs/{id}/forensics. Figures are bit-identical
-	// either way, but forensics cells never resume from checkpoints.
+	// either way; forensics cells checkpoint under their own trajectory
+	// keys, their ledger riding in every checkpoint.
 	Forensics bool `json:"forensics,omitempty"`
 	// ForensicsRecorder additionally arms the DRAM command flight
 	// recorder; requires Forensics.

@@ -3,15 +3,18 @@ package sim
 // Attack-sweep suite: the attack×mitigation grid must (a) demonstrate a
 // successful attack in the forensics ledger when nothing defends, (b)
 // show the zoo engines preventing it, (c) never alias mitigation cells
-// with unmitigated ones in the content-addressed store, and (d) refuse
-// to checkpoint systems whose refresh engine carries transient tracker
-// state.
+// with unmitigated ones in the content-addressed store, and (d)
+// checkpoint the zoo engines' tracker state and the attacker's stream
+// position like any other system state.
 
 import (
+	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
+	"hira/internal/core"
 	"hira/internal/workload"
 )
 
@@ -113,24 +116,92 @@ func TestMitigationCellKeyAliasing(t *testing.T) {
 	}
 }
 
-// TestMitigationCellsDoNotCheckpoint: the zoo engines' tracker state is
-// deliberately transient, so systems running them must refuse Snapshot
-// with a clear error instead of writing a checkpoint that restores to a
-// defenseless tracker.
-func TestMitigationCellsDoNotCheckpoint(t *testing.T) {
-	p, _ := workload.ProfileByName("mcf")
+// TestMitigationCellsCheckpoint: a zoo engine's tracker state, the
+// attacker's stream position and the forensics ledger all ride in the
+// checkpoint. Under a live double-sided hammer (so the trackers have
+// tripped and queued victims), a restored system re-encodes to the
+// snapshot's exact bytes and carries the engine's tallies.
+func TestMitigationCellsCheckpoint(t *testing.T) {
 	for _, pol := range []RefreshPolicy{GraphenePolicy(64, 8), RFMPolicy(64, 8)} {
 		cfg := DefaultConfig()
-		cfg.Cores = 1
+		cfg.Cores = 2
 		cfg.Policy = pol
-		s, err := NewSystem(cfg, oneCoreMix(p))
+		cfg.Forensics = ForensicsOptions{Enabled: true, Recorder: true}
+		mix, err := attackMix("double", OrgFor(cfg), workload.Mixes(1, 2, 1)[0].Sources())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Snapshot(); err == nil {
-			t.Errorf("%s system snapshotted; want a not-checkpointable error", pol.Name)
-		} else if !strings.Contains(err.Error(), "not checkpointable") {
-			t.Errorf("%s snapshot error %q does not name the capability", pol.Name, err)
+		s, err := NewSystem(cfg, mix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunTo(context.Background(), 20000); err != nil {
+			t.Fatal(err)
+		}
+		data, err := s.Snapshot()
+		if err != nil {
+			t.Fatalf("%s: %v", pol.Name, err)
+		}
+		r, err := RestoreSystem(cfg, mix, data)
+		if err != nil {
+			t.Fatalf("%s: restore: %v", pol.Name, err)
+		}
+		again, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, again) {
+			t.Fatalf("%s: restored system re-encoded to different bytes", pol.Name)
+		}
+		type tallied interface{ Stats() core.MitigationStats }
+		st := s.engine.(tallied).Stats()
+		if st.Triggers == 0 {
+			t.Fatalf("%s: the hammer never tripped the tracker; the checkpoint holds no tracker state", pol.Name)
+		}
+		if got := r.engine.(tallied).Stats(); got != st {
+			t.Fatalf("%s: restored tallies %+v, want %+v", pol.Name, got, st)
+		}
+	}
+}
+
+// TestAttackSweepResumeExtension extends an attack grid from a 60k- to
+// a 120k-tick horizon on one checkpointing engine: every sim cell of
+// the extension — forensics ledger, Graphene and RFM trackers and
+// attacker streams all restored from the 60k grid's checkpoints —
+// resumes instead of starting at tick zero, and the extended rows,
+// forensics summaries included, equal a fresh engine's cold run.
+func TestAttackSweepResumeExtension(t *testing.T) {
+	ctx := context.Background()
+	attacks := []string{"double", "many", "refsync"}
+	opts := Options{Cores: 4, Warmup: 15000, Measure: 45000}
+	e := NewEngine(EngineConfig{SnapInterval: 10000})
+	if _, err := e.AttackSweep(ctx, opts, attacks, nil); err != nil {
+		t.Fatal(err)
+	}
+	var st EngineStats
+	ext := opts
+	ext.Measure = 105000
+	ext.Stats = &st
+	got, err := e.AttackSweep(ctx, ext, attacks, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simCells := uint64(len(attacks) * len(AttackNRHValues()) * len(attackSweepPolicies(0)))
+	if st.Resumed < simCells || st.Resumed != st.Simulated {
+		t.Fatalf("extension resumed %d of %d simulated cells, want every one (%d sim cells): %+v",
+			st.Resumed, st.Simulated, simCells, st)
+	}
+	ext.Stats = nil
+	want, err := AttackSweep(ctx, ext, attacks, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed extension rows diverged from a cold run:\nresumed: %+v\ncold:    %+v", got, want)
+	}
+	for _, row := range got {
+		if len(row.Forensics) == 0 {
+			t.Fatalf("%s/%d row carries no forensics summaries", row.Attack, row.NRH)
 		}
 	}
 }

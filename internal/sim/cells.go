@@ -104,20 +104,18 @@ func appendSimWorkload(b []byte, cfg Config, wl string) []byte {
 	b = append(append(b, " wl="...), wl...)
 	if cfg.Policy.Mitigation != "" {
 		// Suffix only mitigation keys, so every pre-mitigation store
-		// entry stays warm. Mitigation cells never checkpoint (their
-		// engines refuse Snapshot), but the trajectory key still rides
-		// inside every snapshot as the identity cross-check, so it must
-		// distinguish them all the same.
+		// entry stays warm.
 		b = append(append(b, " mit="...), cfg.Policy.Mitigation...)
 		b = strconv.AppendInt(append(b, " mp="...), int64(cfg.Policy.MitigationParam), 10)
 	}
 	return b
 }
 
-// appendForensicsSuffix marks forensics cells and plan groups.
-// Forensics never perturbs the trajectory, but it adds a summary to the
-// cell payload, so plain and forensics cells must neither share a store
-// entry nor a pass. Only forensics keys carry the suffix, so every
+// appendForensicsSuffix marks forensics cells, trajectories and plan
+// groups. Forensics never perturbs the simulated machine, but it adds a
+// summary to the cell payload and its ledger to every checkpoint, so
+// plain and forensics cells must share neither a store entry, a pass
+// nor a checkpoint. Only forensics keys carry the suffix, so every
 // existing plain-cell store entry stays warm.
 func appendForensicsSuffix(b []byte, fx ForensicsOptions) []byte {
 	if !fx.Enabled {
@@ -137,10 +135,9 @@ func simCellKey(cfg Config, wl string, warmup, measure int) string {
 }
 
 // simCellIDs renders a sim cell's key (see simCellKey) and its planner
-// group: the cell's trajectory key (rendered like trajectoryKey, behind
-// a "sim " tag) plus the forensics mode, which changes the cell payload
-// but not the trajectory. The two differ only in tag and horizons, so
-// the shared fields render once, and both strings share one allocation.
+// group: the cell's trajectory key (rendered like trajectoryKey) behind
+// a "sim " tag. The two differ only in tag and horizons, so the shared
+// fields render once, and both strings share one allocation.
 func simCellIDs(cfg Config, wl string, warmup, measure int) (key, group string) {
 	const keyTag, groupTag = "sim/v2", "sim " + trajectoryTag
 	b := appendSimShape(append(make([]byte, 0, 2*(160+len(wl))), keyTag...), cfg)
@@ -207,15 +204,7 @@ type simPassPayload struct {
 func runSimPass(ctx context.Context, lab *Engine, members []engine.PlanMember, emit func(int, CellResult)) error {
 	first := members[0].Payload.(simPassPayload)
 	cfg, mix := first.cfg, first.mix
-	snaps := lab.snaps
-	if cfg.Forensics.Enabled || cfg.Policy.Mitigation != "" {
-		// The forensics ledger is not part of Snapshot/Restore (a
-		// resumed run would under-count), and zoo-engine tracker state
-		// is not checkpointable (System.Snapshot refuses it), so these
-		// passes run cold — they still coalesce their horizons.
-		snaps = nil
-	}
-	ck := checkpointer{snaps: snaps, interval: lab.snapInterval, key: trajectoryKey(cfg, identify(mix).wl)}
+	ck := checkpointer{snaps: lab.snaps, interval: lab.snapInterval, key: trajectoryKey(cfg, identify(mix).wl)}
 
 	// The members share one machine, so the resume point must not
 	// overshoot any member's horizon: the shortest pending total bounds

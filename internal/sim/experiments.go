@@ -198,8 +198,8 @@ type Options struct {
 	// Forensics runs every simulation cell with the RowHammer forensics
 	// ledger enabled and attaches per-policy forensics summaries to the
 	// results. Purely observational (figures are bit-identical), but
-	// forensics cells are keyed separately and never resume from
-	// checkpoints, so warm plain-cell stores do not serve them.
+	// forensics cells and their checkpoints are keyed separately, so
+	// warm plain-cell stores do not serve them.
 	Forensics bool
 	// ForensicsRecorder additionally arms the DRAM command flight
 	// recorder (implies nothing without Forensics).

@@ -21,8 +21,11 @@ const mergedEventCap = 8192
 // ForensicsOptions selects RowHammer forensics for a simulated system.
 // Forensics hooks are purely observational: the command stream, the
 // scheduler stats, and every figure are bit-identical with them on or
-// off (see TestForensicsDifferential). The cost is memory (a uint32 per
-// DRAM row) and a few counter updates per activation, so it is opt-in.
+// off (see TestForensicsDifferential). The cost is memory (a 12-byte
+// table slot per DRAM row the run has touched, in a table kept at most
+// half full, plus two bits per DRAM row), a few table lookups per
+// activation, and larger checkpoints (the ledger rides in every
+// snapshot), so it is opt-in.
 type ForensicsOptions struct {
 	// Enabled attaches the per-row activation ledger and
 	// mitigation-efficacy tallies.

@@ -89,15 +89,15 @@ func goldenKeyCases(t *testing.T) []goldenKeyCase {
 			name: "builtin-default-spt", cfg: builtin, warmup: 3000, measure: 10000,
 			mix:  workload.Mixes(1, 2, 1)[0].Sources(),
 			sim:  "sim/v2 cores=2 cap=8 ch=1 rk=1 spt=0.32 seed=1 per=2 prev=0 slack=2 nrh=0 warm=3000 meas=10000 wl=povray(0.1,0.4,5,0.25),mcf(60,0.25,1600,0.25)",
-			traj: "traj/v2 cores=2 cap=8 ch=1 rk=1 spt=0.32 seed=1 per=2 prev=0 slack=2 nrh=0 wl=povray(0.1,0.4,5,0.25),mcf(60,0.25,1600,0.25)",
-			grp:  "sim traj/v2 cores=2 cap=8 ch=1 rk=1 spt=0.32 seed=1 per=2 prev=0 slack=2 nrh=0 wl=povray(0.1,0.4,5,0.25),mcf(60,0.25,1600,0.25)",
+			traj: "traj/v3 cores=2 cap=8 ch=1 rk=1 spt=0.32 seed=1 per=2 prev=0 slack=2 nrh=0 wl=povray(0.1,0.4,5,0.25),mcf(60,0.25,1600,0.25)",
+			grp:  "sim traj/v3 cores=2 cap=8 ch=1 rk=1 spt=0.32 seed=1 per=2 prev=0 slack=2 nrh=0 wl=povray(0.1,0.4,5,0.25),mcf(60,0.25,1600,0.25)",
 			alone: []string{
 				"alone/v2 wl=povray(0.1,0.4,5,0.25) seed=1000014 ticks=10000",
 				"alone/v2 wl=mcf(60,0.25,1600,0.25) seed=1007933 ticks=10000",
 			},
 			aloneGrp: []string{
-				"alone alonetraj/v2 wl=povray(0.1,0.4,5,0.25) seed=1000014",
-				"alone alonetraj/v2 wl=mcf(60,0.25,1600,0.25) seed=1007933",
+				"alone alonetraj/v3 wl=povray(0.1,0.4,5,0.25) seed=1000014",
+				"alone alonetraj/v3 wl=mcf(60,0.25,1600,0.25) seed=1007933",
 			},
 		},
 		{
@@ -108,45 +108,45 @@ func goldenKeyCases(t *testing.T) []goldenKeyCase {
 				workload.Profile{Name: "edge", MPKI: 1e20, RowLocality: 5e-324, FootprintMB: 0, WriteFrac: 123456789.125},
 			}},
 			sim:  "sim/v2 cores=3 cap=8 ch=1 rk=1 spt=0.30000000000000004 seed=7 per=1 prev=1 slack=0 nrh=64 warm=0 meas=1 wl=odd(0.30000000000000004,-0,64,NaN),big(1e+21,+Inf,-1,-Inf),edge(1e+20,5e-324,0,1.23456789125e+08)",
-			traj: "traj/v2 cores=3 cap=8 ch=1 rk=1 spt=0.30000000000000004 seed=7 per=1 prev=1 slack=0 nrh=64 wl=odd(0.30000000000000004,-0,64,NaN),big(1e+21,+Inf,-1,-Inf),edge(1e+20,5e-324,0,1.23456789125e+08)",
-			grp:  "sim traj/v2 cores=3 cap=8 ch=1 rk=1 spt=0.30000000000000004 seed=7 per=1 prev=1 slack=0 nrh=64 wl=odd(0.30000000000000004,-0,64,NaN),big(1e+21,+Inf,-1,-Inf),edge(1e+20,5e-324,0,1.23456789125e+08)",
+			traj: "traj/v3 cores=3 cap=8 ch=1 rk=1 spt=0.30000000000000004 seed=7 per=1 prev=1 slack=0 nrh=64 wl=odd(0.30000000000000004,-0,64,NaN),big(1e+21,+Inf,-1,-Inf),edge(1e+20,5e-324,0,1.23456789125e+08)",
+			grp:  "sim traj/v3 cores=3 cap=8 ch=1 rk=1 spt=0.30000000000000004 seed=7 per=1 prev=1 slack=0 nrh=64 wl=odd(0.30000000000000004,-0,64,NaN),big(1e+21,+Inf,-1,-Inf),edge(1e+20,5e-324,0,1.23456789125e+08)",
 			alone: []string{
 				"alone/v2 wl=odd(0.30000000000000004,-0,64,NaN) seed=7000032 ticks=1",
 				"alone/v2 wl=big(1e+21,+Inf,-1,-Inf) seed=7007951 ticks=1",
 				"alone/v2 wl=edge(1e+20,5e-324,0,1.23456789125e+08) seed=7015870 ticks=1",
 			},
 			aloneGrp: []string{
-				"alone alonetraj/v2 wl=odd(0.30000000000000004,-0,64,NaN) seed=7000032",
-				"alone alonetraj/v2 wl=big(1e+21,+Inf,-1,-Inf) seed=7007951",
-				"alone alonetraj/v2 wl=edge(1e+20,5e-324,0,1.23456789125e+08) seed=7015870",
+				"alone alonetraj/v3 wl=odd(0.30000000000000004,-0,64,NaN) seed=7000032",
+				"alone alonetraj/v3 wl=big(1e+21,+Inf,-1,-Inf) seed=7007951",
+				"alone alonetraj/v3 wl=edge(1e+20,5e-324,0,1.23456789125e+08) seed=7015870",
 			},
 		},
 		{
 			name: "attack-trace-mitigation-recorder", cfg: mitigated, warmup: 20000, measure: 60000,
 			mix:  workload.SourceMix{ID: 1, Sources: []workload.Source{atk, tr}},
 			sim:  "sim/v2 cores=2 cap=32 ch=2 rk=2 spt=0.32 seed=1 per=0 prev=0 slack=0 nrh=64 warm=20000 meas=60000 wl=attack(double,ch=0,rk=0,bk=0,v=300,ag=2,ev=9,burst=0,idle=0,dec=0,seq=false;org=1x1x4x4x65536x8192),trace@sha256:2c8aac4f6aa2eb9bb91ebc0b275daecdfa3a858e494bb52b59ee14ea6eac21b4 mit=graphene mp=16 fx=1 fxrec=true",
-			traj: "traj/v2 cores=2 cap=32 ch=2 rk=2 spt=0.32 seed=1 per=0 prev=0 slack=0 nrh=64 wl=attack(double,ch=0,rk=0,bk=0,v=300,ag=2,ev=9,burst=0,idle=0,dec=0,seq=false;org=1x1x4x4x65536x8192),trace@sha256:2c8aac4f6aa2eb9bb91ebc0b275daecdfa3a858e494bb52b59ee14ea6eac21b4 mit=graphene mp=16",
-			grp:  "sim traj/v2 cores=2 cap=32 ch=2 rk=2 spt=0.32 seed=1 per=0 prev=0 slack=0 nrh=64 wl=attack(double,ch=0,rk=0,bk=0,v=300,ag=2,ev=9,burst=0,idle=0,dec=0,seq=false;org=1x1x4x4x65536x8192),trace@sha256:2c8aac4f6aa2eb9bb91ebc0b275daecdfa3a858e494bb52b59ee14ea6eac21b4 mit=graphene mp=16 fx=1 fxrec=true",
+			traj: "traj/v3 cores=2 cap=32 ch=2 rk=2 spt=0.32 seed=1 per=0 prev=0 slack=0 nrh=64 wl=attack(double,ch=0,rk=0,bk=0,v=300,ag=2,ev=9,burst=0,idle=0,dec=0,seq=false;org=1x1x4x4x65536x8192),trace@sha256:2c8aac4f6aa2eb9bb91ebc0b275daecdfa3a858e494bb52b59ee14ea6eac21b4 mit=graphene mp=16 fx=1 fxrec=true",
+			grp:  "sim traj/v3 cores=2 cap=32 ch=2 rk=2 spt=0.32 seed=1 per=0 prev=0 slack=0 nrh=64 wl=attack(double,ch=0,rk=0,bk=0,v=300,ag=2,ev=9,burst=0,idle=0,dec=0,seq=false;org=1x1x4x4x65536x8192),trace@sha256:2c8aac4f6aa2eb9bb91ebc0b275daecdfa3a858e494bb52b59ee14ea6eac21b4 mit=graphene mp=16 fx=1 fxrec=true",
 			alone: []string{
 				"alone/v2 wl=attack(double,ch=0,rk=0,bk=0,v=300,ag=2,ev=9,burst=0,idle=0,dec=0,seq=false;org=1x1x4x4x65536x8192) seed=0 ticks=60000",
 				"alone/v2 wl=trace@sha256:2c8aac4f6aa2eb9bb91ebc0b275daecdfa3a858e494bb52b59ee14ea6eac21b4 seed=0 ticks=60000",
 			},
 			aloneGrp: []string{
-				"alone alonetraj/v2 wl=attack(double,ch=0,rk=0,bk=0,v=300,ag=2,ev=9,burst=0,idle=0,dec=0,seq=false;org=1x1x4x4x65536x8192) seed=0",
-				"alone alonetraj/v2 wl=trace@sha256:2c8aac4f6aa2eb9bb91ebc0b275daecdfa3a858e494bb52b59ee14ea6eac21b4 seed=0",
+				"alone alonetraj/v3 wl=attack(double,ch=0,rk=0,bk=0,v=300,ag=2,ev=9,burst=0,idle=0,dec=0,seq=false;org=1x1x4x4x65536x8192) seed=0",
+				"alone alonetraj/v3 wl=trace@sha256:2c8aac4f6aa2eb9bb91ebc0b275daecdfa3a858e494bb52b59ee14ea6eac21b4 seed=0",
 			},
 		},
 		{
 			name: "forensics-no-recorder", cfg: plainFx, warmup: 100, measure: 200,
 			mix:  workload.SourceMix{Sources: []workload.Source{mcf}},
 			sim:  "sim/v2 cores=1 cap=8 ch=1 rk=1 spt=0.32 seed=1 per=1 prev=2 slack=4 nrh=128 warm=100 meas=200 wl=mcf(60,0.25,1600,0.25) fx=1 fxrec=false",
-			traj: "traj/v2 cores=1 cap=8 ch=1 rk=1 spt=0.32 seed=1 per=1 prev=2 slack=4 nrh=128 wl=mcf(60,0.25,1600,0.25)",
-			grp:  "sim traj/v2 cores=1 cap=8 ch=1 rk=1 spt=0.32 seed=1 per=1 prev=2 slack=4 nrh=128 wl=mcf(60,0.25,1600,0.25) fx=1 fxrec=false",
+			traj: "traj/v3 cores=1 cap=8 ch=1 rk=1 spt=0.32 seed=1 per=1 prev=2 slack=4 nrh=128 wl=mcf(60,0.25,1600,0.25) fx=1 fxrec=false",
+			grp:  "sim traj/v3 cores=1 cap=8 ch=1 rk=1 spt=0.32 seed=1 per=1 prev=2 slack=4 nrh=128 wl=mcf(60,0.25,1600,0.25) fx=1 fxrec=false",
 			alone: []string{
 				"alone/v2 wl=mcf(60,0.25,1600,0.25) seed=1000014 ticks=200",
 			},
 			aloneGrp: []string{
-				"alone alonetraj/v2 wl=mcf(60,0.25,1600,0.25) seed=1000014",
+				"alone alonetraj/v3 wl=mcf(60,0.25,1600,0.25) seed=1000014",
 			},
 		},
 	}

@@ -140,16 +140,19 @@ func TestPlannerDifferential(t *testing.T) {
 }
 
 // TestPlannerDifferentialForensicsAndMitigation extends the differential
-// to the cell kinds that cannot checkpoint: forensics-armed cells and
-// mitigation-zoo policies run their passes cold, but still coalesce and
-// still must match cold straight-through runs exactly.
+// to forensics-armed cells and mitigation-zoo policies, whose ledger and
+// tracker state ride in their checkpoints: a fresh two-horizon sweep
+// coalesces each trajectory into one pass, and extending it to a third,
+// longer horizon resumes every trajectory from its stored checkpoint.
+// Every row, forensics summary included, must match a cold
+// straight-through run exactly.
 func TestPlannerDifferentialForensicsAndMitigation(t *testing.T) {
 	ctx := context.Background()
 	base := DefaultConfig()
 	base.ChipCapacityGbit = 8
 	policies := []RefreshPolicy{BaselinePolicy(), GraphenePolicy(128, 0), RFMPolicy(128, 0)}
 	measures := []int{2000, 4000}
-	opts := Options{Workloads: 1, Cores: 2, Warmup: 1000, Seed: 3, Forensics: true}
+	opts := Options{Workloads: 1, Cores: 2, Warmup: 1000, Seed: 3, Forensics: true, ForensicsRecorder: true}
 
 	var planned EngineStats
 	pOpts := opts
@@ -162,6 +165,21 @@ func TestPlannerDifferentialForensicsAndMitigation(t *testing.T) {
 		t.Fatalf("planner did not engage: %+v", planned)
 	}
 	assertOnePassPerTrajectory(t, planned, assertColdOracle(t, lab, base, policies, opts, measures))
+
+	var extended EngineStats
+	eOpts := opts
+	eOpts.Stats = &extended
+	longer := append(measures, 7000)
+	if _, err := lab.RunPoliciesHorizons(ctx, base, policies, eOpts, longer); err != nil {
+		t.Fatal(err)
+	}
+	// Every simulated cell — the policies' sim cells and the cores'
+	// alone references — resumed instead of starting at tick zero.
+	if extended.Simulated < uint64(len(policies)) || extended.Resumed != extended.Simulated {
+		t.Fatalf("extension resumed %d of %d simulated cells, want all: %+v",
+			extended.Resumed, extended.Simulated, extended)
+	}
+	assertColdOracle(t, lab, base, policies, opts, longer)
 }
 
 // TestPlannerWarmStoreReplay proves one-member and coalesced passes
@@ -395,23 +413,25 @@ func TestDeltaChainBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 12 interval saves: full at 500, deltas to depth 8 at 4500, then a
-	// forced full at 5000 and fresh deltas after it.
-	if err := ck.runTo(ctx, sys, 6000); err != nil {
+	// maxDeltaChain+4 interval saves: full at 500, deltas to the chain
+	// cap, then a forced full and fresh deltas after it.
+	saves := maxDeltaChain + 4
+	end := saves * 500
+	if err := ck.runTo(ctx, sys, end); err != nil {
 		t.Fatal(err)
 	}
 	st := snaps.Stats()
 	fulls := st.Saves - st.DeltaSaves
 	if fulls != 2 {
-		t.Fatalf("want 2 full checkpoints in a 12-save run (chain cap %d), got %d", maxDeltaChain, fulls)
+		t.Fatalf("want 2 full checkpoints in a %d-save run (chain cap %d), got %d", saves, maxDeltaChain, fulls)
 	}
 	// The chain past the forced full restores to a straight run's state.
 	ck2 := &checkpointer{snaps: snaps, interval: 500, key: ck.key}
-	tip, ok := snaps.Load(ck.key, 6000)
+	tip, ok := snaps.Load(ck.key, end)
 	if !ok {
-		t.Fatal("chain tip at tick 6000 not stored")
+		t.Fatalf("chain tip at tick %d not stored", end)
 	}
-	sys2, depth, err := ck2.restoreChain(cfg, mix, 6000, tip)
+	sys2, depth, err := ck2.restoreChain(cfg, mix, end, tip)
 	if err != nil || depth != 2 {
 		t.Fatalf("restore across the forced-full boundary = (depth %d, err %v), want depth 2", depth, err)
 	}
@@ -419,7 +439,7 @@ func TestDeltaChainBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.RunTo(ctx, 6000); err != nil {
+	if err := ref.RunTo(ctx, end); err != nil {
 		t.Fatal(err)
 	}
 	a, err := sys2.Snapshot()
@@ -436,114 +456,173 @@ func TestDeltaChainBounded(t *testing.T) {
 }
 
 // TestDeltaSnapshotPreSized pins the pre-sizing contract for both
-// checkpoint formats: the encoder's buffer is sized up front (encoded
-// bytes never exceed SnapshotSize / SnapshotDeltaSize, which follow the
-// LLC's occupied and touched line counts) and encoding allocates only
-// the writer and its buffer — zero growth reallocations.
+// checkpoint formats, on a plain system and on attack cells (Graphene
+// with the forensics ledger and flight recorder, RFM with the ledger
+// alone): the encoder's buffer
+// is sized up front (encoded bytes never exceed SnapshotSize /
+// SnapshotDeltaSize, which follow the occupied and touched LLC lines
+// and ledger rows), the buffer a checkpoint
+// retains is at most maxSnapshotSlack times its length (the store keeps
+// it as is, and accounts its capacity), and encoding allocates only the
+// writer and its buffer — zero growth reallocations.
 func TestDeltaSnapshotPreSized(t *testing.T) {
 	ctx := context.Background()
-	cfg := DefaultConfig()
-	cfg.Cores = 4
-	cfg.ChipCapacityGbit = 8
-	cfg.Seed = 1
-	cfg.Policy = BaselinePolicy()
-	mix := workload.Mixes(1, 4, 1)[0].Sources()
-	sys, err := NewSystem(cfg, mix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.RunTo(ctx, 3000); err != nil {
-		t.Fatal(err)
-	}
-	sys.ResetTouchedLines()
-	if err := sys.RunTo(ctx, 4000); err != nil {
-		t.Fatal(err)
-	}
-	formats := []struct {
-		name   string
-		bound  int
-		encode func() ([]byte, error)
+	plain := DefaultConfig()
+	plain.Cores = 4
+	plain.Policy = BaselinePolicy()
+	graphene := DefaultConfig()
+	graphene.Policy = GraphenePolicy(64, 0)
+	graphene.Forensics = ForensicsOptions{Enabled: true, Recorder: true}
+	rfm := DefaultConfig()
+	rfm.Policy = RFMPolicy(64, 0)
+	rfm.Forensics = ForensicsOptions{Enabled: true}
+	for _, c := range []struct {
+		name       string
+		cfg        Config
+		base, tick int
 	}{
-		{"full", sys.SnapshotSize(), sys.Snapshot},
-		{"delta", sys.SnapshotDeltaSize(), func() ([]byte, error) { return sys.SnapshotDelta(3000, 1) }},
-	}
-	for _, f := range formats {
-		data, err := f.encode()
+		{"plain", plain, 3000, 4000},
+		{"attack-graphene-recorder", graphene, 30000, 40000},
+		{"attack-rfm-forensics", rfm, 30000, 40000},
+	} {
+		cfg := c.cfg
+		cfg.ChipCapacityGbit = 8
+		cfg.Seed = 1
+		mix := workload.Mixes(1, cfg.Cores, 1)[0].Sources()
+		if cfg.Forensics.Enabled {
+			var err error
+			if mix, err = attackMix("double", OrgFor(cfg), mix); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sys, err := NewSystem(cfg, mix)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(data) > f.bound {
-			t.Fatalf("%s: encoded %d bytes, pre-size bound %d", f.name, len(data), f.bound)
+		if err := sys.RunTo(ctx, c.base); err != nil {
+			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := f.encode(); err != nil {
+		sys.ResetTouchedLines()
+		if err := sys.RunTo(ctx, c.tick); err != nil {
+			t.Fatal(err)
+		}
+		formats := []struct {
+			name   string
+			bound  int
+			encode func() ([]byte, error)
+		}{
+			{"full", sys.SnapshotSize(), sys.Snapshot},
+			{"delta", sys.SnapshotDeltaSize(), func() ([]byte, error) { return sys.SnapshotDelta(c.base, 1) }},
+		}
+		for _, f := range formats {
+			data, err := f.encode()
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs > 2 {
-			t.Fatalf("%s: encode allocated %v times, want <= 2 (writer + pre-sized buffer)", f.name, allocs)
+			if len(data) > f.bound {
+				t.Fatalf("%s %s: encoded %d bytes, pre-size bound %d", c.name, f.name, len(data), f.bound)
+			}
+			if float64(cap(data)) > maxSnapshotSlack*float64(len(data)) {
+				t.Fatalf("%s %s: %d-byte checkpoint retains a %d-byte buffer, over %.2fx",
+					c.name, f.name, len(data), cap(data), maxSnapshotSlack)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := f.encode(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 2 {
+				t.Fatalf("%s %s: encode allocated %v times, want <= 2 (writer + pre-sized buffer)", c.name, f.name, allocs)
+			}
 		}
 	}
 }
+
+// maxSnapshotSlack bounds a checkpoint's retained capacity against its
+// encoded length.
+const maxSnapshotSlack = 1.25
 
 // FuzzDeltaSnapshotDecode holds the delta-apply path to the clean-miss
 // contract: corrupt, truncated, or mis-chained delta checkpoints are
 // rejected with an error — never a panic, never silently wrong state —
 // and any delta that does apply yields a machine that survives running.
+// Seeds cover every system of fuzzSnapshotSystems (the zoo engines, the
+// forensics ledger and recorder, and the attacker stream), with ledger
+// bytes corrupted and truncated.
 func FuzzDeltaSnapshotDecode(f *testing.F) {
-	cfg, mix := fuzzSnapshotConfig()
-	sys, err := NewSystem(cfg, mix)
-	if err != nil {
-		f.Fatal(err)
+	systems := fuzzSnapshotSystems(f)
+	bases := make([][]byte, len(systems)) // trusted bases at tick 6000
+	for i, fs := range systems {
+		sys, err := NewSystem(fs.cfg, fs.mix)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := sys.RunTo(context.Background(), 6000); err != nil {
+			f.Fatal(err)
+		}
+		base, err := sys.Snapshot()
+		if err != nil {
+			f.Fatal(err)
+		}
+		bases[i] = base
+		sys.ResetTouchedLines()
+		if err := sys.RunTo(context.Background(), 9000); err != nil {
+			f.Fatal(err)
+		}
+		delta, err := sys.SnapshotDelta(6000, 1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(delta)
+		f.Add(delta[:len(delta)/2])
+		f.Add(corruptSeeds(delta, len(delta)/3)[0])
+		if i == 0 {
+			mischained, err := sys.SnapshotDelta(4500, 2) // base tick no restored machine sits at
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(mischained)
+			f.Add([]byte(deltaMagic))
+			for _, old := range legacyDeltaMagics {
+				f.Add(withMagic(delta, old))
+			}
+			continue
+		}
+		end := ledgerEnd(sys, delta)
+		f.Add(delta[:end-2])
+		for _, mut := range corruptSeeds(delta, end-1, end-4, end-9, end-30) {
+			f.Add(mut)
+		}
 	}
-	if err := sys.RunTo(context.Background(), 600); err != nil {
-		f.Fatal(err)
-	}
-	base, err := sys.Snapshot()
-	if err != nil {
-		f.Fatal(err)
-	}
-	sys.ResetTouchedLines()
-	if err := sys.RunTo(context.Background(), 900); err != nil {
-		f.Fatal(err)
-	}
-	delta, err := sys.SnapshotDelta(600, 1)
-	if err != nil {
-		f.Fatal(err)
-	}
-	mischained, err := sys.SnapshotDelta(450, 2) // base tick no restored machine sits at
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(delta)
-	f.Add(delta[:len(delta)/2])
-	f.Add(mischained)
-	f.Add([]byte(deltaMagic))
-	mut := append([]byte(nil), delta...)
-	mut[len(mut)/3] ^= 0x40
-	f.Add(mut)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Real deltas for this config are a few KB; cap mutator-grown
+		// Real deltas for these configs are tens of KB; cap mutator-grown
 		// inputs so each exec stays fast (decode work is input-bounded
 		// but a multi-MB queue section decodes in ordered-insert time).
-		if len(data) > 64<<10 {
+		if len(data) > 256<<10 {
 			return
 		}
 		// Header validation is the cheap gate most hostile inputs die at;
-		// only header-valid deltas pay for restoring the trusted base.
-		if _, _, _, _, err := readDeltaHeader(data); err != nil {
-			return // clean miss
-		}
-		s, err := RestoreSystem(cfg, mix, base) // trusted base at tick 600
+		// only header-valid deltas of a known trajectory pay for
+		// restoring its trusted base.
+		key, _, _, _, err := readDeltaHeader(data)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := applySystemDelta(s, data); err != nil {
 			return // clean miss
 		}
-		// A delta that passed validation must be safe to simulate.
-		for i := 0; i < 64; i++ {
-			s.Tick()
+		for i, fs := range systems {
+			if trajectoryKey(fs.cfg, identify(fs.mix).wl) != key {
+				continue
+			}
+			s, err := RestoreSystem(fs.cfg, fs.mix, bases[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := applySystemDelta(s, data); err != nil {
+				return // clean miss
+			}
+			// A delta that passed validation must be safe to simulate.
+			for i := 0; i < 64; i++ {
+				s.Tick()
+			}
 		}
 	})
 }

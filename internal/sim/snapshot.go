@@ -10,29 +10,36 @@ import (
 	"hira/internal/workload"
 )
 
-// snapshotMagic identifies version 3 of the full System snapshot
+// snapshotMagic identifies version 4 of the full System snapshot
 // format: a header-extractable mark section (the cumulative scheduler
-// counters and per-core retirement counts), so a past-warmup resume
-// reads its warmup mark straight from the header instead of restoring a
-// full second System, then every layer's state, with the LLC written as
-// a delta against an empty cache (only its occupied lines). The
-// composite format is versioned as a whole: any structural change to a
-// layer's codec bumps this string, and the trajectory tags with it.
-const snapshotMagic = "HIRASYS3"
+// counters, per-core retirement counts and, for forensics systems, the
+// forensics tally), so a past-warmup resume reads its warmup mark
+// straight from the header instead of restoring a full second System,
+// then every layer's state — the refresh engine whichever it is, and
+// the forensics ledger when enabled — with the LLC written as a delta
+// against an empty cache (only its occupied lines) and the ledger as
+// its nonzero rows. The composite format is versioned as a whole: any
+// structural change to a layer's codec bumps this string, deltaMagic
+// and the trajectory tags with it.
+const snapshotMagic = "HIRASYS4"
 
-// deltaMagic identifies version 1 of the differential snapshot format:
+// deltaMagic identifies version 2 of the differential snapshot format:
 // the full snapshot's header (trajectory key, tick, mark section) plus
 // the chain linkage (base tick, chain depth), then every small state
-// block in full and only the LLC lines touched since the base
-// checkpoint. A delta restores by applying it on top of its base's
-// restored state.
-const deltaMagic = "HIRADLT1"
+// block in full and only the LLC lines, ledger rows and recorder events
+// touched since the base checkpoint. A delta restores by applying it on
+// top of its base's restored state.
+const deltaMagic = "HIRADLT2"
 
 // maxDeltaChain bounds how many deltas may chain atop one full
 // snapshot before the writer is forced to emit a full one (and the
 // reader rejects longer chains as corrupt). It caps both restore cost
-// and the blast radius of a lost base.
-const maxDeltaChain = 8
+// and the blast radius of a lost base. A full snapshot carries every
+// occupied LLC line, so late in a run one costs as much as several
+// deltas; 16 links let a figure-length trajectory at hira-server's
+// 10k-tick interval (15 interval saves to 150k ticks) chain off its
+// first, nearly empty full snapshot.
+const maxDeltaChain = 16
 
 // maxSnapshotBytes bounds how large a snapshot RestoreSystem will look
 // at, so a mislabeled or hostile checkpoint cannot exhaust memory. Real
@@ -44,71 +51,83 @@ const maxSnapshotBytes = 64 << 20
 // groups). It moves with snapshotMagic, so checkpoints in an older
 // format live under other keys and are never looked up: a stale file
 // indexed at the same tick would otherwise block the new format's save.
-const trajectoryTag = "traj/v2"
+const trajectoryTag = "traj/v3"
 
 // trajectoryKey names a simulation's state trajectory: every input that
-// shapes the machine's evolution — system shape, refresh policy
-// behavior, per-core workload identities wl (mixIdentity.wl), and seed —
-// but, unlike simCellKey, not the warmup/measure horizons. Two cells
-// that differ only in tick counts walk the same trajectory, so a
-// checkpoint taken at tick T under this key resumes any of them. The
-// fields are rendered by simCellKey's renderers, appendSimShape and
-// appendSimWorkload, with the horizons left out.
+// shapes the machine's state — system shape, refresh policy behavior,
+// per-core workload identities wl (mixIdentity.wl), seed, and the
+// forensics mode (the ledger never perturbs the simulated machine, but
+// its state rides in the checkpoint, so forensics-on and forensics-off
+// runs must never share one) — but, unlike simCellKey, not the
+// warmup/measure horizons. Two cells that differ only in tick counts
+// walk the same trajectory, so a checkpoint taken at tick T under this
+// key resumes any of them. The fields are rendered by simCellKey's
+// renderers, appendSimShape, appendSimWorkload and
+// appendForensicsSuffix, with the horizons left out.
 func trajectoryKey(cfg Config, wl string) string {
 	b := appendSimShape(append(make([]byte, 0, 160+len(wl)), trajectoryTag...), cfg)
-	return string(appendSimWorkload(b, cfg, wl))
-}
-
-// checkpointableEngine is the capability Snapshot and RestoreSystem
-// require of the refresh engine. The HiRA-MC engine implements it; the
-// mitigation zoo engines deliberately do not (their tracker state is
-// transient by design), so systems running them simulate from tick zero.
-type checkpointableEngine interface {
-	Snapshot(w *snap.Writer)
-	Restore(r *snap.Reader, now dram.Time) error
+	return string(appendForensicsSuffix(appendSimWorkload(b, cfg, wl), cfg.Forensics))
 }
 
 // Snapshot serializes the machine's complete mutable state — cores and
-// their workload stream positions, LLC, memory controller, refresh
-// engine, and system-level carry state — into a versioned binary
-// checkpoint. Restoring it with RestoreSystem yields a system whose
-// subsequent commands, stats, and IPC are bit-identical to this one's
-// (see TestResumeEquivalence). It fails only when a core runs a custom
-// workload stream that does not support position snapshots.
+// their workload stream positions, LLC, memory controller, forensics
+// ledger, refresh engine, and system-level carry state — into a
+// versioned binary checkpoint. Restoring it with RestoreSystem yields a
+// system whose subsequent commands, stats, and IPC are bit-identical to
+// this one's (see TestResumeEquivalence). It fails only when a core
+// runs a custom workload stream that does not support position
+// snapshots.
 func (s *System) Snapshot() ([]byte, error) {
-	ce, ok := s.engine.(checkpointableEngine)
-	if !ok {
-		return nil, fmt.Errorf("sim: refresh engine %T is not checkpointable", s.engine)
-	}
 	w := snap.NewWriterSize(s.SnapshotSize())
-	w.Raw([]byte(snapshotMagic))
-	w.String(s.trajKey())
-	w.Int(s.ticksRun)
-	s.snapshotMark(w)
-	if err := s.snapshotBody(w, ce, false); err != nil {
+	if err := s.encode(w, false, 0, 0, false); err != nil {
 		return nil, err
 	}
 	return w.Bytes(), nil
 }
 
-// snapshotMark appends the header mark section: the 14 cumulative
-// scheduler counters (via the controller codec) and each core's
-// retirement count — exactly the state mark()/resultSince need at a
-// warmup boundary. The forensics tally is deliberately absent: cells
-// with forensics enabled never checkpoint (runSimPass disables the
-// snapshot store for them), so every stored snapshot's tally is zero.
-func (s *System) snapshotMark(w *snap.Writer) {
-	sched.SnapshotStats(w, s.ctrl.Stats)
-	w.Len(len(s.cores))
-	for _, c := range s.cores {
-		w.U64(c.Retired)
+// SnapshotDelta serializes a differential checkpoint against the
+// trajectory's previous checkpoint at baseTick: the full snapshot's
+// header and every small state block in full, but only the LLC lines
+// and ledger rows touched since that checkpoint rather than every
+// occupied one, so a delta's size tracks the interval's working set.
+// depth is the delta's position in its chain (1 = directly atop a full
+// snapshot); callers must force a full snapshot once depth would
+// exceed maxDeltaChain. The caller owns the touched-state epoch: it
+// must ResetTouchedLines only after the delta is durably saved.
+func (s *System) SnapshotDelta(baseTick, depth int) ([]byte, error) {
+	if baseTick < 0 || baseTick >= s.ticksRun {
+		return nil, fmt.Errorf("sim: delta base tick %d not before tick %d", baseTick, s.ticksRun)
 	}
+	if depth < 1 || depth > maxDeltaChain {
+		return nil, fmt.Errorf("sim: delta chain depth %d out of range", depth)
+	}
+	w := snap.NewWriterSize(s.encodedSize(true, baseTick, depth))
+	if err := s.encode(w, true, baseTick, depth, false); err != nil {
+		return nil, err
+	}
+	return w.Bytes(), nil
 }
 
-// snapshotBody appends everything after the header: carry state,
-// buffered writebacks, cores, LLC (full or touched-lines delta),
-// controller, and refresh engine.
-func (s *System) snapshotBody(w *snap.Writer, ce checkpointableEngine, llcDelta bool) error {
+// encode writes a full snapshot, or (delta) a differential one chained
+// to baseTick at depth: the header — magic, trajectory key, tick, mark
+// section, and a delta's chain linkage — then carry state, buffered
+// writebacks, cores, LLC (full or touched lines), controller, forensics
+// ledger (full or touched rows), and refresh engine. With sizing set it
+// leaves out the LLC and forensics sections, whose sizes their layers
+// compute without encoding (see encodedSize).
+func (s *System) encode(w *snap.Writer, delta bool, baseTick, depth int, sizing bool) error {
+	if delta {
+		w.Raw([]byte(deltaMagic))
+	} else {
+		w.Raw([]byte(snapshotMagic))
+	}
+	w.String(s.trajKey())
+	w.Int(s.ticksRun)
+	s.snapshotMark(w)
+	if delta {
+		w.Int(baseTick)
+		w.Int(depth)
+	}
 	w.F64(s.instrBudget)
 	for _, b := range s.blocked {
 		w.Bool(b)
@@ -128,86 +147,75 @@ func (s *System) snapshotBody(w *snap.Writer, ce checkpointableEngine, llcDelta 
 			return err
 		}
 	}
-	if llcDelta {
-		s.llc.SnapshotDelta(w)
-	} else {
-		s.llc.Snapshot(w)
+	if !sizing {
+		if delta {
+			s.llc.SnapshotDelta(w)
+		} else {
+			s.llc.Snapshot(w)
+		}
 	}
 	s.ctrl.Snapshot(w)
-	ce.Snapshot(w)
+	if !sizing {
+		s.ctrl.SnapshotForensics(w, delta)
+	}
+	s.engine.Snapshot(w)
 	return nil
 }
 
-// SnapshotDelta serializes a differential checkpoint against the
-// trajectory's previous checkpoint at baseTick: the full snapshot's
-// header and every small state block in full, but only the LLC lines
-// touched since that checkpoint rather than every occupied one, so a
-// delta's size tracks the interval's working set. depth is
-// the delta's position in its chain (1 = directly atop a full
-// snapshot); callers must force a full snapshot once depth would
-// exceed maxDeltaChain. The caller owns the touched-line epoch: it
-// must ResetTouched only after the delta is durably saved.
-func (s *System) SnapshotDelta(baseTick, depth int) ([]byte, error) {
-	ce, ok := s.engine.(checkpointableEngine)
-	if !ok {
-		return nil, fmt.Errorf("sim: refresh engine %T is not checkpointable", s.engine)
+// snapshotMark appends the header mark section: the 14 cumulative
+// scheduler counters (via the controller codec), each core's retirement
+// count and, behind a presence flag, the forensics tally — exactly the
+// state mark()/resultSince need at a warmup boundary.
+func (s *System) snapshotMark(w *snap.Writer) {
+	sched.SnapshotStats(w, s.ctrl.Stats)
+	w.Len(len(s.cores))
+	for _, c := range s.cores {
+		w.U64(c.Retired)
 	}
-	if baseTick < 0 || baseTick >= s.ticksRun {
-		return nil, fmt.Errorf("sim: delta base tick %d not before tick %d", baseTick, s.ticksRun)
+	w.Bool(s.ctrl.ForensicsEnabled())
+	if s.ctrl.ForensicsEnabled() {
+		sched.SnapshotForensicsTally(w, s.ctrl.ForensicsTallyNow())
 	}
-	if depth < 1 || depth > maxDeltaChain {
-		return nil, fmt.Errorf("sim: delta chain depth %d out of range", depth)
-	}
-	w := snap.NewWriterSize(s.SnapshotDeltaSize())
-	w.Raw([]byte(deltaMagic))
-	w.String(s.trajKey())
-	w.Int(s.ticksRun)
-	s.snapshotMark(w)
-	w.Int(baseTick)
-	w.Int(depth)
-	if err := s.snapshotBody(w, ce, true); err != nil {
-		return nil, err
-	}
-	return w.Bytes(), nil
 }
 
 // ResetTouchedLines starts a new differential-checkpoint epoch: the
-// next SnapshotDelta encodes only LLC lines touched from here on.
-// Callers reset exactly when a checkpoint of the current state is
-// durably stored (that checkpoint is the next delta's base).
-func (s *System) ResetTouchedLines() { s.llc.ResetTouched() }
-
-// SnapshotSize returns an upper bound on Snapshot's encoded size for
-// the current state, so the encoder pre-sizes its buffer and never pays
-// a growth reallocation.
-func (s *System) SnapshotSize() int { return s.encodedSize(s.llc.SnapshotSize()) }
-
-// SnapshotDeltaSize is SnapshotSize for SnapshotDelta.
-func (s *System) SnapshotDeltaSize() int { return s.encodedSize(s.llc.SnapshotDeltaSize()) }
-
-// encodedSize bounds a full or delta snapshot whose LLC section is at
-// most llcBytes long; the delta's chain linkage is counted for both.
-func (s *System) encodedSize(llcBytes int) int {
-	n := len(deltaMagic) + 10 + len(s.trajKey()) // magic + key
-	n += 10 + 14*10 + 10 + 10*len(s.cores)       // tick + mark section
-	n += 10 + 10 + 10 + len(s.blocked)           // chain linkage + budget + blocked
-	n += 10 + 60*s.wb.len()                      // buffered writebacks
-	for _, c := range s.cores {
-		n += c.SnapshotSize()
-	}
-	n += llcBytes
-	n += s.ctrl.SnapshotSize()
-	if se, ok := s.engine.(interface{ SnapshotSize() int }); ok {
-		n += se.SnapshotSize()
-	} else {
-		n += 1 << 16
-	}
-	return n
+// next SnapshotDelta encodes only LLC lines, ledger rows and recorder
+// events touched from here on. Callers reset exactly when a checkpoint
+// of the current state is durably stored (that checkpoint is the next
+// delta's base).
+func (s *System) ResetTouchedLines() {
+	s.llc.ResetTouched()
+	s.ctrl.ResetForensicsTouched()
 }
 
-// aloneMagic identifies version 2 of the alone-run snapshot format,
-// whose LLC section carries only occupied lines (see snapshotMagic).
-const aloneMagic = "HIRAALN2"
+// SnapshotSize returns Snapshot's encoded size for the current state
+// (an upper bound only through the ledger's index gaps), so the encoder
+// pre-sizes its buffer exactly: it never pays a growth reallocation,
+// and the buffer a checkpoint store retains is not slack.
+func (s *System) SnapshotSize() int { return s.encodedSize(false, 0, 0) }
+
+// SnapshotDeltaSize is SnapshotSize for SnapshotDelta, with the chain
+// linkage costed at its widest.
+func (s *System) SnapshotDeltaSize() int { return s.encodedSize(true, s.ticksRun, maxDeltaChain) }
+
+// encodedSize sizes a full or delta snapshot: the small state blocks by
+// encoding them into a reused scratch writer (a few KB, and exact by
+// construction), the LLC and forensics sections — the ones that scale
+// with the run's footprint — by their layers' size functions.
+func (s *System) encodedSize(delta bool, baseTick, depth int) int {
+	s.sizer.Reset()
+	s.encode(&s.sizer, delta, baseTick, depth, true) // an error resurfaces from the real encode
+	n := len(s.sizer.Bytes()) + s.ctrl.ForensicsSnapshotSize(delta)
+	if delta {
+		return n + s.llc.SnapshotDeltaSize()
+	}
+	return n + s.llc.SnapshotSize()
+}
+
+// aloneMagic identifies version 3 of the alone-run snapshot format,
+// whose LLC section carries only occupied lines, each with its LRU rank
+// in its set (see cache.Snapshot).
+const aloneMagic = "HIRAALN3"
 
 // aloneTrajectoryKey names an alone-IPC reference run's trajectory: its
 // workload identity (the source's Key) and seed, horizon-free for the
@@ -219,7 +227,7 @@ func aloneTrajectoryKey(srcKey string, seed uint64) string {
 // aloneTrajectoryTag versions alone trajectory keys (and, behind
 // "alone ", alone plan groups). It moves with aloneMagic, for the
 // reason trajectoryTag moves with snapshotMagic.
-const aloneTrajectoryTag = "alonetraj/v2"
+const aloneTrajectoryTag = "alonetraj/v3"
 
 // appendAloneKey renders the fields alone-cell and alone-trajectory keys
 // share after tag: the workload identity and the seed.
@@ -231,9 +239,14 @@ func appendAloneKey(b []byte, tag, srcKey string, seed uint64) []byte {
 // Snapshot serializes the alone-run's state: carry budget, core (with
 // its stream position), LLC, and in-flight fixed-latency loads.
 func (a *aloneRun) Snapshot() ([]byte, error) {
-	// Pre-sized: magic + key + tick + budget, core, LLC, in-flight loads.
+	// Pre-sized: magic + key + tick + budget, core (measured by encoding
+	// it into a scratch writer), LLC, in-flight loads.
+	var core snap.Writer
+	if err := a.c.Snapshot(&core); err != nil {
+		return nil, err
+	}
 	w := snap.NewWriterSize(len(aloneMagic) + 10 + len(a.key) + 10 + 8 +
-		a.c.SnapshotSize() + a.mem.llc.SnapshotSize() + 10 + 20*len(a.mem.inflight))
+		len(core.Bytes()) + a.mem.llc.SnapshotSize() + 10 + 20*len(a.mem.inflight))
 	w.Raw([]byte(aloneMagic))
 	w.String(a.key)
 	w.Int(a.tick)
@@ -312,14 +325,22 @@ func RestoreSystem(cfg Config, mix workload.SourceMix, data []byte) (*System, er
 	if !hasMagic(data, snapshotMagic) {
 		return nil, fmt.Errorf("sim: not a %s snapshot", snapshotMagic)
 	}
+	// Check the identity before building the machine: a foreign
+	// checkpoint costs a key comparison, not a multi-MB System.
+	r := snap.NewReader(data[len(snapshotMagic):])
+	key := r.String()
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	want := trajectoryKey(cfg, identify(mix).wl)
+	if key != want {
+		return nil, fmt.Errorf("sim: snapshot is for a different trajectory (%q)", key)
+	}
 	s, err := NewSystem(cfg, mix)
 	if err != nil {
 		return nil, err
 	}
-	r := snap.NewReader(data[len(snapshotMagic):])
-	if key := r.String(); key != s.trajKey() {
-		return nil, fmt.Errorf("sim: snapshot is for a different trajectory (%q)", key)
-	}
+	s.trajKeyMemo = want
 	s.ticksRun = r.Int()
 	if _, err := readMarkSection(r, cfg.Cores); err != nil {
 		return nil, err
@@ -341,7 +362,9 @@ const maxMarkCores = 4096
 
 // readMarkSection reads the header mark section written by
 // snapshotMark. cores is the expected core count; pass -1 to skip
-// validation (header-only parses that don't know the shape yet).
+// validation (header-only parses that don't know the shape yet). The
+// forensics presence flag is cross-checked against the system by the
+// body decoder, which re-reads the same state from the ledger section.
 func readMarkSection(r *snap.Reader, cores int) (runMark, error) {
 	m := runMark{sched: sched.RestoreStats(r)}
 	n := r.Len(maxMarkCores, 1)
@@ -356,13 +379,17 @@ func readMarkSection(r *snap.Reader, cores int) (runMark, error) {
 	for i := range m.retired {
 		m.retired[i] = r.U64()
 	}
+	if r.Bool() {
+		m.forensics = sched.RestoreForensicsTally(r)
+	}
 	return m, r.Err()
 }
 
 // readSnapshotMark decodes only the header of a full or delta
 // snapshot: its trajectory key, tick, and mark. This is what makes a
-// past-warmup resume cheap: the warmup mark is 14 counters plus per-core
-// retirement counts, not a second restored System.
+// past-warmup resume cheap: the warmup mark is 14 counters, per-core
+// retirement counts and the forensics tally, not a second restored
+// System.
 func readSnapshotMark(data []byte, cores int) (key string, tick int, m runMark, err error) {
 	if len(data) > maxSnapshotBytes {
 		return "", 0, runMark{}, fmt.Errorf("sim: snapshot exceeds the %d-byte limit", maxSnapshotBytes)
@@ -451,10 +478,10 @@ func applySystemDelta(s *System, data []byte) error {
 }
 
 // restoreBody reads everything snapshotBody wrote, validating each
-// block; s.ticksRun must already hold the snapshot's tick. When
-// llcDelta is set the LLC section is a touched-lines delta applied on
-// top of the LLC's current (base) state.
-func (s *System) restoreBody(r *snap.Reader, llcDelta bool) error {
+// block; s.ticksRun must already hold the snapshot's tick. When delta
+// is set the LLC and ledger sections are touched-state deltas applied
+// on top of the current (base) state.
+func (s *System) restoreBody(r *snap.Reader, delta bool) error {
 	cfg := s.cfg
 	// The controller clock advances exactly one tCK per tick; a snapshot
 	// violating that is corrupt (and huge tick counts would overflow the
@@ -503,7 +530,7 @@ func (s *System) restoreBody(r *snap.Reader, llcDelta bool) error {
 			return err
 		}
 	}
-	if llcDelta {
+	if delta {
 		if err := s.llc.ApplyDelta(r); err != nil {
 			return err
 		}
@@ -515,15 +542,14 @@ func (s *System) restoreBody(r *snap.Reader, llcDelta bool) error {
 	if err := s.ctrl.Restore(r, cfg.Cores); err != nil {
 		return err
 	}
+	if err := s.ctrl.RestoreForensics(r, delta); err != nil {
+		return err
+	}
 	if s.ctrl.Now() != dram.Time(s.ticksRun)*s.timing.TCK {
 		return fmt.Errorf("sim: snapshot clock %v disagrees with tick count %d",
 			s.ctrl.Now(), s.ticksRun)
 	}
-	ce, ok := s.engine.(checkpointableEngine)
-	if !ok {
-		return fmt.Errorf("sim: refresh engine %T is not checkpointable", s.engine)
-	}
-	if err := ce.Restore(r, s.ctrl.Now()); err != nil {
+	if err := s.engine.Restore(r, s.ctrl.Now()); err != nil {
 		return err
 	}
 	r.Done()

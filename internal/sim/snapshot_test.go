@@ -3,43 +3,88 @@ package sim
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"hira/internal/dram"
+	"hira/internal/snap"
 	"hira/internal/workload"
 )
+
+// resumeCase is one system shape TestResumeEquivalence checkpoints: a
+// refresh policy, the forensics mode, and whether core 0 runs a
+// double-sided attacker instead of its benign workload.
+type resumeCase struct {
+	name      string
+	policy    RefreshPolicy
+	forensics ForensicsOptions
+	attacker  bool
+}
+
+// resumeCases covers the six figure policy shapes (ideal, conventional
+// REF, periodic HiRA at two slacks, PARA, and PARA+HiRA), the mitigation
+// zoo, and the attack-sweep shapes: forensics with and without the
+// flight recorder, each under an attacker core. (At these horizons the
+// hammer stays below the recorder's trigger, so only its pre-trigger
+// ring is in play here; TestForensicsSnapshotDeltaChain restores a
+// recorder holding events.)
+func resumeCases() []resumeCase {
+	fx := ForensicsOptions{Enabled: true}
+	rec := ForensicsOptions{Enabled: true, Recorder: true}
+	baseNRH := BaselinePolicy()
+	baseNRH.NRH = 64
+	return []resumeCase{
+		{name: "NoRefresh", policy: NoRefreshPolicy()},
+		{name: "Baseline", policy: BaselinePolicy()},
+		{name: "HiRA-2", policy: HiRAPeriodicPolicy(2)},
+		{name: "HiRA-8", policy: HiRAPeriodicPolicy(8)},
+		{name: "PARA", policy: PARAPolicy(256)},
+		{name: "HiRA-4", policy: PARAHiRAPolicy(256, 4)}, // PARA+HiRA, under its policy name
+		{name: "Graphene", policy: GraphenePolicy(128, 0)},
+		{name: "RFM", policy: RFMPolicy(128, 0)},
+		{name: "attack-Baseline-forensics", policy: baseNRH, forensics: fx, attacker: true},
+		{name: "attack-PARA-forensics", policy: PARAPolicy(64), forensics: fx, attacker: true},
+		{name: "attack-Graphene-forensics", policy: GraphenePolicy(64, 0), forensics: fx, attacker: true},
+		{name: "attack-RFM-recorder", policy: RFMPolicy(64, 0), forensics: rec, attacker: true},
+	}
+}
+
+// mix returns the case's workload mix for cfg's organization.
+func (c resumeCase) mix(t testing.TB, cfg Config) workload.SourceMix {
+	mix := workload.Mixes(1, cfg.Cores, 5)[0].Sources()
+	if !c.attacker {
+		return mix
+	}
+	atk, err := attackMix("double", OrgFor(cfg), mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return atk
+}
 
 // TestResumeEquivalence proves the Snapshot/Restore tentpole guarantee:
 // snapshotting a system at an arbitrary tick, restoring it, and running
 // on is bit-identical to the straight-through run — same command stream,
-// same cumulative stats, same measured-phase result — across all six
-// figure policy shapes (ideal, conventional REF, periodic HiRA at two
-// slacks, PARA, and PARA+HiRA), with snapshot points both inside the
-// warmup and inside the measured phase. Snapshots are in the current
-// format, whose LLC section carries only occupied lines.
+// same cumulative stats, same measured-phase result, forensics summary
+// included — across every case of resumeCases, with snapshot points
+// both inside the warmup and inside the measured phase. Snapshots are
+// in the current format, whose LLC section carries only occupied lines.
 func TestResumeEquivalence(t *testing.T) {
-	policies := []RefreshPolicy{
-		NoRefreshPolicy(),
-		BaselinePolicy(),
-		HiRAPeriodicPolicy(2),
-		HiRAPeriodicPolicy(8),
-		PARAPolicy(256),
-		PARAHiRAPolicy(256, 4),
-	}
 	warmup, measure := 3000, 9000
 	if testing.Short() {
 		warmup, measure = 1000, 4000
 	}
-	mix := workload.Mixes(1, 4, 5)[0].Sources()
-	for _, pol := range policies {
-		pol := pol
-		t.Run(pol.Name, func(t *testing.T) {
+	for _, tc := range resumeCases() {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := DefaultConfig()
 			cfg.Cores = 4
 			cfg.ChipCapacityGbit = 32
-			cfg.Policy = pol
+			cfg.Policy = tc.policy
 			cfg.Seed = 5
+			cfg.Forensics = tc.forensics
+			mix := tc.mix(t, cfg)
 
 			// Straight-through reference.
 			ref, err := NewSystem(cfg, mix)
@@ -79,7 +124,7 @@ func TestResumeEquivalence(t *testing.T) {
 				if !hasMagic(data, snapshotMagic) {
 					t.Fatalf("snapshot lacks the %s magic", snapshotMagic)
 				}
-				if occ := pre.llc.Occupied(); len(data) > occ*checkpointLineBytes+checkpointHeaderBytes {
+				if occ := pre.llc.Occupied(); !tc.forensics.Enabled && len(data) > occ*checkpointLineBytes+checkpointHeaderBytes {
 					t.Fatalf("snapshot %d bytes is not sized by its %d occupied LLC lines", len(data), occ)
 				}
 
@@ -122,6 +167,13 @@ func TestResumeEquivalence(t *testing.T) {
 						t.Fatalf("snap@%d: core %d IPC diverged: resumed %v ref %v",
 							snapAt, i, got.IPC[i], refRes.IPC[i])
 					}
+				}
+				if !reflect.DeepEqual(got.Forensics, refRes.Forensics) {
+					t.Fatalf("snap@%d: forensics diverged:\nresumed: %+v\nref:     %+v",
+						snapAt, got.Forensics, refRes.Forensics)
+				}
+				if tc.forensics.Enabled && got.Forensics == nil {
+					t.Fatalf("snap@%d: forensics system reported no summary", snapAt)
 				}
 				if got.LLCHitRate != refRes.LLCHitRate {
 					t.Fatalf("snap@%d: LLC hit rate diverged: resumed %v ref %v",
@@ -218,44 +270,114 @@ func fuzzSnapshotConfig() (Config, workload.SourceMix) {
 	return cfg, workload.Mixes(1, 2, 3)[0].Sources()
 }
 
+// fuzzSnapshotSystem is one trusted (config, mix) the snapshot fuzz
+// targets decode into.
+type fuzzSnapshotSystem struct {
+	cfg Config
+	mix workload.SourceMix
+}
+
+// fuzzSnapshotSystems returns the systems the snapshot fuzz targets
+// decode into: fuzzSnapshotConfig's plain PARA+HiRA machine, and two
+// attack cells — a double-sided attacker under Graphene with the
+// forensics ledger and flight recorder, and one under RFM with the
+// ledger alone — so the zoo, ledger, recorder and attacker-stream
+// decoders all face hostile bytes.
+func fuzzSnapshotSystems(t testing.TB) []fuzzSnapshotSystem {
+	cfg, mix := fuzzSnapshotConfig()
+	out := []fuzzSnapshotSystem{{cfg, mix}}
+	for _, zoo := range []struct {
+		pol RefreshPolicy
+		fx  ForensicsOptions
+	}{
+		{GraphenePolicy(64, 4), ForensicsOptions{Enabled: true, Recorder: true}},
+		{RFMPolicy(64, 0), ForensicsOptions{Enabled: true}},
+	} {
+		c := cfg
+		c.Policy = zoo.pol
+		c.Forensics = zoo.fx
+		atk, err := attackMix("double", OrgFor(c), mix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, fuzzSnapshotSystem{c, atk})
+	}
+	return out
+}
+
+// ledgerEnd returns the offset in a full or delta snapshot of s where
+// its forensics ledger section ends (the refresh engine's section
+// follows it to the end), so seeds can corrupt ledger bytes.
+func ledgerEnd(s *System, data []byte) int {
+	w := snap.NewWriter()
+	s.engine.Snapshot(w)
+	return len(data) - len(w.Bytes())
+}
+
+// corruptSeeds returns copies of data with a byte flipped at each of
+// the given offsets.
+func corruptSeeds(data []byte, offsets ...int) [][]byte {
+	var out [][]byte
+	for _, off := range offsets {
+		if off < 0 || off >= len(data) {
+			continue
+		}
+		mut := append([]byte(nil), data...)
+		mut[off] ^= 0x41
+		out = append(out, mut)
+	}
+	return out
+}
+
 // FuzzSnapshotDecode holds RestoreSystem to the FuzzTraceRead contract:
 // corrupt or truncated checkpoints are clean misses — they never panic,
 // allocation stays bounded by the input, and anything that does decode
-// yields a machine that survives being run.
+// yields a machine that survives being run. Seeds cover every system of
+// fuzzSnapshotSystems, with ledger bytes corrupted and truncated.
 func FuzzSnapshotDecode(f *testing.F) {
-	cfg, mix := fuzzSnapshotConfig()
-	sys, err := NewSystem(cfg, mix)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := sys.RunTo(context.Background(), 600); err != nil {
-		f.Fatal(err)
-	}
-	seed, err := sys.Snapshot()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	f.Add(seed[:len(seed)/2])
-	f.Add([]byte(snapshotMagic))
-	for _, old := range legacySystemMagics {
-		f.Add(withMagic(seed, old))
-	}
-	f.Add([]byte("HIRASYS1\x00\x00\x00\x00"))
-	mut := append([]byte(nil), seed...)
-	mut[len(mut)/3] ^= 0x40
-	f.Add(mut)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		restored, err := RestoreSystem(cfg, mix, data)
+	systems := fuzzSnapshotSystems(f)
+	for i, fs := range systems {
+		sys, err := NewSystem(fs.cfg, fs.mix)
 		if err != nil {
-			return // clean miss
+			f.Fatal(err)
 		}
-		if !hasMagic(data, snapshotMagic) {
-			t.Fatalf("restored a snapshot without the %s magic", snapshotMagic)
+		if err := sys.RunTo(context.Background(), 6000); err != nil {
+			f.Fatal(err)
 		}
-		// A snapshot that passed validation must be safe to simulate.
-		for i := 0; i < 64; i++ {
-			restored.Tick()
+		seed, err := sys.Snapshot()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])
+		f.Add(corruptSeeds(seed, len(seed)/3)[0])
+		if i == 0 {
+			f.Add([]byte(snapshotMagic))
+			for _, old := range legacySystemMagics {
+				f.Add(withMagic(seed, old))
+			}
+			f.Add([]byte("HIRASYS1\x00\x00\x00\x00"))
+			continue
+		}
+		end := ledgerEnd(sys, seed)
+		f.Add(seed[:end-2])
+		for _, mut := range corruptSeeds(seed, end-1, end-4, end-9, end-30) {
+			f.Add(mut)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, fs := range systems {
+			restored, err := RestoreSystem(fs.cfg, fs.mix, data)
+			if err != nil {
+				continue // clean miss
+			}
+			if !hasMagic(data, snapshotMagic) {
+				t.Fatalf("restored a snapshot without the %s magic", snapshotMagic)
+			}
+			// A snapshot that passed validation must be safe to simulate.
+			for i := 0; i < 64; i++ {
+				restored.Tick()
+			}
 		}
 	})
 }
@@ -264,8 +386,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 // under older trajectory tags and are never looked up; a stray one that
 // reaches a decoder must be a clean miss.
 var (
-	legacySystemMagics = []string{"HIRASYS1", "HIRASYS2"}
-	legacyAloneMagics  = []string{"HIRAALN1"}
+	legacySystemMagics = []string{"HIRASYS1", "HIRASYS2", "HIRASYS3"}
+	legacyDeltaMagics  = []string{"HIRADLT1"}
+	legacyAloneMagics  = []string{"HIRAALN1", "HIRAALN2"}
 )
 
 // withMagic returns a copy of data with its 8-byte format magic replaced.
@@ -275,9 +398,9 @@ func withMagic(data []byte, magic string) []byte {
 	return out
 }
 
-// TestLegacySnapshotsMiss pins the format bump: checkpoints carrying a
-// retired magic are rejected by every decoder, however well-formed the
-// rest of their bytes.
+// TestLegacySnapshotsMiss pins the format bumps: full and differential
+// checkpoints carrying a retired magic are rejected by every decoder,
+// however well-formed the rest of their bytes.
 func TestLegacySnapshotsMiss(t *testing.T) {
 	cfg, mix := fuzzSnapshotConfig()
 	sys, err := NewSystem(cfg, mix)
@@ -298,6 +421,27 @@ func TestLegacySnapshotsMiss(t *testing.T) {
 		}
 		if _, _, _, err := readSnapshotMark(stale, cfg.Cores); err == nil {
 			t.Errorf("%s snapshot's mark was read", old)
+		}
+	}
+	sys.ResetTouchedLines()
+	if err := sys.RunTo(context.Background(), 900); err != nil {
+		t.Fatal(err)
+	}
+	delta, err := sys.SnapshotDelta(600, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, old := range legacyDeltaMagics {
+		stale := withMagic(delta, old)
+		if _, _, _, _, err := readDeltaHeader(stale); err == nil {
+			t.Errorf("%s delta's header was read", old)
+		}
+		base, err := RestoreSystem(cfg, mix, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := applySystemDelta(base, stale); err == nil {
+			t.Errorf("%s delta applied", old)
 		}
 	}
 

@@ -18,6 +18,7 @@ import (
 	"hira/internal/metrics"
 	"hira/internal/rowhammer"
 	"hira/internal/sched"
+	"hira/internal/snap"
 	"hira/internal/workload"
 )
 
@@ -64,8 +65,6 @@ type RefreshPolicy struct {
 
 	// Mitigation, when non-empty, replaces the HiRA-MC engine with a zoo
 	// engine ("graphene" or "rfm"); the mode fields above are then unused.
-	// Zoo-engine tracker state is not checkpointable, so cells running a
-	// mitigation always simulate from tick zero.
 	Mitigation string `json:"mitigation,omitempty"`
 	// MitigationParam is the mitigation's size knob: the per-bank counter
 	// count for Graphene, RAAIMT for RFM. 0 takes a default derived from
@@ -218,7 +217,7 @@ type System struct {
 	org    dram.Org
 	timing dram.Timing
 	ctrl   *sched.Controller
-	engine sched.RefreshEngine
+	engine refreshEngine
 	llc    *cache.Cache
 	mapper *dram.MOPMapper
 	cores  []*cpu.Core
@@ -244,6 +243,10 @@ type System struct {
 	// fixed at construction, and dense differential checkpoints would
 	// otherwise re-render the key (several allocations) on every encode.
 	trajKeyMemo string
+
+	// sizer is the scratch writer encodedSize measures the small state
+	// blocks of a checkpoint with, reused across checkpoints.
+	sizer snap.Writer
 }
 
 // trajKey returns the system's trajectory key, rendering it on first use.
@@ -291,9 +294,18 @@ func OrgFor(cfg Config) dram.Org {
 	return org
 }
 
+// refreshEngine is a refresh engine the system can checkpoint: every
+// engine buildEngine returns (HiRA-MC and the mitigation zoo) serializes
+// its complete state, so every cell resumes from checkpoints.
+type refreshEngine interface {
+	sched.RefreshEngine
+	Snapshot(w *snap.Writer)
+	Restore(r *snap.Reader, now dram.Time) error
+}
+
 // buildEngine constructs the refresh engine a policy names: a zoo
 // mitigation when Policy.Mitigation is set, the HiRA-MC engine otherwise.
-func buildEngine(cfg Config, org dram.Org, timing dram.Timing) (sched.RefreshEngine, error) {
+func buildEngine(cfg Config, org dram.Org, timing dram.Timing) (refreshEngine, error) {
 	switch cfg.Policy.Mitigation {
 	case MitigationGraphene:
 		counters := cfg.Policy.MitigationParam

@@ -46,6 +46,11 @@ func NewWriterSize(sizeHint int) *Writer {
 // Bytes returns the encoded buffer.
 func (w *Writer) Bytes() []byte { return w.buf }
 
+// Reset empties the writer, keeping its buffer for reuse. A writer
+// reused this way measures encodings without allocating once its buffer
+// has grown to their size.
+func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
 // Raw appends b verbatim.
 func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 
@@ -240,4 +245,21 @@ func (r *Reader) Len(max, minElemBytes int) int {
 		return 0
 	}
 	return int(n)
+}
+
+// UvarintSize returns the encoded size of U64(v), so writers can size
+// their buffers from the values they will write instead of from
+// worst-case widths.
+func UvarintSize(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
+}
+
+// VarintSize returns the encoded size of I64(v).
+func VarintSize(v int64) int {
+	return UvarintSize(uint64(v<<1) ^ uint64(v>>63))
 }
