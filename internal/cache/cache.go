@@ -18,10 +18,13 @@ type Cache struct {
 	setBits   uint
 	setMask   uint64
 
-	tags  []uint64 // [set*assoc+way]
-	valid []bool
+	// lines holds each way's tag and access stamp, [set*assoc+way], so
+	// a probe reads one contiguous stretch per set. A line is valid
+	// exactly when its stamp is nonzero: every fill and decode stamps
+	// the line it validates, and nothing invalidates a line without
+	// clearing its stamp.
+	lines []line
 	dirty []bool
-	lru   []uint64 // access stamp per way; smallest = least recent
 	stamp uint64
 
 	// touched is a bitmap of lines mutated since the last ResetTouched,
@@ -34,11 +37,12 @@ type Cache struct {
 
 	// occupied counts valid lines. Access only ever fills ways (no
 	// operation invalidates one), so it grows monotonically from zero;
-	// it sizes full snapshots, which carry only occupied lines.
+	// it is the line count of a full snapshot, which carries only
+	// occupied lines.
 	occupied int
-	// validBits mirrors valid as a bitmap, so a full snapshot visits the
-	// occupied lines' words instead of every line. Only fills of
-	// never-filled lines (and decodes) write it.
+	// validBits mirrors the valid lines as a bitmap, so a full snapshot
+	// visits the occupied lines' words instead of every line. Only
+	// fills of never-filled lines (and decodes) write it.
 	validBits []uint64
 
 	// decoded records that readLines has written lines. Together with a
@@ -47,6 +51,12 @@ type Cache struct {
 	decoded bool
 
 	Stats Stats
+}
+
+// line is one way's state: its block address and the access stamp
+// that orders LRU replacement (smallest = least recent; 0 = invalid).
+type line struct {
+	tag, stamp uint64
 }
 
 // Stats counts cache events.
@@ -85,10 +95,8 @@ func New(sizeBytes, assoc, blockBytes int) (*Cache, error) {
 		blockBits: bits,
 		setBits:   setBits,
 		setMask:   uint64(sets - 1),
-		tags:      make([]uint64, blocks),
-		valid:     make([]bool, blocks),
+		lines:     make([]line, blocks),
 		dirty:     make([]bool, blocks),
-		lru:       make([]uint64, blocks),
 		touched:   make([]uint64, (blocks+63)/64),
 		validBits: make([]uint64, (blocks+63)/64),
 	}, nil
@@ -116,15 +124,14 @@ type Result struct {
 // dirty eviction.
 func (c *Cache) Access(addr uint64, write bool) Result {
 	blk := addr >> c.blockBits
-	set := int(blk & c.setMask)
-	base := set * c.assoc
+	base := int(blk&c.setMask) * c.assoc
+	set := c.lines[base : base+c.assoc]
 
-	for w := 0; w < c.assoc; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == blk {
-			c.touch(i)
+	for w := range set {
+		if set[w].tag == blk && set[w].stamp != 0 {
+			c.touch(base + w)
 			if write {
-				c.dirty[i] = true
+				c.dirty[base+w] = true
 			}
 			c.Stats.Hits++
 			return Result{Hit: true}
@@ -133,32 +140,25 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	c.Stats.Misses++
 
 	// Choose victim: an invalid way, else the least recently used way.
-	victim := -1
-	oldest := ^uint64(0)
-	for w := 0; w < c.assoc; w++ {
-		i := base + w
-		if !c.valid[i] {
-			victim = w
-			break
-		}
-		if c.lru[i] < oldest {
-			oldest = c.lru[i]
+	// An invalid way's zero stamp is below every valid one, so the
+	// first invalid way wins the scan.
+	victim := 0
+	for w := 1; w < len(set) && set[victim].stamp != 0; w++ {
+		if set[w].stamp < set[victim].stamp {
 			victim = w
 		}
 	}
 	i := base + victim
 	res := Result{}
-	if c.valid[i] && c.dirty[i] {
-		res.WB = true
-		res.Writeback = c.tags[i] << c.blockBits
-		c.Stats.Writebacks++
-	}
-	if !c.valid[i] {
+	if set[victim].stamp == 0 {
 		c.occupied++
 		c.validBits[i>>6] |= 1 << (i & 63)
+	} else if c.dirty[i] {
+		res.WB = true
+		res.Writeback = set[victim].tag << c.blockBits
+		c.Stats.Writebacks++
 	}
-	c.tags[i] = blk
-	c.valid[i] = true
+	set[victim].tag = blk
 	c.dirty[i] = write
 	c.touch(i)
 	return res
@@ -167,7 +167,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 // touch makes the line the most recently used in its set.
 func (c *Cache) touch(i int) {
 	c.stamp++
-	c.lru[i] = c.stamp
+	c.lines[i].stamp = c.stamp
 	if w, bit := i>>6, uint64(1)<<(i&63); c.touched[w]&bit == 0 {
 		c.touched[w] |= bit
 		c.ntouched++

@@ -34,6 +34,11 @@ func TestHitAfterMiss(t *testing.T) {
 	if c.Stats.Hits != 2 || c.Stats.Misses != 1 {
 		t.Errorf("stats = %+v", c.Stats)
 	}
+	// Block 0 has tag 0, the tag every never-filled way holds: only the
+	// way's zero stamp marks it invalid.
+	if r := MustNew(1<<16, 4, 64).Access(0, false); r.Hit {
+		t.Error("cold access to block 0 hit an empty way")
+	}
 }
 
 func TestLRUEviction(t *testing.T) {

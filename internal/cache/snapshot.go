@@ -25,10 +25,6 @@ import (
 // the same ranks again, so snapshots of equal states are equal bytes.
 func (c *Cache) Snapshot(w *snap.Writer) { c.writeLines(w, c.validBits, c.occupied) }
 
-// SnapshotSize returns Snapshot's encoded size, so composing snapshots
-// can pre-size their buffers exactly.
-func (c *Cache) SnapshotSize() int { return c.linesSize(c.validBits, c.occupied) }
-
 // SnapshotDelta appends only the lines touched since the last
 // ResetTouched (plus the stamp counter and stats, which are cheap and
 // always change). Touched lines are the most recently used of their
@@ -36,29 +32,6 @@ func (c *Cache) SnapshotSize() int { return c.linesSize(c.validBits, c.occupied)
 // delta on top of the state it was diffed against reproduces the
 // current state exactly; lines never touched keep their base values.
 func (c *Cache) SnapshotDelta(w *snap.Writer) { c.writeLines(w, c.touched, c.ntouched) }
-
-// SnapshotDeltaSize returns SnapshotDelta's encoded size, so delta
-// writers can pre-size their buffers and encode with zero growth
-// reallocations.
-func (c *Cache) SnapshotDeltaSize() int { return c.linesSize(c.touched, c.ntouched) }
-
-// linesSize returns writeLines' output size for the n lines whose bits
-// are set in sel.
-func (c *Cache) linesSize(sel []uint64, n int) int {
-	size := snap.UvarintSize(c.stamp) + snap.UvarintSize(c.Stats.Hits) +
-		snap.UvarintSize(c.Stats.Misses) + snap.UvarintSize(c.Stats.Writebacks) +
-		snap.UvarintSize(uint64(n))
-	prev, prevHi := 0, uint64(0)
-	for wi, word := range sel {
-		for ; word != 0; word &= word - 1 {
-			i := wi<<6 + bits.TrailingZeros64(word)
-			hi := c.tags[i] >> c.setBits
-			size += snap.UvarintSize(uint64(i-prev)) + snap.VarintSize(int64(hi-prevHi)) + 1
-			prev, prevHi = i, hi
-		}
-	}
-	return size
-}
 
 // writeLines is the one line encoder behind both snapshot forms: the
 // stamp counter and stats, the count n of selected lines (the bits set
@@ -76,7 +49,7 @@ func (c *Cache) writeLines(w *snap.Writer, sel []uint64, n int) {
 	for wi, word := range sel {
 		for ; word != 0; word &= word - 1 {
 			i := wi<<6 + bits.TrailingZeros64(word)
-			hi := c.tags[i] >> c.setBits
+			hi := c.lines[i].tag >> c.setBits
 			w.U64(uint64(i - prev))
 			w.I64(int64(hi - prevHi))
 			prev, prevHi = i, hi
@@ -90,17 +63,15 @@ func (c *Cache) writeLines(w *snap.Writer, sel []uint64, n int) {
 }
 
 // rank returns valid line i's LRU rank in its set: how many valid lines
-// of the set were used less recently. A line is valid exactly when its
-// stamp is nonzero (fills and decodes stamp every line they validate,
-// and nothing invalidates a line without clearing its stamp), so the
-// count needs no flag loads, and it is branch-free: the comparisons are
-// coin flips a branch predictor would mostly miss.
+// of the set were used less recently. Validity is a nonzero stamp, so
+// the count reads only stamps, and it is branch-free: the comparisons
+// are coin flips a branch predictor would mostly miss.
 func (c *Cache) rank(i int) uint8 {
 	base := i - i%c.assoc
-	own := c.lru[i]
+	own := c.lines[i].stamp
 	r := uint64(0)
-	for _, l := range c.lru[base : base+c.assoc] {
-		r += ((l - own) >> 63) & ((0 - l) >> 63) // 0 < l < own; stamps stay below 2^63
+	for _, l := range c.lines[base : base+c.assoc] {
+		r += ((l.stamp - own) >> 63) & ((0 - l.stamp) >> 63) // 0 < stamp < own; stamps stay below 2^63
 	}
 	return uint8(r)
 }
@@ -118,9 +89,7 @@ func (c *Cache) ApplyDelta(r *snap.Reader) error { return c.readLines(r, false) 
 // checkpoint resume does) skips clearing its multi-MB line arrays.
 func (c *Cache) Restore(r *snap.Reader) error {
 	if c.stamp != 0 || c.decoded {
-		clear(c.tags)
-		clear(c.lru)
-		clear(c.valid)
+		clear(c.lines)
 		clear(c.validBits)
 		clear(c.dirty)
 		c.occupied = 0
@@ -146,7 +115,7 @@ func (c *Cache) readLines(r *snap.Reader, full bool) error {
 	c.Stats.Hits = r.U64()
 	c.Stats.Misses = r.U64()
 	c.Stats.Writebacks = r.U64()
-	n := r.Len(len(c.tags), 3)
+	n := r.Len(len(c.lines), 3)
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -160,7 +129,7 @@ func (c *Cache) readLines(r *snap.Reader, full bool) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		if gap > uint64(len(c.tags)) || (k > 0 && gap == 0) {
+		if gap > uint64(len(c.lines)) || (k > 0 && gap == 0) {
 			r.Failf("cache lines: line gap %d out of range", gap)
 			return r.Err()
 		}
@@ -168,7 +137,7 @@ func (c *Cache) readLines(r *snap.Reader, full bool) error {
 		if k == 0 {
 			idx++ // the first gap is the index itself
 		}
-		if idx >= len(c.tags) {
+		if idx >= len(c.lines) {
 			r.Failf("cache lines: line index %d out of range", idx)
 			return r.Err()
 		}
@@ -191,14 +160,12 @@ func (c *Cache) readLines(r *snap.Reader, full bool) error {
 		}
 		carried |= 1 << uint(idx%c.assoc)
 		rankBits |= 1 << uint(rank)
-		if !c.valid[idx] {
-			c.valid[idx] = true
+		if c.lines[idx].stamp == 0 {
 			c.validBits[idx>>6] |= 1 << (idx & 63)
 			c.occupied++
 		}
-		c.tags[idx] = hi<<c.setBits | uint64(set)
+		c.lines[idx] = line{tag: hi<<c.setBits | uint64(set), stamp: uint64(rank) + 1}
 		c.dirty[idx] = flags&1 != 0
-		c.lru[idx] = uint64(rank) + 1
 	}
 	if set >= 0 && !c.settleSet(set, carried, rankBits, full) {
 		r.Failf("cache lines: set %d ranks not canonical", set)
@@ -217,7 +184,7 @@ func (c *Cache) settleSet(set int, carried, ranks uint64, full bool) bool {
 	var untouched [maxAssoc]int
 	u := 0
 	for a := 0; a < c.assoc; a++ {
-		if c.valid[base+a] && carried&(1<<uint(a)) == 0 {
+		if c.lines[base+a].stamp != 0 && carried&(1<<uint(a)) == 0 {
 			untouched[u] = base + a
 			u++
 		}
@@ -229,12 +196,12 @@ func (c *Cache) settleSet(set int, carried, ranks uint64, full bool) bool {
 	// Insertion-sort the untouched ways by stamp (at most maxAssoc),
 	// then renumber them below the carried lines.
 	for i := 1; i < u; i++ {
-		for j := i; j > 0 && c.lru[untouched[j]] < c.lru[untouched[j-1]]; j-- {
+		for j := i; j > 0 && c.lines[untouched[j]].stamp < c.lines[untouched[j-1]].stamp; j-- {
 			untouched[j], untouched[j-1] = untouched[j-1], untouched[j]
 		}
 	}
 	for i := 0; i < u; i++ {
-		c.lru[untouched[i]] = uint64(i) + 1
+		c.lines[untouched[i]].stamp = uint64(i) + 1
 	}
 	return true
 }

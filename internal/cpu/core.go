@@ -45,8 +45,12 @@ type Core struct {
 	// Issue-side state.
 	issued  uint64 // instructions entered into the window
 	gapLeft int    // non-memory instructions before the next access
-	pending *workload.Access
-	token   uint64
+	// pending is the next access, drawn from gen once the previous one
+	// issued; hasPending marks it valid. Held by value so drawing an
+	// access never allocates.
+	pending    workload.Access
+	hasPending bool
+	token      uint64
 
 	// Outstanding loads, in program order: instruction positions of
 	// misses whose data has not returned. The slice is a head-indexed
@@ -148,14 +152,14 @@ func (c *Core) Tick(budget float64) {
 			slots -= n
 			continue
 		}
-		if c.pending == nil {
-			a := c.gen.Next()
-			c.pending = &a
-			c.gapLeft = a.Gap
+		if !c.hasPending {
+			c.pending = c.gen.Next()
+			c.hasPending = true
+			c.gapLeft = c.pending.Gap
 			continue
 		}
 		// A memory access is at the issue point.
-		a := *c.pending
+		a := c.pending
 		c.token++
 		req := MemRequest{Addr: a.Addr, Write: a.Write, Core: c.ID, Token: c.token}
 		if !c.mem.Issue(req) {
@@ -177,7 +181,7 @@ func (c *Core) Tick(budget float64) {
 		c.earlyDone = 0
 		c.issued++
 		slots--
-		c.pending = nil
+		c.hasPending = false
 	}
 	// Retirement: everything up to the oldest incomplete load has
 	// retired.
@@ -220,9 +224,13 @@ func (c *Core) IdleTicks(maxSlotsPerTick int) int {
 	return 0
 }
 
-// Skip replays one tick of the given slot budget through a window that
-// IdleTicks proved memory-inert, bit-identically to Tick: a blocked core
-// accrues stall cycles, a mid-gap core issues gap instructions.
+// Skip replays slots issue slots — one tick's budget or the summed
+// budgets of a window of ticks — through a window that IdleTicks proved
+// memory-inert, bit-identically to Tick: a blocked core accrues stall
+// cycles, a mid-gap core issues gap instructions. Only a window head
+// pinned by an outstanding load caps the issue; an unpinned window
+// retires as it issues, as in Tick, so a summed budget may exceed the
+// window size.
 func (c *Core) Skip(slots int) {
 	if c.Blocked() {
 		c.StallCycles += float64(slots)
@@ -232,8 +240,10 @@ func (c *Core) Skip(slots int) {
 	if n > slots {
 		n = slots
 	}
-	if room := c.room(); n > room {
-		n = room
+	if c.outHead < len(c.outstanding) {
+		if room := c.room(); n > room {
+			n = room
+		}
 	}
 	c.gapLeft -= n
 	c.issued += uint64(n)

@@ -261,3 +261,60 @@ func (m *serialMemory) step(c *Core) {
 		m.busy = false
 	}
 }
+
+// TestSkipSumEqualsPerTickSkips: over a window IdleTicks proves
+// memory-inert, one Skip of the window's summed slot budget leaves the
+// core exactly as one Skip per tick does — for a blocked core, a core
+// whose window head is pinned by an outstanding load, and an unpinned
+// core whose window issues far more than the 128-entry window (an
+// unpinned window retires as it issues, so only a pinned head caps
+// issue).
+func TestSkipSumEqualsPerTickSkips(t *testing.T) {
+	const maxSlots = 11 // per-tick budgets below alternate 10 and 11
+	cases := []struct {
+		name  string
+		build func() *Core
+		ticks int // 0: IdleTicks' bound
+	}{
+		{"unpinned long gap", func() *Core {
+			c := New(0, gen("mcf", 1), &fakeMemory{})
+			c.issued, c.gapLeft, c.hasPending = 400, 1000, true
+			return c
+		}, 0},
+		{"pinned head", func() *Core {
+			c := New(0, gen("mcf", 1), &fakeMemory{})
+			c.issued, c.gapLeft, c.hasPending = 400, 500, true
+			c.outstanding = []outstandingLoad{{pos: 390, token: 1}}
+			return c
+		}, 0},
+		{"blocked", func() *Core {
+			c := New(0, gen("mcf", 1), &fakeMemory{})
+			c.issued, c.gapLeft, c.hasPending = 400, 500, true
+			c.outstanding = []outstandingLoad{{pos: 400 - 128, token: 1}}
+			return c
+		}, 50},
+	}
+	for _, tc := range cases {
+		perTick, summed := tc.build(), tc.build()
+		k := tc.ticks
+		if k == 0 {
+			k = perTick.IdleTicks(maxSlots)
+		}
+		total := 0
+		for j := 0; j < k; j++ {
+			slots := 10 + j%2
+			perTick.Skip(slots)
+			total += slots
+		}
+		summed.Skip(total)
+		if tc.name == "unpinned long gap" && total <= 128 {
+			t.Fatalf("%s: window issues %d slots, want more than the window", tc.name, total)
+		}
+		if perTick.issued != summed.issued || perTick.gapLeft != summed.gapLeft ||
+			perTick.Retired != summed.Retired || perTick.StallCycles != summed.StallCycles {
+			t.Errorf("%s over %d ticks (%d slots): per-tick (issued %d, gap %d, retired %d, stall %v), summed (%d, %d, %d, %v)",
+				tc.name, k, total, perTick.issued, perTick.gapLeft, perTick.Retired, perTick.StallCycles,
+				summed.issued, summed.gapLeft, summed.Retired, summed.StallCycles)
+		}
+	}
+}

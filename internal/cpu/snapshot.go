@@ -19,8 +19,8 @@ func (c *Core) Snapshot(w *snap.Writer) error {
 	}
 	w.U64(c.issued)
 	w.Int(c.gapLeft)
-	w.Bool(c.pending != nil)
-	if c.pending != nil {
+	w.Bool(c.hasPending)
+	if c.hasPending {
 		w.U64(c.pending.Addr)
 		w.Bool(c.pending.Write)
 		w.Int(c.pending.Gap)
@@ -54,11 +54,10 @@ func (c *Core) Restore(r *snap.Reader) error {
 	if c.gapLeft < 0 {
 		r.Failf("negative gap %d", c.gapLeft)
 	}
-	if r.Bool() {
-		a := workload.Access{Addr: r.U64(), Write: r.Bool(), Gap: r.Int()}
-		c.pending = &a
-	} else {
-		c.pending = nil
+	c.hasPending = r.Bool()
+	c.pending = workload.Access{}
+	if c.hasPending {
+		c.pending = workload.Access{Addr: r.U64(), Write: r.Bool(), Gap: r.Int()}
 	}
 	c.token = r.U64()
 	n := r.Len(c.Window, 3)

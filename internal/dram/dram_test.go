@@ -2,6 +2,7 @@ package dram
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -224,6 +225,75 @@ func TestMOPMapperAddrInvertsMap(t *testing.T) {
 		} {
 			if got := m.Map(m.Addr(loc)); got != loc {
 				t.Errorf("org %dch/%drk: Map(Addr(%v)) = %v", shape.ch, shape.rk, loc, got)
+			}
+		}
+	}
+}
+
+// mapByDivision is MOPMapper.Map's original decode, one division and
+// one modulo per field, kept as the oracle for the precomputed
+// shift-and-mask decode.
+func mapByDivision(m *MOPMapper, addr uint64) Location {
+	o := m.org
+	blocksPerRow := uint64(o.RowBytes / m.blockBytes)
+
+	a := addr / uint64(m.blockBytes)
+	groupOff := a % uint64(m.groupBlocks)
+	a /= uint64(m.groupBlocks)
+	ch := a % uint64(o.Channels)
+	a /= uint64(o.Channels)
+	bg := a % uint64(o.BankGroups)
+	a /= uint64(o.BankGroups)
+	bank := a % uint64(o.BanksPerGroup)
+	a /= uint64(o.BanksPerGroup)
+	rank := a % uint64(o.RanksPerChannel)
+	a /= uint64(o.RanksPerChannel)
+	groupsPerRow := blocksPerRow / uint64(m.groupBlocks)
+	colGroup := a % groupsPerRow
+	a /= groupsPerRow
+	row := a % uint64(o.RowsPerBank())
+
+	return Location{
+		BankID: BankID{
+			Channel: int(ch),
+			Rank:    int(rank),
+			Bank:    int(bg)*o.BanksPerGroup + int(bank),
+		},
+		Row: int(row),
+		Col: int(colGroup)*m.groupBlocks + int(groupOff),
+	}
+}
+
+// TestMOPMapperMatchesDivisionOracle holds the precomputed decode to the
+// division formula over random addresses (in capacity and anywhere in
+// the 64-bit space) for every channel and rank count in 1..16 — powers
+// of two take the shift path, 3, 5 and the rest the division fallback —
+// at the simulator's scaled rows per subarray for 8, 32 and 128 Gb
+// (512·(C/8)^0.6: 512, 1176, 2702, so only 8 Gb has a power-of-two row
+// count). In-capacity addresses must also round-trip through Addr.
+func TestMOPMapperMatchesDivisionOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for _, gbit := range []int{8, 32, 128} {
+		rows := int(512*math.Pow(float64(gbit)/8, 0.6) + 0.5)
+		for ch := 1; ch <= 16; ch++ {
+			for rk := 1; rk <= 16; rk++ {
+				o := DefaultOrg()
+				o.ChipCapacityGbit = gbit
+				o.RowsPerSubarray = rows
+				o.Channels, o.RanksPerChannel = ch, rk
+				m := NewMOPMapper(o)
+				capacity := uint64(o.CapacityBytes())
+				for i := 0; i < 64; i++ {
+					for _, addr := range []uint64{rng.Uint64() % capacity, rng.Uint64()} {
+						got, want := m.Map(addr), mapByDivision(m, addr)
+						if got != want {
+							t.Fatalf("%d Gb %dch/%drk: Map(%#x) = %v, division oracle %v", gbit, ch, rk, addr, got, want)
+						}
+						if addr < capacity && m.Addr(got) != addr&^63 {
+							t.Fatalf("%d Gb %dch/%drk: Addr(Map(%#x)) = %#x", gbit, ch, rk, addr, m.Addr(got))
+						}
+					}
+				}
 			}
 		}
 	}

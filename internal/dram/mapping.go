@@ -1,6 +1,9 @@
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // AddressMapper translates physical byte addresses to DRAM locations.
 type AddressMapper interface {
@@ -24,12 +27,52 @@ type MOPMapper struct {
 	// before interleaving moves to the next channel/bank.
 	groupBlocks int
 	blockBytes  int
+
+	// Map's decode, precomputed: one field per interleaved dimension,
+	// least significant first, then the row count.
+	block, group, ch, bg, bank, rank, colGroup mopField
+	rows                                       uint64
+}
+
+// mopField is one interleaved address field of size n. A power-of-two
+// field (every Table 3 and figure configuration) decodes with a mask
+// and a shift; any other size (the organization allows, say, three
+// channels) falls back to a division.
+type mopField struct {
+	n     uint64
+	shift uint
+	pow2  bool
+}
+
+func newMOPField(n int) mopField {
+	f := mopField{n: uint64(n)}
+	if n > 0 && n&(n-1) == 0 {
+		f.pow2, f.shift = true, uint(bits.TrailingZeros64(f.n))
+	}
+	return f
+}
+
+// split returns a's digit in this field and the remaining high part.
+func (f mopField) split(a uint64) (digit, rest uint64) {
+	if f.pow2 {
+		return a & (f.n - 1), a >> f.shift
+	}
+	return a % f.n, a / f.n
 }
 
 // NewMOPMapper returns a MOP mapper over org with 64-byte cache blocks and
 // 4-block MOP groups.
 func NewMOPMapper(org Org) *MOPMapper {
-	return &MOPMapper{org: org, groupBlocks: 4, blockBytes: 64}
+	m := &MOPMapper{org: org, groupBlocks: 4, blockBytes: 64}
+	m.block = newMOPField(m.blockBytes)
+	m.group = newMOPField(m.groupBlocks)
+	m.ch = newMOPField(org.Channels)
+	m.bg = newMOPField(org.BankGroups)
+	m.bank = newMOPField(org.BanksPerGroup)
+	m.rank = newMOPField(org.RanksPerChannel)
+	m.colGroup = newMOPField(org.RowBytes / m.blockBytes / m.groupBlocks)
+	m.rows = uint64(org.RowsPerBank())
+	return m
 }
 
 // BlockBytes returns the cache-block granularity of the mapping.
@@ -37,30 +80,20 @@ func (m *MOPMapper) BlockBytes() int { return m.blockBytes }
 
 // Map implements AddressMapper.
 func (m *MOPMapper) Map(addr uint64) Location {
-	o := m.org
-	blocksPerRow := uint64(o.RowBytes / m.blockBytes)
-
-	a := addr / uint64(m.blockBytes)
-	groupOff := a % uint64(m.groupBlocks)
-	a /= uint64(m.groupBlocks)
-	ch := a % uint64(o.Channels)
-	a /= uint64(o.Channels)
-	bg := a % uint64(o.BankGroups)
-	a /= uint64(o.BankGroups)
-	bank := a % uint64(o.BanksPerGroup)
-	a /= uint64(o.BanksPerGroup)
-	rank := a % uint64(o.RanksPerChannel)
-	a /= uint64(o.RanksPerChannel)
-	groupsPerRow := blocksPerRow / uint64(m.groupBlocks)
-	colGroup := a % groupsPerRow
-	a /= groupsPerRow
-	row := a % uint64(o.RowsPerBank())
+	_, a := m.block.split(addr)
+	groupOff, a := m.group.split(a)
+	ch, a := m.ch.split(a)
+	bg, a := m.bg.split(a)
+	bank, a := m.bank.split(a)
+	rank, a := m.rank.split(a)
+	colGroup, a := m.colGroup.split(a)
+	row := a % m.rows
 
 	return Location{
 		BankID: BankID{
 			Channel: int(ch),
 			Rank:    int(rank),
-			Bank:    int(bg)*o.BanksPerGroup + int(bank),
+			Bank:    int(bg)*m.org.BanksPerGroup + int(bank),
 		},
 		Row: int(row),
 		Col: int(colGroup)*m.groupBlocks + int(groupOff),

@@ -2,6 +2,7 @@ package rowhammer
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -109,22 +110,36 @@ func TestLegacyPthMissesTarget(t *testing.T) {
 	}
 }
 
+// TestPthMonotonicity: pth decreases with NRH and increases with slack.
+// Low NRH with high slack is unreachable (SolvePth errors: no pth meets
+// the target), so the property also holds the errors consistent —
+// reachability only improves with NRH and only worsens with slack — and
+// compares pth values where both sides are reachable. The generator is
+// seeded, so every run checks the same draws.
 func TestPthMonotonicity(t *testing.T) {
 	c := DefaultConfig()
-	// pth decreases with NRH and increases with slack.
+	compared := 0
 	f := func(rawNRH uint16, rawSlack uint8) bool {
 		nrh := 64 + int(rawNRH)%4096
 		slack := float64(rawSlack % 16)
 		p1, err1 := c.SolvePth(nrh, slack, ReliabilityTarget)
 		p2, err2 := c.SolvePth(nrh*2, slack, ReliabilityTarget)
 		p3, err3 := c.SolvePth(nrh, slack+8, ReliabilityTarget)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return false
+		if err1 != nil {
+			return err3 != nil // more slack cannot make a target reachable
 		}
-		return p2 < p1 && p3 >= p1
+		if err2 != nil {
+			return false // a higher NRH cannot make it unreachable
+		}
+		compared++
+		return p2 < p1 && (err3 != nil || p3 >= p1)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	cfg := &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(6))}
+	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+	if compared < 15 {
+		t.Errorf("only %d of 30 draws were reachable enough to compare", compared)
 	}
 }
 

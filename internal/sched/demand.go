@@ -143,7 +143,7 @@ func (c *Controller) scheduleDemand(ch *channel) {
 			cu := cur[mi]
 			n := cu.node
 			rank := n.req.Loc.Rank
-			sameGroup := n.req.Loc.Bank/c.cfg.Org.BanksPerGroup == ch.ranks[rank].lastACTGroup
+			sameGroup := c.groupOf[n.req.Loc.Bank] == ch.ranks[rank].lastACTGroup
 			if memo && (ch.p2FailAll[rank] || (sameGroup && ch.p2FailL[rank])) {
 				// A previous attempt already diagnosed this bank's wall;
 				// park it. Its requests are counted in bulk once the
@@ -247,7 +247,7 @@ func (c *Controller) tryActivate(ch *channel, r *Request) bool {
 				continue
 			}
 			need := t.TRRD
-			if sc.bank/c.cfg.Org.BanksPerGroup == r.Loc.Bank/c.cfg.Org.BanksPerGroup {
+			if c.groupOf[sc.bank] == c.groupOf[r.Loc.Bank] {
 				need = t.TRRDL
 			}
 			if sc.due-c.now < need {

@@ -266,6 +266,7 @@ type Controller struct {
 	free       *reqNode
 	arrival    uint64
 	rankOf     []int       // flat bank index -> rank (avoids hot division)
+	groupOf    []int       // rank-relative bank -> bank group (likewise)
 	actScratch []dram.Time // canACT's reusable tFAW timeline
 	evt        dram.Time   // earliest guard-flip time recorded this tick
 
@@ -397,6 +398,10 @@ func NewController(cfg Config, engine RefreshEngine) (*Controller, error) {
 	c.rankOf = make([]int, cfg.Org.BanksPerChannel())
 	for i := range c.rankOf {
 		c.rankOf[i] = i / c.bpr
+	}
+	c.groupOf = make([]int, c.bpr)
+	for i := range c.groupOf {
+		c.groupOf[i] = i / cfg.Org.BanksPerGroup
 	}
 	for ch := 0; ch < cfg.Org.Channels; ch++ {
 		nb := cfg.Org.BanksPerChannel()
@@ -850,7 +855,7 @@ func (c *Controller) issuePendingPRE(ch *channel) bool {
 func (c *Controller) noteACT(ch *channel, rank, bank int) {
 	rk := &ch.ranks[rank]
 	rk.lastACT = c.now
-	rk.lastACTGroup = bank / c.cfg.Org.BanksPerGroup
+	rk.lastACTGroup = c.groupOf[bank]
 	cut := c.now - c.cfg.Timing.TFAW
 	times := rk.actTimes[:0]
 	for _, t := range rk.actTimes {
@@ -870,7 +875,7 @@ func (c *Controller) canACT(ch *channel, rank, bank int, n int, span dram.Time) 
 		return false
 	}
 	need := c.cfg.Timing.TRRD
-	if bank/c.cfg.Org.BanksPerGroup == rk.lastACTGroup {
+	if c.groupOf[bank] == rk.lastACTGroup {
 		need = c.cfg.Timing.TRRDL
 	}
 	if c.now-rk.lastACT < need {

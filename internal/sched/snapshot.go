@@ -391,20 +391,6 @@ func readU32(r *snap.Reader) uint32 {
 	return uint32(v)
 }
 
-// forensicsTallySize returns SnapshotForensicsTally's encoded size for t.
-func forensicsTallySize(t ForensicsTally) int {
-	n := 0
-	for _, v := range [...]uint64{t.DemandACTs, t.RefreshACTs, t.RowsReset, t.REFRowsReset,
-		t.PreventiveUseful, t.PreventiveWasted, t.PeriodicRowRefreshes,
-		t.PiggybackPreventive, t.PiggybackPeriodic} {
-		n += snap.UvarintSize(v)
-	}
-	for i := range t.Crossings {
-		n += snap.UvarintSize(t.Crossings[i]) + snap.UvarintSize(t.VictimCrossings[i])
-	}
-	return n
-}
-
 // SnapshotForensics appends the forensics ledger's state to w: a
 // presence flag, then (when forensics are enabled) the tally, running
 // maxes, REF rotation pointers, the flight recorder and the row ledger.
@@ -447,7 +433,7 @@ func (c *Controller) SnapshotForensics(w *snap.Writer, delta bool) {
 	}
 	rows := f.rows.ntouched
 	if !delta {
-		rows, _ = f.ledgerRows(false)
+		rows = f.ledgerRows()
 	}
 	w.Len(rows)
 	prev := uint32(1)
@@ -475,17 +461,10 @@ func (f *Forensics) eachLedgerRow(delta bool, fn func(key uint32, e *ledgerEntry
 	})
 }
 
-// ledgerRows returns how many rows a snapshot carries and the exact
-// encoded size of their entries.
-func (f *Forensics) ledgerRows(delta bool) (rows, size int) {
-	prev := uint32(1)
-	f.eachLedgerRow(delta, func(k uint32, e *ledgerEntry) {
-		rows++
-		size += snap.UvarintSize(uint64(k-prev)) + snap.UvarintSize(uint64(e.count)) +
-			snap.UvarintSize(uint64(e.exposure))
-		prev = k
-	})
-	return rows, size
+// ledgerRows returns how many rows a full snapshot carries.
+func (f *Forensics) ledgerRows() (rows int) {
+	f.eachLedgerRow(false, func(uint32, *ledgerEntry) { rows++ })
+	return rows
 }
 
 // snapCommand appends one recorded DRAM command.
@@ -519,39 +498,6 @@ func restoreCommand(r *snap.Reader) dram.Command {
 		r.Failf("recorded command kind %d phase %d invalid", cmd.Kind, cmd.Phase)
 	}
 	return cmd
-}
-
-// commandSize bounds snapCommand's output for a command issued by c.
-func (c *Controller) commandSize() int {
-	org := c.cfg.Org
-	return 3 + snap.VarintSize(int64(c.now)) +
-		snap.VarintSize(int64(org.Channels)) + snap.VarintSize(int64(org.RanksPerChannel)) +
-		snap.VarintSize(int64(org.BanksPerRank())) + snap.VarintSize(int64(org.RowsPerBank())) +
-		snap.VarintSize(int64(org.RowBytes))
-}
-
-// ForensicsSnapshotSize bounds SnapshotForensics' output for the
-// ledger's current state: the rows it would carry are sized exactly,
-// recorded commands at the widths of the organization and the clock.
-func (c *Controller) ForensicsSnapshotSize(delta bool) int {
-	f := c.forensics
-	if f == nil {
-		return 1
-	}
-	n := 1 + forensicsTallySize(f.tally) + snap.UvarintSize(uint64(f.maxExposure))
-	for i := range f.bankMax {
-		n += snap.UvarintSize(uint64(f.bankMax[i])) + snap.VarintSize(int64(f.refPtr[i]))
-	}
-	n++ // recorder presence
-	if f.pre != nil {
-		events := len(f.events)
-		if delta {
-			events -= f.eventsBase
-		}
-		n += 2 + 3 + 10 + 3 + 3 + (f.preFill+events)*c.commandSize()
-	}
-	rows, size := f.ledgerRows(delta)
-	return n + snap.UvarintSize(uint64(rows)) + size
 }
 
 // RestoreForensics reads state written by SnapshotForensics into a

@@ -19,16 +19,22 @@ import (
 // alone-IPC references for weighted speedup. Using one config-independent
 // reference keeps weighted-speedup ratios between configurations
 // meaningful while avoiding a quadratic number of alone simulations.
+//
+// Every load takes the same latency, so loads complete in issue order:
+// in-flight loads wait in a FIFO of due steps, and a step retires only
+// the due ones from its head instead of visiting every load.
 type aloneMemory struct {
 	latencyTicks int
-	inflight     []aloneReq
+	inflight     []aloneReq // FIFO from head, due steps non-decreasing
+	head         int
+	now          int // steps taken
 	llc          *cache.Cache
 	c            *cpu.Core
 }
 
 type aloneReq struct {
 	token uint64
-	left  int
+	due   int // step at which the load completes
 }
 
 func (m *aloneMemory) Issue(req cpu.MemRequest) bool {
@@ -38,21 +44,23 @@ func (m *aloneMemory) Issue(req cpu.MemRequest) bool {
 		}
 		return true
 	}
-	m.inflight = append(m.inflight, aloneReq{token: req.Token, left: m.latencyTicks})
+	m.inflight = append(m.inflight, aloneReq{token: req.Token, due: m.now + m.latencyTicks})
 	return true
 }
 
+// step advances the memory one tick, completing the loads due by then.
 func (m *aloneMemory) step() {
-	kept := m.inflight[:0]
-	for _, r := range m.inflight {
-		r.left--
-		if r.left <= 0 {
-			m.c.Complete(r.token)
-		} else {
-			kept = append(kept, r)
-		}
+	m.now++
+	for m.head < len(m.inflight) && m.inflight[m.head].due <= m.now {
+		m.c.Complete(m.inflight[m.head].token)
+		m.head++
 	}
-	m.inflight = kept
+	if m.head == len(m.inflight) {
+		m.inflight, m.head = m.inflight[:0], 0
+	} else if m.head >= 64 && m.head > len(m.inflight)/2 {
+		n := copy(m.inflight, m.inflight[m.head:])
+		m.inflight, m.head = m.inflight[:n], 0
+	}
 }
 
 // AloneIPC computes a benchmark's IPC on an unloaded fixed-latency memory

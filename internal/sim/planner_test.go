@@ -455,16 +455,13 @@ func TestDeltaChainBounded(t *testing.T) {
 	}
 }
 
-// TestDeltaSnapshotPreSized pins the pre-sizing contract for both
+// TestDeltaSnapshotPreSized pins the buffer contract for both
 // checkpoint formats, on a plain system and on attack cells (Graphene
 // with the forensics ledger and flight recorder, RFM with the ledger
-// alone): the encoder's buffer
-// is sized up front (encoded bytes never exceed SnapshotSize /
-// SnapshotDeltaSize, which follow the occupied and touched LLC lines
-// and ledger rows), the buffer a checkpoint
-// retains is at most maxSnapshotSlack times its length (the store keeps
-// it as is, and accounts its capacity), and encoding allocates only the
-// writer and its buffer — zero growth reallocations.
+// alone): the buffer a checkpoint retains is exactly its length (the
+// store keeps it as is, and accounts its capacity), and once the
+// system's scratch writer is warm, encoding allocates at most twice
+// (in practice once: the returned copy).
 func TestDeltaSnapshotPreSized(t *testing.T) {
 	ctx := context.Background()
 	plain := DefaultConfig()
@@ -508,23 +505,19 @@ func TestDeltaSnapshotPreSized(t *testing.T) {
 		}
 		formats := []struct {
 			name   string
-			bound  int
 			encode func() ([]byte, error)
 		}{
-			{"full", sys.SnapshotSize(), sys.Snapshot},
-			{"delta", sys.SnapshotDeltaSize(), func() ([]byte, error) { return sys.SnapshotDelta(c.base, 1) }},
+			{"full", sys.Snapshot},
+			{"delta", func() ([]byte, error) { return sys.SnapshotDelta(c.base, 1) }},
 		}
 		for _, f := range formats {
 			data, err := f.encode()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(data) > f.bound {
-				t.Fatalf("%s %s: encoded %d bytes, pre-size bound %d", c.name, f.name, len(data), f.bound)
-			}
-			if float64(cap(data)) > maxSnapshotSlack*float64(len(data)) {
-				t.Fatalf("%s %s: %d-byte checkpoint retains a %d-byte buffer, over %.2fx",
-					c.name, f.name, len(data), cap(data), maxSnapshotSlack)
+			if cap(data) != len(data) {
+				t.Fatalf("%s %s: %d-byte checkpoint retains a %d-byte buffer, want exact",
+					c.name, f.name, len(data), cap(data))
 			}
 			allocs := testing.AllocsPerRun(20, func() {
 				if _, err := f.encode(); err != nil {
@@ -532,15 +525,11 @@ func TestDeltaSnapshotPreSized(t *testing.T) {
 				}
 			})
 			if allocs > 2 {
-				t.Fatalf("%s %s: encode allocated %v times, want <= 2 (writer + pre-sized buffer)", c.name, f.name, allocs)
+				t.Fatalf("%s %s: encode allocated %v times, want <= 2 after a warm-up encode", c.name, f.name, allocs)
 			}
 		}
 	}
 }
-
-// maxSnapshotSlack bounds a checkpoint's retained capacity against its
-// encoded length.
-const maxSnapshotSlack = 1.25
 
 // FuzzDeltaSnapshotDecode holds the delta-apply path to the clean-miss
 // contract: corrupt, truncated, or mis-chained delta checkpoints are

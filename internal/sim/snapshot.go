@@ -77,13 +77,7 @@ func trajectoryKey(cfg Config, wl string) string {
 // this one's (see TestResumeEquivalence). It fails only when a core
 // runs a custom workload stream that does not support position
 // snapshots.
-func (s *System) Snapshot() ([]byte, error) {
-	w := snap.NewWriterSize(s.SnapshotSize())
-	if err := s.encode(w, false, 0, 0, false); err != nil {
-		return nil, err
-	}
-	return w.Bytes(), nil
-}
+func (s *System) Snapshot() ([]byte, error) { return s.encodeExact(false, 0, 0) }
 
 // SnapshotDelta serializes a differential checkpoint against the
 // trajectory's previous checkpoint at baseTick: the full snapshot's
@@ -101,21 +95,34 @@ func (s *System) SnapshotDelta(baseTick, depth int) ([]byte, error) {
 	if depth < 1 || depth > maxDeltaChain {
 		return nil, fmt.Errorf("sim: delta chain depth %d out of range", depth)
 	}
-	w := snap.NewWriterSize(s.encodedSize(true, baseTick, depth))
-	if err := s.encode(w, true, baseTick, depth, false); err != nil {
+	return s.encodeExact(true, baseTick, depth)
+}
+
+// encodeExact encodes a full or delta snapshot in one pass into the
+// system's reused scratch writer and returns an exact-length copy: the
+// buffer a checkpoint store retains carries no slack, and a warm
+// scratch makes the copy the encode's only allocation.
+func (s *System) encodeExact(delta bool, baseTick, depth int) ([]byte, error) {
+	s.scratch.Reset()
+	if err := s.encode(&s.scratch, delta, baseTick, depth); err != nil {
 		return nil, err
 	}
-	return w.Bytes(), nil
+	return exactCopy(s.scratch.Bytes()), nil
+}
+
+// exactCopy returns a copy of b whose capacity is its length.
+func exactCopy(b []byte) []byte {
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out
 }
 
 // encode writes a full snapshot, or (delta) a differential one chained
 // to baseTick at depth: the header — magic, trajectory key, tick, mark
 // section, and a delta's chain linkage — then carry state, buffered
 // writebacks, cores, LLC (full or touched lines), controller, forensics
-// ledger (full or touched rows), and refresh engine. With sizing set it
-// leaves out the LLC and forensics sections, whose sizes their layers
-// compute without encoding (see encodedSize).
-func (s *System) encode(w *snap.Writer, delta bool, baseTick, depth int, sizing bool) error {
+// ledger (full or touched rows), and refresh engine.
+func (s *System) encode(w *snap.Writer, delta bool, baseTick, depth int) error {
 	if delta {
 		w.Raw([]byte(deltaMagic))
 	} else {
@@ -147,17 +154,13 @@ func (s *System) encode(w *snap.Writer, delta bool, baseTick, depth int, sizing 
 			return err
 		}
 	}
-	if !sizing {
-		if delta {
-			s.llc.SnapshotDelta(w)
-		} else {
-			s.llc.Snapshot(w)
-		}
+	if delta {
+		s.llc.SnapshotDelta(w)
+	} else {
+		s.llc.Snapshot(w)
 	}
 	s.ctrl.Snapshot(w)
-	if !sizing {
-		s.ctrl.SnapshotForensics(w, delta)
-	}
+	s.ctrl.SnapshotForensics(w, delta)
 	s.engine.Snapshot(w)
 	return nil
 }
@@ -188,30 +191,6 @@ func (s *System) ResetTouchedLines() {
 	s.ctrl.ResetForensicsTouched()
 }
 
-// SnapshotSize returns Snapshot's encoded size for the current state
-// (an upper bound only through the ledger's index gaps), so the encoder
-// pre-sizes its buffer exactly: it never pays a growth reallocation,
-// and the buffer a checkpoint store retains is not slack.
-func (s *System) SnapshotSize() int { return s.encodedSize(false, 0, 0) }
-
-// SnapshotDeltaSize is SnapshotSize for SnapshotDelta, with the chain
-// linkage costed at its widest.
-func (s *System) SnapshotDeltaSize() int { return s.encodedSize(true, s.ticksRun, maxDeltaChain) }
-
-// encodedSize sizes a full or delta snapshot: the small state blocks by
-// encoding them into a reused scratch writer (a few KB, and exact by
-// construction), the LLC and forensics sections — the ones that scale
-// with the run's footprint — by their layers' size functions.
-func (s *System) encodedSize(delta bool, baseTick, depth int) int {
-	s.sizer.Reset()
-	s.encode(&s.sizer, delta, baseTick, depth, true) // an error resurfaces from the real encode
-	n := len(s.sizer.Bytes()) + s.ctrl.ForensicsSnapshotSize(delta)
-	if delta {
-		return n + s.llc.SnapshotDeltaSize()
-	}
-	return n + s.llc.SnapshotSize()
-}
-
 // aloneMagic identifies version 3 of the alone-run snapshot format,
 // whose LLC section carries only occupied lines, each with its LRU rank
 // in its set (see cache.Snapshot).
@@ -237,16 +216,11 @@ func appendAloneKey(b []byte, tag, srcKey string, seed uint64) []byte {
 }
 
 // Snapshot serializes the alone-run's state: carry budget, core (with
-// its stream position), LLC, and in-flight fixed-latency loads.
+// its stream position), LLC, and in-flight fixed-latency loads, each as
+// its remaining latency. Like System.Snapshot it encodes once and
+// returns an exact-length copy.
 func (a *aloneRun) Snapshot() ([]byte, error) {
-	// Pre-sized: magic + key + tick + budget, core (measured by encoding
-	// it into a scratch writer), LLC, in-flight loads.
-	var core snap.Writer
-	if err := a.c.Snapshot(&core); err != nil {
-		return nil, err
-	}
-	w := snap.NewWriterSize(len(aloneMagic) + 10 + len(a.key) + 10 + 8 +
-		len(core.Bytes()) + a.mem.llc.SnapshotSize() + 10 + 20*len(a.mem.inflight))
+	w := snap.NewWriter()
 	w.Raw([]byte(aloneMagic))
 	w.String(a.key)
 	w.Int(a.tick)
@@ -255,12 +229,13 @@ func (a *aloneRun) Snapshot() ([]byte, error) {
 		return nil, err
 	}
 	a.mem.llc.Snapshot(w)
-	w.Len(len(a.mem.inflight))
-	for _, req := range a.mem.inflight {
+	m := a.mem
+	w.Len(len(m.inflight) - m.head)
+	for _, req := range m.inflight[m.head:] {
 		w.U64(req.token)
-		w.Int(req.left)
+		w.Int(req.due - m.now)
 	}
-	return w.Bytes(), nil
+	return exactCopy(w.Bytes()), nil
 }
 
 // restoreAloneRun rebuilds the alone-run for (src, seed) and restores
@@ -295,16 +270,20 @@ func restoreAloneRun(src workload.Source, seed uint64, data []byte) (*aloneRun, 
 	if err := a.mem.llc.Restore(r); err != nil {
 		return nil, err
 	}
+	// Loads share one fixed latency and are issued in order, so their
+	// remaining latencies never decrease along the FIFO.
 	n := r.Len(a.c.Window, 2)
+	prev := 1
 	for i := 0; i < n; i++ {
-		req := aloneReq{token: r.U64(), left: r.Int()}
+		token, left := r.U64(), r.Int()
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		if req.left < 1 || req.left > a.mem.latencyTicks {
-			return nil, fmt.Errorf("sim: in-flight load %d latency %d out of range", i, req.left)
+		if left < prev || left > a.mem.latencyTicks {
+			return nil, fmt.Errorf("sim: in-flight load %d latency %d out of range", i, left)
 		}
-		a.mem.inflight = append(a.mem.inflight, req)
+		prev = left
+		a.mem.inflight = append(a.mem.inflight, aloneReq{token: token, due: a.mem.now + left})
 	}
 	r.Done()
 	if err := r.Err(); err != nil {

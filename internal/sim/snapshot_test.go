@@ -518,6 +518,31 @@ func TestAloneResumeEquivalence(t *testing.T) {
 	}
 }
 
+// TestAloneRestoreRejectsUnorderedLoads: in-flight loads share one
+// fixed latency and issue in order, so a checkpoint whose remaining
+// latencies decrease along the queue is corrupt. The same loads in
+// order restore.
+func TestAloneRestoreRejectsUnorderedLoads(t *testing.T) {
+	src := workload.Mixes(1, 1, 4)[0].Sources().Sources[0]
+	for _, tc := range []struct {
+		dues []int
+		ok   bool
+	}{{[]int{5, 5, 9}, true}, {[]int{9, 5}, false}} {
+		a := newAloneRun(src, 11)
+		a.mem.inflight = a.mem.inflight[:0]
+		for i, due := range tc.dues {
+			a.mem.inflight = append(a.mem.inflight, aloneReq{token: uint64(i + 1), due: due})
+		}
+		data, err := a.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := restoreAloneRun(src, 11, data); (err == nil) != tc.ok {
+			t.Errorf("remaining latencies %v: restore error %v, want ok=%v", tc.dues, err, tc.ok)
+		}
+	}
+}
+
 // FuzzAloneSnapshotDecode holds restoreAloneRun to the clean-miss
 // contract of FuzzSnapshotDecode: corrupt, truncated or retired-format
 // alone checkpoints are rejected without a panic, and anything that does

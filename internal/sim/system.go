@@ -244,9 +244,9 @@ type System struct {
 	// otherwise re-render the key (several allocations) on every encode.
 	trajKeyMemo string
 
-	// sizer is the scratch writer encodedSize measures the small state
-	// blocks of a checkpoint with, reused across checkpoints.
-	sizer snap.Writer
+	// scratch is the writer checkpoints encode into, reused across
+	// checkpoints (see encodeExact).
+	scratch snap.Writer
 }
 
 // trajKey returns the system's trajectory key, rendering it on first use.
@@ -511,21 +511,28 @@ func (s *System) idleTicks(max int) int {
 }
 
 // fastForward replays k inert ticks: per-core instruction budgets accrue
-// and are consumed exactly as Tick would (stall accounting included), and
-// the controller's clock and per-tick counters advance without running
-// the scheduler. The result is bit-identical to calling Tick k times.
+// exactly as Tick would accrue them, and each core consumes the window's
+// summed budget in one Skip (stall accounting included); the
+// controller's clock and per-tick counters advance without running the
+// scheduler. The result is bit-identical to calling Tick k times: over
+// a window idleTicks proved inert, no core reaches the end of its gap
+// or fills its window, so one Skip of the sum equals k per-tick Skips.
 func (s *System) fastForward(k int) {
 	b := s.instrBudget
+	total := 0
 	for j := 0; j < k; j++ {
 		b += 4 * cpuCyclesPerTick
 		if whole := int(b); whole > 0 {
 			b -= float64(whole)
-			for _, c := range s.cores {
-				c.Skip(whole)
-			}
+			total += whole
 		}
 	}
 	s.instrBudget = b
+	if total > 0 {
+		for _, c := range s.cores {
+			c.Skip(total)
+		}
+	}
 	for i := range s.idleDirty {
 		// A blocked core's Skip only accrues stall cycles; its idle
 		// horizon (unbounded until a completion) is unchanged.

@@ -32,23 +32,12 @@ type Writer struct {
 // NewWriter returns an empty writer.
 func NewWriter() *Writer { return &Writer{} }
 
-// NewWriterSize returns an empty writer with capacity for a sizeHint-byte
-// encoding, so callers that know a bound on their snapshot's size skip
-// the geometric growth copies (a snapshot of tens of KB otherwise
-// reallocates several times per encode).
-func NewWriterSize(sizeHint int) *Writer {
-	if sizeHint < 0 {
-		sizeHint = 0
-	}
-	return &Writer{buf: make([]byte, 0, sizeHint)}
-}
-
 // Bytes returns the encoded buffer.
 func (w *Writer) Bytes() []byte { return w.buf }
 
 // Reset empties the writer, keeping its buffer for reuse. A writer
-// reused this way measures encodings without allocating once its buffer
-// has grown to their size.
+// reused this way encodes without allocating once its buffer has grown
+// to the encodings' size.
 func (w *Writer) Reset() { w.buf = w.buf[:0] }
 
 // Raw appends b verbatim.
@@ -245,21 +234,4 @@ func (r *Reader) Len(max, minElemBytes int) int {
 		return 0
 	}
 	return int(n)
-}
-
-// UvarintSize returns the encoded size of U64(v), so writers can size
-// their buffers from the values they will write instead of from
-// worst-case widths.
-func UvarintSize(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// VarintSize returns the encoded size of I64(v).
-func VarintSize(v int64) int {
-	return UvarintSize(uint64(v<<1) ^ uint64(v>>63))
 }

@@ -119,20 +119,3 @@ func TestTruncated(t *testing.T) {
 		t.Fatalf("truncated string decoded %q", got)
 	}
 }
-
-// TestSizes pins the size helpers to the encoder: UvarintSize and
-// VarintSize are exact.
-func TestSizes(t *testing.T) {
-	for _, v := range []int64{0, 1, -1, 63, 64, -64, -65, 127, 128, 1 << 20, -(1 << 40), math.MaxInt64, math.MinInt64} {
-		w := NewWriter()
-		w.I64(v)
-		if got := VarintSize(v); got != len(w.Bytes()) {
-			t.Errorf("VarintSize(%d) = %d, encoded %d", v, got, len(w.Bytes()))
-		}
-		w = NewWriter()
-		w.U64(uint64(v))
-		if got := UvarintSize(uint64(v)); got != len(w.Bytes()) {
-			t.Errorf("UvarintSize(%d) = %d, encoded %d", uint64(v), got, len(w.Bytes()))
-		}
-	}
-}
