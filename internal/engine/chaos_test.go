@@ -25,8 +25,8 @@ func mustInjector(t *testing.T, seed uint64, rules ...fault.Rule) *fault.Injecto
 }
 
 // chaosCells builds n deterministic cells and a shared run counter.
-func chaosCells(n int, runs *atomic.Int64) []Cell[int] {
-	cells := make([]Cell[int], n)
+func chaosCells(n int, runs *atomic.Int64) Cells[int] {
+	cells := make(Cells[int], n)
 	for i := 0; i < n; i++ {
 		i := i
 		cells[i] = Cell[int]{Key: fmt.Sprintf("chaos/c%d", i), Run: func(context.Context) (int, error) {
@@ -175,7 +175,7 @@ func TestChaosStoreChecksumRejectsBitFlip(t *testing.T) {
 	var runs atomic.Int64
 	cell := countingCell("k", 1234, &runs)
 	e := New[int](Options{Parallelism: 1, ResultDir: dir})
-	if _, _, err := e.Run(context.Background(), []Cell[int]{cell}); err != nil {
+	if _, _, err := e.Run(context.Background(), Cells[int]{cell}); err != nil {
 		t.Fatal(err)
 	}
 	files := storeFiles(t, dir)
@@ -197,7 +197,7 @@ func TestChaosStoreChecksumRejectsBitFlip(t *testing.T) {
 	}
 
 	e2 := New[int](Options{Parallelism: 1, ResultDir: dir})
-	got, stats, err := e2.Run(context.Background(), []Cell[int]{cell})
+	got, stats, err := e2.Run(context.Background(), Cells[int]{cell})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestChaosStoreChecksumRejectsBitFlip(t *testing.T) {
 // the process, tallies Stats.Panics, and leaves the engine fully usable.
 func TestChaosCellPanicIsolation(t *testing.T) {
 	e := New[int](Options{Parallelism: 2})
-	cells := []Cell[int]{
+	cells := Cells[int]{
 		{Key: "fine", Run: func(context.Context) (int, error) { return 1, nil }},
 		{Key: "bomb", Run: func(context.Context) (int, error) { panic("simulated model invariant violation") }},
 	}
@@ -233,7 +233,7 @@ func TestChaosCellPanicIsolation(t *testing.T) {
 		t.Errorf("Stats.Panics = %d, want 1", s.Panics)
 	}
 	// The engine survives: the same key re-runs cleanly.
-	got, _, err := e.Run(context.Background(), []Cell[int]{
+	got, _, err := e.Run(context.Background(), Cells[int]{
 		{Key: "bomb", Run: func(context.Context) (int, error) { return 7, nil }},
 	})
 	if err != nil || got[0] != 7 {
@@ -286,7 +286,7 @@ func TestChaosTornWriteLeavesRecoverableStore(t *testing.T) {
 	var runs atomic.Int64
 	in := mustInjector(t, 1, fault.Rule{Site: fault.SiteStoreWrite, Kind: fault.Torn, Count: 1})
 	e := New[int](Options{Parallelism: 1, ResultDir: dir, FS: in})
-	got, stats, err := e.Run(context.Background(), []Cell[int]{countingCell("k", 5, &runs)})
+	got, stats, err := e.Run(context.Background(), Cells[int]{countingCell("k", 5, &runs)})
 	if err != nil || got[0] != 5 {
 		t.Fatalf("torn write failed the batch: got %v, err %v", got, err)
 	}

@@ -250,7 +250,7 @@ type Engine[R any] struct {
 	sem   chan struct{} // engine-wide compute tokens
 
 	mu       sync.Mutex
-	cache    map[string]R
+	cache    map[string]*cached[R]
 	inflight map[string]*flight[R]
 	stats    Stats
 }
@@ -263,7 +263,7 @@ func New[R any](opts Options) *Engine[R] {
 	e := &Engine[R]{
 		opts:     opts,
 		sem:      make(chan struct{}, opts.Parallelism),
-		cache:    make(map[string]R),
+		cache:    make(map[string]*cached[R]),
 		inflight: make(map[string]*flight[R]),
 	}
 	if opts.ResultDir != "" {
@@ -303,91 +303,123 @@ func (e *Engine[R]) StoreDegraded() (string, bool) {
 	return e.store.degradedReason()
 }
 
-// Run resolves every cell and returns results in submission order, plus
-// this batch's resolution tally. Duplicate keys within the batch compute
-// once; previously resolved keys are served from the cache (or the
-// ResultDir store) without running; keys another concurrent batch is
-// already computing are waited on, not recomputed. The first cell error
-// aborts the batch; ctx cancellation aborts it with ctx.Err().
-func (e *Engine[R]) Run(ctx context.Context, cells []Cell[R]) ([]R, Stats, error) {
+// Batch is a Run batch the engine resolves key first: it renders each
+// position's content key into a reused buffer and looks the key up
+// before it asks for the cell, so a position the cache (or an earlier
+// duplicate) answers never has a cell built — no key string, Plan,
+// payload or closure.
+type Batch[R any] interface {
+	// Len is the number of positions in the batch.
+	Len() int
+	// AppendKey appends position i's content key to dst and returns the
+	// extended buffer. The bytes must equal Cell(i).Key.
+	AppendKey(dst []byte, i int) []byte
+	// Cell builds position i's cell. The engine calls it only for the
+	// first position of each key the cache does not hold.
+	Cell(i int) Cell[R]
+}
+
+// Run resolves every position of cells and returns results in
+// submission order, plus this batch's resolution tally. Duplicate keys
+// within the batch compute once; previously resolved keys are served
+// from the cache (or the ResultDir store) without running; keys another
+// concurrent batch is already computing are waited on, not recomputed.
+// The first cell error aborts the batch; ctx cancellation aborts it with
+// ctx.Err().
+func (e *Engine[R]) Run(ctx context.Context, cells Batch[R]) ([]R, Stats, error) {
 	return e.RunWith(ctx, cells, RunOptions{})
 }
 
 // RunWith is Run with per-batch options.
-func (e *Engine[R]) RunWith(ctx context.Context, cells []Cell[R], ropts RunOptions) ([]R, Stats, error) {
-	onProgress := ropts.OnProgress
-	if onProgress == nil {
-		onProgress = e.opts.OnProgress
+func (e *Engine[R]) RunWith(ctx context.Context, cells Batch[R], ropts RunOptions) ([]R, Stats, error) {
+	n := cells.Len()
+	b := &batch[R]{
+		results:         make([]R, n),
+		next:            make([]int, n),
+		slots:           make([]slot, 0, n),
+		onProgress:      ropts.OnProgress,
+		onProgressStats: ropts.OnProgressStats,
 	}
-	onProgressStats := ropts.OnProgressStats
-	results := make([]R, len(cells))
-
-	// Collapse the batch to unique keys, remembering every position each
-	// key must fill.
-	order := make([]string, 0, len(cells))
-	positions := make(map[string][]int, len(cells))
-	rep := make(map[string]Cell[R], len(cells))
-	for i, c := range cells {
-		if (c.Plan == nil && c.Run == nil) || (c.Plan != nil && c.Plan.RunPass == nil) {
-			return nil, Stats{}, fmt.Errorf("engine: cell %d (%q) needs a Plan with a RunPass, or a Run", i, c.Key)
-		}
-		if _, ok := positions[c.Key]; !ok {
-			order = append(order, c.Key)
-			rep[c.Key] = c
-		}
-		positions[c.Key] = append(positions[c.Key], i)
+	if b.onProgress == nil {
+		b.onProgress = e.opts.OnProgress
 	}
 
-	b := &batch{}
-	b.stats.Submitted = uint64(len(cells))
-	b.stats.Deduped = uint64(len(cells) - len(order))
-
-	progress := func(resolved int) {
-		if onProgress == nil && onProgressStats == nil {
-			return
+	// Collapse the batch to unique keys, key first: each position's key
+	// is rendered into one reused buffer and looked up in the cache
+	// through a string(buf) conversion, which does not allocate. A hit
+	// adopts the cache entry, and a repeat of it is found by the entry's
+	// address; only a miss has its Cell built, and its key string is the
+	// cell's. A batch cancelled before it starts serves nothing from the
+	// cache.
+	probe := ctx.Err() == nil
+	var hitSlot map[*cached[R]]int // cache entry -> slot
+	var missSlot map[string]int    // key -> slot
+	var hits []*cached[R]          // per slot; nil for a miss
+	var pending []int              // miss slots, first-appearance order
+	var buf []byte
+	for i := 0; i < n; i++ {
+		buf = cells.AppendKey(buf[:0], i)
+		var hit *cached[R]
+		if probe {
+			e.mu.Lock()
+			hit = e.cache[string(buf)]
+			e.mu.Unlock()
 		}
-		b.mu.Lock()
-		b.done += resolved
-		if onProgressStats != nil {
-			onProgressStats(b.done, len(cells), b.stats)
+		s, dup := -1, false
+		if hit != nil {
+			s, dup = hitSlot[hit]
+			if !dup && len(missSlot) > 0 {
+				// An earlier position missed this key, and another
+				// batch has cached it since.
+				s, dup = missSlot[hit.key]
+			}
 		} else {
-			onProgress(b.done, len(cells))
+			s, dup = missSlot[string(buf)]
 		}
-		b.mu.Unlock()
-	}
-
-	serve := func(key string, r R) {
-		for _, i := range positions[key] {
-			results[i] = r
+		b.next[i] = -1
+		if dup {
+			sl := &b.slots[s]
+			b.next[sl.tail], sl.tail = i, i
+			sl.n++
+			continue
 		}
-		progress(len(positions[key]))
-	}
-
-	// Warm pre-pass: serve every key already in the in-memory cache
-	// under one lock, so only misses form dispatch units and reach the
-	// worker pool, and a batch where every key hits starts no workers.
-	// Each hit is tallied and reported exactly as resolveUnit would: one
-	// CacheHits and one progress callback per key.
-	pending := order
-	if ctx.Err() == nil {
-		var hits []string
-		pending = order[:0] // filters order in place
-		e.mu.Lock()
-		for _, key := range order {
-			r, ok := e.cache[key]
-			if !ok {
-				pending = append(pending, key)
-				continue
+		sl := slot{head: i, tail: i, n: 1, cell: -1}
+		if hit != nil {
+			if hitSlot == nil {
+				hitSlot = make(map[*cached[R]]int, n)
 			}
-			for _, i := range positions[key] {
-				results[i] = r
+			sl.key = hit.key
+			hitSlot[hit] = len(b.slots)
+		} else {
+			c := cells.Cell(i)
+			if (c.Plan == nil && c.Run == nil) || (c.Plan != nil && c.Plan.RunPass == nil) {
+				return nil, Stats{}, fmt.Errorf("engine: cell %d (%q) needs a Plan with a RunPass, or a Run", i, c.Key)
 			}
-			hits = append(hits, key)
+			if c.Key != string(buf) {
+				return nil, Stats{}, fmt.Errorf("engine: cell %d key %q differs from its rendered key %q", i, c.Key, buf)
+			}
+			if missSlot == nil {
+				missSlot = make(map[string]int)
+			}
+			sl.key, sl.cell = c.Key, len(b.cells)
+			missSlot[c.Key] = len(b.slots)
+			b.cells = append(b.cells, c)
+			pending = append(pending, len(b.slots))
 		}
-		e.mu.Unlock()
-		for _, key := range hits {
-			b.bump(func(s *Stats) { s.CacheHits++ })
-			progress(len(positions[key]))
+		hits = append(hits, hit)
+		b.slots = append(b.slots, sl)
+	}
+	b.stats.Submitted = uint64(n)
+	b.stats.Deduped = uint64(n - len(b.slots))
+
+	// Serve the hits before planning, so only misses form dispatch units
+	// and reach the worker pool, and a batch where every key hits starts
+	// no workers. Each hit is tallied and reported exactly as
+	// resolveUnit would: one CacheHits and one progress callback per key.
+	for s, hit := range hits {
+		if hit != nil {
+			b.bump(func(st *Stats) { st.CacheHits++ })
+			b.serve(s, &hit.r)
 		}
 	}
 
@@ -396,26 +428,26 @@ func (e *Engine[R]) RunWith(ctx context.Context, cells []Cell[R], ropts RunOptio
 	// the pass emits them as it advances, and one per cell without a
 	// group. Units keep the groups' first-appearance order; a
 	// single-horizon batch is all one-member units.
-	units := make([][]string, 0, len(pending))
+	units := make([][]int, 0, len(pending))
 	groupIdx := make(map[string]int)
-	for _, key := range pending {
-		c := rep[key]
+	for _, s := range pending {
+		c := b.cell(s)
 		if c.Plan == nil || c.Plan.Group == "" {
-			units = append(units, []string{key})
+			units = append(units, []int{s})
 			continue
 		}
 		gi, ok := groupIdx[c.Plan.Group]
 		if !ok {
 			groupIdx[c.Plan.Group] = len(units)
-			units = append(units, []string{key})
+			units = append(units, []int{s})
 			continue
 		}
-		units[gi] = append(units[gi], key)
+		units[gi] = append(units[gi], s)
 	}
 	for _, u := range units {
 		if len(u) > 1 {
 			sort.SliceStable(u, func(i, j int) bool {
-				return rep[u[i]].Plan.Horizon < rep[u[j]].Plan.Horizon
+				return b.cell(u[i]).Plan.Horizon < b.cell(u[j]).Plan.Horizon
 			})
 		}
 	}
@@ -424,7 +456,7 @@ func (e *Engine[R]) RunWith(ctx context.Context, cells []Cell[R], ropts RunOptio
 	if workers > len(units) {
 		workers = len(units)
 	}
-	jobs := make(chan []string)
+	jobs := make(chan []int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -432,7 +464,7 @@ func (e *Engine[R]) RunWith(ctx context.Context, cells []Cell[R], ropts RunOptio
 			defer wg.Done()
 			for unit := range jobs {
 				if !b.abortedOrDone(ctx) {
-					e.resolveUnit(ctx, unit, rep, b, serve)
+					e.resolveUnit(ctx, unit, b)
 				}
 			}
 		}()
@@ -463,18 +495,69 @@ dispatch:
 	if err != nil {
 		return nil, stats, err
 	}
-	return results, stats, nil
+	return b.results, stats, nil
 }
 
-// batch carries one Run invocation's shared mutable state.
-type batch struct {
+// cached is one in-memory cache entry. It keeps the key string it is
+// stored under, so a batch that looked the key up through a scratch
+// buffer adopts this string instead of allocating its own. Entries are
+// never replaced, so an entry's address identifies its key.
+type cached[R any] struct {
+	key string
+	r   R
+}
+
+// slot is one unique key of a batch. The positions it fills are chained
+// through batch.next from head to tail.
+type slot struct {
+	key        string
+	head, tail int
+	n          int // positions
+	cell       int // index into batch.cells; -1 for a cache hit
+}
+
+// batch carries one Run invocation's state. results, next, slots and
+// cells are fixed before any worker starts (workers write only the
+// result positions of the keys they resolve); the rest is guarded by mu.
+type batch[R any] struct {
+	results []R
+	next    []int // next position of the same key; -1 ends the chain
+	slots   []slot
+	cells   []Cell[R] // built for keys the cache did not hold
+
+	onProgress      func(done, total int)
+	onProgressStats func(done, total int, batch Stats)
+
 	mu       sync.Mutex
 	stats    Stats
 	firstErr error
 	done     int // progress counter
 }
 
-func (b *batch) fail(err error) {
+// cell is slot s's built cell.
+func (b *batch[R]) cell(s int) *Cell[R] { return &b.cells[b.slots[s].cell] }
+
+// serve fills every position of slot s with *r and reports them as one
+// progress step.
+func (b *batch[R]) serve(s int, r *R) {
+	sl := &b.slots[s]
+	for p := sl.head; p >= 0; p = b.next[p] {
+		b.results[p] = *r
+	}
+	if b.onProgress == nil && b.onProgressStats == nil {
+		return
+	}
+	b.mu.Lock()
+	b.done += sl.n
+	if b.onProgressStats != nil {
+		b.onProgressStats(b.done, len(b.results), b.stats)
+	} else {
+		b.onProgress(b.done, len(b.results))
+	}
+	b.mu.Unlock()
+}
+
+func (b *batch[R]) fail(err error) {
 	b.mu.Lock()
 	if b.firstErr == nil {
 		b.firstErr = err
@@ -482,7 +565,7 @@ func (b *batch) fail(err error) {
 	b.mu.Unlock()
 }
 
-func (b *batch) abortedOrDone(ctx context.Context) bool {
+func (b *batch[R]) abortedOrDone(ctx context.Context) bool {
 	if ctx.Err() != nil {
 		return true
 	}
@@ -491,7 +574,7 @@ func (b *batch) abortedOrDone(ctx context.Context) bool {
 	return b.firstErr != nil
 }
 
-func (b *batch) bump(f func(*Stats)) {
+func (b *batch[R]) bump(f func(*Stats)) {
 	b.mu.Lock()
 	f(&b.stats)
 	b.mu.Unlock()
@@ -503,72 +586,75 @@ func (b *batch) bump(f func(*Stats)) {
 // batch are waited on individually, claimed members are checked against
 // the store, and only what remains runs, as a single pass to the
 // maximum pending horizon.
-func (e *Engine[R]) resolveUnit(ctx context.Context, keys []string, rep map[string]Cell[R], b *batch, serve func(string, R)) {
+func (e *Engine[R]) resolveUnit(ctx context.Context, unit []int, b *batch[R]) {
 	type hit struct {
-		key string
-		r   R
+		s int
+		r *R
 	}
 	var hits []hit
-	var deferred, claimed []string
+	var deferred, claimed []int
 	var flights []*flight[R]
 	e.mu.Lock()
-	for _, key := range keys {
-		if r, ok := e.cache[key]; ok {
-			hits = append(hits, hit{key, r})
+	for _, s := range unit {
+		key := b.slots[s].key
+		if c, ok := e.cache[key]; ok {
+			hits = append(hits, hit{s, &c.r})
 			continue
 		}
 		if _, ok := e.inflight[key]; ok {
-			deferred = append(deferred, key)
+			deferred = append(deferred, s)
 			continue
 		}
 		f := &flight[R]{done: make(chan struct{})}
 		e.inflight[key] = f
-		claimed = append(claimed, key)
+		claimed = append(claimed, s)
 		flights = append(flights, f)
 	}
 	e.mu.Unlock()
 	for _, h := range hits {
-		b.bump(func(s *Stats) { s.CacheHits++ })
-		serve(h.key, h.r)
+		b.bump(func(st *Stats) { st.CacheHits++ })
+		b.serve(h.s, h.r)
 	}
 
 	// Claimed members may still be on disk from an earlier process; only
 	// what the store cannot answer joins the pass.
 	n := 0
-	for i, key := range claimed {
+	for i, s := range claimed {
 		if e.store != nil {
+			key := b.slots[s].key
 			sp := telemetry.StartSpan(ctx, "store-read", key)
 			r, ok := e.store.load(key)
 			sp.SetAttr("hit", ok)
 			sp.End()
 			if ok {
 				e.release(key, flights[i], r, nil)
-				b.bump(func(s *Stats) { s.StoreHits++ })
-				serve(key, r)
+				b.bump(func(st *Stats) { st.StoreHits++ })
+				b.serve(s, &r)
 				continue
 			}
 		}
-		claimed[n], flights[n] = key, flights[i]
+		claimed[n], flights[n] = s, flights[i]
 		n++
 	}
 	if n > 0 {
-		e.runPass(ctx, claimed[:n], flights[:n], rep, b, serve)
+		e.runPass(ctx, claimed[:n], flights[:n], b)
 	}
 
 	// Members another batch was computing when the unit was formed.
-	for _, key := range deferred {
+	for _, s := range deferred {
 		if b.abortedOrDone(ctx) {
 			return
 		}
-		e.resolve(ctx, key, rep, b, serve)
+		e.resolve(ctx, s, b)
 	}
 }
 
-// resolve waits on another batch's in-flight computation of key and
-// serves its result as a cache hit. When that batch failed or was
-// cancelled, its error is not ours: the key is claimed and resolved as a
-// one-member unit.
-func (e *Engine[R]) resolve(ctx context.Context, key string, rep map[string]Cell[R], b *batch, serve func(string, R)) {
+// resolve waits on another batch's in-flight computation of slot s's
+// key and serves its result as a cache hit. When that batch failed or
+// was cancelled, its error is not ours: the key is claimed and resolved
+// as a one-member unit.
+func (e *Engine[R]) resolve(ctx context.Context, s int, b *batch[R]) {
+	key := b.slots[s].key
 	e.mu.Lock()
 	f, ok := e.inflight[key]
 	e.mu.Unlock()
@@ -581,8 +667,8 @@ func (e *Engine[R]) resolve(ctx context.Context, key string, rep map[string]Cell
 		case <-f.done:
 			sp.End()
 			if f.err == nil {
-				b.bump(func(s *Stats) { s.CacheHits++ })
-				serve(key, f.r)
+				b.bump(func(st *Stats) { st.CacheHits++ })
+				b.serve(s, &f.r)
 				return
 			}
 		case <-ctx.Done():
@@ -591,7 +677,7 @@ func (e *Engine[R]) resolve(ctx context.Context, key string, rep map[string]Cell
 			return
 		}
 	}
-	e.resolveUnit(ctx, []string{key}, rep, b, serve)
+	e.resolveUnit(ctx, []int{s}, b)
 }
 
 // release settles a claimed key: a successful result enters the cache,
@@ -600,14 +686,14 @@ func (e *Engine[R]) release(key string, f *flight[R], r R, err error) {
 	f.r, f.err = r, err
 	e.mu.Lock()
 	if err == nil {
-		e.cache[key] = r
+		e.cache[key] = &cached[R]{key: key, r: r}
 	}
 	delete(e.inflight, key)
 	e.mu.Unlock()
 	close(f.done)
 }
 
-// runPass executes one pass over the pending keys (ascending horizon),
+// runPass executes one pass over the pending slots (ascending horizon),
 // whose flights the caller has claimed. It is the engine's only
 // executor: it takes a compute token, runs the pass with panics
 // recovered, and caches, persists and releases each member as it is
@@ -617,18 +703,17 @@ func (e *Engine[R]) release(key string, f *flight[R], r R, err error) {
 // coalesced pass as a "pass" under its group; the tick, resume and
 // duration tallies record passes that emitted at least one member, and
 // PlannedPasses/PlannedCells only coalesced ones.
-func (e *Engine[R]) runPass(ctx context.Context, pass []string, flights []*flight[R],
-	rep map[string]Cell[R], b *batch, serve func(string, R)) {
+func (e *Engine[R]) runPass(ctx context.Context, pass []int, flights []*flight[R], b *batch[R]) {
 	m := e.opts.Metrics
-	lead := rep[pass[0]]
+	lead := b.cell(pass[0])
 	kind, name := "cell", lead.Key
 	if len(pass) > 1 {
 		kind, name = "pass", lead.Plan.Group
 	}
 	members := make([]PlanMember, len(pass))
-	for i, key := range pass {
-		members[i].Key = key
-		if p := rep[key].Plan; p != nil {
+	for i, s := range pass {
+		members[i].Key = b.slots[s].key
+		if p := b.cell(s).Plan; p != nil {
 			members[i].Horizon, members[i].Payload = p.Horizon, p.Payload
 		}
 	}
@@ -649,9 +734,9 @@ func (e *Engine[R]) runPass(ctx context.Context, pass []string, flights []*fligh
 	emitted := make([]bool, len(members))
 	failRest := func(err error) {
 		var zero R
-		for i, key := range pass {
+		for i, s := range pass {
 			if !emitted[i] {
-				e.release(key, flights[i], zero, err)
+				e.release(b.slots[s].key, flights[i], zero, err)
 			}
 		}
 		b.fail(err)
@@ -693,7 +778,7 @@ func (e *Engine[R]) runPass(ctx context.Context, pass []string, flights []*fligh
 			e.saveResult(ctx, key, r, b)
 		}
 		e.release(key, flights[i], r, nil)
-		serve(key, r)
+		b.serve(pass[i], &r)
 	}
 	// A panicking pass must not take down the worker pool (and with it
 	// the whole server): convert the panic into an ordinary error
@@ -738,7 +823,7 @@ func (e *Engine[R]) runPass(ctx context.Context, pass []string, flights []*fligh
 // saveResult persists one result to the store, best-effort: a failed
 // write (disk full, permissions) never discards the computed result —
 // the cell stays in the in-memory cache and the failure is tallied.
-func (e *Engine[R]) saveResult(ctx context.Context, key string, r R, b *batch) {
+func (e *Engine[R]) saveResult(ctx context.Context, key string, r R, b *batch[R]) {
 	m := e.opts.Metrics
 	wrSpan := telemetry.StartSpan(ctx, "store-write", key)
 	wrStart := time.Now()

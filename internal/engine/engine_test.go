@@ -5,12 +5,21 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
+
+// Cells is a batch whose cells are built up front.
+type Cells[R any] []Cell[R]
+
+func (c Cells[R]) Len() int                           { return len(c) }
+func (c Cells[R]) AppendKey(dst []byte, i int) []byte { return append(dst, c[i].Key...) }
+func (c Cells[R]) Cell(i int) Cell[R]                 { return c[i] }
 
 // countingCell returns a cell whose Run increments runs and returns v.
 func countingCell(key string, v int, runs *atomic.Int64) Cell[int] {
@@ -23,7 +32,7 @@ func countingCell(key string, v int, runs *atomic.Int64) Cell[int] {
 func TestRunPreservesOrder(t *testing.T) {
 	e := New[int](Options{Parallelism: 4})
 	var runs atomic.Int64
-	var cells []Cell[int]
+	var cells Cells[int]
 	for i := 0; i < 100; i++ {
 		cells = append(cells, countingCell(fmt.Sprintf("c%d", i), i*i, &runs))
 	}
@@ -44,7 +53,7 @@ func TestRunPreservesOrder(t *testing.T) {
 func TestBatchDedup(t *testing.T) {
 	e := New[int](Options{Parallelism: 8})
 	var runs atomic.Int64
-	var cells []Cell[int]
+	var cells Cells[int]
 	for i := 0; i < 40; i++ {
 		cells = append(cells, countingCell(fmt.Sprintf("c%d", i%4), (i%4)*10, &runs))
 	}
@@ -71,7 +80,7 @@ func TestBatchDedup(t *testing.T) {
 func TestCacheAcrossBatches(t *testing.T) {
 	e := New[int](Options{Parallelism: 2})
 	var runs atomic.Int64
-	cells := []Cell[int]{countingCell("a", 1, &runs), countingCell("b", 2, &runs)}
+	cells := Cells[int]{countingCell("a", 1, &runs), countingCell("b", 2, &runs)}
 	if _, _, err := e.Run(context.Background(), cells); err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +102,14 @@ func TestCacheAcrossBatches(t *testing.T) {
 func TestErrorAbortsBatch(t *testing.T) {
 	e := New[int](Options{Parallelism: 2})
 	boom := errors.New("boom")
-	cells := []Cell[int]{
+	cells := Cells[int]{
 		{Key: "ok", Run: func(context.Context) (int, error) { return 1, nil }},
 		{Key: "bad", Run: func(context.Context) (int, error) { return 0, boom }},
 	}
 	if _, _, err := e.Run(context.Background(), cells); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
-	if _, _, err := e.Run(context.Background(), []Cell[int]{{Key: "nil-run"}}); err == nil {
+	if _, _, err := e.Run(context.Background(), Cells[int]{{Key: "nil-run"}}); err == nil {
 		t.Fatal("accepted cell without Run")
 	}
 }
@@ -115,10 +124,10 @@ func TestFailedCellNotCached(t *testing.T) {
 		}
 		return 9, nil
 	}}
-	if _, _, err := e.Run(context.Background(), []Cell[int]{flaky}); err == nil {
+	if _, _, err := e.Run(context.Background(), Cells[int]{flaky}); err == nil {
 		t.Fatal("first run should fail")
 	}
-	got, _, err := e.Run(context.Background(), []Cell[int]{flaky})
+	got, _, err := e.Run(context.Background(), Cells[int]{flaky})
 	if err != nil || got[0] != 9 {
 		t.Fatalf("retry after failure: got %v, err %v", got, err)
 	}
@@ -134,7 +143,7 @@ func TestProgressReachesTotal(t *testing.T) {
 		calls++
 	}})
 	var runs atomic.Int64
-	var cells []Cell[int]
+	var cells Cells[int]
 	for i := 0; i < 9; i++ {
 		cells = append(cells, countingCell(fmt.Sprintf("c%d", i%3), i%3, &runs))
 	}
@@ -160,14 +169,16 @@ type progressStep struct {
 // the same progress sequence (one callback per unique key, same running
 // totals) and the same Stats as the cold batch that filled the cache,
 // with every Simulated cell counted as a CacheHit instead, and it never
-// runs a cell or a pass. A partly warm batch serves its hits first and
-// only runs its misses.
+// runs a cell or a pass — nor builds one. A partly warm batch serves its
+// hits first and only runs its misses; random batches of hits, misses
+// and duplicates match the per-key model in results, Stats, progress
+// and which cells get built.
 func TestWarmPrePassMatchesPerKeyPath(t *testing.T) {
 	ctx := context.Background()
 	e := New[int](Options{Parallelism: 1})
 	var runs atomic.Int64
 	var passes atomic.Int64
-	var cells []Cell[int]
+	var cells Cells[int]
 	for i := 0; i < 12; i++ {
 		cells = append(cells, countingCell(fmt.Sprintf("c%d", i%5), i%5, &runs))
 	}
@@ -237,7 +248,7 @@ func TestWarmPrePassMatchesPerKeyPath(t *testing.T) {
 
 	// A partly warm batch: cached keys are served up front, then the
 	// misses run through the pool.
-	mixed := append([]Cell[int]{countingCell("new", 99, &runs)}, cells[:3]...)
+	mixed := append(Cells[int]{countingCell("new", 99, &runs)}, cells[:3]...)
 	var mixedSteps []progressStep
 	res, st, err := e.RunWith(ctx, mixed, record(&mixedSteps))
 	if err != nil {
@@ -252,6 +263,111 @@ func TestWarmPrePassMatchesPerKeyPath(t *testing.T) {
 	if len(mixedSteps) != 4 || mixedSteps[2].stats.CacheHits != 3 || mixedSteps[3].done != 4 {
 		t.Fatalf("mixed batch progress %+v, want three hits then the miss", mixedSteps)
 	}
+
+	// Key-first resolution: a batch whose keys are all cached never has
+	// a cell built.
+	warmBatch := &countingBatch{Cells: cells}
+	if _, _, err := e.Run(ctx, warmBatch); err != nil {
+		t.Fatal(err)
+	}
+	if len(warmBatch.built) != 0 {
+		t.Fatalf("all-hit batch built cells at positions %v", warmBatch.built)
+	}
+
+	// Random batches mixing hits, misses and duplicates, on an engine
+	// whose cache grows batch by batch, against the per-key model: each
+	// hit (first-appearance order) is one CacheHits and one progress
+	// step covering all its positions, then each miss likewise as
+	// Simulated; a cell is built exactly once per missing key, at its
+	// first position.
+	rng := rand.New(rand.NewSource(19))
+	val := func(key string) int { return len(key)*7 + int(key[len(key)-1]) }
+	lazy := New[int](Options{Parallelism: 1})
+	cachedKeys := map[string]bool{}
+	for round := 0; round < 40; round++ {
+		var keys []string
+		for n := 1 + rng.Intn(24); len(keys) < n; {
+			keys = append(keys, fmt.Sprintf("k%d", rng.Intn(16)))
+		}
+		var cs Cells[int]
+		for _, k := range keys {
+			cs = append(cs, countingCell(k, val(k), &runs))
+		}
+		mult := map[string]int{}
+		var order []string
+		for _, k := range keys {
+			if mult[k] == 0 {
+				order = append(order, k)
+			}
+			mult[k]++
+		}
+		var want Stats
+		want.Submitted = uint64(len(keys))
+		want.Deduped = uint64(len(keys) - len(order))
+		var wantSteps []progressStep
+		var wantBuilt []int
+		step := func(k string) {
+			prev := 0
+			if len(wantSteps) > 0 {
+				prev = wantSteps[len(wantSteps)-1].done
+			}
+			wantSteps = append(wantSteps, progressStep{prev + mult[k], len(keys), want})
+		}
+		for _, k := range order {
+			if cachedKeys[k] {
+				want.CacheHits++
+				step(k)
+			}
+		}
+		for _, k := range order {
+			if !cachedKeys[k] {
+				want.Simulated++
+				step(k)
+				for i, kk := range keys {
+					if kk == k {
+						wantBuilt = append(wantBuilt, i)
+						break
+					}
+				}
+			}
+		}
+
+		b := &countingBatch{Cells: cs}
+		var steps []progressStep
+		res, st, err := lazy.RunWith(ctx, b, record(&steps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			if res[i] != val(k) {
+				t.Fatalf("round %d: result %d (%s) = %d, want %d", round, i, k, res[i], val(k))
+			}
+		}
+		if st != want {
+			t.Fatalf("round %d: stats %+v, want %+v", round, st, want)
+		}
+		if !reflect.DeepEqual(steps, wantSteps) {
+			t.Fatalf("round %d: progress %+v, want %+v", round, steps, wantSteps)
+		}
+		if !reflect.DeepEqual(b.built, wantBuilt) {
+			t.Fatalf("round %d: built cells at %v, want %v", round, b.built, wantBuilt)
+		}
+		for _, k := range keys {
+			cachedKeys[k] = true
+		}
+	}
+}
+
+// countingBatch is a batch over eagerly built cells that records which
+// positions the engine asked it to build.
+type countingBatch struct {
+	Cells[int]
+	built []int
+}
+
+func (b *countingBatch) Cell(i int) Cell[int] {
+	b.built = append(b.built, i)
+	return b.Cells[i]
 }
 
 func TestPerBatchProgressOverride(t *testing.T) {
@@ -261,7 +377,7 @@ func TestPerBatchProgressOverride(t *testing.T) {
 	var runs atomic.Int64
 	var got int
 	_, _, err := e.RunWith(context.Background(),
-		[]Cell[int]{countingCell("a", 1, &runs), countingCell("b", 2, &runs)},
+		Cells[int]{countingCell("a", 1, &runs), countingCell("b", 2, &runs)},
 		RunOptions{OnProgress: func(done, total int) { got = done }})
 	if err != nil {
 		t.Fatal(err)
@@ -300,12 +416,12 @@ func TestSingleflightAcrossBatches(t *testing.T) {
 	}
 	results := make(chan out, 2)
 	go func() {
-		r, s, err := e.Run(context.Background(), []Cell[int]{slow})
+		r, s, err := e.Run(context.Background(), Cells[int]{slow})
 		results <- out{r, s, err}
 	}()
 	<-entered // first batch is computing
 	go func() {
-		r, s, err := e.Run(context.Background(), []Cell[int]{slow})
+		r, s, err := e.Run(context.Background(), Cells[int]{slow})
 		results <- out{r, s, err}
 	}()
 	// Give the second batch a moment to reach the inflight wait, then
@@ -353,7 +469,7 @@ func TestSingleflightFailureHandsOff(t *testing.T) {
 
 	firstDone := make(chan error, 1)
 	go func() {
-		_, _, err := e.Run(ctx1, []Cell[int]{cell})
+		_, _, err := e.Run(ctx1, Cells[int]{cell})
 		firstDone <- err
 	}()
 	<-entered
@@ -363,7 +479,7 @@ func TestSingleflightFailureHandsOff(t *testing.T) {
 	}
 
 	// The second batch must not be poisoned by the first's cancellation.
-	got, stats, err := e.Run(context.Background(), []Cell[int]{cell})
+	got, stats, err := e.Run(context.Background(), Cells[int]{cell})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +495,7 @@ func TestCancelledRunReturnsCtxErr(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	var once sync.Once
-	var cells []Cell[int]
+	var cells Cells[int]
 	for i := 0; i < 8; i++ {
 		cells = append(cells, Cell[int]{Key: fmt.Sprintf("c%d", i), Run: func(ctx context.Context) (int, error) {
 			once.Do(func() { close(started) })
@@ -401,7 +517,7 @@ func TestPreCancelledRunDoesNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var runs atomic.Int64
-	if _, _, err := e.Run(ctx, []Cell[int]{countingCell("a", 1, &runs)}); !errors.Is(err, context.Canceled) {
+	if _, _, err := e.Run(ctx, Cells[int]{countingCell("a", 1, &runs)}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if runs.Load() != 0 {
@@ -432,7 +548,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}}
 
 	e1 := New[payload](Options{Parallelism: 1, ResultDir: dir})
-	first, _, err := e1.Run(context.Background(), []Cell[payload]{cell})
+	first, _, err := e1.Run(context.Background(), Cells[payload]{cell})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +562,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if got := e2.StoredCells(); got != 1 {
 		t.Fatalf("startup index found %d cells, want 1", got)
 	}
-	second, warm, err := e2.Run(context.Background(), []Cell[payload]{cell})
+	second, warm, err := e2.Run(context.Background(), Cells[payload]{cell})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +587,7 @@ func TestStoreTruncatedCellResimulates(t *testing.T) {
 	cell := countingCell("k", 42, &runs)
 
 	e := New[int](Options{Parallelism: 1, ResultDir: dir})
-	if _, _, err := e.Run(context.Background(), []Cell[int]{cell}); err != nil {
+	if _, _, err := e.Run(context.Background(), Cells[int]{cell}); err != nil {
 		t.Fatal(err)
 	}
 	files := storeFiles(t, dir)
@@ -489,7 +605,7 @@ func TestStoreTruncatedCellResimulates(t *testing.T) {
 	// Warm re-run on a fresh engine over the same store: the truncated
 	// cell is a miss, not an error, and gets rewritten intact.
 	e2 := New[int](Options{Parallelism: 1, ResultDir: dir})
-	got, stats, err := e2.Run(context.Background(), []Cell[int]{cell})
+	got, stats, err := e2.Run(context.Background(), Cells[int]{cell})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +616,7 @@ func TestStoreTruncatedCellResimulates(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 simulated / 0 store hits", stats)
 	}
 	e3 := New[int](Options{Parallelism: 1, ResultDir: dir})
-	if _, healed, err := e3.Run(context.Background(), []Cell[int]{cell}); err != nil || healed.StoreHits != 1 {
+	if _, healed, err := e3.Run(context.Background(), Cells[int]{cell}); err != nil || healed.StoreHits != 1 {
 		t.Errorf("store not healed after re-simulation: stats %+v, err %v", healed, err)
 	}
 }
@@ -515,7 +631,7 @@ func TestStoreCorruptFileResimulates(t *testing.T) {
 	cell := countingCell("k", 42, &runs)
 
 	e := New[int](Options{Parallelism: 1, ResultDir: dir})
-	if _, _, err := e.Run(context.Background(), []Cell[int]{cell}); err != nil {
+	if _, _, err := e.Run(context.Background(), Cells[int]{cell}); err != nil {
 		t.Fatal(err)
 	}
 	files := storeFiles(t, dir)
@@ -527,7 +643,7 @@ func TestStoreCorruptFileResimulates(t *testing.T) {
 			t.Fatal(err)
 		}
 		e2 := New[int](Options{Parallelism: 1, ResultDir: dir})
-		got, stats, err := e2.Run(context.Background(), []Cell[int]{cell})
+		got, stats, err := e2.Run(context.Background(), Cells[int]{cell})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -552,7 +668,7 @@ func TestStoreWriteFailureKeepsResult(t *testing.T) {
 		t.Fatalf("StoreDegraded = (%q, %v), want degraded with a reason", why, bad)
 	}
 	var runs atomic.Int64
-	got, stats, err := e.Run(context.Background(), []Cell[int]{countingCell("k", 7, &runs)})
+	got, stats, err := e.Run(context.Background(), Cells[int]{countingCell("k", 7, &runs)})
 	if err != nil {
 		t.Fatalf("unusable store root aborted the batch: %v", err)
 	}
@@ -563,7 +679,7 @@ func TestStoreWriteFailureKeepsResult(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 simulated and no per-cell store errors in degraded mode", stats)
 	}
 	// The result survived in the memory cache.
-	if _, _, err := e.Run(context.Background(), []Cell[int]{countingCell("k", 7, &runs)}); err != nil || runs.Load() != 1 {
+	if _, _, err := e.Run(context.Background(), Cells[int]{countingCell("k", 7, &runs)}); err != nil || runs.Load() != 1 {
 		t.Errorf("computed result not served from cache after store failure (runs=%d, err=%v)", runs.Load(), err)
 	}
 }
@@ -594,7 +710,7 @@ func TestStoreIgnoresForeignFiles(t *testing.T) {
 		t.Errorf("index counted %d foreign cells, want 0", got)
 	}
 	var runs atomic.Int64
-	got, stats, err := e.Run(context.Background(), []Cell[int]{countingCell("k", 3, &runs)})
+	got, stats, err := e.Run(context.Background(), Cells[int]{countingCell("k", 3, &runs)})
 	if err != nil || got[0] != 3 || runs.Load() != 1 || stats.StoreHits != 0 {
 		t.Errorf("foreign file interfered: got %v runs %d stats %+v err %v", got, runs.Load(), stats, err)
 	}
@@ -610,7 +726,7 @@ func TestCancelLeavesStoreConsistent(t *testing.T) {
 	dir := t.TempDir()
 	e := New[int](Options{Parallelism: 2, ResultDir: dir})
 	ctx, cancel := context.WithCancel(context.Background())
-	var cells []Cell[int]
+	var cells Cells[int]
 	fired := make(chan struct{})
 	var once sync.Once
 	for i := 0; i < 16; i++ {
@@ -653,5 +769,43 @@ func TestCancelLeavesStoreConsistent(t *testing.T) {
 	}
 	if stats.StoreHits+stats.Simulated != 16 {
 		t.Errorf("recovery stats %+v do not cover all 16 cells", stats)
+	}
+}
+
+// hookBatch is a batch over eagerly built cells that calls onCell each
+// time the engine builds one.
+type hookBatch struct {
+	Cells[int]
+	onCell func(i int)
+}
+
+func (b hookBatch) Cell(i int) Cell[int] {
+	b.onCell(i)
+	return b.Cells[i]
+}
+
+// TestLateHitJoinsEarlierMiss covers a key that misses at its first
+// position and is cached — by another batch — before the engine
+// reaches a later position of the same key: the later position must
+// join the miss as a duplicate, not open a second slot for the key.
+func TestLateHitJoinsEarlierMiss(t *testing.T) {
+	ctx := context.Background()
+	e := New[int](Options{Parallelism: 1})
+	var runs atomic.Int64
+	cell := countingCell("k", 7, &runs)
+	b := hookBatch{Cells: Cells[int]{cell, cell}, onCell: func(int) {
+		if _, _, err := e.Run(ctx, Cells[int]{cell}); err != nil {
+			t.Error(err)
+		}
+	}}
+	got, st, err := e.Run(ctx, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != 7 || got[1] != 7 || runs.Load() != 1 {
+		t.Fatalf("results %v after %d runs, want [7 7] after 1", got, runs.Load())
+	}
+	if want := (Stats{Submitted: 2, Deduped: 1, CacheHits: 1}); st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -116,7 +117,7 @@ type SnapStore struct {
 	stats   SnapStats
 
 	// Ghost list: a bounded ring remembering recently evicted (hash,
-	// tick) slots so AttributeResim can tell "cold because never saved"
+	// tick) slots so a resume attempt can tell "cold because never saved"
 	// from "cold because evicted". Re-saving the exact slot clears its
 	// ghost; overwriting the ring forgets the oldest evictions first.
 	ghosts    []ghost
@@ -305,19 +306,38 @@ func (s *SnapStore) insertLocked(e *snapEntry) {
 
 // Ticks returns the ticks with a stored checkpoint for key, ascending.
 func (s *SnapStore) Ticks(key string) []int {
+	ticks, _ := s.Candidates(key, math.MaxInt)
+	return ticks
+}
+
+// Candidates opens a resume attempt for key toward horizon: it returns
+// the ticks at or below horizon with a stored checkpoint, ascending,
+// and the furthest evicted checkpoint (ghost) at or below horizon, 0
+// for none. Both are read under one lock, so the ghost is the one the
+// attempt's candidate list was missing: a concurrent re-save of the
+// ghost's slot, which forgets the ghost, cannot erase the attempt's
+// charge before NoteResume records it.
+func (s *SnapStore) Candidates(key string, horizon int) (ticks []int, ghost int) {
 	hash := hashKey(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for t := range s.ghostIdx[hash] {
+		if t <= horizon && t > ghost {
+			ghost = t
+		}
+	}
 	byTick := s.entries[hash]
 	if len(byTick) == 0 {
-		return nil
+		return nil, ghost
 	}
-	out := make([]int, 0, len(byTick))
+	ticks = make([]int, 0, len(byTick))
 	for t := range byTick {
-		out = append(out, t)
+		if t <= horizon {
+			ticks = append(ticks, t)
+		}
 	}
-	sort.Ints(out)
-	return out
+	sort.Ints(ticks)
+	return ticks, ghost
 }
 
 // Has reports whether a checkpoint exists for (key, tick).
@@ -332,7 +352,7 @@ func (s *SnapStore) Has(key string, tick int) bool {
 // unreadable, or vanished checkpoint is (nil, false); payload validation
 // is the consumer's job (the self-describing snapshot embeds its own key
 // and version). Load does not tally hits or misses — those are
-// per-resume-attempt (NoteHit/NoteMiss), not per-read, so one attempt
+// per-resume-attempt (NoteResume), not per-read, so one attempt
 // that probes several candidates still counts once. File reads happen
 // outside the index lock: checkpoints run to hundreds of KB, and a worker
 // pool must not serialize on one cell's disk I/O.
@@ -389,20 +409,27 @@ func (s *SnapStore) Load(key string, tick int) ([]byte, bool) {
 	return data, true
 }
 
-// NoteHit records a resume attempt that restored a usable checkpoint.
-func (s *SnapStore) NoteHit() {
+// NoteResume records the outcome of a resume attempt opened by
+// Candidates, in one locked update: a hit when it restored the
+// checkpoint at tick resumed, a miss when resumed is 0 (nothing usable,
+// including payloads that failed validation downstream). It also
+// charges re-simulated work to prior evictions: when the attempt's
+// ghost lies beyond resumed, the byte cap cost one GhostHit and
+// ghost-resumed EvictionResimTicks — exactly the ticks it put back on
+// the CPU. An attempt with no ghost past its resume point charges
+// nothing: that work was simply never checkpointed.
+func (s *SnapStore) NoteResume(resumed, ghost int) {
 	s.mu.Lock()
-	s.stats.Hits++
-	s.mu.Unlock()
-}
-
-// NoteMiss records a resume attempt that found no usable checkpoint
-// (including ones whose payloads failed validation downstream), keeping
-// the hit/miss tallies meaningful to operators.
-func (s *SnapStore) NoteMiss() {
-	s.mu.Lock()
-	s.stats.Misses++
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	if resumed > 0 {
+		s.stats.Hits++
+	} else {
+		s.stats.Misses++
+	}
+	if ghost > resumed {
+		s.stats.GhostHits++
+		s.stats.EvictionResimTicks += uint64(ghost - resumed)
+	}
 }
 
 // Save stores a checkpoint for (key, tick), evicting least-recently-used
@@ -654,30 +681,6 @@ func (s *SnapStore) forgetGhostLocked(hash string, tick int) {
 		delete(s.ghostIdx, hash)
 	}
 	s.ghosts[slot] = ghost{}
-}
-
-// AttributeResim charges re-simulated work to prior evictions: a resume
-// attempt for key that restored tick `resumed` (0 = cold start) and must
-// now simulate to `horizon` checks the ghost list for the furthest
-// evicted checkpoint it could have used instead. Finding ghost tick G
-// with resumed < G <= horizon counts one GhostHit and G-resumed
-// EvictionResimTicks — exactly the ticks the byte cap put back on the
-// CPU. Attempts with no covering ghost charge nothing: that work was
-// simply never checkpointed.
-func (s *SnapStore) AttributeResim(key string, resumed, horizon int) {
-	hash := hashKey(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	best := 0
-	for tick := range s.ghostIdx[hash] {
-		if tick > resumed && tick <= horizon && tick > best {
-			best = tick
-		}
-	}
-	if best > 0 {
-		s.stats.GhostHits++
-		s.stats.EvictionResimTicks += uint64(best - resumed)
-	}
 }
 
 // snapPath returns where a checkpoint lives: root/ab/ab...@tick.snap

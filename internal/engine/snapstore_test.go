@@ -63,9 +63,9 @@ func TestSnapStoreRoundTrip(t *testing.T) {
 			if st.Hits != 0 || st.Misses != 0 || st.Saves != 5 || st.Loads != 2 {
 				t.Fatalf("tallies %+v", st)
 			}
-			s.NoteHit()
-			s.NoteMiss()
-			if st = s.Stats(); st.Hits != 1 || st.Misses != 1 {
+			s.NoteResume(200, 0)
+			s.NoteResume(0, 0)
+			if st = s.Stats(); st.Hits != 1 || st.Misses != 1 || st.GhostHits != 0 {
 				t.Fatalf("attempt tallies %+v", st)
 			}
 		})
@@ -153,25 +153,32 @@ func TestSnapStoreGhostAttribution(t *testing.T) {
 		t.Fatalf("expected evictions did not happen: ticks %v", s.Ticks("k"))
 	}
 
+	// attempt runs one resume attempt toward horizon that restores
+	// the checkpoint at resumed (0 = a cold start).
+	attempt := func(key string, resumed, horizon int) {
+		_, ghost := s.Candidates(key, horizon)
+		s.NoteResume(resumed, ghost)
+	}
+
 	// A cold resume to 2500 could have used evicted checkpoint 2000: one
 	// ghost hit charging 2000 ticks — the furthest covering ghost wins,
 	// not the sum over all of them.
-	s.AttributeResim("k", 0, 2500)
+	attempt("k", 0, 2500)
 	if st := s.Stats(); st.GhostHits != 1 || st.EvictionResimTicks != 2000 {
 		t.Fatalf("cold attribution %+v", st)
 	}
 
 	// A partial resume charges only the gap up to the ghost.
-	s.AttributeResim("k", 1000, 2500)
+	attempt("k", 1000, 2500)
 	if st := s.Stats(); st.GhostHits != 2 || st.EvictionResimTicks != 3000 {
 		t.Fatalf("partial attribution %+v", st)
 	}
 
 	// No covering ghost: horizon below every ghost, a foreign key, or a
 	// resume already past them all charge nothing.
-	s.AttributeResim("k", 0, 500)
-	s.AttributeResim("other", 0, 1<<30)
-	s.AttributeResim("k", 2000, 1<<30)
+	attempt("k", 0, 500)
+	attempt("other", 0, 1<<30)
+	attempt("k", 2000, 1<<30)
 	if st := s.Stats(); st.GhostHits != 2 || st.EvictionResimTicks != 3000 {
 		t.Fatalf("phantom attribution %+v", st)
 	}
@@ -181,9 +188,54 @@ func TestSnapStoreGhostAttribution(t *testing.T) {
 	if err := s.Save("k", 2000, testPayload(100, 2)); err != nil {
 		t.Fatal(err)
 	}
-	s.AttributeResim("k", 1000, 2500)
+	attempt("k", 1000, 2500)
 	if st := s.Stats(); st.GhostHits != 2 {
 		t.Fatalf("cleared ghost still charged %+v", st)
+	}
+}
+
+// TestSnapGhostChargeSurvivesResave pins the check-then-act order of a
+// resume attempt's eviction charge: the ghost is read with the
+// candidate list, so a same-slot re-save landing between the attempt's
+// load and its NoteResume — which forgets the ghost — cannot erase the
+// charge for work the eviction already put back on the attempt.
+func TestSnapGhostChargeSurvivesResave(t *testing.T) {
+	s := NewSnapStore("", 300)
+	for i := 1; i <= 3; i++ {
+		if err := s.Save("k", i*1000, testPayload(100, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := s.Load("k", 1000); !ok { // 2000 is now least recently used
+		t.Fatal("checkpoint 1000 missing")
+	}
+	if err := s.Save("k", 4000, testPayload(100, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if s.Has("k", 2000) {
+		t.Fatalf("expected eviction of tick 2000 did not happen: ticks %v", s.Ticks("k"))
+	}
+
+	ticks, ghost := s.Candidates("k", 2500)
+	if len(ticks) != 1 || ticks[0] != 1000 || ghost != 2000 {
+		t.Fatalf("candidates %v ghost %d, want [1000] and 2000", ticks, ghost)
+	}
+	if _, ok := s.Load("k", 1000); !ok {
+		t.Fatal("checkpoint 1000 missing")
+	}
+	// Another run of the trajectory re-saves the evicted slot between
+	// this attempt's load and its attribution.
+	if err := s.Save("k", 2000, testPayload(100, 2)); err != nil {
+		t.Fatal(err)
+	}
+	s.NoteResume(1000, ghost)
+	if st := s.Stats(); st.Hits != 1 || st.GhostHits != 1 || st.EvictionResimTicks != 1000 {
+		t.Fatalf("attempt tallies %+v, want one hit charged 1000 ticks to ghost 2000", st)
+	}
+	// The next attempt finds the re-saved checkpoint and owes nothing.
+	ticks, ghost = s.Candidates("k", 2500)
+	if len(ticks) == 0 || ticks[len(ticks)-1] != 2000 || ghost != 0 {
+		t.Fatalf("after re-save: candidates %v ghost %d, want ...2000 and no ghost", ticks, ghost)
 	}
 }
 

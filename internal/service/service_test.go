@@ -30,7 +30,7 @@ func testOpts() sim.Options {
 }
 
 // newTestServer spins a service with its HTTP front end.
-func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *Client) {
 	t.Helper()
 	svc := New(cfg)
 	ts := httptest.NewServer(svc.Handler())

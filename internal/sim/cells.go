@@ -126,28 +126,32 @@ func appendForensicsSuffix(b []byte, fx ForensicsOptions) []byte {
 
 // simCellKey names a full-system simulation cell: every input NewSystem
 // and Run consume — appendSimShape's and appendSimWorkload's fields, the
-// warmup and measure
-// horizons — plus the forensics mode. wl is the mix's rendered
-// identity (mixIdentity.wl).
+// warmup and measure horizons — plus the forensics mode. wl is the
+// mix's rendered identity (mixIdentity.wl).
 func simCellKey(cfg Config, wl string, warmup, measure int) string {
-	key, _ := simCellIDs(cfg, wl, warmup, measure)
-	return key
+	return string(appendSimCellKey(make([]byte, 0, 160+len(wl)), cfg, wl, warmup, measure))
+}
+
+// appendSimCellKey appends simCellKey's bytes to b.
+func appendSimCellKey(b []byte, cfg Config, wl string, warmup, measure int) []byte {
+	b = appendHorizon(appendSimShape(append(b, "sim/v2"...), cfg), warmup, measure)
+	return appendForensicsSuffix(appendSimWorkload(b, cfg, wl), cfg.Forensics)
+}
+
+// appendTrajectory appends a trajectory's fields behind tag: the sim
+// cell key's fields without the horizons (see trajectoryKey).
+func appendTrajectory(b []byte, tag string, cfg Config, wl string) []byte {
+	b = appendSimShape(append(b, tag...), cfg)
+	return appendForensicsSuffix(appendSimWorkload(b, cfg, wl), cfg.Forensics)
 }
 
 // simCellIDs renders a sim cell's key (see simCellKey) and its planner
-// group: the cell's trajectory key (rendered like trajectoryKey) behind
-// a "sim " tag. The two differ only in tag and horizons, so the shared
-// fields render once, and both strings share one allocation.
+// group: the cell's trajectory key behind a "sim " tag. Both strings
+// share one allocation.
 func simCellIDs(cfg Config, wl string, warmup, measure int) (key, group string) {
-	const keyTag, groupTag = "sim/v2", "sim " + trajectoryTag
-	b := appendSimShape(append(make([]byte, 0, 2*(160+len(wl))), keyTag...), cfg)
-	shapeEnd := len(b)
-	b = appendHorizon(b, warmup, measure)
-	workloadStart := len(b)
-	b = appendForensicsSuffix(appendSimWorkload(b, cfg, wl), cfg.Forensics)
+	b := appendSimCellKey(make([]byte, 0, 2*(160+len(wl))), cfg, wl, warmup, measure)
 	keyLen := len(b)
-	b = append(append(b, groupTag...), b[len(keyTag):shapeEnd]...)
-	ids := string(append(b, b[workloadStart:keyLen]...))
+	ids := string(appendTrajectory(b, "sim "+trajectoryTag, cfg, wl))
 	return ids[:keyLen], ids[keyLen:]
 }
 
@@ -334,25 +338,22 @@ func (ck *checkpointer) enabled() bool { return ck.snaps != nil && ck.interval >
 // validates); rejected candidates are skipped, so every failure mode is
 // a clean miss, never an error. Exactly one hit (a take accepted, also
 // reported through engine.MarkResumed) or one miss is tallied per
-// resume attempt, regardless of how many candidates were tried.
+// resume attempt, regardless of how many candidates were tried, with
+// the eviction charge of the ghost read alongside the candidates.
 func (ck *checkpointer) resumeLongest(ctx context.Context, horizon int, take func(tick int, data []byte) bool) bool {
 	if !ck.enabled() {
 		return false
 	}
 	sp := telemetry.StartSpan(ctx, "checkpoint-lookup", ck.key)
-	ticks := ck.snaps.Ticks(ck.key)
+	ticks, ghost := ck.snaps.Candidates(ck.key, horizon)
 	for i := len(ticks) - 1; i >= 0; i-- {
 		t := ticks[i]
-		if t > horizon {
-			continue
-		}
 		data, ok := ck.snaps.Load(ck.key, t)
 		if !ok {
 			continue
 		}
 		if take(t, data) {
-			ck.snaps.NoteHit()
-			ck.snaps.AttributeResim(ck.key, t, horizon)
+			ck.snaps.NoteResume(t, ghost)
 			engine.MarkResumed(ctx, t)
 			sp.SetAttr("hit", true)
 			sp.SetAttr("tick", t)
@@ -360,8 +361,7 @@ func (ck *checkpointer) resumeLongest(ctx context.Context, horizon int, take fun
 			return true
 		}
 	}
-	ck.snaps.NoteMiss()
-	ck.snaps.AttributeResim(ck.key, 0, horizon)
+	ck.snaps.NoteResume(0, ghost)
 	sp.SetAttr("hit", false)
 	sp.End()
 	return false
@@ -566,8 +566,13 @@ func runAlonePass(ctx context.Context, lab *Engine, members []engine.PlanMember,
 // aloneCellKey names an alone-IPC reference cell: the source's Key,
 // the seed and the horizon.
 func aloneCellKey(srcKey string, seed uint64, ticks int) string {
-	b := appendAloneKey(make([]byte, 0, 64+len(srcKey)), "alone/v2", srcKey, seed)
-	return string(strconv.AppendInt(append(b, " ticks="...), int64(ticks), 10))
+	return string(appendAloneCellKey(make([]byte, 0, 64+len(srcKey)), srcKey, seed, ticks))
+}
+
+// appendAloneCellKey appends aloneCellKey's bytes to b.
+func appendAloneCellKey(b []byte, srcKey string, seed uint64, ticks int) []byte {
+	b = appendAloneKey(b, "alone/v2", srcKey, seed)
+	return strconv.AppendInt(append(b, " ticks="...), int64(ticks), 10)
 }
 
 // aloneCell builds the cell that computes one workload's alone-IPC

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"hira/internal/cache"
@@ -501,6 +502,8 @@ func (e *Engine) runPoint(ctx context.Context, base Config, policies []RefreshPo
 // alone-IPC reference cells each (mix set, measure) needs, then one
 // simulation cell per (point, measure, policy, mix) — and assembles
 // weighted speedups: rows[point][measure] is one score per policy.
+// Cells are described by index (see sweepBatch), so the engine renders
+// each key to look it up and builds only the cells it lacks.
 // opts supplies what the points share (cores, seed, warmup, forensics,
 // progress and stats sinks); opts.Measure and opts.Mixes are ignored.
 // One batch means one progress total, one dispatch barrier, and an
@@ -513,62 +516,8 @@ func runSweep(ctx context.Context, lab *Engine, opts Options, points []sweepPoin
 		}
 	}
 
-	var cells []engine.Cell[CellResult]
-	// aloneIdx dedups alone cells by their key's inputs: a seed-invariant
-	// source dealt to several cores, or a mix several sets share, has one
-	// reference.
-	type aloneID struct {
-		src   string
-		seed  uint64
-		ticks int
-	}
-	aloneIdx := map[aloneID]int{} // -> index into cells
-	// aloneRefs[set][measure][mix][core] -> index into cells
-	aloneRefs := map[*mixSet][][][]int{}
-	for _, p := range points {
-		set := p.mixes
-		if _, ok := aloneRefs[set]; ok {
-			continue
-		}
-		refs := make([][][]int, len(measures))
-		for mIdx, measure := range measures {
-			refs[mIdx] = make([][]int, len(set.mixes))
-			for mi, mix := range set.mixes {
-				refs[mIdx][mi] = make([]int, len(mix.Sources))
-				for c, src := range mix.Sources {
-					id := aloneID{src: set.ids[mi].srcs[c], seed: aloneRefSeed(src, opts.Seed, c), ticks: measure}
-					idx, ok := aloneIdx[id]
-					if !ok {
-						idx = len(cells)
-						aloneIdx[id] = idx
-						cells = append(cells, aloneCell(lab, src, id.src, id.seed, measure))
-					}
-					refs[mIdx][mi][c] = idx
-				}
-			}
-		}
-		aloneRefs[set] = refs
-	}
-	// simStart[point][measure] -> that (policy x mix) block's first cell
-	simStart := make([][]int, len(points))
-	for pi, p := range points {
-		simStart[pi] = make([]int, len(measures))
-		for mIdx, measure := range measures {
-			simStart[pi][mIdx] = len(cells)
-			for _, pol := range p.policies {
-				cfg := p.base
-				cfg.Cores = opts.Cores
-				cfg.Policy = pol
-				cfg.Seed = opts.Seed
-				cfg.Forensics = ForensicsOptions{Enabled: opts.Forensics, Recorder: opts.Forensics && opts.ForensicsRecorder}
-				for mi, mix := range p.mixes.mixes {
-					cells = append(cells, simCell(lab, cfg, mix, p.mixes.ids[mi].wl, opts.Warmup, measure))
-				}
-			}
-		}
-	}
-
-	results, batch, err := lab.eng.RunWith(ctx, cells, engine.RunOptions{
+	sw := newSweepBatch(lab, opts, points, measures)
+	results, batch, err := lab.eng.RunWith(ctx, sw, engine.RunOptions{
 		OnProgress:      opts.Progress,
 		OnProgressStats: opts.ProgressStats,
 	})
@@ -583,7 +532,7 @@ func runSweep(ctx context.Context, lab *Engine, opts Options, points []sweepPoin
 	for pi, p := range points {
 		rows[pi] = make([][]PolicyScore, len(measures))
 		ws := make([]float64, len(p.mixes.mixes))
-		for mIdx, refs := range aloneRefs[p.mixes] {
+		for mIdx, refs := range sw.aloneRefs[p.mixes] {
 			alone := make([][]float64, len(refs)) // [mix][core]
 			for mi, cores := range refs {
 				alone[mi] = make([]float64, len(cores))
@@ -592,7 +541,7 @@ func runSweep(ctx context.Context, lab *Engine, opts Options, points []sweepPoin
 				}
 			}
 			scores := make([]PolicyScore, len(p.policies))
-			next := simStart[pi][mIdx]
+			next := sw.simStart[pi][mIdx]
 			for si, pol := range p.policies {
 				var agg SchedAggregate
 				var fx *ForensicsSummary
@@ -614,6 +563,141 @@ func runSweep(ctx context.Context, lab *Engine, opts Options, points []sweepPoin
 		}
 	}
 	return rows, nil
+}
+
+// newSweepBatch lays out runSweep's batch: the alone-IPC reference
+// cells each (mix set, measure) needs, then one simulation cell per
+// (point, measure, policy, mix).
+func newSweepBatch(lab *Engine, opts Options, points []sweepPoint, measures []int) *sweepBatch {
+	sw := &sweepBatch{
+		lab: lab, points: points, measures: measures,
+		cores: opts.Cores, seed: opts.Seed, warmup: opts.Warmup,
+		fx:        ForensicsOptions{Enabled: opts.Forensics, Recorder: opts.Forensics && opts.ForensicsRecorder},
+		aloneRefs: map[*mixSet][][][]int{},
+		simStart:  make([][]int, len(points)),
+	}
+	// aloneIdx dedups alone cells by their key's inputs: a seed-invariant
+	// source dealt to several cores, or a mix several sets share, has one
+	// reference.
+	type aloneID struct {
+		src   string
+		seed  uint64
+		ticks int
+	}
+	aloneIdx := map[aloneID]int{} // -> index into sw.cells
+	for pi, p := range points {
+		set := p.mixes
+		if _, ok := sw.aloneRefs[set]; ok {
+			continue
+		}
+		refs := make([][][]int, len(measures))
+		for mIdx, measure := range measures {
+			refs[mIdx] = make([][]int, len(set.mixes))
+			for mi, mix := range set.mixes {
+				refs[mIdx][mi] = make([]int, len(mix.Sources))
+				for c, src := range mix.Sources {
+					id := aloneID{src: set.ids[mi].srcs[c], seed: aloneRefSeed(src, opts.Seed, c), ticks: measure}
+					idx, ok := aloneIdx[id]
+					if !ok {
+						idx = len(sw.cells)
+						aloneIdx[id] = idx
+						sw.cells = append(sw.cells, sweepCell{alone: true, point: pi, measure: mIdx, mix: mi, core: c})
+					}
+					refs[mIdx][mi][c] = idx
+				}
+			}
+		}
+		sw.aloneRefs[set] = refs
+	}
+	nSim := 0
+	for _, p := range points {
+		nSim += len(measures) * len(p.policies) * len(p.mixes.mixes)
+	}
+	sw.cells = slices.Grow(sw.cells, nSim)
+	for pi, p := range points {
+		sw.simStart[pi] = make([]int, len(measures))
+		for mIdx := range measures {
+			sw.simStart[pi][mIdx] = len(sw.cells)
+			for si := range p.policies {
+				for mi := range p.mixes.mixes {
+					sw.cells = append(sw.cells, sweepCell{point: pi, measure: mIdx, policy: si, mix: mi})
+				}
+			}
+		}
+	}
+	return sw
+}
+
+// sweepCell is one position of a sweep batch, by index: the sim cell
+// of (point, measure, policy, mix), or with alone set the alone-IPC
+// reference of core's source in mix of point's mix set at measure.
+type sweepCell struct {
+	alone                             bool
+	point, measure, policy, mix, core int
+}
+
+// sweepBatch is runSweep's engine batch. Positions are index tuples; a
+// position's key is rendered, and its cell built, only when the engine
+// asks, so an answer the cache holds costs one key rendering into the
+// engine's buffer and nothing else.
+type sweepBatch struct {
+	lab      *Engine
+	points   []sweepPoint
+	measures []int
+	cores    int
+	seed     uint64
+	warmup   int
+	fx       ForensicsOptions
+	cells    []sweepCell
+
+	// aloneRefs[set][measure][mix][core] and simStart[point][measure]
+	// (the first cell of that point's policy x mix block) index cells.
+	aloneRefs map[*mixSet][][][]int
+	simStart  [][]int
+}
+
+func (sw *sweepBatch) Len() int { return len(sw.cells) }
+
+// config is sim cell c's configuration: its point's base with the
+// sweep's shared fields and c's policy.
+func (sw *sweepBatch) config(c sweepCell) Config {
+	p := &sw.points[c.point]
+	cfg := p.base
+	cfg.Cores = sw.cores
+	cfg.Policy = p.policies[c.policy]
+	cfg.Seed = sw.seed
+	cfg.Forensics = sw.fx
+	return cfg
+}
+
+// aloneSource is alone cell c's source, its rendered Key and its seed.
+func (sw *sweepBatch) aloneSource(c sweepCell) (workload.Source, string, uint64) {
+	set := sw.points[c.point].mixes
+	src := set.mixes[c.mix].Sources[c.core]
+	return src, set.ids[c.mix].srcs[c.core], aloneRefSeed(src, sw.seed, c.core)
+}
+
+// AppendKey renders position i's key with the renderers simCell and
+// aloneCell key their cells with.
+func (sw *sweepBatch) AppendKey(dst []byte, i int) []byte {
+	c := sw.cells[i]
+	if c.alone {
+		_, srcKey, seed := sw.aloneSource(c)
+		return appendAloneCellKey(dst, srcKey, seed, sw.measures[c.measure])
+	}
+	wl := sw.points[c.point].mixes.ids[c.mix].wl
+	return appendSimCellKey(dst, sw.config(c), wl, sw.warmup, sw.measures[c.measure])
+}
+
+// Cell builds position i's cell.
+func (sw *sweepBatch) Cell(i int) engine.Cell[CellResult] {
+	c := sw.cells[i]
+	if c.alone {
+		src, srcKey, seed := sw.aloneSource(c)
+		return aloneCell(sw.lab, src, srcKey, seed, sw.measures[c.measure])
+	}
+	set := sw.points[c.point].mixes
+	return simCell(sw.lab, sw.config(c), set.mixes[c.mix], set.ids[c.mix].wl, sw.warmup, sw.measures[c.measure])
 }
 
 // Fig9Row is one capacity point of Fig. 9.

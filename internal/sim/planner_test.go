@@ -41,6 +41,13 @@ func coldCell(t *testing.T, cfg Config, mix workload.SourceMix, warmup, measure 
 	return simCellResult(res)
 }
 
+// cellSlice is an engine batch of cells built up front.
+type cellSlice []engine.Cell[CellResult]
+
+func (c cellSlice) Len() int                           { return len(c) }
+func (c cellSlice) AppendKey(dst []byte, i int) []byte { return append(dst, c[i].Key...) }
+func (c cellSlice) Cell(i int) engine.Cell[CellResult] { return c[i] }
+
 // assertColdOracle checks every cell a RunPoliciesHorizons sweep on lab
 // resolved — each (measure, policy, mix) sim cell and each alone-IPC
 // reference — against cold straight-through runs, reading the engine's
@@ -56,7 +63,7 @@ func assertColdOracle(t *testing.T, lab *Engine, base Config, policies []Refresh
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cells []engine.Cell[CellResult]
+	var cells cellSlice
 	var want []CellResult
 	for _, measure := range measures {
 		for _, mix := range mixes {

@@ -100,13 +100,13 @@ func TestResumableCellsSplitIndependence(t *testing.T) {
 
 	warm := NewEngine(EngineConfig{SnapInterval: 1000})
 	// First run fixes the trajectory's checkpoints, including tick 6000.
-	if _, _, err := warm.eng.Run(ctx, []engine.Cell[CellResult]{simCell(warm, cfg, mix, wl, 2000, 4000)}); err != nil {
+	if _, _, err := warm.eng.Run(ctx, cellSlice{simCell(warm, cfg, mix, wl, 2000, 4000)}); err != nil {
 		t.Fatal(err)
 	}
 	// A different split whose warmup (3000) sits on the checkpoint grid:
 	// the runner restores tick 3000 for the mark and tick 6000 for the
 	// state, simulating only 6000..7000.
-	got, st, err := warm.eng.Run(ctx, []engine.Cell[CellResult]{simCell(warm, cfg, mix, wl, 3000, 4000)})
+	got, st, err := warm.eng.Run(ctx, cellSlice{simCell(warm, cfg, mix, wl, 3000, 4000)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,5 +115,42 @@ func TestResumableCellsSplitIndependence(t *testing.T) {
 	}
 	if cold := coldCell(t, cfg, mix, 3000, 4000); !reflect.DeepEqual(got[0], cold) {
 		t.Fatalf("split-resumed result diverged from cold:\nwarm: %+v\ncold: %+v", got[0], cold)
+	}
+}
+
+// TestResumeLongestChargesGhostDespiteResave drives resumeLongest with a
+// take hook that re-saves an evicted checkpoint slot — as a concurrent
+// run of the same trajectory would — between the candidate's load and
+// the attempt's attribution. The attempt resumed at tick 1000 while the
+// evicted checkpoint at 2000 would have served it, so the eviction
+// still owes 1000 re-simulated ticks, re-save or not.
+func TestResumeLongestChargesGhostDespiteResave(t *testing.T) {
+	snaps := engine.NewSnapStore("", 300)
+	ck := checkpointer{snaps: snaps, interval: 1000, key: "traj"}
+	payload := func() []byte { return make([]byte, 100) }
+	for _, tick := range []int{1000, 2000, 3000} {
+		if err := snaps.Save(ck.key, tick, payload()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snaps.Load(ck.key, 1000) // 2000 becomes least recently used
+	if err := snaps.Save(ck.key, 4000, payload()); err != nil {
+		t.Fatal(err)
+	}
+	if snaps.Has(ck.key, 2000) {
+		t.Fatal("checkpoint 2000 was not evicted")
+	}
+	resumed := ck.resumeLongest(context.Background(), 2500, func(tick int, _ []byte) bool {
+		if err := snaps.Save(ck.key, 2000, payload()); err != nil {
+			t.Fatal(err)
+		}
+		return tick == 1000
+	})
+	st := snaps.Stats()
+	if !resumed || st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("resumed %v, tallies %+v, want one hit", resumed, st)
+	}
+	if st.GhostHits != 1 || st.EvictionResimTicks != 1000 {
+		t.Fatalf("ghost hits %d charging %d ticks, want 1 charging 1000", st.GhostHits, st.EvictionResimTicks)
 	}
 }

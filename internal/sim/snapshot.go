@@ -65,8 +65,7 @@ const trajectoryTag = "traj/v3"
 // renderers, appendSimShape, appendSimWorkload and
 // appendForensicsSuffix, with the horizons left out.
 func trajectoryKey(cfg Config, wl string) string {
-	b := appendSimShape(append(make([]byte, 0, 160+len(wl)), trajectoryTag...), cfg)
-	return string(appendForensicsSuffix(appendSimWorkload(b, cfg, wl), cfg.Forensics))
+	return string(appendTrajectory(make([]byte, 0, 160+len(wl)), trajectoryTag, cfg, wl))
 }
 
 // Snapshot serializes the machine's complete mutable state — cores and
