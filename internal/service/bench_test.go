@@ -10,8 +10,10 @@ import (
 // Fig. 9 job, then b.N resubmissions of it through Client.Run — submit,
 // queue, run, the SSE stream to its last event, and the result decode —
 // each answered entirely from the engine's cache. Server and client
-// share the process, so allocs/op counts both sides of the wire. A warm
-// job that simulates a cell fails the benchmark.
+// share the process, so allocs/op counts both sides of the wire. Past
+// 256 jobs (the default RetainJobs) every submission also runs job-table
+// eviction, so CI runs it at 2000x. A warm job that simulates a cell
+// fails the benchmark.
 func BenchmarkServerWarmJob(b *testing.B) {
 	ctx := context.Background()
 	_, client := newTestServer(b, Config{Workers: 1})

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"hira/internal/telemetry"
@@ -308,40 +309,42 @@ func (c *Client) waitStream(ctx context.Context, id string, onProgress func(Prog
 		return nil, fmt.Errorf("stream: %s", resp.Status)
 	}
 
-	// Events are a few KB (a figure result's state event included), so
-	// the line buffer starts small; the scanner doubles it for the rare
-	// large result, up to 16 MiB.
+	// Lines are read into a pooled buffer the scanner grows for the
+	// rare large result, up to 16 MiB; the event and data fields are
+	// copied into buffers reused across the stream's events.
+	bufp := streamLinePool.Get().(*[]byte)
+	defer streamLinePool.Put(bufp)
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 4*1024), 16*1024*1024)
-	event, data := "", ""
+	sc.Buffer(*bufp, 16*1024*1024)
+	var event, data []byte
 	for sc.Scan() {
-		line := sc.Text()
+		line := sc.Bytes()
 		switch {
-		case strings.HasPrefix(line, "id: "):
-			*lastID = strings.TrimPrefix(line, "id: ")
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data = strings.TrimPrefix(line, "data: ")
-		case line == "":
-			switch event {
+		case bytes.HasPrefix(line, []byte("id: ")):
+			*lastID = string(line[len("id: "):])
+		case bytes.HasPrefix(line, []byte("event: ")):
+			event = append(event[:0], line[len("event: "):]...)
+		case bytes.HasPrefix(line, []byte("data: ")):
+			data = append(data[:0], line[len("data: "):]...)
+		case len(line) == 0:
+			switch string(event) {
 			case "progress":
 				if onProgress != nil {
 					var p Progress
-					if json.Unmarshal([]byte(data), &p) == nil {
+					if json.Unmarshal(data, &p) == nil {
 						onProgress(p)
 					}
 				}
 			case "state":
 				var j Job
-				if err := json.Unmarshal([]byte(data), &j); err != nil {
+				if err := json.Unmarshal(data, &j); err != nil {
 					return nil, err
 				}
 				if j.State.Terminal() {
 					return &j, nil
 				}
 			}
-			event, data = "", ""
+			event, data = event[:0], data[:0]
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -349,6 +352,13 @@ func (c *Client) waitStream(ctx context.Context, id string, onProgress func(Prog
 	}
 	return nil, fmt.Errorf("stream for job %s ended without a terminal state", id)
 }
+
+// streamLinePool recycles waitStream's line buffers across streams.
+// Events are a few KB (a figure result's state event included).
+var streamLinePool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 16*1024)
+	return &b
+}}
 
 // waitPoll polls GET /v1/jobs/{id} until terminal.
 func (c *Client) waitPoll(ctx context.Context, id string) (*Job, error) {

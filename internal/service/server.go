@@ -36,16 +36,21 @@ type Config struct {
 	// full queue rejects submissions with 503 rather than queueing
 	// unboundedly.
 	QueueDepth int
-	// RetainJobs bounds how many finished jobs (and their result
-	// payloads) stay queryable in memory; <= 0 means 256. The oldest
-	// terminal jobs are evicted first — their cell results remain
+	// RetainJobs bounds how many jobs (and the result payloads of the
+	// finished ones) stay queryable in memory; <= 0 means 256. Each
+	// submission over the bound evicts finished jobs in the order they
+	// finished, oldest first, until the table is back at the bound or
+	// the next job finished within RetainFor. Their cell results remain
 	// durable in the engine's store, so resubmitting is cheap. Queued
-	// and running jobs are never evicted.
+	// and running jobs are never evicted, so the table may exceed the
+	// bound while they, or jobs inside the grace window, fill it.
 	RetainJobs int
 	// RetainFor is a grace period during which a finished job is never
 	// evicted even over the RetainJobs bound, so a client that lost its
 	// event stream and fell back to polling can still fetch the result;
-	// <= 0 means one minute.
+	// <= 0 means one minute. A burst of submissions inside the window
+	// grows the table past RetainJobs (hira_jobs_retained on /metrics)
+	// until those jobs age out.
 	RetainFor time.Duration
 	// TraceDir is the directory job specs' trace references (the
 	// workloads object's traces[].file entries) resolve against. Empty
@@ -102,9 +107,25 @@ type Server struct {
 	cond    *sync.Cond // signals workers when pending grows or the server closes
 	pending []*job     // jobs waiting for a worker, FIFO; cancels remove entries
 	jobs    map[string]*job
-	order   []string // submission order, for listing
+	// order is submission order, for listing. Evicted IDs stay in it
+	// until they are half of it; then it is compacted.
+	order   []string
+	evicted int // IDs in order that are no longer in jobs
 	seq     int
 	closed  bool
+
+	// finished lists terminal jobs in the order they finished, the
+	// eviction queue. jobFinished appends under the job's lock, so it
+	// has its own leaf mutex: finMu is taken under s.mu or j.mu and
+	// never takes another lock.
+	finMu    sync.Mutex
+	finished []finishedJob
+}
+
+// finishedJob is one entry of the eviction queue.
+type finishedJob struct {
+	id string
+	at time.Time
 }
 
 // New builds a Server and starts its worker pool.
@@ -551,10 +572,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.snapshot())
 }
 
-// jobFinished observes one terminal job view: outcome counters, queue
-// and run latencies, the journal's terminal record, and the lifecycle
-// log line.
+// jobFinished observes one terminal job view: the eviction queue,
+// outcome counters, queue and run latencies, the journal's terminal
+// record, and the lifecycle log line. It runs under the job's lock.
 func (s *Server) jobFinished(v Job) {
+	s.finMu.Lock()
+	s.finished = append(s.finished, finishedJob{id: v.ID, at: *v.Finished})
+	s.finMu.Unlock()
 	if s.journal != nil && !s.retainJournal.Load() {
 		// Removal is the journal's terminal record. During shutdown (or a
 		// simulated crash) entries are retained instead: a job cancelled
@@ -594,28 +618,40 @@ func (s *Server) admit() error {
 	return s.admitLocked()
 }
 
-// evictLocked drops the oldest terminal jobs once more than RetainJobs
-// are tracked, so a long-lived server's job table (and the result
-// payloads it pins) stays bounded. Jobs finished within RetainFor are
-// exempt, so a polling client always has a window to fetch its result.
-// Callers hold s.mu.
+// evictLocked drops the earliest-finished jobs once more than
+// RetainJobs are tracked, so a long-lived server's job table (and the
+// result payloads it pins) stays bounded. Jobs finished within
+// RetainFor are exempt, so a polling client always has a window to
+// fetch its result. It pops the eviction queue's front and stops at the
+// first job still inside the window, so a table full of recent jobs
+// costs O(1). Callers hold s.mu.
 func (s *Server) evictLocked() {
-	excess := len(s.order) - s.cfg.RetainJobs
+	excess := len(s.jobs) - s.cfg.RetainJobs
 	if excess <= 0 {
 		return
 	}
 	cutoff := s.cfg.now().Add(-s.cfg.RetainFor)
-	kept := s.order[:0]
-	for _, id := range s.order {
-		v := s.jobs[id].snapshot()
-		if excess > 0 && v.State.Terminal() && v.Finished != nil && v.Finished.Before(cutoff) {
-			delete(s.jobs, id)
-			excess--
-			continue
-		}
-		kept = append(kept, id)
+	s.finMu.Lock()
+	n := 0
+	for n < excess && n < len(s.finished) && s.finished[n].at.Before(cutoff) {
+		delete(s.jobs, s.finished[n].id)
+		s.finished[n] = finishedJob{}
+		n++
 	}
-	s.order = kept
+	s.finished = s.finished[n:]
+	s.finMu.Unlock()
+	s.evicted += n
+	if s.evicted > 0 && 2*s.evicted >= len(s.order) {
+		kept := s.order[:0]
+		for _, id := range s.order {
+			if _, ok := s.jobs[id]; ok {
+				kept = append(kept, id)
+			}
+		}
+		clear(s.order[len(kept):])
+		s.order = kept
+		s.evicted = 0
+	}
 }
 
 // lookup resolves {id} or writes a 404.
@@ -639,9 +675,13 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 // handleList returns job summaries (results elided) in submission order.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	out := make([]Job, 0, len(s.order))
+	out := make([]Job, 0, len(s.jobs))
 	for _, id := range s.order {
-		v := s.jobs[id].snapshot()
+		j, ok := s.jobs[id]
+		if !ok {
+			continue // evicted
+		}
+		v := j.snapshot()
 		v.Result = nil
 		out = append(out, v)
 	}
@@ -768,8 +808,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		rep.Snapshots = &snaps
 	}
 	s.mu.Lock()
-	for _, id := range s.order {
-		rep.Jobs[s.jobs[id].snapshot().State]++
+	for _, j := range s.jobs {
+		rep.Jobs[j.snapshot().State]++
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, rep)

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -680,6 +681,144 @@ func TestFinishedJobEviction(t *testing.T) {
 	}
 	if _, err := client.Job(ctx, ids[3]); err != nil {
 		t.Errorf("newest job evicted: %v", err)
+	}
+}
+
+// testClock is an injectable Config.now that only moves when told to.
+type testClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *testClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *testClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
+// TestEvictionOrderAndGrace drives eviction with an injected clock:
+// finished jobs inside RetainFor are never evicted, however far the
+// table is over RetainJobs; once the clock passes the cutoff, the next
+// submission evicts in finish order (a job submitted first but finished
+// last outlives later submissions); and the listing, /v1/stats and the
+// hira_jobs_retained gauge all agree with what is left.
+func TestEvictionOrderAndGrace(t *testing.T) {
+	clk := &testClock{t: time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)}
+	_, client := newTestServer(t, Config{Workers: 2, RetainJobs: 2, RetainFor: time.Minute, now: clk.now})
+	ctx := context.Background()
+	area := JobSpec{Kind: KindArea}
+	run := func() string {
+		t.Helper()
+		j, err := client.Run(ctx, area, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.State != StateDone {
+			t.Fatalf("job %s state = %s", j.ID, j.State)
+		}
+		return j.ID
+	}
+	listed := func() []string {
+		t.Helper()
+		jobs, err := client.Jobs(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]string, len(jobs))
+		for i, j := range jobs {
+			ids[i] = j.ID
+		}
+		return ids
+	}
+	queryable := func(id string) bool {
+		t.Helper()
+		_, err := client.Job(ctx, id)
+		if err != nil && !strings.Contains(err.Error(), "404") {
+			t.Fatal(err)
+		}
+		return err == nil
+	}
+
+	// long holds a worker until cancelled, so it finishes after the area
+	// jobs submitted behind it.
+	long, err := client.Submit(ctx, JobSpec{
+		Kind:       KindFig9,
+		Capacities: []int{64},
+		Sim:        &SimSpec{Workloads: 2, Cores: 8, Warmup: 20000, Measure: 2000000, Seed: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var early []string
+	for i := 0; i < 3; i++ {
+		clk.advance(time.Second)
+		early = append(early, run())
+	}
+	// Four jobs against a bound of two, all inside the grace window.
+	want := append([]string{long.ID}, early...)
+	if got := listed(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("listing inside the grace window = %v, want %v", got, want)
+	}
+	for _, id := range want {
+		if !queryable(id) {
+			t.Errorf("job %s evicted inside the grace window", id)
+		}
+	}
+
+	clk.advance(time.Second)
+	if err := client.Cancel(ctx, long.ID); err != nil {
+		t.Fatal(err)
+	}
+	if j, err := client.Wait(ctx, long.ID, nil); err != nil || j.State != StateCancelled {
+		t.Fatalf("long job after cancel: %+v, %v", j, err)
+	}
+
+	// Past the cutoff for every job: the next submission evicts the
+	// three earliest-finished jobs, keeping long (finished last).
+	clk.advance(2 * time.Minute)
+	next := run()
+	for _, id := range early {
+		if queryable(id) {
+			t.Errorf("job %s, finished before %s, survived eviction", id, long.ID)
+		}
+	}
+	if got, want := listed(), []string{long.ID, next}; !reflect.DeepEqual(got, want) {
+		t.Errorf("listing after eviction = %v, want %v", got, want)
+	}
+
+	// One more submission evicts one job, long, and the listing skips
+	// it in submission order.
+	last := run()
+	if queryable(long.ID) {
+		t.Errorf("job %s survived the second eviction", long.ID)
+	}
+	if got, want := listed(), []string{next, last}; !reflect.DeepEqual(got, want) {
+		t.Errorf("listing after the second eviction = %v, want %v", got, want)
+	}
+
+	jobs, err := client.Jobs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromList := map[JobState]int{}
+	for _, j := range jobs {
+		fromList[j.State]++
+	}
+	rep, err := client.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Jobs, fromList) {
+		t.Errorf("/v1/stats jobs = %v, listing counts %v", rep.Jobs, fromList)
+	}
+	if v := metricValue(t, scrape(t, client), "hira_jobs_retained"); v != float64(len(jobs)) {
+		t.Errorf("hira_jobs_retained = %g, want %d", v, len(jobs))
 	}
 }
 

@@ -26,7 +26,7 @@ type svcMetrics struct {
 }
 
 // newSvcMetrics registers the service's instruments on r and, given the
-// server, the sampled queue-depth gauge.
+// server, the sampled queue-depth and job-table gauges.
 func newSvcMetrics(r *telemetry.Registry, s *Server) *svcMetrics {
 	if r == nil {
 		return nil
@@ -52,6 +52,13 @@ func newSvcMetrics(r *telemetry.Registry, s *Server) *svcMetrics {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			return float64(len(s.pending))
+		})
+	r.GaugeFunc("hira_jobs_retained",
+		"Jobs in the server's job table: queued, running, and finished but not yet evicted.",
+		func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(len(s.jobs))
 		})
 	r.CounterFunc("hira_trace_dropped_spans_total",
 		"Job-trace spans dropped at the per-job span cap, folded in as jobs finish.",

@@ -170,6 +170,9 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 	if v := metricValue(t, body, "hira_job_run_seconds_count"); v != 2 {
 		t.Errorf("run latency observations = %g, want 2", v)
 	}
+	if v := metricValue(t, body, "hira_jobs_retained"); v != 2 {
+		t.Errorf("retained jobs = %g, want 2", v)
+	}
 }
 
 // TestJobTraceTimeline drives the trace recorder end to end: a cold

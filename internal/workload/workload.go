@@ -62,49 +62,54 @@ type Profile struct {
 	WriteFrac float64
 }
 
-// SPEC2006Profiles returns profiles for the SPEC CPU2006 benchmarks,
-// with memory intensities set from published MPKI characterizations
-// (approximate; the evaluation depends on the intensity mix, not exact
-// per-benchmark values).
-func SPEC2006Profiles() []Profile {
-	return []Profile{
-		{Name: "mcf", MPKI: 60, RowLocality: 0.25, FootprintMB: 1600, WriteFrac: 0.25},
-		{Name: "lbm", MPKI: 30, RowLocality: 0.70, FootprintMB: 400, WriteFrac: 0.45},
-		{Name: "milc", MPKI: 25, RowLocality: 0.55, FootprintMB: 600, WriteFrac: 0.30},
-		{Name: "libquantum", MPKI: 25, RowLocality: 0.90, FootprintMB: 64, WriteFrac: 0.20},
-		{Name: "soplex", MPKI: 25, RowLocality: 0.45, FootprintMB: 250, WriteFrac: 0.25},
-		{Name: "GemsFDTD", MPKI: 20, RowLocality: 0.65, FootprintMB: 800, WriteFrac: 0.40},
-		{Name: "omnetpp", MPKI: 20, RowLocality: 0.20, FootprintMB: 150, WriteFrac: 0.30},
-		{Name: "bwaves", MPKI: 18, RowLocality: 0.75, FootprintMB: 850, WriteFrac: 0.30},
-		{Name: "leslie3d", MPKI: 15, RowLocality: 0.70, FootprintMB: 120, WriteFrac: 0.35},
-		{Name: "sphinx3", MPKI: 12, RowLocality: 0.55, FootprintMB: 40, WriteFrac: 0.10},
-		{Name: "wrf", MPKI: 8, RowLocality: 0.60, FootprintMB: 120, WriteFrac: 0.30},
-		{Name: "gcc", MPKI: 6, RowLocality: 0.40, FootprintMB: 80, WriteFrac: 0.35},
-		{Name: "astar", MPKI: 5, RowLocality: 0.30, FootprintMB: 180, WriteFrac: 0.25},
-		{Name: "cactusADM", MPKI: 5, RowLocality: 0.50, FootprintMB: 400, WriteFrac: 0.35},
-		{Name: "zeusmp", MPKI: 5, RowLocality: 0.55, FootprintMB: 500, WriteFrac: 0.35},
-		{Name: "xalancbmk", MPKI: 2, RowLocality: 0.30, FootprintMB: 100, WriteFrac: 0.25},
-		{Name: "bzip2", MPKI: 3, RowLocality: 0.45, FootprintMB: 100, WriteFrac: 0.30},
-		{Name: "hmmer", MPKI: 1, RowLocality: 0.60, FootprintMB: 30, WriteFrac: 0.35},
-		{Name: "gobmk", MPKI: 1, RowLocality: 0.35, FootprintMB: 30, WriteFrac: 0.25},
-		{Name: "h264ref", MPKI: 1, RowLocality: 0.55, FootprintMB: 60, WriteFrac: 0.25},
-		{Name: "perlbench", MPKI: 1, RowLocality: 0.40, FootprintMB: 250, WriteFrac: 0.30},
-		{Name: "sjeng", MPKI: 0.5, RowLocality: 0.30, FootprintMB: 170, WriteFrac: 0.25},
-		{Name: "namd", MPKI: 0.5, RowLocality: 0.60, FootprintMB: 45, WriteFrac: 0.20},
-		{Name: "calculix", MPKI: 0.5, RowLocality: 0.60, FootprintMB: 80, WriteFrac: 0.25},
-		{Name: "gromacs", MPKI: 0.7, RowLocality: 0.55, FootprintMB: 25, WriteFrac: 0.30},
-		{Name: "dealII", MPKI: 1, RowLocality: 0.50, FootprintMB: 100, WriteFrac: 0.25},
-		{Name: "tonto", MPKI: 0.3, RowLocality: 0.50, FootprintMB: 40, WriteFrac: 0.30},
-		{Name: "povray", MPKI: 0.1, RowLocality: 0.40, FootprintMB: 5, WriteFrac: 0.25},
-		{Name: "gamess", MPKI: 0.1, RowLocality: 0.50, FootprintMB: 10, WriteFrac: 0.25},
-	}
+// spec2006 is the builtin SPEC CPU2006 profile table, with memory
+// intensities set from published MPKI characterizations (approximate;
+// the evaluation depends on the intensity mix, not exact per-benchmark
+// values). It is read-only: SPEC2006Profiles hands out copies.
+var spec2006 = []Profile{
+	{Name: "mcf", MPKI: 60, RowLocality: 0.25, FootprintMB: 1600, WriteFrac: 0.25},
+	{Name: "lbm", MPKI: 30, RowLocality: 0.70, FootprintMB: 400, WriteFrac: 0.45},
+	{Name: "milc", MPKI: 25, RowLocality: 0.55, FootprintMB: 600, WriteFrac: 0.30},
+	{Name: "libquantum", MPKI: 25, RowLocality: 0.90, FootprintMB: 64, WriteFrac: 0.20},
+	{Name: "soplex", MPKI: 25, RowLocality: 0.45, FootprintMB: 250, WriteFrac: 0.25},
+	{Name: "GemsFDTD", MPKI: 20, RowLocality: 0.65, FootprintMB: 800, WriteFrac: 0.40},
+	{Name: "omnetpp", MPKI: 20, RowLocality: 0.20, FootprintMB: 150, WriteFrac: 0.30},
+	{Name: "bwaves", MPKI: 18, RowLocality: 0.75, FootprintMB: 850, WriteFrac: 0.30},
+	{Name: "leslie3d", MPKI: 15, RowLocality: 0.70, FootprintMB: 120, WriteFrac: 0.35},
+	{Name: "sphinx3", MPKI: 12, RowLocality: 0.55, FootprintMB: 40, WriteFrac: 0.10},
+	{Name: "wrf", MPKI: 8, RowLocality: 0.60, FootprintMB: 120, WriteFrac: 0.30},
+	{Name: "gcc", MPKI: 6, RowLocality: 0.40, FootprintMB: 80, WriteFrac: 0.35},
+	{Name: "astar", MPKI: 5, RowLocality: 0.30, FootprintMB: 180, WriteFrac: 0.25},
+	{Name: "cactusADM", MPKI: 5, RowLocality: 0.50, FootprintMB: 400, WriteFrac: 0.35},
+	{Name: "zeusmp", MPKI: 5, RowLocality: 0.55, FootprintMB: 500, WriteFrac: 0.35},
+	{Name: "xalancbmk", MPKI: 2, RowLocality: 0.30, FootprintMB: 100, WriteFrac: 0.25},
+	{Name: "bzip2", MPKI: 3, RowLocality: 0.45, FootprintMB: 100, WriteFrac: 0.30},
+	{Name: "hmmer", MPKI: 1, RowLocality: 0.60, FootprintMB: 30, WriteFrac: 0.35},
+	{Name: "gobmk", MPKI: 1, RowLocality: 0.35, FootprintMB: 30, WriteFrac: 0.25},
+	{Name: "h264ref", MPKI: 1, RowLocality: 0.55, FootprintMB: 60, WriteFrac: 0.25},
+	{Name: "perlbench", MPKI: 1, RowLocality: 0.40, FootprintMB: 250, WriteFrac: 0.30},
+	{Name: "sjeng", MPKI: 0.5, RowLocality: 0.30, FootprintMB: 170, WriteFrac: 0.25},
+	{Name: "namd", MPKI: 0.5, RowLocality: 0.60, FootprintMB: 45, WriteFrac: 0.20},
+	{Name: "calculix", MPKI: 0.5, RowLocality: 0.60, FootprintMB: 80, WriteFrac: 0.25},
+	{Name: "gromacs", MPKI: 0.7, RowLocality: 0.55, FootprintMB: 25, WriteFrac: 0.30},
+	{Name: "dealII", MPKI: 1, RowLocality: 0.50, FootprintMB: 100, WriteFrac: 0.25},
+	{Name: "tonto", MPKI: 0.3, RowLocality: 0.50, FootprintMB: 40, WriteFrac: 0.30},
+	{Name: "povray", MPKI: 0.1, RowLocality: 0.40, FootprintMB: 5, WriteFrac: 0.25},
+	{Name: "gamess", MPKI: 0.1, RowLocality: 0.50, FootprintMB: 10, WriteFrac: 0.25},
 }
 
-// ProfileByName returns the named profile.
+// SPEC2006Profiles returns a copy of the builtin SPEC CPU2006 profiles,
+// so a caller may modify it without affecting later lookups.
+func SPEC2006Profiles() []Profile {
+	return append([]Profile(nil), spec2006...)
+}
+
+// ProfileByName returns the named builtin profile. It reads the shared
+// table directly and does not allocate.
 func ProfileByName(name string) (Profile, error) {
-	for _, p := range SPEC2006Profiles() {
-		if p.Name == name {
-			return p, nil
+	for i := range spec2006 {
+		if spec2006[i].Name == name {
+			return spec2006[i], nil
 		}
 	}
 	return Profile{}, fmt.Errorf("workload: unknown benchmark %q", name)
@@ -281,7 +286,7 @@ func (m Mix) String() string {
 // each, randomly drawn from the SPEC CPU2006 profile set (the paper uses
 // 125 such 8-core mixes).
 func Mixes(n, cores int, seed uint64) []Mix {
-	profiles := SPEC2006Profiles()
+	profiles := spec2006
 	rng := splitmix(seed)
 	out := make([]Mix, n)
 	for i := range out {

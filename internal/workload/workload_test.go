@@ -41,6 +41,36 @@ func TestProfileByName(t *testing.T) {
 	}
 }
 
+// TestProfileByNameAllocatesNothing pins the lookup to the shared
+// table: job validation and workload resolution call it for every named
+// core of every submission.
+func TestProfileByNameAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ProfileByName("mcf"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ProfileByName(mcf) allocates %v times per call, want 0", n)
+	}
+}
+
+// TestSPEC2006ProfilesReturnsCopy asserts a caller mutating the list it
+// was handed cannot change later lookups or later lists.
+func TestSPEC2006ProfilesReturnsCopy(t *testing.T) {
+	want, _ := ProfileByName("mcf")
+	ps := SPEC2006Profiles()
+	for i := range ps {
+		ps[i].MPKI = -1
+		ps[i].Name = "x"
+	}
+	if got, err := ProfileByName("mcf"); err != nil || got != want {
+		t.Errorf("after mutating a SPEC2006Profiles result, ProfileByName(mcf) = %+v, %v; want %+v", got, err, want)
+	}
+	if got := SPEC2006Profiles()[0]; got != want {
+		t.Errorf("after mutating a SPEC2006Profiles result, a fresh list starts with %+v; want %+v", got, want)
+	}
+}
+
 func TestGeneratorDeterminism(t *testing.T) {
 	p, _ := ProfileByName("mcf")
 	g1 := NewGenerator(p, 7)
