@@ -1,7 +1,7 @@
 package sim
 
-// Golden-figure conformance suite: reduced Fig. 9 and Fig. 13 sweeps are
-// pinned as JSON fixtures in testdata/, so scheduler/engine refactors are
+// Golden-figure conformance suite: a reduced sweep of every figure kind
+// is pinned as a JSON fixture in testdata/, so scheduler/engine refactors are
 // diffed against known-good figure rows instead of only against
 // themselves (the differential tests prove ref == opt, but both could
 // drift together; the fixtures catch that). Regenerate deliberately with
@@ -40,6 +40,13 @@ func TestGoldenFigures(t *testing.T) {
 		{name: "golden_fig9", kind: "fig9", params: []int{2, 8}},
 		// Reduced Fig. 13 grid: two channel counts at one capacity.
 		{name: "golden_fig13", kind: "fig13", xs: []int{1, 2}, params: []int{8}},
+		// Every other kind at a reduced grid, so each figure's points,
+		// policies and row assembly are pinned.
+		{name: "golden_fig12", kind: "fig12", params: []int{64, 1024}},
+		{name: "golden_fig14", kind: "fig14", xs: []int{1, 2}, params: []int{8}},
+		{name: "golden_fig15", kind: "fig15", xs: []int{1, 2}, params: []int{256}},
+		{name: "golden_fig16", kind: "fig16", xs: []int{1, 2}, params: []int{256}},
+		{name: "golden_attack", kind: "attack", params: []int{64}},
 	}
 	for _, c := range cases {
 		c := c
