@@ -294,10 +294,10 @@ func BenchmarkWarmFigure(b *testing.B) {
 	opts := hira.SimOptions{Workloads: 2, Cores: 8, Warmup: 1000, Measure: 3000, Seed: 1}
 	caps, nrhs := []int{8, 32, 128}, []int{64, 256, 1024}
 	pair := func(opts hira.SimOptions) {
-		if _, err := eng.Fig9(ctx, opts, caps); err != nil {
+		if _, err := eng.Figure(ctx, "fig9", opts, nil, caps); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eng.Fig12(ctx, opts, nrhs); err != nil {
+		if _, err := eng.Figure(ctx, "fig12", opts, nil, nrhs); err != nil {
 			b.Fatal(err)
 		}
 	}

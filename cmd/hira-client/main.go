@@ -26,12 +26,13 @@ import (
 	"time"
 
 	"hira/internal/service"
+	"hira/internal/sim"
 	"hira/internal/workload"
 )
 
 var (
 	server            = flag.String("server", "http://localhost:8080", "hira-server base URL")
-	exp               = flag.String("exp", "fig9", "job kind: fig9|fig12|fig13|fig14|fig15|fig16|attack|characterize|security|area")
+	exp               = flag.String("exp", "fig9", "job kind: "+strings.Join(append(sim.FigureKinds(), service.KindCharacterize, service.KindSecurity, service.KindArea), "|"))
 	attacks           = flag.String("attacks", "", "comma-separated attacker presets for -exp attack (single,double,many,refsync,decoy; empty = all)")
 	workloads         = flag.Int("workloads", 0, "mixes per sweep point (0 = server default)")
 	cores             = flag.Int("cores", 0, "cores per mix (0 = server default)")
@@ -41,7 +42,7 @@ var (
 	traces            = flag.String("traces", "", "comma-separated trace file names in the server's trace directory, dealt round-robin across cores and mixes (hira-sim -trace's rule)")
 	wlSpec            = flag.String("workload-spec", "", "JSON file with a workloads object (mixes/profiles/traces), sent inline")
 	caps              = flag.String("capacities", "", "comma-separated chip capacities in Gbit (fig9/13/14)")
-	nrhs              = flag.String("nrhs", "", "comma-separated RowHammer thresholds (fig12/15/16)")
+	nrhs              = flag.String("nrhs", "", "comma-separated RowHammer thresholds (fig12/15/16, attack)")
 	xs                = flag.String("xs", "", "comma-separated channel/rank axis (fig13-16)")
 	timeout           = flag.Float64("timeout", 0, "server-side wall-clock deadline for the job in seconds (0 = none)")
 	forensics         = flag.Bool("forensics", false, "attach the RowHammer forensics ledger; fetch the report at /v1/jobs/{id}/forensics")

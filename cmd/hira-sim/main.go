@@ -1,7 +1,9 @@
 // Command hira-sim regenerates the paper's system-level performance
 // figures: Fig. 9 (periodic refresh vs chip capacity), Fig. 12 (PARA
-// preventive refresh vs RowHammer threshold), and the §10 sensitivity
-// sweeps Figs. 13-16 (channels/ranks). Scale with -workloads and -ticks;
+// preventive refresh vs RowHammer threshold), the §10 sensitivity
+// sweeps Figs. 13-16 (channels/ranks), and the attack×mitigation grid:
+// every kind of the simulator's figure table runs through one call and
+// prints through one switch. Scale with -workloads and -ticks;
 // the paper's scale is -workloads 125 with much longer runs.
 //
 // Sweeps run on the parallel experiment engine: -parallel sizes the
@@ -28,6 +30,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,7 +41,7 @@ import (
 )
 
 var (
-	exp        = flag.String("exp", "fig9", "experiment: fig9|fig12|fig13|fig14|fig15|fig16|attack")
+	exp        = flag.String("exp", "fig9", "experiment: "+strings.Join(hira.FigureKinds(), "|"))
 	attacks    = flag.String("attacks", "", "comma-separated attacker presets for -exp attack (single,double,many,refsync,decoy; empty = all)")
 	nrhs       = flag.String("nrhs", "", "comma-separated RowHammer thresholds for -exp attack (empty = builtin grid)")
 	workloads  = flag.Int("workloads", 4, "number of multiprogrammed mixes")
@@ -197,11 +200,27 @@ func forensicsSection(print func()) {
 	print()
 }
 
-func fig9(ctx context.Context) error {
-	rows, err := hira.Fig9(ctx, opts(), nil)
-	if err != nil {
-		return err
+// printFigure prints a figure's rows as the paper's tables.
+func printFigure(res *hira.FigureResult) {
+	switch res.Kind {
+	case "fig9":
+		fig9(res.Fig9)
+	case "fig12":
+		fig12(res.Fig12)
+	case "fig13":
+		scale(res.Scale, "Fig. 13: channel sweep, periodic refresh", "chans", "capGb")
+	case "fig14":
+		scale(res.Scale, "Fig. 14: rank sweep, periodic refresh", "ranks", "capGb")
+	case "fig15":
+		scale(res.Scale, "Fig. 15: channel sweep, PARA", "chans", "NRH")
+	case "fig16":
+		scale(res.Scale, "Fig. 16: rank sweep, PARA", "ranks", "NRH")
+	case "attack":
+		attackTables(res.Attack)
 	}
+}
+
+func fig9(rows []hira.Fig9Row) {
 	fmt.Println("== Fig. 9a: weighted speedup normalized to No Refresh ==")
 	hdr := names(rows[0].NormNoRefresh)
 	fmt.Printf("%-8s", "cap")
@@ -230,14 +249,9 @@ func fig9(ctx context.Context) error {
 			forensicsBlock(fmt.Sprintf("%5dGb ", r.CapacityGbit), r.Forensics)
 		}
 	})
-	return nil
 }
 
-func fig12(ctx context.Context) error {
-	rows, err := hira.Fig12(ctx, opts(), nil)
-	if err != nil {
-		return err
-	}
+func fig12(rows []hira.Fig12Row) {
 	hdr := names(rows[0].NormBaseline)
 	fmt.Println("== Fig. 12a: weighted speedup normalized to Baseline (no defense) ==")
 	fmt.Printf("%-8s", "NRH")
@@ -266,13 +280,10 @@ func fig12(ctx context.Context) error {
 			forensicsBlock(fmt.Sprintf("%7d ", r.NRH), r.Forensics)
 		}
 	})
-	return nil
 }
 
-func scale(rows []hira.ScaleRow, xName, pName string, err error) error {
-	if err != nil {
-		return err
-	}
+func scale(rows []hira.ScaleRow, title, xName, pName string) {
+	fmt.Printf("== %s (absolute WS) ==\n", title)
 	hdr := names(rows[0].WS)
 	fmt.Printf("%-6s %-8s", pName, xName)
 	for _, n := range hdr {
@@ -291,7 +302,6 @@ func scale(rows []hira.ScaleRow, xName, pName string, err error) error {
 			forensicsBlock(fmt.Sprintf("%6d %8d", r.Param, r.X), r.Forensics)
 		}
 	})
-	return nil
 }
 
 // attackList parses -attacks; nil means every builtin preset.
@@ -302,8 +312,7 @@ func attackList() []string {
 	return strings.Split(*attacks, ",")
 }
 
-// attackNRHs parses -nrhs; nil means the builtin grid
-// (hira.AttackNRHValues).
+// attackNRHs parses -nrhs; nil means the attack grid's default.
 func attackNRHs() ([]int, error) {
 	if *nrhs == "" {
 		return nil, nil
@@ -320,15 +329,7 @@ func attackNRHs() ([]int, error) {
 	return out, nil
 }
 
-func attackExp(ctx context.Context) error {
-	grid, err := attackNRHs()
-	if err != nil {
-		return err
-	}
-	rows, err := hira.AttackSweep(ctx, opts(), attackList(), grid)
-	if err != nil {
-		return err
-	}
+func attackTables(rows []hira.AttackRow) {
 	hdr := names(rows[0].WS)
 	fmt.Println("== Attack x mitigation: weighted speedup normalized to Baseline (no defense) ==")
 	fmt.Printf("%-9s %-6s", "attack", "NRH")
@@ -372,7 +373,6 @@ func attackExp(ctx context.Context) error {
 			forensicsBlock(fmt.Sprintf("%-9s %6d", r.Attack, r.NRH), r.Forensics)
 		}
 	})
-	return nil
 }
 
 func main() {
@@ -436,31 +436,21 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
+	if !slices.Contains(hira.FigureKinds(), *exp) {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+		return 2
+	}
+	var res *hira.FigureResult
+	spec := hira.FigureSpec{Kind: *exp, Attacks: attackList()}
+	if spec.NRHs, err = attackNRHs(); err == nil {
+		res, err = hira.RunFigure(ctx, opts(), spec)
+	}
+	endProgressLine()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
 	if *jsonOut {
-		var res *hira.FigureResult
-		var err error
-		if *exp == "attack" && (*attacks != "" || *nrhs != "") {
-			// The Figure dispatcher runs every preset over the builtin
-			// grid; an explicit -attacks/-nrhs list needs the direct call.
-			var rows []hira.AttackRow
-			var grid []int
-			if grid, err = attackNRHs(); err == nil {
-				rows, err = hira.AttackSweep(ctx, opts(), attackList(), grid)
-			}
-			if err == nil {
-				res = &hira.FigureResult{Kind: "attack", Attack: rows}
-				if st := opts().Stats; st != nil {
-					res.Stats = *st
-				}
-			}
-		} else {
-			res, err = hira.Figure(ctx, *exp, opts(), nil, nil)
-		}
-		endProgressLine()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
@@ -469,39 +459,7 @@ func run() int {
 		}
 		return 0
 	}
-
-	switch *exp {
-	case "fig9":
-		err = fig9(ctx)
-	case "fig12":
-		err = fig12(ctx)
-	case "fig13":
-		fmt.Println("== Fig. 13: channel sweep, periodic refresh (absolute WS) ==")
-		rows, e := hira.Fig13(ctx, opts(), nil, nil)
-		err = scale(rows, "chans", "capGb", e)
-	case "fig14":
-		fmt.Println("== Fig. 14: rank sweep, periodic refresh (absolute WS) ==")
-		rows, e := hira.Fig14(ctx, opts(), nil, nil)
-		err = scale(rows, "ranks", "capGb", e)
-	case "fig15":
-		fmt.Println("== Fig. 15: channel sweep, PARA (absolute WS) ==")
-		rows, e := hira.Fig15(ctx, opts(), nil, nil)
-		err = scale(rows, "chans", "NRH", e)
-	case "fig16":
-		fmt.Println("== Fig. 16: rank sweep, PARA (absolute WS) ==")
-		rows, e := hira.Fig16(ctx, opts(), nil, nil)
-		err = scale(rows, "ranks", "NRH", e)
-	case "attack":
-		err = attackExp(ctx)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		return 2
-	}
-	endProgressLine()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
+	printFigure(res)
 	fmt.Fprintf(os.Stderr, "engine: %d cells (%d simulated of which %d resumed, %d cache hits, %d store hits, %d deduped)\n",
 		engineStats.Submitted, engineStats.Simulated, engineStats.Resumed,
 		engineStats.CacheHits, engineStats.StoreHits, engineStats.Deduped)

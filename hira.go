@@ -20,8 +20,12 @@
 //     derivation — see SolvePARAThreshold, Fig11.
 //   - Hardware cost (§6): the Table 2 area/latency model — see AreaReport.
 //   - System-level evaluation (§7-§10): a cycle-level DDR4 simulator with
-//     HiRA-MC — see the re-exported sim experiment runners Fig9, Fig12,
-//     Fig13-Fig16, and RunPolicies. Sweeps decompose into deterministic,
+//     HiRA-MC — see RunFigure and RunPolicies. Every figure (Figs. 9, 12
+//     and 13-16, and the attack×mitigation grid) is one entry of a
+//     figure table (FigureKinds) declaring the grids it consumes with
+//     their paper defaults, its policies, and its rows; RunFigure rejects
+//     a grid the kind does not consume, and Figure, Fig9-Fig16 and
+//     AttackSweep are shorthands for it. Sweeps decompose into deterministic,
 //     content-keyed cells and run on a parallel experiment engine
 //     (internal/engine); SimOptions.Parallelism sizes its worker pool,
 //     SimOptions.ResultDir persists per-cell results across runs, and
@@ -160,6 +164,8 @@ type (
 	// FigureResult is the serializable envelope of one figure run — the
 	// encoding shared by `hira-sim -json` and the experiment service.
 	FigureResult = sim.FigureResult
+	// FigureSpec names one figure run: a figure-table kind and its grids.
+	FigureSpec = sim.FigureSpec
 	// SystemConfig describes one simulated machine.
 	SystemConfig = sim.Config
 	// RefreshPolicy names one refresh configuration under test.
@@ -216,9 +222,14 @@ var (
 var (
 	// NewSimEngine builds a shared experiment engine.
 	NewSimEngine = sim.NewEngine
-	// Figure dispatches one named figure sweep ("fig9" ... "fig16", or
-	// "attack" for the attack×mitigation grid) and wraps the rows in the
-	// serializable FigureResult envelope.
+	// RunFigure runs one figure of the figure table and wraps the rows
+	// in the serializable FigureResult envelope.
+	RunFigure = sim.RunFigure
+	// FigureKinds lists the figure table's kinds ("fig9" ... "fig16",
+	// and "attack" for the attack×mitigation grid).
+	FigureKinds = sim.FigureKinds
+	// Figure is RunFigure with the kind's parameter grid given
+	// positionally (capacities or NRH values, per the table).
 	Figure = sim.Figure
 	// RunPolicies evaluates refresh policies on shared workload mixes.
 	RunPolicies = sim.RunPolicies

@@ -35,7 +35,19 @@ func collectForensics(spec JobSpec, raw json.RawMessage) ([]PolicyForensics, err
 		}
 	}
 	switch spec.Kind {
-	case KindFig9, KindFig12, KindFig13, KindFig14, KindFig15, KindFig16, KindAttack:
+	case KindPolicies:
+		var res PoliciesResult
+		if err := json.Unmarshal(raw, &res); err != nil {
+			return nil, err
+		}
+		for _, sc := range res.Policies {
+			if sc.Forensics != nil {
+				byName[sc.Policy.Name] = sim.MergeForensics(byName[sc.Policy.Name], sc.Forensics)
+			}
+		}
+	case KindCharacterize, KindSecurity, KindArea:
+		return nil, nil
+	default: // a figure-table kind
 		var res sim.FigureResult
 		if err := json.Unmarshal(raw, &res); err != nil {
 			return nil, err
@@ -52,18 +64,6 @@ func collectForensics(spec JobSpec, raw json.RawMessage) ([]PolicyForensics, err
 		for _, row := range res.Attack {
 			fold(row.Forensics)
 		}
-	case KindPolicies:
-		var res PoliciesResult
-		if err := json.Unmarshal(raw, &res); err != nil {
-			return nil, err
-		}
-		for _, sc := range res.Policies {
-			if sc.Forensics != nil {
-				byName[sc.Policy.Name] = sim.MergeForensics(byName[sc.Policy.Name], sc.Forensics)
-			}
-		}
-	default:
-		return nil, nil
 	}
 	names := make([]string, 0, len(byName))
 	for name := range byName {

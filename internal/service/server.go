@@ -353,27 +353,6 @@ func (s *Server) executeRecover(ctx context.Context, j *job) (result json.RawMes
 func (s *Server) execute(ctx context.Context, j *job) (json.RawMessage, *sim.EngineStats, error) {
 	spec := j.snapshot().Spec
 	switch spec.Kind {
-	case KindFig9, KindFig12, KindFig13, KindFig14, KindFig15, KindFig16:
-		var stats sim.EngineStats
-		opts := spec.Sim.options()
-		opts.Mixes = j.mixes
-		opts.Stats = &stats
-		opts.ProgressStats = s.progressStats(j)
-		res, err := s.lab.Figure(ctx, spec.Kind, opts, spec.Xs, spec.figureParams())
-		if err != nil {
-			return nil, &stats, err
-		}
-		return marshal(res, &stats)
-	case KindAttack:
-		var stats sim.EngineStats
-		opts := spec.Sim.options()
-		opts.Stats = &stats
-		opts.ProgressStats = s.progressStats(j)
-		rows, err := s.lab.AttackSweep(ctx, opts, spec.Attacks, spec.NRHs)
-		if err != nil {
-			return nil, &stats, err
-		}
-		return marshal(sim.FigureResult{Kind: KindAttack, Attack: rows, Stats: stats}, &stats)
 	case KindPolicies:
 		policies, err := spec.policyList()
 		if err != nil {
@@ -409,9 +388,17 @@ func (s *Server) execute(ctx context.Context, j *job) (json.RawMessage, *sim.Eng
 		return marshal(pts, nil)
 	case KindArea:
 		return marshal(areamodel.BuildReport(), nil)
-	default:
-		// Unreachable: submissions are validated.
-		return nil, nil, fmt.Errorf("unknown kind %q", spec.Kind)
+	default: // a figure-table kind; the table rejects any other
+		var stats sim.EngineStats
+		opts := spec.Sim.options()
+		opts.Mixes = j.mixes
+		opts.Stats = &stats
+		opts.ProgressStats = s.progressStats(j)
+		res, err := s.lab.RunFigure(ctx, opts, spec.figure())
+		if err != nil {
+			return nil, &stats, err
+		}
+		return marshal(res, &stats)
 	}
 }
 
@@ -427,15 +414,6 @@ func (s *Server) progressStats(j *job) func(done, total int, batch sim.EngineSta
 		}
 		j.setProgressStats(done, total, batch, snaps)
 	}
-}
-
-// figureParams returns the second-parameter grid the spec's figure kind
-// consumes (capacities or NRH values).
-func (spec JobSpec) figureParams() []int {
-	if figureKinds[spec.Kind].caps {
-		return spec.Capacities
-	}
-	return spec.NRHs
 }
 
 func marshal(v any, stats *sim.EngineStats) (json.RawMessage, *sim.EngineStats, error) {

@@ -20,41 +20,37 @@ import (
 	"hira/internal/workload"
 )
 
-// Kinds a JobSpec can request.
+// Kinds a JobSpec can request besides the figure kinds. Every kind of
+// sim's figure table (sim.FigureKinds) is a job kind too; KindFig9 and
+// KindAttack name two of them for callers.
 const (
-	KindFig9         = "fig9"
-	KindFig12        = "fig12"
-	KindFig13        = "fig13"
-	KindFig14        = "fig14"
-	KindFig15        = "fig15"
-	KindFig16        = "fig16"
 	KindPolicies     = "policies"
 	KindCharacterize = "characterize"
 	KindSecurity     = "security"
 	KindArea         = "area"
+	KindFig9         = "fig9"
 	KindAttack       = "attack"
 )
 
 // JobSpec is the body of POST /v1/jobs: one experiment request.
 type JobSpec struct {
-	// Kind selects the experiment: a figure sweep ("fig9" ... "fig16"),
-	// a direct policy evaluation ("policies"), the §4 characterization
-	// ("characterize"), the §9.1 security analysis ("security"), or the
-	// §6 area model ("area").
+	// Kind selects the experiment: a figure sweep from sim's figure
+	// table ("fig9" ... "fig16", or "attack" for the attack×mitigation
+	// grid), a direct policy evaluation ("policies"), the §4
+	// characterization ("characterize"), the §9.1 security analysis
+	// ("security"), or the §6 area model ("area").
 	Kind string `json:"kind"`
 
 	// Sim sizes the simulation for figure and policy kinds; nil takes
 	// laptop-scale defaults (4 mixes × 8 cores, 120k measured ticks).
 	Sim *SimSpec `json:"sim,omitempty"`
 
-	// Capacities is the chip-capacity grid in Gbit for fig9 (x-axis) and
-	// figs. 13/14 (second parameter); nil takes the paper's values.
+	// Capacities, NRHs, Xs and Attacks are a figure kind's grids, as
+	// sim.FigureSpec defines them: nil takes the paper's values, and a
+	// grid the kind does not consume is rejected.
 	Capacities []int `json:"capacities,omitempty"`
-	// NRHs is the RowHammer-threshold grid for fig12 (x-axis) and
-	// figs. 15/16 (second parameter); nil takes the paper's values.
-	NRHs []int `json:"nrhs,omitempty"`
-	// Xs is the channel/rank axis of figs. 13-16; nil takes {1,2,4,8}.
-	Xs []int `json:"xs,omitempty"`
+	NRHs       []int `json:"nrhs,omitempty"`
+	Xs         []int `json:"xs,omitempty"`
 
 	// Config is the base system shape for kind "policies"; nil is
 	// Table 3's system.
@@ -73,10 +69,11 @@ type JobSpec struct {
 	// ledger, so per-point efficacy metrics land in the result.
 	Attacks []string `json:"attacks,omitempty"`
 
-	// Workloads, for figure and policy kinds, replaces the builtin
+	// Workloads, for policy and figure kinds, replaces the builtin
 	// random SPEC mixes with an explicit workload set: named mixes over
 	// builtin benchmarks, inline custom profiles, and recorded traces
 	// from the server's trace directory. Nil keeps the builtin mixes.
+	// The attack grid builds its own mixes and takes none.
 	Workloads *WorkloadsSpec `json:"workloads,omitempty"`
 
 	// TimeoutSeconds, when positive, bounds the job's wall-clock
@@ -373,16 +370,6 @@ func (w *WorkloadsSpec) Resolve(traceDir string) ([]workload.SourceMix, error) {
 	return mixes, nil
 }
 
-// figureKinds maps a figure kind to which grids it consumes.
-var figureKinds = map[string]struct{ caps, nrhs, xs bool }{
-	KindFig9:  {caps: true},
-	KindFig12: {nrhs: true},
-	KindFig13: {caps: true, xs: true},
-	KindFig14: {caps: true, xs: true},
-	KindFig15: {nrhs: true, xs: true},
-	KindFig16: {nrhs: true, xs: true},
-}
-
 // Validate checks the spec against the limits. A nil error means the
 // scheduler can run the job as-is.
 func (spec JobSpec) Validate(l Limits) error {
@@ -391,36 +378,6 @@ func (spec JobSpec) Validate(l Limits) error {
 		return err
 	}
 	switch spec.Kind {
-	case KindFig9, KindFig12, KindFig13, KindFig14, KindFig15, KindFig16:
-		uses := figureKinds[spec.Kind]
-		if !uses.caps && spec.Capacities != nil {
-			return fmt.Errorf("%s does not take a capacities grid", spec.Kind)
-		}
-		if !uses.nrhs && spec.NRHs != nil {
-			return fmt.Errorf("%s does not take an nrhs grid", spec.Kind)
-		}
-		if !uses.xs && spec.Xs != nil {
-			return fmt.Errorf("%s does not take a channel/rank axis (xs)", spec.Kind)
-		}
-		if err := validateGrid("capacities", spec.Capacities, l.MaxGrid, 1, 1024); err != nil {
-			return err
-		}
-		if err := validateGrid("nrhs", spec.NRHs, l.MaxGrid, 1, 1<<20); err != nil {
-			return err
-		}
-		if err := validateGrid("xs", spec.Xs, l.MaxGrid, 1, 16); err != nil {
-			return err
-		}
-		if spec.Policies != nil || spec.Config != nil || spec.Charz != nil || spec.Attacks != nil {
-			return fmt.Errorf("%s does not take policies, config, charz, or attacks", spec.Kind)
-		}
-		if err := spec.Sim.validate(l); err != nil {
-			return err
-		}
-		if err := spec.Workloads.Validate(l, spec.Sim.options().WithDefaults().Cores); err != nil {
-			return err
-		}
-		return spec.validateCost(l)
 	case KindPolicies:
 		if len(spec.Policies) == 0 {
 			return fmt.Errorf("policies job needs at least one policy")
@@ -444,42 +401,15 @@ func (spec JobSpec) Validate(l Limits) error {
 		if err := spec.Sim.validate(l); err != nil {
 			return err
 		}
-		if err := spec.Workloads.Validate(l, spec.Sim.options().WithDefaults().Cores); err != nil {
+		o := spec.Sim.options().WithDefaults()
+		if err := spec.Workloads.Validate(l, o.Cores); err != nil {
 			return err
 		}
-		return spec.validateCost(l)
-	case KindAttack:
-		if spec.Capacities != nil || spec.Xs != nil || spec.Policies != nil ||
-			spec.Config != nil || spec.Charz != nil {
-			return fmt.Errorf("attack takes only the sim block, an nrhs grid, and an attacks list")
-		}
+		mixes := o.Workloads
 		if spec.Workloads != nil {
-			// The attack sweep builds its own mix: the attacker on core 0
-			// hiding in builtin benign traffic on the rest.
-			return fmt.Errorf("attack does not take a workloads object")
+			mixes = len(spec.Workloads.Mixes)
 		}
-		if err := validateGrid("nrhs", spec.NRHs, l.MaxGrid, 1, 1<<20); err != nil {
-			return err
-		}
-		if spec.Attacks != nil && len(spec.Attacks) == 0 {
-			return fmt.Errorf("attacks is empty; omit it to run every preset")
-		}
-		if len(spec.Attacks) > l.MaxGrid {
-			return fmt.Errorf("attacks has %d entries, limit %d", len(spec.Attacks), l.MaxGrid)
-		}
-		known := map[string]bool{}
-		for _, k := range sim.AttackKinds() {
-			known[k] = true
-		}
-		for _, k := range spec.Attacks {
-			if !known[k] {
-				return fmt.Errorf("unknown attack %q (want one of %v)", k, sim.AttackKinds())
-			}
-		}
-		if err := spec.Sim.validate(l); err != nil {
-			return err
-		}
-		return spec.validateCost(l)
+		return spec.validateCost(l, int64(len(spec.Policies))*int64(mixes))
 	case KindCharacterize:
 		if spec.Sim != nil || spec.Capacities != nil || spec.NRHs != nil || spec.Xs != nil ||
 			spec.Policies != nil || spec.Config != nil || spec.Workloads != nil || spec.Attacks != nil {
@@ -496,57 +426,66 @@ func (spec JobSpec) Validate(l Limits) error {
 	case "":
 		return fmt.Errorf("missing kind")
 	default:
-		return fmt.Errorf("unknown kind %q", spec.Kind)
+		return spec.validateFigure(l)
 	}
 }
 
-// validateCost bounds a simulation job's estimated total cost. Per-axis
-// caps alone still admit specs whose product is days of compute, so the
-// estimate multiplies the effective sweep points, the policies each
-// point evaluates, the workload mixes, and the per-run tick count.
-func (spec JobSpec) validateCost(l Limits) error {
-	gridLen := func(xs []int, def int) int64 {
-		if xs == nil {
-			return int64(def)
-		}
-		return int64(len(xs))
+// validateFigure checks a figure-table kind. The table rejects an
+// unknown kind or attacker preset, a grid the kind does not consume, and
+// a workloads object on a kind that builds its own mixes, and counts the
+// cells the cost bound prices; the service adds its per-axis limits.
+func (spec JobSpec) validateFigure(l Limits) error {
+	if err := spec.Sim.validate(l); err != nil {
+		return err
 	}
-	var points, policies int64
-	switch spec.Kind {
-	case KindFig9:
-		points, policies = gridLen(spec.Capacities, len(sim.Fig9Capacities())), 6
-	case KindFig12:
-		points, policies = gridLen(spec.NRHs, len(sim.Fig12NRHValues())), 6
-	case KindFig13, KindFig14:
-		points, policies = gridLen(spec.Capacities, 3)*gridLen(spec.Xs, len(sim.ScaleXValues())), 3
-	case KindFig15, KindFig16:
-		points, policies = gridLen(spec.NRHs, 3)*gridLen(spec.Xs, len(sim.ScaleXValues())), 3
-	case KindPolicies:
-		points, policies = 1, int64(len(spec.Policies))
-	case KindAttack:
-		attacks := int64(len(sim.AttackKinds()))
-		if spec.Attacks != nil {
-			attacks = int64(len(spec.Attacks))
-		}
-		points = attacks * gridLen(spec.NRHs, len(sim.AttackNRHValues()))
-		policies = 4 // the zoo: Baseline, PARA, Graphene, RFM
-	default:
-		return nil
-	}
-	o := spec.Sim.options().WithDefaults()
+	o := spec.Sim.options()
 	if spec.Workloads != nil {
-		// An explicit workload set replaces the builtin mixes.
-		o.Workloads = len(spec.Workloads.Mixes)
+		// Validation is pure, so the mixes stay unresolved here: the
+		// table reads only that custom mixes are given, and how many.
+		o.Mixes = make([]workload.SourceMix, len(spec.Workloads.Mixes))
 	}
-	if spec.Kind == KindAttack {
-		// The attack sweep always runs exactly one mix per point: the
-		// attacker hiding in one benign mix.
-		o.Workloads = 1
+	cells, err := sim.FigureCells(spec.figure(), o)
+	if err != nil {
+		return err
 	}
-	cost := points * policies * int64(o.Workloads) * int64(o.Warmup+o.Measure)
+	if spec.Policies != nil || spec.Config != nil || spec.Charz != nil {
+		return fmt.Errorf("%s does not take policies, config, or charz", spec.Kind)
+	}
+	if err := validateGrid("capacities", spec.Capacities, l.MaxGrid, 1, 1024); err != nil {
+		return err
+	}
+	if err := validateGrid("nrhs", spec.NRHs, l.MaxGrid, 1, 1<<20); err != nil {
+		return err
+	}
+	if err := validateGrid("xs", spec.Xs, l.MaxGrid, 1, 16); err != nil {
+		return err
+	}
+	if spec.Attacks != nil && len(spec.Attacks) == 0 {
+		return fmt.Errorf("attacks is empty; omit it to run every preset")
+	}
+	if len(spec.Attacks) > l.MaxGrid {
+		return fmt.Errorf("attacks has %d entries, limit %d", len(spec.Attacks), l.MaxGrid)
+	}
+	if err := spec.Workloads.Validate(l, o.WithDefaults().Cores); err != nil {
+		return err
+	}
+	return spec.validateCost(l, cells)
+}
+
+// figure is the spec's request to sim's figure table.
+func (spec JobSpec) figure() sim.FigureSpec {
+	return sim.FigureSpec{Kind: spec.Kind, Capacities: spec.Capacities, NRHs: spec.NRHs, Xs: spec.Xs, Attacks: spec.Attacks}
+}
+
+// validateCost bounds a simulation job's estimated total cost: the
+// simulation cells it submits times each cell's ticks. Per-axis caps
+// alone still admit specs whose product is days of compute.
+func (spec JobSpec) validateCost(l Limits, cells int64) error {
+	o := spec.Sim.options().WithDefaults()
+	cost := cells * int64(o.Warmup+o.Measure)
 	if cost > l.MaxTotalTicks {
-		return fmt.Errorf("estimated cost %d ticks (%d sweep points x %d policies x %d workloads x %d ticks/run) exceeds the limit of %d; shrink the grids, workloads, or tick counts",
-			cost, points, policies, o.Workloads, o.Warmup+o.Measure, l.MaxTotalTicks)
+		return fmt.Errorf("estimated cost %d ticks (%d simulation cells x %d ticks/run) exceeds the limit of %d; shrink the grids, workloads, or tick counts",
+			cost, cells, o.Warmup+o.Measure, l.MaxTotalTicks)
 	}
 	return nil
 }

@@ -30,6 +30,8 @@ func FuzzSpecValidate(f *testing.F) {
 		`{"kind":"characterize","charz":{"modules":["A0"]}}`,
 		`{"kind":"area"}`,
 		`{"kind":"fig9","capacities":[1,2,3,4,5,6,7,8,9,10],"sim":{"workloads":128,"measure":9000000}}`,
+		`{"kind":"attack"}`,
+		`{"kind":"attack","attacks":["double","decoy"],"nrhs":[64,128],"sim":{"cores":4,"measure":60000}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -47,8 +49,10 @@ func FuzzSpecValidate(f *testing.F) {
 		// The spec was accepted: re-assert the envelope independently.
 		l := Limits{}.withDefaults()
 		o := spec.Sim.options().WithDefaults()
+		// The oracle names the kinds and their grid sizes itself, so it
+		// stays independent of sim's figure table.
 		switch spec.Kind {
-		case KindFig9, KindFig12, KindFig13, KindFig14, KindFig15, KindFig16, KindPolicies:
+		case "fig9", "fig12", "fig13", "fig14", "fig15", "fig16", KindPolicies:
 			if o.Warmup+o.Measure > l.MaxTicks {
 				t.Fatalf("accepted spec with %d ticks/run (limit %d)", o.Warmup+o.Measure, l.MaxTicks)
 			}
@@ -96,13 +100,13 @@ func FuzzSpecValidate(f *testing.F) {
 				return int64(len(xs))
 			}
 			switch spec.Kind {
-			case KindFig9:
+			case "fig9":
 				points = grid(spec.Capacities, 7)
-			case KindFig12:
+			case "fig12":
 				points = grid(spec.NRHs, 5)
-			case KindFig13, KindFig14:
+			case "fig13", "fig14":
 				points, policies = grid(spec.Capacities, 3)*grid(spec.Xs, 4), 3
-			case KindFig15, KindFig16:
+			case "fig15", "fig16":
 				points, policies = grid(spec.NRHs, 3)*grid(spec.Xs, 4), 3
 			case KindPolicies:
 				policies = int64(len(spec.Policies))
@@ -112,6 +116,29 @@ func FuzzSpecValidate(f *testing.F) {
 			}
 			if cost := points * policies * mixes * int64(o.Warmup+o.Measure); cost > l.MaxTotalTicks {
 				t.Fatalf("accepted spec with estimated cost %d ticks (limit %d)", cost, l.MaxTotalTicks)
+			}
+		case "attack":
+			if o.Warmup+o.Measure > l.MaxTicks || o.Cores > l.MaxCores {
+				t.Fatalf("accepted attack spec with %d ticks/run and %d cores (limits %d, %d)",
+					o.Warmup+o.Measure, o.Cores, l.MaxTicks, l.MaxCores)
+			}
+			// The attack grid builds its own mixes: one per point.
+			if spec.Workloads != nil {
+				t.Fatalf("accepted workloads object on kind attack")
+			}
+			attacks, nrhs := int64(5), int64(2)
+			if spec.Attacks != nil {
+				attacks = int64(len(spec.Attacks))
+			}
+			if spec.NRHs != nil {
+				nrhs = int64(len(spec.NRHs))
+			}
+			if attacks == 0 || attacks > int64(l.MaxGrid) || nrhs == 0 || nrhs > int64(l.MaxGrid) {
+				t.Fatalf("accepted %d attacks x %d nrhs (limit %d per axis)", attacks, nrhs, l.MaxGrid)
+			}
+			// 4 policies: Baseline, PARA, Graphene, RFM.
+			if cost := attacks * nrhs * 4 * int64(o.Warmup+o.Measure); cost > l.MaxTotalTicks {
+				t.Fatalf("accepted attack spec with estimated cost %d ticks (limit %d)", cost, l.MaxTotalTicks)
 			}
 		case KindCharacterize, KindSecurity, KindArea:
 			if spec.Workloads != nil {

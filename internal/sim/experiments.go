@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -491,7 +492,10 @@ func (e *Engine) runPoint(ctx context.Context, base Config, policies []RefreshPo
 	if err != nil {
 		return nil, err
 	}
-	rows, err := runSweep(ctx, e, opts, []sweepPoint{{base: base, policies: policies, mixes: mixes}}, measures)
+	rows, batch, err := runSweep(ctx, e, opts, []sweepPoint{{base: base, policies: policies, mixes: mixes}}, measures)
+	if opts.Stats != nil {
+		opts.Stats.Add(batch)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -505,14 +509,15 @@ func (e *Engine) runPoint(ctx context.Context, base Config, policies []RefreshPo
 // Cells are described by index (see sweepBatch), so the engine renders
 // each key to look it up and builds only the cells it lacks.
 // opts supplies what the points share (cores, seed, warmup, forensics,
-// progress and stats sinks); opts.Measure and opts.Mixes are ignored.
+// progress sinks); opts.Measure, opts.Mixes and opts.Stats are ignored,
+// and the batch's resolution tally is returned, also on error.
 // One batch means one progress total, one dispatch barrier, and an
 // alone reference several points need is submitted (and simulated)
 // once. opts must already have defaults applied.
-func runSweep(ctx context.Context, lab *Engine, opts Options, points []sweepPoint, measures []int) ([][][]PolicyScore, error) {
+func runSweep(ctx context.Context, lab *Engine, opts Options, points []sweepPoint, measures []int) ([][][]PolicyScore, EngineStats, error) {
 	for _, m := range measures {
 		if m <= 0 {
-			return nil, fmt.Errorf("sim: measure horizon %d is not positive", m)
+			return nil, EngineStats{}, fmt.Errorf("sim: measure horizon %d is not positive", m)
 		}
 	}
 
@@ -521,17 +526,15 @@ func runSweep(ctx context.Context, lab *Engine, opts Options, points []sweepPoin
 		OnProgress:      opts.Progress,
 		OnProgressStats: opts.ProgressStats,
 	})
-	if opts.Stats != nil {
-		opts.Stats.Add(batch)
-	}
 	if err != nil {
-		return nil, err
+		return nil, batch, err
 	}
 
 	rows := make([][][]PolicyScore, len(points))
+	var ws []float64 // per-mix scratch, reused by every point
 	for pi, p := range points {
 		rows[pi] = make([][]PolicyScore, len(measures))
-		ws := make([]float64, len(p.mixes.mixes))
+		ws = slices.Grow(ws[:0], len(p.mixes.mixes))[:len(p.mixes.mixes)]
 		for mIdx, refs := range sw.aloneRefs[p.mixes] {
 			alone := make([][]float64, len(refs)) // [mix][core]
 			for mi, cores := range refs {
@@ -562,7 +565,7 @@ func runSweep(ctx context.Context, lab *Engine, opts Options, points []sweepPoin
 			rows[pi][mIdx] = scores
 		}
 	}
-	return rows, nil
+	return rows, batch, nil
 }
 
 // newSweepBatch lays out runSweep's batch: the alone-IPC reference
@@ -713,6 +716,81 @@ type Fig9Row struct {
 	Forensics map[string]*ForensicsSummary `json:"forensics,omitempty"`
 }
 
+// Fig12Row is one RowHammer-threshold point of Fig. 12.
+type Fig12Row struct {
+	NRH          int                `json:"nrh"`
+	WS           map[string]float64 `json:"ws"`
+	NormBaseline map[string]float64 `json:"norm_baseline"` // Fig. 12a: vs no-defense baseline
+	NormPARA     map[string]float64 `json:"norm_para"`     // Fig. 12b: vs PARA without HiRA
+	// Forensics maps policy name to its aggregated forensics summary;
+	// nil unless the sweep ran with Options.Forensics.
+	Forensics map[string]*ForensicsSummary `json:"forensics,omitempty"`
+}
+
+// ScaleRow is one point of the §10 channel/rank sensitivity sweeps
+// (Figs. 13-16).
+type ScaleRow struct {
+	// X is the swept quantity (channel or rank count).
+	X int `json:"x"`
+	// Param is the second parameter (chip capacity for Figs. 13/14, NRH
+	// for Figs. 15/16).
+	Param int                `json:"param"`
+	WS    map[string]float64 `json:"ws"`
+	// Forensics maps policy name to its aggregated forensics summary;
+	// nil unless the sweep ran with Options.Forensics.
+	Forensics map[string]*ForensicsSummary `json:"forensics,omitempty"`
+}
+
+// AttackRow is one (attack, NRH) point of the attack×mitigation sweep:
+// weighted speedups per policy plus each policy's forensics summary —
+// the efficacy verdict lives in Forensics[policy].MaxVictimExposure and
+// .Tally.VictimCrossings against the row's NRH.
+type AttackRow struct {
+	Attack string             `json:"attack"`
+	NRH    int                `json:"nrh"`
+	WS     map[string]float64 `json:"ws"`
+	// NormBaseline normalizes each policy's WS to the no-defense
+	// Baseline under the same attack: the performance cost of defending.
+	NormBaseline map[string]float64           `json:"norm_baseline"`
+	Forensics    map[string]*ForensicsSummary `json:"forensics,omitempty"`
+}
+
+// FigureResult is the serializable envelope of one figure run: exactly
+// one of the row slices is set, per Kind. cmd/hira-sim's -json flag and
+// the experiment service emit this identical encoding, so CLI and HTTP
+// outputs are diffable.
+type FigureResult struct {
+	Kind   string      `json:"kind"`
+	Fig9   []Fig9Row   `json:"fig9,omitempty"`
+	Fig12  []Fig12Row  `json:"fig12,omitempty"`
+	Scale  []ScaleRow  `json:"scale,omitempty"`
+	Attack []AttackRow `json:"attack,omitempty"`
+	// Stats tallies how the engine resolved this figure's cells.
+	Stats EngineStats `json:"engine_stats"`
+}
+
+// policyWS maps each score's policy name to its weighted speedup: every
+// row's WS column, and the base of its normalizations (see normTo).
+func policyWS(scores []PolicyScore) map[string]float64 {
+	ws := make(map[string]float64, len(scores))
+	for _, s := range scores {
+		ws[s.Policy.Name] = s.WS
+	}
+	return ws
+}
+
+// normTo divides every policy's WS by ref's. The map is empty, not nil,
+// when ref has no positive WS, so the row still encodes the column.
+func normTo(ws map[string]float64, ref string) map[string]float64 {
+	norm := make(map[string]float64, len(ws))
+	if r := ws[ref]; r > 0 {
+		for name, w := range ws {
+			norm[name] = w / r
+		}
+	}
+	return norm
+}
+
 // forensicsByPolicy collects scores' forensics summaries into a
 // per-policy-name map. It returns nil when no score carries one, so
 // figure rows from non-forensics sweeps stay byte-identical to before
@@ -731,288 +809,44 @@ func forensicsByPolicy(scores []PolicyScore) map[string]*ForensicsSummary {
 	return m
 }
 
+func fig9Row(cap int, scores []PolicyScore) Fig9Row {
+	ws := policyWS(scores)
+	return Fig9Row{CapacityGbit: cap, WS: ws, NormNoRefresh: normTo(ws, "NoRefresh"),
+		NormBaseline: normTo(ws, "Baseline"), Forensics: forensicsByPolicy(scores)}
+}
+
+func fig12Row(nrh int, scores []PolicyScore) Fig12Row {
+	ws := policyWS(scores)
+	return Fig12Row{NRH: nrh, WS: ws, NormBaseline: normTo(ws, "Baseline"),
+		NormPARA: normTo(ws, "PARA"), Forensics: forensicsByPolicy(scores)}
+}
+
+func scaleRow(x, param int, scores []PolicyScore) ScaleRow {
+	return ScaleRow{X: x, Param: param, WS: policyWS(scores), Forensics: forensicsByPolicy(scores)}
+}
+
+func attackRow(kind string, nrh int, scores []PolicyScore) AttackRow {
+	ws := policyWS(scores)
+	return AttackRow{Attack: kind, NRH: nrh, WS: ws, NormBaseline: normTo(ws, "Baseline"),
+		Forensics: forensicsByPolicy(scores)}
+}
+
 // Fig9Capacities is the x-axis of Fig. 9.
 func Fig9Capacities() []int { return []int{2, 4, 8, 16, 32, 64, 128} }
-
-// Fig9 sweeps chip capacity for periodic refresh (§8): No Refresh,
-// Baseline REF, and HiRA-{0,2,4,8}, on a fresh single-sweep engine.
-func Fig9(ctx context.Context, opts Options, capacities []int) ([]Fig9Row, error) {
-	return newSweepEngine(opts).Fig9(ctx, opts, capacities)
-}
-
-// fig9Policies is Fig. 9's policy set.
-func fig9Policies() []RefreshPolicy {
-	return []RefreshPolicy{
-		NoRefreshPolicy(), BaselinePolicy(),
-		HiRAPeriodicPolicy(0), HiRAPeriodicPolicy(2), HiRAPeriodicPolicy(4), HiRAPeriodicPolicy(8),
-	}
-}
-
-// Fig9 runs the capacity sweep on the shared engine.
-func (e *Engine) Fig9(ctx context.Context, opts Options, capacities []int) ([]Fig9Row, error) {
-	if capacities == nil {
-		capacities = Fig9Capacities()
-	}
-	policies := fig9Policies()
-	opts = opts.withDefaults()
-	mixes, err := opts.mixSet()
-	if err != nil {
-		return nil, err
-	}
-	points := make([]sweepPoint, len(capacities))
-	for i, cap := range capacities {
-		base := DefaultConfig()
-		base.ChipCapacityGbit = cap
-		points[i] = sweepPoint{base: base, policies: policies, mixes: mixes}
-	}
-	sweep, err := runSweep(ctx, e, opts, points, []int{opts.Measure})
-	if err != nil {
-		return nil, err
-	}
-	var rows []Fig9Row
-	for i, cap := range capacities {
-		rows = append(rows, fig9Row(cap, sweep[i][0]))
-	}
-	return rows, nil
-}
-
-// fig9Row assembles one capacity point's row from its policy scores.
-func fig9Row(cap int, scores []PolicyScore) Fig9Row {
-	row := Fig9Row{CapacityGbit: cap,
-		WS: map[string]float64{}, NormNoRefresh: map[string]float64{}, NormBaseline: map[string]float64{},
-		Forensics: forensicsByPolicy(scores)}
-	for _, s := range scores {
-		row.WS[s.Policy.Name] = s.WS
-	}
-	for name, ws := range row.WS {
-		if nr := row.WS["NoRefresh"]; nr > 0 {
-			row.NormNoRefresh[name] = ws / nr
-		}
-		if b := row.WS["Baseline"]; b > 0 {
-			row.NormBaseline[name] = ws / b
-		}
-	}
-	return row
-}
-
-// Fig12Row is one RowHammer-threshold point of Fig. 12.
-type Fig12Row struct {
-	NRH          int                `json:"nrh"`
-	WS           map[string]float64 `json:"ws"`
-	NormBaseline map[string]float64 `json:"norm_baseline"` // Fig. 12a: vs no-defense baseline
-	NormPARA     map[string]float64 `json:"norm_para"`     // Fig. 12b: vs PARA without HiRA
-	// Forensics maps policy name to its aggregated forensics summary;
-	// nil unless the sweep ran with Options.Forensics.
-	Forensics map[string]*ForensicsSummary `json:"forensics,omitempty"`
-}
 
 // Fig12NRHValues is the x-axis of Fig. 12.
 func Fig12NRHValues() []int { return []int{64, 128, 256, 512, 1024} }
 
-// Fig12 sweeps the RowHammer threshold for preventive refresh (§9.2):
-// Baseline (no defense), PARA, and PARA+HiRA-{0,2,4,8}, on a fresh
-// single-sweep engine.
-func Fig12(ctx context.Context, opts Options, nrhs []int) ([]Fig12Row, error) {
-	return newSweepEngine(opts).Fig12(ctx, opts, nrhs)
-}
-
-// Fig12 runs the RowHammer-threshold sweep on the shared engine.
-func (e *Engine) Fig12(ctx context.Context, opts Options, nrhs []int) ([]Fig12Row, error) {
-	if nrhs == nil {
-		nrhs = Fig12NRHValues()
-	}
-	opts = opts.withDefaults()
-	mixes, err := opts.mixSet()
-	if err != nil {
-		return nil, err
-	}
-	points := make([]sweepPoint, len(nrhs))
-	for i, nrh := range nrhs {
-		points[i] = sweepPoint{base: DefaultConfig(), policies: fig12Policies(nrh), mixes: mixes}
-	}
-	sweep, err := runSweep(ctx, e, opts, points, []int{opts.Measure})
-	if err != nil {
-		return nil, err
-	}
-	var rows []Fig12Row
-	for i, nrh := range nrhs {
-		rows = append(rows, fig12Row(nrh, sweep[i][0]))
-	}
-	return rows, nil
-}
-
-// fig12Policies is Fig. 12's policy set at one RowHammer threshold.
-func fig12Policies(nrh int) []RefreshPolicy {
-	return []RefreshPolicy{
-		BaselinePolicy(), PARAPolicy(nrh),
-		PARAHiRAPolicy(nrh, 0), PARAHiRAPolicy(nrh, 2),
-		PARAHiRAPolicy(nrh, 4), PARAHiRAPolicy(nrh, 8),
-	}
-}
-
-// fig12Row assembles one threshold point's row from its policy scores.
-func fig12Row(nrh int, scores []PolicyScore) Fig12Row {
-	row := Fig12Row{NRH: nrh,
-		WS: map[string]float64{}, NormBaseline: map[string]float64{}, NormPARA: map[string]float64{},
-		Forensics: forensicsByPolicy(scores)}
-	for _, s := range scores {
-		row.WS[s.Policy.Name] = s.WS
-	}
-	for name, ws := range row.WS {
-		if b := row.WS["Baseline"]; b > 0 {
-			row.NormBaseline[name] = ws / b
-		}
-		if p := row.WS["PARA"]; p > 0 {
-			row.NormPARA[name] = ws / p
-		}
-	}
-	return row
-}
-
-// ScaleRow is one point of the §10 channel/rank sensitivity sweeps
-// (Figs. 13-16).
-type ScaleRow struct {
-	// X is the swept quantity (channel or rank count).
-	X int `json:"x"`
-	// Param is the second parameter (chip capacity for Figs. 13/14, NRH
-	// for Figs. 15/16).
-	Param int                `json:"param"`
-	WS    map[string]float64 `json:"ws"`
-	// Forensics maps policy name to its aggregated forensics summary;
-	// nil unless the sweep ran with Options.Forensics.
-	Forensics map[string]*ForensicsSummary `json:"forensics,omitempty"`
-}
-
-// scaleSweep runs policies across a channels/ranks sweep as one engine
-// batch, so cells repeated across sweep points simulate once.
-func scaleSweep(ctx context.Context, e *Engine, opts Options, xs []int, params []int, channels bool,
-	mkPolicies func(param int) []RefreshPolicy, mkCap func(param int) int) ([]ScaleRow, error) {
-	opts = opts.withDefaults()
-	mixes, err := opts.mixSet()
-	if err != nil {
-		return nil, err
-	}
-	var points []sweepPoint
-	for _, param := range params {
-		policies := mkPolicies(param)
-		for _, x := range xs {
-			points = append(points, sweepPoint{base: scaleConfig(x, mkCap(param), channels), policies: policies, mixes: mixes})
-		}
-	}
-	sweep, err := runSweep(ctx, e, opts, points, []int{opts.Measure})
-	if err != nil {
-		return nil, err
-	}
-	var rows []ScaleRow
-	for i := range points {
-		rows = append(rows, scaleRow(xs[i%len(xs)], params[i/len(xs)], sweep[i][0]))
-	}
-	return rows, nil
-}
-
-// scaleConfig is one scale-sweep point's system: x channels (or ranks)
-// of cap-Gb chips.
-func scaleConfig(x, cap int, channels bool) Config {
-	base := DefaultConfig()
-	base.ChipCapacityGbit = cap
-	if channels {
-		base.Channels = x
-	} else {
-		base.Ranks = x
-	}
-	return base
-}
-
-// scaleRow assembles one scale-sweep point's row from its policy scores.
-func scaleRow(x, param int, scores []PolicyScore) ScaleRow {
-	row := ScaleRow{X: x, Param: param, WS: map[string]float64{}, Forensics: forensicsByPolicy(scores)}
-	for _, s := range scores {
-		row.WS[s.Policy.Name] = s.WS
-	}
-	return row
-}
-
 // ScaleXValues is the channel/rank sweep of §10.
 func ScaleXValues() []int { return []int{1, 2, 4, 8} }
 
-// periodicScalePolicies is the policy set of Figs. 13/14.
-func periodicScalePolicies(int) []RefreshPolicy {
-	return []RefreshPolicy{BaselinePolicy(), HiRAPeriodicPolicy(2), HiRAPeriodicPolicy(4)}
-}
-
-// paraScalePolicies is the policy set of Figs. 15/16.
-func paraScalePolicies(nrh int) []RefreshPolicy {
-	return []RefreshPolicy{PARAPolicy(nrh), PARAHiRAPolicy(nrh, 2), PARAHiRAPolicy(nrh, 4)}
-}
-
-// Fig13 sweeps channel count under periodic refresh for chip capacities
-// {2, 8, 32} Gb with Baseline, HiRA-2, HiRA-4.
-func Fig13(ctx context.Context, opts Options, xs, caps []int) ([]ScaleRow, error) {
-	return newSweepEngine(opts).Fig13(ctx, opts, xs, caps)
-}
-
-// Fig13 runs the channel sweep on the shared engine.
-func (e *Engine) Fig13(ctx context.Context, opts Options, xs, caps []int) ([]ScaleRow, error) {
-	if xs == nil {
-		xs = ScaleXValues()
-	}
-	if caps == nil {
-		caps = []int{2, 8, 32}
-	}
-	return scaleSweep(ctx, e, opts, xs, caps, true, periodicScalePolicies,
-		func(cap int) int { return cap })
-}
-
-// Fig14 sweeps rank count under periodic refresh.
-func Fig14(ctx context.Context, opts Options, xs, caps []int) ([]ScaleRow, error) {
-	return newSweepEngine(opts).Fig14(ctx, opts, xs, caps)
-}
-
-// Fig14 runs the rank sweep on the shared engine.
-func (e *Engine) Fig14(ctx context.Context, opts Options, xs, caps []int) ([]ScaleRow, error) {
-	if xs == nil {
-		xs = ScaleXValues()
-	}
-	if caps == nil {
-		caps = []int{2, 8, 32}
-	}
-	return scaleSweep(ctx, e, opts, xs, caps, false, periodicScalePolicies,
-		func(cap int) int { return cap })
-}
-
-// Fig15 sweeps channel count under PARA for NRH {1024, 256, 64}.
-func Fig15(ctx context.Context, opts Options, xs, nrhs []int) ([]ScaleRow, error) {
-	return newSweepEngine(opts).Fig15(ctx, opts, xs, nrhs)
-}
-
-// Fig15 runs the PARA channel sweep on the shared engine.
-func (e *Engine) Fig15(ctx context.Context, opts Options, xs, nrhs []int) ([]ScaleRow, error) {
-	if xs == nil {
-		xs = ScaleXValues()
-	}
-	if nrhs == nil {
-		nrhs = []int{1024, 256, 64}
-	}
-	return scaleSweep(ctx, e, opts, xs, nrhs, true, paraScalePolicies,
-		func(int) int { return 8 })
-}
-
-// Fig16 sweeps rank count under PARA.
-func Fig16(ctx context.Context, opts Options, xs, nrhs []int) ([]ScaleRow, error) {
-	return newSweepEngine(opts).Fig16(ctx, opts, xs, nrhs)
-}
-
-// Fig16 runs the PARA rank sweep on the shared engine.
-func (e *Engine) Fig16(ctx context.Context, opts Options, xs, nrhs []int) ([]ScaleRow, error) {
-	if xs == nil {
-		xs = ScaleXValues()
-	}
-	if nrhs == nil {
-		nrhs = []int{1024, 256, 64}
-	}
-	return scaleSweep(ctx, e, opts, xs, nrhs, false, paraScalePolicies,
-		func(int) int { return 8 })
-}
+// AttackNRHValues is the default threshold axis of the attack sweep: low
+// enough that an unmitigated attack crosses NRH within a laptop-scale
+// measured phase. (An attack round spreads its activations over each
+// aggressor's whole eviction class, so victim exposure accrues at
+// roughly 2/(aggressors*EvictRows) of the bank's activation rate —
+// around 200 over the default horizons.)
+func AttackNRHValues() []int { return []int{64, 128} }
 
 // AttackKinds lists the attacker presets AttackSweep runs by default:
 // plain single-, double-, and many-sided hammering, a
@@ -1021,6 +855,75 @@ func (e *Engine) Fig16(ctx context.Context, opts Options, xs, nrhs []int) ([]Sca
 // (interleaved far-row accesses diluting activation-frequency trackers).
 func AttackKinds() []string {
 	return []string{"single", "double", "many", "refsync", "decoy"}
+}
+
+// fig9Policies is Fig. 9's policy set (§8), the same at every capacity:
+// No Refresh, Baseline REF, and HiRA-{0,2,4,8}. Sweeps only read it.
+func fig9Policies(int) []RefreshPolicy { return fig9PolicySet }
+
+var fig9PolicySet = []RefreshPolicy{
+	NoRefreshPolicy(), BaselinePolicy(),
+	HiRAPeriodicPolicy(0), HiRAPeriodicPolicy(2), HiRAPeriodicPolicy(4), HiRAPeriodicPolicy(8),
+}
+
+// fig12Policies is Fig. 12's policy set at one RowHammer threshold
+// (§9.2): Baseline (no defense), PARA, and PARA+HiRA-{0,2,4,8}.
+func fig12Policies(nrh int) []RefreshPolicy {
+	return []RefreshPolicy{
+		BaselinePolicy(), PARAPolicy(nrh),
+		PARAHiRAPolicy(nrh, 0), PARAHiRAPolicy(nrh, 2),
+		PARAHiRAPolicy(nrh, 4), PARAHiRAPolicy(nrh, 8),
+	}
+}
+
+// periodicScalePolicies is the policy set of Figs. 13/14, the same at
+// every capacity. Sweeps only read it.
+func periodicScalePolicies(int) []RefreshPolicy { return periodicScalePolicySet }
+
+var periodicScalePolicySet = []RefreshPolicy{BaselinePolicy(), HiRAPeriodicPolicy(2), HiRAPeriodicPolicy(4)}
+
+// paraScalePolicies is the policy set of Figs. 15/16.
+func paraScalePolicies(nrh int) []RefreshPolicy {
+	return []RefreshPolicy{PARAPolicy(nrh), PARAHiRAPolicy(nrh, 2), PARAHiRAPolicy(nrh, 4)}
+}
+
+// attackSweepPolicies is the mitigation zoo evaluated at one threshold:
+// no defense, PARA (the paper's probabilistic preventive baseline), and
+// the two deterministic zoo engines with their default sizing. The
+// Baseline entry carries the row's NRH purely to anchor its forensics
+// ledger thresholds — with no preventive mechanism the engine never
+// consults it, so the cell's command stream is the true no-defense run.
+func attackSweepPolicies(nrh int) []RefreshPolicy {
+	base := BaselinePolicy()
+	base.NRH = nrh
+	return []RefreshPolicy{
+		base,
+		PARAPolicy(nrh),
+		GraphenePolicy(nrh, 0),
+		RFMPolicy(nrh, 0),
+	}
+}
+
+// defaultConfig is Table 3's system at every point.
+func defaultConfig(int, int) Config { return DefaultConfig() }
+
+// capacityConfig is Table 3's system with cap-Gb chips.
+func capacityConfig(_, cap int) Config {
+	base := DefaultConfig()
+	base.ChipCapacityGbit = cap
+	return base
+}
+
+// scaleConfig is one scale-sweep point's system: x channels (or ranks)
+// of cap-Gb chips.
+func scaleConfig(x, cap int, channels bool) Config {
+	base := capacityConfig(0, cap)
+	if channels {
+		base.Channels = x
+	} else {
+		base.Ranks = x
+	}
+	return base
 }
 
 // attackPreset builds the AttackSpec one preset names, targeting the
@@ -1048,43 +951,294 @@ func attackPreset(kind string, org dram.Org) (workload.AttackSpec, error) {
 	return spec, nil
 }
 
-// AttackRow is one (attack, NRH) point of the attack×mitigation sweep:
-// weighted speedups per policy plus each policy's forensics summary —
-// the efficacy verdict lives in Forensics[policy].MaxVictimExposure and
-// .Tally.VictimCrossings against the row's NRH.
-type AttackRow struct {
-	Attack string             `json:"attack"`
-	NRH    int                `json:"nrh"`
-	WS     map[string]float64 `json:"ws"`
-	// NormBaseline normalizes each policy's WS to the no-defense
-	// Baseline under the same attack: the performance cost of defending.
-	NormBaseline map[string]float64           `json:"norm_baseline"`
-	Forensics    map[string]*ForensicsSummary `json:"forensics,omitempty"`
+// attackMix is the one mix an attack sweep runs kind on: the attacker
+// targeting org on core 0, benign's sources on the other cores.
+func attackMix(kind string, org dram.Org, benign workload.SourceMix) (workload.SourceMix, error) {
+	spec, err := attackPreset(kind, org)
+	if err != nil {
+		return workload.SourceMix{}, err
+	}
+	atk, err := workload.NewAttack(spec, org)
+	if err != nil {
+		return workload.SourceMix{}, err
+	}
+	return workload.SourceMix{ID: 0, Sources: append([]workload.Source{atk}, benign.Sources[1:]...)}, nil
 }
 
-// AttackNRHValues is the default threshold axis of the attack sweep: low
-// enough that an unmitigated attack crosses NRH within a laptop-scale
-// measured phase. (An attack round spreads its activations over each
-// aggressor's whole eviction class, so victim exposure accrues at
-// roughly 2/(aggressors*EvictRows) of the bank's activation rate —
-// around 200 over the default horizons.)
-func AttackNRHValues() []int { return []int{64, 128} }
+// FigureSpec names one figure run: a kind from the figure table (see
+// FigureKinds) and the grids it sweeps. A nil grid takes the kind's
+// paper default, and an empty non-nil grid sweeps nothing and yields no
+// rows. A grid the kind does not consume is an error.
+type FigureSpec struct {
+	Kind string
+	// Capacities is the chip-capacity grid in Gbit: Fig. 9's x-axis and
+	// Figs. 13/14's second parameter.
+	Capacities []int
+	// NRHs is the RowHammer-threshold grid: Fig. 12's x-axis and the
+	// second parameter of Figs. 15/16 and the attack grid.
+	NRHs []int
+	// Xs is the channel (Figs. 13/15) or rank (Figs. 14/16) axis.
+	Xs []int
+	// Attacks lists the attack grid's attacker presets (AttackKinds).
+	Attacks []string
+}
 
-// attackSweepPolicies is the mitigation zoo evaluated at one threshold:
-// no defense, PARA (the paper's probabilistic preventive baseline), and
-// the two deterministic zoo engines with their default sizing. The
-// Baseline entry carries the row's NRH purely to anchor its forensics
-// ledger thresholds — with no preventive mechanism the engine never
-// consults it, so the cell's command stream is the true no-defense run.
-func attackSweepPolicies(nrh int) []RefreshPolicy {
-	base := BaselinePolicy()
-	base.NRH = nrh
-	return []RefreshPolicy{
-		base,
-		PARAPolicy(nrh),
-		GraphenePolicy(nrh, 0),
-		RFMPolicy(nrh, 0),
+// figure is one entry of the figure table. Every figure is one sweep
+// shape: for each attacker preset, each parameter value, and each x, one
+// point evaluating the kind's policies on the point's system.
+type figure struct {
+	kind string
+	// capacities, nrhs, xs and attacks are the paper defaults of the
+	// grids the kind consumes; a nil default means the kind takes no such
+	// grid. Exactly one of capacities and nrhs is set: the kind's
+	// parameter axis. A kind without xs has one x per parameter (0), and
+	// one without attacks one attacker pass ("").
+	capacities, nrhs, xs []int
+	// attacks, when set, also means the kind builds its own mixes: each
+	// preset runs on core 0 of the first builtin benign mix, one mix per
+	// point, always with the forensics ledger.
+	attacks []string
+	// policies is the policy set evaluated at one parameter value.
+	policies func(param int) []RefreshPolicy
+	// config is the system of the point (x, param).
+	config func(x, param int) Config
+	// row appends the point (attack, param, x)'s row to res, whose rows
+	// number n in all.
+	row func(res *FigureResult, n int, attack string, param, x int, scores []PolicyScore)
+}
+
+// figures is the figure table: the paper's system results (Figs. 9, 12
+// and 13-16) and the attack×mitigation grid.
+var figures = []figure{
+	{kind: "fig9", capacities: Fig9Capacities(), policies: fig9Policies, config: capacityConfig,
+		row: func(res *FigureResult, n int, _ string, cap, _ int, s []PolicyScore) {
+			appendRow(&res.Fig9, n, fig9Row(cap, s))
+		}},
+	{kind: "fig12", nrhs: Fig12NRHValues(), policies: fig12Policies, config: defaultConfig,
+		row: func(res *FigureResult, n int, _ string, nrh, _ int, s []PolicyScore) {
+			appendRow(&res.Fig12, n, fig12Row(nrh, s))
+		}},
+	// Figs. 13/14: channels, then ranks, under periodic refresh.
+	{kind: "fig13", capacities: []int{2, 8, 32}, xs: ScaleXValues(), policies: periodicScalePolicies,
+		config: func(x, cap int) Config { return scaleConfig(x, cap, true) }, row: appendScaleRow},
+	{kind: "fig14", capacities: []int{2, 8, 32}, xs: ScaleXValues(), policies: periodicScalePolicies,
+		config: func(x, cap int) Config { return scaleConfig(x, cap, false) }, row: appendScaleRow},
+	// Figs. 15/16: channels, then ranks, under PARA with 8 Gb chips.
+	{kind: "fig15", nrhs: []int{1024, 256, 64}, xs: ScaleXValues(), policies: paraScalePolicies,
+		config: func(x, _ int) Config { return scaleConfig(x, 8, true) }, row: appendScaleRow},
+	{kind: "fig16", nrhs: []int{1024, 256, 64}, xs: ScaleXValues(), policies: paraScalePolicies,
+		config: func(x, _ int) Config { return scaleConfig(x, 8, false) }, row: appendScaleRow},
+	{kind: "attack", nrhs: AttackNRHValues(), attacks: AttackKinds(), policies: attackSweepPolicies,
+		config: defaultConfig,
+		row: func(res *FigureResult, n int, kind string, nrh, _ int, s []PolicyScore) {
+			appendRow(&res.Attack, n, attackRow(kind, nrh, s))
+		}},
+}
+
+func appendScaleRow(res *FigureResult, n int, _ string, param, x int, s []PolicyScore) {
+	appendRow(&res.Scale, n, scaleRow(x, param, s))
+}
+
+// appendRow appends r to *rows, sized for all n rows on the first.
+func appendRow[R any](rows *[]R, n int, r R) {
+	if *rows == nil {
+		*rows = make([]R, 0, n)
 	}
+	*rows = append(*rows, r)
+}
+
+// FigureKinds lists the figure table's kinds in table order.
+func FigureKinds() []string {
+	kinds := make([]string, len(figures))
+	for i := range figures {
+		kinds[i] = figures[i].kind
+	}
+	return kinds
+}
+
+func lookupFigure(kind string) *figure {
+	for i := range figures {
+		if figures[i].kind == kind {
+			return &figures[i]
+		}
+	}
+	return nil
+}
+
+// figureRun is a FigureSpec resolved against its table entry: the grids
+// its points iterate, in row order, and the options they share.
+type figureRun struct {
+	*figure
+	attacks    []string // one "" pass for kinds without attackers
+	params, xs []int    // xs is one 0 pass for kinds without that axis
+	opts       Options  // defaults applied
+}
+
+// resolve checks spec and opts against spec's table entry, taking the
+// paper default for each nil grid. It rejects an unknown kind or
+// attacker preset, a grid the kind does not consume, and custom mixes on
+// a kind that builds its own, which also always runs the forensics
+// ledger.
+func (spec FigureSpec) resolve(opts Options) (figureRun, error) {
+	f := lookupFigure(spec.Kind)
+	if f == nil {
+		return figureRun{}, fmt.Errorf("sim: unknown figure kind %q (want one of %v)", spec.Kind, FigureKinds())
+	}
+	if err := cmp.Or(
+		takeGrid(f.kind, "a capacities grid", &spec.Capacities, f.capacities),
+		takeGrid(f.kind, "an nrhs grid", &spec.NRHs, f.nrhs),
+		takeGrid(f.kind, "a channel/rank axis (xs)", &spec.Xs, f.xs),
+		takeGrid(f.kind, "an attacks list", &spec.Attacks, f.attacks),
+	); err != nil {
+		return figureRun{}, err
+	}
+	for _, a := range spec.Attacks {
+		// The attack grid's default runs every preset.
+		if !slices.Contains(f.attacks, a) {
+			return figureRun{}, fmt.Errorf("sim: unknown attack %q (want one of %v)", a, f.attacks)
+		}
+	}
+	r := figureRun{figure: f, attacks: spec.Attacks, params: spec.NRHs, xs: spec.Xs, opts: opts.withDefaults()}
+	if f.attacks == nil {
+		r.attacks = []string{""}
+	} else if r.opts.Mixes != nil {
+		return figureRun{}, fmt.Errorf("sim: %s builds its own mixes and takes no custom workloads", f.kind)
+	} else {
+		r.opts.Forensics = true
+	}
+	if f.capacities != nil {
+		r.params = spec.Capacities
+	}
+	if f.xs == nil {
+		r.xs = []int{0}
+	}
+	return r, nil
+}
+
+// takeGrid defaults a nil *grid to def, or rejects a non-nil one when the
+// kind takes no such grid (def is nil).
+func takeGrid[T any](kind, what string, grid *[]T, def []T) error {
+	switch {
+	case def == nil && *grid != nil:
+		return fmt.Errorf("sim: %s does not take %s", kind, what)
+	case *grid == nil:
+		*grid = def
+	}
+	return nil
+}
+
+// FigureCells counts the simulation cells RunFigure would submit for
+// spec under opts, alone-IPC references aside, without building a mix:
+// each point's policies times the mixes a point runs. It rejects what
+// RunFigure rejects before simulating. Of opts.Mixes it reads only
+// whether it is set and its length, so a caller may size it before
+// resolving any source.
+func FigureCells(spec FigureSpec, opts Options) (int64, error) {
+	r, err := spec.resolve(opts)
+	if err != nil {
+		return 0, err
+	}
+	mixes := r.opts.Workloads
+	if r.figure.attacks != nil {
+		mixes = 1
+	}
+	var policies int
+	for _, param := range r.params {
+		policies += len(r.policies(param))
+	}
+	return int64(policies) * int64(len(r.attacks)*len(r.xs)*mixes), nil
+}
+
+// RunFigure runs one figure of the figure table on a fresh single-sweep
+// engine.
+func RunFigure(ctx context.Context, opts Options, spec FigureSpec) (*FigureResult, error) {
+	return newSweepEngine(opts).RunFigure(ctx, opts, spec)
+}
+
+// RunFigure runs one figure of the figure table on the shared engine:
+// every point of spec's grids is submitted as one engine batch, and the
+// rows come back in the serializable envelope, in point order. It
+// rejects an unknown kind or attacker preset, a grid the kind does not
+// consume, and custom mixes on the attack grid, which builds its own.
+func (e *Engine) RunFigure(ctx context.Context, opts Options, spec FigureSpec) (*FigureResult, error) {
+	r, err := spec.resolve(opts)
+	if err != nil {
+		return nil, err
+	}
+	points, err := r.points()
+	if err != nil {
+		return nil, err
+	}
+	sweep, stats, err := runSweep(ctx, e, r.opts, points, []int{r.opts.Measure})
+	if opts.Stats != nil {
+		opts.Stats.Add(stats)
+	}
+	if err != nil {
+		return nil, err
+	}
+	res := &FigureResult{Kind: r.kind, Stats: stats}
+	i := 0
+	for _, a := range r.attacks {
+		for _, param := range r.params {
+			for _, x := range r.xs {
+				r.row(res, len(points), a, param, x, sweep[i][0])
+				i++
+			}
+		}
+	}
+	return res, nil
+}
+
+// points builds the run's sweep points in row order. Kinds without
+// attackers share the options' mixes; the attack grid's preset runs on
+// core 0 of the first builtin SPEC mix drawn from the seed, so the
+// attack hides in otherwise benign traffic.
+func (r figureRun) points() ([]sweepPoint, error) {
+	var mixes *mixSet
+	var benign workload.SourceMix
+	if r.figure.attacks == nil {
+		var err error
+		if mixes, err = r.opts.mixSet(); err != nil {
+			return nil, err
+		}
+	} else {
+		benign = workload.Mixes(1, r.opts.Cores, r.opts.Seed)[0].Sources()
+	}
+	points := make([]sweepPoint, 0, len(r.attacks)*len(r.params)*len(r.xs))
+	for _, a := range r.attacks {
+		if r.figure.attacks != nil {
+			mix, err := attackMix(a, OrgFor(DefaultConfig()), benign)
+			if err != nil {
+				return nil, err
+			}
+			mixes = newMixSet([]workload.SourceMix{mix})
+		}
+		for _, param := range r.params {
+			policies := r.policies(param)
+			for _, x := range r.xs {
+				points = append(points, sweepPoint{base: r.config(x, param), policies: policies, mixes: mixes})
+			}
+		}
+	}
+	return points, nil
+}
+
+// Figure runs one named figure sweep on a fresh single-sweep engine.
+func Figure(ctx context.Context, kind string, opts Options, xs, params []int) (*FigureResult, error) {
+	return newSweepEngine(opts).Figure(ctx, kind, opts, xs, params)
+}
+
+// Figure is RunFigure with the kind's parameter axis given positionally:
+// params is the capacities grid for fig9/13/14 and the NRH grid for
+// fig12/15/16 and attack, xs the channel/rank axis of figs. 13-16. The
+// attack grid runs every preset. Nil slices take the paper defaults; a
+// non-nil xs on a kind without that axis is an error.
+func (e *Engine) Figure(ctx context.Context, kind string, opts Options, xs, params []int) (*FigureResult, error) {
+	spec := FigureSpec{Kind: kind, Xs: xs, NRHs: params}
+	if f := lookupFigure(kind); f != nil && f.capacities != nil {
+		spec.Capacities, spec.NRHs = params, nil
+	}
+	return e.RunFigure(ctx, opts, spec)
 }
 
 // AttackSweep runs the attack×mitigation×NRH grid on a fresh
@@ -1100,130 +1254,54 @@ func AttackSweep(ctx context.Context, opts Options, attacks []string, nrhs []int
 // (victim exposure and crossings) alongside weighted speedup. Nil
 // attacks or nrhs take the defaults.
 func (e *Engine) AttackSweep(ctx context.Context, opts Options, attacks []string, nrhs []int) ([]AttackRow, error) {
-	if attacks == nil {
-		attacks = AttackKinds()
-	}
-	if nrhs == nil {
-		nrhs = AttackNRHValues()
-	}
-	opts = opts.withDefaults()
-	opts.Forensics = true
-	base := DefaultConfig()
-	org := OrgFor(base)
-	// The non-attacker cores run the first builtin SPEC mix drawn from
-	// the seed — the attack hides in otherwise benign traffic.
-	benign := workload.Mixes(1, opts.Cores, opts.Seed)[0].Sources()
-	var points []sweepPoint
-	for _, kind := range attacks {
-		mix, err := attackMix(kind, org, benign)
-		if err != nil {
-			return nil, err
-		}
-		mixes := newMixSet([]workload.SourceMix{mix})
-		for _, nrh := range nrhs {
-			points = append(points, sweepPoint{base: base, policies: attackSweepPolicies(nrh), mixes: mixes})
-		}
-	}
-	sweep, err := runSweep(ctx, e, opts, points, []int{opts.Measure})
-	if err != nil {
-		return nil, err
-	}
-	var rows []AttackRow
-	for i := range points {
-		rows = append(rows, attackRow(attacks[i/len(nrhs)], nrhs[i%len(nrhs)], sweep[i][0]))
-	}
-	return rows, nil
+	res, err := e.RunFigure(ctx, opts, FigureSpec{Kind: "attack", NRHs: nrhs, Attacks: attacks})
+	return orEmpty(res).Attack, err
 }
 
-// attackMix is the one mix an attack sweep runs kind on: the attacker
-// targeting org on core 0, benign's sources on the other cores.
-func attackMix(kind string, org dram.Org, benign workload.SourceMix) (workload.SourceMix, error) {
-	spec, err := attackPreset(kind, org)
-	if err != nil {
-		return workload.SourceMix{}, err
+// orEmpty is res, or an empty envelope when the run failed, so the
+// one-kind wrappers can select their rows unconditionally.
+func orEmpty(res *FigureResult) *FigureResult {
+	if res == nil {
+		return &FigureResult{}
 	}
-	atk, err := workload.NewAttack(spec, org)
-	if err != nil {
-		return workload.SourceMix{}, err
-	}
-	return workload.SourceMix{ID: 0, Sources: append([]workload.Source{atk}, benign.Sources[1:]...)}, nil
+	return res
 }
 
-// attackRow assembles one (attack, NRH) point's row from its policy
-// scores.
-func attackRow(kind string, nrh int, scores []PolicyScore) AttackRow {
-	row := AttackRow{Attack: kind, NRH: nrh,
-		WS: map[string]float64{}, NormBaseline: map[string]float64{},
-		Forensics: forensicsByPolicy(scores)}
-	for _, s := range scores {
-		row.WS[s.Policy.Name] = s.WS
-	}
-	for name, ws := range row.WS {
-		if b := row.WS["Baseline"]; b > 0 {
-			row.NormBaseline[name] = ws / b
-		}
-	}
-	return row
+// Fig9 sweeps chip capacity for periodic refresh (§8) on a fresh
+// single-sweep engine.
+func Fig9(ctx context.Context, opts Options, capacities []int) ([]Fig9Row, error) {
+	res, err := Figure(ctx, "fig9", opts, nil, capacities)
+	return orEmpty(res).Fig9, err
 }
 
-// FigureResult is the serializable envelope of one figure run: exactly
-// one of the row slices is set, per Kind. cmd/hira-sim's -json flag and
-// the experiment service emit this identical encoding, so CLI and HTTP
-// outputs are diffable.
-type FigureResult struct {
-	Kind   string      `json:"kind"`
-	Fig9   []Fig9Row   `json:"fig9,omitempty"`
-	Fig12  []Fig12Row  `json:"fig12,omitempty"`
-	Scale  []ScaleRow  `json:"scale,omitempty"`
-	Attack []AttackRow `json:"attack,omitempty"`
-	// Stats tallies how the engine resolved this figure's cells.
-	Stats EngineStats `json:"engine_stats"`
+// Fig12 sweeps the RowHammer threshold for preventive refresh (§9.2) on
+// a fresh single-sweep engine.
+func Fig12(ctx context.Context, opts Options, nrhs []int) ([]Fig12Row, error) {
+	res, err := Figure(ctx, "fig12", opts, nil, nrhs)
+	return orEmpty(res).Fig12, err
 }
 
-// Figure runs one named figure sweep on a fresh single-sweep engine.
-func Figure(ctx context.Context, kind string, opts Options, xs, params []int) (*FigureResult, error) {
-	return newSweepEngine(opts).Figure(ctx, kind, opts, xs, params)
+// Fig13 sweeps channel count under periodic refresh for chip capacities
+// {2, 8, 32} Gb with Baseline, HiRA-2, HiRA-4.
+func Fig13(ctx context.Context, opts Options, xs, caps []int) ([]ScaleRow, error) {
+	res, err := Figure(ctx, "fig13", opts, xs, caps)
+	return orEmpty(res).Scale, err
 }
 
-// Figure runs one named figure sweep on the shared engine and wraps the
-// rows in the serializable envelope. xs is the channel/rank axis of
-// figs. 13-16 (ignored otherwise); params is the figure's second
-// parameter set: capacities for fig9/13/14, NRH values for fig12/15/16.
-// Nil slices take each figure's paper defaults (an empty non-nil
-// slice, by contrast, sweeps nothing and returns no rows).
-func (e *Engine) Figure(ctx context.Context, kind string, opts Options, xs, params []int) (*FigureResult, error) {
-	var figStats EngineStats
-	userStats := opts.Stats
-	opts.Stats = &figStats
+// Fig14 sweeps rank count under periodic refresh.
+func Fig14(ctx context.Context, opts Options, xs, caps []int) ([]ScaleRow, error) {
+	res, err := Figure(ctx, "fig14", opts, xs, caps)
+	return orEmpty(res).Scale, err
+}
 
-	res := &FigureResult{Kind: kind}
-	var err error
-	switch kind {
-	case "fig9":
-		res.Fig9, err = e.Fig9(ctx, opts, params)
-	case "fig12":
-		res.Fig12, err = e.Fig12(ctx, opts, params)
-	case "fig13":
-		res.Scale, err = e.Fig13(ctx, opts, xs, params)
-	case "fig14":
-		res.Scale, err = e.Fig14(ctx, opts, xs, params)
-	case "fig15":
-		res.Scale, err = e.Fig15(ctx, opts, xs, params)
-	case "fig16":
-		res.Scale, err = e.Fig16(ctx, opts, xs, params)
-	case "attack":
-		// params is the NRH axis; the attack set is the default presets
-		// (callers wanting a custom set use AttackSweep directly).
-		res.Attack, err = e.AttackSweep(ctx, opts, nil, params)
-	default:
-		return nil, fmt.Errorf("sim: unknown figure kind %q", kind)
-	}
-	if userStats != nil {
-		userStats.Add(figStats)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = figStats
-	return res, nil
+// Fig15 sweeps channel count under PARA for NRH {1024, 256, 64}.
+func Fig15(ctx context.Context, opts Options, xs, nrhs []int) ([]ScaleRow, error) {
+	res, err := Figure(ctx, "fig15", opts, xs, nrhs)
+	return orEmpty(res).Scale, err
+}
+
+// Fig16 sweeps rank count under PARA.
+func Fig16(ctx context.Context, opts Options, xs, nrhs []int) ([]ScaleRow, error) {
+	res, err := Figure(ctx, "fig16", opts, xs, nrhs)
+	return orEmpty(res).Scale, err
 }

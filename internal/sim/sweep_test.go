@@ -36,18 +36,24 @@ func TestFiguresMatchPerPointRuns(t *testing.T) {
 		perPoint func(t *testing.T, e *Engine) any
 	}{
 		{"fig9",
-			func(e *Engine, o Options) (any, error) { return e.Fig9(ctx, o, caps) },
+			func(e *Engine, o Options) (any, error) {
+				res, err := e.Figure(ctx, "fig9", o, nil, caps)
+				return orEmpty(res).Fig9, err
+			},
 			func(t *testing.T, e *Engine) any {
 				var rows []Fig9Row
 				for _, cap := range caps {
 					base := DefaultConfig()
 					base.ChipCapacityGbit = cap
-					rows = append(rows, fig9Row(cap, point(t, e, base, fig9Policies(), opts)))
+					rows = append(rows, fig9Row(cap, point(t, e, base, fig9Policies(0), opts)))
 				}
 				return rows
 			}},
 		{"fig12",
-			func(e *Engine, o Options) (any, error) { return e.Fig12(ctx, o, nrhs) },
+			func(e *Engine, o Options) (any, error) {
+				res, err := e.Figure(ctx, "fig12", o, nil, nrhs)
+				return orEmpty(res).Fig12, err
+			},
 			func(t *testing.T, e *Engine) any {
 				var rows []Fig12Row
 				for _, nrh := range nrhs {
@@ -56,7 +62,10 @@ func TestFiguresMatchPerPointRuns(t *testing.T) {
 				return rows
 			}},
 		{"fig15",
-			func(e *Engine, o Options) (any, error) { return e.Fig15(ctx, o, xs, nrhs) },
+			func(e *Engine, o Options) (any, error) {
+				res, err := e.Figure(ctx, "fig15", o, xs, nrhs)
+				return orEmpty(res).Scale, err
+			},
 			func(t *testing.T, e *Engine) any {
 				var rows []ScaleRow
 				for _, nrh := range nrhs {
@@ -114,6 +123,40 @@ func TestFiguresMatchPerPointRuns(t *testing.T) {
 				if i > 0 && dones[i] < dones[i-1] {
 					t.Fatalf("progress went down: done %d after %d", dones[i], dones[i-1])
 				}
+			}
+		})
+	}
+}
+
+// TestFigureCellsMatchBatch checks the cost estimate against the real
+// traffic: for every figure-table entry at its default grids, the cells
+// FigureCells counts (what the service's cost bound multiplies by ticks)
+// must equal the simulation cells of the batch the figure submits.
+func TestFigureCellsMatchBatch(t *testing.T) {
+	opts := Options{Workloads: 3, Cores: 4, Measure: 3000}
+	for _, kind := range FigureKinds() {
+		t.Run(kind, func(t *testing.T) {
+			spec := FigureSpec{Kind: kind}
+			cells, err := FigureCells(spec, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := spec.resolve(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			points, err := r.points()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sims int64
+			for _, c := range newSweepBatch(nil, r.opts, points, []int{r.opts.Measure}).cells {
+				if !c.alone {
+					sims++
+				}
+			}
+			if cells != sims || cells == 0 {
+				t.Fatalf("FigureCells counts %d cells; the submitted batch has %d simulation cells", cells, sims)
 			}
 		})
 	}

@@ -18,11 +18,11 @@ func warmStatsCases() []warmStatsCase {
 	caps, nrhs := []int{8, 32}, []int{64, 256}
 	return []warmStatsCase{
 		{name: "fig9",
-			run:  func(e *Engine, o Options) error { _, err := e.Fig9(ctx, o, caps); return err },
+			run:  func(e *Engine, o Options) error { _, err := e.Figure(ctx, "fig9", o, nil, caps); return err },
 			cold: EngineStats{Submitted: 32, Simulated: 32},
 			warm: EngineStats{Submitted: 32, CacheHits: 32}},
 		{name: "fig12",
-			run:  func(e *Engine, o Options) error { _, err := e.Fig12(ctx, o, nrhs); return err },
+			run:  func(e *Engine, o Options) error { _, err := e.Figure(ctx, "fig12", o, nil, nrhs); return err },
 			cold: EngineStats{Submitted: 32, Deduped: 2, Simulated: 30},
 			warm: EngineStats{Submitted: 32, Deduped: 2, CacheHits: 30}},
 		{name: "attack",
@@ -86,10 +86,10 @@ func TestWarmFigurePairAllocs(t *testing.T) {
 	caps, nrhs := []int{8, 32, 128}, []int{64, 256, 1024}
 	var stats EngineStats
 	pair := func() {
-		if _, err := e.Fig9(ctx, opts, caps); err != nil {
+		if _, err := e.Figure(ctx, "fig9", opts, nil, caps); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Fig12(ctx, opts, nrhs); err != nil {
+		if _, err := e.Figure(ctx, "fig12", opts, nil, nrhs); err != nil {
 			t.Fatal(err)
 		}
 	}
