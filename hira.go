@@ -25,12 +25,12 @@
 //     figure table (FigureKinds) declaring the grids it consumes with
 //     their paper defaults, its policies, and its rows; RunFigure rejects
 //     a grid the kind does not consume, and Figure, Fig9-Fig16 and
-//     AttackSweep are shorthands for it. Sweeps decompose into deterministic,
-//     content-keyed cells and run on a parallel experiment engine
-//     (internal/engine); SimOptions.Parallelism sizes its worker pool,
-//     SimOptions.ResultDir persists per-cell results across runs, and
-//     SimOptions.SnapInterval checkpoints running simulations so a sweep
-//     rerun with longer horizons resumes each cell from its stored
+//     AttackSweep are shorthands for it. Sweeps decompose into
+//     deterministic, content-keyed cells and run on a parallel experiment
+//     engine (internal/engine); SimOptions.Parallelism sizes its worker
+//     pool, SimOptions.ResultDir persists per-cell results across runs,
+//     and SimOptions.SnapInterval checkpoints running simulations so a
+//     sweep rerun with longer horizons resumes each cell from its stored
 //     machine state (bit-identically) instead of re-simulating it.
 //
 // Subpackages under internal/ hold the implementation; everything a

@@ -69,7 +69,7 @@ type JobSpec struct {
 	// ledger, so per-point efficacy metrics land in the result.
 	Attacks []string `json:"attacks,omitempty"`
 
-	// Workloads, for policy and figure kinds, replaces the builtin
+	// Workloads, for figure and policy kinds, replaces the builtin
 	// random SPEC mixes with an explicit workload set: named mixes over
 	// builtin benchmarks, inline custom profiles, and recorded traces
 	// from the server's trace directory. Nil keeps the builtin mixes.
