@@ -994,9 +994,8 @@ type figure struct {
 	// parameter axis. A kind without xs has one x per parameter (0), and
 	// one without attacks one attacker pass ("").
 	capacities, nrhs, xs []int
-	// attacks, when set, also means the kind builds its own mixes: each
-	// preset runs on core 0 of the first builtin benign mix, one mix per
-	// point, always with the forensics ledger.
+	// attacks, when set, also means the kind builds its own mixes (see
+	// ownMixes).
 	attacks []string
 	// policies is the policy set evaluated at one parameter value.
 	policies func(param int) []RefreshPolicy
@@ -1035,6 +1034,12 @@ var figures = []figure{
 		}},
 }
 
+// ownMixes reports whether the kind builds its own mixes rather than
+// running the caller's: each attacker preset runs on core 0 of the first
+// builtin benign mix, one mix per point, always with the forensics
+// ledger.
+func (f *figure) ownMixes() bool { return f.attacks != nil }
+
 func appendScaleRow(res *FigureResult, n int, _ string, param, x int, s []PolicyScore) {
 	appendRow(&res.Scale, n, scaleRow(x, param, s))
 }
@@ -1068,7 +1073,7 @@ func lookupFigure(kind string) *figure {
 // figureRun is a FigureSpec resolved against its table entry: the grids
 // its points iterate, in row order, and the options they share.
 type figureRun struct {
-	*figure
+	fig        *figure
 	attacks    []string // one "" pass for kinds without attackers
 	params, xs []int    // xs is one 0 pass for kinds without that axis
 	opts       Options  // defaults applied
@@ -1098,8 +1103,8 @@ func (spec FigureSpec) resolve(opts Options) (figureRun, error) {
 			return figureRun{}, fmt.Errorf("sim: unknown attack %q (want one of %v)", a, f.attacks)
 		}
 	}
-	r := figureRun{figure: f, attacks: spec.Attacks, params: spec.NRHs, xs: spec.Xs, opts: opts.withDefaults()}
-	if f.attacks == nil {
+	r := figureRun{fig: f, attacks: spec.Attacks, params: spec.NRHs, xs: spec.Xs, opts: opts.withDefaults()}
+	if !f.ownMixes() {
 		r.attacks = []string{""}
 	} else if r.opts.Mixes != nil {
 		return figureRun{}, fmt.Errorf("sim: %s builds its own mixes and takes no custom workloads", f.kind)
@@ -1139,12 +1144,12 @@ func FigureCells(spec FigureSpec, opts Options) (int64, error) {
 		return 0, err
 	}
 	mixes := r.opts.Workloads
-	if r.figure.attacks != nil {
+	if r.fig.ownMixes() {
 		mixes = 1
 	}
 	var policies int
 	for _, param := range r.params {
-		policies += len(r.policies(param))
+		policies += len(r.fig.policies(param))
 	}
 	return int64(policies) * int64(len(r.attacks)*len(r.xs)*mixes), nil
 }
@@ -1176,12 +1181,12 @@ func (e *Engine) RunFigure(ctx context.Context, opts Options, spec FigureSpec) (
 	if err != nil {
 		return nil, err
 	}
-	res := &FigureResult{Kind: r.kind, Stats: stats}
+	res := &FigureResult{Kind: r.fig.kind, Stats: stats}
 	i := 0
 	for _, a := range r.attacks {
 		for _, param := range r.params {
 			for _, x := range r.xs {
-				r.row(res, len(points), a, param, x, sweep[i][0])
+				r.fig.row(res, len(points), a, param, x, sweep[i][0])
 				i++
 			}
 		}
@@ -1196,7 +1201,7 @@ func (e *Engine) RunFigure(ctx context.Context, opts Options, spec FigureSpec) (
 func (r figureRun) points() ([]sweepPoint, error) {
 	var mixes *mixSet
 	var benign workload.SourceMix
-	if r.figure.attacks == nil {
+	if !r.fig.ownMixes() {
 		var err error
 		if mixes, err = r.opts.mixSet(); err != nil {
 			return nil, err
@@ -1206,7 +1211,7 @@ func (r figureRun) points() ([]sweepPoint, error) {
 	}
 	points := make([]sweepPoint, 0, len(r.attacks)*len(r.params)*len(r.xs))
 	for _, a := range r.attacks {
-		if r.figure.attacks != nil {
+		if r.fig.ownMixes() {
 			mix, err := attackMix(a, OrgFor(DefaultConfig()), benign)
 			if err != nil {
 				return nil, err
@@ -1214,9 +1219,9 @@ func (r figureRun) points() ([]sweepPoint, error) {
 			mixes = newMixSet([]workload.SourceMix{mix})
 		}
 		for _, param := range r.params {
-			policies := r.policies(param)
+			policies := r.fig.policies(param)
 			for _, x := range r.xs {
-				points = append(points, sweepPoint{base: r.config(x, param), policies: policies, mixes: mixes})
+				points = append(points, sweepPoint{base: r.fig.config(x, param), policies: policies, mixes: mixes})
 			}
 		}
 	}
