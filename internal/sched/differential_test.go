@@ -91,7 +91,8 @@ func diffPolicies() []diffPolicy {
 // diffDrive replays one deterministic mixed read/write request schedule
 // against a controller, returning the emitted command stream. Enqueue
 // results are also recorded (queue-full rejections must coincide).
-func diffDrive(t *testing.T, c *sched.Controller, org dram.Org, ticks int) ([]dram.Command, []bool) {
+// after, when non-nil, runs after every tick.
+func diffDrive(t *testing.T, c *sched.Controller, org dram.Org, ticks int, after func()) ([]dram.Command, []bool) {
 	t.Helper()
 	var cmds []dram.Command
 	c.CommandHook = func(cmd dram.Command) { cmds = append(cmds, cmd) }
@@ -145,11 +146,17 @@ func diffDrive(t *testing.T, c *sched.Controller, org dram.Org, ticks int) ([]dr
 			}))
 		}
 		c.Tick()
+		if after != nil {
+			after()
+		}
 	}
 	// Drain with no further arrivals: long idle windows with refresh-only
 	// traffic, the deepest skip territory.
 	for i := 0; i < ticks/2; i++ {
 		c.Tick()
+		if after != nil {
+			after()
+		}
 	}
 	return cmds, accepts
 }
@@ -170,7 +177,7 @@ func TestControllerDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cmds, accepts := diffDrive(t, c, org, ticks)
+				cmds, accepts := diffDrive(t, c, org, ticks, nil)
 				return cmds, accepts, c.Stats, c.Now()
 			}
 			refCmds, refAcc, refStats, refNow := run(true)
