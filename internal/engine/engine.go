@@ -23,8 +23,8 @@
 //     crash, or with one new policy, only simulates the delta.
 //
 // Run takes a context: cancellation (a disconnected client, a server
-// shutting down) stops dispatch, interrupts in-flight cells whose Run
-// honors the context, and returns ctx.Err(). Cancellation never corrupts
+// shutting down) stops dispatch, interrupts in-flight passes whose
+// RunPass honors the context, and returns ctx.Err(). Cancellation never corrupts
 // the store — cells either persisted completely before the cancel or not
 // at all.
 package engine
@@ -48,13 +48,7 @@ type Cell[R any] struct {
 	// computation depends on (configuration, policy, workload, seeds,
 	// tick counts), because equal keys share one result.
 	Key string
-	// Run computes a cell that has no Plan; the engine executes it as a
-	// one-member pass. It must be deterministic given Key and must not
-	// share mutable state with other cells. Long computations should
-	// poll ctx and return ctx.Err() to honor cancellation promptly; the
-	// result of a cancelled Run is discarded, never cached or stored.
-	Run func(ctx context.Context) (R, error)
-	// Plan, when non-nil, supersedes Run: the cell executes through
+	// Plan is how the cell executes, and every cell has one: through
 	// Plan.RunPass, coalesced with the batch's other pending cells of
 	// the same Plan.Group into one pass, or alone as a one-member pass.
 	Plan *Plan[R]
@@ -67,8 +61,9 @@ type Cell[R any] struct {
 // horizon — instead of one restore-and-extend per cell. A cell with no
 // group partner pending runs as a pass of one.
 type Plan[R any] struct {
-	// Group identifies the shared trajectory. Cells whose results would
-	// not be produced by one continuous run must not share a group.
+	// Group identifies the shared trajectory and must not be empty.
+	// Cells whose results would not be produced by one continuous run
+	// must not share a group.
 	Group string
 	// Horizon orders members within a group, ascending; it is the tick
 	// the member's result is emitted at.
@@ -82,7 +77,11 @@ type Plan[R any] struct {
 	// members[i].Horizon; each emission is cached, persisted, and
 	// released to singleflight waiters immediately, so a pass failing
 	// (or cancelled) midway keeps every row it already emitted. Every
-	// group member's RunPass must be interchangeable.
+	// group member's RunPass must be interchangeable. A pass must be
+	// deterministic given its members' keys and must not share mutable
+	// state with other passes. Long passes should poll ctx and return
+	// ctx.Err() to honor cancellation promptly; members a cancelled pass
+	// has not emitted are discarded, never cached or stored.
 	RunPass func(ctx context.Context, members []PlanMember, emit func(i int, r R)) error
 }
 
@@ -156,12 +155,12 @@ func (s *Stats) Add(o Stats) {
 	}
 }
 
-// resumeNoteKey carries the per-computation resume note through the
-// context handed to Cell.Run.
+// resumeNoteKey carries the per-pass resume note through the context
+// handed to Plan.RunPass.
 type resumeNoteKey struct{}
 
-// resumeNote is written by the cell (via MarkResumed) and read by the
-// engine after Run returns; the computation runs synchronously on one
+// resumeNote is written by the pass (via MarkResumed) and read by the
+// engine after RunPass returns; the pass runs synchronously on one
 // goroutine, so no synchronization is needed.
 type resumeNote struct {
 	resumed   bool
@@ -392,8 +391,8 @@ func (e *Engine[R]) RunWith(ctx context.Context, cells Batch[R], ropts RunOption
 			hitSlot[hit] = len(b.slots)
 		} else {
 			c := cells.Cell(i)
-			if (c.Plan == nil && c.Run == nil) || (c.Plan != nil && c.Plan.RunPass == nil) {
-				return nil, Stats{}, fmt.Errorf("engine: cell %d (%q) needs a Plan with a RunPass, or a Run", i, c.Key)
+			if c.Plan == nil || c.Plan.Group == "" || c.Plan.RunPass == nil {
+				return nil, Stats{}, fmt.Errorf("engine: cell %d (%q) needs a Plan with a Group and a RunPass", i, c.Key)
 			}
 			if c.Key != string(buf) {
 				return nil, Stats{}, fmt.Errorf("engine: cell %d key %q differs from its rendered key %q", i, c.Key, buf)
@@ -425,17 +424,13 @@ func (e *Engine[R]) RunWith(ctx context.Context, cells Batch[R], ropts RunOption
 
 	// Sweep planning: partition the pending keys into dispatch units —
 	// one per Plan group, its members ordered by ascending horizon so
-	// the pass emits them as it advances, and one per cell without a
-	// group. Units keep the groups' first-appearance order; a
-	// single-horizon batch is all one-member units.
+	// the pass emits them as it advances. Units keep the groups'
+	// first-appearance order; a single-horizon batch is all one-member
+	// units.
 	units := make([][]int, 0, len(pending))
 	groupIdx := make(map[string]int)
 	for _, s := range pending {
 		c := b.cell(s)
-		if c.Plan == nil || c.Plan.Group == "" {
-			units = append(units, []int{s})
-			continue
-		}
 		gi, ok := groupIdx[c.Plan.Group]
 		if !ok {
 			groupIdx[c.Plan.Group] = len(units)
@@ -712,23 +707,8 @@ func (e *Engine[R]) runPass(ctx context.Context, pass []int, flights []*flight[R
 	}
 	members := make([]PlanMember, len(pass))
 	for i, s := range pass {
-		members[i].Key = b.slots[s].key
-		if p := b.cell(s).Plan; p != nil {
-			members[i].Horizon, members[i].Payload = p.Horizon, p.Payload
-		}
-	}
-	var run func(ctx context.Context, members []PlanMember, emit func(int, R)) error
-	if lead.Plan != nil {
-		run = lead.Plan.RunPass
-	} else {
-		// A cell without a Plan is a one-member pass around its Run.
-		run = func(ctx context.Context, _ []PlanMember, emit func(int, R)) error {
-			r, err := lead.Run(ctx)
-			if err == nil {
-				emit(0, r)
-			}
-			return err
-		}
+		p := b.cell(s).Plan
+		members[i] = PlanMember{Key: b.slots[s].key, Horizon: p.Horizon, Payload: p.Payload}
 	}
 
 	emitted := make([]bool, len(members))
@@ -790,7 +770,7 @@ func (e *Engine[R]) runPass(ctx context.Context, pass []int, flights []*flight[R
 				err = fmt.Errorf("engine: %s %q panicked: %v\n%s", kind, name, p, debug.Stack())
 			}
 		}()
-		return run(context.WithValue(ctx, resumeNoteKey{}, note), members, emit)
+		return lead.Plan.RunPass(context.WithValue(ctx, resumeNoteKey{}, note), members, emit)
 	}()
 	if note.resumed {
 		runSpan.SetAttr("resumed_ticks", note.ticks)

@@ -21,12 +21,27 @@ func (c Cells[R]) Len() int                           { return len(c) }
 func (c Cells[R]) AppendKey(dst []byte, i int) []byte { return append(dst, c[i].Key...) }
 func (c Cells[R]) Cell(i int) Cell[R]                 { return c[i] }
 
-// countingCell returns a cell whose Run increments runs and returns v.
+// solo builds a cell that runs alone: a one-member pass emitting run's
+// result. Its group is its key, so it coalesces with no other cell.
+func solo[R any](key string, run func(ctx context.Context) (R, error)) Cell[R] {
+	return Cell[R]{Key: key, Plan: &Plan[R]{
+		Group: key,
+		RunPass: func(ctx context.Context, _ []PlanMember, emit func(int, R)) error {
+			r, err := run(ctx)
+			if err == nil {
+				emit(0, r)
+			}
+			return err
+		},
+	}}
+}
+
+// countingCell returns a cell whose pass increments runs and returns v.
 func countingCell(key string, v int, runs *atomic.Int64) Cell[int] {
-	return Cell[int]{Key: key, Run: func(context.Context) (int, error) {
+	return solo(key, func(context.Context) (int, error) {
 		runs.Add(1)
 		return v, nil
-	}}
+	})
 }
 
 func TestRunPreservesOrder(t *testing.T) {
@@ -103,27 +118,34 @@ func TestErrorAbortsBatch(t *testing.T) {
 	e := New[int](Options{Parallelism: 2})
 	boom := errors.New("boom")
 	cells := Cells[int]{
-		{Key: "ok", Run: func(context.Context) (int, error) { return 1, nil }},
-		{Key: "bad", Run: func(context.Context) (int, error) { return 0, boom }},
+		solo("ok", func(context.Context) (int, error) { return 1, nil }),
+		solo("bad", func(context.Context) (int, error) { return 0, boom }),
 	}
 	if _, _, err := e.Run(context.Background(), cells); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
-	if _, _, err := e.Run(context.Background(), Cells[int]{{Key: "nil-run"}}); err == nil {
-		t.Fatal("accepted cell without Run")
+	pass := func(context.Context, []PlanMember, func(int, int)) error { return nil }
+	for _, c := range []Cell[int]{
+		{Key: "no-plan"},
+		{Key: "no-group", Plan: &Plan[int]{RunPass: pass}},
+		{Key: "no-pass", Plan: &Plan[int]{Group: "g"}},
+	} {
+		if _, _, err := e.Run(context.Background(), Cells[int]{c}); err == nil {
+			t.Fatalf("accepted cell %q", c.Key)
+		}
 	}
 }
 
 func TestFailedCellNotCached(t *testing.T) {
 	e := New[int](Options{Parallelism: 1})
 	calls := 0
-	flaky := Cell[int]{Key: "flaky", Run: func(context.Context) (int, error) {
+	flaky := solo("flaky", func(context.Context) (int, error) {
 		calls++
 		if calls == 1 {
 			return 0, errors.New("transient")
 		}
 		return 9, nil
-	}}
+	})
 	if _, _, err := e.Run(context.Background(), Cells[int]{flaky}); err == nil {
 		t.Fatal("first run should fail")
 	}
@@ -402,12 +424,12 @@ func TestSingleflightAcrossBatches(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	slow := Cell[int]{Key: "shared", Run: func(context.Context) (int, error) {
+	slow := solo("shared", func(context.Context) (int, error) {
 		runs.Add(1)
 		once.Do(func() { close(entered) })
 		<-release
 		return 77, nil
-	}}
+	})
 
 	type out struct {
 		r     []int
@@ -456,7 +478,7 @@ func TestSingleflightFailureHandsOff(t *testing.T) {
 	entered := make(chan struct{})
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	var calls atomic.Int64
-	cell := Cell[int]{Key: "k", Run: func(ctx context.Context) (int, error) {
+	cell := solo("k", func(ctx context.Context) (int, error) {
 		if calls.Add(1) == 1 {
 			// First computation: a long simulation interrupted by its
 			// batch's cancellation.
@@ -465,7 +487,7 @@ func TestSingleflightFailureHandsOff(t *testing.T) {
 			return 0, ctx.Err()
 		}
 		return 5, nil
-	}}
+	})
 
 	firstDone := make(chan error, 1)
 	go func() {
@@ -497,11 +519,11 @@ func TestCancelledRunReturnsCtxErr(t *testing.T) {
 	var once sync.Once
 	var cells Cells[int]
 	for i := 0; i < 8; i++ {
-		cells = append(cells, Cell[int]{Key: fmt.Sprintf("c%d", i), Run: func(ctx context.Context) (int, error) {
+		cells = append(cells, solo(fmt.Sprintf("c%d", i), func(ctx context.Context) (int, error) {
 			once.Do(func() { close(started) })
 			<-ctx.Done() // a long simulation polling its context
 			return 0, ctx.Err()
-		}})
+		}))
 	}
 	go func() {
 		<-started
@@ -542,10 +564,10 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	dir := t.TempDir()
 	var runs atomic.Int64
-	cell := Cell[payload]{Key: "sweep/cap=8", Run: func(context.Context) (payload, error) {
+	cell := solo("sweep/cap=8", func(context.Context) (payload, error) {
 		runs.Add(1)
 		return payload{X: []float64{1.5, 2.5}, N: 7}, nil
-	}}
+	})
 
 	e1 := New[payload](Options{Parallelism: 1, ResultDir: dir})
 	first, _, err := e1.Run(context.Background(), Cells[payload]{cell})
@@ -731,14 +753,14 @@ func TestCancelLeavesStoreConsistent(t *testing.T) {
 	var once sync.Once
 	for i := 0; i < 16; i++ {
 		i := i
-		cells = append(cells, Cell[int]{Key: fmt.Sprintf("c%d", i), Run: func(ctx context.Context) (int, error) {
+		cells = append(cells, solo(fmt.Sprintf("c%d", i), func(ctx context.Context) (int, error) {
 			if i >= 4 {
 				once.Do(func() { close(fired) })
 				<-ctx.Done()
 				return 0, ctx.Err()
 			}
 			return i * 2, nil
-		}})
+		}))
 	}
 	go func() {
 		<-fired
@@ -755,7 +777,7 @@ func TestCancelLeavesStoreConsistent(t *testing.T) {
 	// engine indexes them and a clean run serves them as store hits.
 	for i := range cells {
 		i := i
-		cells[i].Run = func(context.Context) (int, error) { return i * 2, nil }
+		cells[i] = solo(cells[i].Key, func(context.Context) (int, error) { return i * 2, nil })
 	}
 	e2 := New[int](Options{Parallelism: 2, ResultDir: dir})
 	got, stats, err := e2.Run(context.Background(), cells)

@@ -12,10 +12,11 @@ import (
 // request source tops the read/write queues up every tick, so every tick
 // exercises the full scheduling path the figure sweeps live in.
 type steadyState struct {
-	c   *sched.Controller
-	org dram.Org
-	rng uint64
-	tok uint64
+	c    *sched.Controller
+	step func() // c.Tick, or the test-only c.TickReference
+	org  dram.Org
+	rng  uint64
+	tok  uint64
 }
 
 func newSteadyState(b *testing.B, reference bool, engine func(org dram.Org, tm dram.Timing) sched.RefreshEngine) *steadyState {
@@ -24,11 +25,15 @@ func newSteadyState(b *testing.B, reference bool, engine func(org dram.Org, tm d
 	org.SubarraysPerBank = 8
 	org.RowsPerSubarray = 16
 	tm := dram.DDR4_2400(8)
-	c, err := sched.NewController(sched.Config{Org: org, Timing: tm, Reference: reference}, engine(org, tm))
+	c, err := sched.NewController(sched.Config{Org: org, Timing: tm}, engine(org, tm))
 	if err != nil {
 		b.Fatal(err)
 	}
-	return &steadyState{c: c, org: org, rng: 0xDECAF}
+	s := &steadyState{c: c, step: c.Tick, org: org, rng: 0xDECAF}
+	if reference {
+		s.step = c.TickReference
+	}
+	return s
 }
 
 func (s *steadyState) next() uint64 {
@@ -56,7 +61,7 @@ func (s *steadyState) tick() {
 		}
 		reads++
 	}
-	s.c.Tick()
+	s.step()
 }
 
 func benchSteadyState(b *testing.B, reference bool, engine func(org dram.Org, tm dram.Timing) sched.RefreshEngine) {
@@ -104,8 +109,9 @@ func BenchmarkControllerSteadyStateHiRA(b *testing.B) {
 	})
 }
 
-// BenchmarkControllerSteadyStateReference is the seed-style tick-by-tick
-// linear-scan path on the same workload, for before/after comparison.
+// BenchmarkControllerSteadyStateReference is the test-only seed-style
+// tick-by-tick linear-scan oracle (TickReference) on the same workload,
+// for before/after comparison.
 func BenchmarkControllerSteadyStateReference(b *testing.B) {
 	benchSteadyState(b, true, func(org dram.Org, tm dram.Timing) sched.RefreshEngine {
 		return sched.NewBaselineREF(org, tm)

@@ -37,8 +37,9 @@ func (c *Controller) pickQueue(ch *channel) int {
 // scheduleDemand implements FR-FCFS with the open-row policy over the
 // channel's read and write queues, using the per-bank buckets so each
 // pass costs O(banks with work) instead of O(queue depth). It is
-// command-for-command identical to the seed-style linear scans in
-// scheduleDemandRef (proved by TestControllerDifferential).
+// command-for-command identical to the seed's linear scans over the
+// arrival-ordered queue, which the test suite keeps as an oracle
+// (TickReference; proved by TestControllerDifferential).
 //
 // One fused scan over the banks classifies each bank's work into the
 // three passes: the oldest row hit (pass 1), per-bank cursors for the

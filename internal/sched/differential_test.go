@@ -4,7 +4,8 @@ package sched_test
 // controller (per-bank indexed queues, idle-tick skipping, canACT
 // memoization, pooled sequences) must emit exactly the same dram.Command
 // stream and sched.Stats as the seed-style tick-by-tick reference
-// (Config.Reference) for every refresh policy the figures exercise.
+// (Controller.TickReference, test-only) for every refresh policy the
+// figures exercise.
 
 import (
 	"testing"
@@ -90,9 +91,9 @@ func diffPolicies() []diffPolicy {
 
 // diffDrive replays one deterministic mixed read/write request schedule
 // against a controller, returning the emitted command stream. Enqueue
-// results are also recorded (queue-full rejections must coincide).
-// after, when non-nil, runs after every tick.
-func diffDrive(t *testing.T, c *sched.Controller, org dram.Org, ticks int, after func()) ([]dram.Command, []bool) {
+// results are also recorded (queue-full rejections must coincide). tick
+// advances c by one command clock (c.Tick or c.TickReference).
+func diffDrive(t *testing.T, c *sched.Controller, org dram.Org, ticks int, tick func()) ([]dram.Command, []bool) {
 	t.Helper()
 	var cmds []dram.Command
 	c.CommandHook = func(cmd dram.Command) { cmds = append(cmds, cmd) }
@@ -145,20 +146,22 @@ func diffDrive(t *testing.T, c *sched.Controller, org dram.Org, ticks int, after
 				Loc: loc, Write: write, Core: 0, Token: tok,
 			}))
 		}
-		c.Tick()
-		if after != nil {
-			after()
-		}
+		tick()
 	}
 	// Drain with no further arrivals: long idle windows with refresh-only
 	// traffic, the deepest skip territory.
 	for i := 0; i < ticks/2; i++ {
-		c.Tick()
-		if after != nil {
-			after()
-		}
+		tick()
 	}
 	return cmds, accepts
+}
+
+// stepper returns c's production tick, or the test-only reference tick.
+func stepper(c *sched.Controller, reference bool) func() {
+	if reference {
+		return c.TickReference
+	}
+	return c.Tick
 }
 
 func TestControllerDifferential(t *testing.T) {
@@ -172,12 +175,11 @@ func TestControllerDifferential(t *testing.T) {
 		pol := pol
 		t.Run(pol.name, func(t *testing.T) {
 			run := func(reference bool) ([]dram.Command, []bool, sched.Stats, dram.Time) {
-				c, err := sched.NewController(
-					sched.Config{Org: org, Timing: tm, Reference: reference}, pol.mk(t, org, tm))
+				c, err := sched.NewController(sched.Config{Org: org, Timing: tm}, pol.mk(t, org, tm))
 				if err != nil {
 					t.Fatal(err)
 				}
-				cmds, accepts := diffDrive(t, c, org, ticks, nil)
+				cmds, accepts := diffDrive(t, c, org, ticks, stepper(c, reference))
 				return cmds, accepts, c.Stats, c.Now()
 			}
 			refCmds, refAcc, refStats, refNow := run(true)
@@ -219,7 +221,7 @@ func TestControllerDifferential(t *testing.T) {
 // (exactly as the cpu model does), so each run's request schedule is a
 // deterministic function of its own controller's queue state — if ref
 // and opt diverge there, the acceptance comparison catches it.
-func diffDriveSource(t *testing.T, c *sched.Controller, org dram.Org, src workload.Source, seed uint64, ticks int) ([]dram.Command, []bool) {
+func diffDriveSource(t *testing.T, c *sched.Controller, org dram.Org, src workload.Source, seed uint64, ticks int, tick func()) ([]dram.Command, []bool) {
 	t.Helper()
 	var cmds []dram.Command
 	c.CommandHook = func(cmd dram.Command) { cmds = append(cmds, cmd) }
@@ -260,11 +262,11 @@ func diffDriveSource(t *testing.T, c *sched.Controller, org dram.Org, src worklo
 			pending = nil
 			budget--
 		}
-		c.Tick()
+		tick()
 	}
 	// Drain with no further arrivals: refresh-only idle territory.
 	for i := 0; i < ticks/2; i++ {
-		c.Tick()
+		tick()
 	}
 	return cmds, accepts
 }
@@ -316,12 +318,11 @@ func TestControllerDifferentialWorkloads(t *testing.T) {
 			t.Run(pol.name+"/"+s.name, func(t *testing.T) {
 				t.Parallel()
 				run := func(reference bool) ([]dram.Command, []bool, sched.Stats) {
-					c, err := sched.NewController(
-						sched.Config{Org: org, Timing: tm, Reference: reference}, pol.mk(t, org, tm))
+					c, err := sched.NewController(sched.Config{Org: org, Timing: tm}, pol.mk(t, org, tm))
 					if err != nil {
 						t.Fatal(err)
 					}
-					cmds, accepts := diffDriveSource(t, c, org, s.src, 5, ticks)
+					cmds, accepts := diffDriveSource(t, c, org, s.src, 5, ticks, stepper(c, reference))
 					return cmds, accepts, c.Stats
 				}
 				refCmds, refAcc, refStats := run(true)

@@ -273,7 +273,7 @@ func TestForensicsDifferential(t *testing.T) {
 						Recorder:     true,
 					})
 				}
-				cmds, accepts := diffDrive(t, c, org, ticks, nil)
+				cmds, accepts := diffDrive(t, c, org, ticks, c.Tick)
 				return cmds, accepts, c.Stats, c.Now()
 			}
 			offCmds, offAcc, offStats, offNow := run(false)

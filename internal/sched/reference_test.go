@@ -2,20 +2,35 @@ package sched
 
 import "hira/internal/dram"
 
+// TickReference advances the controller by one command clock the way the
+// seed scheduler did: every channel runs the service step and then the
+// seed's linear FR-FCFS scans, every tick, with no idle skipping. It is
+// the behavioral oracle for Tick; the differential tests drive one
+// controller with each and require the same command stream and stats.
+// A controller must be driven by one of the two throughout.
+func (c *Controller) TickReference() {
+	c.engine.Tick(c.now)
+	for _, ch := range c.chans {
+		if !c.service(ch) {
+			c.scheduleDemandRef(ch)
+		}
+	}
+	c.now += c.cfg.Timing.TCK
+}
+
 // scheduleDemandRef is the seed's FR-FCFS implementation: three linear
-// scans over the arrival-ordered queue. It is retained as the behavioral
-// reference for the optimized per-bank scheduler (select it with
-// Config.Reference) and is held equal to it, command for command and stat
-// for stat, by the differential tests.
+// scans over the queue in arrival order. It is held equal to the
+// optimized per-bank scheduleDemand, command for command and stat for
+// stat, by the differential tests.
 func (c *Controller) scheduleDemandRef(ch *channel) {
 	k := c.pickQueue(ch)
 	if k < 0 {
 		return
 	}
-	q := &ch.q[k]
 
 	// Pass 1 (FR): first-ready row hits — oldest first.
-	for n := q.ghead; n != nil; n = n.gnext {
+	a := c.arrivals(ch, k)
+	for n := a.next(); n != nil; n = a.next() {
 		r := &n.req
 		bank := &ch.banks[c.flat(r.Loc.Rank, r.Loc.Bank)]
 		if bank.reserved || !bank.open || bank.row != r.Loc.Row {
@@ -33,7 +48,8 @@ func (c *Controller) scheduleDemandRef(ch *channel) {
 
 	// Pass 2 (FCFS): oldest request needing an ACT on a closed, ready
 	// bank.
-	for n := q.ghead; n != nil; n = n.gnext {
+	a = c.arrivals(ch, k)
+	for n := a.next(); n != nil; n = a.next() {
 		r := &n.req
 		bank := &ch.banks[c.flat(r.Loc.Rank, r.Loc.Bank)]
 		if bank.reserved || bank.open {
@@ -52,7 +68,8 @@ func (c *Controller) scheduleDemandRef(ch *channel) {
 	// other queue must not veto the precharge — a row-hit write would
 	// otherwise deadlock conflicting reads below the write-drain
 	// watermark.
-	for n := q.ghead; n != nil; n = n.gnext {
+	a = c.arrivals(ch, k)
+	for n := a.next(); n != nil; n = a.next() {
 		r := &n.req
 		flat := c.flat(r.Loc.Rank, r.Loc.Bank)
 		bank := &ch.banks[flat]
@@ -62,7 +79,7 @@ func (c *Controller) scheduleDemandRef(ch *channel) {
 		if c.now < bank.readyPRE || c.now < ch.ranks[r.Loc.Rank].refBusy {
 			continue
 		}
-		if anyHit(q.ghead, r.Loc.Rank, r.Loc.Bank, bank.row) {
+		if anyHit(bank.bq[k].head, bank.row) {
 			continue
 		}
 		c.emit(ch, dram.Command{Kind: dram.KindPRE,
@@ -75,10 +92,12 @@ func (c *Controller) scheduleDemandRef(ch *channel) {
 	}
 }
 
-// anyHit reports whether any request in the list targets the open row.
-func anyHit(head *reqNode, rank, bank, row int) bool {
-	for n := head; n != nil; n = n.gnext {
-		if n.req.Loc.Rank == rank && n.req.Loc.Bank == bank && n.req.Loc.Row == row {
+// anyHit reports whether any request queued for a bank targets its open
+// row. It walks the bank's FIFO rather than trusting the hit counter the
+// optimized scheduler maintains.
+func anyHit(head *reqNode, row int) bool {
+	for n := head; n != nil; n = n.bnext {
+		if n.req.Loc.Row == row {
 			return true
 		}
 	}

@@ -12,13 +12,13 @@
 // ever exceeds its retention window.
 //
 // The scheduler core is event-driven and allocation-free in steady state:
-// requests live in freelisted intrusive nodes indexed both per bank and in
-// channel-wide arrival order, the FR-FCFS passes touch only banks with
-// work, and a channel that provably cannot issue a command caches its next
-// event time and skips the scheduling scans until then. Config.Reference
-// selects the original tick-by-tick linear-scan implementation instead;
-// the two are command-for-command and stat-for-stat identical (see
-// TestControllerDifferential).
+// requests live in freelisted intrusive nodes queued per bank and ordered
+// across banks by their channel-wide arrival number, the FR-FCFS passes
+// touch only banks with work, and a channel that provably cannot issue a
+// command caches its next event time and skips the scheduling scans until
+// then. The test suite keeps the seed's tick-by-tick linear scanner as an
+// oracle and holds the two command-for-command and stat-for-stat identical
+// (TestControllerDifferential).
 package sched
 
 import "hira/internal/dram"
@@ -129,11 +129,6 @@ type Config struct {
 	ReadQueueCap, WriteQueueCap int
 	// WriteHigh/WriteLow are write-drain watermarks (defaults 48/16).
 	WriteHigh, WriteLow int
-	// Reference selects the seed-style tick-by-tick scheduler: linear
-	// queue scans every tick, no idle-tick skipping. It exists as the
-	// behavioral reference for differential tests and produces exactly
-	// the same command stream and stats as the optimized core.
-	Reference bool
 }
 
 func (c Config) withDefaults() Config {
@@ -160,15 +155,13 @@ const (
 
 // reqNode is an intrusive queue node holding one request. Nodes are
 // recycled through the controller's freelist so steady-state enqueue and
-// dequeue never allocate. Each node is linked into two FIFOs: its bank's
-// bucket (bnext/bprev) and the channel-wide arrival list (gnext/gprev).
-// seq is the channel-wide arrival number that orders requests across
-// banks (FR-FCFS's "oldest first").
+// dequeue never allocate. Each node is linked into its bank's FIFO bucket
+// (bnext/bprev); seq is the channel-wide arrival number that orders
+// requests across banks (FR-FCFS's "oldest first").
 type reqNode struct {
 	req          Request
 	seq          uint64
 	bnext, bprev *reqNode
-	gnext, gprev *reqNode
 }
 
 // bankQ is one bank's FIFO bucket within a kindQ.
@@ -182,29 +175,19 @@ type bankQ struct {
 	hits int
 }
 
-// kindQ is one channel's read or write queue: the arrival-order list (the
-// seed's flat queue, kept for cross-bank ordering and the reference
-// scheduler). The per-bank FIFO buckets live inside bankSt so one bank
-// lookup touches both scheduling and queue state. active is a sparse set
-// of the banks with queued requests, so the scheduler's scans touch only
-// banks with work (its order is immaterial: every consumer selects by
-// arrival number).
+// kindQ is one channel's read or write queue. The per-bank FIFO buckets
+// live inside bankSt so one bank lookup touches both scheduling and queue
+// state. active is a sparse set of the banks with queued requests, so the
+// scheduler's scans touch only banks with work (its order is immaterial:
+// every consumer selects by arrival number).
 type kindQ struct {
-	ghead, gtail *reqNode
-	count        int
-	active       []int // flat indices of non-empty buckets, unordered
-	pos          []int // flat index -> position in active, -1 if absent
+	count  int
+	active []int // flat indices of non-empty buckets, unordered
+	pos    []int // flat index -> position in active, -1 if absent
 }
 
 func (c *Controller) pushNode(ch *channel, k int, n *reqNode, flat int) {
 	q := &ch.q[k]
-	if q.gtail == nil {
-		q.ghead = n
-	} else {
-		q.gtail.gnext = n
-		n.gprev = q.gtail
-	}
-	q.gtail = n
 	bq := &ch.banks[flat].bq[k]
 	if bq.tail == nil {
 		bq.head = n
@@ -221,16 +204,6 @@ func (c *Controller) pushNode(ch *channel, k int, n *reqNode, flat int) {
 
 func (c *Controller) unlinkNode(ch *channel, k int, n *reqNode, flat int) {
 	q := &ch.q[k]
-	if n.gprev != nil {
-		n.gprev.gnext = n.gnext
-	} else {
-		q.ghead = n.gnext
-	}
-	if n.gnext != nil {
-		n.gnext.gprev = n.gprev
-	} else {
-		q.gtail = n.gprev
-	}
 	bq := &ch.banks[flat].bq[k]
 	if n.bprev != nil {
 		n.bprev.bnext = n.bnext
@@ -254,14 +227,52 @@ func (c *Controller) unlinkNode(ch *channel, k int, n *reqNode, flat int) {
 	q.count--
 }
 
+// arrivals walks one queue's requests oldest first by merging its
+// per-bank FIFOs on seq. It borrows the channel's pass-2 cursor scratch,
+// so it allocates nothing, and must not overlap another walk or a
+// scheduleDemand call on the same channel.
+type arrivals struct {
+	cur []p2cursor
+}
+
+// arrivals starts a walk over queue k of ch.
+func (c *Controller) arrivals(ch *channel, k int) arrivals {
+	cur := ch.cursors[:0]
+	for _, flat := range ch.q[k].active {
+		bq := &ch.banks[flat].bq[k]
+		cur = append(cur, p2cursor{node: bq.head, flat: flat, left: bq.n})
+	}
+	return arrivals{cur: cur}
+}
+
+// next returns the oldest request not yet walked, or nil at the end.
+func (a *arrivals) next() *reqNode {
+	if len(a.cur) == 0 {
+		return nil
+	}
+	mi := 0
+	for i := 1; i < len(a.cur); i++ {
+		if a.cur[i].node.seq < a.cur[mi].node.seq {
+			mi = i
+		}
+	}
+	n := a.cur[mi].node
+	if n.bnext != nil {
+		a.cur[mi].node = n.bnext
+	} else {
+		a.cur[mi] = a.cur[len(a.cur)-1]
+		a.cur = a.cur[:len(a.cur)-1]
+	}
+	return n
+}
+
 // Controller is the memory request scheduler.
 type Controller struct {
-	cfg       Config
-	now       dram.Time
-	chans     []*channel
-	engine    RefreshEngine
-	reference bool
-	bpr       int // banks per rank
+	cfg    Config
+	now    dram.Time
+	chans  []*channel
+	engine RefreshEngine
+	bpr    int // banks per rank
 
 	free       *reqNode
 	arrival    uint64
@@ -390,10 +401,9 @@ func NewController(cfg Config, engine RefreshEngine) (*Controller, error) {
 		engine = NoRefresh{}
 	}
 	c := &Controller{
-		cfg:       cfg,
-		engine:    engine,
-		reference: cfg.Reference,
-		bpr:       cfg.Org.BanksPerRank(),
+		cfg:    cfg,
+		engine: engine,
+		bpr:    cfg.Org.BanksPerRank(),
 	}
 	c.rankOf = make([]int, cfg.Org.BanksPerChannel())
 	for i := range c.rankOf {
@@ -488,9 +498,7 @@ func (c *Controller) Enqueue(req Request) bool {
 	if bank.open && bank.row == req.Loc.Row {
 		bank.bq[k].hits++
 	}
-	if !c.reference {
-		c.noteEnqueue(ch, k, flat, req.Loc.Row)
-	}
+	c.noteEnqueue(ch, k, flat, req.Loc.Row)
 	return true
 }
 
@@ -632,22 +640,20 @@ func (c *Controller) busFree(ch *channel) bool {
 // issues no command, the earliest recorded threshold — or the engine's
 // next mandatory refresh, or a new request arriving — is the next time
 // anything can change, so until then subsequent ticks only replay that
-// tick's blocked-counter deltas. Reference mode always runs the full
-// scan.
+// tick's blocked-counter deltas.
 func (c *Controller) Tick() {
 	c.engine.Tick(c.now)
 	engineNext := dram.Time(-1) // lazily computed, at most once per tick
 	for _, ch := range c.chans {
-		if !c.reference && c.now < ch.idleUntil {
+		if c.now < ch.idleUntil {
 			c.Stats.SeqBlocked += ch.idleSeqBlocked
 			c.Stats.CanACTBlocked += ch.idleCanACT
 			continue
 		}
 		seq0, can0 := c.Stats.SeqBlocked, c.Stats.CanACTBlocked
 		c.evt = dram.MaxTime()
-		c.tickChannel(ch)
-		if c.reference {
-			continue
+		if !c.service(ch) {
+			c.scheduleDemand(ch)
 		}
 		if ch.hasCmd && ch.lastCmd == c.now {
 			ch.idleUntil = 0 // issued a command: state changed, rescan next tick
@@ -666,8 +672,8 @@ func (c *Controller) Tick() {
 			// The write-drain hysteresis flips state on the next
 			// evaluation even with frozen queues (at the low watermark
 			// with an empty read queue it oscillates every tick), so its
-			// phase must advance tick by tick, exactly as the
-			// reference's per-tick evaluation does.
+			// phase must advance tick by tick, exactly as an
+			// unskipped per-tick evaluation does.
 			ch.idleUntil = 0
 			continue
 		}
@@ -698,9 +704,6 @@ func (c *Controller) noteEvt(t dram.Time) {
 // that also know their request sources are quiescent may advance the
 // controller to that point with SkipTicks.
 func (c *Controller) IdleUntil() dram.Time {
-	if c.reference {
-		return 0
-	}
 	min := dram.MaxTime()
 	for _, ch := range c.chans {
 		if ch.idleUntil <= c.now {
@@ -726,40 +729,40 @@ func (c *Controller) SkipTicks(n int) {
 	c.now += dram.Time(n) * c.cfg.Timing.TCK
 }
 
-func (c *Controller) tickChannel(ch *channel) {
+// service runs one channel's tick up to demand scheduling: it reports
+// whether the tick is spent, either because the command bus is busy or
+// because it issued a command ahead of demand (a HiRA sequence step, a
+// scheduled precharge, REF work, or an engine-mandated refresh). A tick
+// that is not spent goes to FR-FCFS demand scheduling.
+func (c *Controller) service(ch *channel) bool {
 	if !c.busFree(ch) {
 		c.noteEvt(ch.lastCmd + c.cfg.Timing.TCK)
-		return
+		return true
 	}
 	// 1. Active HiRA sequence commands are pre-timed: issue when due.
 	if ch.seq != nil {
 		if c.issueSeq(ch) {
-			return
+			return true
 		}
 	}
 	// 2. Scheduled automatic precharges (closing standalone refreshes).
 	if c.issuePendingPRE(ch) {
-		return
+		return true
 	}
 	// 3. Rank REF draining and issue.
 	if c.issueREFWork(ch) {
-		return
+		return true
 	}
 	// 4. Engine-mandated refresh operations: several banks may have due
 	// refreshes; start the first one that resources allow.
 	if ch.seq == nil {
 		for _, op := range c.engine.Mandatory(ch.id, c.now) {
 			if op.Kind != OpNone && c.startOp(ch, op) {
-				return
+				return true
 			}
 		}
 	}
-	// 5. Demand scheduling (FR-FCFS).
-	if c.reference {
-		c.scheduleDemandRef(ch)
-	} else {
-		c.scheduleDemand(ch)
-	}
+	return false
 }
 
 func (c *Controller) issueSeq(ch *channel) bool {

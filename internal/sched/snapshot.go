@@ -87,9 +87,10 @@ func restoreStats(r *snap.Reader) Stats {
 const maxActTimes = 1024
 
 // Snapshot appends the controller's full mutable state — clock, stats,
-// per-channel queues (in arrival order, which uniquely determines both
-// the channel-wide list and every per-bank bucket), bank and rank timing
-// state, any in-flight HiRA sequence, and the idle-skip horizon — to w.
+// per-channel queues (oldest first, merged from the per-bank FIFOs on
+// seq, an order that uniquely determines every per-bank bucket), bank
+// and rank timing state, any in-flight HiRA sequence, and the idle-skip
+// horizon — to w.
 // The freelist and per-tick scratch are not state: a restored controller
 // simply reallocates nodes on demand, which is behaviorally identical.
 func (c *Controller) Snapshot(w *snap.Writer) {
@@ -149,7 +150,8 @@ func (c *Controller) Snapshot(w *snap.Writer) {
 		}
 		for k := range ch.q {
 			w.Len(ch.q[k].count)
-			for n := ch.q[k].ghead; n != nil; n = n.gnext {
+			a := c.arrivals(ch, k)
+			for n := a.next(); n != nil; n = a.next() {
 				w.U64(n.seq)
 				w.Int(n.req.Loc.Rank)
 				w.Int(n.req.Loc.Bank)
@@ -276,9 +278,18 @@ func (c *Controller) Restore(r *snap.Reader, maxCore int) error {
 				capN = c.cfg.WriteQueueCap
 			}
 			cnt := r.Len(capN, 6)
+			var last uint64
 			for i := 0; i < cnt; i++ {
 				var req Request
 				seq := r.U64()
+				// The per-bank FIFOs are rebuilt in snapshot order, and the
+				// scheduler merges them on seq: the queue must arrive
+				// strictly oldest first, numbered below the arrival counter.
+				if (i > 0 && seq <= last) || seq >= c.arrival {
+					r.Failf("queued request %d: sequence %d out of order", i, seq)
+					return r.Err()
+				}
+				last = seq
 				req.Loc.Channel = ch.id
 				req.Loc.Rank = r.Int()
 				req.Loc.Bank = r.Int()

@@ -46,6 +46,7 @@ func TestControllerSnapshotGolden(t *testing.T) {
 			w := snap.NewWriter()
 			tick, snaps := 0, 0
 			diffDrive(t, c, org, 60000, func() {
+				c.Tick()
 				if tick++; tick%997 != 0 {
 					return
 				}
