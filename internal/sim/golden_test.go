@@ -11,6 +11,7 @@ package sim
 // and review the fixture diff like any other code change.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -61,12 +62,13 @@ func TestGoldenFigures(t *testing.T) {
 			got.Stats = EngineStats{}
 
 			path := filepath.Join("testdata", c.name+".json")
+			fresh, err := json.MarshalIndent(got, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh = append(fresh, '\n')
 			if *updateGolden {
-				data, err := json.MarshalIndent(got, "", "  ")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+				if err := os.WriteFile(path, fresh, 0o644); err != nil {
 					t.Fatal(err)
 				}
 				t.Logf("rewrote %s", path)
@@ -87,6 +89,13 @@ func TestGoldenFigures(t *testing.T) {
 					"got:  %+v\nwant: %+v\n"+
 					"(if the change is intentional, regenerate with -update and review the diff)",
 					c.kind, path, got, &want)
+			}
+			// Equal rows in different bytes mean the fixture predates a
+			// change to the result's JSON shape: -update would rewrite
+			// it, so it is stale.
+			if !bytes.Equal(data, fresh) {
+				t.Fatalf("fixture %s is stale: its rows match but its bytes differ from what -update writes "+
+					"(regenerate with -update and review the diff)", path)
 			}
 		})
 	}
