@@ -27,10 +27,18 @@ func (c *Controller) scheduleDemandRef(ch *channel) {
 	if k < 0 {
 		return
 	}
-
-	// Pass 1 (FR): first-ready row hits — oldest first.
+	// The seed's flat queue: every request, oldest first. Each pass
+	// below returns as soon as it changes a queue, so one walk serves
+	// all three.
+	var buf [64]*reqNode
+	queue := buf[:0]
 	a := c.arrivals(ch, k)
 	for n := a.next(); n != nil; n = a.next() {
+		queue = append(queue, n)
+	}
+
+	// Pass 1 (FR): first-ready row hits — oldest first.
+	for _, n := range queue {
 		r := &n.req
 		bank := &ch.banks[c.flat(r.Loc.Rank, r.Loc.Bank)]
 		if bank.reserved || !bank.open || bank.row != r.Loc.Row {
@@ -48,8 +56,7 @@ func (c *Controller) scheduleDemandRef(ch *channel) {
 
 	// Pass 2 (FCFS): oldest request needing an ACT on a closed, ready
 	// bank.
-	a = c.arrivals(ch, k)
-	for n := a.next(); n != nil; n = a.next() {
+	for _, n := range queue {
 		r := &n.req
 		bank := &ch.banks[c.flat(r.Loc.Rank, r.Loc.Bank)]
 		if bank.reserved || bank.open {
@@ -68,8 +75,7 @@ func (c *Controller) scheduleDemandRef(ch *channel) {
 	// other queue must not veto the precharge — a row-hit write would
 	// otherwise deadlock conflicting reads below the write-drain
 	// watermark.
-	a = c.arrivals(ch, k)
-	for n := a.next(); n != nil; n = a.next() {
+	for _, n := range queue {
 		r := &n.req
 		flat := c.flat(r.Loc.Rank, r.Loc.Bank)
 		bank := &ch.banks[flat]
