@@ -227,26 +227,25 @@ func (c *Controller) unlinkNode(ch *channel, k int, n *reqNode, flat int) {
 	q.count--
 }
 
-// arrivals walks one queue's requests oldest first by merging its
+// arrivalWalk walks one queue's requests oldest first by merging its
 // per-bank FIFOs on seq. It borrows the channel's pass-2 cursor scratch,
 // so it allocates nothing, and must not overlap another walk or a
 // scheduleDemand call on the same channel.
-type arrivals struct {
+type arrivalWalk struct {
 	cur []p2cursor
 }
 
 // arrivals starts a walk over queue k of ch.
-func (c *Controller) arrivals(ch *channel, k int) arrivals {
+func (c *Controller) arrivals(ch *channel, k int) arrivalWalk {
 	cur := ch.cursors[:0]
 	for _, flat := range ch.q[k].active {
-		bq := &ch.banks[flat].bq[k]
-		cur = append(cur, p2cursor{node: bq.head, flat: flat, left: bq.n})
+		cur = append(cur, p2cursor{node: ch.banks[flat].bq[k].head})
 	}
-	return arrivals{cur: cur}
+	return arrivalWalk{cur: cur}
 }
 
 // next returns the oldest request not yet walked, or nil at the end.
-func (a *arrivals) next() *reqNode {
+func (a *arrivalWalk) next() *reqNode {
 	if len(a.cur) == 0 {
 		return nil
 	}
