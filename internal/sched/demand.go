@@ -38,8 +38,8 @@ func (c *Controller) pickQueue(ch *channel) int {
 // channel's read and write queues, using the per-bank buckets so each
 // pass costs O(banks with work) instead of O(queue depth). It is
 // command-for-command identical to the seed's linear scans over the
-// arrival-ordered queue, which the test suite keeps as an oracle
-// (TickReference; proved by TestControllerDifferential).
+// arrival-ordered queue, which the test suite keeps as its oracle
+// (reference_test.go; proved by TestControllerDifferential).
 //
 // One fused scan over the banks classifies each bank's work into the
 // three passes: the oldest row hit (pass 1), per-bank cursors for the
