@@ -101,18 +101,24 @@ func BenchmarkTable2Area(b *testing.B) {
 	b.ReportMetric(r.QueryLatencyNS, "query-ns")
 }
 
+// runFigure runs spec on a one-sweep engine, failing b on error.
+func runFigure(b *testing.B, opts hira.SimOptions, spec hira.FigureSpec) *hira.FigureResult {
+	b.Helper()
+	res, err := hira.RunFigure(context.Background(), opts, spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkFig9Periodic regenerates Fig. 9's endpoints: periodic-refresh
 // performance at 8Gb and 128Gb.
 func BenchmarkFig9Periodic(b *testing.B) {
-	var rows []hira.Fig9Row
-	var err error
+	var res *hira.FigureResult
 	for i := 0; i < b.N; i++ {
-		rows, err = hira.Fig9(context.Background(), quickSim(), []int{8, 128})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = runFigure(b, quickSim(), hira.FigureSpec{Kind: "fig9", Capacities: []int{8, 128}})
 	}
-	hi := rows[1]
+	hi := res.Fig9[1]
 	b.ReportMetric(hi.NormNoRefresh["Baseline"], "base/noref@128Gb")
 	b.ReportMetric(hi.NormBaseline["HiRA-2"], "hira2/base@128Gb")
 }
@@ -125,15 +131,11 @@ func BenchmarkFig9Periodic(b *testing.B) {
 func BenchmarkFig9PeriodicForensics(b *testing.B) {
 	opts := quickSim()
 	opts.Forensics = true
-	var rows []hira.Fig9Row
-	var err error
+	var res *hira.FigureResult
 	for i := 0; i < b.N; i++ {
-		rows, err = hira.Fig9(context.Background(), opts, []int{8, 128})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = runFigure(b, opts, hira.FigureSpec{Kind: "fig9", Capacities: []int{8, 128}})
 	}
-	hi := rows[1]
+	hi := res.Fig9[1]
 	b.ReportMetric(hi.NormNoRefresh["Baseline"], "base/noref@128Gb")
 	b.ReportMetric(hi.NormBaseline["HiRA-2"], "hira2/base@128Gb")
 	fx := hi.Forensics["HiRA-2"]
@@ -157,7 +159,7 @@ var engineFig9Serial struct {
 }
 
 func BenchmarkEngineFig9Parallel(b *testing.B) {
-	caps := []int{8, 128}
+	spec := hira.FigureSpec{Kind: "fig9", Capacities: []int{8, 128}}
 	workers := runtime.GOMAXPROCS(0)
 	par := quickSim()
 	par.Parallelism = workers
@@ -168,7 +170,7 @@ func BenchmarkEngineFig9Parallel(b *testing.B) {
 		serial := quickSim()
 		serial.Parallelism = 1
 		start := time.Now()
-		_, engineFig9Serial.err = hira.Fig9(context.Background(), serial, caps)
+		_, engineFig9Serial.err = hira.RunFigure(context.Background(), serial, spec)
 		engineFig9Serial.dur = time.Since(start)
 	})
 	if engineFig9Serial.err != nil {
@@ -178,7 +180,7 @@ func BenchmarkEngineFig9Parallel(b *testing.B) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hira.Fig9(context.Background(), par, caps); err != nil {
+		if _, err := hira.RunFigure(context.Background(), par, spec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -335,69 +337,53 @@ func BenchmarkFig11Security(b *testing.B) {
 // BenchmarkFig12PARA regenerates Fig. 12's headline: HiRA's speedup over
 // PARA at low RowHammer thresholds.
 func BenchmarkFig12PARA(b *testing.B) {
-	var rows []hira.Fig12Row
-	var err error
+	var res *hira.FigureResult
 	for i := 0; i < b.N; i++ {
-		rows, err = hira.Fig12(context.Background(), quickSim(), []int{64})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = runFigure(b, quickSim(), hira.FigureSpec{Kind: "fig12", NRHs: []int{64}})
 	}
-	b.ReportMetric(rows[0].NormBaseline["PARA"], "para/base@64")
-	b.ReportMetric(rows[0].NormPARA["HiRA-4"], "hira4/para@64")
+	b.ReportMetric(res.Fig12[0].NormBaseline["PARA"], "para/base@64")
+	b.ReportMetric(res.Fig12[0].NormPARA["HiRA-4"], "hira4/para@64")
 }
 
 // BenchmarkFig13Channels regenerates Fig. 13 at 32Gb for 1 and 4 channels.
 func BenchmarkFig13Channels(b *testing.B) {
-	var rows []hira.ScaleRow
-	var err error
+	var res *hira.FigureResult
 	for i := 0; i < b.N; i++ {
-		rows, err = hira.Fig13(context.Background(), quickSim(), []int{1, 4}, []int{32})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = runFigure(b, quickSim(), hira.FigureSpec{Kind: "fig13", Xs: []int{1, 4}, Capacities: []int{32}})
 	}
+	rows := res.Scale
 	b.ReportMetric(rows[1].WS["HiRA-2"]/rows[0].WS["HiRA-2"], "hira2-4ch/1ch")
 }
 
 // BenchmarkFig14Ranks regenerates Fig. 14 at 32Gb for 1 and 2 ranks.
 func BenchmarkFig14Ranks(b *testing.B) {
-	var rows []hira.ScaleRow
-	var err error
+	var res *hira.FigureResult
 	for i := 0; i < b.N; i++ {
-		rows, err = hira.Fig14(context.Background(), quickSim(), []int{1, 2}, []int{32})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = runFigure(b, quickSim(), hira.FigureSpec{Kind: "fig14", Xs: []int{1, 2}, Capacities: []int{32}})
 	}
+	rows := res.Scale
 	b.ReportMetric(rows[1].WS["HiRA-2"]/rows[0].WS["HiRA-2"], "hira2-2rk/1rk")
 }
 
 // BenchmarkFig15ParaChannels regenerates Fig. 15 at NRH=256 for 1 and 4
 // channels.
 func BenchmarkFig15ParaChannels(b *testing.B) {
-	var rows []hira.ScaleRow
-	var err error
+	var res *hira.FigureResult
 	for i := 0; i < b.N; i++ {
-		rows, err = hira.Fig15(context.Background(), quickSim(), []int{1, 4}, []int{256})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = runFigure(b, quickSim(), hira.FigureSpec{Kind: "fig15", Xs: []int{1, 4}, NRHs: []int{256}})
 	}
+	rows := res.Scale
 	b.ReportMetric(rows[1].WS["HiRA-4"]/rows[1].WS["PARA"], "hira4/para@4ch")
 }
 
 // BenchmarkFig16ParaRanks regenerates Fig. 16 at NRH=256 for 1 and 2
 // ranks.
 func BenchmarkFig16ParaRanks(b *testing.B) {
-	var rows []hira.ScaleRow
-	var err error
+	var res *hira.FigureResult
 	for i := 0; i < b.N; i++ {
-		rows, err = hira.Fig16(context.Background(), quickSim(), []int{1, 2}, []int{256})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = runFigure(b, quickSim(), hira.FigureSpec{Kind: "fig16", Xs: []int{1, 2}, NRHs: []int{256}})
 	}
+	rows := res.Scale
 	b.ReportMetric(rows[1].WS["HiRA-4"]/rows[1].WS["PARA"], "hira4/para@2rk")
 }
 

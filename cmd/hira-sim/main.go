@@ -6,10 +6,13 @@
 // prints through one switch. Scale with -workloads and -ticks;
 // the paper's scale is -workloads 125 with much longer runs.
 //
-// Sweeps run on the parallel experiment engine: -parallel sizes the
-// worker pool (results are bit-identical at any setting) and -results
-// persists per-cell JSON results, so an interrupted or extended sweep
-// only simulates the delta on the next run.
+// Each run builds one experiment engine from its flags and runs the
+// figure on it: -parallel sizes the worker pool (results are
+// bit-identical at any setting), -results persists per-cell JSON
+// results, so an interrupted sweep only simulates the delta on the next
+// run, and -snap-interval (which needs -results) checkpoints each cell
+// there, so a rerun with longer -ticks or -warmup resumes every cell
+// instead of re-simulating it.
 //
 // Workloads are pluggable: by default sweeps run -workloads random
 // multiprogrammed SPEC mixes, but -trace replays recorded access traces
@@ -51,8 +54,8 @@ var (
 	seed       = flag.Uint64("seed", 1, "workload seed")
 	parallel   = flag.Int("parallel", 0, "engine worker pool size (0 = one per CPU core)")
 	results    = flag.String("results", "", "directory for per-cell JSON results (reused across runs)")
-	snapIvl    = flag.Int("snap-interval", 0, "ticks between simulation checkpoints; rerunning with longer -ticks/-warmup then simulates only the delta (0 disables)")
-	snapMax    = flag.Int64("snap-max-bytes", 0, "checkpoint store byte cap with oldest-first eviction (0 = 2 GiB on disk, 256 MiB in memory)")
+	snapIvl    = flag.Int("snap-interval", 0, "ticks between simulation checkpoints, stored under -results (required); rerunning with longer -ticks/-warmup then simulates only the delta (0 disables)")
+	snapMax    = flag.Int64("snap-max-bytes", 0, "checkpoint store byte cap with oldest-first eviction (0 = 2 GiB)")
 	progress   = flag.Bool("progress", false, "print cell progress to stderr, one line per figure")
 	forensics  = flag.Bool("forensics", false, "attach the RowHammer activation ledger; per-policy forensics summaries print after each table (and ride figure rows in -json)")
 	forensicsR = flag.Bool("forensics-recorder", false, "arm the DRAM command flight recorder around top-threshold crossings (requires -forensics)")
@@ -127,9 +130,6 @@ func recordTrace() error {
 	return nil
 }
 
-// engineStats accumulates cache/simulation tallies across the experiment.
-var engineStats hira.EngineStats
-
 // progressOpen tracks whether the \r progress line still needs a
 // terminating newline (a batch that aborts never reaches done == total).
 var progressOpen bool
@@ -148,12 +148,10 @@ var mixSet []hira.WorkloadMix
 func opts() hira.SimOptions {
 	o := hira.SimOptions{
 		Workloads: *workloads, Cores: *cores, Measure: *ticks, Warmup: *warmup, Seed: *seed,
-		Mixes: mixSet, Parallelism: *parallel, ResultDir: *results, Stats: &engineStats,
-		SnapInterval: *snapIvl, SnapMaxBytes: *snapMax,
-		Forensics: *forensics, ForensicsRecorder: *forensicsR,
+		Mixes: mixSet, Forensics: *forensics, ForensicsRecorder: *forensicsR,
 	}
 	if *progress {
-		o.Progress = func(done, total int) {
+		o.Progress = func(done, total int, _ hira.EngineStats) {
 			fmt.Fprintf(os.Stderr, "\rcells %d/%d", done, total)
 			progressOpen = done != total
 			if done == total {
@@ -398,6 +396,13 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "-forensics-recorder requires -forensics")
 		return 2
 	}
+	// Without -results the checkpoints would live in memory for one
+	// figure batch, which runs each trajectory in a single pass and so
+	// never resumes from them.
+	if *snapIvl != 0 && *results == "" {
+		fmt.Fprintln(os.Stderr, "-snap-interval requires -results")
+		return 2
+	}
 	var err error
 	if mixSet, err = customMixes(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -443,7 +448,11 @@ func run() int {
 	var res *hira.FigureResult
 	spec := hira.FigureSpec{Kind: *exp, Attacks: attackList()}
 	if spec.NRHs, err = attackNRHs(); err == nil {
-		res, err = hira.RunFigure(ctx, opts(), spec)
+		eng := hira.NewSimEngine(hira.SimEngineConfig{
+			Parallelism: *parallel, ResultDir: *results,
+			SnapInterval: *snapIvl, SnapMaxBytes: *snapMax,
+		})
+		res, err = eng.RunFigure(ctx, opts(), spec)
 	}
 	endProgressLine()
 	if err != nil {
@@ -460,12 +469,12 @@ func run() int {
 		return 0
 	}
 	printFigure(res)
+	st := res.Stats
 	fmt.Fprintf(os.Stderr, "engine: %d cells (%d simulated of which %d resumed, %d cache hits, %d store hits, %d deduped)\n",
-		engineStats.Submitted, engineStats.Simulated, engineStats.Resumed,
-		engineStats.CacheHits, engineStats.StoreHits, engineStats.Deduped)
-	if engineStats.StoreErrors > 0 {
+		st.Submitted, st.Simulated, st.Resumed, st.CacheHits, st.StoreHits, st.Deduped)
+	if st.StoreErrors > 0 {
 		fmt.Fprintf(os.Stderr, "warning: %d cell results could not be persisted to -results %s (%s)\n",
-			engineStats.StoreErrors, *results, engineStats.FirstStoreError)
+			st.StoreErrors, *results, st.FirstStoreError)
 	}
 	return 0
 }

@@ -24,13 +24,15 @@
 //     and 13-16, and the attack×mitigation grid) is one entry of a
 //     figure table (FigureKinds) declaring the grids it consumes with
 //     their paper defaults, its policies, and its rows; RunFigure rejects
-//     a grid the kind does not consume, and Figure, Fig9-Fig16 and
-//     AttackSweep are shorthands for it. Sweeps decompose into
+//     a grid the kind does not consume. Sweeps decompose into
 //     deterministic, content-keyed cells and run on a parallel experiment
-//     engine (internal/engine); SimOptions.Parallelism sizes its worker
-//     pool, SimOptions.ResultDir persists per-cell results across runs,
-//     and SimOptions.SnapInterval checkpoints running simulations so a
-//     sweep rerun with longer horizons resumes each cell from its stored
+//     engine (internal/engine). The package-level RunFigure and
+//     RunPolicies build a one-sweep engine whose worker pool
+//     SimOptions.Parallelism sizes; a NewSimEngine built from a
+//     SimEngineConfig runs the same calls as methods and adds what
+//     outlives one sweep: ResultDir persists per-cell results across
+//     runs, and SnapInterval checkpoints running simulations so a sweep
+//     rerun with longer horizons resumes each cell from its stored
 //     machine state (bit-identically) instead of re-simulating it.
 //
 // Subpackages under internal/ hold the implementation; everything a
@@ -146,12 +148,15 @@ func Area() AreaReport { return areamodel.BuildReport() }
 // System-level experiment re-exports (§7-§10).
 type (
 	// SimOptions sizes a performance sweep (workload count, measured
-	// ticks, etc.) and configures the experiment engine behind it
-	// (Parallelism, ResultDir, Progress, Stats).
+	// ticks, etc.) and carries its per-run hooks (Progress, Stats), plus
+	// the worker-pool size (Parallelism) of the one-sweep engine the
+	// package-level runners build. Result stores and checkpoints are
+	// SimEngineConfig settings.
 	SimOptions = sim.Options
 	// EngineStats tallies how the experiment engine resolved a sweep's
 	// cells: simulated vs served from the in-memory cache or the
-	// ResultDir store. Point SimOptions.Stats at one to collect it.
+	// ResultDir store. FigureResult.Stats carries a figure's tally, and
+	// SimOptions.Stats accumulates it across calls.
 	EngineStats = sim.EngineStats
 	// SimCellResult is the persisted payload of one engine cell.
 	SimCellResult = sim.CellResult
@@ -216,9 +221,9 @@ var (
 	AttackKinds = sim.AttackKinds
 )
 
-// Experiment runners. Each takes a context for cancellation and runs on
-// a fresh single-sweep engine; construct a NewSimEngine to share cells
-// across calls and callers.
+// Experiment runners. RunFigure and RunPolicies take a context for
+// cancellation and run on a fresh single-sweep engine; a NewSimEngine
+// runs them as methods, sharing cells across calls and callers.
 var (
 	// NewSimEngine builds a shared experiment engine.
 	NewSimEngine = sim.NewEngine
@@ -228,27 +233,8 @@ var (
 	// FigureKinds lists the figure table's kinds ("fig9" ... "fig16",
 	// and "attack" for the attack×mitigation grid).
 	FigureKinds = sim.FigureKinds
-	// Figure is RunFigure with the kind's parameter grid given
-	// positionally (capacities or NRH values, per the table).
-	Figure = sim.Figure
 	// RunPolicies evaluates refresh policies on shared workload mixes.
 	RunPolicies = sim.RunPolicies
-	// Fig9 sweeps chip capacity for periodic refresh (§8).
-	Fig9 = sim.Fig9
-	// Fig12 sweeps the RowHammer threshold for preventive refresh (§9.2).
-	Fig12 = sim.Fig12
-	// Fig13 sweeps channels under periodic refresh (§10.1).
-	Fig13 = sim.Fig13
-	// Fig14 sweeps ranks under periodic refresh (§10.1).
-	Fig14 = sim.Fig14
-	// Fig15 sweeps channels under PARA (§10.2).
-	Fig15 = sim.Fig15
-	// Fig16 sweeps ranks under PARA (§10.2).
-	Fig16 = sim.Fig16
-	// AttackSweep runs the attack×mitigation×NRH grid: each attacker
-	// preset against the mitigation zoo, with per-point efficacy
-	// forensics always attached.
-	AttackSweep = sim.AttackSweep
 )
 
 // Workload re-exports: sweeps accept any workload source per core —

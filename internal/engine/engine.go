@@ -208,12 +208,6 @@ type Options struct {
 	// fault-injection seam (see internal/fault). nil means the real
 	// filesystem; production code never sets it.
 	FS fault.FS
-	// OnProgress, when set, is the default progress callback for batches
-	// that do not supply their own via RunOptions: it is called after
-	// each cell of a batch resolves, with the number resolved so far and
-	// the batch size, from worker goroutines but never concurrently
-	// within one batch.
-	OnProgress func(done, total int)
 	// Metrics, when non-nil, receives the engine's duration and
 	// singleflight observations (see Metrics). Count-style tallies stay
 	// in Stats; expose those via RegisterStatsFuncs.
@@ -222,13 +216,13 @@ type Options struct {
 
 // RunOptions configures one Run batch on a shared engine.
 type RunOptions struct {
-	// OnProgress overrides Options.OnProgress for this batch.
-	OnProgress func(done, total int)
-	// OnProgressStats, when set, supersedes OnProgress: it additionally
-	// receives a snapshot of the batch's resolution tally so far, so
-	// streaming consumers can report cache hits and resumed ticks while
-	// the batch is still running, not just at the end.
-	OnProgressStats func(done, total int, batch Stats)
+	// OnProgress, when set, is called as the batch's keys resolve, with
+	// the number of positions resolved so far, the batch size and a
+	// snapshot of the batch's resolution tally, so streaming consumers
+	// can report cache hits and resumed ticks while the batch is still
+	// running. It runs on worker goroutines, never concurrently within
+	// one batch.
+	OnProgress func(done, total int, batch Stats)
 }
 
 // flight is one in-progress cell computation other batches can wait on.
@@ -333,14 +327,10 @@ func (e *Engine[R]) Run(ctx context.Context, cells Batch[R]) ([]R, Stats, error)
 func (e *Engine[R]) RunWith(ctx context.Context, cells Batch[R], ropts RunOptions) ([]R, Stats, error) {
 	n := cells.Len()
 	b := &batch[R]{
-		results:         make([]R, n),
-		next:            make([]int, n),
-		slots:           make([]slot, 0, n),
-		onProgress:      ropts.OnProgress,
-		onProgressStats: ropts.OnProgressStats,
-	}
-	if b.onProgress == nil {
-		b.onProgress = e.opts.OnProgress
+		results:    make([]R, n),
+		next:       make([]int, n),
+		slots:      make([]slot, 0, n),
+		onProgress: ropts.OnProgress,
 	}
 
 	// Collapse the batch to unique keys, key first: each position's key
@@ -520,8 +510,7 @@ type batch[R any] struct {
 	slots   []slot
 	cells   []Cell[R] // built for keys the cache did not hold
 
-	onProgress      func(done, total int)
-	onProgressStats func(done, total int, batch Stats)
+	onProgress func(done, total int, batch Stats)
 
 	mu       sync.Mutex
 	stats    Stats
@@ -539,16 +528,12 @@ func (b *batch[R]) serve(s int, r *R) {
 	for p := sl.head; p >= 0; p = b.next[p] {
 		b.results[p] = *r
 	}
-	if b.onProgress == nil && b.onProgressStats == nil {
+	if b.onProgress == nil {
 		return
 	}
 	b.mu.Lock()
 	b.done += sl.n
-	if b.onProgressStats != nil {
-		b.onProgressStats(b.done, len(b.results), b.stats)
-	} else {
-		b.onProgress(b.done, len(b.results))
-	}
+	b.onProgress(b.done, len(b.results), b.stats)
 	b.mu.Unlock()
 }
 

@@ -157,19 +157,20 @@ func TestFailedCellNotCached(t *testing.T) {
 
 func TestProgressReachesTotal(t *testing.T) {
 	var last, calls int
-	e := New[int](Options{Parallelism: 4, OnProgress: func(done, total int) {
-		if done <= last || done > total {
-			t.Errorf("progress went %d -> %d of %d", last, done, total)
-		}
-		last = done
-		calls++
-	}})
+	e := New[int](Options{Parallelism: 4})
 	var runs atomic.Int64
 	var cells Cells[int]
 	for i := 0; i < 9; i++ {
 		cells = append(cells, countingCell(fmt.Sprintf("c%d", i%3), i%3, &runs))
 	}
-	if _, _, err := e.Run(context.Background(), cells); err != nil {
+	progress := RunOptions{OnProgress: func(done, total int, _ Stats) {
+		if done <= last || done > total {
+			t.Errorf("progress went %d -> %d of %d", last, done, total)
+		}
+		last = done
+		calls++
+	}}
+	if _, _, err := e.RunWith(context.Background(), cells, progress); err != nil {
 		t.Fatal(err)
 	}
 	if last != 9 {
@@ -180,7 +181,7 @@ func TestProgressReachesTotal(t *testing.T) {
 	}
 }
 
-// progressStep is one OnProgressStats callback.
+// progressStep is one OnProgress callback.
 type progressStep struct {
 	done, total int
 	stats       Stats
@@ -218,7 +219,7 @@ func TestWarmPrePassMatchesPerKeyPath(t *testing.T) {
 		cells = append(cells, c)
 	}
 	record := func(steps *[]progressStep) RunOptions {
-		return RunOptions{OnProgressStats: func(done, total int, st Stats) {
+		return RunOptions{OnProgress: func(done, total int, st Stats) {
 			*steps = append(*steps, progressStep{done, total, st})
 		}}
 	}
@@ -390,23 +391,6 @@ type countingBatch struct {
 func (b *countingBatch) Cell(i int) Cell[int] {
 	b.built = append(b.built, i)
 	return b.Cells[i]
-}
-
-func TestPerBatchProgressOverride(t *testing.T) {
-	e := New[int](Options{Parallelism: 2, OnProgress: func(done, total int) {
-		t.Error("engine-level progress called despite per-batch override")
-	}})
-	var runs atomic.Int64
-	var got int
-	_, _, err := e.RunWith(context.Background(),
-		Cells[int]{countingCell("a", 1, &runs), countingCell("b", 2, &runs)},
-		RunOptions{OnProgress: func(done, total int) { got = done }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 2 {
-		t.Errorf("per-batch progress reached %d, want 2", got)
-	}
 }
 
 func TestDefaultParallelism(t *testing.T) {

@@ -48,15 +48,16 @@ type SnapStats struct {
 	SaveErrors     uint64 `json:"save_errors"`
 	FirstSaveError string `json:"first_save_error,omitempty"`
 
-	// DeltaSaves/DeltaBytes split out differential checkpoints (deltas
-	// against an earlier checkpoint of the same trajectory) from the
-	// totals above, pricing the encoding: Saves - DeltaSaves full
-	// snapshots wrote Bytes - ... well, DeltaBytes of the cumulative
-	// save volume came in as deltas. A store whose DeltaBytes/DeltaSaves
-	// ratio approaches the full-snapshot size has trajectories touching
-	// their whole working set every interval.
+	// DeltaSaves counts the checkpoints written as deltas against an
+	// earlier checkpoint of the same trajectory; they are included in
+	// Saves, so Saves - DeltaSaves were full snapshots. DeltaBytes is
+	// the payload bytes those deltas wrote, summed over the store's
+	// lifetime (evictions do not subtract from it, unlike Bytes). A
+	// store whose DeltaBytes/DeltaSaves approaches the full-snapshot
+	// size has trajectories touching their whole working set every
+	// interval.
 	DeltaSaves uint64 `json:"delta_saves"`
-	DeltaBytes uint64 `json:"delta_bytes"` // cumulative delta payload bytes written
+	DeltaBytes uint64 `json:"delta_bytes"`
 }
 
 // DefaultSnapMaxBytes is the checkpoint store's default byte cap for
@@ -175,10 +176,6 @@ func NewSnapStoreFS(dir string, maxBytes int64, fsys fault.FS) *SnapStore {
 		return s
 	}
 	sweepStaleTmp(dir, tmpSweepAge)
-	shards, err := os.ReadDir(dir)
-	if err != nil {
-		return s
-	}
 	// Index existing checkpoints, oldest first by modification time so
 	// the eviction order survives restarts.
 	type found struct {
@@ -186,33 +183,24 @@ func NewSnapStoreFS(dir string, maxBytes int64, fsys fault.FS) *SnapStore {
 		mod int64
 	}
 	var all []found
-	for _, sh := range shards {
-		if !sh.IsDir() || !isShardName(sh.Name()) {
-			continue
+	walkShards(dir, func(shard string, f os.DirEntry) {
+		hash, tick, base, ok := snapFileName(f.Name())
+		if !ok || shard == "" {
+			return
 		}
-		files, err := os.ReadDir(filepath.Join(dir, sh.Name()))
+		info, err := f.Info()
 		if err != nil {
-			continue
+			return
 		}
-		for _, f := range files {
-			hash, tick, base, ok := snapFileName(f.Name())
-			if !ok {
-				continue
-			}
-			info, err := f.Info()
-			if err != nil {
-				continue
-			}
-			// Stats.Bytes counts payload bytes: every file carries the
-			// checksum envelope, so the payload is the rest. A file too
-			// short to hold one is corrupt and misses on its first Load.
-			size := max(info.Size()-int64(snapSumHeader), 0)
-			all = append(all, found{
-				e:   &snapEntry{hash: hash, tick: tick, base: base, size: size},
-				mod: info.ModTime().UnixNano(),
-			})
-		}
-	}
+		// Stats.Bytes counts payload bytes: every file carries the
+		// checksum envelope, so the payload is the rest. A file too
+		// short to hold one is corrupt and misses on its first Load.
+		size := max(info.Size()-int64(snapSumHeader), 0)
+		all = append(all, found{
+			e:   &snapEntry{hash: hash, tick: tick, base: base, size: size},
+			mod: info.ModTime().UnixNano(),
+		})
+	})
 	sort.Slice(all, func(i, j int) bool { return all[i].mod < all[j].mod })
 	for _, f := range all {
 		s.clock++

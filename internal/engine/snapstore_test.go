@@ -320,13 +320,15 @@ func TestSnapStoreVanishedFile(t *testing.T) {
 
 func TestSnapStoreIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
-	// Result-store cells and junk must not be indexed as checkpoints.
+	// Result-store cells and junk must not be indexed as checkpoints,
+	// nor a well-formed checkpoint name outside the shard directories.
 	sub := filepath.Join(dir, "ab")
 	os.MkdirAll(sub, 0o755)
 	hash := hashKey("x")
 	os.WriteFile(filepath.Join(sub, hash+".json"), []byte("{}"), 0o644)
 	os.WriteFile(filepath.Join(sub, "junk.snap"), []byte("?"), 0o644)
 	os.WriteFile(filepath.Join(sub, hash+"@-5.snap"), []byte("?"), 0o644)
+	os.WriteFile(filepath.Join(dir, hash+"@100.snap"), []byte("?"), 0o644)
 	s := NewSnapStore(dir, 1<<20)
 	if st := s.Stats(); st.Entries != 0 {
 		t.Fatalf("indexed foreign files: %+v", st)

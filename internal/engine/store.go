@@ -104,24 +104,11 @@ func newStore[R any](dir string, fsys fault.FS) *store[R] {
 		s.degraded = fmt.Sprintf("store root unwritable: %v", err)
 	}
 	sweepStaleTmp(dir, tmpSweepAge)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return s
-	}
-	for _, e := range entries {
-		if !e.IsDir() || !isShardName(e.Name()) {
-			continue
+	walkShards(dir, func(shard string, f os.DirEntry) {
+		if hash, ok := cellFileHash(f.Name()); ok && shard != "" {
+			s.index[hash] = struct{}{}
 		}
-		files, err := os.ReadDir(filepath.Join(dir, e.Name()))
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			if hash, ok := cellFileHash(f.Name()); ok {
-				s.index[hash] = struct{}{}
-			}
-		}
-	}
+	})
 	return s
 }
 
@@ -147,35 +134,51 @@ func probeWritable(dir string) error {
 func sweepStaleTmp(dir string, maxAge time.Duration) int {
 	cutoff := time.Now().Add(-maxAge)
 	removed := 0
-	sweepDir := func(d string) {
-		entries, err := os.ReadDir(d)
-		if err != nil {
+	walkShards(dir, func(shard string, f os.DirEntry) {
+		if !strings.HasSuffix(f.Name(), ".tmp") {
 			return
 		}
-		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".tmp") {
-				continue
-			}
-			info, err := e.Info()
-			if err != nil || info.ModTime().After(cutoff) {
-				continue
-			}
-			if os.Remove(filepath.Join(d, e.Name())) == nil {
-				removed++
-			}
+		info, err := f.Info()
+		if err != nil || info.ModTime().After(cutoff) {
+			return
 		}
-	}
-	sweepDir(dir)
+		if os.Remove(filepath.Join(dir, shard, f.Name())) == nil {
+			removed++
+		}
+	})
+	return removed
+}
+
+// walkShards lists dir once and each of its two-hex shard directories
+// once, calling visit for every file (not directory) found: dir's own
+// files with shard "", then each shard's with the shard's name, so the
+// file is at filepath.Join(dir, shard, f.Name()). Both stores share this
+// layout; an unreadable directory is skipped.
+func walkShards(dir string, visit func(shard string, f os.DirEntry)) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return removed
+		return
 	}
+	var shards []string
 	for _, e := range entries {
-		if e.IsDir() && isShardName(e.Name()) {
-			sweepDir(filepath.Join(dir, e.Name()))
+		switch {
+		case !e.IsDir():
+			visit("", e)
+		case isShardName(e.Name()):
+			shards = append(shards, e.Name())
 		}
 	}
-	return removed
+	for _, sh := range shards {
+		files, err := os.ReadDir(filepath.Join(dir, sh))
+		if err != nil {
+			continue
+		}
+		for _, f := range files {
+			if !f.IsDir() {
+				visit(sh, f)
+			}
+		}
+	}
 }
 
 // cellFileHash parses a <64-hex>.json cell file name.

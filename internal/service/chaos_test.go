@@ -72,10 +72,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	ctx := context.Background()
 
 	// Fault-free ground truth, computed fully in-process.
-	want, err := sim.Fig9(ctx, crashOpts(), []int{8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := inProcessFig9(t, crashOpts()).Fig9
 
 	dir := t.TempDir()
 	cfg := func() Config {
@@ -326,10 +323,7 @@ func TestJournalRetiredSpecField(t *testing.T) {
 	if got.State != StateDone || !got.Recovered {
 		t.Fatalf("journaled job = %s (recovered %v, error %q), want a recovered done job", got.State, got.Recovered, got.Error)
 	}
-	want, err := sim.Fig9(ctx, testOpts(), []int{8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := inProcessFig9(t, testOpts()).Fig9
 	res, err := got.FigureResult()
 	if err != nil {
 		t.Fatal(err)

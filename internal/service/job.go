@@ -198,7 +198,7 @@ func (j *job) setProgress(done, total int) {
 
 // setProgressStats is setProgress carrying the batch's mid-sweep
 // resolution tally and the checkpoint store's current summary; it backs
-// the engine's OnProgressStats callback for figure and policies jobs.
+// the sweep's Progress callback for figure and policies jobs.
 func (j *job) setProgressStats(done, total int, batch sim.EngineStats, snaps *engine.SnapStats) {
 	j.mu.Lock()
 	j.view.Progress = Progress{

@@ -54,10 +54,7 @@ func TestResumedJobsEndToEnd(t *testing.T) {
 
 	longOpts := testOpts()
 	longOpts.Measure = 14000
-	want, err := sim.Fig9(ctx, longOpts, []int{8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := inProcessFig9(t, longOpts).Fig9
 	res, err := ext.FigureResult()
 	if err != nil {
 		t.Fatal(err)

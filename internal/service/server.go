@@ -362,7 +362,7 @@ func (s *Server) execute(ctx context.Context, j *job) (json.RawMessage, *sim.Eng
 		opts := spec.Sim.options()
 		opts.Mixes = j.mixes
 		opts.Stats = &stats
-		opts.ProgressStats = s.progressStats(j)
+		opts.Progress = s.progressStats(j)
 		scores, err := s.lab.RunPolicies(ctx, spec.Config.config(), policies, opts)
 		if err != nil {
 			return nil, &stats, err
@@ -393,7 +393,7 @@ func (s *Server) execute(ctx context.Context, j *job) (json.RawMessage, *sim.Eng
 		opts := spec.Sim.options()
 		opts.Mixes = j.mixes
 		opts.Stats = &stats
-		opts.ProgressStats = s.progressStats(j)
+		opts.Progress = s.progressStats(j)
 		res, err := s.lab.RunFigure(ctx, opts, spec.figure())
 		if err != nil {
 			return nil, &stats, err

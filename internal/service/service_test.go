@@ -30,6 +30,17 @@ func testOpts() sim.Options {
 	return sim.Options{Workloads: 1, Cores: 4, Warmup: 2000, Measure: 6000, Seed: 1}
 }
 
+// inProcessFig9 runs the 8 Gb point of Fig. 9 in process on a one-sweep
+// engine: the reference a job's rows are compared against.
+func inProcessFig9(t testing.TB, opts sim.Options) *sim.FigureResult {
+	t.Helper()
+	res, err := sim.RunFigure(context.Background(), opts, sim.FigureSpec{Kind: "fig9", Capacities: []int{8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // newTestServer spins a service with its HTTP front end.
 func newTestServer(t testing.TB, cfg Config) (*Server, *Client) {
 	t.Helper()
@@ -43,17 +54,14 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *Client) {
 }
 
 // TestFig9JobEndToEnd is the acceptance path: a Fig. 9-shaped sweep
-// submitted over HTTP returns rows DeepEqual to in-process sim.Fig9;
+// submitted over HTTP returns rows DeepEqual to an in-process run;
 // resubmitting against the same store simulates zero cells; and a fresh
 // server over the same store serves everything from disk.
 func TestFig9JobEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 
-	want, err := sim.Fig9(ctx, testOpts(), []int{8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := inProcessFig9(t, testOpts()).Fig9
 
 	svc, client := newTestServer(t, Config{
 		Engine:  sim.EngineConfig{Parallelism: 4, ResultDir: dir},
@@ -85,7 +93,7 @@ func TestFig9JobEndToEnd(t *testing.T) {
 		t.Errorf("result kind = %q", res.Kind)
 	}
 	if !reflect.DeepEqual(res.Fig9, want) {
-		t.Fatalf("HTTP rows differ from in-process sim.Fig9:\nhttp:       %+v\nin-process: %+v", res.Fig9, want)
+		t.Fatalf("HTTP rows differ from the in-process run:\nhttp:       %+v\nin-process: %+v", res.Fig9, want)
 	}
 	if job.Stats == nil || job.Stats.Simulated == 0 {
 		t.Fatalf("cold job stats = %+v, want simulations", job.Stats)
@@ -193,14 +201,8 @@ func TestConcurrentColdJobsSimulateOnce(t *testing.T) {
 	ctx := context.Background()
 
 	// Reference: how many unique cells does this sweep have?
-	var ref sim.EngineStats
-	opts := testOpts()
-	opts.Stats = &ref
-	want, err := sim.Fig9(ctx, opts, []int{8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unique := ref.Simulated
+	ref := inProcessFig9(t, testOpts())
+	want, unique := ref.Fig9, ref.Stats.Simulated
 	if unique == 0 {
 		t.Fatal("reference run simulated nothing")
 	}
@@ -240,7 +242,7 @@ func TestConcurrentColdJobsSimulateOnce(t *testing.T) {
 
 // TestTraceWorkloadJobEndToEnd is the custom-workload acceptance path:
 // a trace recorded from a synthetic run replays byte-identically — the
-// same figure rows through the CLI code path (sim.Fig9 with explicit
+// same figure rows through the CLI code path (sim.RunFigure with explicit
 // mixes, exactly what `hira-sim -trace -json` runs) and through a
 // service job referencing the trace by file — and a warm resubmission
 // simulates zero cells.
@@ -269,10 +271,7 @@ func TestTraceWorkloadJobEndToEnd(t *testing.T) {
 	}
 	opts := testOpts()
 	opts.Mixes = workload.RoundRobinMixes([]workload.Source{tr}, 1, opts.Cores)
-	want, err := sim.Fig9(ctx, opts, []int{8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := inProcessFig9(t, opts).Fig9
 
 	_, client := newTestServer(t, Config{
 		Engine:   sim.EngineConfig{Parallelism: 4},

@@ -530,9 +530,8 @@ func (s *SimSpec) validate(l Limits) error {
 	return nil
 }
 
-// options converts the spec to sim.Options. The engine-level fields
-// (Parallelism, ResultDir) stay zero: jobs run on the server's shared
-// engine, whose construction fixed them.
+// options converts the spec to sim.Options. Parallelism stays zero:
+// jobs run on the server's shared engine, whose construction fixed it.
 func (s *SimSpec) options() sim.Options {
 	if s == nil {
 		return sim.Options{}

@@ -25,11 +25,12 @@ import (
 // verdicts come from the same sweep row the service and CLIs report.
 func TestAttackSweepEfficacy(t *testing.T) {
 	const nrh = 64
-	rows, err := AttackSweep(context.Background(),
-		Options{Cores: 2, Seed: 7}, []string{"double"}, []int{nrh})
+	res, err := RunFigure(context.Background(), Options{Cores: 2, Seed: 7},
+		FigureSpec{Kind: "attack", Attacks: []string{"double"}, NRHs: []int{nrh}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Attack
 	if len(rows) != 1 {
 		t.Fatalf("got %d rows, want 1", len(rows))
 	}
@@ -192,7 +193,7 @@ func TestAttackSweepResumeExtension(t *testing.T) {
 			st.Resumed, st.Simulated, simCells, st)
 	}
 	ext.Stats = nil
-	want, err := AttackSweep(ctx, ext, attacks, nil)
+	want, err := NewEngine(EngineConfig{}).AttackSweep(ctx, ext, attacks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,23 +65,11 @@ func (m *aloneMemory) step() {
 	}
 }
 
-// AloneIPC computes a benchmark's IPC on an unloaded fixed-latency memory
-// (~60ns, an idle DRAM read round trip). Results are deterministic per
-// (profile, seed).
-func AloneIPC(p workload.Profile, seed uint64, ticks int) float64 {
-	ipc, _ := AloneIPCContext(context.Background(), p, seed, ticks)
-	return ipc
-}
-
-// AloneIPCContext is AloneIPC honoring cancellation: it polls ctx every
-// few thousand ticks and returns ctx.Err() once cancelled.
-func AloneIPCContext(ctx context.Context, p workload.Profile, seed uint64, ticks int) (float64, error) {
-	return AloneIPCSourceContext(ctx, p, seed, ticks)
-}
-
 // AloneIPCSourceContext computes the alone-IPC reference for any
 // workload source (profile or trace) on the unloaded fixed-latency
-// memory.
+// memory (~60ns, an idle DRAM read round trip). Results are
+// deterministic per (source, seed). It polls ctx every few thousand
+// ticks and returns ctx.Err() once cancelled.
 func AloneIPCSourceContext(ctx context.Context, src workload.Source, seed uint64, ticks int) (float64, error) {
 	a := newAloneRun(src, seed)
 	if err := a.RunTo(ctx, ticks); err != nil {
@@ -171,36 +159,20 @@ type Options struct {
 	// as len(Mixes) after WithDefaults).
 	Mixes []workload.SourceMix
 
-	// Parallelism bounds the experiment engine's worker pool; 0 means
-	// one worker per CPU core. Results are bit-identical at any setting
-	// because every cell seeds from its own content. Ignored when the
-	// sweep runs on a shared Engine, whose construction fixed the bound.
+	// Parallelism sizes the worker pool of the single-sweep engine the
+	// package-level entry points (RunFigure, RunPolicies, Figure) build;
+	// 0 means one worker per CPU core. Results are bit-identical at any
+	// setting because every cell seeds from its own content. A shared
+	// Engine ignores it: its EngineConfig fixed the bound, and result
+	// stores and checkpoints are EngineConfig settings too.
 	Parallelism int
-	// ResultDir, when non-empty, persists per-cell JSON results keyed by
-	// cell hash, so re-running a sweep after a crash or with one new
-	// policy only simulates the delta. Ignored on a shared Engine.
-	ResultDir string
-	// SnapInterval, when positive, checkpoints every simulation cell's
-	// machine state each SnapInterval ticks (plus at the warmup boundary
-	// and the final tick), and resumes cells from the longest usable
-	// checkpoint — so rerunning a sweep with longer horizons simulates
-	// only the delta. Checkpoints live alongside ResultDir's cells (or in
-	// memory without one). Results are bit-identical at any setting.
-	// Ignored on a shared Engine.
-	SnapInterval int
-	// SnapMaxBytes caps the checkpoint store; <= 0 means 2 GiB on disk
-	// (256 MiB in memory). The least-recently-used checkpoints are
-	// evicted first. Ignored on a shared Engine.
-	SnapMaxBytes int64
-	// Progress, when set, is called as a batch's cells resolve. A figure
-	// or policy sweep submits all its cells as one batch, so one sweep
-	// reports one done/total count.
-	Progress func(done, total int)
-	// ProgressStats, when set, supersedes Progress: it additionally
-	// receives a snapshot of the batch's resolution tally so far, so
-	// callers (e.g. the service's SSE progress events) can stream
-	// cache-hit and resumed-tick counts mid-sweep.
-	ProgressStats func(done, total int, batch EngineStats)
+	// Progress, when set, is called as a batch's cells resolve, with a
+	// snapshot of the batch's resolution tally so far (so callers such
+	// as the service's SSE progress events can stream cache-hit and
+	// resumed-tick counts mid-sweep). A figure or policy sweep submits
+	// all its cells as one batch, so one sweep reports one done/total
+	// count; a sweep that completes ends on done == total.
+	Progress func(done, total int, batch EngineStats)
 	// Stats, when set, accumulates the engine's resolution tallies
 	// (simulated vs cache/store hits) across the sweep.
 	Stats *EngineStats
@@ -350,12 +322,7 @@ func (e *Engine) Parallelism() int { return e.eng.Parallelism() }
 // newSweepEngine builds the single-sweep engine the one-shot entry
 // points use when no shared Engine is supplied.
 func newSweepEngine(opts Options) *Engine {
-	return NewEngine(EngineConfig{
-		Parallelism:  opts.Parallelism,
-		ResultDir:    opts.ResultDir,
-		SnapInterval: opts.SnapInterval,
-		SnapMaxBytes: opts.SnapMaxBytes,
-	})
+	return NewEngine(EngineConfig{Parallelism: opts.Parallelism})
 }
 
 // PolicyScore is the average weighted speedup of one policy under one
@@ -465,13 +432,6 @@ type sweepPoint struct {
 }
 
 // RunPoliciesHorizons evaluates each policy on the same mixes at every
-// measured horizon in measures, on a fresh single-sweep engine. See
-// Engine.RunPoliciesHorizons.
-func RunPoliciesHorizons(ctx context.Context, base Config, policies []RefreshPolicy, opts Options, measures []int) ([][]PolicyScore, error) {
-	return newSweepEngine(opts).RunPoliciesHorizons(ctx, base, policies, opts, measures)
-}
-
-// RunPoliciesHorizons evaluates each policy on the same mixes at every
 // measured horizon in measures (opts.Measure is ignored) and returns
 // one score row per horizon, index-aligned with measures. All horizons
 // submit as one batch, so the sweep planner coalesces each trajectory's
@@ -509,7 +469,7 @@ func (e *Engine) runPoint(ctx context.Context, base Config, policies []RefreshPo
 // Cells are described by index (see sweepBatch), so the engine renders
 // each key to look it up and builds only the cells it lacks.
 // opts supplies what the points share (cores, seed, warmup, forensics,
-// progress sinks); opts.Measure, opts.Mixes and opts.Stats are ignored,
+// progress callback); opts.Measure, opts.Mixes and opts.Stats are ignored,
 // and the batch's resolution tally is returned, also on error.
 // One batch means one progress total, one dispatch barrier, and an
 // alone reference several points need is submitted (and simulated)
@@ -522,10 +482,7 @@ func runSweep(ctx context.Context, lab *Engine, opts Options, points []sweepPoin
 	}
 
 	sw := newSweepBatch(lab, opts, points, measures)
-	results, batch, err := lab.eng.RunWith(ctx, sw, engine.RunOptions{
-		OnProgress:      opts.Progress,
-		OnProgressStats: opts.ProgressStats,
-	})
+	results, batch, err := lab.eng.RunWith(ctx, sw, engine.RunOptions{OnProgress: opts.Progress})
 	if err != nil {
 		return nil, batch, err
 	}
@@ -1246,12 +1203,6 @@ func (e *Engine) Figure(ctx context.Context, kind string, opts Options, xs, para
 	return e.RunFigure(ctx, opts, spec)
 }
 
-// AttackSweep runs the attack×mitigation×NRH grid on a fresh
-// single-sweep engine.
-func AttackSweep(ctx context.Context, opts Options, attacks []string, nrhs []int) ([]AttackRow, error) {
-	return newSweepEngine(opts).AttackSweep(ctx, opts, attacks, nrhs)
-}
-
 // AttackSweep runs each attacker preset (core 0 of an otherwise benign
 // mix) against each mitigation at each RowHammer threshold, on the
 // shared engine. Attack cells always run with the forensics ledger
@@ -1260,53 +1211,8 @@ func AttackSweep(ctx context.Context, opts Options, attacks []string, nrhs []int
 // attacks or nrhs take the defaults.
 func (e *Engine) AttackSweep(ctx context.Context, opts Options, attacks []string, nrhs []int) ([]AttackRow, error) {
 	res, err := e.RunFigure(ctx, opts, FigureSpec{Kind: "attack", NRHs: nrhs, Attacks: attacks})
-	return orEmpty(res).Attack, err
-}
-
-// orEmpty is res, or an empty envelope when the run failed, so the
-// one-kind wrappers can select their rows unconditionally.
-func orEmpty(res *FigureResult) *FigureResult {
-	if res == nil {
-		return &FigureResult{}
+	if err != nil {
+		return nil, err
 	}
-	return res
-}
-
-// Fig9 sweeps chip capacity for periodic refresh (§8) on a fresh
-// single-sweep engine.
-func Fig9(ctx context.Context, opts Options, capacities []int) ([]Fig9Row, error) {
-	res, err := Figure(ctx, "fig9", opts, nil, capacities)
-	return orEmpty(res).Fig9, err
-}
-
-// Fig12 sweeps the RowHammer threshold for preventive refresh (§9.2) on
-// a fresh single-sweep engine.
-func Fig12(ctx context.Context, opts Options, nrhs []int) ([]Fig12Row, error) {
-	res, err := Figure(ctx, "fig12", opts, nil, nrhs)
-	return orEmpty(res).Fig12, err
-}
-
-// Fig13 sweeps channel count under periodic refresh for chip capacities
-// {2, 8, 32} Gb with Baseline, HiRA-2, HiRA-4.
-func Fig13(ctx context.Context, opts Options, xs, caps []int) ([]ScaleRow, error) {
-	res, err := Figure(ctx, "fig13", opts, xs, caps)
-	return orEmpty(res).Scale, err
-}
-
-// Fig14 sweeps rank count under periodic refresh.
-func Fig14(ctx context.Context, opts Options, xs, caps []int) ([]ScaleRow, error) {
-	res, err := Figure(ctx, "fig14", opts, xs, caps)
-	return orEmpty(res).Scale, err
-}
-
-// Fig15 sweeps channel count under PARA for NRH {1024, 256, 64}.
-func Fig15(ctx context.Context, opts Options, xs, nrhs []int) ([]ScaleRow, error) {
-	res, err := Figure(ctx, "fig15", opts, xs, nrhs)
-	return orEmpty(res).Scale, err
-}
-
-// Fig16 sweeps rank count under PARA.
-func Fig16(ctx context.Context, opts Options, xs, nrhs []int) ([]ScaleRow, error) {
-	res, err := Figure(ctx, "fig16", opts, xs, nrhs)
-	return orEmpty(res).Scale, err
+	return res.Attack, nil
 }

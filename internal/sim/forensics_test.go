@@ -18,18 +18,19 @@ import (
 // engine, cells, and row constructors.
 func TestForensicsFiguresBitIdentical(t *testing.T) {
 	ctx := context.Background()
-	caps := []int{2, 8}
-	plain, err := Fig9(ctx, goldenOpts(), caps)
+	spec := FigureSpec{Kind: "fig9", Capacities: []int{2, 8}}
+	plainRes, err := RunFigure(ctx, goldenOpts(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := goldenOpts()
 	o.Forensics = true
 	o.ForensicsRecorder = true
-	fx, err := Fig9(ctx, o, caps)
+	fxRes, err := RunFigure(ctx, o, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain, fx := plainRes.Fig9, fxRes.Fig9
 	if len(fx) != len(plain) {
 		t.Fatalf("row counts diverged: %d vs %d", len(fx), len(plain))
 	}

@@ -304,7 +304,7 @@ func TestPlannerBatchCancellation(t *testing.T) {
 	defer cancel()
 	opts := Options{Workloads: 1, Cores: 2, Warmup: 1000, Seed: 2}
 	cOpts := opts
-	cOpts.ProgressStats = func(done, total int, batch EngineStats) {
+	cOpts.Progress = func(done, total int, batch EngineStats) {
 		if done >= 1 {
 			cancel() // with Parallelism 1 at least one later unit must fail
 		}

@@ -13,11 +13,27 @@ func quickOpts() Options {
 	return Options{Workloads: 2, Cores: 8, Warmup: 10000, Measure: 40000, Seed: 1}
 }
 
+// quickFigure runs spec at quickOpts' scale on a one-sweep engine.
+func quickFigure(t *testing.T, spec FigureSpec) *FigureResult {
+	t.Helper()
+	res, err := RunFigure(context.Background(), quickOpts(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestAloneIPCOrdering(t *testing.T) {
 	mcf, _ := workload.ProfileByName("mcf")
 	hmmer, _ := workload.ProfileByName("hmmer")
-	ipcMCF := AloneIPC(mcf, 1, 40000)
-	ipcHMMER := AloneIPC(hmmer, 1, 40000)
+	ipcMCF, err := AloneIPCSourceContext(context.Background(), mcf, 1, 40000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ipcHMMER, err := AloneIPCSourceContext(context.Background(), hmmer, 1, 40000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ipcMCF <= 0 || ipcHMMER <= 0 {
 		t.Fatalf("non-positive alone IPC: mcf=%f hmmer=%f", ipcMCF, ipcHMMER)
 	}
@@ -84,10 +100,7 @@ func TestFig9ShapeAtHighCapacity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep")
 	}
-	rows, err := Fig9(context.Background(), quickOpts(), []int{8, 128})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := quickFigure(t, FigureSpec{Kind: "fig9", Capacities: []int{8, 128}}).Fig9
 	lo, hi := rows[0], rows[1]
 	// Refresh hurts more at 128Gb than 8Gb for the baseline.
 	if hi.NormNoRefresh["Baseline"] >= lo.NormNoRefresh["Baseline"] {
@@ -109,10 +122,7 @@ func TestFig12ShapeAtLowNRH(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep")
 	}
-	rows, err := Fig12(context.Background(), quickOpts(), []int{1024, 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := quickFigure(t, FigureSpec{Kind: "fig12", NRHs: []int{1024, 64}}).Fig12
 	at1024, at64 := rows[0], rows[1]
 	// PARA's overhead grows dramatically as NRH shrinks (§9.2).
 	if at64.NormBaseline["PARA"] >= at1024.NormBaseline["PARA"] {
@@ -136,10 +146,7 @@ func TestChannelSweepScalesPerformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep")
 	}
-	rows, err := Fig13(context.Background(), quickOpts(), []int{1, 4}, []int{32})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := quickFigure(t, FigureSpec{Kind: "fig13", Xs: []int{1, 4}, Capacities: []int{32}}).Scale
 	// More channels: higher absolute WS for both policies (§10.1).
 	if rows[1].WS["Baseline"] <= rows[0].WS["Baseline"] {
 		t.Errorf("baseline did not scale with channels: %v vs %v", rows[1].WS, rows[0].WS)
@@ -153,10 +160,7 @@ func TestRankSweepRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep")
 	}
-	rows, err := Fig14(context.Background(), quickOpts(), []int{1, 2}, []int{8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := quickFigure(t, FigureSpec{Kind: "fig14", Xs: []int{1, 2}, Capacities: []int{8}}).Scale
 	for _, r := range rows {
 		for name, ws := range r.WS {
 			if ws <= 0 {
@@ -176,7 +180,8 @@ func TestCancelledSweepReturnsCtxErr(t *testing.T) {
 	var stats EngineStats
 	opts := quickOpts()
 	opts.Stats = &stats
-	if _, err := Fig9(pre, opts, []int{8}); !errors.Is(err, context.Canceled) {
+	fig9 := FigureSpec{Kind: "fig9", Capacities: []int{8}}
+	if _, err := RunFigure(pre, opts, fig9); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled Fig9 err = %v, want context.Canceled", err)
 	}
 	if stats.Simulated != 0 {
@@ -186,12 +191,12 @@ func TestCancelledSweepReturnsCtxErr(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opts = quickOpts()
-	opts.Progress = func(done, total int) {
+	opts.Progress = func(done, total int, _ EngineStats) {
 		if done == 1 {
 			cancel()
 		}
 	}
-	if _, err := Fig9(ctx, opts, []int{8}); !errors.Is(err, context.Canceled) {
+	if _, err := RunFigure(ctx, opts, fig9); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-sweep cancelled Fig9 err = %v, want context.Canceled", err)
 	}
 }

@@ -32,14 +32,12 @@ func TestFiguresMatchPerPointRuns(t *testing.T) {
 	attacks := []string{"double", "decoy"}
 	cases := []struct {
 		name     string
-		figure   func(e *Engine, o Options) (any, error)
+		spec     FigureSpec
+		rows     func(*FigureResult) any
 		perPoint func(t *testing.T, e *Engine) any
 	}{
-		{"fig9",
-			func(e *Engine, o Options) (any, error) {
-				res, err := e.Figure(ctx, "fig9", o, nil, caps)
-				return orEmpty(res).Fig9, err
-			},
+		{"fig9", FigureSpec{Kind: "fig9", Capacities: caps},
+			func(res *FigureResult) any { return res.Fig9 },
 			func(t *testing.T, e *Engine) any {
 				var rows []Fig9Row
 				for _, cap := range caps {
@@ -49,11 +47,8 @@ func TestFiguresMatchPerPointRuns(t *testing.T) {
 				}
 				return rows
 			}},
-		{"fig12",
-			func(e *Engine, o Options) (any, error) {
-				res, err := e.Figure(ctx, "fig12", o, nil, nrhs)
-				return orEmpty(res).Fig12, err
-			},
+		{"fig12", FigureSpec{Kind: "fig12", NRHs: nrhs},
+			func(res *FigureResult) any { return res.Fig12 },
 			func(t *testing.T, e *Engine) any {
 				var rows []Fig12Row
 				for _, nrh := range nrhs {
@@ -61,11 +56,8 @@ func TestFiguresMatchPerPointRuns(t *testing.T) {
 				}
 				return rows
 			}},
-		{"fig15",
-			func(e *Engine, o Options) (any, error) {
-				res, err := e.Figure(ctx, "fig15", o, xs, nrhs)
-				return orEmpty(res).Scale, err
-			},
+		{"fig15", FigureSpec{Kind: "fig15", Xs: xs, NRHs: nrhs},
+			func(res *FigureResult) any { return res.Scale },
 			func(t *testing.T, e *Engine) any {
 				var rows []ScaleRow
 				for _, nrh := range nrhs {
@@ -75,8 +67,8 @@ func TestFiguresMatchPerPointRuns(t *testing.T) {
 				}
 				return rows
 			}},
-		{"attack",
-			func(e *Engine, o Options) (any, error) { return e.AttackSweep(ctx, o, attacks, nrhs) },
+		{"attack", FigureSpec{Kind: "attack", Attacks: attacks, NRHs: nrhs},
+			func(res *FigureResult) any { return res.Attack },
 			func(t *testing.T, e *Engine) any {
 				var rows []AttackRow
 				benign := workload.Mixes(1, opts.Cores, opts.Seed)[0].Sources()
@@ -99,16 +91,16 @@ func TestFiguresMatchPerPointRuns(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			var dones, totals []int
 			o := opts
-			o.Progress = func(done, total int) {
+			o.Progress = func(done, total int, _ EngineStats) {
 				dones = append(dones, done)
 				totals = append(totals, total)
 			}
 			e := fresh()
-			got, err := c.figure(e, o)
+			res, err := e.RunFigure(ctx, o, c.spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := c.perPoint(t, fresh()); !reflect.DeepEqual(got, want) {
+			if got, want := c.rows(res), c.perPoint(t, fresh()); !reflect.DeepEqual(got, want) {
 				t.Fatalf("one-batch rows differ from per-point rows:\nbatched:   %+v\nper point: %+v", got, want)
 			}
 
@@ -123,6 +115,63 @@ func TestFiguresMatchPerPointRuns(t *testing.T) {
 				if i > 0 && dones[i] < dones[i-1] {
 					t.Fatalf("progress went down: done %d after %d", dones[i], dones[i-1])
 				}
+			}
+		})
+	}
+}
+
+// TestProgressEndsWithRunTally checks what a progress consumer sees
+// last against what the run returns, cold, cache-warm and store-warm:
+// the last Progress call has done == total == Submitted, and its tally
+// accounts for every submitted cell (Simulated + CacheHits + StoreHits
+// + Deduped == Submitted) with the counts the returned Stats carries.
+// Pass-level tallies (SimulatedTicks, Resumed, PlannedPasses) land
+// after a pass's last member is served, so they are not compared.
+func TestProgressEndsWithRunTally(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	// Fig. 12's Baseline repeats at every NRH, so each run dedups too.
+	spec := FigureSpec{Kind: "fig12", NRHs: []int{64, 256}}
+	// A store indexes its directory when its engine is built, so the
+	// store-warm engine is built after the cold run filled it.
+	first := NewEngine(EngineConfig{Parallelism: 2, ResultDir: dir})
+	for _, run := range []struct {
+		name string
+		e    func() *Engine
+		// want names the counter that must resolve every unique key.
+		want func(EngineStats) uint64
+	}{
+		{"cold", func() *Engine { return first }, func(st EngineStats) uint64 { return st.Simulated }},
+		{"cache-warm", func() *Engine { return first }, func(st EngineStats) uint64 { return st.CacheHits }},
+		{"store-warm", func() *Engine { return NewEngine(EngineConfig{Parallelism: 2, ResultDir: dir}) },
+			func(st EngineStats) uint64 { return st.StoreHits }},
+	} {
+		t.Run(run.name, func(t *testing.T) {
+			var calls, lastDone, lastTotal int
+			var last EngineStats
+			o := Options{Workloads: 1, Cores: 2, Warmup: 1000, Measure: 2000, Seed: 5}
+			o.Progress = func(done, total int, batch EngineStats) {
+				calls++
+				lastDone, lastTotal, last = done, total, batch
+			}
+			res, err := run.e().RunFigure(ctx, o, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := res.Stats
+			if calls == 0 || lastDone != lastTotal || uint64(lastTotal) != st.Submitted {
+				t.Fatalf("last progress call %d/%d after %d calls, want done == total == %d submitted", lastDone, lastTotal, calls, st.Submitted)
+			}
+			if sum := last.Simulated + last.CacheHits + last.StoreHits + last.Deduped; sum != last.Submitted {
+				t.Errorf("last tally accounts for %d of %d submitted cells: %+v", sum, last.Submitted, last)
+			}
+			if st.Deduped == 0 || run.want(st) != st.Submitted-st.Deduped {
+				t.Errorf("%s run resolved %d of %d unique keys the expected way: %+v", run.name, run.want(st), st.Submitted-st.Deduped, st)
+			}
+			got := [5]uint64{last.Submitted, last.Simulated, last.CacheHits, last.StoreHits, last.Deduped}
+			want := [5]uint64{st.Submitted, st.Simulated, st.CacheHits, st.StoreHits, st.Deduped}
+			if got != want {
+				t.Errorf("last progress tally %+v differs from the returned stats %+v", last, st)
 			}
 		})
 	}
