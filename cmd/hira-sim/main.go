@@ -397,8 +397,8 @@ func run() int {
 		return 2
 	}
 	// Without -results the checkpoints would live in memory for one
-	// figure batch, which runs each trajectory in a single pass and so
-	// never resumes from them.
+	// figure batch, which simulates each trajectory once and so never
+	// resumes from them.
 	if *snapIvl != 0 && *results == "" {
 		fmt.Fprintln(os.Stderr, "-snap-interval requires -results")
 		return 2

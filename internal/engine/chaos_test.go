@@ -29,10 +29,10 @@ func chaosCells(n int, runs *atomic.Int64) Cells[int] {
 	cells := make(Cells[int], n)
 	for i := 0; i < n; i++ {
 		i := i
-		cells[i] = solo(fmt.Sprintf("chaos/c%d", i), func(context.Context) (int, error) {
+		cells[i] = Cell[int]{Key: fmt.Sprintf("chaos/c%d", i), Run: func(context.Context) (int, error) {
 			runs.Add(1)
 			return i*i + 1, nil
-		})
+		}}
 	}
 	return cells
 }
@@ -215,8 +215,8 @@ func TestChaosStoreChecksumRejectsBitFlip(t *testing.T) {
 func TestChaosCellPanicIsolation(t *testing.T) {
 	e := New[int](Options{Parallelism: 2})
 	cells := Cells[int]{
-		solo("fine", func(context.Context) (int, error) { return 1, nil }),
-		solo("bomb", func(context.Context) (int, error) { panic("simulated model invariant violation") }),
+		{Key: "fine", Run: func(context.Context) (int, error) { return 1, nil }},
+		{Key: "bomb", Run: func(context.Context) (int, error) { panic("simulated model invariant violation") }},
 	}
 	_, _, err := e.Run(context.Background(), cells)
 	if err == nil {
@@ -234,7 +234,7 @@ func TestChaosCellPanicIsolation(t *testing.T) {
 	}
 	// The engine survives: the same key re-runs cleanly.
 	got, _, err := e.Run(context.Background(), Cells[int]{
-		solo("bomb", func(context.Context) (int, error) { return 7, nil }),
+		{Key: "bomb", Run: func(context.Context) (int, error) { return 7, nil }},
 	})
 	if err != nil || got[0] != 7 {
 		t.Errorf("engine unusable after panic: got %v, err %v", got, err)

@@ -22,9 +22,12 @@
 //     rename, indexed once at startup, so re-running a sweep after a
 //     crash, or with one new policy, only simulates the delta.
 //
+// A missing key runs its cell once, on its own compute token: one cell,
+// one run, whatever else the batch holds.
+//
 // Run takes a context: cancellation (a disconnected client, a server
-// shutting down) stops dispatch, interrupts in-flight passes whose
-// RunPass honors the context, and returns ctx.Err(). Cancellation never corrupts
+// shutting down) stops dispatch, interrupts in-flight cells whose Run
+// honors the context, and returns ctx.Err(). Cancellation never corrupts
 // the store — cells either persisted completely before the cancel or not
 // at all.
 package engine
@@ -34,7 +37,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 
@@ -48,48 +50,12 @@ type Cell[R any] struct {
 	// computation depends on (configuration, policy, workload, seeds,
 	// tick counts), because equal keys share one result.
 	Key string
-	// Plan is how the cell executes, and every cell has one: through
-	// Plan.RunPass, coalesced with the batch's other pending cells of
-	// the same Plan.Group into one pass, or alone as a one-member pass.
-	Plan *Plan[R]
-}
-
-// Plan is how a cell executes: cells submitted in one batch with equal
-// Group keys (same simulation trajectory, different horizons) are run
-// as one pass — a single simulation to the group's maximum horizon that
-// emits each member's finished result as it passes that member's
-// horizon — instead of one restore-and-extend per cell. A cell with no
-// group partner pending runs as a pass of one.
-type Plan[R any] struct {
-	// Group identifies the shared trajectory and must not be empty.
-	// Cells whose results would not be produced by one continuous run
-	// must not share a group.
-	Group string
-	// Horizon orders members within a group, ascending; it is the tick
-	// the member's result is emitted at.
-	Horizon int
-	// Payload is opaque per-member context handed back to RunPass.
-	Payload any
-	// RunPass executes one pass over members (sorted by ascending
-	// Horizon; a subset of the group — members already resolved from the
-	// cache or store are excluded — possibly of one). It must call
-	// emit(i, r) with member i's result when the simulation crosses
-	// members[i].Horizon; each emission is cached, persisted, and
-	// released to singleflight waiters immediately, so a pass failing
-	// (or cancelled) midway keeps every row it already emitted. Every
-	// group member's RunPass must be interchangeable. A pass must be
-	// deterministic given its members' keys and must not share mutable
-	// state with other passes. Long passes should poll ctx and return
-	// ctx.Err() to honor cancellation promptly; members a cancelled pass
-	// has not emitted are discarded, never cached or stored.
-	RunPass func(ctx context.Context, members []PlanMember, emit func(i int, r R)) error
-}
-
-// PlanMember is one pending cell of a coalesced pass.
-type PlanMember struct {
-	Key     string
-	Horizon int
-	Payload any
+	// Run computes the cell's result. It must be deterministic given Key
+	// and must not share mutable state with other cells. Long runs should
+	// poll ctx and return ctx.Err() to honor cancellation promptly; a
+	// failed or cancelled run's result is discarded, never cached or
+	// stored.
+	Run func(ctx context.Context) (R, error)
 }
 
 // Stats tallies how an engine resolved the cells submitted to it. For
@@ -109,25 +75,24 @@ type Stats struct {
 	// checkpoint instead of simulating from tick zero, and ResumedTicks
 	// sums the ticks those checkpoints spared — the cells were partially
 	// resumed, not fully simulated. Cells report this through
-	// MarkResumed. A coalesced pass counts at most one resume, however
-	// many cells it emits.
+	// MarkResumed.
 	Resumed      uint64 `json:"resumed"`
 	ResumedTicks uint64 `json:"resumed_ticks"`
 
-	// PlannedPasses counts coalesced passes (two or more members) and
-	// PlannedCells the cells those passes emitted; their ratio is the
-	// coalescing factor. SimulatedTicks accumulates ticks actually
-	// stepped by every pass, lone cells included (reported via
-	// MarkSimulated) — together with ResumedTicks it prices what
-	// planning and checkpoints saved.
-	PlannedPasses  uint64 `json:"planned_passes"`
-	PlannedCells   uint64 `json:"planned_cells"`
+	// PlannedPasses and PlannedCells are always zero: every cell runs on
+	// its own. They stay so the engine_stats encoding and the code that
+	// reads them keep working.
+	PlannedPasses uint64 `json:"planned_passes"`
+	PlannedCells  uint64 `json:"planned_cells"`
+	// SimulatedTicks accumulates ticks actually stepped by simulated
+	// cells (reported via MarkSimulated); together with ResumedTicks it
+	// prices what checkpoints saved.
 	SimulatedTicks uint64 `json:"simulated_ticks"`
 
-	// Panics counts passes (lone cells included) that panicked. The
-	// engine converts each panic into an ordinary error carrying the
-	// stack trace — the batch fails, the process survives — and tallies
-	// it here so a recovered-from bug is still visible on /metrics.
+	// Panics counts cells whose Run panicked. The engine converts each
+	// panic into an ordinary error carrying the stack trace — the batch
+	// fails, the process survives — and tallies it here so a
+	// recovered-from bug is still visible on /metrics.
 	Panics uint64 `json:"panics,omitempty"`
 
 	// FirstStoreError describes the first ResultDir write failure, so
@@ -146,8 +111,6 @@ func (s *Stats) Add(o Stats) {
 	s.StoreErrors += o.StoreErrors
 	s.Resumed += o.Resumed
 	s.ResumedTicks += o.ResumedTicks
-	s.PlannedPasses += o.PlannedPasses
-	s.PlannedCells += o.PlannedCells
 	s.SimulatedTicks += o.SimulatedTicks
 	s.Panics += o.Panics
 	if s.FirstStoreError == "" {
@@ -155,13 +118,13 @@ func (s *Stats) Add(o Stats) {
 	}
 }
 
-// resumeNoteKey carries the per-pass resume note through the context
-// handed to Plan.RunPass.
+// resumeNoteKey carries the per-cell resume note through the context
+// handed to Cell.Run.
 type resumeNoteKey struct{}
 
-// resumeNote is written by the pass (via MarkResumed) and read by the
-// engine after RunPass returns; the pass runs synchronously on one
-// goroutine, so no synchronization is needed.
+// resumeNote is written by the cell (via MarkResumed and MarkSimulated)
+// and read by the engine after Run returns; the cell runs synchronously
+// on one goroutine, so no synchronization is needed.
 type resumeNote struct {
 	resumed   bool
 	ticks     int
@@ -299,8 +262,8 @@ func (e *Engine[R]) StoreDegraded() (string, bool) {
 // Batch is a Run batch the engine resolves key first: it renders each
 // position's content key into a reused buffer and looks the key up
 // before it asks for the cell, so a position the cache (or an earlier
-// duplicate) answers never has a cell built — no key string, Plan,
-// payload or closure.
+// duplicate) answers never has a cell built — no key string or
+// closure.
 type Batch[R any] interface {
 	// Len is the number of positions in the batch.
 	Len() int
@@ -381,8 +344,8 @@ func (e *Engine[R]) RunWith(ctx context.Context, cells Batch[R], ropts RunOption
 			hitSlot[hit] = len(b.slots)
 		} else {
 			c := cells.Cell(i)
-			if c.Plan == nil || c.Plan.Group == "" || c.Plan.RunPass == nil {
-				return nil, Stats{}, fmt.Errorf("engine: cell %d (%q) needs a Plan with a Group and a RunPass", i, c.Key)
+			if c.Run == nil {
+				return nil, Stats{}, fmt.Errorf("engine: cell %d (%q) has no Run", i, c.Key)
 			}
 			if c.Key != string(buf) {
 				return nil, Stats{}, fmt.Errorf("engine: cell %d key %q differs from its rendered key %q", i, c.Key, buf)
@@ -401,10 +364,10 @@ func (e *Engine[R]) RunWith(ctx context.Context, cells Batch[R], ropts RunOption
 	b.stats.Submitted = uint64(n)
 	b.stats.Deduped = uint64(n - len(b.slots))
 
-	// Serve the hits before planning, so only misses form dispatch units
-	// and reach the worker pool, and a batch where every key hits starts
-	// no workers. Each hit is tallied and reported exactly as
-	// resolveUnit would: one CacheHits and one progress callback per key.
+	// Serve the hits up front, so only misses reach the worker pool, and
+	// a batch where every key hits starts no workers. Each hit is tallied
+	// and reported exactly as resolve would: one CacheHits and one
+	// progress callback per key.
 	for s, hit := range hits {
 		if hit != nil {
 			b.bump(func(st *Stats) { st.CacheHits++ })
@@ -412,52 +375,24 @@ func (e *Engine[R]) RunWith(ctx context.Context, cells Batch[R], ropts RunOption
 		}
 	}
 
-	// Sweep planning: partition the pending keys into dispatch units —
-	// one per Plan group, its members ordered by ascending horizon so
-	// the pass emits them as it advances. Units keep the groups'
-	// first-appearance order; a single-horizon batch is all one-member
-	// units.
-	units := make([][]int, 0, len(pending))
-	groupIdx := make(map[string]int)
-	for _, s := range pending {
-		c := b.cell(s)
-		gi, ok := groupIdx[c.Plan.Group]
-		if !ok {
-			groupIdx[c.Plan.Group] = len(units)
-			units = append(units, []int{s})
-			continue
-		}
-		units[gi] = append(units[gi], s)
-	}
-	for _, u := range units {
-		if len(u) > 1 {
-			sort.SliceStable(u, func(i, j int) bool {
-				return b.cell(u[i]).Plan.Horizon < b.cell(u[j]).Plan.Horizon
-			})
-		}
-	}
-
-	workers := e.opts.Parallelism
-	if workers > len(units) {
-		workers = len(units)
-	}
-	jobs := make(chan []int)
+	workers := min(e.opts.Parallelism, len(pending))
+	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for unit := range jobs {
+			for s := range jobs {
 				if !b.abortedOrDone(ctx) {
-					e.resolveUnit(ctx, unit, b)
+					e.resolve(ctx, s, b)
 				}
 			}
 		}()
 	}
 dispatch:
-	for _, unit := range units {
+	for _, s := range pending {
 		select {
-		case jobs <- unit:
+		case jobs <- s:
 		case <-ctx.Done():
 			break dispatch
 		}
@@ -560,85 +495,31 @@ func (b *batch[R]) bump(f func(*Stats)) {
 	b.mu.Unlock()
 }
 
-// resolveUnit resolves one dispatch unit — a lone cell, or a Plan
-// group's pending cells in ascending horizon — as one pass: members
-// already cached are served as cache hits, members in flight in another
-// batch are waited on individually, claimed members are checked against
-// the store, and only what remains runs, as a single pass to the
-// maximum pending horizon.
-func (e *Engine[R]) resolveUnit(ctx context.Context, unit []int, b *batch[R]) {
-	type hit struct {
-		s int
-		r *R
-	}
-	var hits []hit
-	var deferred, claimed []int
-	var flights []*flight[R]
-	e.mu.Lock()
-	for _, s := range unit {
-		key := b.slots[s].key
-		if c, ok := e.cache[key]; ok {
-			hits = append(hits, hit{s, &c.r})
-			continue
-		}
-		if _, ok := e.inflight[key]; ok {
-			deferred = append(deferred, s)
-			continue
-		}
-		f := &flight[R]{done: make(chan struct{})}
-		e.inflight[key] = f
-		claimed = append(claimed, s)
-		flights = append(flights, f)
-	}
-	e.mu.Unlock()
-	for _, h := range hits {
-		b.bump(func(st *Stats) { st.CacheHits++ })
-		b.serve(h.s, h.r)
-	}
-
-	// Claimed members may still be on disk from an earlier process; only
-	// what the store cannot answer joins the pass.
-	n := 0
-	for i, s := range claimed {
-		if e.store != nil {
-			key := b.slots[s].key
-			sp := telemetry.StartSpan(ctx, "store-read", key)
-			r, ok := e.store.load(key)
-			sp.SetAttr("hit", ok)
-			sp.End()
-			if ok {
-				e.release(key, flights[i], r, nil)
-				b.bump(func(st *Stats) { st.StoreHits++ })
-				b.serve(s, &r)
-				continue
-			}
-		}
-		claimed[n], flights[n] = s, flights[i]
-		n++
-	}
-	if n > 0 {
-		e.runPass(ctx, claimed[:n], flights[:n], b)
-	}
-
-	// Members another batch was computing when the unit was formed.
-	for _, s := range deferred {
-		if b.abortedOrDone(ctx) {
-			return
-		}
-		e.resolve(ctx, s, b)
-	}
-}
-
-// resolve waits on another batch's in-flight computation of slot s's
-// key and serves its result as a cache hit. When that batch failed or
-// was cancelled, its error is not ours: the key is claimed and resolved
-// as a one-member unit.
+// resolve resolves slot s's key: from the cache, by waiting on another
+// batch's in-flight computation of it (served as a cache hit), or by
+// claiming the key and running its cell. When the awaited batch failed
+// or was cancelled, its error is not ours: the key is looked up again.
 func (e *Engine[R]) resolve(ctx context.Context, s int, b *batch[R]) {
 	key := b.slots[s].key
-	e.mu.Lock()
-	f, ok := e.inflight[key]
-	e.mu.Unlock()
-	if ok {
+	for {
+		e.mu.Lock()
+		if c, ok := e.cache[key]; ok {
+			e.mu.Unlock()
+			b.bump(func(st *Stats) { st.CacheHits++ })
+			b.serve(s, &c.r)
+			return
+		}
+		f, wait := e.inflight[key]
+		if !wait {
+			f = &flight[R]{done: make(chan struct{})}
+			e.inflight[key] = f
+		}
+		e.mu.Unlock()
+		if !wait {
+			e.run(ctx, s, f, b)
+			return
+		}
+
 		if m := e.opts.Metrics; m != nil {
 			m.SingleflightWaits.Inc()
 		}
@@ -657,7 +538,6 @@ func (e *Engine[R]) resolve(ctx context.Context, s int, b *batch[R]) {
 			return
 		}
 	}
-	e.resolveUnit(ctx, []int{s}, b)
 }
 
 // release settles a claimed key: a successful result enters the cache,
@@ -673,47 +553,41 @@ func (e *Engine[R]) release(key string, f *flight[R], r R, err error) {
 	close(f.done)
 }
 
-// runPass executes one pass over the pending slots (ascending horizon),
-// whose flights the caller has claimed. It is the engine's only
-// executor: it takes a compute token, runs the pass with panics
-// recovered, and caches, persists and releases each member as it is
-// emitted, so a pass failing (or cancelled) midway keeps every row it
-// already emitted and only the unemitted members' flights carry the
-// error. A lone cell is traced and reported as a "cell" under its key, a
-// coalesced pass as a "pass" under its group; the tick, resume and
-// duration tallies record passes that emitted at least one member, and
-// PlannedPasses/PlannedCells only coalesced ones.
-func (e *Engine[R]) runPass(ctx context.Context, pass []int, flights []*flight[R], b *batch[R]) {
-	m := e.opts.Metrics
-	lead := b.cell(pass[0])
-	kind, name := "cell", lead.Key
-	if len(pass) > 1 {
-		kind, name = "pass", lead.Plan.Group
-	}
-	members := make([]PlanMember, len(pass))
-	for i, s := range pass {
-		p := b.cell(s).Plan
-		members[i] = PlanMember{Key: b.slots[s].key, Horizon: p.Horizon, Payload: p.Payload}
-	}
-
-	emitted := make([]bool, len(members))
-	failRest := func(err error) {
-		var zero R
-		for i, s := range pass {
-			if !emitted[i] {
-				e.release(b.slots[s].key, flights[i], zero, err)
-			}
+// run resolves slot s, whose key's flight f the caller has claimed. It
+// is the engine's only executor: a key the store holds is served from
+// disk; otherwise run takes a compute token, runs the cell with panics
+// recovered, tallies it, persists the result and releases the key, and
+// only then serves the batch's positions, so a progress callback sees
+// the cell's whole tally. A failed or cancelled cell releases its
+// flight with the error and fails the batch.
+func (e *Engine[R]) run(ctx context.Context, s int, f *flight[R], b *batch[R]) {
+	key := b.slots[s].key
+	if e.store != nil {
+		sp := telemetry.StartSpan(ctx, "store-read", key)
+		r, ok := e.store.load(key)
+		sp.SetAttr("hit", ok)
+		sp.End()
+		if ok {
+			e.release(key, f, r, nil)
+			b.bump(func(st *Stats) { st.StoreHits++ })
+			b.serve(s, &r)
+			return
 		}
+	}
+	fail := func(err error) {
+		var zero R
+		e.release(key, f, zero, err)
 		b.fail(err)
 	}
 
+	m := e.opts.Metrics
 	semStart := time.Now()
-	semSpan := telemetry.StartSpan(ctx, "sem-wait", name)
+	semSpan := telemetry.StartSpan(ctx, "sem-wait", key)
 	select {
 	case e.sem <- struct{}{}:
 	case <-ctx.Done():
 		semSpan.End()
-		failRest(ctx.Err())
+		fail(ctx.Err())
 		return
 	}
 	semSpan.End()
@@ -722,67 +596,45 @@ func (e *Engine[R]) runPass(ctx context.Context, pass []int, flights []*flight[R
 	}
 
 	note := &resumeNote{}
-	nEmitted := 0
 	runStart := time.Now()
-	runSpan := telemetry.StartSpan(ctx, kind, name)
-	runSpan.SetAttr("members", len(members))
-	emit := func(i int, r R) {
-		if i < 0 || i >= len(members) || emitted[i] {
-			panic(fmt.Sprintf("engine: %s %q emitted invalid or duplicate member %d", kind, name, i))
-		}
-		emitted[i] = true
-		nEmitted++
-		key := members[i].Key
-		b.bump(func(s *Stats) {
-			s.Simulated++
-			if len(members) > 1 {
-				s.PlannedCells++
-			}
-		})
-		if e.store != nil {
-			e.saveResult(ctx, key, r, b)
-		}
-		e.release(key, flights[i], r, nil)
-		b.serve(pass[i], &r)
-	}
-	// A panicking pass must not take down the worker pool (and with it
+	runSpan := telemetry.StartSpan(ctx, "cell", key)
+	// A panicking cell must not take down the worker pool (and with it
 	// the whole server): convert the panic into an ordinary error
 	// carrying the stack, so exactly this batch fails, attributably.
-	err := func() (err error) {
+	r, err := func() (r R, err error) {
 		defer func() {
 			if p := recover(); p != nil {
-				b.bump(func(s *Stats) { s.Panics++ })
-				err = fmt.Errorf("engine: %s %q panicked: %v\n%s", kind, name, p, debug.Stack())
+				b.bump(func(st *Stats) { st.Panics++ })
+				err = fmt.Errorf("engine: cell %q panicked: %v\n%s", key, p, debug.Stack())
 			}
 		}()
-		return lead.Plan.RunPass(context.WithValue(ctx, resumeNoteKey{}, note), members, emit)
+		return b.cell(s).Run(context.WithValue(ctx, resumeNoteKey{}, note))
 	}()
 	if note.resumed {
 		runSpan.SetAttr("resumed_ticks", note.ticks)
 	}
 	runSpan.End()
 	<-e.sem
-	if err == nil && nEmitted < len(members) {
-		err = fmt.Errorf("engine: %s %q emitted %d of %d members", kind, name, nEmitted, len(members))
-	}
-	if nEmitted > 0 {
-		b.bump(func(s *Stats) {
-			if len(members) > 1 {
-				s.PlannedPasses++
-			}
-			s.SimulatedTicks += note.simulated
-			if note.resumed {
-				s.Resumed++
-				s.ResumedTicks += uint64(note.ticks)
-			}
-		})
-		if m != nil {
-			m.CellSeconds.Observe(time.Since(runStart).Seconds())
-		}
-	}
 	if err != nil {
-		failRest(err)
+		fail(err)
+		return
 	}
+	if m != nil {
+		m.CellSeconds.Observe(time.Since(runStart).Seconds())
+	}
+	b.bump(func(st *Stats) {
+		st.Simulated++
+		st.SimulatedTicks += note.simulated
+		if note.resumed {
+			st.Resumed++
+			st.ResumedTicks += uint64(note.ticks)
+		}
+	})
+	if e.store != nil {
+		e.saveResult(ctx, key, r, b)
+	}
+	e.release(key, f, r, nil)
+	b.serve(s, &r)
 }
 
 // saveResult persists one result to the store, best-effort: a failed

@@ -21,27 +21,12 @@ func (c Cells[R]) Len() int                           { return len(c) }
 func (c Cells[R]) AppendKey(dst []byte, i int) []byte { return append(dst, c[i].Key...) }
 func (c Cells[R]) Cell(i int) Cell[R]                 { return c[i] }
 
-// solo builds a cell that runs alone: a one-member pass emitting run's
-// result. Its group is its key, so it coalesces with no other cell.
-func solo[R any](key string, run func(ctx context.Context) (R, error)) Cell[R] {
-	return Cell[R]{Key: key, Plan: &Plan[R]{
-		Group: key,
-		RunPass: func(ctx context.Context, _ []PlanMember, emit func(int, R)) error {
-			r, err := run(ctx)
-			if err == nil {
-				emit(0, r)
-			}
-			return err
-		},
-	}}
-}
-
-// countingCell returns a cell whose pass increments runs and returns v.
+// countingCell returns a cell whose run increments runs and returns v.
 func countingCell(key string, v int, runs *atomic.Int64) Cell[int] {
-	return solo(key, func(context.Context) (int, error) {
+	return Cell[int]{Key: key, Run: func(context.Context) (int, error) {
 		runs.Add(1)
 		return v, nil
-	})
+	}}
 }
 
 func TestRunPreservesOrder(t *testing.T) {
@@ -118,34 +103,27 @@ func TestErrorAbortsBatch(t *testing.T) {
 	e := New[int](Options{Parallelism: 2})
 	boom := errors.New("boom")
 	cells := Cells[int]{
-		solo("ok", func(context.Context) (int, error) { return 1, nil }),
-		solo("bad", func(context.Context) (int, error) { return 0, boom }),
+		{Key: "ok", Run: func(context.Context) (int, error) { return 1, nil }},
+		{Key: "bad", Run: func(context.Context) (int, error) { return 0, boom }},
 	}
 	if _, _, err := e.Run(context.Background(), cells); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
-	pass := func(context.Context, []PlanMember, func(int, int)) error { return nil }
-	for _, c := range []Cell[int]{
-		{Key: "no-plan"},
-		{Key: "no-group", Plan: &Plan[int]{RunPass: pass}},
-		{Key: "no-pass", Plan: &Plan[int]{Group: "g"}},
-	} {
-		if _, _, err := e.Run(context.Background(), Cells[int]{c}); err == nil {
-			t.Fatalf("accepted cell %q", c.Key)
-		}
+	if _, _, err := e.Run(context.Background(), Cells[int]{{Key: "no-run"}}); err == nil {
+		t.Fatal("accepted a cell without Run")
 	}
 }
 
 func TestFailedCellNotCached(t *testing.T) {
 	e := New[int](Options{Parallelism: 1})
 	calls := 0
-	flaky := solo("flaky", func(context.Context) (int, error) {
+	flaky := Cell[int]{Key: "flaky", Run: func(context.Context) (int, error) {
 		calls++
 		if calls == 1 {
 			return 0, errors.New("transient")
 		}
 		return 9, nil
-	})
+	}}
 	if _, _, err := e.Run(context.Background(), Cells[int]{flaky}); err == nil {
 		t.Fatal("first run should fail")
 	}
@@ -192,7 +170,7 @@ type progressStep struct {
 // the same progress sequence (one callback per unique key, same running
 // totals) and the same Stats as the cold batch that filled the cache,
 // with every Simulated cell counted as a CacheHit instead, and it never
-// runs a cell or a pass — nor builds one. A partly warm batch serves its
+// runs a cell — nor builds one. A partly warm batch serves its
 // hits first and only runs its misses; random batches of hits, misses
 // and duplicates match the per-key model in results, Stats, progress
 // and which cells get built.
@@ -200,23 +178,9 @@ func TestWarmPrePassMatchesPerKeyPath(t *testing.T) {
 	ctx := context.Background()
 	e := New[int](Options{Parallelism: 1})
 	var runs atomic.Int64
-	var passes atomic.Int64
 	var cells Cells[int]
 	for i := 0; i < 12; i++ {
 		cells = append(cells, countingCell(fmt.Sprintf("c%d", i%5), i%5, &runs))
-	}
-	// Two planned members of one group, which a cold batch coalesces.
-	for _, h := range []int{10, 20} {
-		h := h
-		c := countingCell(fmt.Sprintf("p%d", h), h, &runs)
-		c.Plan = &Plan[int]{Group: "g", Horizon: h, RunPass: func(_ context.Context, ms []PlanMember, emit func(int, int)) error {
-			passes.Add(1)
-			for i, m := range ms {
-				emit(i, m.Horizon)
-			}
-			return nil
-		}}
-		cells = append(cells, c)
 	}
 	record := func(steps *[]progressStep) RunOptions {
 		return RunOptions{OnProgress: func(done, total int, st Stats) {
@@ -229,15 +193,15 @@ func TestWarmPrePassMatchesPerKeyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if passes.Load() != 1 || runs.Load() != 5 {
-		t.Fatalf("cold batch ran %d cells and %d passes, want 5 and 1", runs.Load(), passes.Load())
+	if runs.Load() != 5 {
+		t.Fatalf("cold batch ran %d cells, want 5", runs.Load())
 	}
 	warmRes, warm, err := e.RunWith(ctx, cells, record(&warmSteps))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs.Load() != 5 || passes.Load() != 1 {
-		t.Fatalf("warm batch ran cells or passes (%d cells, %d passes in total)", runs.Load(), passes.Load())
+	if runs.Load() != 5 {
+		t.Fatalf("warm batch ran cells (%d in total)", runs.Load())
 	}
 	for i := range coldRes {
 		if warmRes[i] != coldRes[i] {
@@ -253,8 +217,8 @@ func TestWarmPrePassMatchesPerKeyPath(t *testing.T) {
 	if want := asHits(cold); warm != want {
 		t.Fatalf("warm stats %+v, want %+v", warm, want)
 	}
-	if len(warmSteps) != len(coldSteps) || len(warmSteps) != 7 {
-		t.Fatalf("progress calls: warm %d, cold %d, want 7 (one per unique key)", len(warmSteps), len(coldSteps))
+	if len(warmSteps) != len(coldSteps) || len(warmSteps) != 5 {
+		t.Fatalf("progress calls: warm %d, cold %d, want 5 (one per unique key)", len(warmSteps), len(coldSteps))
 	}
 	for i := range coldSteps {
 		c, w := coldSteps[i], warmSteps[i]
@@ -408,12 +372,12 @@ func TestSingleflightAcrossBatches(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	slow := solo("shared", func(context.Context) (int, error) {
+	slow := Cell[int]{Key: "shared", Run: func(context.Context) (int, error) {
 		runs.Add(1)
 		once.Do(func() { close(entered) })
 		<-release
 		return 77, nil
-	})
+	}}
 
 	type out struct {
 		r     []int
@@ -462,7 +426,7 @@ func TestSingleflightFailureHandsOff(t *testing.T) {
 	entered := make(chan struct{})
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	var calls atomic.Int64
-	cell := solo("k", func(ctx context.Context) (int, error) {
+	cell := Cell[int]{Key: "k", Run: func(ctx context.Context) (int, error) {
 		if calls.Add(1) == 1 {
 			// First computation: a long simulation interrupted by its
 			// batch's cancellation.
@@ -471,7 +435,7 @@ func TestSingleflightFailureHandsOff(t *testing.T) {
 			return 0, ctx.Err()
 		}
 		return 5, nil
-	})
+	}}
 
 	firstDone := make(chan error, 1)
 	go func() {
@@ -503,11 +467,11 @@ func TestCancelledRunReturnsCtxErr(t *testing.T) {
 	var once sync.Once
 	var cells Cells[int]
 	for i := 0; i < 8; i++ {
-		cells = append(cells, solo(fmt.Sprintf("c%d", i), func(ctx context.Context) (int, error) {
+		cells = append(cells, Cell[int]{Key: fmt.Sprintf("c%d", i), Run: func(ctx context.Context) (int, error) {
 			once.Do(func() { close(started) })
 			<-ctx.Done() // a long simulation polling its context
 			return 0, ctx.Err()
-		}))
+		}})
 	}
 	go func() {
 		<-started
@@ -548,10 +512,10 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	dir := t.TempDir()
 	var runs atomic.Int64
-	cell := solo("sweep/cap=8", func(context.Context) (payload, error) {
+	cell := Cell[payload]{Key: "sweep/cap=8", Run: func(context.Context) (payload, error) {
 		runs.Add(1)
 		return payload{X: []float64{1.5, 2.5}, N: 7}, nil
-	})
+	}}
 
 	e1 := New[payload](Options{Parallelism: 1, ResultDir: dir})
 	first, _, err := e1.Run(context.Background(), Cells[payload]{cell})
@@ -737,14 +701,14 @@ func TestCancelLeavesStoreConsistent(t *testing.T) {
 	var once sync.Once
 	for i := 0; i < 16; i++ {
 		i := i
-		cells = append(cells, solo(fmt.Sprintf("c%d", i), func(ctx context.Context) (int, error) {
+		cells = append(cells, Cell[int]{Key: fmt.Sprintf("c%d", i), Run: func(ctx context.Context) (int, error) {
 			if i >= 4 {
 				once.Do(func() { close(fired) })
 				<-ctx.Done()
 				return 0, ctx.Err()
 			}
 			return i * 2, nil
-		}))
+		}})
 	}
 	go func() {
 		<-fired
@@ -761,7 +725,7 @@ func TestCancelLeavesStoreConsistent(t *testing.T) {
 	// engine indexes them and a clean run serves them as store hits.
 	for i := range cells {
 		i := i
-		cells[i] = solo(cells[i].Key, func(context.Context) (int, error) { return i * 2, nil })
+		cells[i] = Cell[int]{Key: cells[i].Key, Run: func(context.Context) (int, error) { return i * 2, nil }}
 	}
 	e2 := New[int](Options{Parallelism: 2, ResultDir: dir})
 	got, stats, err := e2.Run(context.Background(), cells)

@@ -74,10 +74,6 @@ func RegisterStatsFuncs(r *telemetry.Registry, stats func() Stats) {
 		func(s Stats) uint64 { return s.ResumedTicks })
 	counter("hira_engine_store_errors_total", "Cell results that could not be persisted.",
 		func(s Stats) uint64 { return s.StoreErrors })
-	counter("hira_engine_planned_passes_total", "Coalesced sweep-planner passes executed.",
-		func(s Stats) uint64 { return s.PlannedPasses })
-	counter("hira_engine_planned_cells_total", "Cells resolved by coalesced planner passes.",
-		func(s Stats) uint64 { return s.PlannedCells })
 	counter("hira_engine_simulated_ticks_total", "Machine ticks actually simulated by cell runners.",
 		func(s Stats) uint64 { return s.SimulatedTicks })
 }

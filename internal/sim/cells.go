@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -61,19 +60,18 @@ func identify(mix workload.SourceMix) mixIdentity {
 var defaultSPTCoverageText = strconv.FormatFloat(defaultSPTCoverage, 'g', -1, 64)
 
 // appendSimShape and appendSimWorkload render the fields every sim-cell
-// key, trajectory key and sim plan group shares, appended after the
-// key's version tag. appendSimShape renders system shape, SPT coverage,
-// seed and refresh policy behavior (mode fields, not the display name,
-// so identically configured policies share a key); appendSimWorkload
-// renders the mix's workload identity wl (see workload.Source.Key,
-// which guarantees distinct workloads never alias) and the mitigation
-// suffix. A sim-cell key puts its horizons (appendHorizon) between the
-// two; trajectories and plan groups are horizon-free. Because every key
-// renders through both halves, any input that distinguishes two sim
-// cells other than the horizons distinguishes their trajectories too.
-// Result stores and checkpoints are addressed by these bytes, so they
-// must not change without a version bump (TestGoldenCellKeys pins
-// them).
+// key and trajectory key shares, appended after the key's version tag.
+// appendSimShape renders system shape, SPT coverage, seed and refresh
+// policy behavior (mode fields, not the display name, so identically
+// configured policies share a key); appendSimWorkload renders the mix's
+// workload identity wl (see workload.Source.Key, which guarantees
+// distinct workloads never alias) and the mitigation suffix. A sim-cell
+// key puts its horizons (appendHorizon) between the two; trajectories
+// are horizon-free. Because every key renders through both halves, any
+// input that distinguishes two sim cells other than the horizons
+// distinguishes their trajectories too. Result stores and checkpoints
+// are addressed by these bytes, so they must not change without a
+// version bump (TestGoldenCellKeys pins them).
 func appendSimShape(b []byte, cfg Config) []byte {
 	b = strconv.AppendInt(append(b, " cores="...), int64(cfg.Cores), 10)
 	b = strconv.AppendInt(append(b, " cap="...), int64(cfg.ChipCapacityGbit), 10)
@@ -111,12 +109,12 @@ func appendSimWorkload(b []byte, cfg Config, wl string) []byte {
 	return b
 }
 
-// appendForensicsSuffix marks forensics cells, trajectories and plan
-// groups. Forensics never perturbs the simulated machine, but it adds a
-// summary to the cell payload and its ledger to every checkpoint, so
-// plain and forensics cells must share neither a store entry, a pass
-// nor a checkpoint. Only forensics keys carry the suffix, so every
-// existing plain-cell store entry stays warm.
+// appendForensicsSuffix marks forensics cells and trajectories.
+// Forensics never perturbs the simulated machine, but it adds a summary
+// to the cell payload and its ledger to every checkpoint, so plain and
+// forensics cells must share neither a store entry nor a checkpoint.
+// Only forensics keys carry the suffix, so every existing plain-cell
+// store entry stays warm.
 func appendForensicsSuffix(b []byte, fx ForensicsOptions) []byte {
 	if !fx.Enabled {
 		return b
@@ -145,31 +143,14 @@ func appendTrajectory(b []byte, tag string, cfg Config, wl string) []byte {
 	return appendForensicsSuffix(appendSimWorkload(b, cfg, wl), cfg.Forensics)
 }
 
-// simCellIDs renders a sim cell's key (see simCellKey) and its planner
-// group: the cell's trajectory key behind a "sim " tag. Both strings
-// share one allocation.
-func simCellIDs(cfg Config, wl string, warmup, measure int) (key, group string) {
-	b := appendSimCellKey(make([]byte, 0, 2*(160+len(wl))), cfg, wl, warmup, measure)
-	keyLen := len(b)
-	ids := string(appendTrajectory(b, "sim "+trajectoryTag, cfg, wl))
-	return ids[:keyLen], ids[keyLen:]
-}
-
 // simCell builds the cell that simulates one (config, policy, mix)
-// point on lab's checkpoint policy. It runs through runSimPass, alone or
-// coalesced with the batch's other horizons of its trajectory. wl is
-// mix's rendered identity.
+// point through runSimCell on lab's checkpoint policy. wl is mix's
+// rendered identity.
 func simCell(lab *Engine, cfg Config, mix workload.SourceMix, wl string, warmup, measure int) engine.Cell[CellResult] {
-	key, group := simCellIDs(cfg, wl, warmup, measure)
 	return engine.Cell[CellResult]{
-		Key: key,
-		Plan: &engine.Plan[CellResult]{
-			Group:   group,
-			Horizon: warmup + measure,
-			Payload: simPassPayload{cfg: cfg, mix: mix, warmup: warmup, measure: measure},
-			RunPass: func(ctx context.Context, members []engine.PlanMember, emit func(int, CellResult)) error {
-				return runSimPass(ctx, lab, members, emit)
-			},
+		Key: simCellKey(cfg, wl, warmup, measure),
+		Run: func(ctx context.Context) (CellResult, error) {
+			return runSimCell(ctx, lab, cfg, mix, wl, warmup, measure)
 		},
 	}
 }
@@ -185,119 +166,62 @@ func simCellResult(res Result) CellResult {
 	}
 }
 
-// simPassPayload carries one sim cell's inputs to its group's pass.
-type simPassPayload struct {
-	cfg     Config
-	mix     workload.SourceMix
-	warmup  int
-	measure int
-}
-
-// runSimPass simulates a group of same-trajectory cells — one or more —
-// as one pass: a single machine resumes from the longest checkpoint at
-// or below the group's shortest pending horizon, then walks the sorted
-// warmup and measure boundaries, recording marks at warmup boundaries
-// and emitting each member's finished row at its total horizon, and
-// writing checkpoints as it advances so a warm store answers "same
-// trajectory, longer run" by simulating only the delta. Every emitted
-// row is bit-identical to a cold straight-through run at any resume
-// point and any checkpoint cadence: the machine's trajectory is
-// deterministic, and measured-phase outputs are differences of
-// cumulative counters (see System.resultSince), so they cannot depend
-// on where the run started or which other members shared it.
-func runSimPass(ctx context.Context, lab *Engine, members []engine.PlanMember, emit func(int, CellResult)) error {
-	first := members[0].Payload.(simPassPayload)
-	cfg, mix := first.cfg, first.mix
-	ck := checkpointer{snaps: lab.snaps, interval: lab.snapInterval, key: trajectoryKey(cfg, identify(mix).wl)}
-
-	// The members share one machine, so the resume point must not
-	// overshoot any member's horizon: the shortest pending total bounds
-	// the scan (members arrive sorted by ascending horizon).
-	minTotal := members[0].Horizon
+// runSimCell simulates one sim cell: a machine resumes from the longest
+// checkpoint at or below the cell's total horizon, marks the warmup
+// boundary (or, resuming past it, loads the mark from the checkpoint
+// stored there), and runs to the total, writing checkpoints as it
+// advances so a warm store answers "same trajectory, longer run" by
+// simulating only the delta. The row is bit-identical to a cold
+// straight-through run at any resume point and any checkpoint cadence:
+// the machine's trajectory is deterministic, and measured-phase outputs
+// are differences of cumulative counters (see System.resultSince), so
+// they cannot depend on where the run started. wl is mix's rendered
+// identity.
+func runSimCell(ctx context.Context, lab *Engine, cfg Config, mix workload.SourceMix, wl string, warmup, measure int) (CellResult, error) {
+	ck := checkpointer{snaps: lab.snaps, interval: lab.snapInterval, key: trajectoryKey(cfg, wl)}
 	var sys *System
-	marks := make(map[int]runMark)
-	ck.resumeLongest(ctx, minTotal, func(t int, data []byte) bool {
+	var mark runMark
+	ck.resumeLongest(ctx, warmup+measure, func(t int, data []byte) bool {
 		s, depth, err := ck.restoreChain(cfg, mix, t, data)
 		if err != nil || s.Ticks() != t {
 			return false
 		}
-		// Every warmup boundary already behind the candidate must be
-		// mark-recoverable, or the candidate is unusable for that member.
-		got := make(map[int]runMark)
-		for _, mb := range members {
-			p := mb.Payload.(simPassPayload)
-			if p.warmup >= t {
-				continue
-			}
-			if _, ok := got[p.warmup]; ok {
-				continue
-			}
-			m, ok := ck.loadMark(cfg.Cores, p.warmup)
+		// A candidate past the warmup boundary is usable only with the
+		// mark recovered from the checkpoint stored there.
+		if warmup < t {
+			m, ok := ck.loadMark(cfg.Cores, warmup)
 			if !ok {
 				return false
 			}
-			got[p.warmup] = m
+			mark = m
 		}
-		sys, marks = s, got
+		sys = s
 		ck.lastTick, ck.depth = t, depth
 		return true
 	})
 	if sys == nil {
 		var err error
 		if sys, err = NewSystem(cfg, mix); err != nil {
-			return err
+			return CellResult{}, err
 		}
 	}
-
-	// Walk every distinct warmup/total boundary ahead of the machine in
-	// order, marking and checkpointing warmup boundaries and emitting
-	// finished rows at totals. A tick serving both roles is fine: marks
-	// and results are pure reads of cumulative state.
-	markAt := make(map[int]bool)
-	bset := make(map[int]bool)
-	for _, mb := range members {
-		p := mb.Payload.(simPassPayload)
-		markAt[p.warmup] = true
-		bset[p.warmup] = true
-		bset[p.warmup+p.measure] = true
+	if sys.Ticks() <= warmup {
+		if err := ck.runTo(ctx, sys, warmup); err != nil {
+			return CellResult{}, err
+		}
+		mark = sys.mark()
+		// Checkpoint the warmup boundary even off the interval grid:
+		// future runs resuming past it read the mark's counters from
+		// exactly this checkpoint's header.
+		ck.save(ctx, sys)
 	}
-	bounds := make([]int, 0, len(bset))
-	for t := range bset {
-		bounds = append(bounds, t)
+	if err := ck.runTo(ctx, sys, warmup+measure); err != nil {
+		return CellResult{}, err
 	}
-	sort.Ints(bounds)
-	for _, t := range bounds {
-		if t < sys.Ticks() {
-			continue // a warmup boundary behind the resume point; its mark is loaded
-		}
-		if err := ck.runTo(ctx, sys, t); err != nil {
-			return err
-		}
-		if markAt[t] {
-			if _, ok := marks[t]; !ok {
-				marks[t] = sys.mark()
-				// Checkpoint the warmup boundary even off the interval
-				// grid: future runs resuming past it read the mark's
-				// counters from exactly this checkpoint's header.
-				ck.save(ctx, sys)
-			}
-		}
-		for i, mb := range members {
-			p := mb.Payload.(simPassPayload)
-			if p.warmup+p.measure != t {
-				continue
-			}
-			m, ok := marks[p.warmup]
-			if !ok {
-				return fmt.Errorf("sim: pass reached tick %d without a mark at warmup %d", t, p.warmup)
-			}
-			ck.save(ctx, sys)
-			out := simCellResult(sys.resultSince(m, p.measure))
-			lab.sim.observe(out)
-			emit(i, out)
-		}
-	}
-	return nil
+	ck.save(ctx, sys)
+	out := simCellResult(sys.resultSince(mark, measure))
+	lab.sim.observe(out)
+	return out, nil
 }
 
 // machine is the tickable state a checkpointer drives: the full System
@@ -506,30 +430,20 @@ func (ck *checkpointer) save(ctx context.Context, m machine) {
 	}
 }
 
-// alonePassPayload carries one alone cell's inputs to its group's pass.
-type alonePassPayload struct {
-	src   workload.Source
-	seed  uint64
-	ticks int
-}
-
-// runAlonePass computes a group of same-trajectory alone-IPC references
-// — one or more — in one pass: the reference machine resumes once from
-// the longest checkpoint at or below the shortest pending horizon, then
-// visits each member's tick count ascending, checkpointing and emitting
-// the cumulative IPC at every boundary. Alone results are cumulative (no
-// warmup mark), so any checkpoint resumes them and each boundary's value
-// is identical to a cold run stopping there. Unlike sim passes, alone
-// passes checkpoint only their members' horizons: a single-core
-// reference simulates ticks about as fast as a checkpoint encodes, so
-// grid checkpoints would cost more than they could ever save, while the
-// final state is exactly what horizon extensions resume from.
-func runAlonePass(ctx context.Context, lab *Engine, members []engine.PlanMember, emit func(int, CellResult)) error {
-	first := members[0].Payload.(alonePassPayload)
-	src, seed := first.src, first.seed
-	ck := checkpointer{snaps: lab.snaps, interval: lab.snapInterval, key: aloneTrajectoryKey(src.Key(), seed)}
+// runAloneCell computes one alone-IPC reference: the reference machine
+// resumes from the longest checkpoint at or below its horizon, runs to
+// it, checkpoints there and reports the cumulative IPC. Alone results
+// are cumulative (no warmup mark), so any checkpoint resumes them and
+// the value is identical to a cold run. Unlike sim cells, alone cells
+// checkpoint only at their horizon: a single-core reference simulates
+// ticks about as fast as a checkpoint encodes, so grid checkpoints
+// would cost more than they could ever save, while the final state is
+// exactly what horizon extensions resume from. srcKey is src's rendered
+// Key.
+func runAloneCell(ctx context.Context, lab *Engine, src workload.Source, srcKey string, seed uint64, ticks int) (CellResult, error) {
+	ck := checkpointer{snaps: lab.snaps, interval: lab.snapInterval, key: aloneTrajectoryKey(srcKey, seed)}
 	var a *aloneRun
-	ck.resumeLongest(ctx, members[0].Horizon, func(t int, data []byte) bool {
+	ck.resumeLongest(ctx, ticks, func(t int, data []byte) bool {
 		r, err := restoreAloneRun(src, seed, data)
 		if err != nil || r.Ticks() != t {
 			return false
@@ -540,27 +454,20 @@ func runAlonePass(ctx context.Context, lab *Engine, members []engine.PlanMember,
 	if a == nil {
 		a = newAloneRun(src, seed)
 	}
-	for i, mb := range members {
-		ticks := mb.Payload.(alonePassPayload).ticks
-		if a.Ticks() < ticks {
-			sp := telemetry.StartSpan(ctx, "simulate", ck.key)
-			sp.SetAttr("from", a.Ticks())
-			sp.SetAttr("to", ticks)
-			before := a.Ticks()
-			err := a.RunTo(ctx, ticks)
-			engine.MarkSimulated(ctx, a.Ticks()-before)
-			sp.End()
-			if err != nil {
-				return err
-			}
+	if a.Ticks() < ticks {
+		sp := telemetry.StartSpan(ctx, "simulate", ck.key)
+		sp.SetAttr("from", a.Ticks())
+		sp.SetAttr("to", ticks)
+		before := a.Ticks()
+		err := a.RunTo(ctx, ticks)
+		engine.MarkSimulated(ctx, a.Ticks()-before)
+		sp.End()
+		if err != nil {
+			return CellResult{}, err
 		}
-		if a.Ticks() != ticks {
-			return fmt.Errorf("sim: alone pass overshot member horizon %d at tick %d", ticks, a.Ticks())
-		}
-		ck.save(ctx, a)
-		emit(i, CellResult{Alone: a.ipc()})
 	}
-	return nil
+	ck.save(ctx, a)
+	return CellResult{Alone: a.ipc()}, nil
 }
 
 // aloneCellKey names an alone-IPC reference cell: the source's Key,
@@ -576,18 +483,13 @@ func appendAloneCellKey(b []byte, srcKey string, seed uint64, ticks int) []byte 
 }
 
 // aloneCell builds the cell that computes one workload's alone-IPC
-// reference for weighted speedup through runAlonePass, resumable under
+// reference for weighted speedup through runAloneCell, resumable under
 // lab's checkpoint policy like simCell. srcKey is src's rendered Key.
 func aloneCell(lab *Engine, src workload.Source, srcKey string, seed uint64, ticks int) engine.Cell[CellResult] {
 	return engine.Cell[CellResult]{
 		Key: aloneCellKey(srcKey, seed, ticks),
-		Plan: &engine.Plan[CellResult]{
-			Group:   string(appendAloneKey(make([]byte, 0, 64+len(srcKey)), "alone "+aloneTrajectoryTag, srcKey, seed)),
-			Horizon: ticks,
-			Payload: alonePassPayload{src: src, seed: seed, ticks: ticks},
-			RunPass: func(ctx context.Context, members []engine.PlanMember, emit func(int, CellResult)) error {
-				return runAlonePass(ctx, lab, members, emit)
-			},
+		Run: func(ctx context.Context) (CellResult, error) {
+			return runAloneCell(ctx, lab, src, srcKey, seed, ticks)
 		},
 	}
 }

@@ -7,36 +7,6 @@ import (
 	"hira/internal/workload"
 )
 
-// BenchmarkPlannedSweep runs a multi-horizon six-policy sweep on a
-// fresh engine, where every trajectory runs once as a coalesced pass
-// (see TestPlannerDifferential). Each op reports its simulated +
-// checkpoint-restored ticks — the machine-work total that wall-clock
-// noise can't touch — and its coalesced passes.
-func BenchmarkPlannedSweep(b *testing.B) {
-	base := DefaultConfig()
-	base.ChipCapacityGbit = 8
-	policies := plannerTestPolicies()
-	measures := []int{3000, 6000, 12000}
-	opts := Options{Workloads: 1, Cores: 4, Warmup: 2000, Seed: 5}
-
-	b.Run("planned", func(b *testing.B) {
-		var ticks, passes uint64
-		for i := 0; i < b.N; i++ {
-			var stats EngineStats
-			o := opts
-			o.Stats = &stats
-			e := NewEngine(EngineConfig{SnapInterval: 1500})
-			if _, err := e.RunPoliciesHorizons(context.Background(), base, policies, o, measures); err != nil {
-				b.Fatal(err)
-			}
-			ticks = stats.SimulatedTicks + stats.ResumedTicks
-			passes = stats.PlannedPasses
-		}
-		b.ReportMetric(float64(ticks), "machine-ticks/op")
-		b.ReportMetric(float64(passes), "passes/op")
-	})
-}
-
 // Bounds BenchmarkDeltaCheckpoint holds each checkpoint format to: at
 // most checkpointLineBytes per LLC line it carries plus a fixed
 // checkpointHeaderBytes for everything else (mark section, cores,

@@ -360,7 +360,14 @@ func RunPolicies(ctx context.Context, base Config, policies []RefreshPolicy, opt
 // engine.
 func (e *Engine) RunPolicies(ctx context.Context, base Config, policies []RefreshPolicy, opts Options) ([]PolicyScore, error) {
 	opts = opts.withDefaults()
-	rows, err := e.runPoint(ctx, base, policies, opts, []int{opts.Measure})
+	mixes, err := opts.mixSet()
+	if err != nil {
+		return nil, err
+	}
+	rows, batch, err := runSweep(ctx, e, opts, []sweepPoint{{base: base, policies: policies, mixes: mixes}})
+	if opts.Stats != nil {
+		opts.Stats.Add(batch)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -431,118 +438,82 @@ type sweepPoint struct {
 	mixes    *mixSet
 }
 
-// RunPoliciesHorizons evaluates each policy on the same mixes at every
-// measured horizon in measures (opts.Measure is ignored) and returns
-// one score row per horizon, index-aligned with measures. All horizons
-// submit as one batch, so the sweep planner coalesces each trajectory's
-// horizons — sim and alone-reference cells alike — into a single
-// ascending pass instead of one restore-and-extend round trip per
-// horizon. Rows are bit-identical to running each horizon separately.
-func (e *Engine) RunPoliciesHorizons(ctx context.Context, base Config, policies []RefreshPolicy, opts Options, measures []int) ([][]PolicyScore, error) {
-	if len(measures) == 0 {
-		return nil, fmt.Errorf("sim: no measure horizons given")
-	}
-	return e.runPoint(ctx, base, policies, opts.withDefaults(), measures)
-}
-
-// runPoint runs one sweep point over opts' mixes at every horizon in
-// measures. opts must already have defaults applied.
-func (e *Engine) runPoint(ctx context.Context, base Config, policies []RefreshPolicy, opts Options, measures []int) ([][]PolicyScore, error) {
-	mixes, err := opts.mixSet()
-	if err != nil {
-		return nil, err
-	}
-	rows, batch, err := runSweep(ctx, e, opts, []sweepPoint{{base: base, policies: policies, mixes: mixes}}, measures)
-	if opts.Stats != nil {
-		opts.Stats.Add(batch)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return rows[0], nil
-}
-
 // runSweep submits every point's cells as one engine batch — the
-// alone-IPC reference cells each (mix set, measure) needs, then one
-// simulation cell per (point, measure, policy, mix) — and assembles
-// weighted speedups: rows[point][measure] is one score per policy.
-// Cells are described by index (see sweepBatch), so the engine renders
-// each key to look it up and builds only the cells it lacks.
-// opts supplies what the points share (cores, seed, warmup, forensics,
-// progress callback); opts.Measure, opts.Mixes and opts.Stats are ignored,
-// and the batch's resolution tally is returned, also on error.
-// One batch means one progress total, one dispatch barrier, and an
-// alone reference several points need is submitted (and simulated)
-// once. opts must already have defaults applied.
-func runSweep(ctx context.Context, lab *Engine, opts Options, points []sweepPoint, measures []int) ([][][]PolicyScore, EngineStats, error) {
-	for _, m := range measures {
-		if m <= 0 {
-			return nil, EngineStats{}, fmt.Errorf("sim: measure horizon %d is not positive", m)
-		}
+// alone-IPC reference cells each mix set needs, then one simulation
+// cell per (point, policy, mix) — and assembles weighted speedups:
+// rows[point] is one score per policy. Cells are described by index
+// (see sweepBatch), so the engine renders each key to look it up and
+// builds only the cells it lacks. opts supplies what the points share
+// (cores, seed, warmup and measure horizons, forensics, progress
+// callback); opts.Mixes and opts.Stats are ignored, and the batch's
+// resolution tally is returned, also on error. One batch means one
+// progress total, one dispatch barrier, and an alone reference several
+// points need is submitted (and simulated) once. opts must already have
+// defaults applied.
+func runSweep(ctx context.Context, lab *Engine, opts Options, points []sweepPoint) ([][]PolicyScore, EngineStats, error) {
+	if opts.Measure <= 0 {
+		return nil, EngineStats{}, fmt.Errorf("sim: measure horizon %d is not positive", opts.Measure)
 	}
 
-	sw := newSweepBatch(lab, opts, points, measures)
+	sw := newSweepBatch(lab, opts, points)
 	results, batch, err := lab.eng.RunWith(ctx, sw, engine.RunOptions{OnProgress: opts.Progress})
 	if err != nil {
 		return nil, batch, err
 	}
 
-	rows := make([][][]PolicyScore, len(points))
+	rows := make([][]PolicyScore, len(points))
 	var ws []float64 // per-mix scratch, reused by every point
 	for pi, p := range points {
-		rows[pi] = make([][]PolicyScore, len(measures))
-		ws = slices.Grow(ws[:0], len(p.mixes.mixes))[:len(p.mixes.mixes)]
-		for mIdx, refs := range sw.aloneRefs[p.mixes] {
-			alone := make([][]float64, len(refs)) // [mix][core]
-			for mi, cores := range refs {
-				alone[mi] = make([]float64, len(cores))
-				for c, ref := range cores {
-					alone[mi][c] = results[ref].Alone
-				}
+		refs := sw.aloneRefs[p.mixes]
+		ws = slices.Grow(ws[:0], len(refs))[:len(refs)]
+		alone := make([][]float64, len(refs)) // [mix][core]
+		for mi, cores := range refs {
+			alone[mi] = make([]float64, len(cores))
+			for c, ref := range cores {
+				alone[mi][c] = results[ref].Alone
 			}
-			scores := make([]PolicyScore, len(p.policies))
-			next := sw.simStart[pi][mIdx]
-			for si, pol := range p.policies {
-				var agg SchedAggregate
-				var fx *ForensicsSummary
-				for mi := range ws {
-					res := results[next]
-					next++
-					ws[mi] = metrics.WeightedSpeedup(res.IPC, alone[mi])
-					agg.HiRAPiggybacks += res.Sched.HiRAPiggybacks
-					agg.HiRAPairs += res.Sched.HiRAPairs
-					agg.StandaloneRefreshes += res.Sched.StandaloneRefreshes
-					agg.REFs += res.Sched.REFs
-					agg.SeqBlocked += res.Sched.SeqBlocked
-					agg.CanACTBlocked += res.Sched.CanACTBlocked
-					fx = MergeForensics(fx, res.Forensics)
-				}
-				scores[si] = PolicyScore{Policy: pol, WS: metrics.Mean(ws), Sched: agg, Forensics: fx}
-			}
-			rows[pi][mIdx] = scores
 		}
+		scores := make([]PolicyScore, len(p.policies))
+		next := sw.simStart[pi]
+		for si, pol := range p.policies {
+			var agg SchedAggregate
+			var fx *ForensicsSummary
+			for mi := range ws {
+				res := results[next]
+				next++
+				ws[mi] = metrics.WeightedSpeedup(res.IPC, alone[mi])
+				agg.HiRAPiggybacks += res.Sched.HiRAPiggybacks
+				agg.HiRAPairs += res.Sched.HiRAPairs
+				agg.StandaloneRefreshes += res.Sched.StandaloneRefreshes
+				agg.REFs += res.Sched.REFs
+				agg.SeqBlocked += res.Sched.SeqBlocked
+				agg.CanACTBlocked += res.Sched.CanACTBlocked
+				fx = MergeForensics(fx, res.Forensics)
+			}
+			scores[si] = PolicyScore{Policy: pol, WS: metrics.Mean(ws), Sched: agg, Forensics: fx}
+		}
+		rows[pi] = scores
 	}
 	return rows, batch, nil
 }
 
 // newSweepBatch lays out runSweep's batch: the alone-IPC reference
-// cells each (mix set, measure) needs, then one simulation cell per
-// (point, measure, policy, mix).
-func newSweepBatch(lab *Engine, opts Options, points []sweepPoint, measures []int) *sweepBatch {
+// cells each mix set needs, then one simulation cell per (point,
+// policy, mix).
+func newSweepBatch(lab *Engine, opts Options, points []sweepPoint) *sweepBatch {
 	sw := &sweepBatch{
-		lab: lab, points: points, measures: measures,
-		cores: opts.Cores, seed: opts.Seed, warmup: opts.Warmup,
+		lab: lab, points: points,
+		cores: opts.Cores, seed: opts.Seed, warmup: opts.Warmup, measure: opts.Measure,
 		fx:        ForensicsOptions{Enabled: opts.Forensics, Recorder: opts.Forensics && opts.ForensicsRecorder},
-		aloneRefs: map[*mixSet][][][]int{},
-		simStart:  make([][]int, len(points)),
+		aloneRefs: map[*mixSet][][]int{},
+		simStart:  make([]int, len(points)),
 	}
 	// aloneIdx dedups alone cells by their key's inputs: a seed-invariant
 	// source dealt to several cores, or a mix several sets share, has one
 	// reference.
 	type aloneID struct {
-		src   string
-		seed  uint64
-		ticks int
+		src  string
+		seed uint64
 	}
 	aloneIdx := map[aloneID]int{} // -> index into sw.cells
 	for pi, p := range points {
@@ -550,38 +521,32 @@ func newSweepBatch(lab *Engine, opts Options, points []sweepPoint, measures []in
 		if _, ok := sw.aloneRefs[set]; ok {
 			continue
 		}
-		refs := make([][][]int, len(measures))
-		for mIdx, measure := range measures {
-			refs[mIdx] = make([][]int, len(set.mixes))
-			for mi, mix := range set.mixes {
-				refs[mIdx][mi] = make([]int, len(mix.Sources))
-				for c, src := range mix.Sources {
-					id := aloneID{src: set.ids[mi].srcs[c], seed: aloneRefSeed(src, opts.Seed, c), ticks: measure}
-					idx, ok := aloneIdx[id]
-					if !ok {
-						idx = len(sw.cells)
-						aloneIdx[id] = idx
-						sw.cells = append(sw.cells, sweepCell{alone: true, point: pi, measure: mIdx, mix: mi, core: c})
-					}
-					refs[mIdx][mi][c] = idx
+		refs := make([][]int, len(set.mixes))
+		for mi, mix := range set.mixes {
+			refs[mi] = make([]int, len(mix.Sources))
+			for c, src := range mix.Sources {
+				id := aloneID{src: set.ids[mi].srcs[c], seed: aloneRefSeed(src, opts.Seed, c)}
+				idx, ok := aloneIdx[id]
+				if !ok {
+					idx = len(sw.cells)
+					aloneIdx[id] = idx
+					sw.cells = append(sw.cells, sweepCell{alone: true, point: pi, mix: mi, core: c})
 				}
+				refs[mi][c] = idx
 			}
 		}
 		sw.aloneRefs[set] = refs
 	}
 	nSim := 0
 	for _, p := range points {
-		nSim += len(measures) * len(p.policies) * len(p.mixes.mixes)
+		nSim += len(p.policies) * len(p.mixes.mixes)
 	}
 	sw.cells = slices.Grow(sw.cells, nSim)
 	for pi, p := range points {
-		sw.simStart[pi] = make([]int, len(measures))
-		for mIdx := range measures {
-			sw.simStart[pi][mIdx] = len(sw.cells)
-			for si := range p.policies {
-				for mi := range p.mixes.mixes {
-					sw.cells = append(sw.cells, sweepCell{point: pi, measure: mIdx, policy: si, mix: mi})
-				}
+		sw.simStart[pi] = len(sw.cells)
+		for si := range p.policies {
+			for mi := range p.mixes.mixes {
+				sw.cells = append(sw.cells, sweepCell{point: pi, policy: si, mix: mi})
 			}
 		}
 	}
@@ -589,11 +554,11 @@ func newSweepBatch(lab *Engine, opts Options, points []sweepPoint, measures []in
 }
 
 // sweepCell is one position of a sweep batch, by index: the sim cell
-// of (point, measure, policy, mix), or with alone set the alone-IPC
-// reference of core's source in mix of point's mix set at measure.
+// of (point, policy, mix), or with alone set the alone-IPC reference of
+// core's source in mix of point's mix set.
 type sweepCell struct {
-	alone                             bool
-	point, measure, policy, mix, core int
+	alone                    bool
+	point, policy, mix, core int
 }
 
 // sweepBatch is runSweep's engine batch. Positions are index tuples; a
@@ -601,19 +566,18 @@ type sweepCell struct {
 // asks, so an answer the cache holds costs one key rendering into the
 // engine's buffer and nothing else.
 type sweepBatch struct {
-	lab      *Engine
-	points   []sweepPoint
-	measures []int
-	cores    int
-	seed     uint64
-	warmup   int
-	fx       ForensicsOptions
-	cells    []sweepCell
+	lab             *Engine
+	points          []sweepPoint
+	cores           int
+	seed            uint64
+	warmup, measure int
+	fx              ForensicsOptions
+	cells           []sweepCell
 
-	// aloneRefs[set][measure][mix][core] and simStart[point][measure]
-	// (the first cell of that point's policy x mix block) index cells.
-	aloneRefs map[*mixSet][][][]int
-	simStart  [][]int
+	// aloneRefs[set][mix][core] and simStart[point] (the first cell of
+	// that point's policy x mix block) index cells.
+	aloneRefs map[*mixSet][][]int
+	simStart  []int
 }
 
 func (sw *sweepBatch) Len() int { return len(sw.cells) }
@@ -643,10 +607,10 @@ func (sw *sweepBatch) AppendKey(dst []byte, i int) []byte {
 	c := sw.cells[i]
 	if c.alone {
 		_, srcKey, seed := sw.aloneSource(c)
-		return appendAloneCellKey(dst, srcKey, seed, sw.measures[c.measure])
+		return appendAloneCellKey(dst, srcKey, seed, sw.measure)
 	}
 	wl := sw.points[c.point].mixes.ids[c.mix].wl
-	return appendSimCellKey(dst, sw.config(c), wl, sw.warmup, sw.measures[c.measure])
+	return appendSimCellKey(dst, sw.config(c), wl, sw.warmup, sw.measure)
 }
 
 // Cell builds position i's cell.
@@ -654,10 +618,10 @@ func (sw *sweepBatch) Cell(i int) engine.Cell[CellResult] {
 	c := sw.cells[i]
 	if c.alone {
 		src, srcKey, seed := sw.aloneSource(c)
-		return aloneCell(sw.lab, src, srcKey, seed, sw.measures[c.measure])
+		return aloneCell(sw.lab, src, srcKey, seed, sw.measure)
 	}
 	set := sw.points[c.point].mixes
-	return simCell(sw.lab, sw.config(c), set.mixes[c.mix], set.ids[c.mix].wl, sw.warmup, sw.measures[c.measure])
+	return simCell(sw.lab, sw.config(c), set.mixes[c.mix], set.ids[c.mix].wl, sw.warmup, sw.measure)
 }
 
 // Fig9Row is one capacity point of Fig. 9.
@@ -1131,7 +1095,7 @@ func (e *Engine) RunFigure(ctx context.Context, opts Options, spec FigureSpec) (
 	if err != nil {
 		return nil, err
 	}
-	sweep, stats, err := runSweep(ctx, e, r.opts, points, []int{r.opts.Measure})
+	sweep, stats, err := runSweep(ctx, e, r.opts, points)
 	if opts.Stats != nil {
 		opts.Stats.Add(stats)
 	}
@@ -1143,7 +1107,7 @@ func (e *Engine) RunFigure(ctx context.Context, opts Options, spec FigureSpec) (
 	for _, a := range r.attacks {
 		for _, param := range r.params {
 			for _, x := range r.xs {
-				r.fig.row(res, len(points), a, param, x, sweep[i][0])
+				r.fig.row(res, len(points), a, param, x, sweep[i])
 				i++
 			}
 		}

@@ -1,8 +1,8 @@
 package sim
 
 // Golden cell-key suite: the exact bytes of every key a sweep derives —
-// sim cell, trajectory, planner group, alone cell and alone trajectory —
-// are pinned here. Result stores, checkpoint stores and the trajectory
+// sim cell, trajectory, alone cell and alone trajectory — are pinned
+// here. Result stores, checkpoint stores and the trajectory
 // cross-check inside every snapshot are addressed by these strings, so
 // any byte that moves silently turns a warm store cold (or, worse, lets
 // two distinct cells alias). A key change must be deliberate: bump the
@@ -23,25 +23,24 @@ type goldenKeyCase struct {
 	cfg             Config
 	mix             workload.SourceMix
 	warmup, measure int
-	sim, traj, grp  string
+	sim, traj       string
 	alone           []string // per core: aloneCellKey at ticks=measure
-	aloneGrp        []string // per core: the alone planner group
+	aloneTraj       []string // per core: aloneTrajectoryKey
 }
 
 // renderGoldenKeys renders every key of c through the cells a sweep
 // submits (their closures are never run, so no engine is needed), with
 // alone seeds chosen as runSweep chooses them.
-func renderGoldenKeys(c goldenKeyCase) (sim, traj, grp string, alone, aloneGrp []string) {
+func renderGoldenKeys(c goldenKeyCase) (sim, traj string, alone, aloneTraj []string) {
 	id := identify(c.mix)
-	cell := simCell(nil, c.cfg, c.mix, id.wl, c.warmup, c.measure)
-	sim, grp = cell.Key, cell.Plan.Group
+	sim = simCell(nil, c.cfg, c.mix, id.wl, c.warmup, c.measure).Key
 	traj = trajectoryKey(c.cfg, id.wl)
 	for core, src := range c.mix.Sources {
-		ac := aloneCell(nil, src, id.srcs[core], aloneRefSeed(src, c.cfg.Seed, core), c.measure)
-		alone = append(alone, ac.Key)
-		aloneGrp = append(aloneGrp, ac.Plan.Group)
+		seed := aloneRefSeed(src, c.cfg.Seed, core)
+		alone = append(alone, aloneCell(nil, src, id.srcs[core], seed, c.measure).Key)
+		aloneTraj = append(aloneTraj, aloneTrajectoryKey(id.srcs[core], seed))
 	}
-	return sim, traj, grp, alone, aloneGrp
+	return sim, traj, alone, aloneTraj
 }
 
 func goldenKeyCases(t *testing.T) []goldenKeyCase {
@@ -90,14 +89,13 @@ func goldenKeyCases(t *testing.T) []goldenKeyCase {
 			mix:  workload.Mixes(1, 2, 1)[0].Sources(),
 			sim:  "sim/v2 cores=2 cap=8 ch=1 rk=1 spt=0.32 seed=1 per=2 prev=0 slack=2 nrh=0 warm=3000 meas=10000 wl=povray(0.1,0.4,5,0.25),mcf(60,0.25,1600,0.25)",
 			traj: "traj/v3 cores=2 cap=8 ch=1 rk=1 spt=0.32 seed=1 per=2 prev=0 slack=2 nrh=0 wl=povray(0.1,0.4,5,0.25),mcf(60,0.25,1600,0.25)",
-			grp:  "sim traj/v3 cores=2 cap=8 ch=1 rk=1 spt=0.32 seed=1 per=2 prev=0 slack=2 nrh=0 wl=povray(0.1,0.4,5,0.25),mcf(60,0.25,1600,0.25)",
 			alone: []string{
 				"alone/v2 wl=povray(0.1,0.4,5,0.25) seed=1000014 ticks=10000",
 				"alone/v2 wl=mcf(60,0.25,1600,0.25) seed=1007933 ticks=10000",
 			},
-			aloneGrp: []string{
-				"alone alonetraj/v3 wl=povray(0.1,0.4,5,0.25) seed=1000014",
-				"alone alonetraj/v3 wl=mcf(60,0.25,1600,0.25) seed=1007933",
+			aloneTraj: []string{
+				"alonetraj/v3 wl=povray(0.1,0.4,5,0.25) seed=1000014",
+				"alonetraj/v3 wl=mcf(60,0.25,1600,0.25) seed=1007933",
 			},
 		},
 		{
@@ -109,16 +107,15 @@ func goldenKeyCases(t *testing.T) []goldenKeyCase {
 			}},
 			sim:  "sim/v2 cores=3 cap=8 ch=1 rk=1 spt=0.30000000000000004 seed=7 per=1 prev=1 slack=0 nrh=64 warm=0 meas=1 wl=odd(0.30000000000000004,-0,64,NaN),big(1e+21,+Inf,-1,-Inf),edge(1e+20,5e-324,0,1.23456789125e+08)",
 			traj: "traj/v3 cores=3 cap=8 ch=1 rk=1 spt=0.30000000000000004 seed=7 per=1 prev=1 slack=0 nrh=64 wl=odd(0.30000000000000004,-0,64,NaN),big(1e+21,+Inf,-1,-Inf),edge(1e+20,5e-324,0,1.23456789125e+08)",
-			grp:  "sim traj/v3 cores=3 cap=8 ch=1 rk=1 spt=0.30000000000000004 seed=7 per=1 prev=1 slack=0 nrh=64 wl=odd(0.30000000000000004,-0,64,NaN),big(1e+21,+Inf,-1,-Inf),edge(1e+20,5e-324,0,1.23456789125e+08)",
 			alone: []string{
 				"alone/v2 wl=odd(0.30000000000000004,-0,64,NaN) seed=7000032 ticks=1",
 				"alone/v2 wl=big(1e+21,+Inf,-1,-Inf) seed=7007951 ticks=1",
 				"alone/v2 wl=edge(1e+20,5e-324,0,1.23456789125e+08) seed=7015870 ticks=1",
 			},
-			aloneGrp: []string{
-				"alone alonetraj/v3 wl=odd(0.30000000000000004,-0,64,NaN) seed=7000032",
-				"alone alonetraj/v3 wl=big(1e+21,+Inf,-1,-Inf) seed=7007951",
-				"alone alonetraj/v3 wl=edge(1e+20,5e-324,0,1.23456789125e+08) seed=7015870",
+			aloneTraj: []string{
+				"alonetraj/v3 wl=odd(0.30000000000000004,-0,64,NaN) seed=7000032",
+				"alonetraj/v3 wl=big(1e+21,+Inf,-1,-Inf) seed=7007951",
+				"alonetraj/v3 wl=edge(1e+20,5e-324,0,1.23456789125e+08) seed=7015870",
 			},
 		},
 		{
@@ -126,14 +123,13 @@ func goldenKeyCases(t *testing.T) []goldenKeyCase {
 			mix:  workload.SourceMix{ID: 1, Sources: []workload.Source{atk, tr}},
 			sim:  "sim/v2 cores=2 cap=32 ch=2 rk=2 spt=0.32 seed=1 per=0 prev=0 slack=0 nrh=64 warm=20000 meas=60000 wl=attack(double,ch=0,rk=0,bk=0,v=300,ag=2,ev=9,burst=0,idle=0,dec=0,seq=false;org=1x1x4x4x65536x8192),trace@sha256:2c8aac4f6aa2eb9bb91ebc0b275daecdfa3a858e494bb52b59ee14ea6eac21b4 mit=graphene mp=16 fx=1 fxrec=true",
 			traj: "traj/v3 cores=2 cap=32 ch=2 rk=2 spt=0.32 seed=1 per=0 prev=0 slack=0 nrh=64 wl=attack(double,ch=0,rk=0,bk=0,v=300,ag=2,ev=9,burst=0,idle=0,dec=0,seq=false;org=1x1x4x4x65536x8192),trace@sha256:2c8aac4f6aa2eb9bb91ebc0b275daecdfa3a858e494bb52b59ee14ea6eac21b4 mit=graphene mp=16 fx=1 fxrec=true",
-			grp:  "sim traj/v3 cores=2 cap=32 ch=2 rk=2 spt=0.32 seed=1 per=0 prev=0 slack=0 nrh=64 wl=attack(double,ch=0,rk=0,bk=0,v=300,ag=2,ev=9,burst=0,idle=0,dec=0,seq=false;org=1x1x4x4x65536x8192),trace@sha256:2c8aac4f6aa2eb9bb91ebc0b275daecdfa3a858e494bb52b59ee14ea6eac21b4 mit=graphene mp=16 fx=1 fxrec=true",
 			alone: []string{
 				"alone/v2 wl=attack(double,ch=0,rk=0,bk=0,v=300,ag=2,ev=9,burst=0,idle=0,dec=0,seq=false;org=1x1x4x4x65536x8192) seed=0 ticks=60000",
 				"alone/v2 wl=trace@sha256:2c8aac4f6aa2eb9bb91ebc0b275daecdfa3a858e494bb52b59ee14ea6eac21b4 seed=0 ticks=60000",
 			},
-			aloneGrp: []string{
-				"alone alonetraj/v3 wl=attack(double,ch=0,rk=0,bk=0,v=300,ag=2,ev=9,burst=0,idle=0,dec=0,seq=false;org=1x1x4x4x65536x8192) seed=0",
-				"alone alonetraj/v3 wl=trace@sha256:2c8aac4f6aa2eb9bb91ebc0b275daecdfa3a858e494bb52b59ee14ea6eac21b4 seed=0",
+			aloneTraj: []string{
+				"alonetraj/v3 wl=attack(double,ch=0,rk=0,bk=0,v=300,ag=2,ev=9,burst=0,idle=0,dec=0,seq=false;org=1x1x4x4x65536x8192) seed=0",
+				"alonetraj/v3 wl=trace@sha256:2c8aac4f6aa2eb9bb91ebc0b275daecdfa3a858e494bb52b59ee14ea6eac21b4 seed=0",
 			},
 		},
 		{
@@ -141,12 +137,11 @@ func goldenKeyCases(t *testing.T) []goldenKeyCase {
 			mix:  workload.SourceMix{Sources: []workload.Source{mcf}},
 			sim:  "sim/v2 cores=1 cap=8 ch=1 rk=1 spt=0.32 seed=1 per=1 prev=2 slack=4 nrh=128 warm=100 meas=200 wl=mcf(60,0.25,1600,0.25) fx=1 fxrec=false",
 			traj: "traj/v3 cores=1 cap=8 ch=1 rk=1 spt=0.32 seed=1 per=1 prev=2 slack=4 nrh=128 wl=mcf(60,0.25,1600,0.25) fx=1 fxrec=false",
-			grp:  "sim traj/v3 cores=1 cap=8 ch=1 rk=1 spt=0.32 seed=1 per=1 prev=2 slack=4 nrh=128 wl=mcf(60,0.25,1600,0.25) fx=1 fxrec=false",
 			alone: []string{
 				"alone/v2 wl=mcf(60,0.25,1600,0.25) seed=1000014 ticks=200",
 			},
-			aloneGrp: []string{
-				"alone alonetraj/v3 wl=mcf(60,0.25,1600,0.25) seed=1000014",
+			aloneTraj: []string{
+				"alonetraj/v3 wl=mcf(60,0.25,1600,0.25) seed=1000014",
 			},
 		},
 	}
@@ -155,7 +150,7 @@ func goldenKeyCases(t *testing.T) []goldenKeyCase {
 func TestGoldenCellKeys(t *testing.T) {
 	for _, c := range goldenKeyCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			sim, traj, grp, alone, aloneGrp := renderGoldenKeys(c)
+			sim, traj, alone, aloneTraj := renderGoldenKeys(c)
 			check := func(what, got, want string) {
 				if got != want {
 					t.Errorf("%s key moved:\n got %q\nwant %q", what, got, want)
@@ -163,14 +158,13 @@ func TestGoldenCellKeys(t *testing.T) {
 			}
 			check("sim cell", sim, c.sim)
 			check("trajectory", traj, c.traj)
-			check("sim plan group", grp, c.grp)
-			if len(alone) != len(c.alone) || len(aloneGrp) != len(c.aloneGrp) {
-				t.Fatalf("rendered %d alone keys and %d groups, want %d and %d",
-					len(alone), len(aloneGrp), len(c.alone), len(c.aloneGrp))
+			if len(alone) != len(c.alone) || len(aloneTraj) != len(c.aloneTraj) {
+				t.Fatalf("rendered %d alone keys and %d alone trajectories, want %d and %d",
+					len(alone), len(aloneTraj), len(c.alone), len(c.aloneTraj))
 			}
 			for i := range alone {
 				check(fmt.Sprintf("core %d alone cell", i), alone[i], c.alone[i])
-				check(fmt.Sprintf("core %d alone plan group", i), aloneGrp[i], c.aloneGrp[i])
+				check(fmt.Sprintf("core %d alone trajectory", i), aloneTraj[i], c.aloneTraj[i])
 			}
 		})
 	}

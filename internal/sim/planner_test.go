@@ -10,7 +10,7 @@ import (
 	"hira/internal/workload"
 )
 
-// plannerTestPolicies is the six-policy figure set every planner
+// plannerTestPolicies is the six-policy figure set every cell
 // differential runs against (the same shapes TestResumeEquivalence
 // covers: ideal, conventional REF, periodic HiRA at two slacks, PARA,
 // and PARA+HiRA).
@@ -26,8 +26,8 @@ func plannerTestPolicies() []RefreshPolicy {
 }
 
 // coldCell is the differential oracle for one sim cell: a cold
-// straight-through NewSystem + System.RunContext, with no engine, no
-// checkpoints and no passes.
+// straight-through NewSystem + System.RunContext, with no engine and no
+// checkpoints.
 func coldCell(t *testing.T, cfg Config, mix workload.SourceMix, warmup, measure int) CellResult {
 	t.Helper()
 	sys, err := NewSystem(cfg, mix)
@@ -48,14 +48,13 @@ func (c cellSlice) Len() int                           { return len(c) }
 func (c cellSlice) AppendKey(dst []byte, i int) []byte { return append(dst, c[i].Key...) }
 func (c cellSlice) Cell(i int) engine.Cell[CellResult] { return c[i] }
 
-// assertColdOracle checks every cell a RunPoliciesHorizons sweep on lab
-// resolved — each (measure, policy, mix) sim cell and each alone-IPC
-// reference — against cold straight-through runs, reading the engine's
-// rows back from its cache. It returns the sum, over the sweep's
-// trajectories (plan groups), of each trajectory's longest horizon:
-// the ticks a fresh engine must simulate when every trajectory runs
-// once as a pass.
-func assertColdOracle(t *testing.T, lab *Engine, base Config, policies []RefreshPolicy, opts Options, measures []int) uint64 {
+// assertColdOracle checks every cell a RunPolicies sweep at measured
+// horizon measure on lab resolved — each (policy, mix) sim cell and
+// each alone-IPC reference — against cold straight-through runs,
+// reading the engine's rows back from its cache. It returns the ticks a
+// fresh engine must simulate for the sweep: each unique sim cell's
+// warmup + measure and each unique alone reference's measure.
+func assertColdOracle(t *testing.T, lab *Engine, base Config, policies []RefreshPolicy, opts Options, measure int) uint64 {
 	t.Helper()
 	ctx := context.Background()
 	opts = opts.withDefaults()
@@ -65,27 +64,28 @@ func assertColdOracle(t *testing.T, lab *Engine, base Config, policies []Refresh
 	}
 	var cells cellSlice
 	var want []CellResult
-	for _, measure := range measures {
-		for _, mix := range mixes {
-			id := identify(mix)
-			for c, src := range mix.Sources {
-				seed := aloneRefSeed(src, opts.Seed, c)
-				ipc, err := AloneIPCSourceContext(ctx, src, seed, measure)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cells = append(cells, aloneCell(lab, src, id.srcs[c], seed, measure))
-				want = append(want, CellResult{Alone: ipc})
+	var horizons []int
+	for _, mix := range mixes {
+		id := identify(mix)
+		for c, src := range mix.Sources {
+			seed := aloneRefSeed(src, opts.Seed, c)
+			ipc, err := AloneIPCSourceContext(ctx, src, seed, measure)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, pol := range policies {
-				cfg := base
-				cfg.Cores = opts.Cores
-				cfg.Policy = pol
-				cfg.Seed = opts.Seed
-				cfg.Forensics = ForensicsOptions{Enabled: opts.Forensics, Recorder: opts.Forensics && opts.ForensicsRecorder}
-				cells = append(cells, simCell(lab, cfg, mix, id.wl, opts.Warmup, measure))
-				want = append(want, coldCell(t, cfg, mix, opts.Warmup, measure))
-			}
+			cells = append(cells, aloneCell(lab, src, id.srcs[c], seed, measure))
+			want = append(want, CellResult{Alone: ipc})
+			horizons = append(horizons, measure)
+		}
+		for _, pol := range policies {
+			cfg := base
+			cfg.Cores = opts.Cores
+			cfg.Policy = pol
+			cfg.Seed = opts.Seed
+			cfg.Forensics = ForensicsOptions{Enabled: opts.Forensics, Recorder: opts.Forensics && opts.ForensicsRecorder}
+			cells = append(cells, simCell(lab, cfg, mix, id.wl, opts.Warmup, measure))
+			want = append(want, coldCell(t, cfg, mix, opts.Warmup, measure))
+			horizons = append(horizons, opts.Warmup+measure)
 		}
 	}
 	got, st, err := lab.eng.Run(ctx, cells)
@@ -95,89 +95,69 @@ func assertColdOracle(t *testing.T, lab *Engine, base Config, policies []Refresh
 	if st.Simulated != 0 {
 		t.Fatalf("the sweep left oracle cells unresolved: %+v", st)
 	}
-	longest := map[string]int{}
+	seen := map[string]bool{}
+	var ticks uint64
 	for i, c := range cells {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Fatalf("cell %s diverged from a cold straight-through run:\nengine: %+v\ncold:   %+v", c.Key, got[i], want[i])
 		}
-		longest[c.Plan.Group] = max(longest[c.Plan.Group], c.Plan.Horizon)
-	}
-	var ticks uint64
-	for _, h := range longest {
-		ticks += uint64(h)
+		if !seen[c.Key] {
+			seen[c.Key] = true
+			ticks += uint64(horizons[i])
+		}
 	}
 	return ticks
 }
 
-// assertOnePassPerTrajectory holds a fresh engine's sweep to the
-// planner's exact guarantee: nothing resumes (there is nothing to
-// resume from), and every trajectory simulates once, to its longest
-// horizon.
-func assertOnePassPerTrajectory(t *testing.T, st EngineStats, trajectoryTicks uint64) {
-	t.Helper()
-	if st.ResumedTicks != 0 || st.SimulatedTicks != trajectoryTicks {
-		t.Fatalf("fresh sweep: %d simulated + %d resumed ticks, want %d simulated and none resumed (stats %+v)",
-			st.SimulatedTicks, st.ResumedTicks, trajectoryTicks, st)
-	}
-}
-
-// TestPlannerDifferential proves the planner's guarantee: a
-// multi-horizon sweep resolved by trajectory-coalescing passes produces
-// cells bit-identical to cold straight-through runs, across all six
-// figure policies, while simulating each trajectory exactly once.
+// TestPlannerDifferential proves every cell a fresh, checkpointing
+// engine resolves is bit-identical to a cold straight-through run,
+// across all six figure policies, and that the engine simulated each
+// cell once, from tick zero to its horizon, resuming nothing.
 func TestPlannerDifferential(t *testing.T) {
 	ctx := context.Background()
 	base := DefaultConfig()
 	base.ChipCapacityGbit = 8
 	policies := plannerTestPolicies()
-	measures := []int{3000, 6000}
-	opts := Options{Workloads: 1, Cores: 4, Warmup: 2000, Seed: 5}
+	opts := Options{Workloads: 1, Cores: 4, Warmup: 2000, Measure: 6000, Seed: 5}
 
-	var planned EngineStats
-	pOpts := opts
-	pOpts.Stats = &planned
+	var st EngineStats
+	o := opts
+	o.Stats = &st
 	lab := NewEngine(EngineConfig{SnapInterval: 1500})
-	if _, err := lab.RunPoliciesHorizons(ctx, base, policies, pOpts, measures); err != nil {
+	if _, err := lab.RunPolicies(ctx, base, policies, o); err != nil {
 		t.Fatal(err)
 	}
-	if planned.PlannedPasses == 0 || planned.PlannedCells == 0 {
-		t.Fatalf("planner did not engage: %+v", planned)
+	want := assertColdOracle(t, lab, base, policies, opts, opts.Measure)
+	if st.ResumedTicks != 0 || st.SimulatedTicks != want {
+		t.Fatalf("fresh sweep: %d simulated + %d resumed ticks, want %d simulated and none resumed (stats %+v)",
+			st.SimulatedTicks, st.ResumedTicks, want, st)
 	}
-	assertOnePassPerTrajectory(t, planned, assertColdOracle(t, lab, base, policies, opts, measures))
 }
 
 // TestPlannerDifferentialForensicsAndMitigation extends the differential
 // to forensics-armed cells and mitigation-zoo policies, whose ledger and
-// tracker state ride in their checkpoints: a fresh two-horizon sweep
-// coalesces each trajectory into one pass, and extending it to a third,
-// longer horizon resumes every trajectory from its stored checkpoint.
-// Every row, forensics summary included, must match a cold
-// straight-through run exactly.
+// tracker state ride in their checkpoints: a fresh sweep matches cold
+// runs, and extending it to a longer horizon resumes every simulated
+// cell from its stored checkpoint. Every row, forensics summary
+// included, must match a cold straight-through run exactly.
 func TestPlannerDifferentialForensicsAndMitigation(t *testing.T) {
 	ctx := context.Background()
 	base := DefaultConfig()
 	base.ChipCapacityGbit = 8
 	policies := []RefreshPolicy{BaselinePolicy(), GraphenePolicy(128, 0), RFMPolicy(128, 0)}
-	measures := []int{2000, 4000}
-	opts := Options{Workloads: 1, Cores: 2, Warmup: 1000, Seed: 3, Forensics: true, ForensicsRecorder: true}
+	opts := Options{Workloads: 1, Cores: 2, Warmup: 1000, Measure: 4000, Seed: 3, Forensics: true, ForensicsRecorder: true}
 
-	var planned EngineStats
-	pOpts := opts
-	pOpts.Stats = &planned
 	lab := NewEngine(EngineConfig{SnapInterval: 1000})
-	if _, err := lab.RunPoliciesHorizons(ctx, base, policies, pOpts, measures); err != nil {
+	if _, err := lab.RunPolicies(ctx, base, policies, opts); err != nil {
 		t.Fatal(err)
 	}
-	if planned.PlannedPasses == 0 {
-		t.Fatalf("planner did not engage: %+v", planned)
-	}
-	assertOnePassPerTrajectory(t, planned, assertColdOracle(t, lab, base, policies, opts, measures))
+	assertColdOracle(t, lab, base, policies, opts, opts.Measure)
 
 	var extended EngineStats
 	eOpts := opts
+	eOpts.Measure = 7000
 	eOpts.Stats = &extended
-	longer := append(measures, 7000)
-	if _, err := lab.RunPoliciesHorizons(ctx, base, policies, eOpts, longer); err != nil {
+	if _, err := lab.RunPolicies(ctx, base, policies, eOpts); err != nil {
 		t.Fatal(err)
 	}
 	// Every simulated cell — the policies' sim cells and the cores'
@@ -186,149 +166,48 @@ func TestPlannerDifferentialForensicsAndMitigation(t *testing.T) {
 		t.Fatalf("extension resumed %d of %d simulated cells, want all: %+v",
 			extended.Resumed, extended.Simulated, extended)
 	}
-	assertColdOracle(t, lab, base, policies, opts, longer)
-}
-
-// TestPlannerWarmStoreReplay proves one-member and coalesced passes
-// store their rows under the same cell keys: single-horizon sweeps (all
-// one-member passes) fully warm a shared ResultDir for the two-horizon
-// sweep (coalesced passes) and vice versa, so neither ever re-simulates
-// a cell the other stored.
-func TestPlannerWarmStoreReplay(t *testing.T) {
-	ctx := context.Background()
-	base := DefaultConfig()
-	base.ChipCapacityGbit = 8
-	policies := []RefreshPolicy{BaselinePolicy(), HiRAPeriodicPolicy(2)}
-	measures := []int{2000, 5000}
-	opts := Options{Workloads: 1, Cores: 2, Warmup: 1000, Seed: 1}
-
-	// singles runs one single-horizon sweep per measure; coalesced runs
-	// both measures in one sweep. Each returns the rows per measure.
-	singles := func(e *Engine, st *EngineStats) [][]PolicyScore {
-		var rows [][]PolicyScore
-		for _, m := range measures {
-			o := opts
-			o.Stats = st
-			r, err := e.RunPoliciesHorizons(ctx, base, policies, o, []int{m})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows = append(rows, r...)
-		}
-		return rows
-	}
-	coalesced := func(e *Engine, st *EngineStats) [][]PolicyScore {
-		o := opts
-		o.Stats = st
-		rows, err := e.RunPoliciesHorizons(ctx, base, policies, o, measures)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows
-	}
-	type sweep func(*Engine, *EngineStats) [][]PolicyScore
-	for _, order := range []struct {
-		name          string
-		first, second sweep
-		firstPasses   bool
-	}{
-		{"singles-then-coalesced", singles, coalesced, false},
-		{"coalesced-then-singles", coalesced, singles, true},
-	} {
-		dir := t.TempDir()
-		var first, again EngineStats
-		rows := order.first(NewEngine(EngineConfig{ResultDir: dir}), &first)
-		if (first.PlannedPasses > 0) != order.firstPasses {
-			t.Fatalf("%s: first sweep ran %d coalesced passes", order.name, first.PlannedPasses)
-		}
-		rows2 := order.second(NewEngine(EngineConfig{ResultDir: dir}), &again)
-		if again.Simulated != 0 || again.StoreHits == 0 {
-			t.Fatalf("%s: replay over the shared store re-simulated cells: %+v", order.name, again)
-		}
-		if !reflect.DeepEqual(rows, rows2) {
-			t.Fatalf("%s: replay rows diverged", order.name)
-		}
-	}
-}
-
-// TestPlannerPassCancellation proves a cancelled coalesced pass keeps
-// the rows it already emitted: cancelling right after the first
-// member's emission fails the pass, but that member's row is final and
-// bit-identical to a cold straight-through run.
-func TestPlannerPassCancellation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Cores = 2
-	cfg.ChipCapacityGbit = 8
-	cfg.Seed = 1
-	cfg.Policy = BaselinePolicy()
-	mix := workload.Mixes(1, 2, 1)[0].Sources()
-	lab := NewEngine(EngineConfig{SnapInterval: 1000})
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	members := []engine.PlanMember{
-		{Key: simCellKey(cfg, identify(mix).wl, 1000, 3000), Horizon: 4000,
-			Payload: simPassPayload{cfg: cfg, mix: mix, warmup: 1000, measure: 3000}},
-		{Key: simCellKey(cfg, identify(mix).wl, 2000, 10000), Horizon: 12000,
-			Payload: simPassPayload{cfg: cfg, mix: mix, warmup: 2000, measure: 10000}},
-	}
-	emitted := map[int]CellResult{}
-	err := runSimPass(ctx, lab, members, func(i int, r CellResult) {
-		emitted[i] = r
-		cancel() // first emission cancels the pass mid-flight
-	})
-	if err == nil {
-		t.Fatal("cancelled pass reported success")
-	}
-	if len(emitted) != 1 {
-		t.Fatalf("cancelled pass emitted %d rows, want 1", len(emitted))
-	}
-	if want := coldCell(t, cfg, mix, 1000, 3000); !reflect.DeepEqual(emitted[0], want) {
-		t.Fatalf("row emitted before cancellation diverged from a cold run:\npass: %+v\ncold: %+v", emitted[0], want)
-	}
+	assertColdOracle(t, lab, base, policies, opts, eOpts.Measure)
 }
 
 // TestPlannerBatchCancellation proves batch-level cancellation
-// semantics end to end: a cancelled multi-horizon sweep fails, but
-// every row resolved before the cancellation stays cached and serves
-// the resubmitted sweep, whose cells all match cold straight-through
-// runs.
+// semantics end to end: a cancelled sweep fails, but every row resolved
+// before the cancellation stays cached and serves the resubmitted
+// sweep, whose cells all match cold straight-through runs.
 func TestPlannerBatchCancellation(t *testing.T) {
 	base := DefaultConfig()
 	base.ChipCapacityGbit = 8
 	policies := plannerTestPolicies()
-	measures := []int{2000, 4000}
 	e := NewEngine(EngineConfig{SnapInterval: 1000, Parallelism: 1})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts := Options{Workloads: 1, Cores: 2, Warmup: 1000, Seed: 2}
+	opts := Options{Workloads: 1, Cores: 2, Warmup: 1000, Measure: 4000, Seed: 2}
 	cOpts := opts
 	cOpts.Progress = func(done, total int, batch EngineStats) {
 		if done >= 1 {
-			cancel() // with Parallelism 1 at least one later unit must fail
+			cancel() // with Parallelism 1 at least one later cell must fail
 		}
 	}
-	if _, err := e.RunPoliciesHorizons(ctx, base, policies, cOpts, measures); err == nil {
+	if _, err := e.RunPolicies(ctx, base, policies, cOpts); err == nil {
 		t.Fatal("cancelled sweep reported success")
 	}
 
 	var again EngineStats
 	rOpts := opts
 	rOpts.Stats = &again
-	if _, err := e.RunPoliciesHorizons(context.Background(), base, policies, rOpts, measures); err != nil {
+	if _, err := e.RunPolicies(context.Background(), base, policies, rOpts); err != nil {
 		t.Fatal(err)
 	}
 	if again.CacheHits+again.StoreHits == 0 {
 		t.Fatalf("cancellation kept no resolved rows: %+v", again)
 	}
-	assertColdOracle(t, e, base, policies, opts, measures)
+	assertColdOracle(t, e, base, policies, opts, opts.Measure)
 }
 
 // TestDeltaCheckpointChain proves the differential-checkpoint format
 // end to end: interval saves after the first are deltas, a fresh
 // checkpointer restores through the chain to state byte-identical to a
-// straight run, and a one-member pass resuming from the chain's tip
+// straight run, and a sim cell resuming from the chain's tip
 // reproduces a cold straight-through run's result exactly.
 func TestDeltaCheckpointChain(t *testing.T) {
 	ctx := context.Background()
@@ -388,16 +267,14 @@ func TestDeltaCheckpointChain(t *testing.T) {
 		t.Fatal("chain-restored state diverged from straight run")
 	}
 
-	// A one-member pass resumes from the chain tip and its warmup mark,
-	// extends the delta chain, and emits the cold result.
-	var got CellResult
-	members := []engine.PlanMember{{Key: simCellKey(cfg, identify(mix).wl, 2000, 4000), Horizon: 6000,
-		Payload: simPassPayload{cfg: cfg, mix: mix, warmup: 2000, measure: 4000}}}
-	if err := runSimPass(ctx, lab, members, func(_ int, r CellResult) { got = r }); err != nil {
+	// A sim cell resumes from the chain tip and its warmup mark, extends
+	// the delta chain, and returns the cold result.
+	got, err := runSimCell(ctx, lab, cfg, mix, identify(mix).wl, 2000, 4000)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if st := snaps.Stats(); st.Hits != 1 || st.DeltaSaves != 5 {
-		t.Fatalf("pass did not resume from and extend the chain: %+v", st)
+		t.Fatalf("cell did not resume from and extend the chain: %+v", st)
 	}
 	if cold := coldCell(t, cfg, mix, 2000, 4000); !reflect.DeepEqual(got, cold) {
 		t.Fatalf("chain-resumed result diverged:\nresumed: %+v\ncold:    %+v", got, cold)

@@ -47,10 +47,10 @@ const maxDeltaChain = 16
 // MB.
 const maxSnapshotBytes = 64 << 20
 
-// trajectoryTag versions trajectory keys (and, behind "sim ", sim plan
-// groups). It moves with snapshotMagic, so checkpoints in an older
-// format live under other keys and are never looked up: a stale file
-// indexed at the same tick would otherwise block the new format's save.
+// trajectoryTag versions trajectory keys. It moves with snapshotMagic,
+// so checkpoints in an older format live under other keys and are never
+// looked up: a stale file indexed at the same tick would otherwise block
+// the new format's save.
 const trajectoryTag = "traj/v3"
 
 // trajectoryKey names a simulation's state trajectory: every input that
@@ -202,9 +202,8 @@ func aloneTrajectoryKey(srcKey string, seed uint64) string {
 	return string(appendAloneKey(make([]byte, 0, 48+len(srcKey)), aloneTrajectoryTag, srcKey, seed))
 }
 
-// aloneTrajectoryTag versions alone trajectory keys (and, behind
-// "alone ", alone plan groups). It moves with aloneMagic, for the
-// reason trajectoryTag moves with snapshotMagic.
+// aloneTrajectoryTag versions alone trajectory keys. It moves with
+// aloneMagic, for the reason trajectoryTag moves with snapshotMagic.
 const aloneTrajectoryTag = "alonetraj/v3"
 
 // appendAloneKey renders the fields alone-cell and alone-trajectory keys

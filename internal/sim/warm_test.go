@@ -124,7 +124,7 @@ func TestSweepBatchKeysMatchCells(t *testing.T) {
 		points = append(points, sweepPoint{base: DefaultConfig(), policies: fig12Policies(nrh), mixes: mixes})
 	}
 	points = append(points, sweepPoint{base: scaleConfig(2, 32, true), policies: attackSweepPolicies(128), mixes: other})
-	sw := newSweepBatch(nil, opts, points, []int{3000, 6000})
+	sw := newSweepBatch(nil, opts, points)
 	if sw.Len() == 0 {
 		t.Fatal("empty sweep batch")
 	}
