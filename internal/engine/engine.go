@@ -556,9 +556,10 @@ func (e *Engine[R]) release(key string, f *flight[R], r R, err error) {
 // run resolves slot s, whose key's flight f the caller has claimed. It
 // is the engine's only executor: a key the store holds is served from
 // disk; otherwise run takes a compute token, runs the cell with panics
-// recovered, tallies it, persists the result and releases the key, and
-// only then serves the batch's positions, so a progress callback sees
-// the cell's whole tally. A failed or cancelled cell releases its
+// recovered, tallies it and persists the result under that token (so
+// the cell span and CellSeconds cover the store write), then releases
+// the key and only then serves the batch's positions, so a progress
+// callback sees the cell's whole tally. A failed or cancelled cell releases its
 // flight with the error and fails the batch.
 func (e *Engine[R]) run(ctx context.Context, s int, f *flight[R], b *batch[R]) {
 	key := b.slots[s].key
@@ -610,6 +611,19 @@ func (e *Engine[R]) run(ctx context.Context, s int, f *flight[R], b *batch[R]) {
 		}()
 		return b.cell(s).Run(context.WithValue(ctx, resumeNoteKey{}, note))
 	}()
+	if err == nil {
+		b.bump(func(st *Stats) {
+			st.Simulated++
+			st.SimulatedTicks += note.simulated
+			if note.resumed {
+				st.Resumed++
+				st.ResumedTicks += uint64(note.ticks)
+			}
+		})
+		if e.store != nil {
+			e.saveResult(ctx, key, r, b)
+		}
+	}
 	if note.resumed {
 		runSpan.SetAttr("resumed_ticks", note.ticks)
 	}
@@ -621,17 +635,6 @@ func (e *Engine[R]) run(ctx context.Context, s int, f *flight[R], b *batch[R]) {
 	}
 	if m != nil {
 		m.CellSeconds.Observe(time.Since(runStart).Seconds())
-	}
-	b.bump(func(st *Stats) {
-		st.Simulated++
-		st.SimulatedTicks += note.simulated
-		if note.resumed {
-			st.Resumed++
-			st.ResumedTicks += uint64(note.ticks)
-		}
-	})
-	if e.store != nil {
-		e.saveResult(ctx, key, r, b)
 	}
 	e.release(key, f, r, nil)
 	b.serve(s, &r)

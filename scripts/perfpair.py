@@ -4,15 +4,15 @@
 Usage, from anywhere inside the repository:
 
     python3 scripts/perfpair.py --base main --pairs 10
-    python3 scripts/perfpair.py --base ../hira-base --head HEAD --workload server-session
+    python3 scripts/perfpair.py --base HEAD~1 --workload server-session
 
---base and --head each name a checkout: a directory is used as it is, and
-anything else is a git ref, checked out into a temporary `git worktree`
-that is removed on exit. --head defaults to HEAD. Each pair runs
-`python3 perfbench/run.py --trace 0` once in each checkout, with the pair's
-seed (1, 2, ...), for every workload of BENCHMARK.json (or the --workload
-ones). Pairs alternate which checkout goes first, so a drift in host load
-falls on both sides alike.
+--base and --head each name a git ref (--head defaults to HEAD). Each is
+checked out into its own temporary `git worktree`, removed on exit, so
+only committed files are measured. Each pair runs
+`python3 perfbench/run.py --trace 0` once in each worktree, with the
+pair's seed (1, 2, ...), for every workload of BENCHMARK.json (or the
+--workload ones). Pairs alternate which side goes first, so a drift in
+host load falls on both sides alike.
 
 For each workload and end-to-end metric the summary prints the base and
 head medians, the median and per-pair head/base ratios, how many pairs
@@ -38,24 +38,16 @@ def git(root, *args):
 
 
 class Checkout:
-    """A directory perfbench runs in, made from a ref when not given one."""
+    """A temporary `git worktree` of one commit, removed by close()."""
 
-    def __init__(self, root, name, tmp):
-        self.root, self.worktree = root, None
-        if os.path.isdir(name):
-            self.dir = os.path.abspath(name)
-            self.label = self.dir
-            return
-        sha = git(root, "rev-parse", "--verify", name + "^{commit}")
-        self.dir = os.path.join(tmp, sha[:12])
-        if not os.path.isdir(self.dir):
-            git(root, "worktree", "add", "--detach", self.dir, sha)
-            self.worktree = self.dir
-        self.label = "%s (%s)" % (name, sha[:12])
+    def __init__(self, root, ref, path):
+        sha = git(root, "rev-parse", "--verify", ref + "^{commit}")
+        git(root, "worktree", "add", "--detach", path, sha)
+        self.root, self.dir = root, path
+        self.label = "%s (%s)" % (ref, sha[:12])
 
     def close(self):
-        if self.worktree:
-            git(self.root, "worktree", "remove", "--force", self.worktree)
+        git(self.root, "worktree", "remove", "--force", self.dir)
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -103,25 +95,26 @@ def summarize(workload, metrics, runs):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--base", required=True, help="base checkout: a directory or a git ref")
-    ap.add_argument("--head", default="HEAD", help="head checkout: a directory or a git ref")
+    ap.add_argument("--base", required=True, help="base git ref")
+    ap.add_argument("--head", default="HEAD", help="head git ref")
     ap.add_argument("--pairs", type=int, default=10, help="alternating pairs per workload")
     ap.add_argument("--workload", action="append", help="workload to run (repeatable; default all)")
     ap.add_argument("--seconds", type=int, help="measured seconds per run (default BENCHMARK.json's run_seconds)")
-    ap.add_argument("--json", help="also write every run's metrics to this file")
     args = ap.parse_args()
 
     root = git(os.path.dirname(os.path.abspath(__file__)), "rev-parse", "--show-toplevel")
     tmp = tempfile.mkdtemp(prefix="perfpair-")
     sides = []
     try:
-        sides = [Checkout(root, args.base, tmp), Checkout(root, args.head, tmp)]
+        # Each worktree is recorded as soon as it exists, so a failure
+        # on the second still removes the first.
+        for side, ref in (("base", args.base), ("head", args.head)):
+            sides.append(Checkout(root, ref, os.path.join(tmp, side)))
         with open(os.path.join(sides[1].dir, "BENCHMARK.json")) as f:
             spec = json.load(f)
         workloads = args.workload or [w["name"] for w in spec["workloads"]]
         seconds = args.seconds or spec.get("run_seconds", 30)
         print("base: %s\nhead: %s" % (sides[0].label, sides[1].label))
-        record = {}
         for wl in workloads:
             runs = []
             for i in range(args.pairs):
@@ -132,11 +125,7 @@ def main():
                 runs.append((got[0], got[1]))
                 print("%s pair %d/%d (seed %d, %s first) done" % (
                     wl, i + 1, args.pairs, seed, "base" if i % 2 == 0 else "head"), flush=True)
-            record[wl] = [{"seed": i + 1, "base": b, "head": h} for i, (b, h) in enumerate(runs)]
             summarize(wl, spec["end_to_end"], runs)
-        if args.json:
-            with open(args.json, "w") as f:
-                json.dump(record, f, indent=1)
     finally:
         for side in sides:
             side.close()
