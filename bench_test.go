@@ -1,11 +1,14 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation, plus ablations over the design choices DESIGN.md calls out.
+// evaluation, plus ablations over HiRA-MC's two design knobs (HiRA-N's
+// tRefSlack and the SPT's pairable-subarray coverage).
 //
 // Each benchmark regenerates its experiment at a reduced, laptop-scale
 // size and reports the experiment's headline quantity through
 // b.ReportMetric, so `go test -bench=. -benchmem` doubles as a smoke
 // reproduction; the cmd/ binaries run the same experiments at larger
-// scales. EXPERIMENTS.md records paper-vs-measured values.
+// scales (README.md, "Scaling toward paper size"). README.md's
+// "Performance" section describes the rungs CI records in
+// BENCH_prN.json.
 package hira_test
 
 import (

@@ -250,9 +250,36 @@ func TestCharacterizeModuleSmall(t *testing.T) {
 
 func TestCoverageIdenticalAcrossBanks(t *testing.T) {
 	m := TestedModules()[0]
-	if !CoverageIdenticalAcrossBanks(m, 12, t3ns, t3ns) {
+	if !coverageIdenticalAcrossBanks(m, 12, t3ns, t3ns) {
 		t.Error("§4.4.1: pairs must be identical across banks")
 	}
+}
+
+// coverageIdenticalAcrossBanks probes the paper's §4.4.1 observation:
+// the set of row pairs HiRA can concurrently activate is identical in
+// every bank. It probes pairCount pairs in every bank and reports whether
+// all banks agree with bank 0.
+func coverageIdenticalAcrossBanks(m Module, pairCount int, t1, t2 dram.Time) bool {
+	g := CharzGeometry()
+	h := softmc.NewHost(m.NewChip(g))
+	rows := SampleRows(TestedRows(g, 2048, 1), pairCount*2)
+	var ref []bool
+	for bank := 0; bank < g.Banks; bank++ {
+		got := make([]bool, 0, pairCount)
+		for i := 0; i+1 < len(rows); i += 2 {
+			got = append(got, PairWorks(h, bank, rows[i], rows[i+1], t1, t2))
+		}
+		if bank == 0 {
+			ref = got
+			continue
+		}
+		for i := range got {
+			if got[i] != ref[i] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func TestBankVariationSmall(t *testing.T) {

@@ -124,40 +124,3 @@ func BankVariation(m Module, victimsPerBank int, t1, t2 dram.Time) []BankResult 
 	}
 	return out
 }
-
-// CoverageIdenticalAcrossBanks verifies the paper's §4.4.1 observation:
-// the set of row pairs HiRA can concurrently activate is identical in
-// every bank. It probes pairCount pairs in every bank and reports whether
-// all banks agree with bank 0.
-func CoverageIdenticalAcrossBanks(m Module, pairCount int, t1, t2 dram.Time) bool {
-	if pairCount <= 0 {
-		pairCount = 32
-	}
-	g := CharzGeometry()
-	h := softmc.NewHost(m.NewChip(g))
-	tested := TestedRows(g, 2048, 1)
-	rows := SampleRows(tested, pairCount*2)
-
-	type pair struct{ a, b int }
-	pairs := make([]pair, 0, pairCount)
-	for i := 0; i+1 < len(rows); i += 2 {
-		pairs = append(pairs, pair{rows[i], rows[i+1]})
-	}
-	var ref []bool
-	for bank := 0; bank < g.Banks; bank++ {
-		got := make([]bool, len(pairs))
-		for i, p := range pairs {
-			got[i] = PairWorks(h, bank, p.a, p.b, t1, t2)
-		}
-		if bank == 0 {
-			ref = got
-			continue
-		}
-		for i := range got {
-			if got[i] != ref[i] {
-				return false
-			}
-		}
-	}
-	return true
-}

@@ -357,13 +357,6 @@ func (c *Chip) Precharge(bankIdx int, now dram.Time) {
 	b.preAt = now
 }
 
-// PrechargeAll precharges every bank (PREA).
-func (c *Chip) PrechargeAll(now dram.Time) {
-	for i := range c.banks {
-		c.Precharge(i, now)
-	}
-}
-
 // Refresh processes an all-bank REF at time now: each bank's next
 // rowsPerREF rows are fully restored via the internal refresh counter.
 func (c *Chip) Refresh(now dram.Time) {

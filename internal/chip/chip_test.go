@@ -83,7 +83,9 @@ func abs(x int) int {
 }
 
 func TestIsolationCoverageNearTarget(t *testing.T) {
-	g := DefaultGeometry()
+	// The paper's simulated bank structure: 16 banks, 128 subarrays of
+	// 512 rows (64 K rows per bank).
+	g := Geometry{Banks: 16, SubarraysPerBank: 128, RowsPerSubarray: 512}
 	c := New(SKHynixLike("cov", 0.33), g, 99, 8)
 	total := 0
 	for sa := 0; sa < g.SubarraysPerBank; sa++ {

@@ -127,11 +127,5 @@ type Geometry struct {
 	RowsPerSubarray  int
 }
 
-// DefaultGeometry matches the paper's simulated bank structure: 16 banks,
-// 128 subarrays of 512 rows (64 K rows per bank).
-func DefaultGeometry() Geometry {
-	return Geometry{Banks: 16, SubarraysPerBank: 128, RowsPerSubarray: 512}
-}
-
 // RowsPerBank returns the number of rows in each bank.
 func (g Geometry) RowsPerBank() int { return g.SubarraysPerBank * g.RowsPerSubarray }

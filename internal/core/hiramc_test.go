@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"hira/internal/dram"
+	"hira/internal/dram/dramtest"
 	"hira/internal/sched"
 )
 
@@ -27,8 +28,8 @@ func shortTiming() dram.Timing {
 
 type testbench struct {
 	c *sched.Controller
-	v *dram.Verifier
-	a *dram.RefreshAuditor
+	v *dramtest.Verifier
+	a *dramtest.RefreshAuditor
 	m *HiRAMC
 }
 
@@ -45,10 +46,10 @@ func newBench(t *testing.T, org dram.Org, tm dram.Timing, cfg Config) *testbench
 		t.Fatal(err)
 	}
 	b := &testbench{c: c, m: m}
-	b.v = dram.NewVerifier(org, tm)
+	b.v = dramtest.NewVerifier(org, tm)
 	b.v.MaxT1 = tm.T1 + tm.TCK
 	b.v.MaxT2 = tm.T2 + tm.TCK
-	b.a = dram.NewRefreshAuditor(org, tm)
+	b.a = dramtest.NewRefreshAuditor(org, tm)
 	c.CommandHook = func(cmd dram.Command) {
 		b.v.Check(cmd)
 		b.a.Observe(cmd)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hira/internal/dram"
+	"hira/internal/dram/dramtest"
 	"hira/internal/sched"
 	"hira/internal/snap"
 )
@@ -191,8 +192,8 @@ func TestZooEnginesScheduleSafely(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v := dram.NewVerifier(org, tm)
-			a := dram.NewRefreshAuditor(org, tm)
+			v := dramtest.NewVerifier(org, tm)
+			a := dramtest.NewRefreshAuditor(org, tm)
 			c.CommandHook = func(cmd dram.Command) {
 				v.Check(cmd)
 				a.Observe(cmd)

@@ -68,9 +68,6 @@ func NewSyntheticSPT(subarrays int, coverage float64, seed uint64) *SPT {
 	})
 }
 
-// Subarrays returns the table's subarray count.
-func (s *SPT) Subarrays() int { return s.n }
-
 // Isolated reports whether subarrays a and b may be HiRA-paired.
 func (s *SPT) Isolated(a, b int) bool {
 	if a == b {

@@ -1,6 +1,10 @@
-package dram
+package dramtest
 
-import "fmt"
+import (
+	"fmt"
+
+	"hira/internal/dram"
+)
 
 // RefreshAuditor tracks, per DRAM row, when the row's charge was last
 // restored, and reports rows that exceed the retention window tREFW.
@@ -16,25 +20,25 @@ import "fmt"
 // under any refresh scheduling policy, no row may ever go unrefreshed for
 // longer than tREFW.
 type RefreshAuditor struct {
-	org Org
-	t   Timing
+	org dram.Org
+	t   dram.Timing
 
-	lastRefresh [][]Time // [flatBank][row]
-	refPtr      []int    // [flatBank] next row a REF will refresh
+	lastRefresh [][]dram.Time // [flatBank][row]
+	refPtr      []int         // [flatBank] next row a REF will refresh
 	rowsPerREF  int
 }
 
 // NewRefreshAuditor returns an auditor with every row considered refreshed
 // at time 0 (freshly initialized memory).
-func NewRefreshAuditor(org Org, t Timing) *RefreshAuditor {
+func NewRefreshAuditor(org dram.Org, t dram.Timing) *RefreshAuditor {
 	a := &RefreshAuditor{
 		org:        org,
 		t:          t,
 		rowsPerREF: t.RowsPerREF(org.RowsPerBank()),
 	}
-	a.lastRefresh = make([][]Time, org.TotalBanks())
+	a.lastRefresh = make([][]dram.Time, org.TotalBanks())
 	for i := range a.lastRefresh {
-		a.lastRefresh[i] = make([]Time, org.RowsPerBank())
+		a.lastRefresh[i] = make([]dram.Time, org.RowsPerBank())
 	}
 	a.refPtr = make([]int, org.TotalBanks())
 	return a
@@ -44,12 +48,12 @@ func NewRefreshAuditor(org Org, t Timing) *RefreshAuditor {
 func (a *RefreshAuditor) RowsPerREF() int { return a.rowsPerREF }
 
 // Observe updates refresh state from one command.
-func (a *RefreshAuditor) Observe(c Command) {
+func (a *RefreshAuditor) Observe(c dram.Command) {
 	switch c.Kind {
-	case KindACT:
+	case dram.KindACT:
 		bank := c.Loc.Flat(a.org)
 		a.lastRefresh[bank][c.Loc.Row] = c.At
-	case KindREF:
+	case dram.KindREF:
 		for b := 0; b < a.org.BanksPerRank(); b++ {
 			cc := c
 			cc.Loc.Bank = b
@@ -69,10 +73,10 @@ func (a *RefreshAuditor) Observe(c Command) {
 
 // StaleRow describes a row that has exceeded the retention window.
 type StaleRow struct {
-	Bank BankID
+	Bank dram.BankID
 	Row  int
 	// Age is the time elapsed since the row's last refresh.
-	Age Time
+	Age dram.Time
 }
 
 func (s StaleRow) String() string {
@@ -81,7 +85,7 @@ func (s StaleRow) String() string {
 
 // StaleAt returns every row whose last refresh is more than tREFW before
 // now. The result is capped at limit entries (limit <= 0 means unlimited).
-func (a *RefreshAuditor) StaleAt(now Time, limit int) []StaleRow {
+func (a *RefreshAuditor) StaleAt(now dram.Time, limit int) []StaleRow {
 	var out []StaleRow
 	for flat, rows := range a.lastRefresh {
 		bank := a.bankFromFlat(flat)
@@ -98,8 +102,8 @@ func (a *RefreshAuditor) StaleAt(now Time, limit int) []StaleRow {
 }
 
 // OldestAge returns the largest refresh age across all rows at time now.
-func (a *RefreshAuditor) OldestAge(now Time) Time {
-	var oldest Time
+func (a *RefreshAuditor) OldestAge(now dram.Time) dram.Time {
+	var oldest dram.Time
 	for _, rows := range a.lastRefresh {
 		for _, last := range rows {
 			if age := now - last; age > oldest {
@@ -110,10 +114,10 @@ func (a *RefreshAuditor) OldestAge(now Time) Time {
 	return oldest
 }
 
-func (a *RefreshAuditor) bankFromFlat(flat int) BankID {
+func (a *RefreshAuditor) bankFromFlat(flat int) dram.BankID {
 	perChan := a.org.BanksPerChannel()
 	ch := flat / perChan
 	rem := flat % perChan
 	rank := rem / a.org.BanksPerRank()
-	return BankID{Channel: ch, Rank: rank, Bank: rem % a.org.BanksPerRank()}
+	return dram.BankID{Channel: ch, Rank: rank, Bank: rem % a.org.BanksPerRank()}
 }

@@ -1,14 +1,23 @@
-package dram
+// Package dramtest holds the test oracles for the DRAM model: Verifier
+// checks a command trace against the DDR4 timing rules, with HiRA's
+// engineered ACT–PRE–ACT sequence as the single sanctioned exception to
+// tRAS and tRP, and RefreshAuditor proves no row outlives tREFW. The
+// dram, sched and core tests feed them every command the code under test
+// issues. No production package imports dramtest; CI fails the build if
+// one does.
+package dramtest
 
 import (
 	"fmt"
 	"sort"
+
+	"hira/internal/dram"
 )
 
 // Violation describes one timing or protocol rule broken by a command
 // trace.
 type Violation struct {
-	Cmd  Command
+	Cmd  dram.Command
 	Rule string
 }
 
@@ -24,52 +33,52 @@ func (v Violation) Error() string {
 // violations are available from Violations. A Verifier is not safe for
 // concurrent use.
 type Verifier struct {
-	org Org
-	t   Timing
+	org dram.Org
+	t   dram.Timing
 
 	// HiRA t1/t2 acceptance windows. A HiRAInterruptPRE must trail its
 	// HiRAFirstACT by a duration in [MinT1, MaxT1]; a HiRASecondACT must
 	// trail the interrupted precharge by a duration in [MinT2, MaxT2].
-	MinT1, MaxT1 Time
-	MinT2, MaxT2 Time
+	MinT1, MaxT1 dram.Time
+	MinT2, MaxT2 dram.Time
 
 	banks      []*bankState
 	ranks      []*rankState
 	chans      []*chanState
 	violations []Violation
-	lastTime   Time
+	lastTime   dram.Time
 }
 
 type bankState struct {
 	open        bool
 	openRow     int
-	lastACT     Time
-	lastPRE     Time
-	lastRDEnd   Time // time the last read finished occupying the row (for tRTP accounting we store RD issue)
-	lastRD      Time
-	lastWR      Time
+	lastACT     dram.Time
+	lastPRE     dram.Time
+	lastRDEnd   dram.Time // time the last read finished occupying the row (for tRTP accounting we store RD issue)
+	lastRD      dram.Time
+	lastWR      dram.Time
 	hiraArmed   bool // a HiRAInterruptPRE was seen; next ACT may be HiRASecondACT
-	hiraPREAt   Time
-	hiraFirst   bool // open row was opened by HiRAFirstACT
-	restoreFrom Time // time charge restoration started for the open row
+	hiraPREAt   dram.Time
+	hiraFirst   bool      // open row was opened by HiRAFirstACT
+	restoreFrom dram.Time // time charge restoration started for the open row
 }
 
 type rankState struct {
-	actTimes     []Time // recent ACT times for tFAW
-	lastACT      Time
+	actTimes     []dram.Time // recent ACT times for tFAW
+	lastACT      dram.Time
 	lastACTGroup int
-	refBusy      Time // rank unavailable until this time due to REF
-	lastCmd      Time
+	refBusy      dram.Time // rank unavailable until this time due to REF
+	lastCmd      dram.Time
 }
 
 type chanState struct {
-	lastCmd Time
+	lastCmd dram.Time
 	has     bool
 }
 
 // NewVerifier returns a Verifier for the given organization and timing.
 // The HiRA windows default to exactly [T1, T1] and [T2, T2].
-func NewVerifier(org Org, t Timing) *Verifier {
+func NewVerifier(org dram.Org, t dram.Timing) *Verifier {
 	v := &Verifier{
 		org:   org,
 		t:     t,
@@ -78,21 +87,21 @@ func NewVerifier(org Org, t Timing) *Verifier {
 	}
 	v.banks = make([]*bankState, org.TotalBanks())
 	for i := range v.banks {
-		v.banks[i] = &bankState{lastACT: -maxTime, lastPRE: -maxTime, lastRD: -maxTime, lastWR: -maxTime}
+		v.banks[i] = &bankState{lastACT: -dram.MaxTime(), lastPRE: -dram.MaxTime(), lastRD: -dram.MaxTime(), lastWR: -dram.MaxTime()}
 	}
 	v.ranks = make([]*rankState, org.Channels*org.RanksPerChannel)
 	for i := range v.ranks {
-		v.ranks[i] = &rankState{lastACT: -maxTime, refBusy: -maxTime, lastCmd: -maxTime}
+		v.ranks[i] = &rankState{lastACT: -dram.MaxTime(), refBusy: -dram.MaxTime(), lastCmd: -dram.MaxTime()}
 	}
 	v.chans = make([]*chanState, org.Channels)
 	for i := range v.chans {
 		v.chans[i] = &chanState{}
 	}
-	v.lastTime = -maxTime
+	v.lastTime = -dram.MaxTime()
 	return v
 }
 
-func (v *Verifier) fail(c Command, format string, args ...any) {
+func (v *Verifier) fail(c dram.Command, format string, args ...any) {
 	v.violations = append(v.violations, Violation{Cmd: c, Rule: fmt.Sprintf(format, args...)})
 }
 
@@ -108,17 +117,17 @@ func (v *Verifier) Err() error {
 	return v.violations[0]
 }
 
-func (v *Verifier) rank(c Command) *rankState {
+func (v *Verifier) rank(c dram.Command) *rankState {
 	return v.ranks[c.Loc.Channel*v.org.RanksPerChannel+c.Loc.Rank]
 }
 
-func (v *Verifier) bank(c Command) *bankState {
+func (v *Verifier) bank(c dram.Command) *bankState {
 	return v.banks[c.Loc.Flat(v.org)]
 }
 
 // Check validates one command against the state accumulated so far.
 // Commands must arrive in nondecreasing time order.
-func (v *Verifier) Check(c Command) {
+func (v *Verifier) Check(c dram.Command) {
 	if c.At < v.lastTime {
 		v.fail(c, "command order: time moved backwards (last %v)", v.lastTime)
 	}
@@ -139,11 +148,11 @@ func (v *Verifier) Check(c Command) {
 	}
 
 	switch c.Kind {
-	case KindACT:
+	case dram.KindACT:
 		v.checkACT(c, rk)
-	case KindPRE:
+	case dram.KindPRE:
 		v.checkPRE(c)
-	case KindPREA:
+	case dram.KindPREA:
 		for b := 0; b < v.org.BanksPerRank(); b++ {
 			cc := c
 			cc.Loc.Bank = b
@@ -151,9 +160,9 @@ func (v *Verifier) Check(c Command) {
 				v.checkPRE(cc)
 			}
 		}
-	case KindRD, KindWR:
+	case dram.KindRD, dram.KindWR:
 		v.checkColumn(c)
-	case KindREF:
+	case dram.KindREF:
 		v.checkREF(c, rk)
 	default:
 		v.fail(c, "unknown command kind")
@@ -161,10 +170,10 @@ func (v *Verifier) Check(c Command) {
 	rk.lastCmd = c.At
 }
 
-func (v *Verifier) checkACT(c Command, rk *rankState) {
+func (v *Verifier) checkACT(c dram.Command, rk *rankState) {
 	b := v.bank(c)
 
-	if c.Phase == HiRASecondACT {
+	if c.Phase == dram.HiRASecondACT {
 		if !b.hiraArmed {
 			v.fail(c, "HiRA second ACT without interrupted precharge")
 		} else {
@@ -190,25 +199,25 @@ func (v *Verifier) checkACT(c Command, rk *rankState) {
 	if b.hiraArmed {
 		v.fail(c, "non-HiRA ACT while HiRA precharge pending")
 	}
-	if c.At-b.lastPRE < v.t.TRP && b.lastPRE > -maxTime {
+	if c.At-b.lastPRE < v.t.TRP && b.lastPRE > -dram.MaxTime() {
 		v.fail(c, "tRP: %v since PRE, need %v", c.At-b.lastPRE, v.t.TRP)
 	}
-	if c.At-b.lastACT < v.t.TRC && b.lastACT > -maxTime {
+	if c.At-b.lastACT < v.t.TRC && b.lastACT > -dram.MaxTime() {
 		v.fail(c, "tRC: %v since ACT, need %v", c.At-b.lastACT, v.t.TRC)
 	}
 	b.open = true
 	b.openRow = c.Loc.Row
 	b.lastACT = c.At
 	b.restoreFrom = c.At
-	b.hiraFirst = c.Phase == HiRAFirstACT
+	b.hiraFirst = c.Phase == dram.HiRAFirstACT
 	v.countACT(c, rk)
 }
 
-func (v *Verifier) countACT(c Command, rk *rankState) {
+func (v *Verifier) countACT(c dram.Command, rk *rankState) {
 	// tRRD between ACTs to the same rank: tRRD_S across bank groups,
 	// tRRD_L within one.
 	group := c.Loc.BankGroup(v.org)
-	if rk.lastACT > -maxTime {
+	if rk.lastACT > -dram.MaxTime() {
 		need := v.t.TRRD
 		if group == rk.lastACTGroup {
 			need = v.t.TRRDL
@@ -233,14 +242,14 @@ func (v *Verifier) countACT(c Command, rk *rankState) {
 	}
 }
 
-func (v *Verifier) checkPRE(c Command) {
+func (v *Verifier) checkPRE(c dram.Command) {
 	b := v.bank(c)
 	if !b.open {
 		// Precharging a precharged bank is legal (NOP effect), common in
 		// real controllers; nothing to check.
 		return
 	}
-	if c.Phase == HiRAInterruptPRE {
+	if c.Phase == dram.HiRAInterruptPRE {
 		gap := c.At - b.lastACT
 		if gap < v.MinT1 || gap > v.MaxT1 {
 			v.fail(c, "HiRA t1 out of window: %v not in [%v,%v]", gap, v.MinT1, v.MaxT1)
@@ -256,10 +265,10 @@ func (v *Verifier) checkPRE(c Command) {
 	if c.At-b.restoreFrom < v.t.TRAS {
 		v.fail(c, "tRAS: %v since ACT, need %v", c.At-b.restoreFrom, v.t.TRAS)
 	}
-	if b.lastRD > -maxTime && c.At-b.lastRD < v.t.TRTP {
+	if b.lastRD > -dram.MaxTime() && c.At-b.lastRD < v.t.TRTP {
 		v.fail(c, "tRTP: %v since RD, need %v", c.At-b.lastRD, v.t.TRTP)
 	}
-	if b.lastWR > -maxTime {
+	if b.lastWR > -dram.MaxTime() {
 		wrDone := b.lastWR + v.t.CWL + v.t.TBL + v.t.TWR
 		if c.At < wrDone {
 			v.fail(c, "tWR: PRE at %v before write recovery ends at %v", c.At, wrDone)
@@ -269,7 +278,7 @@ func (v *Verifier) checkPRE(c Command) {
 	b.lastPRE = c.At
 }
 
-func (v *Verifier) checkColumn(c Command) {
+func (v *Verifier) checkColumn(c dram.Command) {
 	b := v.bank(c)
 	if !b.open {
 		v.fail(c, "%v to precharged bank", c.Kind)
@@ -285,10 +294,10 @@ func (v *Verifier) checkColumn(c Command) {
 	if b.lastWR > last {
 		last = b.lastWR
 	}
-	if last > -maxTime && c.At-last < v.t.TCCD {
+	if last > -dram.MaxTime() && c.At-last < v.t.TCCD {
 		v.fail(c, "tCCD: %v since last column access, need %v", c.At-last, v.t.TCCD)
 	}
-	if c.Kind == KindRD {
+	if c.Kind == dram.KindRD {
 		b.lastRD = c.At
 	} else {
 		b.lastWR = c.At
@@ -299,16 +308,16 @@ func (v *Verifier) checkColumn(c Command) {
 		// reusing the bank, which the subsequent ACT's tRP/tRC checks
 		// will catch through lastPRE.
 		pre := c
-		pre.Kind = KindPRE
-		pre.Phase = HiRANone
+		pre.Kind = dram.KindPRE
+		pre.Phase = dram.HiRANone
 		pre.At = v.earliestAutoPRE(c, b)
 		v.checkPRE(pre)
 	}
 }
 
-func (v *Verifier) earliestAutoPRE(c Command, b *bankState) Time {
+func (v *Verifier) earliestAutoPRE(c dram.Command, b *bankState) dram.Time {
 	at := b.restoreFrom + v.t.TRAS
-	if c.Kind == KindRD {
+	if c.Kind == dram.KindRD {
 		if t := c.At + v.t.TRTP; t > at {
 			at = t
 		}
@@ -320,7 +329,7 @@ func (v *Verifier) earliestAutoPRE(c Command, b *bankState) Time {
 	return at
 }
 
-func (v *Verifier) checkREF(c Command, rk *rankState) {
+func (v *Verifier) checkREF(c dram.Command, rk *rankState) {
 	// All banks in the rank must be precharged.
 	for bank := 0; bank < v.org.BanksPerRank(); bank++ {
 		cc := c
@@ -338,8 +347,8 @@ func (v *Verifier) checkREF(c Command, rk *rankState) {
 // CheckTrace sorts cmds by time (stably) and feeds them through a fresh
 // pass of the verifier, returning all violations. It is a convenience for
 // tests that accumulate an unordered trace.
-func (v *Verifier) CheckTrace(cmds []Command) []Violation {
-	sorted := make([]Command, len(cmds))
+func (v *Verifier) CheckTrace(cmds []dram.Command) []Violation {
+	sorted := make([]dram.Command, len(cmds))
 	copy(sorted, cmds)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
 	for _, c := range sorted {

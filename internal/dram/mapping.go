@@ -5,13 +5,6 @@ import (
 	"math/bits"
 )
 
-// AddressMapper translates physical byte addresses to DRAM locations.
-type AddressMapper interface {
-	// Map decodes a physical byte address into a DRAM location. The
-	// column is in units of cache blocks within the row.
-	Map(addr uint64) Location
-}
-
 // MOPMapper implements a Minimalist-Open-Page style address mapping
 // (Kaseridis et al., MICRO'11), the mapping the paper's Table 3 uses.
 //
@@ -75,10 +68,8 @@ func NewMOPMapper(org Org) *MOPMapper {
 	return m
 }
 
-// BlockBytes returns the cache-block granularity of the mapping.
-func (m *MOPMapper) BlockBytes() int { return m.blockBytes }
-
-// Map implements AddressMapper.
+// Map decodes a physical byte address into a DRAM location. The column
+// is in units of cache blocks within the row.
 func (m *MOPMapper) Map(addr uint64) Location {
 	_, a := m.block.split(addr)
 	groupOff, a := m.group.split(a)
@@ -124,17 +115,6 @@ func (m *MOPMapper) Addr(loc Location) uint64 {
 	a = a*uint64(o.Channels) + uint64(loc.Channel)%uint64(o.Channels)
 	a = a*uint64(m.groupBlocks) + groupOff
 	return a * uint64(m.blockBytes)
-}
-
-// RowStride returns the smallest address increment that changes only the
-// row, keeping channel/rank/bank fixed. Useful for constructing adversarial
-// (row-conflict) access patterns in tests and workloads.
-func (m *MOPMapper) RowStride() uint64 {
-	o := m.org
-	blocksPerRow := uint64(o.RowBytes / m.blockBytes)
-	return uint64(m.blockBytes) * uint64(m.groupBlocks) *
-		uint64(o.Channels) * uint64(o.BankGroups) * uint64(o.BanksPerGroup) *
-		uint64(o.RanksPerChannel) * (blocksPerRow / uint64(m.groupBlocks))
 }
 
 // Validate checks that the mapper's organization is usable.

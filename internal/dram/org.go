@@ -50,23 +50,6 @@ func DefaultOrg() Org {
 	}
 }
 
-// OrgForCapacity returns DefaultOrg scaled so that the number of rows per
-// bank tracks chip capacity: 8 Gb chips have 64 K rows per bank (Table 3),
-// and each doubling of capacity doubles the rows per subarray. This is how
-// the paper's capacity sweep (Fig. 9) increases the number of rows that
-// periodic refresh must cover.
-func OrgForCapacity(gbit int) Org {
-	o := DefaultOrg()
-	o.ChipCapacityGbit = gbit
-	// 8 Gb -> 512 rows/subarray. Scale proportionally, minimum 64.
-	rows := 512 * gbit / 8
-	if rows < 64 {
-		rows = 64
-	}
-	o.RowsPerSubarray = rows
-	return o
-}
-
 // Validate reports an error describing the first invalid field, if any.
 func (o Org) Validate() error {
 	check := func(name string, v int) error {
@@ -109,11 +92,6 @@ func (o Org) RowsPerBank() int { return o.SubarraysPerBank * o.RowsPerSubarray }
 
 // TotalRows returns the number of rows in the whole system.
 func (o Org) TotalRows() int { return o.TotalBanks() * o.RowsPerBank() }
-
-// CapacityBytes returns the total byte capacity of the system.
-func (o Org) CapacityBytes() int64 {
-	return int64(o.TotalRows()) * int64(o.RowBytes)
-}
 
 // SubarrayOfRow returns the subarray index that contains row.
 func (o Org) SubarrayOfRow(row int) int { return row / o.RowsPerSubarray }

@@ -11,12 +11,14 @@
 //   - Command and Kind, the DDR4 command vocabulary relevant to HiRA
 //     (ACT, PRE, PREA, RD, WR, REF) plus markers for the two halves of a
 //     HiRA sequence; and
-//   - Verifier, a command-trace checker that enforces the timing
-//     constraints, treating HiRA's deliberately violated ACT–PRE–ACT
-//     spacing as the single sanctioned exception.
+//   - MOPMapper, the Table 3 physical-address to DRAM-location mapping.
 //
 // All simulators and schedulers in this repository express time in
-// dram.Time and are checked against dram.Verifier in tests.
+// dram.Time. Their tests check every command they issue against the
+// oracles in package dramtest: Verifier enforces the timing
+// constraints, treating HiRA's deliberately violated ACT–PRE–ACT
+// spacing as the single sanctioned exception, and RefreshAuditor
+// proves no row outlives tREFW.
 package dram
 
 import "fmt"
@@ -65,8 +67,6 @@ func FromNanoseconds(ns float64) Time {
 	return Time(ns*float64(Nanosecond) + 0.5)
 }
 
-// maxTime is a sentinel "never" value safe to add small durations to.
-const maxTime = Time(1) << 62
-
-// MaxTime reports the sentinel "never happens" time used by schedulers.
-func MaxTime() Time { return maxTime }
+// MaxTime reports the sentinel "never happens" time used by schedulers,
+// a value safe to add small durations to.
+func MaxTime() Time { return Time(1) << 62 }

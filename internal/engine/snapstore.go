@@ -455,19 +455,6 @@ func (s *SnapStore) SaveDelta(key string, tick, baseTick int, data []byte) error
 	return err
 }
 
-// BaseTick returns the stored checkpoint's delta base tick (0 for a
-// full snapshot) and whether the slot exists.
-func (s *SnapStore) BaseTick(key string, tick int) (int, bool) {
-	hash := hashKey(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.entries[hash][tick]
-	if e == nil {
-		return 0, false
-	}
-	return e.base, true
-}
-
 func (s *SnapStore) noteSaveErr(err error) {
 	s.mu.Lock()
 	s.stats.SaveErrors++

@@ -1,7 +1,7 @@
 // Package metrics provides the statistics used to report the paper's
-// experiments: box-and-whiskers summaries (Figs. 4 and 6), histograms
-// (Fig. 5), and the weighted-speedup system-performance metric
-// (§7, Eyerman & Eeckhout).
+// experiments: box-and-whiskers summaries (Figs. 4 and 6), the mean, and
+// the weighted-speedup system-performance metric (§7, Eyerman &
+// Eeckhout).
 package metrics
 
 import (
@@ -72,65 +72,6 @@ func (s Summary) String() string {
 		s.N, s.Min, s.Q1, s.Median, s.Q3, s.Max, s.Mean)
 }
 
-// Histogram is a fixed-width binned distribution.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram returns a histogram of bins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("metrics: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation; out-of-range values clamp to the end bins.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the fraction of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// BinCenter returns the center value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// FractionAbove returns the fraction of observations with value >= x.
-func (h *Histogram) FractionAbove(x float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	n := 0
-	for i := range h.Counts {
-		if h.BinCenter(i) >= x {
-			n += h.Counts[i]
-		}
-	}
-	return float64(n) / float64(h.total)
-}
-
 // WeightedSpeedup computes the multiprogrammed system-performance metric
 // of §7: the sum over cores of IPC_shared / IPC_alone.
 func WeightedSpeedup(ipcShared, ipcAlone []float64) float64 {
@@ -156,30 +97,4 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of positive values.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}
-
-// Normalize returns xs scaled so that base maps to 1.0.
-func Normalize(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		if base != 0 {
-			out[i] = x / base
-		}
-	}
-	return out
 }

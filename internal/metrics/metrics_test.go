@@ -61,39 +61,6 @@ func TestSummarizeDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i := range h.Counts {
-		if h.Counts[i] != 1 {
-			t.Errorf("bin %d count = %d, want 1", i, h.Counts[i])
-		}
-		if got := h.Fraction(i); math.Abs(got-0.1) > 1e-12 {
-			t.Errorf("bin %d fraction = %f", i, got)
-		}
-	}
-	h.Add(-5) // clamps into bin 0
-	h.Add(99) // clamps into last bin
-	if h.Counts[0] != 2 || h.Counts[9] != 2 {
-		t.Errorf("clamping failed: %v", h.Counts)
-	}
-	if h.Total() != 12 {
-		t.Errorf("Total = %d, want 12", h.Total())
-	}
-}
-
-func TestHistogramFractionAbove(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	if got := h.FractionAbove(5); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("FractionAbove(5) = %f, want 0.5", got)
-	}
-}
-
 func TestWeightedSpeedup(t *testing.T) {
 	// All cores at alone speed: WS = number of cores.
 	ws := WeightedSpeedup([]float64{1, 2, 3}, []float64{1, 2, 3})
@@ -111,14 +78,7 @@ func TestMeanGeoMeanNormalize(t *testing.T) {
 	if Mean([]float64{2, 4}) != 3 {
 		t.Error("Mean")
 	}
-	if math.Abs(GeoMean([]float64{1, 4})-2) > 1e-12 {
-		t.Error("GeoMean")
-	}
-	if Mean(nil) != 0 || GeoMean(nil) != 0 {
+	if Mean(nil) != 0 {
 		t.Error("empty handling")
-	}
-	n := Normalize([]float64{2, 4}, 2)
-	if n[0] != 1 || n[1] != 2 {
-		t.Errorf("Normalize = %v", n)
 	}
 }

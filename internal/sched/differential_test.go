@@ -12,6 +12,7 @@ import (
 
 	"hira/internal/core"
 	"hira/internal/dram"
+	"hira/internal/dram/dramtest"
 	"hira/internal/sched"
 	"hira/internal/workload"
 )
@@ -366,7 +367,7 @@ func TestControllerDifferentialVerified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := dram.NewVerifier(org, tm)
+	v := dramtest.NewVerifier(org, tm)
 	v.MaxT1 = tm.T1 + tm.TCK
 	v.MaxT2 = tm.T2 + tm.TCK
 	c.CommandHook = func(cmd dram.Command) { v.Check(cmd) }

@@ -161,7 +161,7 @@ type ForensicsReport struct {
 // Forensics is the per-(bank,row) activation ledger: interref demand
 // activation counts reset whenever a row's charge is restored (explicit
 // row refresh or rank-REF rotation coverage, mirroring
-// dram.RefreshAuditor's model), plus mitigation-efficacy tallies and an
+// dramtest.RefreshAuditor's model), plus mitigation-efficacy tallies and an
 // optional command flight recorder. Rows live in a sparse table
 // (rowLedger) that holds only rows the run has touched; it grows by
 // doubling, and the recorder is pre-sized at EnableForensics, so the
@@ -423,7 +423,7 @@ func (f *Forensics) classifyRefresh(ch, flat, row int, preventive, piggyback boo
 // rankREF applies a rank-level REF's row coverage to the ledger: for every
 // bank of the rank, the next rowsPerREF rows (per an internal per-bank
 // pointer that wraps at the bank size) have their charge restored —
-// exactly dram.RefreshAuditor's model of the chip's internal refresh
+// exactly dramtest.RefreshAuditor's model of the chip's internal refresh
 // counter — so their interref counts clear. Each covered row is one
 // table lookup, so REFRowsReset stays an exact tally of the nonzero
 // counts cleared.

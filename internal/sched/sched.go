@@ -7,9 +7,9 @@
 //
 // The controller advances in command-clock ticks (tCK). Every command it
 // places on a channel's command bus can be captured through CommandHook,
-// which the test suite feeds to dram.Verifier to prove the scheduler never
-// violates timing constraints, and to dram.RefreshAuditor to prove no row
-// ever exceeds its retention window.
+// which the test suite feeds to dramtest.Verifier to prove the scheduler
+// never violates timing constraints, and to dramtest.RefreshAuditor to
+// prove no row ever exceeds its retention window.
 //
 // The scheduler core is event-driven and allocation-free in steady state:
 // requests live in freelisted intrusive nodes queued per bank and ordered
@@ -111,14 +111,6 @@ type Stats struct {
 	SeqBlocked, CanACTBlocked uint64
 	ReadLatencySum            dram.Time
 	ReadCount                 uint64
-}
-
-// AvgReadLatency returns the mean read service latency.
-func (s Stats) AvgReadLatency() dram.Time {
-	if s.ReadCount == 0 {
-		return 0
-	}
-	return s.ReadLatencySum / dram.Time(s.ReadCount)
 }
 
 // Config parameterizes a Controller.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hira/internal/dram"
+	"hira/internal/dram/dramtest"
 )
 
 // smallOrg returns a small organization for fast exhaustive tests.
@@ -17,8 +18,8 @@ func smallOrg() dram.Org {
 // harness wires a controller to a verifier and auditor.
 type harness struct {
 	c   *Controller
-	v   *dram.Verifier
-	a   *dram.RefreshAuditor
+	v   *dramtest.Verifier
+	a   *dramtest.RefreshAuditor
 	org dram.Org
 	t   dram.Timing
 
@@ -33,11 +34,11 @@ func newHarness(t *testing.T, org dram.Org, tm dram.Timing, engine RefreshEngine
 		t.Fatal(err)
 	}
 	h := &harness{c: c, org: org, t: tm, completed: map[uint64]dram.Time{}}
-	h.v = dram.NewVerifier(org, tm)
+	h.v = dramtest.NewVerifier(org, tm)
 	// The controller quantizes t1/t2 up to the next command clock.
 	h.v.MaxT1 = tm.T1 + tm.TCK
 	h.v.MaxT2 = tm.T2 + tm.TCK
-	h.a = dram.NewRefreshAuditor(org, tm)
+	h.a = dramtest.NewRefreshAuditor(org, tm)
 	c.CommandHook = func(cmd dram.Command) {
 		h.v.Check(cmd)
 		h.a.Observe(cmd)

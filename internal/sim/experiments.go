@@ -65,19 +65,6 @@ func (m *aloneMemory) step() {
 	}
 }
 
-// AloneIPCSourceContext computes the alone-IPC reference for any
-// workload source (profile or trace) on the unloaded fixed-latency
-// memory (~60ns, an idle DRAM read round trip). Results are
-// deterministic per (source, seed). It polls ctx every few thousand
-// ticks and returns ctx.Err() once cancelled.
-func AloneIPCSourceContext(ctx context.Context, src workload.Source, seed uint64, ticks int) (float64, error) {
-	a := newAloneRun(src, seed)
-	if err := a.RunTo(ctx, ticks); err != nil {
-		return 0, err
-	}
-	return a.ipc(), nil
-}
-
 // aloneRun is the alone-IPC reference machine: one core on an unloaded
 // fixed-latency memory. Like System it advances in ticks and supports
 // bit-identical Snapshot/restore, so alone reference cells are just as

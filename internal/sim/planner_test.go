@@ -69,10 +69,7 @@ func assertColdOracle(t *testing.T, lab *Engine, base Config, policies []Refresh
 		id := identify(mix)
 		for c, src := range mix.Sources {
 			seed := aloneRefSeed(src, opts.Seed, c)
-			ipc, err := AloneIPCSourceContext(ctx, src, seed, measure)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ipc := coldAloneIPC(t, src, seed, measure)
 			cells = append(cells, aloneCell(lab, src, id.srcs[c], seed, measure))
 			want = append(want, CellResult{Alone: ipc})
 			horizons = append(horizons, measure)

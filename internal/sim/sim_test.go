@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"hira/internal/workload"
@@ -23,22 +24,56 @@ func quickFigure(t *testing.T, spec FigureSpec) *FigureResult {
 	return res
 }
 
+// coldAloneIPC is the alone-IPC oracle: src's IPC on the unloaded
+// fixed-latency memory (~60ns, an idle DRAM read round trip), run
+// straight through from tick 0 with no engine, store or checkpoint.
+func coldAloneIPC(t *testing.T, src workload.Source, seed uint64, ticks int) float64 {
+	t.Helper()
+	a := newAloneRun(src, seed)
+	if err := a.RunTo(context.Background(), ticks); err != nil {
+		t.Fatal(err)
+	}
+	return a.ipc()
+}
+
 func TestAloneIPCOrdering(t *testing.T) {
 	mcf, _ := workload.ProfileByName("mcf")
 	hmmer, _ := workload.ProfileByName("hmmer")
-	ipcMCF, err := AloneIPCSourceContext(context.Background(), mcf, 1, 40000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ipcHMMER, err := AloneIPCSourceContext(context.Background(), hmmer, 1, 40000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ipcMCF := coldAloneIPC(t, mcf, 1, 40000)
+	ipcHMMER := coldAloneIPC(t, hmmer, 1, 40000)
 	if ipcMCF <= 0 || ipcHMMER <= 0 {
 		t.Fatalf("non-positive alone IPC: mcf=%f hmmer=%f", ipcMCF, ipcHMMER)
 	}
 	if ipcMCF >= ipcHMMER {
 		t.Errorf("memory-bound mcf IPC (%f) should be below compute-bound hmmer (%f)", ipcMCF, ipcHMMER)
+	}
+}
+
+// TestOrgForCapacityScalesRows pins the capacity model the simulator
+// runs: Table 3's 64K rows per bank at 8 Gb, and 512·(C/8)^0.6 rows per
+// subarray (at least 64) across Fig. 9's capacities, the scaling of
+// Expression 1's refresh work.
+func TestOrgForCapacityScalesRows(t *testing.T) {
+	for _, gbit := range Fig9Capacities() {
+		cfg := DefaultConfig()
+		cfg.ChipCapacityGbit, cfg.Channels, cfg.Ranks = gbit, 2, 4
+		o := OrgFor(cfg)
+		if err := o.Validate(); err != nil {
+			t.Fatalf("%d Gb: %v", gbit, err)
+		}
+		want := int(math.Round(512 * math.Pow(float64(gbit)/8, 0.6)))
+		if want < 64 {
+			want = 64
+		}
+		if o.RowsPerSubarray != want {
+			t.Errorf("%d Gb: RowsPerSubarray = %d, want %d", gbit, o.RowsPerSubarray, want)
+		}
+		if gbit == 8 && o.RowsPerBank() != 64<<10 {
+			t.Errorf("8 Gb: RowsPerBank = %d, want 64K (Table 3)", o.RowsPerBank())
+		}
+		if o.ChipCapacityGbit != gbit || o.Channels != 2 || o.RanksPerChannel != 4 {
+			t.Errorf("%d Gb: org %+v does not carry the config's capacity, channels and ranks", gbit, o)
+		}
 	}
 }
 
