@@ -64,7 +64,8 @@ type Op struct {
 }
 
 // RefreshEngine is the controller's refresh policy. Implementations:
-// NoRefresh, BaselineREF (this package), and HiRA-MC (internal/core).
+// NoRefresh, BaselineREF (this package), and HiRA-MC and the Graphene
+// and RFM RowHammer mitigations (internal/core).
 type RefreshEngine interface {
 	// Tick is called once per controller tick so the engine can generate
 	// refresh requests.

@@ -93,17 +93,15 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Crash once a *sim* cell has checkpointed mid-run. The sweep's 4
-	// alone-reference cells run first and checkpoint only their final
-	// tick, so their saves never leave a resumable in-flight cell; the 6
-	// sim cells that follow checkpoint at the warmup boundary (tick 2000)
-	// and every 10000 ticks after. Saves >= 6 therefore means at least
-	// two sim-cell checkpoints exist, and the cells that wrote them are
-	// ~1% into their 1M-tick measure window — the restarted run must
-	// resume them, not replay.
+	// Crash once sim cells have checkpointed mid-run. Only the sweep's 6
+	// sim cells checkpoint — at the warmup boundary (tick 2000) and every
+	// 10000 ticks after; its alone-reference cells never do. Saves >= 2
+	// therefore means at least two sim-cell checkpoints exist, and the
+	// cells that wrote them are ~1% into their 1M-tick measure window —
+	// the restarted run must resume them, not replay.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if st, ok := svc.Engine().SnapshotStats(); ok && st.Saves >= 6 {
+		if st, ok := svc.Engine().SnapshotStats(); ok && st.Saves >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -12,9 +12,10 @@ import (
 
 // TestResumedJobsEndToEnd covers the resumable-cell path over HTTP: with
 // checkpointing enabled, extending a sweep's measured horizon reports
-// the cells as partially resumed (not fully simulated), the rows match a
-// cold in-process run exactly, and /v1/stats exposes the checkpoint
-// store's hit/miss/evict tallies.
+// its sim cells as partially resumed (its alone-IPC references, which
+// never checkpoint, simulate cold), the rows match a cold in-process run
+// exactly, and /v1/stats exposes the checkpoint store's hit/miss/evict
+// tallies.
 func TestResumedJobsEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	_, client := newTestServer(t, Config{
@@ -43,17 +44,22 @@ func TestResumedJobsEndToEnd(t *testing.T) {
 	if ext.State != StateDone {
 		t.Fatalf("extended job state = %s (%s)", ext.State, ext.Error)
 	}
-	// Every simulated cell must have been partially resumed, covering at
-	// least the short run's measured horizon.
-	if ext.Stats.Simulated == 0 || ext.Stats.Resumed != ext.Stats.Simulated {
-		t.Fatalf("extended job stats = %+v, want every cell partially resumed", ext.Stats)
-	}
-	if min := ext.Stats.Resumed * uint64(short.Sim.Measure); ext.Stats.ResumedTicks < min {
-		t.Fatalf("ResumedTicks = %d, want >= %d", ext.Stats.ResumedTicks, min)
-	}
-
 	longOpts := testOpts()
 	longOpts.Measure = 14000
+	// Every sim cell must have resumed from the short run's final tick;
+	// the alone references, one per core, simulated from tick zero.
+	simCells, err := sim.FigureCells(sim.FigureSpec{Kind: "fig9", Capacities: []int{8}}, longOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aloneCells := uint64(longOpts.Workloads * longOpts.Cores)
+	if ext.Stats.Resumed != uint64(simCells) || ext.Stats.Simulated != uint64(simCells)+aloneCells {
+		t.Fatalf("extended job stats = %+v, want %d of %d cells partially resumed", ext.Stats, simCells, uint64(simCells)+aloneCells)
+	}
+	if want := ext.Stats.Resumed * uint64(short.Sim.Warmup+short.Sim.Measure); ext.Stats.ResumedTicks != want {
+		t.Fatalf("ResumedTicks = %d, want %d", ext.Stats.ResumedTicks, want)
+	}
+
 	want := inProcessFig9(t, longOpts).Fig9
 	res, err := ext.FigureResult()
 	if err != nil {

@@ -224,24 +224,6 @@ func runSimCell(ctx context.Context, lab *Engine, cfg Config, mix workload.Sourc
 	return out, nil
 }
 
-// machine is the tickable state a checkpointer drives: the full System
-// and the alone-IPC reference run both implement it.
-type machine interface {
-	Ticks() int
-	RunTo(ctx context.Context, target int) error
-	Snapshot() ([]byte, error)
-}
-
-// deltaMachine is a machine that can encode a differential checkpoint:
-// only the state blocks touched since the previous checkpoint, chained
-// to it by base tick. The checkpointer owns the touch epoch — it calls
-// ResetTouchedLines exactly when a checkpoint (full or delta) lands, so
-// the touched set always means "since the last stored checkpoint".
-type deltaMachine interface {
-	SnapshotDelta(baseTick, depth int) ([]byte, error)
-	ResetTouchedLines()
-}
-
 // checkpointer writes and resumes one trajectory's checkpoints.
 type checkpointer struct {
 	snaps    *engine.SnapStore
@@ -353,71 +335,71 @@ func (ck *checkpointer) loadMark(cores, warmup int) (runMark, bool) {
 	return m, true
 }
 
-// runTo advances m to the target tick, checkpointing every interval
+// runTo advances sys to the target tick, checkpointing every interval
 // boundary it crosses. Boundaries are absolute tick multiples, so runs
 // with different warmup/measure splits of one trajectory land their
 // checkpoints on a shared grid.
-func (ck *checkpointer) runTo(ctx context.Context, m machine, target int) error {
-	if m.Ticks() >= target {
+func (ck *checkpointer) runTo(ctx context.Context, sys *System, target int) error {
+	if sys.Ticks() >= target {
 		return nil
 	}
 	sp := telemetry.StartSpan(ctx, "simulate", ck.key)
-	sp.SetAttr("from", m.Ticks())
+	sp.SetAttr("from", sys.Ticks())
 	sp.SetAttr("to", target)
 	defer sp.End()
-	before := m.Ticks()
-	defer func() { engine.MarkSimulated(ctx, m.Ticks()-before) }()
+	before := sys.Ticks()
+	defer func() { engine.MarkSimulated(ctx, sys.Ticks()-before) }()
 	if !ck.enabled() {
-		return m.RunTo(ctx, target)
+		return sys.RunTo(ctx, target)
 	}
-	for m.Ticks() < target {
+	for sys.Ticks() < target {
 		next := target
-		if b := (m.Ticks()/ck.interval + 1) * ck.interval; b < next {
+		if b := (sys.Ticks()/ck.interval + 1) * ck.interval; b < next {
 			next = b
 		}
-		if err := m.RunTo(ctx, next); err != nil {
+		if err := sys.RunTo(ctx, next); err != nil {
 			return err
 		}
 		if next%ck.interval == 0 {
-			ck.save(ctx, m)
+			ck.save(ctx, sys)
 		}
 	}
 	return nil
 }
 
-// save checkpoints m's current state, best-effort: an encode failure (a
-// non-checkpointable custom stream) or store failure only means the next
-// run starts colder. When m tracks touched state and a prior checkpoint
-// anchors this run, save emits a differential checkpoint chained to it;
-// the chain is bounded, so every maxDeltaChain-th save (and any save a
-// delta path fails on) is a full snapshot. The touch epoch resets only
-// after a checkpoint actually lands, so a skipped or failed save leaves
-// the touched set accumulating toward the next successful one.
-func (ck *checkpointer) save(ctx context.Context, m machine) {
-	if !ck.enabled() || m.Ticks() == 0 {
+// save checkpoints sys's current state, best-effort: an encode failure
+// (a non-checkpointable custom stream) or store failure only means the
+// next run starts colder. When a prior checkpoint anchors this run, save
+// emits a differential checkpoint chained to it; the chain is bounded,
+// so every maxDeltaChain-th save (and any save a delta path fails on) is
+// a full snapshot. The checkpointer owns the touch epoch: it calls
+// ResetTouchedLines exactly when a checkpoint lands, so a skipped or
+// failed save leaves the touched set accumulating toward the next
+// successful one.
+func (ck *checkpointer) save(ctx context.Context, sys *System) {
+	if !ck.enabled() || sys.Ticks() == 0 {
 		return
 	}
-	tick := m.Ticks()
+	tick := sys.Ticks()
 	if ck.snaps.Has(ck.key, tick) {
 		return
 	}
 	sp := telemetry.StartSpan(ctx, "checkpoint-save", ck.key)
 	sp.SetAttr("tick", tick)
 	defer sp.End()
-	dm, canDelta := m.(deltaMachine)
-	if canDelta && ck.lastTick > 0 && ck.lastTick < tick && ck.depth < maxDeltaChain {
-		data, err := dm.SnapshotDelta(ck.lastTick, ck.depth+1)
+	if ck.lastTick > 0 && ck.lastTick < tick && ck.depth < maxDeltaChain {
+		data, err := sys.SnapshotDelta(ck.lastTick, ck.depth+1)
 		if err == nil && ck.snaps.SaveDelta(ck.key, tick, ck.lastTick, data) == nil {
 			sp.SetAttr("delta", true)
 			ck.lastTick, ck.depth = tick, ck.depth+1
-			dm.ResetTouchedLines()
+			sys.ResetTouchedLines()
 			return
 		}
 		// Fall through: any delta failure (encode, or the store cannot
 		// hold the delta without evicting its base chain) degrades to a
 		// full snapshot.
 	}
-	data, err := m.Snapshot()
+	data, err := sys.Snapshot()
 	if err != nil {
 		return
 	}
@@ -425,48 +407,27 @@ func (ck *checkpointer) save(ctx context.Context, m machine) {
 		return
 	}
 	ck.lastTick, ck.depth = tick, 0
-	if canDelta {
-		dm.ResetTouchedLines()
-	}
+	sys.ResetTouchedLines()
 }
 
-// runAloneCell computes one alone-IPC reference: the reference machine
-// resumes from the longest checkpoint at or below its horizon, runs to
-// it, checkpoints there and reports the cumulative IPC. Alone results
-// are cumulative (no warmup mark), so any checkpoint resumes them and
-// the value is identical to a cold run. Unlike sim cells, alone cells
-// checkpoint only at their horizon: a single-core reference simulates
-// ticks about as fast as a checkpoint encodes, so grid checkpoints
-// would cost more than they could ever save, while the final state is
-// exactly what horizon extensions resume from. srcKey is src's rendered
-// Key.
-func runAloneCell(ctx context.Context, lab *Engine, src workload.Source, srcKey string, seed uint64, ticks int) (CellResult, error) {
-	ck := checkpointer{snaps: lab.snaps, interval: lab.snapInterval, key: aloneTrajectoryKey(srcKey, seed)}
-	var a *aloneRun
-	ck.resumeLongest(ctx, ticks, func(t int, data []byte) bool {
-		r, err := restoreAloneRun(src, seed, data)
-		if err != nil || r.Ticks() != t {
-			return false
-		}
-		a = r
-		return true
-	})
-	if a == nil {
-		a = newAloneRun(src, seed)
+// runAloneCell computes one alone-IPC reference: a fresh reference
+// machine runs from tick zero to the horizon and reports the cumulative
+// IPC. Alone cells never checkpoint: a single-core reference simulates
+// ticks about as fast as a checkpoint restores, so a resumed horizon
+// extension would save almost nothing over re-simulating, while the
+// engine's cache and the result store still answer exact repeats. key
+// is the cell's key, the simulate span's scope.
+func runAloneCell(ctx context.Context, key string, src workload.Source, seed uint64, ticks int) (CellResult, error) {
+	a := newAloneRun(src, seed)
+	sp := telemetry.StartSpan(ctx, "simulate", key)
+	sp.SetAttr("from", 0)
+	sp.SetAttr("to", ticks)
+	err := a.RunTo(ctx, ticks)
+	engine.MarkSimulated(ctx, a.tick)
+	sp.End()
+	if err != nil {
+		return CellResult{}, err
 	}
-	if a.Ticks() < ticks {
-		sp := telemetry.StartSpan(ctx, "simulate", ck.key)
-		sp.SetAttr("from", a.Ticks())
-		sp.SetAttr("to", ticks)
-		before := a.Ticks()
-		err := a.RunTo(ctx, ticks)
-		engine.MarkSimulated(ctx, a.Ticks()-before)
-		sp.End()
-		if err != nil {
-			return CellResult{}, err
-		}
-	}
-	ck.save(ctx, a)
 	return CellResult{Alone: a.ipc()}, nil
 }
 
@@ -478,18 +439,20 @@ func aloneCellKey(srcKey string, seed uint64, ticks int) string {
 
 // appendAloneCellKey appends aloneCellKey's bytes to b.
 func appendAloneCellKey(b []byte, srcKey string, seed uint64, ticks int) []byte {
-	b = appendAloneKey(b, "alone/v2", srcKey, seed)
+	b = append(append(b, "alone/v2 wl="...), srcKey...)
+	b = strconv.AppendUint(append(b, " seed="...), seed, 10)
 	return strconv.AppendInt(append(b, " ticks="...), int64(ticks), 10)
 }
 
 // aloneCell builds the cell that computes one workload's alone-IPC
-// reference for weighted speedup through runAloneCell, resumable under
-// lab's checkpoint policy like simCell. srcKey is src's rendered Key.
-func aloneCell(lab *Engine, src workload.Source, srcKey string, seed uint64, ticks int) engine.Cell[CellResult] {
+// reference for weighted speedup through runAloneCell. srcKey is src's
+// rendered Key.
+func aloneCell(src workload.Source, srcKey string, seed uint64, ticks int) engine.Cell[CellResult] {
+	key := aloneCellKey(srcKey, seed, ticks)
 	return engine.Cell[CellResult]{
-		Key: aloneCellKey(srcKey, seed, ticks),
+		Key: key,
 		Run: func(ctx context.Context) (CellResult, error) {
-			return runAloneCell(ctx, lab, src, srcKey, seed, ticks)
+			return runAloneCell(ctx, key, src, seed, ticks)
 		},
 	}
 }

@@ -66,26 +66,20 @@ func (m *aloneMemory) step() {
 }
 
 // aloneRun is the alone-IPC reference machine: one core on an unloaded
-// fixed-latency memory. Like System it advances in ticks and supports
-// bit-identical Snapshot/restore, so alone reference cells are just as
-// prefix-cached as full-system cells.
+// fixed-latency memory, advanced in ticks like System.
 type aloneRun struct {
 	mem    *aloneMemory
 	c      *cpu.Core
 	budget float64
 	tick   int
-	key    string // alone trajectory key, embedded in snapshots
 }
 
 func newAloneRun(src workload.Source, seed uint64) *aloneRun {
 	mem := &aloneMemory{latencyTicks: 72, llc: cache.MustNew(8<<20, 8, 64)}
 	c := cpu.New(0, src.Stream(seed), mem)
 	mem.c = c
-	return &aloneRun{mem: mem, c: c, key: aloneTrajectoryKey(src.Key(), seed)}
+	return &aloneRun{mem: mem, c: c}
 }
-
-// Ticks reports the absolute tick the run has reached.
-func (a *aloneRun) Ticks() int { return a.tick }
 
 // RunTo advances to the absolute tick target, polling ctx.
 func (a *aloneRun) RunTo(ctx context.Context, target int) error {
@@ -605,7 +599,7 @@ func (sw *sweepBatch) Cell(i int) engine.Cell[CellResult] {
 	c := sw.cells[i]
 	if c.alone {
 		src, srcKey, seed := sw.aloneSource(c)
-		return aloneCell(sw.lab, src, srcKey, seed, sw.measure)
+		return aloneCell(src, srcKey, seed, sw.measure)
 	}
 	set := sw.points[c.point].mixes
 	return simCell(sw.lab, sw.config(c), set.mixes[c.mix], set.ids[c.mix].wl, sw.warmup, sw.measure)

@@ -1,12 +1,12 @@
 package sim
 
 // Golden cell-key suite: the exact bytes of every key a sweep derives —
-// sim cell, trajectory, alone cell and alone trajectory — are pinned
-// here. Result stores, checkpoint stores and the trajectory
-// cross-check inside every snapshot are addressed by these strings, so
-// any byte that moves silently turns a warm store cold (or, worse, lets
-// two distinct cells alias). A key change must be deliberate: bump the
-// key's version prefix and update this table in the same change.
+// sim cell, trajectory and alone cell — are pinned here. Result stores,
+// checkpoint stores and the trajectory cross-check inside every snapshot
+// are addressed by these strings, so any byte that moves silently turns
+// a warm store cold (or, worse, lets two distinct cells alias). A key
+// change must be deliberate: bump the key's version prefix and update
+// this table in the same change.
 
 import (
 	"fmt"
@@ -25,22 +25,20 @@ type goldenKeyCase struct {
 	warmup, measure int
 	sim, traj       string
 	alone           []string // per core: aloneCellKey at ticks=measure
-	aloneTraj       []string // per core: aloneTrajectoryKey
 }
 
 // renderGoldenKeys renders every key of c through the cells a sweep
 // submits (their closures are never run, so no engine is needed), with
 // alone seeds chosen as runSweep chooses them.
-func renderGoldenKeys(c goldenKeyCase) (sim, traj string, alone, aloneTraj []string) {
+func renderGoldenKeys(c goldenKeyCase) (sim, traj string, alone []string) {
 	id := identify(c.mix)
 	sim = simCell(nil, c.cfg, c.mix, id.wl, c.warmup, c.measure).Key
 	traj = trajectoryKey(c.cfg, id.wl)
 	for core, src := range c.mix.Sources {
 		seed := aloneRefSeed(src, c.cfg.Seed, core)
-		alone = append(alone, aloneCell(nil, src, id.srcs[core], seed, c.measure).Key)
-		aloneTraj = append(aloneTraj, aloneTrajectoryKey(id.srcs[core], seed))
+		alone = append(alone, aloneCell(src, id.srcs[core], seed, c.measure).Key)
 	}
-	return sim, traj, alone, aloneTraj
+	return sim, traj, alone
 }
 
 func goldenKeyCases(t *testing.T) []goldenKeyCase {
@@ -93,10 +91,6 @@ func goldenKeyCases(t *testing.T) []goldenKeyCase {
 				"alone/v2 wl=povray(0.1,0.4,5,0.25) seed=1000014 ticks=10000",
 				"alone/v2 wl=mcf(60,0.25,1600,0.25) seed=1007933 ticks=10000",
 			},
-			aloneTraj: []string{
-				"alonetraj/v3 wl=povray(0.1,0.4,5,0.25) seed=1000014",
-				"alonetraj/v3 wl=mcf(60,0.25,1600,0.25) seed=1007933",
-			},
 		},
 		{
 			name: "custom-profile-awkward-floats", cfg: awkward, warmup: 0, measure: 1,
@@ -112,11 +106,6 @@ func goldenKeyCases(t *testing.T) []goldenKeyCase {
 				"alone/v2 wl=big(1e+21,+Inf,-1,-Inf) seed=7007951 ticks=1",
 				"alone/v2 wl=edge(1e+20,5e-324,0,1.23456789125e+08) seed=7015870 ticks=1",
 			},
-			aloneTraj: []string{
-				"alonetraj/v3 wl=odd(0.30000000000000004,-0,64,NaN) seed=7000032",
-				"alonetraj/v3 wl=big(1e+21,+Inf,-1,-Inf) seed=7007951",
-				"alonetraj/v3 wl=edge(1e+20,5e-324,0,1.23456789125e+08) seed=7015870",
-			},
 		},
 		{
 			name: "attack-trace-mitigation-recorder", cfg: mitigated, warmup: 20000, measure: 60000,
@@ -127,10 +116,6 @@ func goldenKeyCases(t *testing.T) []goldenKeyCase {
 				"alone/v2 wl=attack(double,ch=0,rk=0,bk=0,v=300,ag=2,ev=9,burst=0,idle=0,dec=0,seq=false;org=1x1x4x4x65536x8192) seed=0 ticks=60000",
 				"alone/v2 wl=trace@sha256:2c8aac4f6aa2eb9bb91ebc0b275daecdfa3a858e494bb52b59ee14ea6eac21b4 seed=0 ticks=60000",
 			},
-			aloneTraj: []string{
-				"alonetraj/v3 wl=attack(double,ch=0,rk=0,bk=0,v=300,ag=2,ev=9,burst=0,idle=0,dec=0,seq=false;org=1x1x4x4x65536x8192) seed=0",
-				"alonetraj/v3 wl=trace@sha256:2c8aac4f6aa2eb9bb91ebc0b275daecdfa3a858e494bb52b59ee14ea6eac21b4 seed=0",
-			},
 		},
 		{
 			name: "forensics-no-recorder", cfg: plainFx, warmup: 100, measure: 200,
@@ -140,9 +125,6 @@ func goldenKeyCases(t *testing.T) []goldenKeyCase {
 			alone: []string{
 				"alone/v2 wl=mcf(60,0.25,1600,0.25) seed=1000014 ticks=200",
 			},
-			aloneTraj: []string{
-				"alonetraj/v3 wl=mcf(60,0.25,1600,0.25) seed=1000014",
-			},
 		},
 	}
 }
@@ -150,7 +132,7 @@ func goldenKeyCases(t *testing.T) []goldenKeyCase {
 func TestGoldenCellKeys(t *testing.T) {
 	for _, c := range goldenKeyCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			sim, traj, alone, aloneTraj := renderGoldenKeys(c)
+			sim, traj, alone := renderGoldenKeys(c)
 			check := func(what, got, want string) {
 				if got != want {
 					t.Errorf("%s key moved:\n got %q\nwant %q", what, got, want)
@@ -158,13 +140,11 @@ func TestGoldenCellKeys(t *testing.T) {
 			}
 			check("sim cell", sim, c.sim)
 			check("trajectory", traj, c.traj)
-			if len(alone) != len(c.alone) || len(aloneTraj) != len(c.aloneTraj) {
-				t.Fatalf("rendered %d alone keys and %d alone trajectories, want %d and %d",
-					len(alone), len(aloneTraj), len(c.alone), len(c.aloneTraj))
+			if len(alone) != len(c.alone) {
+				t.Fatalf("rendered %d alone keys, want %d", len(alone), len(c.alone))
 			}
 			for i := range alone {
 				check(fmt.Sprintf("core %d alone cell", i), alone[i], c.alone[i])
-				check(fmt.Sprintf("core %d alone trajectory", i), aloneTraj[i], c.aloneTraj[i])
 			}
 		})
 	}

@@ -70,7 +70,7 @@ func assertColdOracle(t *testing.T, lab *Engine, base Config, policies []Refresh
 		for c, src := range mix.Sources {
 			seed := aloneRefSeed(src, opts.Seed, c)
 			ipc := coldAloneIPC(t, src, seed, measure)
-			cells = append(cells, aloneCell(lab, src, id.srcs[c], seed, measure))
+			cells = append(cells, aloneCell(src, id.srcs[c], seed, measure))
 			want = append(want, CellResult{Alone: ipc})
 			horizons = append(horizons, measure)
 		}
@@ -134,9 +134,10 @@ func TestPlannerDifferential(t *testing.T) {
 // TestPlannerDifferentialForensicsAndMitigation extends the differential
 // to forensics-armed cells and mitigation-zoo policies, whose ledger and
 // tracker state ride in their checkpoints: a fresh sweep matches cold
-// runs, and extending it to a longer horizon resumes every simulated
-// cell from its stored checkpoint. Every row, forensics summary
-// included, must match a cold straight-through run exactly.
+// runs, and extending it to a longer horizon resumes every sim cell from
+// its stored checkpoint while the alone references re-simulate. Every
+// row, forensics summary included, must match a cold straight-through
+// run exactly.
 func TestPlannerDifferentialForensicsAndMitigation(t *testing.T) {
 	ctx := context.Background()
 	base := DefaultConfig()
@@ -157,11 +158,12 @@ func TestPlannerDifferentialForensicsAndMitigation(t *testing.T) {
 	if _, err := lab.RunPolicies(ctx, base, policies, eOpts); err != nil {
 		t.Fatal(err)
 	}
-	// Every simulated cell — the policies' sim cells and the cores'
-	// alone references — resumed instead of starting at tick zero.
-	if extended.Simulated < uint64(len(policies)) || extended.Resumed != extended.Simulated {
-		t.Fatalf("extension resumed %d of %d simulated cells, want all: %+v",
-			extended.Resumed, extended.Simulated, extended)
+	// Every policy's sim cell resumed instead of starting at tick zero;
+	// the cores' alone references simulated cold.
+	simCells, aloneCells := uint64(len(policies)), uint64(opts.Cores)
+	if extended.Resumed != simCells || extended.Simulated != simCells+aloneCells {
+		t.Fatalf("extension resumed %d of %d simulated cells, want %d of %d: %+v",
+			extended.Resumed, extended.Simulated, simCells, simCells+aloneCells, extended)
 	}
 	assertColdOracle(t, lab, base, policies, opts, eOpts.Measure)
 }

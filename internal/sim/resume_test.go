@@ -10,9 +10,10 @@ import (
 )
 
 // TestResumableCells proves the engine-level guarantee: on a warm
-// checkpoint store, extending a sweep's horizons simulates only the
-// delta — the engine reports the cells as partially resumed — and the
-// results are bit-identical to a cold straight-through run.
+// checkpoint store, extending a sweep's horizons resumes every sim cell
+// and simulates only its delta, while the alone-IPC references, which
+// never checkpoint, re-simulate from tick zero; the results are
+// bit-identical to a cold straight-through run.
 func TestResumableCells(t *testing.T) {
 	ctx := context.Background()
 	base := DefaultConfig()
@@ -53,21 +54,18 @@ func TestResumableCells(t *testing.T) {
 		t.Fatalf("resumed scores diverged from cold run:\nwarm: %+v\ncold: %+v", warmScores, coldScores)
 	}
 
-	// Every simulated cell — full-system and alone-IPC reference alike —
-	// must have resumed from the short run's checkpoints rather than
-	// simulated from tick zero.
-	if stats.Simulated == 0 || stats.Resumed != stats.Simulated {
-		t.Fatalf("Resumed = %d of %d simulated, want all; stats %+v", stats.Resumed, stats.Simulated, stats)
-	}
-	// Sim cells resume from the short run's final tick, alone cells from
-	// its measured horizon, so the extension simulates exactly the
-	// horizon delta.
+	// Every sim cell resumes from the short run's final tick and
+	// simulates the horizon delta; every alone reference (one per core
+	// of each mix) simulates the long horizon from tick zero.
 	simCells := uint64(len(policies) * short.Workloads)
-	aloneCells := stats.Resumed - simCells
-	wantTicks := simCells*uint64(short.Warmup+short.Measure) + aloneCells*uint64(short.Measure)
-	if stats.ResumedTicks != wantTicks {
-		t.Fatalf("ResumedTicks = %d, want %d (%d sim + %d alone cells)",
-			stats.ResumedTicks, wantTicks, simCells, aloneCells)
+	aloneCells := uint64(short.Workloads * short.Cores)
+	wantResumed := simCells * uint64(short.Warmup+short.Measure)
+	wantSimulated := simCells*uint64(long.Measure-short.Measure) + aloneCells*uint64(long.Measure)
+	if stats.Simulated != simCells+aloneCells || stats.Resumed != simCells ||
+		stats.ResumedTicks != wantResumed || stats.SimulatedTicks != wantSimulated {
+		t.Fatalf("extension: %d simulated (%d resumed) cells, %d simulated + %d resumed ticks; want %d (%d) cells, %d + %d ticks (%d sim + %d alone cells); stats %+v",
+			stats.Simulated, stats.Resumed, stats.SimulatedTicks, stats.ResumedTicks,
+			simCells+aloneCells, simCells, wantSimulated, wantResumed, simCells, aloneCells, stats)
 	}
 
 	// Resubmitting the exact long run is a pure cache hit — resume never

@@ -51,8 +51,8 @@ func TestAloneIPCOrdering(t *testing.T) {
 
 // TestOrgForCapacityScalesRows pins the capacity model the simulator
 // runs: Table 3's 64K rows per bank at 8 Gb, and 512·(C/8)^0.6 rows per
-// subarray (at least 64) across Fig. 9's capacities, the scaling of
-// Expression 1's refresh work.
+// subarray across Fig. 9's capacities, the scaling of Expression 1's
+// refresh work.
 func TestOrgForCapacityScalesRows(t *testing.T) {
 	for _, gbit := range Fig9Capacities() {
 		cfg := DefaultConfig()
@@ -62,9 +62,6 @@ func TestOrgForCapacityScalesRows(t *testing.T) {
 			t.Fatalf("%d Gb: %v", gbit, err)
 		}
 		want := int(math.Round(512 * math.Pow(float64(gbit)/8, 0.6)))
-		if want < 64 {
-			want = 64
-		}
 		if o.RowsPerSubarray != want {
 			t.Errorf("%d Gb: RowsPerSubarray = %d, want %d", gbit, o.RowsPerSubarray, want)
 		}
@@ -253,5 +250,12 @@ func TestNewSystemValidation(t *testing.T) {
 	mix := workload.Mixes(1, 4, 1)[0].Sources() // 4 workloads for 8 cores
 	if _, err := NewSystem(cfg, mix); err == nil {
 		t.Error("accepted mix/core mismatch")
+	}
+	for _, gbit := range []int{0, -8} {
+		bad := DefaultConfig()
+		bad.ChipCapacityGbit = gbit
+		if _, err := NewSystem(bad, workload.Mixes(1, bad.Cores, 1)[0].Sources()); err == nil {
+			t.Errorf("accepted a %d Gb chip capacity", gbit)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"strconv"
 
 	"hira/internal/dram"
 	"hira/internal/sched"
@@ -188,106 +187,6 @@ func (s *System) snapshotMark(w *snap.Writer) {
 func (s *System) ResetTouchedLines() {
 	s.llc.ResetTouched()
 	s.ctrl.ResetForensicsTouched()
-}
-
-// aloneMagic identifies version 3 of the alone-run snapshot format,
-// whose LLC section carries only occupied lines, each with its LRU rank
-// in its set (see cache.Snapshot).
-const aloneMagic = "HIRAALN3"
-
-// aloneTrajectoryKey names an alone-IPC reference run's trajectory: its
-// workload identity (the source's Key) and seed, horizon-free for the
-// same reason trajectoryKey is.
-func aloneTrajectoryKey(srcKey string, seed uint64) string {
-	return string(appendAloneKey(make([]byte, 0, 48+len(srcKey)), aloneTrajectoryTag, srcKey, seed))
-}
-
-// aloneTrajectoryTag versions alone trajectory keys. It moves with
-// aloneMagic, for the reason trajectoryTag moves with snapshotMagic.
-const aloneTrajectoryTag = "alonetraj/v3"
-
-// appendAloneKey renders the fields alone-cell and alone-trajectory keys
-// share after tag: the workload identity and the seed.
-func appendAloneKey(b []byte, tag, srcKey string, seed uint64) []byte {
-	b = append(append(append(b, tag...), " wl="...), srcKey...)
-	return strconv.AppendUint(append(b, " seed="...), seed, 10)
-}
-
-// Snapshot serializes the alone-run's state: carry budget, core (with
-// its stream position), LLC, and in-flight fixed-latency loads, each as
-// its remaining latency. Like System.Snapshot it encodes once and
-// returns an exact-length copy.
-func (a *aloneRun) Snapshot() ([]byte, error) {
-	w := snap.NewWriter()
-	w.Raw([]byte(aloneMagic))
-	w.String(a.key)
-	w.Int(a.tick)
-	w.F64(a.budget)
-	if err := a.c.Snapshot(w); err != nil {
-		return nil, err
-	}
-	a.mem.llc.Snapshot(w)
-	m := a.mem
-	w.Len(len(m.inflight) - m.head)
-	for _, req := range m.inflight[m.head:] {
-		w.U64(req.token)
-		w.Int(req.due - m.now)
-	}
-	return exactCopy(w.Bytes()), nil
-}
-
-// restoreAloneRun rebuilds the alone-run for (src, seed) and restores
-// the checkpoint into it; any mismatch, corruption, or truncation is an
-// error the cell runner treats as a miss.
-func restoreAloneRun(src workload.Source, seed uint64, data []byte) (*aloneRun, error) {
-	if len(data) > maxSnapshotBytes {
-		return nil, fmt.Errorf("sim: snapshot exceeds the %d-byte limit", maxSnapshotBytes)
-	}
-	if len(data) < len(aloneMagic) || string(data[:len(aloneMagic)]) != aloneMagic {
-		return nil, fmt.Errorf("sim: not a %s snapshot", aloneMagic)
-	}
-	a := newAloneRun(src, seed)
-	r := snap.NewReader(data[len(aloneMagic):])
-	if key := r.String(); key != a.key {
-		return nil, fmt.Errorf("sim: snapshot is for a different alone trajectory (%q)", key)
-	}
-	a.tick = r.Int()
-	a.budget = r.F64()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if a.tick < 0 {
-		return nil, fmt.Errorf("sim: snapshot tick count %d out of range", a.tick)
-	}
-	if !(a.budget >= 0 && a.budget < 8) {
-		return nil, fmt.Errorf("sim: snapshot instruction budget %v out of range", a.budget)
-	}
-	if err := a.c.Restore(r); err != nil {
-		return nil, err
-	}
-	if err := a.mem.llc.Restore(r); err != nil {
-		return nil, err
-	}
-	// Loads share one fixed latency and are issued in order, so their
-	// remaining latencies never decrease along the FIFO.
-	n := r.Len(a.c.Window, 2)
-	prev := 1
-	for i := 0; i < n; i++ {
-		token, left := r.U64(), r.Int()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		if left < prev || left > a.mem.latencyTicks {
-			return nil, fmt.Errorf("sim: in-flight load %d latency %d out of range", i, left)
-		}
-		prev = left
-		a.mem.inflight = append(a.mem.inflight, aloneReq{token: token, due: a.mem.now + left})
-	}
-	r.Done()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return a, nil
 }
 
 // RestoreSystem rebuilds the machine for (cfg, mix) and restores the

@@ -388,7 +388,6 @@ func FuzzSnapshotDecode(f *testing.F) {
 var (
 	legacySystemMagics = []string{"HIRASYS1", "HIRASYS2", "HIRASYS3"}
 	legacyDeltaMagics  = []string{"HIRADLT1"}
-	legacyAloneMagics  = []string{"HIRAALN1", "HIRAALN2"}
 )
 
 // withMagic returns a copy of data with its 8-byte format magic replaced.
@@ -444,140 +443,4 @@ func TestLegacySnapshotsMiss(t *testing.T) {
 			t.Errorf("%s delta applied", old)
 		}
 	}
-
-	src := mix.Sources[0]
-	a := newAloneRun(src, 5)
-	if err := a.RunTo(context.Background(), 2000); err != nil {
-		t.Fatal(err)
-	}
-	adata, err := a.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, old := range legacyAloneMagics {
-		if _, err := restoreAloneRun(src, 5, withMagic(adata, old)); err == nil {
-			t.Errorf("%s snapshot restored", old)
-		}
-	}
-}
-
-// TestAloneResumeEquivalence is TestResumeEquivalence for the alone-IPC
-// reference machine: snapshotting mid-run, restoring, and running on
-// reproduces the straight-through run's IPC, LLC state and final
-// snapshot bytes exactly, and the snapshot carries only occupied lines.
-func TestAloneResumeEquivalence(t *testing.T) {
-	ctx := context.Background()
-	const snapAt, total = 7000, 20000
-	for _, src := range workload.Mixes(1, 2, 4)[0].Sources().Sources {
-		ref := newAloneRun(src, 11)
-		if err := ref.RunTo(ctx, total); err != nil {
-			t.Fatal(err)
-		}
-		want, err := ref.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		pre := newAloneRun(src, 11)
-		if err := pre.RunTo(ctx, snapAt); err != nil {
-			t.Fatal(err)
-		}
-		data, err := pre.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !hasMagic(data, aloneMagic) {
-			t.Fatalf("alone snapshot lacks the %s magic", aloneMagic)
-		}
-		if max := pre.mem.llc.Occupied()*checkpointLineBytes + checkpointHeaderBytes; len(data) > max {
-			t.Fatalf("alone snapshot %d bytes exceeds %d for %d occupied lines", len(data), max, pre.mem.llc.Occupied())
-		}
-		res, err := restoreAloneRun(src, 11, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Ticks() != snapAt {
-			t.Fatalf("restored at tick %d, want %d", res.Ticks(), snapAt)
-		}
-		if err := res.RunTo(ctx, total); err != nil {
-			t.Fatal(err)
-		}
-		if res.ipc() != ref.ipc() {
-			t.Fatalf("%s: resumed IPC %v, straight-through %v", src.Key(), res.ipc(), ref.ipc())
-		}
-		if res.mem.llc.Stats != ref.mem.llc.Stats {
-			t.Fatalf("%s: LLC stats diverged: %+v vs %+v", src.Key(), res.mem.llc.Stats, ref.mem.llc.Stats)
-		}
-		got, err := res.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: resumed run's final state diverged from the straight-through run", src.Key())
-		}
-	}
-}
-
-// TestAloneRestoreRejectsUnorderedLoads: in-flight loads share one
-// fixed latency and issue in order, so a checkpoint whose remaining
-// latencies decrease along the queue is corrupt. The same loads in
-// order restore.
-func TestAloneRestoreRejectsUnorderedLoads(t *testing.T) {
-	src := workload.Mixes(1, 1, 4)[0].Sources().Sources[0]
-	for _, tc := range []struct {
-		dues []int
-		ok   bool
-	}{{[]int{5, 5, 9}, true}, {[]int{9, 5}, false}} {
-		a := newAloneRun(src, 11)
-		a.mem.inflight = a.mem.inflight[:0]
-		for i, due := range tc.dues {
-			a.mem.inflight = append(a.mem.inflight, aloneReq{token: uint64(i + 1), due: due})
-		}
-		data, err := a.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := restoreAloneRun(src, 11, data); (err == nil) != tc.ok {
-			t.Errorf("remaining latencies %v: restore error %v, want ok=%v", tc.dues, err, tc.ok)
-		}
-	}
-}
-
-// FuzzAloneSnapshotDecode holds restoreAloneRun to the clean-miss
-// contract of FuzzSnapshotDecode: corrupt, truncated or retired-format
-// alone checkpoints are rejected without a panic, and anything that does
-// decode yields a reference machine that survives being run.
-func FuzzAloneSnapshotDecode(f *testing.F) {
-	_, mix := fuzzSnapshotConfig()
-	src := mix.Sources[0]
-	a := newAloneRun(src, 3)
-	if err := a.RunTo(context.Background(), 3000); err != nil {
-		f.Fatal(err)
-	}
-	seed, err := a.Snapshot()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	f.Add(seed[:len(seed)/2])
-	f.Add([]byte(aloneMagic))
-	for _, old := range legacyAloneMagics {
-		f.Add(withMagic(seed, old))
-	}
-	mut := append([]byte(nil), seed...)
-	mut[len(mut)/3] ^= 0x40
-	f.Add(mut)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := restoreAloneRun(src, 3, data)
-		if err != nil {
-			return // clean miss
-		}
-		if !hasMagic(data, aloneMagic) {
-			t.Fatalf("restored a snapshot without the %s magic", aloneMagic)
-		}
-		// A snapshot that passed validation must be safe to simulate.
-		if err := r.RunTo(context.Background(), r.Ticks()+64); err != nil {
-			t.Fatal(err)
-		}
-	})
 }

@@ -147,6 +147,9 @@ func TestProgressEndsWithRunTally(t *testing.T) {
 		dedups bool
 		// want names the counter that must resolve every unique key.
 		want func(EngineStats) uint64
+		// resumes says every sim cell of the batch resumes from a
+		// checkpoint; no other run resumes any.
+		resumes bool
 	}{
 		{name: "cold", e: func(*testing.T) *Engine { return first }, spec: fig12, dedups: true,
 			want: func(st EngineStats) uint64 { return st.Simulated }},
@@ -155,14 +158,16 @@ func TestProgressEndsWithRunTally(t *testing.T) {
 		{name: "store-warm", e: func(*testing.T) *Engine { return NewEngine(EngineConfig{Parallelism: 2, ResultDir: dir}) },
 			spec: fig12, dedups: true, want: func(st EngineStats) uint64 { return st.StoreHits }},
 		// A one-mix Fig. 9 run at 2000 measured ticks and then extended to
-		// 4000: every cell of the extension resumes from a checkpoint.
+		// 4000: every key of the extension simulates, its sim cells
+		// resuming from a checkpoint and its alone references from tick
+		// zero.
 		{name: "checkpoint-extend", e: func(t *testing.T) *Engine {
 			e := NewEngine(EngineConfig{Parallelism: 2, SnapInterval: 1000})
 			if _, err := e.RunFigure(ctx, o, fig9); err != nil {
 				t.Fatal(err)
 			}
 			return e
-		}, spec: fig9, measure: 4000, want: func(st EngineStats) uint64 { return st.Resumed }},
+		}, spec: fig9, measure: 4000, want: func(st EngineStats) uint64 { return st.Simulated }, resumes: true},
 	} {
 		t.Run(run.name, func(t *testing.T) {
 			var calls, lastDone, lastTotal int
@@ -188,6 +193,15 @@ func TestProgressEndsWithRunTally(t *testing.T) {
 			}
 			if (run.dedups && st.Deduped == 0) || run.want(st) != st.Submitted-st.Deduped {
 				t.Errorf("%s run resolved %d of %d unique keys the expected way: %+v", run.name, run.want(st), st.Submitted-st.Deduped, st)
+			}
+			var wantResumed int64
+			if run.resumes {
+				if wantResumed, err = FigureCells(run.spec, ro); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st.Resumed != uint64(wantResumed) {
+				t.Errorf("%s run resumed %d cells, want %d: %+v", run.name, st.Resumed, wantResumed, st)
 			}
 			if last != st {
 				t.Errorf("last progress tally %+v differs from the returned stats %+v", last, st)

@@ -264,13 +264,10 @@ type coreMemory struct {
 }
 
 // scaledRows scales a row count by (capacity/8Gb)^0.6, Expression 1's
-// refresh-work exponent, rounding to a positive integer.
+// refresh-work exponent, rounding to the nearest integer. 512 rows scale
+// to at least 147 for any capacity Org.Validate accepts (1 Gb or more).
 func scaledRows(base, capacityGbit int) int {
-	n := int(float64(base)*math.Pow(float64(capacityGbit)/8, 0.6) + 0.5)
-	if n < 64 {
-		n = 64
-	}
-	return n
+	return int(float64(base)*math.Pow(float64(capacityGbit)/8, 0.6) + 0.5)
 }
 
 // OrgFor returns the DRAM organization a Config simulates, exactly as
@@ -296,7 +293,7 @@ func OrgFor(cfg Config) dram.Org {
 
 // refreshEngine is a refresh engine the system can checkpoint: every
 // engine buildEngine returns (HiRA-MC and the mitigation zoo) serializes
-// its complete state, so every cell resumes from checkpoints.
+// its complete state, so every sim cell resumes from checkpoints.
 type refreshEngine interface {
 	sched.RefreshEngine
 	Snapshot(w *snap.Writer)

@@ -80,7 +80,7 @@ func TestBusyTickAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := a.RunTo(ctx, a.Ticks()+allocBatch); err != nil {
+		if err := a.RunTo(ctx, a.tick+allocBatch); err != nil {
 			t.Fatal(err)
 		}
 	})
