@@ -10,9 +10,10 @@
 // figure on it: -parallel sizes the worker pool (results are
 // bit-identical at any setting), -results persists per-cell JSON
 // results, so an interrupted sweep only simulates the delta on the next
-// run, and -snap-interval (which needs -results) checkpoints each cell
-// there, so a rerun with longer -ticks or -warmup resumes every cell
-// instead of re-simulating it.
+// run, and -snap-interval (which needs -results) checkpoints each
+// simulation cell there, so a rerun with longer -ticks or -warmup
+// resumes every one instead of re-simulating it (alone-IPC references
+// never checkpoint; they re-simulate).
 //
 // Workloads are pluggable: by default sweeps run -workloads random
 // multiprogrammed SPEC mixes, but -trace replays recorded access traces
@@ -54,7 +55,7 @@ var (
 	seed       = flag.Uint64("seed", 1, "workload seed")
 	parallel   = flag.Int("parallel", 0, "engine worker pool size (0 = one per CPU core)")
 	results    = flag.String("results", "", "directory for per-cell JSON results (reused across runs)")
-	snapIvl    = flag.Int("snap-interval", 0, "ticks between simulation checkpoints, stored under -results (required); rerunning with longer -ticks/-warmup then simulates only the delta (0 disables)")
+	snapIvl    = flag.Int("snap-interval", 0, "ticks between simulation checkpoints, stored under -results (required); rerunning with longer -ticks/-warmup then simulates only each sim cell's delta (0 disables)")
 	snapMax    = flag.Int64("snap-max-bytes", 0, "checkpoint store byte cap with oldest-first eviction (0 = 2 GiB)")
 	progress   = flag.Bool("progress", false, "print cell progress to stderr, one line per figure")
 	forensics  = flag.Bool("forensics", false, "attach the RowHammer activation ledger; per-policy forensics summaries print after each table (and ride figure rows in -json)")

@@ -32,8 +32,8 @@
 //     SimEngineConfig runs the same calls as methods and adds what
 //     outlives one sweep: ResultDir persists per-cell results across
 //     runs, and SnapInterval checkpoints running simulations so a sweep
-//     rerun with longer horizons resumes each cell from its stored
-//     machine state (bit-identically) instead of re-simulating it.
+//     rerun with longer horizons resumes each simulation cell from its
+//     stored machine state (bit-identically) instead of re-simulating it.
 //
 // Subpackages under internal/ hold the implementation; everything a
 // downstream user needs is exported here or through the cmd/ binaries.

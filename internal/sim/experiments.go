@@ -216,11 +216,12 @@ type EngineConfig struct {
 	// ResultDir, when non-empty, is the content-addressed result store.
 	ResultDir string
 	// SnapInterval, when positive, enables resumable simulation cells:
-	// each cell's machine state is checkpointed every SnapInterval ticks
-	// (plus at the warmup boundary and the final tick) into a bounded
-	// store sharing ResultDir's sharded layout (in-memory without a
-	// ResultDir), and cells resume from the longest usable checkpoint at
-	// or below their horizon. Results are bit-identical either way.
+	// each sim cell's machine state is checkpointed every SnapInterval
+	// ticks (plus at the warmup boundary and the final tick) into a
+	// bounded store sharing ResultDir's sharded layout (in-memory without
+	// a ResultDir), and sim cells resume from the longest usable
+	// checkpoint at or below their horizon; alone-IPC references never
+	// checkpoint. Results are bit-identical either way.
 	SnapInterval int
 	// SnapMaxBytes caps the checkpoint store's payload bytes; <= 0 means
 	// 2 GiB on disk (256 MiB in memory). Least-recently-used checkpoints
