@@ -325,6 +325,37 @@ func BenchmarkWarmFigure(b *testing.B) {
 	b.ReportMetric(float64(stats.Submitted)/float64(b.N), "cells/op")
 }
 
+// BenchmarkWarmAttack is the attack grid's warm rung: the default
+// attack×mitigation grid (every attacker preset at NRH 64 and 128) on an
+// engine that already holds every cell, so each op is request overhead
+// alone. Its attacker mixes come from the engine's mix-set memo, so a
+// warm op builds no attacker and renders no source key.
+func BenchmarkWarmAttack(b *testing.B) {
+	ctx := context.Background()
+	eng := hira.NewSimEngine(hira.SimEngineConfig{})
+	opts := hira.SimOptions{Cores: 8, Warmup: 1000, Measure: 3000, Seed: 1}
+	spec := hira.FigureSpec{Kind: "attack"}
+	if _, err := eng.RunFigure(ctx, opts, spec); err != nil {
+		b.Fatal(err)
+	}
+
+	var stats hira.EngineStats
+	warm := opts
+	warm.Stats = &stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.RunFigure(ctx, warm, spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if stats.Simulated != 0 {
+		b.Fatalf("warm requests simulated %d cells, want 0", stats.Simulated)
+	}
+	b.ReportMetric(float64(stats.Submitted)/float64(b.N), "cells/op")
+}
+
 // BenchmarkFig11Security regenerates Fig. 11: the full pth grid.
 func BenchmarkFig11Security(b *testing.B) {
 	var pts []hira.Fig11Point

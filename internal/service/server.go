@@ -405,14 +405,20 @@ func (s *Server) execute(ctx context.Context, j *job) (json.RawMessage, *sim.Eng
 // progressStats builds the progress callback for sweep jobs, whose
 // cells resolve in one batch: each event carries the batch's resolution
 // tally so far plus the engine-wide checkpoint-store summary, so
-// streaming clients watch cache economics live.
+// streaming clients watch cache economics live. A published summary is
+// never mutated, so the callback republishes its last one while the
+// store's tallies compare equal and allocates only when they moved. The
+// engine never calls it concurrently within the one batch a job runs.
 func (s *Server) progressStats(j *job) func(done, total int, batch sim.EngineStats) {
+	var last *engine.SnapStats
 	return func(done, total int, batch sim.EngineStats) {
-		var snaps *engine.SnapStats
-		if st, ok := s.lab.SnapshotStats(); ok {
-			snaps = &st
+		if st, ok := s.lab.SnapshotStats(); !ok {
+			last = nil
+		} else if last == nil || *last != st {
+			last = new(engine.SnapStats)
+			*last = st
 		}
-		j.setProgressStats(done, total, batch, snaps)
+		j.setProgressStats(done, total, batch, last)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"hira/internal/cache"
 	"hira/internal/cpu"
@@ -206,6 +207,13 @@ type Engine struct {
 	snaps        *engine.SnapStore
 	snapInterval int
 	sim          *simMetrics
+
+	// mixSets memoizes the workload sets the engine derives itself
+	// (builtin mixes and attack-grid mixes), so a repeated request
+	// derives no mix, builds no attacker and renders no source key; see
+	// Engine.mixSet. Allocated on first use, at most maxMixSets entries.
+	mixMu   sync.Mutex
+	mixSets map[mixSetKey]*mixSet
 }
 
 // EngineConfig sizes a shared Engine.
@@ -342,7 +350,7 @@ func RunPolicies(ctx context.Context, base Config, policies []RefreshPolicy, opt
 // engine.
 func (e *Engine) RunPolicies(ctx context.Context, base Config, policies []RefreshPolicy, opts Options) ([]PolicyScore, error) {
 	opts = opts.withDefaults()
-	mixes, err := opts.mixSet()
+	mixes, err := e.mixSet(opts, "")
 	if err != nil {
 		return nil, err
 	}
@@ -386,8 +394,10 @@ func (o Options) sourceMixes() ([]workload.SourceMix, error) {
 // mixSet is one workload set sweep points run, with every mix's
 // identity rendered once: each key a sweep derives embeds it, and
 // rendering it per point, per cell or per core would dominate an
-// all-hit request's cost. Points sharing a mixSet also share its
-// alone-IPC reference cells.
+// all-hit request's cost. The sets an Engine derives itself are
+// memoized across requests (Engine.mixSet), so a set is read-only once
+// built: sweeps share it, and its sources are immutable. Points of one
+// batch sharing a mixSet also share its alone-IPC reference cells.
 type mixSet struct {
 	mixes []workload.SourceMix
 	ids   []mixIdentity
@@ -410,6 +420,73 @@ func (o Options) mixSet() (*mixSet, error) {
 		return nil, err
 	}
 	return newMixSet(mixes), nil
+}
+
+// maxMixSets bounds an Engine's mix-set memo. A full memo still serves
+// what it holds; a set past the bound is derived and not stored.
+const maxMixSets = 64
+
+// mixSetKey is every input that derives a set the engine memoizes: the
+// attacker preset ("" for builtin SPEC mixes), and the builtin mixes'
+// count, cores and seed. An attack set is one mix whatever the count,
+// so its key carries workloads 0.
+type mixSetKey struct {
+	attack           string
+	workloads, cores int
+	seed             uint64
+}
+
+// derive builds the set k names: Options.mixSet's builtin mixes, or
+// attack preset k.attack on core 0 of the first builtin mix, targeting
+// the default system's organization.
+func (k mixSetKey) derive() (*mixSet, error) {
+	if k.attack == "" {
+		return Options{Workloads: k.workloads, Cores: k.cores, Seed: k.seed}.mixSet()
+	}
+	benign := workload.Mixes(1, k.cores, k.seed)[0].Sources()
+	mix, err := attackMix(k.attack, OrgFor(DefaultConfig()), benign)
+	if err != nil {
+		return nil, err
+	}
+	return newMixSet([]workload.SourceMix{mix}), nil
+}
+
+// mixSet returns the workload set a point of attacker preset attack
+// ("" for none) runs under opts: opts.Mixes, rendered afresh because
+// their identity is their content, or the engine's builtin or attack
+// set from its memo. opts must already have defaults applied.
+func (e *Engine) mixSet(opts Options, attack string) (*mixSet, error) {
+	if opts.Mixes != nil {
+		return opts.mixSet()
+	}
+	k := mixSetKey{attack: attack, workloads: opts.Workloads, cores: opts.Cores, seed: opts.Seed}
+	if attack != "" {
+		k.workloads = 0
+	}
+	e.mixMu.Lock()
+	set := e.mixSets[k]
+	e.mixMu.Unlock()
+	if set != nil {
+		return set, nil
+	}
+	// Derive outside the lock; a concurrent request deriving the same
+	// set keeps whichever landed first, so every caller shares one.
+	set, err := k.derive()
+	if err != nil {
+		return nil, err
+	}
+	e.mixMu.Lock()
+	defer e.mixMu.Unlock()
+	if prev := e.mixSets[k]; prev != nil {
+		return prev, nil
+	}
+	if len(e.mixSets) < maxMixSets {
+		if e.mixSets == nil {
+			e.mixSets = make(map[mixSetKey]*mixSet)
+		}
+		e.mixSets[k] = set
+	}
+	return set, nil
 }
 
 // sweepPoint is one point of a sweep: its policies evaluated on base
@@ -1073,7 +1150,7 @@ func (e *Engine) RunFigure(ctx context.Context, opts Options, spec FigureSpec) (
 	if err != nil {
 		return nil, err
 	}
-	points, err := r.points()
+	points, err := r.points(e)
 	if err != nil {
 		return nil, err
 	}
@@ -1097,29 +1174,16 @@ func (e *Engine) RunFigure(ctx context.Context, opts Options, spec FigureSpec) (
 	return res, nil
 }
 
-// points builds the run's sweep points in row order. Kinds without
-// attackers share the options' mixes; the attack grid's preset runs on
-// core 0 of the first builtin SPEC mix drawn from the seed, so the
-// attack hides in otherwise benign traffic.
-func (r figureRun) points() ([]sweepPoint, error) {
-	var mixes *mixSet
-	var benign workload.SourceMix
-	if !r.fig.ownMixes() {
-		var err error
-		if mixes, err = r.opts.mixSet(); err != nil {
-			return nil, err
-		}
-	} else {
-		benign = workload.Mixes(1, r.opts.Cores, r.opts.Seed)[0].Sources()
-	}
+// points builds the run's sweep points in row order, with their mix
+// sets from e. Kinds without attackers share the options' mixes; the
+// attack grid's preset runs on core 0 of the first builtin SPEC mix
+// drawn from the seed, so the attack hides in otherwise benign traffic.
+func (r figureRun) points(e *Engine) ([]sweepPoint, error) {
 	points := make([]sweepPoint, 0, len(r.attacks)*len(r.params)*len(r.xs))
 	for _, a := range r.attacks {
-		if r.fig.ownMixes() {
-			mix, err := attackMix(a, OrgFor(DefaultConfig()), benign)
-			if err != nil {
-				return nil, err
-			}
-			mixes = newMixSet([]workload.SourceMix{mix})
+		mixes, err := e.mixSet(r.opts, a)
+		if err != nil {
+			return nil, err
 		}
 		for _, param := range r.params {
 			policies := r.fig.policies(param)

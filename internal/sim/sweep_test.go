@@ -227,7 +227,7 @@ func TestFigureCellsMatchBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			points, err := r.points()
+			points, err := r.points(NewEngine(EngineConfig{}))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -156,16 +156,16 @@ func NewAttack(spec AttackSpec, org dram.Org) (*Attack, error) {
 			Row:    row,
 		}
 	}
-	set := func(row int) uint64 {
-		return (mapper.Addr(loc(row)) / attackLLCBlock) % attackLLCSets
-	}
+	addr := func(row int) uint64 { return mapper.Addr(loc(row)) }
+	set := func(addr uint64) uint64 { return (addr / attackLLCBlock) % attackLLCSets }
 	rowsPerBank := org.RowsPerBank()
 	// m: the smallest row stride within one bank that preserves the LLC
 	// set. It exists for every power-of-two geometry; searching keeps the
 	// construction correct for any organization.
 	m := 0
+	set0 := set(addr(0))
 	for s := 1; s <= attackLLCSets && s < rowsPerBank; s++ {
-		if set(s) == set(0) {
+		if set(addr(s)) == set0 {
 			m = s
 			break
 		}
@@ -196,11 +196,10 @@ func NewAttack(spec AttackSpec, org dram.Org) (*Attack, error) {
 		addrs := make([]uint64, spec.EvictRows)
 		for k := range rows {
 			r := base + k*m
-			if set(r) != set(base) {
+			rows[k], addrs[k] = r, addr(r) // rows[0] is base
+			if set(addrs[k]) != set(addrs[0]) {
 				return nil, fmt.Errorf("workload: eviction class rows %d and %d land in different LLC sets", base, r)
 			}
-			rows[k] = r
-			addrs[k] = mapper.Addr(loc(r))
 		}
 		a.rows = append(a.rows, rows)
 		a.addr = append(a.addr, addrs)
@@ -209,7 +208,7 @@ func NewAttack(spec AttackSpec, org dram.Org) (*Attack, error) {
 	// share no neighbors with the attack's rows yet stay in-bank.
 	for d := 0; d < spec.Decoys; d++ {
 		r := (spec.VictimRow + rowsPerBank/2 + d*m) % rowsPerBank
-		a.dec = append(a.dec, mapper.Addr(loc(r)))
+		a.dec = append(a.dec, addr(r))
 	}
 	return a, nil
 }

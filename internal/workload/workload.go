@@ -115,13 +115,36 @@ func ProfileByName(name string) (Profile, error) {
 	return Profile{}, fmt.Errorf("workload: unknown benchmark %q", name)
 }
 
+// builtinKeys holds every builtin profile's Key, rendered once at
+// package init and read-only after, so mixes of builtin benchmarks never
+// format a float. It is keyed by the whole Profile value, so a copy with
+// any parameter changed misses it and renders its own key. (Float fields
+// compare numerically, which matches their rendered bytes except for
+// -0 and NaN; no builtin parameter is zero or NaN.)
+var builtinKeys = func() map[Profile]string {
+	keys := make(map[Profile]string, len(spec2006))
+	for _, p := range spec2006 {
+		keys[p] = p.renderKey()
+	}
+	return keys
+}()
+
 // Key implements Source: the profile's full parameter set, not just its
 // name, so tuning a benchmark's characterization (MPKI etc.) yields a
 // distinct workload identity instead of silently aliasing the old one.
-// The bytes are exactly fmt's "%s(%g,%g,%d,%g)" (shortest round-trip
-// floats, NaN and ±Inf spelled as fmt spells them), built with strconv
-// because fmt's formatting machinery costs several times as much.
+// Builtin profiles answer from builtinKeys.
 func (p Profile) Key() string {
+	if k, ok := builtinKeys[p]; ok {
+		return k
+	}
+	return p.renderKey()
+}
+
+// renderKey renders Key's bytes: exactly fmt's "%s(%g,%g,%d,%g)"
+// (shortest round-trip floats, NaN and ±Inf spelled as fmt spells them),
+// built with strconv because fmt's formatting machinery costs several
+// times as much.
+func (p Profile) renderKey() string {
 	b := make([]byte, 0, len(p.Name)+48)
 	b = append(append(b, p.Name...), '(')
 	b = strconv.AppendFloat(b, p.MPKI, 'g', -1, 64)

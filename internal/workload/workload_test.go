@@ -315,6 +315,26 @@ func TestProfileKeyMatchesFmt(t *testing.T) {
 	}
 }
 
+// TestBuiltinProfileKeys: builtin profiles answer Key from a table
+// rendered at init, without allocating, and its bytes are the freshly
+// rendered ones; a copy of a builtin with the same Name but a different
+// MPKI misses the table and gets its own key.
+func TestBuiltinProfileKeys(t *testing.T) {
+	for _, p := range SPEC2006Profiles() {
+		if got, want := p.Key(), p.renderKey(); got != want {
+			t.Errorf("%s: Key() = %q, rendered %q", p.Name, got, want)
+		}
+		if n := testing.AllocsPerRun(10, func() { _ = p.Key() }); n != 0 {
+			t.Errorf("%s: Key() allocates %.0f times, want 0 (the init table)", p.Name, n)
+		}
+		tuned := p
+		tuned.MPKI *= 2
+		if got, want := tuned.Key(), tuned.renderKey(); got != want || got == p.Key() {
+			t.Errorf("%s with MPKI %g: Key() = %q, rendered %q, builtin %q", p.Name, tuned.MPKI, got, want, p.Key())
+		}
+	}
+}
+
 func TestRoundRobinMixes(t *testing.T) {
 	a, _ := ProfileByName("mcf")
 	b, _ := ProfileByName("lbm")
