@@ -39,8 +39,10 @@ type experimentEngine = engine.Engine[CellResult]
 // mixIdentity is a mix's rendered workload identity: every source's
 // Key in core order, and their comma join — the wl= field of sim-cell
 // and trajectory keys. Rendering it dominates an all-hit request's key
-// cost, so a sweep renders each mix once and hands the strings to every
-// cell it keys.
+// cost, so a mixSet renders each mix once and hands the strings to every
+// cell it keys; the sets an Engine derives itself (builtin and attack
+// mixes) are rendered once per engine, caller-supplied mixes once per
+// request.
 type mixIdentity struct {
 	srcs []string
 	wl   string

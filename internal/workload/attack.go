@@ -157,7 +157,7 @@ func NewAttack(spec AttackSpec, org dram.Org) (*Attack, error) {
 		}
 	}
 	addr := func(row int) uint64 { return mapper.Addr(loc(row)) }
-	set := func(addr uint64) uint64 { return (addr / attackLLCBlock) % attackLLCSets }
+	set := func(a uint64) uint64 { return (a / attackLLCBlock) % attackLLCSets }
 	rowsPerBank := org.RowsPerBank()
 	// m: the smallest row stride within one bank that preserves the LLC
 	// set. It exists for every power-of-two geometry; searching keeps the
