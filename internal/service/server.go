@@ -405,20 +405,14 @@ func (s *Server) execute(ctx context.Context, j *job) (json.RawMessage, *sim.Eng
 // progressStats builds the progress callback for sweep jobs, whose
 // cells resolve in one batch: each event carries the batch's resolution
 // tally so far plus the engine-wide checkpoint-store summary, so
-// streaming clients watch cache economics live. A published summary is
-// never mutated, so the callback republishes its last one while the
-// store's tallies compare equal and allocates only when they moved. The
-// engine never calls it concurrently within the one batch a job runs.
+// streaming clients watch cache economics live.
 func (s *Server) progressStats(j *job) func(done, total int, batch sim.EngineStats) {
-	var last *engine.SnapStats
 	return func(done, total int, batch sim.EngineStats) {
-		if st, ok := s.lab.SnapshotStats(); !ok {
-			last = nil
-		} else if last == nil || *last != st {
-			last = new(engine.SnapStats)
-			*last = st
+		var snaps *engine.SnapStats
+		if st, ok := s.lab.SnapshotStats(); ok {
+			snaps = &st
 		}
-		j.setProgressStats(done, total, batch, last)
+		j.setProgressStats(done, total, batch, snaps)
 	}
 }
 

@@ -933,31 +933,3 @@ func TestQueueFull(t *testing.T) {
 		}
 	}
 }
-
-// TestProgressSnapshotsReused: a sweep job's progress events carry the
-// checkpoint store's summary, and while the store's tallies are
-// unchanged consecutive events publish the same summary rather than a
-// fresh copy each; without a checkpoint store they carry none.
-func TestProgressSnapshotsReused(t *testing.T) {
-	for _, snapInterval := range []int{0, 1500} {
-		svc := New(Config{Engine: sim.EngineConfig{SnapInterval: snapInterval}})
-		j := newJob("j1", testSpec(), time.Now())
-		progress := svc.progressStats(j)
-		progress(1, 2, sim.EngineStats{CacheHits: 1})
-		first := j.snapshot().Progress.Snapshots
-		progress(2, 2, sim.EngineStats{CacheHits: 2})
-		p := j.snapshot().Progress
-		want, ok := svc.lab.SnapshotStats()
-		switch {
-		case p.Done != 2 || p.CacheHits != 2:
-			t.Errorf("snap interval %d: progress %+v, want 2/2 with 2 cache hits", snapInterval, p)
-		case !ok && p.Snapshots != nil:
-			t.Errorf("no checkpoint store, but progress carries %+v", *p.Snapshots)
-		case ok && (p.Snapshots == nil || *p.Snapshots != want):
-			t.Errorf("progress snapshots %v, want %+v", p.Snapshots, want)
-		case p.Snapshots != first:
-			t.Errorf("unchanged store tallies published a new summary")
-		}
-		svc.Close()
-	}
-}

@@ -156,16 +156,16 @@ func NewAttack(spec AttackSpec, org dram.Org) (*Attack, error) {
 			Row:    row,
 		}
 	}
-	addr := func(row int) uint64 { return mapper.Addr(loc(row)) }
-	set := func(a uint64) uint64 { return (a / attackLLCBlock) % attackLLCSets }
+	set := func(row int) uint64 {
+		return (mapper.Addr(loc(row)) / attackLLCBlock) % attackLLCSets
+	}
 	rowsPerBank := org.RowsPerBank()
 	// m: the smallest row stride within one bank that preserves the LLC
 	// set. It exists for every power-of-two geometry; searching keeps the
 	// construction correct for any organization.
 	m := 0
-	set0 := set(addr(0))
 	for s := 1; s <= attackLLCSets && s < rowsPerBank; s++ {
-		if set(addr(s)) == set0 {
+		if set(s) == set(0) {
 			m = s
 			break
 		}
@@ -196,10 +196,11 @@ func NewAttack(spec AttackSpec, org dram.Org) (*Attack, error) {
 		addrs := make([]uint64, spec.EvictRows)
 		for k := range rows {
 			r := base + k*m
-			rows[k], addrs[k] = r, addr(r) // rows[0] is base
-			if set(addrs[k]) != set(addrs[0]) {
+			if set(r) != set(base) {
 				return nil, fmt.Errorf("workload: eviction class rows %d and %d land in different LLC sets", base, r)
 			}
+			rows[k] = r
+			addrs[k] = mapper.Addr(loc(r))
 		}
 		a.rows = append(a.rows, rows)
 		a.addr = append(a.addr, addrs)
@@ -208,7 +209,7 @@ func NewAttack(spec AttackSpec, org dram.Org) (*Attack, error) {
 	// share no neighbors with the attack's rows yet stay in-bank.
 	for d := 0; d < spec.Decoys; d++ {
 		r := (spec.VictimRow + rowsPerBank/2 + d*m) % rowsPerBank
-		a.dec = append(a.dec, addr(r))
+		a.dec = append(a.dec, mapper.Addr(loc(r)))
 	}
 	return a, nil
 }
