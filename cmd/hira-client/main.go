@@ -92,12 +92,8 @@ func workloadsObject() (*service.WorkloadsSpec, int, error) {
 		if n < 0 || c < 0 {
 			return nil, 0, fmt.Errorf("-workloads and -cores must be positive")
 		}
-		if n == 0 {
-			n = 4
-		}
-		if c == 0 {
-			c = 8
-		}
+		d := sim.Options{Workloads: n, Cores: c}.WithDefaults()
+		n, c = d.Workloads, d.Cores
 		ws := &service.WorkloadsSpec{}
 		var names []string
 		for _, f := range strings.Split(*traces, ",") {

@@ -44,15 +44,18 @@ import (
 	"hira/internal/workload"
 )
 
+// simDefaults is the sweep size the engine fills in for zero options.
+var simDefaults = hira.SimOptions{}.WithDefaults()
+
 var (
 	exp        = flag.String("exp", "fig9", "experiment: "+strings.Join(hira.FigureKinds(), "|"))
 	attacks    = flag.String("attacks", "", "comma-separated attacker presets for -exp attack (single,double,many,refsync,decoy; empty = all)")
 	nrhs       = flag.String("nrhs", "", "comma-separated RowHammer thresholds for -exp attack (empty = builtin grid)")
-	workloads  = flag.Int("workloads", 4, "number of multiprogrammed mixes")
-	cores      = flag.Int("cores", 8, "cores per mix")
-	ticks      = flag.Int("ticks", 120000, "measured memory-controller ticks per run")
-	warmup     = flag.Int("warmup", 30000, "warmup ticks per run")
-	seed       = flag.Uint64("seed", 1, "workload seed")
+	workloads  = flag.Int("workloads", simDefaults.Workloads, "number of multiprogrammed mixes")
+	cores      = flag.Int("cores", simDefaults.Cores, "cores per mix")
+	ticks      = flag.Int("ticks", simDefaults.Measure, "measured memory-controller ticks per run")
+	warmup     = flag.Int("warmup", simDefaults.Warmup, "warmup ticks per run")
+	seed       = flag.Uint64("seed", simDefaults.Seed, "workload seed")
 	parallel   = flag.Int("parallel", 0, "engine worker pool size (0 = one per CPU core)")
 	results    = flag.String("results", "", "directory for per-cell JSON results (reused across runs)")
 	snapIvl    = flag.Int("snap-interval", 0, "ticks between simulation checkpoints, stored under -results (required); rerunning with longer -ticks/-warmup then simulates only each sim cell's delta (0 disables)")
@@ -104,7 +107,7 @@ func customMixes() ([]hira.WorkloadMix, error) {
 		if err := json.Unmarshal(data, &ws); err != nil {
 			return nil, fmt.Errorf("%s: %w", *wlSpec, err)
 		}
-		if err := ws.Validate(service.Limits{}, *cores); err != nil {
+		if err := ws.Validate(*cores); err != nil {
 			return nil, fmt.Errorf("%s: %w", *wlSpec, err)
 		}
 		return ws.Resolve(*traceDir)

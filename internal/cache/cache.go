@@ -4,6 +4,18 @@ package cache
 
 import "fmt"
 
+// The simulated system's LLC geometry (Table 3): 8 MiB, 8-way, 64-byte
+// lines. A line's set is (addr/LLCBlock) % LLCSets.
+const (
+	LLCBytes = 8 << 20
+	LLCWays  = 8
+	LLCBlock = 64
+	LLCSets  = LLCBytes / (LLCWays * LLCBlock)
+)
+
+// NewLLC returns an empty cache of the LLC geometry.
+func NewLLC() *Cache { return MustNew(LLCBytes, LLCWays, LLCBlock) }
+
 // maxAssoc bounds the associativity: snapshots encode a line's LRU rank
 // within its set in the flags byte, and validate a set's ranks with a
 // 64-bit mask.

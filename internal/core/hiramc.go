@@ -651,15 +651,3 @@ func (m *HiRAMC) advancePtr(b *bankRC, row int) {
 		b.minRef = min
 	}
 }
-
-// PendingRefreshes returns the total Refresh Table occupancy (for tests).
-func (m *HiRAMC) PendingRefreshes() int {
-	n := 0
-	for _, b := range m.banks {
-		n += len(b.queue)
-		if b.armedSet {
-			n += b.armedCount
-		}
-	}
-	return n
-}

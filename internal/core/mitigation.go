@@ -164,12 +164,3 @@ func (m *mitigationBase) NextEvent(now dram.Time) dram.Time { return m.ref.NextE
 func (m *mitigationBase) bankIndex(loc dram.Location) int {
 	return loc.Channel*m.bpc + loc.Rank*m.bpr + loc.Bank
 }
-
-// Pending returns the total queued victim refreshes (for tests).
-func (m *mitigationBase) Pending() int {
-	n := 0
-	for i := range m.rings {
-		n += m.rings[i].n
-	}
-	return n
-}

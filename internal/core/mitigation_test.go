@@ -38,8 +38,8 @@ func TestGrapheneTripsAtThreshold(t *testing.T) {
 	if got := g.Stats().Triggers; got != 1 {
 		t.Fatalf("Triggers = %d after 16th activation, want 1", got)
 	}
-	if got := g.Pending(); got != 2 {
-		t.Fatalf("Pending = %d, want 2 (both neighbors of row 50)", got)
+	if got := g.rings[0].n; got != 2 {
+		t.Fatalf("queued victims = %d, want 2 (both neighbors of row 50)", got)
 	}
 	ops := g.Mandatory(0, 0)
 	// BaselineREF owes no REF at t=0, so the two victims lead.
@@ -60,8 +60,8 @@ func TestGrapheneTripsAtThreshold(t *testing.T) {
 	for _, row := range []int{49, 51} {
 		g.NoteRefreshed(sched.Op{Kind: sched.OpRowRefreshBlocking, Rank: 0, Bank: 0, RowA: row}, 0, 0)
 	}
-	if got := g.Pending(); got != 0 {
-		t.Fatalf("Pending = %d after both refreshes reported, want 0", got)
+	if got := g.rings[0].n; got != 0 {
+		t.Fatalf("queued victims = %d after both refreshes reported, want 0", got)
 	}
 	if got := g.Stats().VictimRefreshes; got != 2 {
 		t.Fatalf("VictimRefreshes = %d, want 2", got)

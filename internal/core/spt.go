@@ -78,12 +78,3 @@ func (s *SPT) Isolated(a, b int) bool {
 
 // Partners returns the subarrays isolated from a.
 func (s *SPT) Partners(a int) []int { return s.partners[a] }
-
-// Coverage returns the fraction of ordered pairs that are isolated.
-func (s *SPT) Coverage() float64 {
-	total := 0
-	for _, p := range s.partners {
-		total += len(p)
-	}
-	return float64(total) / float64(s.n*(s.n-1))
-}

@@ -183,7 +183,7 @@ func TestMOPMapperAddrInvertsMap(t *testing.T) {
 		if err := m.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		cap := uint64(o.TotalRows()) * uint64(o.RowBytes)
+		cap := uint64(o.TotalBanks()*o.RowsPerBank()) * uint64(o.RowBytes)
 		f := func(raw uint32, off uint8) bool {
 			addr := (uint64(raw)*64 + uint64(off)) % cap
 			loc := m.Map(addr)
@@ -259,7 +259,7 @@ func TestMOPMapperMatchesDivisionOracle(t *testing.T) {
 				o.RowsPerSubarray = rows
 				o.Channels, o.RanksPerChannel = ch, rk
 				m := NewMOPMapper(o)
-				capacity := uint64(o.TotalRows()) * uint64(o.RowBytes)
+				capacity := uint64(o.TotalBanks()*o.RowsPerBank()) * uint64(o.RowBytes)
 				for i := 0; i < 64; i++ {
 					for _, addr := range []uint64{rng.Uint64() % capacity, rng.Uint64()} {
 						got, want := m.Map(addr), mapByDivision(m, addr)

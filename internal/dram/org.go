@@ -90,9 +90,6 @@ func (o Org) TotalBanks() int { return o.Channels * o.BanksPerChannel() }
 // RowsPerBank returns the number of rows in one bank.
 func (o Org) RowsPerBank() int { return o.SubarraysPerBank * o.RowsPerSubarray }
 
-// TotalRows returns the number of rows in the whole system.
-func (o Org) TotalRows() int { return o.TotalBanks() * o.RowsPerBank() }
-
 // SubarrayOfRow returns the subarray index that contains row.
 func (o Org) SubarrayOfRow(row int) int { return row / o.RowsPerSubarray }
 

@@ -268,21 +268,6 @@ func (in *Injector) Fired(site Site) uint64 {
 	return in.fired[site]
 }
 
-// FiredTotal reports how many faults have been injected across all
-// sites.
-func (in *Injector) FiredTotal() uint64 {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	var n uint64
-	for _, v := range in.fired {
-		n += v
-	}
-	return n
-}
-
 // hit decides whether an operation at site fails, and with which kind.
 // Rules are consulted in order; the first that fires wins.
 func (in *Injector) hit(site Site, applicable func(Kind) bool) (Kind, bool) {

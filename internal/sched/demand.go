@@ -9,9 +9,9 @@ import "hira/internal/dram"
 func (c *Controller) drainWillFlip(ch *channel) bool {
 	readN, writeN := ch.q[qRead].count, ch.q[qWrite].count
 	if ch.draining {
-		return writeN <= c.cfg.WriteLow
+		return writeN <= writeLow
 	}
-	return writeN >= c.cfg.WriteHigh || (readN == 0 && writeN > 0)
+	return writeN >= writeHigh || (readN == 0 && writeN > 0)
 }
 
 // pickQueue applies the write-drain hysteresis and returns the queue kind

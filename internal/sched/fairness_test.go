@@ -77,12 +77,12 @@ func TestFCFSOrderInterleavedSameBank(t *testing.T) {
 // TestWriteDrainHysteresis covers the previously untested write-drain
 // edge: conflicting reads arrive while the write queue is full of row
 // hits. The per-queue hit veto must let the reads precharge the row once
-// the drain falls below WriteLow, instead of deadlocking behind write
+// the drain falls below writeLow, instead of deadlocking behind write
 // hits that keep the row open.
 func TestWriteDrainHysteresis(t *testing.T) {
 	org := smallOrg()
 	tm := dram.DDR4_2400(8)
-	c, err := NewController(Config{Org: org, Timing: tm, WriteQueueCap: 16}, NoRefresh{})
+	c, err := NewController(Config{Org: org, Timing: tm}, NoRefresh{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +90,8 @@ func TestWriteDrainHysteresis(t *testing.T) {
 	c.OnComplete = func(core int, token uint64, at dram.Time) { completed[token] = at }
 
 	// Fill the write queue to capacity with row hits on bank 0 row 1:
-	// WriteHigh (12) is crossed, so draining starts.
-	for i := 0; i < 16; i++ {
+	// writeHigh (48) is crossed, so draining starts.
+	for i := 0; i < writeQueueCap; i++ {
 		if !c.Enqueue(Request{Loc: dram.Location{Row: 1, Col: i}, Write: true, Token: uint64(100 + i)}) {
 			t.Fatalf("write %d rejected below capacity", i)
 		}
@@ -102,14 +102,14 @@ func TestWriteDrainHysteresis(t *testing.T) {
 			t.Fatalf("read %d rejected", i)
 		}
 	}
-	if c.Stats.Writes != 16 {
+	if c.Stats.Writes != writeQueueCap {
 		t.Fatalf("Writes = %d", c.Stats.Writes)
 	}
 	drainStarted := false
 	for i := 0; i < 20000; i++ {
 		c.Tick()
 		_, w := c.QueueOccupancy()
-		if w < 16 {
+		if w < writeQueueCap {
 			drainStarted = true
 		}
 		if len(completed) == 4 {
@@ -124,10 +124,10 @@ func TestWriteDrainHysteresis(t *testing.T) {
 			t.Fatalf("read %d deadlocked behind the write drain (completed: %v)", i, completed)
 		}
 	}
-	// Hysteresis: the drain must stop at WriteLow (4), not empty the
+	// Hysteresis: the drain must stop at writeLow (16), not empty the
 	// queue while reads are waiting; remaining writes drain only after
 	// reads are served or the high watermark is crossed again.
-	if r, w := c.QueueOccupancy(); r != 0 || w > 16 {
+	if r, w := c.QueueOccupancy(); r != 0 || w > writeQueueCap {
 		t.Fatalf("unexpected occupancy after drain: reads=%d writes=%d", r, w)
 	}
 }
@@ -139,7 +139,7 @@ func TestWriteDrainHysteresis(t *testing.T) {
 func TestBufferedWritebackRetry(t *testing.T) {
 	org := smallOrg()
 	tm := dram.DDR4_2400(8)
-	c, err := NewController(Config{Org: org, Timing: tm, WriteQueueCap: 8}, NoRefresh{})
+	c, err := NewController(Config{Org: org, Timing: tm}, NoRefresh{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestBufferedWritebackRetry(t *testing.T) {
 			pending = append(pending, r)
 		}
 	}
-	for i := 0; i < 24; i++ {
+	for i := 0; i < 3*writeQueueCap; i++ {
 		submit(i % 4)
 	}
 	if len(pending) == 0 {
@@ -172,8 +172,8 @@ func TestBufferedWritebackRetry(t *testing.T) {
 	if len(pending) != 0 {
 		t.Fatalf("%d buffered writes never accepted", len(pending))
 	}
-	if got := c.Stats.Writes; got != 24 {
-		t.Fatalf("Writes = %d, want 24", got)
+	if got := c.Stats.Writes; got != 3*writeQueueCap {
+		t.Fatalf("Writes = %d, want %d", got, 3*writeQueueCap)
 	}
 }
 

@@ -15,11 +15,12 @@ const MaxForensicsThresholds = 4
 // all times; when a row's interref activation count crosses the highest
 // configured threshold, the ring is flushed into the event log and the
 // next recorderPost commands are recorded too, capturing the commands
-// around each threshold-crossing episode.
+// around each threshold-crossing episode. recorderCap bounds the total
+// recorded events; once full, further events are counted as dropped.
 const (
-	recorderPre        = 64
-	recorderPost       = 192
-	defaultRecorderCap = 4096
+	recorderPre  = 64
+	recorderPost = 192
+	recorderCap  = 4096
 )
 
 // ForensicsConfig parameterizes the controller's RowHammer forensics
@@ -37,9 +38,6 @@ type ForensicsConfig struct {
 	HotThreshold uint32
 	// Recorder enables the DRAM command flight recorder.
 	Recorder bool
-	// RecorderCap bounds the total recorded events (default 4096); once
-	// full, further events are counted as dropped.
-	RecorderCap int
 }
 
 // ForensicsTally is the cumulative forensics counter set. All fields are
@@ -153,7 +151,8 @@ type ForensicsReport struct {
 	BankMax []uint32       `json:"bank_max,omitempty"`
 	Tally   ForensicsTally `json:"tally"`
 	// Events is the flight recorder's log (empty unless Recorder was
-	// enabled); DroppedEvents counts commands lost to the RecorderCap.
+	// enabled); DroppedEvents counts commands lost once its 4096-event
+	// log is full.
 	Events        []FlightEvent `json:"events,omitempty"`
 	DroppedEvents uint64        `json:"dropped_events,omitempty"`
 }
@@ -230,12 +229,8 @@ func newForensics(org dram.Org, t dram.Timing, cfg ForensicsConfig) *Forensics {
 	f.bankMax = make([]uint32, banks)
 	f.refPtr = make([]int32, banks)
 	if cfg.Recorder {
-		capN := cfg.RecorderCap
-		if capN <= 0 {
-			capN = defaultRecorderCap
-		}
 		f.pre = make([]dram.Command, recorderPre)
-		f.events = make([]dram.Command, 0, capN)
+		f.events = make([]dram.Command, 0, recorderCap)
 	}
 	return f
 }

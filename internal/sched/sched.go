@@ -118,27 +118,16 @@ type Stats struct {
 type Config struct {
 	Org    dram.Org
 	Timing dram.Timing
-	// ReadQueueCap and WriteQueueCap default to Table 3's 64.
-	ReadQueueCap, WriteQueueCap int
-	// WriteHigh/WriteLow are write-drain watermarks (defaults 48/16).
-	WriteHigh, WriteLow int
 }
 
-func (c Config) withDefaults() Config {
-	if c.ReadQueueCap == 0 {
-		c.ReadQueueCap = 64
-	}
-	if c.WriteQueueCap == 0 {
-		c.WriteQueueCap = 64
-	}
-	if c.WriteHigh == 0 {
-		c.WriteHigh = c.WriteQueueCap * 3 / 4
-	}
-	if c.WriteLow == 0 {
-		c.WriteLow = c.WriteQueueCap / 4
-	}
-	return c
-}
+// Table 3's request queues: 64 entries each, with write-drain
+// watermarks at 3/4 and 1/4 of the write queue.
+const (
+	readQueueCap  = 64
+	writeQueueCap = 64
+	writeHigh     = 48
+	writeLow      = 16
+)
 
 // Queue kinds: each channel keeps one read and one write queue.
 const (
@@ -382,7 +371,6 @@ type seqCmd struct {
 // NewController builds a controller with the given refresh engine
 // (NoRefresh{} if nil).
 func NewController(cfg Config, engine RefreshEngine) (*Controller, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Org.Validate(); err != nil {
 		return nil, err
 	}
@@ -432,9 +420,6 @@ func NewController(cfg Config, engine RefreshEngine) (*Controller, error) {
 // Now returns the controller clock.
 func (c *Controller) Now() dram.Time { return c.now }
 
-// Config returns the controller's configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // QueueOccupancy returns current read/write queue depths summed over
 // channels.
 func (c *Controller) QueueOccupancy() (reads, writes int) {
@@ -472,9 +457,9 @@ func (c *Controller) flat(rank, bank int) int { return rank*c.bpr + bank }
 func (c *Controller) Enqueue(req Request) bool {
 	ch := c.chans[req.Loc.Channel]
 	req.Arrive = c.now
-	k, capN := qRead, c.cfg.ReadQueueCap
+	k, capN := qRead, readQueueCap
 	if req.Write {
-		k, capN = qWrite, c.cfg.WriteQueueCap
+		k, capN = qWrite, writeQueueCap
 	}
 	q := &ch.q[k]
 	if q.count >= capN {
@@ -508,7 +493,7 @@ func (c *Controller) noteEnqueue(ch *channel, k, flat, row int) {
 	readN, writeN := ch.q[qRead].count, ch.q[qWrite].count
 	// Arrivals that can flip the hysteresis or the served-queue choice.
 	if k == qWrite {
-		if writeN >= c.cfg.WriteHigh || readN == 0 {
+		if writeN >= writeHigh || readN == 0 {
 			ch.idleUntil = 0
 			return
 		}

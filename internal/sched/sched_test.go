@@ -142,11 +142,11 @@ func TestWritesDrainAndComplete(t *testing.T) {
 func TestQueueCapacity(t *testing.T) {
 	org := smallOrg()
 	tm := dram.DDR4_2400(8)
-	c, err := NewController(Config{Org: org, Timing: tm, ReadQueueCap: 4}, NoRefresh{})
+	c, err := NewController(Config{Org: org, Timing: tm}, NoRefresh{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < readQueueCap; i++ {
 		if !c.Enqueue(Request{Loc: dram.Location{Row: i}, Token: uint64(i)}) {
 			t.Fatalf("enqueue %d rejected below capacity", i)
 		}

@@ -273,9 +273,9 @@ func (c *Controller) Restore(r *snap.Reader, maxCore int) error {
 			for i := range q.pos {
 				q.pos[i] = -1
 			}
-			capN := c.cfg.ReadQueueCap
+			capN := readQueueCap
 			if k == qWrite {
-				capN = c.cfg.WriteQueueCap
+				capN = writeQueueCap
 			}
 			cnt := r.Len(capN, 6)
 			var last uint64

@@ -67,12 +67,11 @@ func TestAttackJob(t *testing.T) {
 
 // TestAttackSpecValidation: the attack kind's acceptance surface.
 func TestAttackSpecValidation(t *testing.T) {
-	var l Limits
 	ok := JobSpec{Kind: KindAttack, Attacks: []string{"refsync", "decoy"}, NRHs: []int{64, 128}}
-	if err := ok.Validate(l); err != nil {
+	if err := ok.Validate(); err != nil {
 		t.Errorf("valid attack spec rejected: %v", err)
 	}
-	if err := (JobSpec{Kind: KindAttack}).Validate(l); err != nil {
+	if err := (JobSpec{Kind: KindAttack}).Validate(); err != nil {
 		t.Errorf("all-defaults attack spec rejected: %v", err)
 	}
 
@@ -86,7 +85,7 @@ func TestAttackSpecValidation(t *testing.T) {
 		"attacks on fig9": {Kind: KindFig9, Attacks: []string{"double"}},
 	}
 	for name, spec := range cases {
-		if err := spec.Validate(l); err == nil {
+		if err := spec.Validate(); err == nil {
 			t.Errorf("%s: accepted, want an error", name)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 // queue, run, the SSE stream to its last event, and the result decode —
 // each answered entirely from the engine's cache. Server and client
 // share the process, so allocs/op counts both sides of the wire. Past
-// 256 jobs (the default RetainJobs) every submission also runs job-table
+// 256 jobs (retainJobs) every submission also runs job-table
 // eviction, so CI runs it at 2000x. A warm job that simulates a cell
 // fails the benchmark.
 func BenchmarkServerWarmJob(b *testing.B) {

@@ -31,10 +31,16 @@ func crashOpts() sim.Options {
 	return sim.Options{Workloads: 1, Cores: 4, Warmup: 2000, Measure: 1000000, Seed: 1}
 }
 
-// blockingLimits admits the deliberately enormous specs the queue and
-// deadline tests use to pin a worker (they are cancelled or
-// deadline-killed, never run to completion).
-func blockingLimits() Limits { return Limits{MaxTicks: 200_000_000} }
+// blockingSpec pins a worker for the queue and deadline tests (its job
+// is cancelled or deadline-killed, never run to completion): Fig. 9 over
+// all seven capacities, each cell at the service's 10M-tick bound, run
+// one cell at a time on an engine with Parallelism 1.
+func blockingSpec() JobSpec {
+	return JobSpec{
+		Kind: KindFig9,
+		Sim:  &SimSpec{Workloads: 1, Cores: 4, Warmup: 2000, Measure: maxTicks - 2000, Seed: 1},
+	}
+}
 
 // metricsText fetches the /metrics exposition from the server under test.
 func metricsText(t *testing.T, baseURL string) string {
@@ -401,7 +407,6 @@ func TestReadyzTransitions(t *testing.T) {
 		Workers:    1,
 		QueueDepth: 1,
 		Engine:     sim.EngineConfig{Parallelism: 1},
-		Limits:     blockingLimits(),
 	})
 	if code, body := getStatus(t, client.BaseURL+"/readyz"); code != http.StatusOK {
 		t.Fatalf("idle readyz = %d %q, want 200", code, body)
@@ -409,8 +414,7 @@ func TestReadyzTransitions(t *testing.T) {
 
 	// Occupy the lone worker with a job far too long to finish during the
 	// test (it is cancelled at the end), then fill the queue.
-	long := crashSpec()
-	long.Sim.Measure = 100000000
+	long := blockingSpec()
 	j1, err := client.Submit(ctx, long)
 	if err != nil {
 		t.Fatal(err)
@@ -470,10 +474,8 @@ func TestQueueFullRetryAfterAndClientBackoff(t *testing.T) {
 		Workers:    1,
 		QueueDepth: 1,
 		Engine:     sim.EngineConfig{Parallelism: 1},
-		Limits:     blockingLimits(),
 	})
-	long := crashSpec()
-	long.Sim.Measure = 100000000
+	long := blockingSpec()
 	j1, err := client.Submit(ctx, long)
 	if err != nil {
 		t.Fatal(err)
@@ -513,11 +515,11 @@ func TestQueueFullRetryAfterAndClientBackoff(t *testing.T) {
 	}
 
 	// A retrying client submitted against the full queue succeeds once
-	// the slot frees. (Its Retry-After wait is capped by the small
-	// backoff base; the cancel below frees the slot almost immediately.)
+	// the slot frees. (It waits out the server's 2s Retry-After, which
+	// wins over the shorter backoff; the cancel below frees the slot
+	// almost immediately.)
 	retrying := NewClient(client.BaseURL)
 	retrying.MaxRetries = 8
-	retrying.RetryBaseDelay = 25 * time.Millisecond
 	go func() {
 		time.Sleep(50 * time.Millisecond)
 		client.Cancel(ctx, j2.ID)
@@ -536,10 +538,9 @@ func TestQueueFullRetryAfterAndClientBackoff(t *testing.T) {
 // generous deadline.
 func TestJobDeadline(t *testing.T) {
 	ctx := context.Background()
-	_, client := newTestServer(t, Config{Workers: 1, Engine: sim.EngineConfig{Parallelism: 1}, Limits: blockingLimits()})
+	_, client := newTestServer(t, Config{Workers: 1, Engine: sim.EngineConfig{Parallelism: 1}})
 
-	over := crashSpec()
-	over.Sim.Measure = 100000000 // far longer than the deadline allows
+	over := blockingSpec() // far longer than the deadline allows
 	over.TimeoutSeconds = 0.2
 	job, err := client.Run(ctx, over, nil)
 	if err != nil {

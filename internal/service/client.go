@@ -30,18 +30,21 @@ type Client struct {
 	// global timeout: Wait holds a streaming response open for the
 	// duration of a job.
 	HTTPClient *http.Client
-	// PollInterval is Wait's fallback polling cadence when the event
-	// stream is unavailable; <= 0 means 500ms.
-	PollInterval time.Duration
 	// MaxRetries bounds how many times a transiently failed request is
 	// retried (beyond the initial attempt). 0 means 4; negative disables
 	// retries entirely.
 	MaxRetries int
-	// RetryBaseDelay is the first backoff delay, doubled per retry
-	// (with ±50% jitter, capped at 5s); <= 0 means 200ms. The server's
-	// Retry-After wins when it asks for longer.
-	RetryBaseDelay time.Duration
 }
+
+const (
+	// pollInterval is Wait's fallback polling cadence when the event
+	// stream is unavailable.
+	pollInterval = 500 * time.Millisecond
+	// retryBaseDelay is the first backoff delay, doubled per retry (with
+	// ±50% jitter, capped at 5s). The server's Retry-After wins when it
+	// asks for longer.
+	retryBaseDelay = 200 * time.Millisecond
+)
 
 // maxRetries resolves the retry budget.
 func (c *Client) maxRetries() int {
@@ -55,11 +58,8 @@ func (c *Client) maxRetries() int {
 }
 
 // backoff returns the jittered delay before retry number attempt (0-based).
-func (c *Client) backoff(attempt int) time.Duration {
-	d := c.RetryBaseDelay
-	if d <= 0 {
-		d = 200 * time.Millisecond
-	}
+func backoff(attempt int) time.Duration {
+	d := retryBaseDelay
 	for i := 0; i < attempt && d < 5*time.Second; i++ {
 		d *= 2
 	}
@@ -179,7 +179,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		if !transient || attempt >= c.maxRetries() || ctx.Err() != nil {
 			return reqErr
 		}
-		delay := c.backoff(attempt)
+		delay := backoff(attempt)
 		if ra := retryAfter(resp); ra > delay {
 			delay = ra
 		}
@@ -281,7 +281,7 @@ func (c *Client) WaitProgress(ctx context.Context, id string, onProgress func(Pr
 		if attempt >= c.maxRetries() {
 			break
 		}
-		if !sleepCtx(ctx, c.backoff(attempt)) {
+		if !sleepCtx(ctx, backoff(attempt)) {
 			return nil, ctx.Err()
 		}
 	}
@@ -362,11 +362,7 @@ var streamLinePool = sync.Pool{New: func() any {
 
 // waitPoll polls GET /v1/jobs/{id} until terminal.
 func (c *Client) waitPoll(ctx context.Context, id string) (*Job, error) {
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
+	t := time.NewTicker(pollInterval)
 	defer t.Stop()
 	for {
 		j, err := c.Job(ctx, id)

@@ -22,6 +22,23 @@ import (
 	"hira/internal/workload"
 )
 
+// retainJobs bounds how many jobs (and the result payloads of the
+// finished ones) stay queryable in memory. Each submission over the
+// bound evicts finished jobs in the order they finished, oldest first,
+// until the table is back at the bound or the next job finished within
+// retainFor. Their cell results remain durable in the engine's store, so
+// resubmitting is cheap. Queued and running jobs are never evicted, so
+// the table may exceed the bound while they, or jobs inside the grace
+// window, fill it.
+const retainJobs = 256
+
+// retainFor is a grace period during which a finished job is never
+// evicted even over the retainJobs bound, so a client that lost its
+// event stream and fell back to polling can still fetch the result. A
+// burst of submissions inside the window grows the table past
+// retainJobs (hira_jobs_retained on /metrics) until those jobs age out.
+const retainFor = time.Minute
+
 // Config sizes a Server.
 type Config struct {
 	// Engine configures the shared experiment engine every job runs on:
@@ -36,22 +53,6 @@ type Config struct {
 	// full queue rejects submissions with 503 rather than queueing
 	// unboundedly.
 	QueueDepth int
-	// RetainJobs bounds how many jobs (and the result payloads of the
-	// finished ones) stay queryable in memory; <= 0 means 256. Each
-	// submission over the bound evicts finished jobs in the order they
-	// finished, oldest first, until the table is back at the bound or
-	// the next job finished within RetainFor. Their cell results remain
-	// durable in the engine's store, so resubmitting is cheap. Queued
-	// and running jobs are never evicted, so the table may exceed the
-	// bound while they, or jobs inside the grace window, fill it.
-	RetainJobs int
-	// RetainFor is a grace period during which a finished job is never
-	// evicted even over the RetainJobs bound, so a client that lost its
-	// event stream and fell back to polling can still fetch the result;
-	// <= 0 means one minute. A burst of submissions inside the window
-	// grows the table past RetainJobs (hira_jobs_retained on /metrics)
-	// until those jobs age out.
-	RetainFor time.Duration
 	// TraceDir is the directory job specs' trace references (the
 	// workloads object's traces[].file entries) resolve against. Empty
 	// rejects trace-referencing specs.
@@ -64,8 +65,6 @@ type Config struct {
 	// makes re-running them cost roughly the in-flight delta. Empty
 	// disables journaling (jobs die with the process, as before).
 	JournalPath string
-	// Limits bounds individual job specs.
-	Limits Limits
 	// Telemetry is the metrics registry the server (and the engine it
 	// builds) instruments itself on, served at GET /metrics. Nil makes
 	// the server create its own, so /metrics always works; pass one in
@@ -136,12 +135,6 @@ func New(cfg Config) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
-	if cfg.RetainJobs <= 0 {
-		cfg.RetainJobs = 256
-	}
-	if cfg.RetainFor <= 0 {
-		cfg.RetainFor = time.Minute
-	}
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
@@ -151,7 +144,6 @@ func New(cfg Config) *Server {
 	if cfg.Engine.Telemetry == nil {
 		cfg.Engine.Telemetry = cfg.Telemetry
 	}
-	cfg.Limits = cfg.Limits.withDefaults()
 	s := &Server{
 		cfg:      cfg,
 		lab:      sim.NewEngine(cfg.Engine),
@@ -244,7 +236,7 @@ func (s *Server) recoverJobs(entries []journalEntry) {
 		j.view.Recovered = true
 		j.onFinish = s.jobFinished
 		var mixes []workload.SourceMix
-		err := e.Spec.Validate(s.cfg.Limits)
+		err := e.Spec.Validate()
 		if err == nil && e.Spec.Workloads != nil {
 			mixes, err = e.Spec.Workloads.Resolve(s.cfg.TraceDir)
 		}
@@ -489,7 +481,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid job spec: %v", err)
 		return
 	}
-	if err := spec.Validate(s.cfg.Limits); err != nil {
+	if err := spec.Validate(); err != nil {
 		s.metrics.rejected.Inc()
 		writeError(w, http.StatusBadRequest, "invalid job spec: %v", err)
 		return
@@ -597,18 +589,18 @@ func (s *Server) admit() error {
 }
 
 // evictLocked drops the earliest-finished jobs once more than
-// RetainJobs are tracked, so a long-lived server's job table (and the
+// retainJobs are tracked, so a long-lived server's job table (and the
 // result payloads it pins) stays bounded. Jobs finished within
-// RetainFor are exempt, so a polling client always has a window to
+// retainFor are exempt, so a polling client always has a window to
 // fetch its result. It pops the eviction queue's front and stops at the
 // first job still inside the window, so a table full of recent jobs
 // costs O(1). Callers hold s.mu.
 func (s *Server) evictLocked() {
-	excess := len(s.jobs) - s.cfg.RetainJobs
+	excess := len(s.jobs) - retainJobs
 	if excess <= 0 {
 		return
 	}
-	cutoff := s.cfg.now().Add(-s.cfg.RetainFor)
+	cutoff := s.cfg.now().Add(-retainFor)
 	s.finMu.Lock()
 	n := 0
 	for n < excess && n < len(s.finished) && s.finished[n].at.Before(cutoff) {

@@ -649,16 +649,18 @@ func TestListAndStats(t *testing.T) {
 }
 
 // TestFinishedJobEviction asserts the job table stays bounded: once
-// more than RetainJobs are tracked, the oldest finished jobs (and their
+// more than retainJobs are tracked, the oldest finished jobs (and their
 // pinned result payloads) are dropped, while recent ones stay
 // queryable.
 func TestFinishedJobEviction(t *testing.T) {
-	// RetainFor is effectively zero so freshly finished jobs are
-	// eligible; production defaults keep a one-minute polling window.
-	_, client := newTestServer(t, Config{Workers: 1, RetainJobs: 2, RetainFor: time.Nanosecond})
+	// Each job is submitted two minutes after the previous one finished,
+	// so every finished job is past the one-minute retainFor window.
+	clk := &testClock{t: time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)}
+	_, client := newTestServer(t, Config{Workers: 1, now: clk.now})
 	ctx := context.Background()
 	var ids []string
-	for i := 0; i < 4; i++ {
+	for i := 0; i < retainJobs+2; i++ {
+		clk.advance(2 * retainFor)
 		j, err := client.Run(ctx, JobSpec{Kind: KindArea}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -672,13 +674,13 @@ func TestFinishedJobEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(jobs) > 2 {
-		t.Errorf("listing retains %d finished jobs, want <= RetainJobs (2)", len(jobs))
+	if len(jobs) > retainJobs {
+		t.Errorf("listing retains %d finished jobs, want <= retainJobs (%d)", len(jobs), retainJobs)
 	}
 	if _, err := client.Job(ctx, ids[0]); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("oldest job still queryable after eviction (err %v)", err)
 	}
-	if _, err := client.Job(ctx, ids[3]); err != nil {
+	if _, err := client.Job(ctx, ids[len(ids)-1]); err != nil {
 		t.Errorf("newest job evicted: %v", err)
 	}
 }
@@ -702,14 +704,14 @@ func (c *testClock) advance(d time.Duration) {
 }
 
 // TestEvictionOrderAndGrace drives eviction with an injected clock:
-// finished jobs inside RetainFor are never evicted, however far the
-// table is over RetainJobs; once the clock passes the cutoff, the next
+// finished jobs inside retainFor are never evicted, however far the
+// table is over retainJobs; once the clock passes the cutoff, the next
 // submission evicts in finish order (a job submitted first but finished
-// last outlives later submissions); and the listing, /v1/stats and the
-// hira_jobs_retained gauge all agree with what is left.
+// after the jobs behind it outlives them); and the listing, /v1/stats
+// and the hira_jobs_retained gauge all agree with what is left.
 func TestEvictionOrderAndGrace(t *testing.T) {
 	clk := &testClock{t: time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)}
-	_, client := newTestServer(t, Config{Workers: 2, RetainJobs: 2, RetainFor: time.Minute, now: clk.now})
+	_, client := newTestServer(t, Config{Workers: 2, now: clk.now})
 	ctx := context.Background()
 	area := JobSpec{Kind: KindArea}
 	run := func() string {
@@ -759,8 +761,21 @@ func TestEvictionOrderAndGrace(t *testing.T) {
 		clk.advance(time.Second)
 		early = append(early, run())
 	}
-	// Four jobs against a bound of two, all inside the grace window.
-	want := append([]string{long.ID}, early...)
+	clk.advance(time.Second)
+	if err := client.Cancel(ctx, long.ID); err != nil {
+		t.Fatal(err)
+	}
+	if j, err := client.Wait(ctx, long.ID, nil); err != nil || j.State != StateCancelled {
+		t.Fatalf("long job after cancel: %+v, %v", j, err)
+	}
+	// late finish after long and fill the table to two over the bound,
+	// all inside the grace window.
+	clk.advance(time.Second)
+	var late []string
+	for len(early)+len(late)+1 < retainJobs+2 {
+		late = append(late, run())
+	}
+	want := append(append([]string{long.ID}, early...), late...)
 	if got := listed(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("listing inside the grace window = %v, want %v", got, want)
 	}
@@ -770,24 +785,16 @@ func TestEvictionOrderAndGrace(t *testing.T) {
 		}
 	}
 
-	clk.advance(time.Second)
-	if err := client.Cancel(ctx, long.ID); err != nil {
-		t.Fatal(err)
-	}
-	if j, err := client.Wait(ctx, long.ID, nil); err != nil || j.State != StateCancelled {
-		t.Fatalf("long job after cancel: %+v, %v", j, err)
-	}
-
 	// Past the cutoff for every job: the next submission evicts the
-	// three earliest-finished jobs, keeping long (finished last).
-	clk.advance(2 * time.Minute)
+	// three earliest-finished jobs, keeping long (finished after them).
+	clk.advance(2 * retainFor)
 	next := run()
 	for _, id := range early {
 		if queryable(id) {
 			t.Errorf("job %s, finished before %s, survived eviction", id, long.ID)
 		}
 	}
-	if got, want := listed(), []string{long.ID, next}; !reflect.DeepEqual(got, want) {
+	if got, want := listed(), append(append([]string{long.ID}, late...), next); !reflect.DeepEqual(got, want) {
 		t.Errorf("listing after eviction = %v, want %v", got, want)
 	}
 
@@ -797,7 +804,7 @@ func TestEvictionOrderAndGrace(t *testing.T) {
 	if queryable(long.ID) {
 		t.Errorf("job %s survived the second eviction", long.ID)
 	}
-	if got, want := listed(), []string{next, last}; !reflect.DeepEqual(got, want) {
+	if got, want := listed(), append(append([]string{}, late...), next, last); !reflect.DeepEqual(got, want) {
 		t.Errorf("listing after the second eviction = %v, want %v", got, want)
 	}
 

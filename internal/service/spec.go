@@ -196,78 +196,48 @@ type CharzSpec struct {
 	NRHVictims int      `json:"nrh_victims,omitempty"`
 }
 
-// Limits bounds what one job may ask of the service, so a single spec
-// cannot monopolize it. Zero fields take the defaults noted.
-type Limits struct {
-	MaxWorkloads int `json:"max_workloads"` // default 128
-	MaxCores     int `json:"max_cores"`     // default 64
-	MaxTicks     int `json:"max_ticks"`     // warmup+measure; default 10M
-	MaxGrid      int `json:"max_grid"`      // entries per axis; default 32
-	MaxPolicies  int `json:"max_policies"`  // default 32
-	// MaxTraces and MaxProfiles bound the workloads object's trace and
+// The service's bounds on one job, so a single spec cannot monopolize
+// it.
+const (
+	maxWorkloads = 128
+	maxCores     = 64
+	maxTicks     = 10_000_000 // warmup+measure
+	maxGrid      = 32         // entries per axis
+	maxPolicies  = 32
+	// maxTraces and maxProfiles bound the workloads object's trace and
 	// inline-profile lists. Trace entries cost submission-time I/O (each
 	// distinct file is read and hashed once in the HTTP handler), so the
-	// trace cap also bounds how much disk a single POST can touch;
-	// defaults 16 and 64.
-	MaxTraces   int `json:"max_traces"`
-	MaxProfiles int `json:"max_profiles"`
-	// MaxTotalTicks bounds a job's estimated total simulation cost —
+	// trace cap also bounds how much disk a single POST can touch.
+	maxTraces   = 16
+	maxProfiles = 64
+	// maxTotalTicks bounds a job's estimated total simulation cost —
 	// sweep points x policies x workloads x (warmup+measure) — because
 	// per-axis caps alone still admit specs whose product is days of
-	// compute; default 100G ticks.
-	MaxTotalTicks int64 `json:"max_total_ticks"`
-}
+	// compute.
+	maxTotalTicks int64 = 100_000_000_000
+)
 
-func (l Limits) withDefaults() Limits {
-	if l.MaxWorkloads == 0 {
-		l.MaxWorkloads = 128
-	}
-	if l.MaxCores == 0 {
-		l.MaxCores = 64
-	}
-	if l.MaxTicks == 0 {
-		l.MaxTicks = 10_000_000
-	}
-	if l.MaxGrid == 0 {
-		l.MaxGrid = 32
-	}
-	if l.MaxPolicies == 0 {
-		l.MaxPolicies = 32
-	}
-	if l.MaxTraces == 0 {
-		l.MaxTraces = 16
-	}
-	if l.MaxProfiles == 0 {
-		l.MaxProfiles = 64
-	}
-	if l.MaxTotalTicks == 0 {
-		l.MaxTotalTicks = 100_000_000_000
-	}
-	return l
-}
-
-// Validate checks the workload object against the limits (zero fields
-// take defaults) and the sweep's effective core count. It is pure —
-// trace files are only referenced by name here and loaded by Resolve —
-// so the fuzzable validation path never touches the filesystem.
+// Validate checks the workload object against the limits and the
+// sweep's effective core count. It is pure — trace files are only
+// referenced by name here and loaded by Resolve — so the fuzzable
+// validation path never touches the filesystem.
 // cmd/hira-sim reuses it for -workload-spec files, keeping CLI and
 // service acceptance identical.
-func (w *WorkloadsSpec) Validate(l Limits, cores int) error {
+func (w *WorkloadsSpec) Validate(cores int) error {
 	if w == nil {
 		return nil
 	}
-	l = l.withDefaults()
 	if len(w.Mixes) == 0 {
 		return fmt.Errorf("workloads needs at least one mix")
 	}
-	if len(w.Mixes) > l.MaxWorkloads {
-		return fmt.Errorf("%d workload mixes exceeds the limit of %d", len(w.Mixes), l.MaxWorkloads)
+	if len(w.Mixes) > maxWorkloads {
+		return fmt.Errorf("%d workload mixes exceeds the limit of %d", len(w.Mixes), maxWorkloads)
 	}
-	if len(w.Traces) > l.MaxTraces {
-		return fmt.Errorf("%d trace references exceeds the limit of %d", len(w.Traces), l.MaxTraces)
+	if len(w.Traces) > maxTraces {
+		return fmt.Errorf("%d trace references exceeds the limit of %d", len(w.Traces), maxTraces)
 	}
-	if len(w.Profiles) > l.MaxProfiles {
-		return fmt.Errorf("%d inline profiles exceeds the limit of %d", len(w.Profiles), l.MaxProfiles)
+	if len(w.Profiles) > maxProfiles {
+		return fmt.Errorf("%d inline profiles exceeds the limit of %d", len(w.Profiles), maxProfiles)
 	}
 	names := map[string]bool{}
 	defined := func(kind, name string) error {
@@ -372,8 +342,7 @@ func (w *WorkloadsSpec) Resolve(traceDir string) ([]workload.SourceMix, error) {
 
 // Validate checks the spec against the limits. A nil error means the
 // scheduler can run the job as-is.
-func (spec JobSpec) Validate(l Limits) error {
-	l = l.withDefaults()
+func (spec JobSpec) Validate() error {
 	if err := spec.validateTimeout(); err != nil {
 		return err
 	}
@@ -382,8 +351,8 @@ func (spec JobSpec) Validate(l Limits) error {
 		if len(spec.Policies) == 0 {
 			return fmt.Errorf("policies job needs at least one policy")
 		}
-		if len(spec.Policies) > l.MaxPolicies {
-			return fmt.Errorf("%d policies exceeds the limit of %d", len(spec.Policies), l.MaxPolicies)
+		if len(spec.Policies) > maxPolicies {
+			return fmt.Errorf("%d policies exceeds the limit of %d", len(spec.Policies), maxPolicies)
 		}
 		for i, p := range spec.Policies {
 			if _, err := p.policy(); err != nil {
@@ -398,18 +367,18 @@ func (spec JobSpec) Validate(l Limits) error {
 		if spec.Capacities != nil || spec.NRHs != nil || spec.Xs != nil || spec.Charz != nil || spec.Attacks != nil {
 			return fmt.Errorf("policies does not take grids, charz, or attacks")
 		}
-		if err := spec.Sim.validate(l); err != nil {
+		if err := spec.Sim.validate(); err != nil {
 			return err
 		}
 		o := spec.Sim.options().WithDefaults()
-		if err := spec.Workloads.Validate(l, o.Cores); err != nil {
+		if err := spec.Workloads.Validate(o.Cores); err != nil {
 			return err
 		}
 		mixes := o.Workloads
 		if spec.Workloads != nil {
 			mixes = len(spec.Workloads.Mixes)
 		}
-		return spec.validateCost(l, int64(len(spec.Policies))*int64(mixes))
+		return spec.validateCost(int64(len(spec.Policies)) * int64(mixes))
 	case KindCharacterize:
 		if spec.Sim != nil || spec.Capacities != nil || spec.NRHs != nil || spec.Xs != nil ||
 			spec.Policies != nil || spec.Config != nil || spec.Workloads != nil || spec.Attacks != nil {
@@ -426,7 +395,7 @@ func (spec JobSpec) Validate(l Limits) error {
 	case "":
 		return fmt.Errorf("missing kind")
 	default:
-		return spec.validateFigure(l)
+		return spec.validateFigure()
 	}
 }
 
@@ -434,8 +403,8 @@ func (spec JobSpec) Validate(l Limits) error {
 // unknown kind or attacker preset, a grid the kind does not consume, and
 // a workloads object on a kind that builds its own mixes, and counts the
 // cells the cost bound prices; the service adds its per-axis limits.
-func (spec JobSpec) validateFigure(l Limits) error {
-	if err := spec.Sim.validate(l); err != nil {
+func (spec JobSpec) validateFigure() error {
+	if err := spec.Sim.validate(); err != nil {
 		return err
 	}
 	o := spec.Sim.options()
@@ -451,25 +420,25 @@ func (spec JobSpec) validateFigure(l Limits) error {
 	if spec.Policies != nil || spec.Config != nil || spec.Charz != nil {
 		return fmt.Errorf("%s does not take policies, config, or charz", spec.Kind)
 	}
-	if err := validateGrid("capacities", spec.Capacities, l.MaxGrid, 1, 1024); err != nil {
+	if err := validateGrid("capacities", spec.Capacities, maxGrid, 1, 1024); err != nil {
 		return err
 	}
-	if err := validateGrid("nrhs", spec.NRHs, l.MaxGrid, 1, 1<<20); err != nil {
+	if err := validateGrid("nrhs", spec.NRHs, maxGrid, 1, 1<<20); err != nil {
 		return err
 	}
-	if err := validateGrid("xs", spec.Xs, l.MaxGrid, 1, 16); err != nil {
+	if err := validateGrid("xs", spec.Xs, maxGrid, 1, 16); err != nil {
 		return err
 	}
 	if spec.Attacks != nil && len(spec.Attacks) == 0 {
 		return fmt.Errorf("attacks is empty; omit it to run every preset")
 	}
-	if len(spec.Attacks) > l.MaxGrid {
-		return fmt.Errorf("attacks has %d entries, limit %d", len(spec.Attacks), l.MaxGrid)
+	if len(spec.Attacks) > maxGrid {
+		return fmt.Errorf("attacks has %d entries, limit %d", len(spec.Attacks), maxGrid)
 	}
-	if err := spec.Workloads.Validate(l, o.WithDefaults().Cores); err != nil {
+	if err := spec.Workloads.Validate(o.WithDefaults().Cores); err != nil {
 		return err
 	}
-	return spec.validateCost(l, cells)
+	return spec.validateCost(cells)
 }
 
 // figure is the spec's request to sim's figure table.
@@ -480,12 +449,12 @@ func (spec JobSpec) figure() sim.FigureSpec {
 // validateCost bounds a simulation job's estimated total cost: the
 // simulation cells it submits times each cell's ticks. Per-axis caps
 // alone still admit specs whose product is days of compute.
-func (spec JobSpec) validateCost(l Limits, cells int64) error {
+func (spec JobSpec) validateCost(cells int64) error {
 	o := spec.Sim.options().WithDefaults()
 	cost := cells * int64(o.Warmup+o.Measure)
-	if cost > l.MaxTotalTicks {
+	if cost > maxTotalTicks {
 		return fmt.Errorf("estimated cost %d ticks (%d simulation cells x %d ticks/run) exceeds the limit of %d; shrink the grids, workloads, or tick counts",
-			cost, cells, o.Warmup+o.Measure, l.MaxTotalTicks)
+			cost, cells, o.Warmup+o.Measure, maxTotalTicks)
 	}
 	return nil
 }
@@ -508,21 +477,21 @@ func validateGrid(name string, xs []int, maxLen, min, max int) error {
 	return nil
 }
 
-func (s *SimSpec) validate(l Limits) error {
+func (s *SimSpec) validate() error {
 	if s == nil {
 		return nil
 	}
-	if s.Workloads < 0 || s.Workloads > l.MaxWorkloads {
-		return fmt.Errorf("workloads %d outside [0, %d]", s.Workloads, l.MaxWorkloads)
+	if s.Workloads < 0 || s.Workloads > maxWorkloads {
+		return fmt.Errorf("workloads %d outside [0, %d]", s.Workloads, maxWorkloads)
 	}
-	if s.Cores < 0 || s.Cores > l.MaxCores {
-		return fmt.Errorf("cores %d outside [0, %d]", s.Cores, l.MaxCores)
+	if s.Cores < 0 || s.Cores > maxCores {
+		return fmt.Errorf("cores %d outside [0, %d]", s.Cores, maxCores)
 	}
 	if s.Warmup < 0 || s.Measure < 0 {
 		return fmt.Errorf("negative tick counts")
 	}
-	if s.Warmup+s.Measure > l.MaxTicks {
-		return fmt.Errorf("warmup+measure %d exceeds the limit of %d ticks", s.Warmup+s.Measure, l.MaxTicks)
+	if s.Warmup+s.Measure > maxTicks {
+		return fmt.Errorf("warmup+measure %d exceeds the limit of %d ticks", s.Warmup+s.Measure, maxTicks)
 	}
 	if s.ForensicsRecorder && !s.Forensics {
 		return fmt.Errorf("forensics_recorder requires forensics")

@@ -43,26 +43,25 @@ func FuzzSpecValidate(f *testing.F) {
 		if err := dec.Decode(&spec); err != nil {
 			return
 		}
-		if err := spec.Validate(Limits{}); err != nil {
+		if err := spec.Validate(); err != nil {
 			return
 		}
 		// The spec was accepted: re-assert the envelope independently.
-		l := Limits{}.withDefaults()
 		o := spec.Sim.options().WithDefaults()
 		// The oracle names the kinds and their grid sizes itself, so it
 		// stays independent of sim's figure table.
 		switch spec.Kind {
 		case "fig9", "fig12", "fig13", "fig14", "fig15", "fig16", KindPolicies:
-			if o.Warmup+o.Measure > l.MaxTicks {
-				t.Fatalf("accepted spec with %d ticks/run (limit %d)", o.Warmup+o.Measure, l.MaxTicks)
+			if o.Warmup+o.Measure > maxTicks {
+				t.Fatalf("accepted spec with %d ticks/run (limit %d)", o.Warmup+o.Measure, maxTicks)
 			}
-			if o.Cores > l.MaxCores {
-				t.Fatalf("accepted spec with %d cores (limit %d)", o.Cores, l.MaxCores)
+			if o.Cores > maxCores {
+				t.Fatalf("accepted spec with %d cores (limit %d)", o.Cores, maxCores)
 			}
 			mixes := int64(o.Workloads)
 			if w := spec.Workloads; w != nil {
-				if len(w.Mixes) == 0 || len(w.Mixes) > l.MaxWorkloads {
-					t.Fatalf("accepted workloads object with %d mixes (limit %d)", len(w.Mixes), l.MaxWorkloads)
+				if len(w.Mixes) == 0 || len(w.Mixes) > maxWorkloads {
+					t.Fatalf("accepted workloads object with %d mixes (limit %d)", len(w.Mixes), maxWorkloads)
 				}
 				mixes = int64(len(w.Mixes))
 				for _, mix := range w.Mixes {
@@ -81,8 +80,8 @@ func FuzzSpecValidate(f *testing.F) {
 						t.Fatalf("accepted invalid inline profile: %v", err)
 					}
 				}
-			} else if mixes > int64(l.MaxWorkloads) {
-				t.Fatalf("accepted spec with %d workloads (limit %d)", mixes, l.MaxWorkloads)
+			} else if mixes > int64(maxWorkloads) {
+				t.Fatalf("accepted spec with %d workloads (limit %d)", mixes, maxWorkloads)
 			}
 			// Cost ceiling, recomputed independently of validateCost:
 			// points x policies x mixes x ticks. Grid lengths default to
@@ -94,8 +93,8 @@ func FuzzSpecValidate(f *testing.F) {
 				if xs == nil {
 					return int64(def)
 				}
-				if len(xs) > l.MaxGrid {
-					t.Fatalf("accepted grid of %d entries (limit %d)", len(xs), l.MaxGrid)
+				if len(xs) > maxGrid {
+					t.Fatalf("accepted grid of %d entries (limit %d)", len(xs), maxGrid)
 				}
 				return int64(len(xs))
 			}
@@ -110,17 +109,17 @@ func FuzzSpecValidate(f *testing.F) {
 				points, policies = grid(spec.NRHs, 3)*grid(spec.Xs, 4), 3
 			case KindPolicies:
 				policies = int64(len(spec.Policies))
-				if policies == 0 || policies > int64(l.MaxPolicies) {
-					t.Fatalf("accepted %d policies (limit %d)", policies, l.MaxPolicies)
+				if policies == 0 || policies > int64(maxPolicies) {
+					t.Fatalf("accepted %d policies (limit %d)", policies, maxPolicies)
 				}
 			}
-			if cost := points * policies * mixes * int64(o.Warmup+o.Measure); cost > l.MaxTotalTicks {
-				t.Fatalf("accepted spec with estimated cost %d ticks (limit %d)", cost, l.MaxTotalTicks)
+			if cost := points * policies * mixes * int64(o.Warmup+o.Measure); cost > maxTotalTicks {
+				t.Fatalf("accepted spec with estimated cost %d ticks (limit %d)", cost, maxTotalTicks)
 			}
 		case "attack":
-			if o.Warmup+o.Measure > l.MaxTicks || o.Cores > l.MaxCores {
+			if o.Warmup+o.Measure > maxTicks || o.Cores > maxCores {
 				t.Fatalf("accepted attack spec with %d ticks/run and %d cores (limits %d, %d)",
-					o.Warmup+o.Measure, o.Cores, l.MaxTicks, l.MaxCores)
+					o.Warmup+o.Measure, o.Cores, maxTicks, maxCores)
 			}
 			// The attack grid builds its own mixes: one per point.
 			if spec.Workloads != nil {
@@ -133,12 +132,12 @@ func FuzzSpecValidate(f *testing.F) {
 			if spec.NRHs != nil {
 				nrhs = int64(len(spec.NRHs))
 			}
-			if attacks == 0 || attacks > int64(l.MaxGrid) || nrhs == 0 || nrhs > int64(l.MaxGrid) {
-				t.Fatalf("accepted %d attacks x %d nrhs (limit %d per axis)", attacks, nrhs, l.MaxGrid)
+			if attacks == 0 || attacks > int64(maxGrid) || nrhs == 0 || nrhs > int64(maxGrid) {
+				t.Fatalf("accepted %d attacks x %d nrhs (limit %d per axis)", attacks, nrhs, maxGrid)
 			}
 			// 4 policies: Baseline, PARA, Graphene, RFM.
-			if cost := attacks * nrhs * 4 * int64(o.Warmup+o.Measure); cost > l.MaxTotalTicks {
-				t.Fatalf("accepted attack spec with estimated cost %d ticks (limit %d)", cost, l.MaxTotalTicks)
+			if cost := attacks * nrhs * 4 * int64(o.Warmup+o.Measure); cost > maxTotalTicks {
+				t.Fatalf("accepted attack spec with estimated cost %d ticks (limit %d)", cost, maxTotalTicks)
 			}
 		case KindCharacterize, KindSecurity, KindArea:
 			if spec.Workloads != nil {

@@ -125,7 +125,7 @@ func appendForensicsSuffix(b []byte, fx ForensicsOptions) []byte {
 }
 
 // simCellKey names a full-system simulation cell: every input NewSystem
-// and Run consume — appendSimShape's and appendSimWorkload's fields, the
+// and a run consume — appendSimShape's and appendSimWorkload's fields, the
 // warmup and measure horizons — plus the forensics mode. wl is the
 // mix's rendered identity (mixIdentity.wl).
 func simCellKey(cfg Config, wl string, warmup, measure int) string {
@@ -154,17 +154,6 @@ func simCell(lab *Engine, cfg Config, mix workload.SourceMix, wl string, warmup,
 		Run: func(ctx context.Context) (CellResult, error) {
 			return runSimCell(ctx, lab, cfg, mix, wl, warmup, measure)
 		},
-	}
-}
-
-// simCellResult projects a measured-phase Result onto the cell payload.
-func simCellResult(res Result) CellResult {
-	return CellResult{
-		IPC:        res.IPC,
-		Sched:      res.Sched,
-		LLCHitRate: res.LLCHitRate,
-		Ticks:      res.Ticks,
-		Forensics:  res.Forensics,
 	}
 }
 
@@ -221,7 +210,7 @@ func runSimCell(ctx context.Context, lab *Engine, cfg Config, mix workload.Sourc
 		return CellResult{}, err
 	}
 	ck.save(ctx, sys)
-	out := simCellResult(sys.resultSince(mark, measure))
+	out := sys.resultSince(mark, measure)
 	lab.sim.observe(out)
 	return out, nil
 }

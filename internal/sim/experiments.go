@@ -76,7 +76,7 @@ type aloneRun struct {
 }
 
 func newAloneRun(src workload.Source, seed uint64) *aloneRun {
-	mem := &aloneMemory{latencyTicks: 72, llc: cache.MustNew(8<<20, 8, 64)}
+	mem := &aloneMemory{latencyTicks: 72, llc: cache.NewLLC()}
 	c := cpu.New(0, src.Stream(seed), mem)
 	mem.c = c
 	return &aloneRun{mem: mem, c: c}

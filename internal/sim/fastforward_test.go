@@ -8,7 +8,7 @@ import (
 	"hira/internal/workload"
 )
 
-// TestRunMatchesTickByTick proves System.Run's fast-forward layer (core
+// TestRunMatchesTickByTick proves the System's fast-forward layer (core
 // budget replay + controller SkipTicks) is bit-identical to ticking the
 // system one command clock at a time: same command stream, same stats,
 // same IPC. Together with the sched package's differential tests (which
@@ -40,16 +40,16 @@ func TestRunMatchesTickByTick(t *testing.T) {
 					t.Fatal(err)
 				}
 				cmds := &[]dram.Command{}
-				sys.Controller().CommandHook = func(cmd dram.Command) { *cmds = append(*cmds, cmd) }
+				sys.ctrl.CommandHook = func(cmd dram.Command) { *cmds = append(*cmds, cmd) }
 				return sys, cmds
 			}
 
-			// Fast path: Run (skips idle windows).
+			// Fast path: runCold (skips idle windows).
 			fast, fastCmds := build()
-			fastRes := fast.Run(warmup, measure, nil)
+			fastRes := runCold(t, fast, warmup, measure)
 
 			// Reference path: one Tick per command clock, replicating
-			// Run's warmup/measure bookkeeping.
+			// runCold's warmup/measure bookkeeping.
 			ref, refCmds := build()
 			for i := 0; i < warmup; i++ {
 				ref.Tick()

@@ -1,10 +1,10 @@
 package sim
 
 import (
-	"encoding/json"
 	"io"
 
 	"hira/internal/sched"
+	"hira/internal/telemetry"
 )
 
 // defaultForensicsNRH anchors the forensics thresholds for policies that
@@ -113,26 +113,13 @@ func MergeForensics(dst, o *ForensicsSummary) *ForensicsSummary {
 	return dst
 }
 
-// chromeCmdEvent is one flight-recorder command in Chrome trace-event
-// form (the same format internal/telemetry's trace export uses, so the
-// Perfetto workflow is shared).
-type chromeCmdEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`  // microseconds
-	Dur  float64        `json:"dur"` // microseconds
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // WriteChrome writes the flight recorder's command log in Chrome
 // trace-event format: one lane per (rank, bank) under a per-channel
 // process, timestamps converted from the simulator's picoseconds to the
-// format's microseconds. Open the output in Perfetto or about:tracing.
+// format's microseconds. It shares telemetry's encoder, so job traces
+// and command logs open in the same Perfetto workflow.
 func (s *ForensicsSummary) WriteChrome(w io.Writer) error {
-	events := make([]chromeCmdEvent, 0, len(s.Events))
+	events := make([]telemetry.ChromeEvent, 0, len(s.Events))
 	for _, e := range s.Events {
 		name := e.Kind
 		if e.Phase != "" {
@@ -140,7 +127,7 @@ func (s *ForensicsSummary) WriteChrome(w io.Writer) error {
 		}
 		// tCK at DDR4-2400 is 833 ps; render each command as one tick
 		// wide so adjacent commands stay distinguishable when zoomed in.
-		events = append(events, chromeCmdEvent{
+		events = append(events, telemetry.ChromeEvent{
 			Name: name, Cat: "dram", Ph: "X",
 			TS:  float64(e.At) / 1e6,
 			Dur: 833e-6,
@@ -148,8 +135,5 @@ func (s *ForensicsSummary) WriteChrome(w io.Writer) error {
 			Args: map[string]any{"row": e.Row, "rank": e.Rank, "bank": e.Bank},
 		})
 	}
-	return json.NewEncoder(w).Encode(map[string]any{
-		"displayTimeUnit": "ms",
-		"traceEvents":     events,
-	})
+	return telemetry.WriteChromeEvents(w, events)
 }

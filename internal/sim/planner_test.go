@@ -25,20 +25,31 @@ func plannerTestPolicies() []RefreshPolicy {
 	}
 }
 
-// coldCell is the differential oracle for one sim cell: a cold
-// straight-through NewSystem + System.RunContext, with no engine and no
-// checkpoints.
+// runCold is the cold differential oracle every resumable path is held
+// to: warmup then measure ticks straight through on a fresh sys, with no
+// engine and no checkpoints, returning the measured-phase result.
+func runCold(t testing.TB, sys *System, warmup, measure int) CellResult {
+	t.Helper()
+	ctx := context.Background()
+	if err := sys.runTicks(ctx, warmup); err != nil {
+		t.Fatal(err)
+	}
+	m := sys.mark()
+	if err := sys.runTicks(ctx, measure); err != nil {
+		t.Fatal(err)
+	}
+	return sys.resultSince(m, measure)
+}
+
+// coldCell is the differential oracle for one sim cell: runCold on a
+// new NewSystem.
 func coldCell(t *testing.T, cfg Config, mix workload.SourceMix, warmup, measure int) CellResult {
 	t.Helper()
 	sys, err := NewSystem(cfg, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.RunContext(context.Background(), warmup, measure, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return simCellResult(res)
+	return runCold(t, sys, warmup, measure)
 }
 
 // cellSlice is an engine batch of cells built up front.

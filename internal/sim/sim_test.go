@@ -81,7 +81,7 @@ func TestSystemRunsAndProducesIPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sys.Run(5000, 30000, nil)
+	res := runCold(t, sys, 5000, 30000)
 	if len(res.IPC) != 8 {
 		t.Fatalf("got %d IPC values", len(res.IPC))
 	}
@@ -99,12 +99,12 @@ func TestSystemDeterminism(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Policy = HiRAPeriodicPolicy(2)
 	mix := workload.Mixes(1, 8, 1)[0].Sources()
-	run := func() Result {
+	run := func() CellResult {
 		sys, err := NewSystem(cfg, mix)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sys.Run(5000, 20000, nil)
+		return runCold(t, sys, 5000, 20000)
 	}
 	a, b := run(), run()
 	for i := range a.IPC {

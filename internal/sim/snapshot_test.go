@@ -92,20 +92,20 @@ func TestResumeEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			var refCmds []dram.Command
-			ref.Controller().CommandHook = func(c dram.Command) { refCmds = append(refCmds, c) }
-			refRes := ref.Run(warmup, measure, nil)
+			ref.ctrl.CommandHook = func(c dram.Command) { refCmds = append(refCmds, c) }
+			refRes := runCold(t, ref, warmup, measure)
 
 			for _, snapAt := range []int{warmup * 2 / 3, warmup + measure/2} {
 				snapAt := snapAt
 				// Prefix run to the snapshot point, replicating the
-				// phase bookkeeping Run would have done so far.
+				// phase bookkeeping runCold would have done so far.
 				pre, err := NewSystem(cfg, mix)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var cmds []dram.Command
 				hook := func(c dram.Command) { cmds = append(cmds, c) }
-				pre.Controller().CommandHook = hook
+				pre.ctrl.CommandHook = hook
 				ctx := context.Background()
 				var mark runMark
 				if snapAt >= warmup {
@@ -136,7 +136,7 @@ func TestResumeEquivalence(t *testing.T) {
 				if res.Ticks() != snapAt {
 					t.Fatalf("restored at tick %d, want %d", res.Ticks(), snapAt)
 				}
-				res.Controller().CommandHook = hook
+				res.ctrl.CommandHook = hook
 				if snapAt < warmup {
 					if err := res.RunTo(ctx, warmup); err != nil {
 						t.Fatal(err)
@@ -179,7 +179,7 @@ func TestResumeEquivalence(t *testing.T) {
 					t.Fatalf("snap@%d: LLC hit rate diverged: resumed %v ref %v",
 						snapAt, got.LLCHitRate, refRes.LLCHitRate)
 				}
-				if res.Controller().Now() != ref.Controller().Now() {
+				if res.ctrl.Now() != ref.ctrl.Now() {
 					t.Fatalf("snap@%d: clocks diverged", snapAt)
 				}
 			}

@@ -15,7 +15,6 @@ import (
 	"hira/internal/core"
 	"hira/internal/cpu"
 	"hira/internal/dram"
-	"hira/internal/metrics"
 	"hira/internal/rowhammer"
 	"hira/internal/sched"
 	"hira/internal/snap"
@@ -164,18 +163,6 @@ func DefaultConfig() Config {
 		SPTCoverage:      0.32,
 		Seed:             1,
 	}
-}
-
-// Result reports one simulation run.
-type Result struct {
-	IPC             []float64 // per core, in CPU cycles
-	WeightedSpeedup float64
-	Sched           sched.Stats
-	LLCHitRate      float64
-	Ticks           int
-	// Forensics carries the RowHammer forensics summary when
-	// Config.Forensics enabled the ledger; nil otherwise.
-	Forensics *ForensicsSummary
 }
 
 // wbRing buffers writebacks that found the write queue full, FIFO. It is
@@ -385,7 +372,7 @@ func NewSystem(cfg Config, mix workload.SourceMix) (*System, error) {
 		timing:    timing,
 		ctrl:      ctrl,
 		engine:    engine,
-		llc:       cache.MustNew(8<<20, 8, 64),
+		llc:       cache.NewLLC(),
 		mapper:    dram.NewMOPMapper(org),
 		blocked:   make([]bool, cfg.Cores),
 		idleMemo:  make([]int, cfg.Cores),
@@ -412,9 +399,6 @@ func (s *System) complete(core int, token uint64) {
 	s.blocked[core] = false
 	s.idleDirty[core] = true
 }
-
-// Controller exposes the memory controller (for inspection).
-func (s *System) Controller() *sched.Controller { return s.ctrl }
 
 // Issue implements cpu.Memory for one core.
 func (m *coreMemory) Issue(req cpu.MemRequest) bool {
@@ -622,8 +606,8 @@ func zeroMark(cores int) runMark {
 // accumulated since m, over measure ticks. All counters are monotone and
 // additive, so the difference is bit-identical to what resetting them at
 // the mark would have measured.
-func (s *System) resultSince(m runMark, measure int) Result {
-	res := Result{Ticks: measure, Sched: s.ctrl.Stats.Sub(m.sched), LLCHitRate: s.llc.HitRate()}
+func (s *System) resultSince(m runMark, measure int) CellResult {
+	res := CellResult{Ticks: measure, Sched: s.ctrl.Stats.Sub(m.sched), LLCHitRate: s.llc.HitRate()}
 	cycles := float64(measure) * cpuCyclesPerTick
 	for i, c := range s.cores {
 		res.IPC = append(res.IPC, float64(c.Retired-m.retired[i])/cycles)
@@ -640,30 +624,4 @@ func (s *System) resultSince(m runMark, measure int) Result {
 		}
 	}
 	return res
-}
-
-// Run executes warmup then measure ticks and returns the measured-phase
-// result. IPCAlone (same order as cores) feeds the weighted speedup; pass
-// nil to skip it.
-func (s *System) Run(warmup, measure int, ipcAlone []float64) Result {
-	res, _ := s.RunContext(context.Background(), warmup, measure, ipcAlone)
-	return res
-}
-
-// RunContext is Run honoring cancellation: once ctx is cancelled the
-// simulation stops within ctxCheckTicks ticks and returns ctx.Err(). A
-// cancelled system is mid-simulation and must not be reused.
-func (s *System) RunContext(ctx context.Context, warmup, measure int, ipcAlone []float64) (Result, error) {
-	if err := s.runTicks(ctx, warmup); err != nil {
-		return Result{}, err
-	}
-	m := s.mark()
-	if err := s.runTicks(ctx, measure); err != nil {
-		return Result{}, err
-	}
-	res := s.resultSince(m, measure)
-	if ipcAlone != nil {
-		res.WeightedSpeedup = metrics.WeightedSpeedup(res.IPC, ipcAlone)
-	}
-	return res, nil
 }

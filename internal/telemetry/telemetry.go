@@ -346,22 +346,6 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// Families returns the registered family names and kinds, sorted by
-// name ("name kind" lines) — the shape tests pin /metrics against.
-func (r *Registry) Families() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	out := make([]string, 0, len(r.families))
-	for _, f := range r.families {
-		out = append(out, f.name+" "+string(f.kind))
-	}
-	r.mu.Unlock()
-	sort.Strings(out)
-	return out
-}
-
 func renderSeries(b *strings.Builder, s *series) {
 	switch {
 	case s.h != nil:

@@ -103,9 +103,8 @@ zz_total 3
 	if b.String() != want {
 		t.Fatalf("rendering mismatch:\ngot:\n%s\nwant:\n%s", b.String(), want)
 	}
-	fams := r.Families()
-	if len(fams) != 3 || fams[0] != "aa_total counter" || fams[1] != "mid_gauge gauge" {
-		t.Fatalf("families = %v", fams)
+	if len(r.families) != 3 || r.families["aa_total"].kind != "counter" || r.families["mid_gauge"].kind != "gauge" {
+		t.Fatalf("families = %v", r.families)
 	}
 }
 

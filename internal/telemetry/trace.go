@@ -179,9 +179,10 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 	return enc.Encode(t.Snapshot())
 }
 
-// chromeEvent is one Chrome trace-event ("X" = complete event).
-// Load the file at chrome://tracing or https://ui.perfetto.dev.
-type chromeEvent struct {
+// ChromeEvent is one Chrome trace-event ("X" = complete event), the
+// form both a job's trace and the DRAM flight recorder export. Load the
+// file at chrome://tracing or https://ui.perfetto.dev.
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat"`
 	Ph   string         `json:"ph"`
@@ -192,6 +193,14 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
+// WriteChromeEvents writes events in the Chrome trace-event envelope.
+func WriteChromeEvents(w io.Writer, events []ChromeEvent) error {
+	return json.NewEncoder(w).Encode(map[string]any{
+		"displayTimeUnit": "ms",
+		"traceEvents":     events,
+	})
+}
+
 // WriteChrome writes the trace in Chrome trace-event format. Spans are
 // packed onto lanes (tids) by greedy interval partitioning, so
 // concurrently executing cells render side by side in about:tracing
@@ -199,7 +208,7 @@ type chromeEvent struct {
 func (t *Trace) WriteChrome(w io.Writer) error {
 	v := t.Snapshot()
 	laneEnds := []int64{} // per lane, the end of its last span
-	events := make([]chromeEvent, 0, len(v.Spans))
+	events := make([]ChromeEvent, 0, len(v.Spans))
 	for _, s := range v.Spans {
 		lane := -1
 		for i, end := range laneEnds {
@@ -221,16 +230,13 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 			}
 			args["scope"] = s.Scope
 		}
-		events = append(events, chromeEvent{
+		events = append(events, ChromeEvent{
 			Name: s.Name, Cat: "job", Ph: "X",
 			TS: float64(s.StartNS) / 1e3, Dur: float64(s.DurNS) / 1e3,
 			PID: 1, TID: lane, Args: args,
 		})
 	}
-	return json.NewEncoder(w).Encode(map[string]any{
-		"displayTimeUnit": "ms",
-		"traceEvents":     events,
-	})
+	return WriteChromeEvents(w, events)
 }
 
 // SpanCount reports how many spans have been recorded (for tests and

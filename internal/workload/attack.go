@@ -3,22 +3,15 @@ package workload
 import (
 	"fmt"
 
+	"hira/internal/cache"
 	"hira/internal/dram"
-)
-
-// The simulated system's shared LLC (Table 3: 8 MiB, 8-way, 64 B blocks,
-// set = (addr>>6) & (sets-1)). Attack streams are built against this
-// geometry so every hammering access misses the cache and reaches DRAM.
-const (
-	attackLLCBlock = 64
-	attackLLCSets  = 16384
-	attackLLCWays  = 8
 )
 
 // DefaultEvictRows is the default eviction-class size: one more row than
 // the LLC has ways, so cycling the class in LRU order misses on every
-// access.
-const DefaultEvictRows = attackLLCWays + 1
+// access. Attack streams are built against the simulated system's LLC
+// geometry (cache.LLC*), so every hammering access reaches DRAM.
+const DefaultEvictRows = cache.LLCWays + 1
 
 // AttackKind names a hammering pattern.
 const (
@@ -157,14 +150,14 @@ func NewAttack(spec AttackSpec, org dram.Org) (*Attack, error) {
 		}
 	}
 	set := func(row int) uint64 {
-		return (mapper.Addr(loc(row)) / attackLLCBlock) % attackLLCSets
+		return (mapper.Addr(loc(row)) / cache.LLCBlock) % cache.LLCSets
 	}
 	rowsPerBank := org.RowsPerBank()
 	// m: the smallest row stride within one bank that preserves the LLC
 	// set. It exists for every power-of-two geometry; searching keeps the
 	// construction correct for any organization.
 	m := 0
-	for s := 1; s <= attackLLCSets && s < rowsPerBank; s++ {
+	for s := 1; s <= cache.LLCSets && s < rowsPerBank; s++ {
 		if set(s) == set(0) {
 			m = s
 			break

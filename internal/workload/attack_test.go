@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"hira/internal/cache"
 	"hira/internal/dram"
 )
 
@@ -24,10 +25,10 @@ func TestAttackConstruction(t *testing.T) {
 		if len(rows) != DefaultEvictRows {
 			t.Fatalf("class %d has %d rows, want %d", ci, len(rows), DefaultEvictRows)
 		}
-		want := (a.addr[ci][0] / attackLLCBlock) % attackLLCSets
+		want := (a.addr[ci][0] / cache.LLCBlock) % cache.LLCSets
 		for k, r := range rows {
 			addr := a.addr[ci][k]
-			if set := (addr / attackLLCBlock) % attackLLCSets; set != want {
+			if set := (addr / cache.LLCBlock) % cache.LLCSets; set != want {
 				t.Errorf("class %d row %d: LLC set %d, want %d", ci, r, set, want)
 			}
 			loc := mapper.Map(addr)

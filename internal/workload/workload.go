@@ -268,9 +268,6 @@ func (g *Generator) randAddr() uint64 {
 	return g.base + (g.next()&g.mask)&^63
 }
 
-// Profile returns the generator's profile.
-func (g *Generator) Profile() Profile { return g.prof }
-
 // Next returns the next access in the stream.
 func (g *Generator) Next() Access {
 	r := g.next()

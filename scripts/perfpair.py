@@ -5,11 +5,15 @@ Usage, from anywhere inside the repository:
 
     python3 scripts/perfpair.py --base main --pairs 10
     python3 scripts/perfpair.py --base HEAD~1 --workload server-session
+    python3 scripts/perfpair.py --base ../parent-clone --head .
 
---base and --head each name a git ref (--head defaults to HEAD). Each is
-checked out into its own temporary `git worktree`, removed on exit, so
-only committed files are measured. Each pair runs
-`python3 perfbench/run.py --trace 0` once in each worktree, with the
+--base and --head each name an existing directory or a git ref (--head
+defaults to HEAD; a directory wins over a ref of the same name). A
+directory is a checkout of the repository, used in place and labelled
+by its path, so it measures whatever its tree holds, uncommitted edits
+included. A ref is checked out into its own temporary `git worktree`,
+removed on exit, so only committed files are measured. Each pair runs
+`python3 perfbench/run.py --trace 0` once in each checkout, with the
 pair's seed (1, 2, ...), for every workload of BENCHMARK.json (or the
 --workload ones). Pairs alternate which side goes first, so a drift in
 host load falls on both sides alike.
@@ -48,6 +52,24 @@ class Checkout:
 
     def close(self):
         git(self.root, "worktree", "remove", "--force", self.dir)
+
+
+class Directory:
+    """An existing checkout, used in place; close() leaves it alone."""
+
+    def __init__(self, path):
+        self.dir = os.path.abspath(path)
+        self.label = self.dir
+
+    def close(self):
+        pass
+
+
+def open_side(root, ref, path):
+    """A Directory when ref is an existing directory, else a Checkout."""
+    if os.path.isdir(ref):
+        return Directory(ref)
+    return Checkout(root, ref, path)
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -95,8 +117,8 @@ def summarize(workload, metrics, runs):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--base", required=True, help="base git ref")
-    ap.add_argument("--head", default="HEAD", help="head git ref")
+    ap.add_argument("--base", required=True, help="base directory or git ref")
+    ap.add_argument("--head", default="HEAD", help="head directory or git ref")
     ap.add_argument("--pairs", type=int, default=10, help="alternating pairs per workload")
     ap.add_argument("--workload", action="append", help="workload to run (repeatable; default all)")
     ap.add_argument("--seconds", type=int, help="measured seconds per run (default BENCHMARK.json's run_seconds)")
@@ -106,10 +128,10 @@ def main():
     tmp = tempfile.mkdtemp(prefix="perfpair-")
     sides = []
     try:
-        # Each worktree is recorded as soon as it exists, so a failure
-        # on the second still removes the first.
+        # Each side is recorded as soon as it exists, so a failure on
+        # the second still removes the first's worktree.
         for side, ref in (("base", args.base), ("head", args.head)):
-            sides.append(Checkout(root, ref, os.path.join(tmp, side)))
+            sides.append(open_side(root, ref, os.path.join(tmp, side)))
         with open(os.path.join(sides[1].dir, "BENCHMARK.json")) as f:
             spec = json.load(f)
         workloads = args.workload or [w["name"] for w in spec["workloads"]]
